@@ -2,22 +2,23 @@
 Enumerating and ranking folding sequences
 =========================================
 
-Backtracking depth-first search over fold actions finds every ordering of
-the foldable joints whose steps are all collision free. The sequences are
-then ranked lexicographically: fewest aerial folds first, cumulative
-bounding-box measures as tie breakers.
+A fold state is just the set of folded joints. The planner walks the
+reachable subsets once, with one swept collision check per (subset, joint),
+and every ordering whose steps are all collision free is a path through
+that lattice. The sequences are ranked lexicographically: fewest aerial
+folds first, cumulative bounding-box measures as tie breakers.
 """
 
-import io
-import sys
 from pathlib import Path
 
 from cartonfold import (
     ObstacleSet,
     RankingPolicy,
     SweepParams,
+    build_lattice,
     enumerate_sequences,
     feasible_subsets,
+    rank_lattice,
     score_and_rank,
 )
 from cartonfold.model import build_tree, load_spec
@@ -29,11 +30,11 @@ spec = load_spec(SPECS / "three_flaps.yaml")
 tree = build_tree(spec)
 params, obstacles = SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
 
-diag = io.StringIO()
-sequences = enumerate_sequences(tree, params, obstacles, diagnostics=diag)
-print("three_flaps orderings:", [s.order for s in sequences])
-print("search diagnostics:")
-print("  " + "\n  ".join(diag.getvalue().splitlines()))
+lattice = build_lattice(tree, params, obstacles)
+print("three_flaps orderings:", [s.order for s in lattice.sequences()])
+print("lattice:", len(lattice.edges), "reachable states,",
+      lattice.sequence_count, "sequences by path count")
+print("  " + "\n  ".join(lattice.stats.lines()))
 
 # The blocking pair: the cover's overhang bars the drop leaf's arc, so only
 # the leaf-first ordering survives.
@@ -43,7 +44,7 @@ params, obstacles = SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
 print("\nblocking_pair orderings:",
       [s.order for s in enumerate_sequences(tree, params, obstacles)])
 
-# The full feasibility table behind the memoized search: one verdict per
+# The full feasibility table, reachable subsets or not: one verdict per
 # (folded subset, next joint) pair.
 table = feasible_subsets(tree, params, obstacles)
 for subset in sorted(table, key=lambda s: (len(s), sorted(s))):
@@ -62,3 +63,12 @@ print(f"{'sequence':<14} {'volume_mm3':>12} {'maxdim_mm':>10} {'naf':>4}")
 for row in report.rows:
     print(f"{str(list(row.sequence.order)):<14} {row.c_vol:>12.1f} "
           f"{row.c_dim:>10.1f} {row.c_aerial:>4}")
+
+# The same ranking straight from the lattice: a bounded search finds the
+# best two without scoring the other orderings.
+lattice = build_lattice(
+    tree, SweepParams.from_spec(spec), ObstacleSet.from_spec(spec), spec.support_tolerance
+)
+best = rank_lattice(lattice, RankingPolicy(("aerial", "maxdim")), top=2)
+print(f"\nbest 2 of {best.sequence_count} from the lattice:",
+      [row.sequence.order for row in best.rows])

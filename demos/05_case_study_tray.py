@@ -16,10 +16,10 @@ from cartonfold import (
     ObstacleSet,
     RankingPolicy,
     SweepParams,
+    build_lattice,
     collision_check,
-    enumerate_sequences,
     is_aerial,
-    score_and_rank,
+    rank_lattice,
 )
 from cartonfold.model import build_tree, load_spec
 
@@ -45,16 +45,15 @@ for joint in tree.foldable_ids:
           f"{'feasible' if feasible else 'blocked'}")
 
 t0 = time.perf_counter()
-sequences = enumerate_sequences(tree, params, obstacles, mode="memoized")
+lattice = build_lattice(tree, params, obstacles, spec.support_tolerance)
+report = rank_lattice(lattice, RankingPolicy(tuple(spec.ranking)), top=10)
 elapsed = time.perf_counter() - t0
-print(f"\n{len(sequences)} valid folding sequences in {elapsed:.2f} s")
+print(f"\n{report.sequence_count} valid folding sequences from "
+      f"{lattice.stats.cc_calls} collision checks, best 10 ranked in {elapsed:.2f} s")
 
-report = score_and_rank(
-    tree, sequences, RankingPolicy(tuple(spec.ranking)), spec.support_tolerance
-)
 print("\ntop 10 under policy", " > ".join(spec.ranking) + ":")
 print(f"{'sequence':<24} {'volume_mm3':>14} {'maxdim_mm':>11} {'naf':>4}")
-for row in report.rows[:10]:
+for row in report.rows:
     print(f"{str(list(row.sequence.order)):<24} {row.c_vol:>14.1f} "
           f"{row.c_dim:>11.1f} {row.c_aerial:>4}")
 

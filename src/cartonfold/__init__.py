@@ -1,8 +1,9 @@
 """Fold-sequence planning for hinged rigid-panel cartons.
 
-Model a flat carton as a kinematic tree of panels, enumerate every
-collision-free folding order with a backtracking search, and rank the
-results by how friendly they are to simple folding hardware.
+Model a flat carton as a kinematic tree of panels, build the lattice of
+reachable fold states with one swept collision check per fold, and rank
+its collision-free folding orders by how friendly they are to simple
+folding hardware.
 """
 
 from .geometry import Aabb, OrientedBox, Transform, obb_intersect, rotate_about_axis, world_aabb
@@ -14,6 +15,7 @@ from .model import (
     PanelPose,
     PanelSpec,
     SpecValidationError,
+    StateTable,
     build_tree,
     forward_kinematics,
     load_spec,
@@ -29,10 +31,12 @@ from .collision import (
     sweep_angles,
 )
 from .planner import (
+    FoldLattice,
     FoldSequence,
     FoldState,
     PlannerError,
     action_space,
+    build_lattice,
     enumerate_sequences,
     feasible_subsets,
     transition,
@@ -45,6 +49,7 @@ from .metrics import (
     bounding_volume,
     is_aerial,
     max_dimension,
+    rank_lattice,
     score_and_rank,
     score_sequence,
 )
@@ -54,6 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Aabb",
     "CartonSpec",
+    "FoldLattice",
     "FoldSequence",
     "FoldState",
     "GraspSide",
@@ -69,11 +75,13 @@ __all__ = [
     "RankingPolicy",
     "SequenceScore",
     "SpecValidationError",
+    "StateTable",
     "StepMetrics",
     "SweepParams",
     "Transform",
     "action_space",
     "bounding_volume",
+    "build_lattice",
     "build_tree",
     "collision_check",
     "enumerate_sequences",
@@ -85,6 +93,7 @@ __all__ = [
     "max_dimension",
     "obb_intersect",
     "parse_spec",
+    "rank_lattice",
     "rotate_about_axis",
     "score_and_rank",
     "score_sequence",

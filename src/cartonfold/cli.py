@@ -2,7 +2,7 @@
 
 Exit codes: 0 success with at least one sequence, 2 valid input but no
 feasible sequence (or an --explain sequence that fails), 3 spec validation
-failure, 4 subset cap exceeded with the naive fallback declined.
+failure.
 
 Set CARTONFOLD_LOG=debug|info|warning to control log verbosity.
 """
@@ -10,7 +10,6 @@ Set CARTONFOLD_LOG=debug|info|warning to control log verbosity.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import logging
 import math
@@ -26,29 +25,15 @@ from .collision import (
     grasp_side,
     n_sweep_samples,
 )
-from .metrics import (
-    RankedReport,
-    RankingPolicy,
-    SequenceScore,
-    StateMetricsCache,
-    score_and_rank,
-)
-from .model import (
-    JointVector,
-    KinematicTree,
-    SpecValidationError,
-    build_tree,
-    forward_kinematics,
-    load_spec,
-)
-from .planner import DEFAULT_SUBSET_CAP, enumerate_sequences
+from .metrics import RankedReport, RankingPolicy, SequenceScore, rank_lattice, round6
+from .model import SpecValidationError, StateTable, build_tree, load_spec
+from .planner import build_lattice
 
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_NO_SEQUENCES = 2
 EXIT_SPEC_INVALID = 3
-EXIT_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -58,19 +43,11 @@ class RunConfig:
     spec_path: str
     fmt: str = "table"
     top: int | None = 20  # None means all
-    mode: str = "memoized"
     tolerance_angle_deg: float | None = None
     penetration_mm: float | None = None
     support_mm: float | None = None
     dump_dir: str | None = None
     explain: tuple[int, ...] | None = None
-    subset_cap: int = DEFAULT_SUBSET_CAP
-    no_naive_fallback: bool = False
-
-
-def _f6(value: float) -> float:
-    """Round through fixed 6-decimal text so emitted numbers are reproducible."""
-    return float(f"{value:.6f}")
 
 
 def _apply_overrides(spec, config: RunConfig):
@@ -88,7 +65,7 @@ def format_table(report: RankedReport, top: int | None) -> str:
     rows = report.rows if top is None else report.rows[:top]
     lines = [
         f"policy: {' > '.join(report.policy.criteria)}   "
-        f"(showing {len(rows)} of {len(report.rows)} sequences)",
+        f"(showing {len(rows)} of {report.sequence_count} sequences)",
         f"{'rank':>4}  {'sequence':<28} {'volume_mm3':>16} {'maxdim_mm':>12} {'naf':>4}",
     ]
     for rank, row in enumerate(rows, start=1):
@@ -111,14 +88,14 @@ def format_csv(report: RankedReport, top: int | None) -> str:
 def _row_payload(row: SequenceScore) -> dict:
     return {
         "sequence": list(row.sequence.order),
-        "volume_mm3": _f6(row.c_vol),
-        "maxdim_mm": _f6(row.c_dim),
+        "volume_mm3": round6(row.c_vol),
+        "maxdim_mm": round6(row.c_dim),
         "naf": row.c_aerial,
         "per_step": [
             {
                 "joint": step.joint,
-                "volume_mm3": _f6(step.volume),
-                "maxdim_mm": _f6(step.max_dim),
+                "volume_mm3": round6(step.volume),
+                "maxdim_mm": round6(step.max_dim),
                 "aerial": step.aerial,
             }
             for step in row.per_step
@@ -126,29 +103,24 @@ def _row_payload(row: SequenceScore) -> dict:
     }
 
 
-def format_structured(report: RankedReport, top: int | None, mode: str) -> str:
+def format_structured(report: RankedReport, top: int | None) -> str:
     rows = report.rows if top is None else report.rows[:top]
     payload = {
         "policy": list(report.policy.criteria),
-        "mode": mode,
-        "sequence_count": len(report.rows),
+        "sequence_count": report.sequence_count,
         "rows": [_row_payload(row) for row in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _state_record(tree: KinematicTree, folded: frozenset, joint: int | None, aerial):
+def _state_record(states: StateTable, folded: frozenset, joint: int | None, aerial):
     # Full float precision here: renderers and the replay invariant need the
     # dumped angles and poses to agree to machine accuracy.
-    theta = JointVector.from_folded(tree, folded)
-    poses = forward_kinematics(tree, theta)
-    from .geometry import world_aabb
-
-    box = world_aabb([p.solid for p in poses])
+    record = states.state(folded)
     return {
         "joint": joint,
         "aerial": aerial,
-        "theta_rad": {str(pid): theta.angle(pid) for pid in tree.ids},
+        "theta_rad": {str(pid): record.theta.angle(pid) for pid in states.tree.ids},
         "panels": [
             {
                 "id": p.panel_id,
@@ -157,16 +129,16 @@ def _state_record(tree: KinematicTree, folded: frozenset, joint: int | None, aer
                 "center": [float(v) for v in p.center],
                 "half_extents": [float(v) for v in p.solid.half_extents],
             }
-            for p in poses
+            for p in record.poses
         ],
         "aabb": {
-            "min": [float(v) for v in box.min],
-            "max": [float(v) for v in box.max],
+            "min": [float(v) for v in record.box.min],
+            "max": [float(v) for v in record.box.max],
         },
     }
 
 
-def dump_states(tree: KinematicTree, rows, directory: str) -> None:
+def dump_states(states: StateTable, rows, directory: str) -> None:
     """One JSON file per reported sequence with a record for every state.
 
     Records 0 .. k-1 carry the state before each fold plus that fold's joint
@@ -180,10 +152,10 @@ def dump_states(tree: KinematicTree, rows, directory: str) -> None:
         for t, ((state, joint), metrics) in enumerate(
             zip(row.sequence.prefixes(), row.per_step)
         ):
-            record = _state_record(tree, state.folded, joint, metrics.aerial)
+            record = _state_record(states, state.folded, joint, metrics.aerial)
             record["t"] = t
             steps.append(record)
-        final = _state_record(tree, frozenset(row.sequence.order), None, None)
+        final = _state_record(states, frozenset(row.sequence.order), None, None)
         final["t"] = len(row.sequence.order)
         steps.append(final)
         payload = {"sequence": list(row.sequence.order), "steps": steps}
@@ -215,26 +187,27 @@ def explain(config: RunConfig, sequence=None, out=None) -> int:
         )
         return EXIT_NO_SEQUENCES
 
-    cache = StateMetricsCache(tree)
+    states = StateTable(tree)
     folded: frozenset = frozenset()
     for step, joint in enumerate(sequence, start=1):
-        if not collision_check(tree, folded, joint, params, obstacles):
+        if not collision_check(tree, folded, joint, params, obstacles, states):
             print(
                 f"sequence invalid: step {step} (fold joint {joint}) collides",
                 file=out,
             )
             return EXIT_NO_SEQUENCES
-        box, min_z = cache.state(folded)
-        subtree_min = min(min_z[pid] for pid in tree.subtree_ids(joint))
-        aerial = subtree_min > spec.support_tolerance
+        record = states.state(folded)
+        aerial = record.lowest_z(tree.subtree_ids(joint)) > spec.support_tolerance
         if spec.gripper is not None:
-            side = grasp_side(tree, folded, joint, spec.gripper, params, obstacles).value
+            side = grasp_side(
+                tree, folded, joint, spec.gripper, params, obstacles, states
+            ).value
         else:
             side = "n/a"
         print(
             f"step {step}: fold joint {joint} | cc_samples={n_sweep_samples(tree, joint, params)} "
-            f"| aerial={'yes' if aerial else 'no'} | volume={box.volume:.1f} mm^3 "
-            f"| maxdim={box.max_extent:.1f} mm | grasp={side}",
+            f"| aerial={'yes' if aerial else 'no'} | volume={record.volume:.1f} mm^3 "
+            f"| maxdim={record.max_extent:.1f} mm | grasp={side}",
             file=out,
         )
         folded = folded | {joint}
@@ -243,7 +216,7 @@ def explain(config: RunConfig, sequence=None, out=None) -> int:
 
 
 def run(config: RunConfig, out=None) -> int:
-    """Enumerate, rank and report; returns the process exit code."""
+    """Build the fold-state lattice, rank it and report; returns the exit code."""
     out = out or sys.stdout
     try:
         spec = _apply_overrides(load_spec(config.spec_path), config)
@@ -258,46 +231,22 @@ def run(config: RunConfig, out=None) -> int:
     params = SweepParams.from_spec(spec)
     obstacles = ObstacleSet.from_spec(spec)
 
-    k = len(tree.foldable_ids)
-    if config.mode == "memoized" and k > config.subset_cap and config.no_naive_fallback:
-        print(
-            f"error: {k} foldable joints exceed the subset cap {config.subset_cap} "
-            "and the naive fallback was declined",
-            file=sys.stderr,
-        )
-        return EXIT_LIMIT
-
-    diag_stream = io.StringIO()
-    sequences = enumerate_sequences(
-        tree,
-        params,
-        obstacles,
-        mode=config.mode,
-        subset_cap=config.subset_cap,
-        diagnostics=diag_stream,
-    )
-    for line in diag_stream.getvalue().splitlines():
+    lattice = build_lattice(tree, params, obstacles, spec.support_tolerance)
+    report = rank_lattice(lattice, RankingPolicy(tuple(spec.ranking)), config.top)
+    for line in lattice.stats.lines():
         logger.info("planner %s", line)
-
-    report = score_and_rank(
-        tree,
-        sequences,
-        RankingPolicy(tuple(spec.ranking)),
-        spec.support_tolerance,
-    )
 
     if config.fmt == "table":
         out.write(format_table(report, config.top))
     elif config.fmt == "csv":
         out.write(format_csv(report, config.top))
     else:
-        out.write(format_structured(report, config.top, config.mode))
+        out.write(format_structured(report, config.top))
 
     if config.dump_dir is not None:
-        rows = report.rows if config.top is None else report.rows[: config.top]
-        dump_states(tree, rows, config.dump_dir)
+        dump_states(lattice.states, report.rows, config.dump_dir)
 
-    if not report.rows:
+    if not report.sequence_count:
         logger.warning("no feasible folding sequence found")
         return EXIT_NO_SEQUENCES
     return EXIT_OK
@@ -333,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=_parse_top, default=20, metavar="N|all",
         help="how many ranked sequences to report (default 20)",
     )
-    parser.add_argument("--mode", choices=("naive", "memoized"), default="memoized")
     parser.add_argument("--tolerance-angle-deg", type=float, default=None,
                         help="override the sweep sampling granularity")
     parser.add_argument("--penetration-mm", type=float, default=None,
@@ -344,10 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write per-step pose dumps for the reported sequences")
     parser.add_argument("--explain", type=_parse_sequence, default=None, metavar="I,J,K",
                         help="trace one sequence step by step instead of enumerating")
-    parser.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP,
-                        help="joint count above which the memo table is not built")
-    parser.add_argument("--no-naive-fallback", action="store_true",
-                        help="fail (exit 4) instead of falling back to naive mode")
     return parser
 
 
@@ -359,14 +303,11 @@ def main(argv=None) -> int:
         spec_path=args.spec,
         fmt=args.format,
         top=args.top,
-        mode=args.mode,
         tolerance_angle_deg=args.tolerance_angle_deg,
         penetration_mm=args.penetration_mm,
         support_mm=args.support_mm,
         dump_dir=args.dump_states,
         explain=args.explain,
-        subset_cap=args.subset_cap,
-        no_naive_fallback=args.no_naive_fallback,
     )
     return run(config)
 

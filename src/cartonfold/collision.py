@@ -17,22 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OrientedBox, Transform, rotation_matrices, sat_overlap_matrix
-from .model import CartonSpec, JointVector, KinematicTree, forward_kinematics
-
-_CORNER_SIGNS = np.array(
-    [
-        [-1, -1, -1],
-        [+1, -1, -1],
-        [-1, +1, -1],
-        [+1, +1, -1],
-        [-1, -1, +1],
-        [+1, -1, +1],
-        [-1, +1, +1],
-        [+1, +1, +1],
-    ],
-    dtype=float,
+from .geometry import (
+    CORNER_SIGNS,
+    OrientedBox,
+    Transform,
+    pack_boxes,
+    rotation_matrices,
+    sat_overlap_matrix,
 )
+from .model import CartonSpec, KinematicTree, StateTable
 
 
 @dataclass(frozen=True)
@@ -92,37 +85,10 @@ def sweep_angles(start: float, end: float, step: float) -> np.ndarray:
     return np.append(interior, end)
 
 
-def _pack_poses(poses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    centers = np.stack([p.solid.center for p in poses])
-    rots = np.stack([p.solid.pose.rotation for p in poses])
-    halves = np.stack([p.solid.half_extents for p in poses])
-    return centers, rots, halves
-
-
 def _min_corner_z(centers: np.ndarray, rots: np.ndarray, halves: np.ndarray) -> float:
-    offsets = _CORNER_SIGNS[None, :, :] * halves[:, None, :]
+    offsets = CORNER_SIGNS[None, :, :] * halves[:, None, :]
     corners = centers[:, None, :] + np.einsum("nij,nkj->nki", rots, offsets)
     return float(corners[:, :, 2].min())
-
-
-class StateGeometryCache:
-    """Memo for per-state forward kinematics and packed solid arrays.
-
-    Purely a performance aid: entries are functions of the immutable tree
-    and the folded subset, so sharing a cache never changes any verdict.
-    """
-
-    def __init__(self, tree: KinematicTree):
-        self.tree = tree
-        self._states: dict[frozenset, tuple] = {}
-
-    def state(self, folded: frozenset):
-        entry = self._states.get(folded)
-        if entry is None:
-            poses = forward_kinematics(self.tree, JointVector.from_folded(self.tree, folded))
-            entry = (poses, _pack_poses(poses))
-            self._states[folded] = entry
-        return entry
 
 
 def _swept_movers(
@@ -179,7 +145,7 @@ def collision_check(
     moving_joint: int,
     params: SweepParams,
     obstacles: ObstacleSet,
-    cache: StateGeometryCache | None = None,
+    states: StateTable | None = None,
 ) -> bool:
     """True when folding ``moving_joint`` from the given state is collision free.
 
@@ -188,6 +154,7 @@ def collision_check(
     sample the subtree solids must clear all panels outside the subtree and
     all obstacles. Crease-adjacent panel pairs are tested with the
     penetration tolerance as allowance; everything else is tested exactly.
+    ``states`` shares fold-state records between calls.
     """
     folded = frozenset(folded)
     if moving_joint not in tree.foldable_ids:
@@ -198,10 +165,11 @@ def collision_check(
     if bad:
         raise ValueError(f"folded set contains non-foldable joints: {sorted(bad)}")
 
-    if cache is None:
-        cache = StateGeometryCache(tree)
-    poses, (all_centers, all_rots, all_halves) = cache.state(folded)
-    poses_by_id = {p.panel_id: p for p in poses}
+    if states is None:
+        states = StateTable(tree)
+    record = states.state(folded)
+    poses_by_id = record.poses_by_id
+    all_centers, all_rots, all_halves = record.solids
 
     panel = tree.panel(moving_joint)
     samples = sweep_angles(panel.theta_init, panel.theta_final, params.tolerance_angle)
@@ -243,9 +211,7 @@ def collision_check(
                 return False
 
     if obstacles.boxes:
-        ob_centers = np.stack([b.center for b in obstacles.boxes])
-        ob_rots = np.stack([b.pose.rotation for b in obstacles.boxes])
-        ob_halves = np.stack([b.half_extents for b in obstacles.boxes])
+        ob_centers, ob_rots, ob_halves = pack_boxes(obstacles.boxes)
         hit = sat_overlap_matrix(
             mov_centers, mov_rots, mov_halves, ob_centers, ob_rots, ob_halves, 0.0
         )
@@ -279,6 +245,7 @@ def grasp_side(
     gripper,
     params: SweepParams,
     obstacles: ObstacleSet,
+    states: StateTable | None = None,
 ) -> GraspSide:
     """Advisory placement test for a gripper on the panel about to fold.
 
@@ -290,8 +257,9 @@ def grasp_side(
     folded = frozenset(folded)
     if joint in folded:
         raise ValueError(f"joint {joint} is already folded")
-    poses = forward_kinematics(tree, JointVector.from_folded(tree, folded))
-    poses_by_id = {p.panel_id: p for p in poses}
+    if states is None:
+        states = StateTable(tree)
+    poses_by_id = states.state(folded).poses_by_id
     panel = tree.panel(joint)
     solid = poses_by_id[joint].solid
 
@@ -312,14 +280,10 @@ def grasp_side(
         c, r, h = box.center[None, :], box.pose.rotation[None, :, :], box.half_extents[None, :]
         blocked = False
         if others:
-            oc = np.stack([b.center for b in others])
-            orr = np.stack([b.pose.rotation for b in others])
-            oh = np.stack([b.half_extents for b in others])
+            oc, orr, oh = pack_boxes(others)
             blocked = bool(sat_overlap_matrix(c, r, h, oc, orr, oh, 0.0).any())
         if not blocked and obstacles.boxes:
-            oc = np.stack([b.center for b in obstacles.boxes])
-            orr = np.stack([b.pose.rotation for b in obstacles.boxes])
-            oh = np.stack([b.half_extents for b in obstacles.boxes])
+            oc, orr, oh = pack_boxes(obstacles.boxes)
             blocked = bool(sat_overlap_matrix(c, r, h, oc, orr, oh, 0.0).any())
         if not blocked and obstacles.table_plane:
             blocked = _min_corner_z(c, r, h) < -eps

@@ -110,7 +110,7 @@ def rotate_about_axis(point_on_axis, axis_dir, angle: float) -> Transform:
     return Transform(rot, point - rot @ point)
 
 
-_CORNER_SIGNS = np.array(
+CORNER_SIGNS = np.array(
     [
         [-1, -1, -1],
         [+1, -1, -1],
@@ -155,7 +155,7 @@ class OrientedBox:
 
     def corners(self) -> np.ndarray:
         """All 8 corner vertices in world coordinates, shape (8, 3)."""
-        return self.pose.apply(_CORNER_SIGNS * self.half_extents)
+        return self.pose.apply(CORNER_SIGNS * self.half_extents)
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def world_aabb(boxes) -> Aabb:
     return Aabb(corners.min(axis=0), corners.max(axis=0))
 
 
-def _pack_boxes(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pack_boxes(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack boxes into (centers, rotations, half_extents) arrays."""
     centers = np.stack([b.center for b in boxes])
     rots = np.stack([b.pose.rotation for b in boxes])
@@ -260,6 +260,6 @@ def obb_intersect(a: OrientedBox, b: OrientedBox, clearance: float = 0.0) -> boo
     A negative clearance acts as a penetration allowance: the boxes must
     interpenetrate by more than ``|clearance|`` before this reports True.
     """
-    ca, ra, hha = _pack_boxes([a])
-    cb, rb, hhb = _pack_boxes([b])
+    ca, ra, hha = pack_boxes([a])
+    cb, rb, hhb = pack_boxes([b])
     return bool(sat_overlap_matrix(ca, ra, hha, cb, rb, hhb, clearance)[0, 0])

@@ -11,23 +11,36 @@ every sum, matching the summation bounds of the cost definitions:
 
 A fold is aerial when the lowest corner of its moving subtree sits more
 than the support tolerance above the table at the start of the motion.
-Lower is better for all criteria.
+Lower is better for all criteria. Float criteria are compared at the
+6-decimal precision the reports print, so two sums that print equal fall
+through to the next criterion, and finally to the order itself, instead
+of being ranked by rounding noise.
+
+``score_and_rank`` scores and sorts a given list of sequences.
+``rank_lattice`` ranks every path of a fold-state lattice without listing
+them: volume and maxdim weigh the lattice's nodes and aerial its edges, so
+one bounded depth-first search finds the best N, and rows are built for
+those N only.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
-from .geometry import Aabb, world_aabb
-from .model import KinematicTree, forward_kinematics
-from .planner import FoldSequence, FoldState, action_space
+from .geometry import Aabb
+from .model import DEFAULT_SUPPORT_TOLERANCE_MM, RANKING_CRITERIA, KinematicTree, StateTable
+from .planner import FoldLattice, FoldSequence, FoldState, action_space
 
-logger = logging.getLogger(__name__)
+# Relative loosening of rank_lattice's lower bounds. The bound and a path's
+# own sum add the same terms in different orders, so they can differ by a
+# few ulps of k terms; 1e-9 is far above that and far below the 1e-6
+# resolution at which criteria are compared.
+BOUND_SLACK = 1e-9
 
-DEFAULT_SUPPORT_TOLERANCE = 1.0
 
-_CRITERIA = ("aerial", "maxdim", "volume")
+def round6(value: float) -> float:
+    """Round through fixed 6-decimal text, the precision reports print."""
+    return float(f"{value:.6f}")
 
 
 @dataclass(frozen=True)
@@ -42,55 +55,32 @@ class RankingPolicy:
         if len(set(self.criteria)) != len(self.criteria):
             raise ValueError("ranking criteria must not repeat")
         for crit in self.criteria:
-            if crit not in _CRITERIA:
-                raise ValueError(f"unknown criterion {crit!r}, expected one of {_CRITERIA}")
-
-
-class StateMetricsCache:
-    """Bounding boxes and per-panel support heights, memoized per fold state.
-
-    Many sequences revisit the same folded subsets; the cache keeps scoring
-    linear in the number of distinct states instead of total steps.
-    """
-
-    def __init__(self, tree: KinematicTree):
-        self.tree = tree
-        self._states: dict[frozenset, tuple[Aabb, dict[int, float]]] = {}
-
-    def state(self, folded: frozenset) -> tuple[Aabb, dict[int, float]]:
-        entry = self._states.get(folded)
-        if entry is None:
-            poses = forward_kinematics(
-                self.tree, FoldState(folded).joint_vector(self.tree)
-            )
-            box = world_aabb([p.solid for p in poses])
-            min_z = {p.panel_id: float(p.solid.corners()[:, 2].min()) for p in poses}
-            entry = (box, min_z)
-            self._states[folded] = entry
-        return entry
+            if crit not in RANKING_CRITERIA:
+                raise ValueError(
+                    f"unknown criterion {crit!r}, expected one of {RANKING_CRITERIA}"
+                )
 
 
 def state_aabb(tree: KinematicTree, state: FoldState) -> Aabb:
     """World-aligned bounding box of every panel solid at the state's angles."""
-    poses = forward_kinematics(tree, state.joint_vector(tree))
-    return world_aabb([p.solid for p in poses])
+    return StateTable(tree).state(state.folded).box
 
 
 def bounding_volume(tree: KinematicTree, state: FoldState) -> float:
     """V(S): product of the three bounding-box extents, mm^3."""
-    return state_aabb(tree, state).volume
+    return StateTable(tree).state(state.folded).volume
 
 
 def max_dimension(tree: KinematicTree, state: FoldState) -> float:
     """MaxDim(S): largest bounding-box extent, mm."""
-    return state_aabb(tree, state).max_extent
+    return StateTable(tree).state(state.folded).max_extent
 
 
 def is_aerial(
     tree: KinematicTree,
     state_before: FoldState,
     joint: int,
-    support_tolerance: float = DEFAULT_SUPPORT_TOLERANCE,
+    support_tolerance: float = DEFAULT_SUPPORT_TOLERANCE_MM,
 ) -> bool:
     """Whether folding ``joint`` starts without workbench support.
 
@@ -100,12 +90,8 @@ def is_aerial(
     """
     if joint not in action_space(tree, state_before):
         raise ValueError(f"joint {joint} is not available in this state")
-    poses = forward_kinematics(tree, state_before.joint_vector(tree))
-    by_id = {p.panel_id: p for p in poses}
-    min_z = min(
-        by_id[pid].solid.corners()[:, 2].min() for pid in tree.subtree_ids(joint)
-    )
-    return bool(min_z > support_tolerance)
+    record = StateTable(tree).state(state_before.folded)
+    return record.lowest_z(tree.subtree_ids(joint)) > support_tolerance
 
 
 @dataclass(frozen=True)
@@ -138,29 +124,30 @@ class SequenceScore:
         return sum(1 for step in self.per_step if step.aerial)
 
     def key(self, policy: RankingPolicy):
-        values = {"aerial": self.c_aerial, "maxdim": self.c_dim, "volume": self.c_vol}
-        return tuple(values[c] for c in policy.criteria) + (self.sequence.order,)
+        totals = {"aerial": self.c_aerial, "maxdim": self.c_dim, "volume": self.c_vol}
+        return tuple(
+            totals[c] if c == "aerial" else round6(totals[c]) for c in policy.criteria
+        ) + (self.sequence.order,)
 
 
 def score_sequence(
     tree: KinematicTree,
     sequence: FoldSequence,
-    support_tolerance: float = DEFAULT_SUPPORT_TOLERANCE,
-    cache: StateMetricsCache | None = None,
+    support_tolerance: float = DEFAULT_SUPPORT_TOLERANCE_MM,
+    states: StateTable | None = None,
 ) -> SequenceScore:
     """Measure every intermediate state S_0 .. S_{k-1} of one sequence."""
-    if cache is None:
-        cache = StateMetricsCache(tree)
+    if states is None:
+        states = StateTable(tree)
     steps = []
     for state, joint in sequence.prefixes():
-        box, min_z = cache.state(state.folded)
-        subtree_min = min(min_z[pid] for pid in tree.subtree_ids(joint))
+        record = states.state(state.folded)
         steps.append(
             StepMetrics(
                 joint=joint,
-                volume=box.volume,
-                max_dim=box.max_extent,
-                aerial=bool(subtree_min > support_tolerance),
+                volume=record.volume,
+                max_dim=record.max_extent,
+                aerial=record.lowest_z(tree.subtree_ids(joint)) > support_tolerance,
             )
         )
     return SequenceScore(sequence=sequence, per_step=tuple(steps))
@@ -168,10 +155,15 @@ def score_sequence(
 
 @dataclass(frozen=True)
 class RankedReport:
-    """Sequences sorted ascending-lexicographically under a policy."""
+    """The best sequences, sorted ascending-lexicographically under a policy.
+
+    ``rows`` may be a prefix of the ranking; ``sequence_count`` counts every
+    sequence that was ranked.
+    """
 
     policy: RankingPolicy
     rows: tuple[SequenceScore, ...]
+    sequence_count: int
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -181,7 +173,7 @@ def score_and_rank(
     tree: KinematicTree,
     sequences,
     policy: RankingPolicy = RankingPolicy(),
-    support_tolerance: float = DEFAULT_SUPPORT_TOLERANCE,
+    support_tolerance: float = DEFAULT_SUPPORT_TOLERANCE_MM,
 ) -> RankedReport:
     """Score all sequences and sort them under the policy.
 
@@ -189,9 +181,100 @@ def score_and_rank(
     the report is a total order independent of input ordering. An empty
     input produces an empty report.
     """
-    cache = StateMetricsCache(tree)
-    scores = [score_sequence(tree, seq, support_tolerance, cache) for seq in sequences]
-    if not scores:
-        logger.warning("score_and_rank called with no sequences; report is empty")
+    states = StateTable(tree)
+    scores = [score_sequence(tree, seq, support_tolerance, states) for seq in sequences]
     scores.sort(key=lambda s: s.key(policy))
-    return RankedReport(policy=policy, rows=tuple(scores))
+    return RankedReport(policy=policy, rows=tuple(scores), sequence_count=len(scores))
+
+
+def rank_lattice(
+    lattice: FoldLattice,
+    policy: RankingPolicy = RankingPolicy(),
+    top: int | None = None,
+) -> RankedReport:
+    """The ``top`` best sequences of the lattice (all when None), ranked.
+
+    One depth-first search in ascending joint order carries each path's
+    criterion sums, adding one term per step left to right as
+    SequenceScore does, so every sum equals the scored one bit for bit. It
+    keeps the best keys found. Once it holds ``top`` of them, it skips a
+    fold whose lower bound already ranks at or after the ``top``-th key:
+    the sums so far plus each criterion's least completion over the
+    lattice, loosened by BOUND_SLACK and rounded as keys are, which keeps
+    the bound valid because rounding is monotone. With ``top`` None every
+    key is kept, so nothing is ever pruned. Rows are built only for the
+    returned sequences, from one StepMetrics per lattice edge.
+    """
+    count = lattice.sequence_count
+    n = count if top is None else min(top, count)
+    criteria = policy.criteria
+    rounded = tuple(c != "aerial" for c in criteria)
+    final = lattice.final
+    stats = lattice.stats
+
+    # Criterion weights of each fold that can still complete: maxdim and
+    # volume measure the state the fold leaves, aerial the fold itself.
+    # Each such fold also gets the one StepMetrics every row through it shares.
+    folds: dict[frozenset, list] = {}
+    steps: dict[frozenset, dict] = {}
+    for folded, edges in lattice.edges.items():
+        live = [e for e in edges if lattice.completions[e.child]]
+        if not live:
+            continue
+        record = lattice.states.state(folded)
+        weight = {"maxdim": record.max_extent, "volume": record.volume}
+        folds[folded], steps[folded] = [], {}
+        for e in live:
+            weight["aerial"] = int(e.aerial)
+            folds[folded].append((e.joint, e.child, tuple(weight[c] for c in criteria)))
+            step = StepMetrics(e.joint, record.volume, record.max_extent, e.aerial)
+            steps[folded][e.joint] = (step, e.child)
+
+    # least[F]: per criterion, the smallest sum over the folds finishing F.
+    least = {final: (0,) * len(criteria)}
+    for folded in reversed(folds):
+        least[folded] = tuple(
+            min(w[i] + least[child][i] for _, child, w in folds[folded])
+            for i in range(len(criteria))
+        )
+
+    best: list[tuple] = []
+    cutoff = None
+    order: list[int] = []
+
+    def visit(folded: frozenset, sums: tuple) -> None:
+        nonlocal cutoff
+        stats.nodes_expanded += 1
+        if folded == final:
+            best.append(
+                tuple(round6(v) if r else v for r, v in zip(rounded, sums)) + (tuple(order),)
+            )
+            if len(best) >= 2 * n:
+                best.sort()
+                del best[n:]
+                cutoff = best[-1]
+            return
+        for joint, child, weights in folds[folded]:
+            stats.cc_cache_hits += 1
+            order.append(joint)
+            reach = tuple(s + w for s, w in zip(sums, weights))
+            if cutoff is not None and tuple(
+                round6((v + rest) * (1.0 - BOUND_SLACK)) if r else v + rest
+                for r, v, rest in zip(rounded, reach, least[child])
+            ) + (tuple(order),) >= cutoff:
+                stats.pruned += 1
+            else:
+                visit(child, reach)
+            order.pop()
+
+    if n:
+        visit(frozenset(), (0,) * len(criteria))
+    best.sort()
+    rows = []
+    for *_, order in best[:n]:
+        folded, per_step = frozenset(), []
+        for joint in order:
+            step, folded = steps[folded][joint]
+            per_step.append(step)
+        rows.append(SequenceScore(lattice.sequence(order), tuple(per_step)))
+    return RankedReport(policy=policy, rows=tuple(rows), sequence_count=count)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .geometry import OrientedBox, Transform, rotation_matrix
+from .geometry import Aabb, OrientedBox, Transform, pack_boxes, rotation_matrix, world_aabb
 
 ANGLE_SLACK = 1e-9
 
@@ -89,9 +89,9 @@ class PanelSpec:
         if self.id < 1:
             raise SpecValidationError(f"panel id must be >= 1, got {self.id}")
         h, w, t = self.dims
-        if not (h > 0.0 and w > 0.0 and t > 0.0):
+        if not all(0.0 < d < math.inf for d in (h, w, t)):
             raise SpecValidationError(
-                f"panel {self.id}: dims (h, w, t) must be positive, got {self.dims}"
+                f"panel {self.id}: dims (h, w, t) must be positive and finite, got {self.dims}"
             )
         if self.parent is None:
             if self.theta_init != 0.0 or self.theta_final != 0.0:
@@ -189,12 +189,12 @@ class CartonSpec:
                     )
                 trail.add(node.id)
                 node = by_id[node.parent]
-        if self.tolerance_angle <= 0.0:
-            raise SpecValidationError("tolerance_angle must be positive")
-        if self.penetration_tolerance < 0.0:
-            raise SpecValidationError("penetration_tolerance must be >= 0")
-        if self.support_tolerance < 0.0:
-            raise SpecValidationError("support_tolerance must be >= 0")
+        if not 0.0 < self.tolerance_angle < math.inf:
+            raise SpecValidationError("tolerance_angle must be positive and finite")
+        if not 0.0 <= self.penetration_tolerance < math.inf:
+            raise SpecValidationError("penetration_tolerance must be >= 0 and finite")
+        if not 0.0 <= self.support_tolerance < math.inf:
+            raise SpecValidationError("support_tolerance must be >= 0 and finite")
         if not self.ranking:
             raise SpecValidationError("ranking must list at least one criterion")
         if len(set(self.ranking)) != len(self.ranking):
@@ -412,6 +412,64 @@ def forward_kinematics(tree: KinematicTree, theta: JointVector) -> list[PanelPos
     return [panel_pose_from_frame(tree.panels_by_id[pid], frames[pid]) for pid in tree.ids]
 
 
+@dataclass(frozen=True)
+class StateRecord:
+    """One fold state measured once: what collision checks and scoring read.
+
+    ``solids`` packs the panel solids as (centers, rotations, half_extents)
+    in ``tree.ids`` order. ``volume`` and ``max_extent`` are the bounding
+    box's measures as Python floats; ``min_z`` is the lowest corner height
+    of each panel.
+    """
+
+    folded: frozenset[int]
+    theta: JointVector
+    poses: tuple[PanelPose, ...]
+    poses_by_id: dict[int, PanelPose]
+    solids: tuple[np.ndarray, np.ndarray, np.ndarray]
+    box: Aabb
+    volume: float
+    max_extent: float
+    min_z: dict[int, float]
+
+    def lowest_z(self, panel_ids) -> float:
+        """Lowest corner height over the given panels."""
+        return min(self.min_z[pid] for pid in panel_ids)
+
+
+class StateTable:
+    """One StateRecord per folded subset, each from a single FK run.
+
+    Records are functions of the immutable tree and the subset, so sharing
+    a table never changes a verdict or a score.
+    """
+
+    def __init__(self, tree: KinematicTree):
+        self.tree = tree
+        self._records: dict[frozenset, StateRecord] = {}
+
+    def state(self, folded: frozenset) -> StateRecord:
+        record = self._records.get(folded)
+        if record is None:
+            theta = JointVector.from_folded(self.tree, folded)
+            poses = forward_kinematics(self.tree, theta)
+            solids = [p.solid for p in poses]
+            box = world_aabb(solids)
+            record = StateRecord(
+                folded=folded,
+                theta=theta,
+                poses=tuple(poses),
+                poses_by_id={p.panel_id: p for p in poses},
+                solids=pack_boxes(solids),
+                box=box,
+                volume=box.volume,
+                max_extent=box.max_extent,
+                min_z={p.panel_id: float(p.solid.corners()[:, 2].min()) for p in poses},
+            )
+            self._records[folded] = record
+        return record
+
+
 # ---------------------------------------------------------------------------
 # File format
 
@@ -422,14 +480,49 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _vec(mapping: dict, key: str, where: str, default=None):
+def _number(value, what: str) -> float:
+    """A finite real number from spec data; anything else names ``what``."""
+    if isinstance(value, bool):
+        raise SpecValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise SpecValidationError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise SpecValidationError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _scalar(mapping: dict, key: str, where: str, default: float | None = None) -> float:
+    if key not in mapping:
+        if default is None:
+            raise SpecValidationError(f"{where}: missing required key {key!r}")
+        return float(default)
+    return _number(mapping[key], f"{where}: {key}")
+
+
+def _integer(mapping: dict, key: str, where: str) -> int:
+    number = _number(_require(mapping, key, where), f"{where}: {key}")
+    if number != int(number):
+        raise SpecValidationError(f"{where}: {key} must be an integer, got {mapping[key]!r}")
+    return int(number)
+
+
+def _vec(mapping: dict, key: str, where: str, default=None) -> np.ndarray:
     if key not in mapping:
         if default is None:
             raise SpecValidationError(f"{where}: missing required key {key!r}")
         return np.asarray(default, dtype=float)
-    value = np.asarray(mapping[key], dtype=float)
-    if value.shape != (3,):
+    value = mapping[key]
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise SpecValidationError(f"{where}: {key} must be a 3-element list")
+    return np.array([_number(v, f"{where}: {key}") for v in value])
+
+
+def _section(data: dict, key: str) -> dict:
+    value = data.get(key) or {}
+    if not isinstance(value, dict):
+        raise SpecValidationError(f"{key} must be a mapping")
     return value
 
 
@@ -444,22 +537,19 @@ def _rpy_matrix(rpy_deg) -> np.ndarray:
 def _panel_from_mapping(entry: dict) -> PanelSpec:
     if not isinstance(entry, dict):
         raise SpecValidationError("each panel entry must be a mapping")
-    pid = int(_require(entry, "id", "panel"))
+    pid = _integer(entry, "id", "panel")
     where = f"panel {pid}"
-    parent = entry.get("parent")
-    parent = None if parent is None else int(parent)
+    parent = None if entry.get("parent") is None else _integer(entry, "parent", where)
     dims = _vec(entry, "dims_mm", where)
     kwargs = {}
     if parent is not None:
         kwargs["crease_anchor"] = tuple(_vec(entry, "crease_anchor_mm", where))
         kwargs["crease_dir"] = tuple(_vec(entry, "crease_dir", where))
-        kwargs["theta_init"] = math.radians(float(_require(entry, "theta_init_deg", where)))
-        kwargs["theta_final"] = math.radians(float(_require(entry, "theta_final_deg", where)))
+        kwargs["theta_init"] = math.radians(_scalar(entry, "theta_init_deg", where))
+        kwargs["theta_final"] = math.radians(_scalar(entry, "theta_final_deg", where))
     elif "theta_init_deg" in entry or "theta_final_deg" in entry:
-        init = math.radians(float(entry.get("theta_init_deg", 0.0)))
-        final = math.radians(float(entry.get("theta_final_deg", 0.0)))
-        kwargs["theta_init"] = init
-        kwargs["theta_final"] = final
+        kwargs["theta_init"] = math.radians(_scalar(entry, "theta_init_deg", where, 0.0))
+        kwargs["theta_final"] = math.radians(_scalar(entry, "theta_final_deg", where, 0.0))
     return PanelSpec(
         id=pid,
         parent=parent,
@@ -486,7 +576,7 @@ def _environment_from_mapping(entries) -> tuple[tuple[OrientedBox, ...], bool]:
             continue
         center = _vec(entry, "center_mm", where)
         dims = _vec(entry, "dims_mm", where)
-        rot = _rpy_matrix(entry.get("rpy_deg", (0.0, 0.0, 0.0)))
+        rot = _rpy_matrix(_vec(entry, "rpy_deg", where, default=(0.0, 0.0, 0.0)))
         boxes.append(OrientedBox.from_center(center, dims, rot))
     return tuple(boxes), table
 
@@ -500,9 +590,9 @@ def spec_from_mapping(data: dict) -> CartonSpec:
         raise SpecValidationError("panels must be a non-empty list")
     panels = tuple(_panel_from_mapping(entry) for entry in raw_panels)
 
-    pose_map = data.get("root_pose") or {}
+    pose_map = _section(data, "root_pose")
     root_pose = Transform(
-        _rpy_matrix(pose_map.get("rpy_deg", (0.0, 0.0, 0.0))),
+        _rpy_matrix(_vec(pose_map, "rpy_deg", "root_pose", default=(0.0, 0.0, 0.0))),
         _vec(pose_map, "translation_mm", "root_pose", default=(0.0, 0.0, 0.0)),
     )
 
@@ -510,13 +600,13 @@ def spec_from_mapping(data: dict) -> CartonSpec:
 
     gripper = None
     if data.get("gripper") is not None:
-        gmap = data["gripper"]
+        gmap = _section(data, "gripper")
         gripper = GripperSpec(
             dims=tuple(_vec(gmap, "dims_mm", "gripper")),
-            standoff=float(gmap.get("standoff_mm", 0.0)),
+            standoff=_scalar(gmap, "standoff_mm", "gripper", 0.0),
         )
 
-    planner = data.get("planner") or {}
+    planner = _section(data, "planner")
     ranking = data.get("ranking") or list(DEFAULT_RANKING)
     if not isinstance(ranking, list):
         raise SpecValidationError("ranking must be a list of criteria")
@@ -528,13 +618,13 @@ def spec_from_mapping(data: dict) -> CartonSpec:
         table_plane=table,
         gripper=gripper,
         tolerance_angle=math.radians(
-            float(planner.get("tolerance_angle_deg", DEFAULT_TOLERANCE_ANGLE_DEG))
+            _scalar(planner, "tolerance_angle_deg", "planner", DEFAULT_TOLERANCE_ANGLE_DEG)
         ),
-        penetration_tolerance=float(
-            planner.get("penetration_tolerance_mm", DEFAULT_PENETRATION_TOLERANCE_MM)
+        penetration_tolerance=_scalar(
+            planner, "penetration_tolerance_mm", "planner", DEFAULT_PENETRATION_TOLERANCE_MM
         ),
-        support_tolerance=float(
-            planner.get("support_tolerance_mm", DEFAULT_SUPPORT_TOLERANCE_MM)
+        support_tolerance=_scalar(
+            planner, "support_tolerance_mm", "planner", DEFAULT_SUPPORT_TOLERANCE_MM
         ),
         ranking=tuple(str(c) for c in ranking),
     )

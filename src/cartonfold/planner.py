@@ -1,33 +1,32 @@
-"""Exhaustive enumeration of collision-free folding sequences.
+"""The fold-state lattice: every collision-free folding sequence at once.
 
-The search walks the decision tree of fold actions depth first, expanding
-joints in ascending id order and backtracking whenever the swept collision
-check rejects an action. A state is fully determined by the set of already
-folded joints (every action drives its joint all the way to the final
-angle), which licenses the memoized mode: each distinct (subset, joint)
-collision check runs at most once, and the enumerated sequence set is
-exactly the naive one.
+Every fold drives its joint all the way to the final angle, so a carton
+state is just the set of folded joints. The reachable subsets form a DAG
+(the assembly-state graph of Homem de Mello & Sanderson): an edge leaves
+subset F for F + {j} when folding joint j out of F passes the swept
+collision check. Every collision-free sequence is a path from the empty
+subset to the full one, and every ranking criterion is a sum of node or
+edge weights along such a path.
 
-Everything here is a pure function of immutable inputs; memo entries are
-idempotent, so recomputation (or a racing writer) can never change a
-result, and output order is canonical regardless of evaluation order.
+``build_lattice`` walks the reachable subsets from the empty one and runs
+exactly one collision check per (reachable subset, unfolded joint). It
+keeps one measured StateRecord per subset, the feasible edges in ascending
+joint order (each with its aerial flag), and the number of complete paths
+below every subset, so the sequence count is a dynamic-programming result
+rather than an enumeration. ``enumerate_sequences`` lists all paths depth
+first; ``metrics.rank_lattice`` searches them for the best few.
+
+Everything here is a pure function of immutable inputs, and output order
+is canonical regardless of evaluation order.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .collision import (
-    ObstacleSet,
-    StateGeometryCache,
-    SweepParams,
-    collision_check,
-    n_sweep_samples,
-)
-from .model import JointVector, KinematicTree
-
-DEFAULT_SUBSET_CAP = 20
+from .collision import ObstacleSet, SweepParams, collision_check, n_sweep_samples
+from .model import DEFAULT_SUPPORT_TOLERANCE_MM, JointVector, KinematicTree, StateTable
 
 
 class PlannerError(ValueError):
@@ -89,9 +88,15 @@ def transition(tree: KinematicTree, state: FoldState, joint: int) -> FoldState:
 
 @dataclass
 class SearchDiagnostics:
-    """Counters for one enumeration run, serializable as key=value lines."""
+    """Counters of one lattice build and the searches over it.
 
-    mode: str = ""
+    ``cc_calls`` counts collision checks (one per reachable subset and
+    unfolded joint), ``cc_cache_hits`` the lattice edges a search reused,
+    ``nodes_expanded`` the search nodes visited, ``pruned`` the edges a
+    search cut by its bound, ``dead_ends`` the reachable subsets with no
+    feasible fold, and ``sequences`` the collision-free sequences.
+    """
+
     nodes_expanded: int = 0
     cc_calls: int = 0
     cc_cache_hits: int = 0
@@ -100,109 +105,148 @@ class SearchDiagnostics:
     sequences: int = 0
 
     def lines(self) -> list[str]:
-        return [
-            f"mode={self.mode}",
-            f"nodes_expanded={self.nodes_expanded}",
-            f"cc_calls={self.cc_calls}",
-            f"cc_cache_hits={self.cc_cache_hits}",
-            f"pruned={self.pruned}",
-            f"dead_ends={self.dead_ends}",
-            f"sequences={self.sequences}",
-        ]
+        return [f"{name}={value}" for name, value in vars(self).items()]
+
+
+class FoldEdge(NamedTuple):
+    """A collision-free fold of ``joint`` into the subset ``child``."""
+
+    joint: int
+    child: frozenset[int]
+    aerial: bool
+
+
+@dataclass
+class FoldLattice:
+    """The reachable fold states of one carton and the feasible folds between them.
+
+    ``edges`` maps every reachable subset, in order of size, to its
+    feasible folds in ascending joint order. ``completions[F]`` is the
+    number of collision-free ways to finish folding from F. ``states``
+    holds the StateRecord of every subset a fold leaves.
+    """
+
+    tree: KinematicTree
+    states: StateTable
+    support_tolerance: float
+    edges: dict[frozenset[int], tuple[FoldEdge, ...]]
+    completions: dict[frozenset[int], int]
+    cc_samples: dict[int, int]
+    stats: SearchDiagnostics
+
+    @property
+    def final(self) -> frozenset[int]:
+        return frozenset(self.tree.foldable_ids)
+
+    @property
+    def sequence_count(self) -> int:
+        return self.completions[frozenset()]
+
+    def sequence(self, order) -> FoldSequence:
+        order = tuple(order)
+        return FoldSequence(order, tuple(self.cc_samples[j] for j in order))
+
+    def sequences(self) -> list[FoldSequence]:
+        """Every complete path, depth first in ascending joint order."""
+        found: list[FoldSequence] = []
+        order: list[int] = []
+        final = self.final
+
+        def walk(folded: frozenset) -> None:
+            if folded == final:
+                found.append(self.sequence(order))
+                return
+            for joint, child, _ in self.edges[folded]:
+                if self.completions[child]:
+                    order.append(joint)
+                    walk(child)
+                    order.pop()
+
+        if self.sequence_count:
+            walk(frozenset())
+        return found
+
+
+def build_lattice(
+    tree: KinematicTree,
+    params: SweepParams,
+    obstacles: ObstacleSet,
+    support_tolerance: float = DEFAULT_SUPPORT_TOLERANCE_MM,
+) -> FoldLattice:
+    """Collision-check every fold out of every reachable subset, once.
+
+    Subsets are expanded a layer (one more folded joint) at a time from the
+    empty one. A fold is aerial when the lowest corner of its moving subtree
+    starts more than ``support_tolerance`` above the table.
+    """
+    foldable = sorted(tree.foldable_ids)
+    if not foldable:
+        raise PlannerError("carton has no foldable joints, nothing to enumerate")
+    states = StateTable(tree)
+    stats = SearchDiagnostics()
+    final = frozenset(foldable)
+    edges: dict[frozenset[int], tuple[FoldEdge, ...]] = {}
+    layer = [frozenset()]
+    while layer:
+        reached: dict[frozenset[int], frozenset[int]] = {}
+        for folded in layer:
+            out = []
+            for joint in foldable:
+                if joint in folded:
+                    continue
+                stats.cc_calls += 1
+                if collision_check(tree, folded, joint, params, obstacles, states):
+                    child = folded | {joint}
+                    child = reached.setdefault(child, child)
+                    low = states.state(folded).lowest_z(tree.subtree_ids(joint))
+                    out.append(FoldEdge(joint, child, low > support_tolerance))
+            if not out and folded != final:
+                stats.dead_ends += 1
+            edges[folded] = tuple(out)
+        layer = list(reached)
+
+    completions: dict[frozenset[int], int] = {}
+    for folded in reversed(edges):
+        if folded == final:
+            completions[folded] = 1
+        else:
+            completions[folded] = sum(completions[e.child] for e in edges[folded])
+    stats.sequences = completions[frozenset()]
+    return FoldLattice(
+        tree=tree,
+        states=states,
+        support_tolerance=support_tolerance,
+        edges=edges,
+        completions=completions,
+        cc_samples={j: n_sweep_samples(tree, j, params) for j in foldable},
+        stats=stats,
+    )
 
 
 def enumerate_sequences(
     tree: KinematicTree,
     params: SweepParams,
     obstacles: ObstacleSet,
-    mode: str = "memoized",
-    subset_cap: int = DEFAULT_SUBSET_CAP,
-    diagnostics=None,
 ) -> list[FoldSequence]:
     """All orderings of the foldable joints whose every step is collision free.
 
-    Depth-first backtracking over fold actions, children in ascending joint
-    id order, so the output order is deterministic. ``mode`` selects whether
-    collision verdicts are recomputed per tree edge (``naive``) or shared
-    across edges that reach the same folded subset (``memoized``); both
-    modes return identical sequence lists. ``diagnostics``, when given, is a
-    text stream receiving one key=value line per counter.
+    The paths of the fold-state lattice, depth first with children in
+    ascending joint id order, so the output order is deterministic.
     """
-    if mode not in ("naive", "memoized"):
-        raise ValueError(f"mode must be 'naive' or 'memoized', got {mode!r}")
-    foldable = sorted(tree.foldable_ids)
-    if not foldable:
-        raise PlannerError("carton has no foldable joints, nothing to enumerate")
-    if mode == "memoized" and len(foldable) > subset_cap:
-        warnings.warn(
-            f"{len(foldable)} foldable joints exceed the subset cap {subset_cap}; "
-            "falling back to naive mode",
-            stacklevel=2,
-        )
-        mode = "naive"
-
-    diag = SearchDiagnostics(mode=mode)
-    geometry = StateGeometryCache(tree)
-    memo: dict[tuple[frozenset, int], bool] = {}
-    sample_counts = {j: n_sweep_samples(tree, j, params) for j in foldable}
-
-    def feasible(folded: frozenset, joint: int) -> bool:
-        if mode == "memoized":
-            key = (folded, joint)
-            verdict = memo.get(key)
-            if verdict is None:
-                verdict = collision_check(tree, folded, joint, params, obstacles, geometry)
-                memo[key] = verdict
-                diag.cc_calls += 1
-            else:
-                diag.cc_cache_hits += 1
-            return verdict
-        diag.cc_calls += 1
-        return collision_check(tree, folded, joint, params, obstacles, geometry)
-
-    sequences: list[FoldSequence] = []
-    order: list[int] = []
-
-    def dfs(folded: frozenset) -> None:
-        diag.nodes_expanded += 1
-        if len(order) == len(foldable):
-            sequences.append(
-                FoldSequence(tuple(order), tuple(sample_counts[j] for j in order))
-            )
-            diag.sequences += 1
-            return
-        advanced = False
-        for joint in foldable:
-            if joint in folded:
-                continue
-            if feasible(folded, joint):
-                advanced = True
-                order.append(joint)
-                dfs(folded | {joint})
-                order.pop()
-            else:
-                diag.pruned += 1
-        if not advanced:
-            diag.dead_ends += 1
-
-    dfs(frozenset())
-
-    if diagnostics is not None:
-        for line in diag.lines():
-            diagnostics.write(line + "\n")
-    return sequences
+    return build_lattice(tree, params, obstacles).sequences()
 
 
 def feasible_subsets(
     tree: KinematicTree,
     params: SweepParams,
     obstacles: ObstacleSet,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
+    subset_cap: int = 20,
 ) -> dict[frozenset[int], dict[int, bool]]:
     """Full fold-feasibility table over every subset of the foldable joints.
 
     Entry ``table[F][j]`` is the collision_check verdict for folding joint
-    ``j`` out of state ``F``. The table has 2^k rows, hence the cap.
+    ``j`` out of state ``F``, reachable or not. The table has 2^k rows,
+    hence the cap on k.
     """
     foldable = sorted(tree.foldable_ids)
     if not foldable:
@@ -211,12 +255,12 @@ def feasible_subsets(
         raise PlannerError(
             f"{len(foldable)} foldable joints exceed the subset cap {subset_cap}"
         )
-    geometry = StateGeometryCache(tree)
+    states = StateTable(tree)
     table: dict[frozenset[int], dict[int, bool]] = {}
     for mask in range(1 << len(foldable)):
         subset = frozenset(j for bit, j in enumerate(foldable) if mask >> bit & 1)
         table[subset] = {
-            j: collision_check(tree, subset, j, params, obstacles, geometry)
+            j: collision_check(tree, subset, j, params, obstacles, states)
             for j in foldable
             if j not in subset
         }

@@ -34,7 +34,7 @@ def case_study():
 def case_study_sequences(case_study):
     spec, tree = case_study
     return enumerate_sequences(
-        tree, SweepParams.from_spec(spec), ObstacleSet.from_spec(spec), mode="memoized"
+        tree, SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
     )
 
 
@@ -50,37 +50,46 @@ def three_flaps():
     return spec, build_tree(spec)
 
 
-def free_flap_spec(k: int, flap_height: float = 50.0) -> CartonSpec:
+def free_flap_spec(k: int, flap_height=50.0) -> CartonSpec:
     """Base with k flaps so far apart that no ordering can ever collide.
 
-    Flaps sit on the edges of a huge square base with generous insets;
+    Flaps are dealt round robin onto the edges of a huge square base, with
+    generous insets at the corners and between neighbours on one edge;
     every one of the k! orderings is collision free by construction.
+    ``flap_height`` is one height for all flaps or a sequence of k heights.
     """
     side = 600.0
     t = 2.0
+    gap = 10.0
     edges = [
-        # (anchor, crease_dir) per base edge, flap extending outward
-        ((10.0, side, 0.0), (1.0, 0.0, 0.0)),     # north
-        ((side - 10.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),  # south
-        ((0.0, 10.0, 0.0), (0.0, 1.0, 0.0)),      # west
-        ((side, side - 10.0, 0.0), (0.0, -1.0, 0.0)),  # east
+        # (crease start corner, crease_dir) per base edge, flap extending outward
+        ((0.0, side, 0.0), (1.0, 0.0, 0.0)),     # north
+        ((side, 0.0, 0.0), (-1.0, 0.0, 0.0)),    # south
+        ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)),      # west
+        ((side, side, 0.0), (0.0, -1.0, 0.0)),   # east
     ]
-    if not 1 <= k <= len(edges):
-        raise ValueError(f"k must be between 1 and {len(edges)}")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    heights = [flap_height] * k if np.isscalar(flap_height) else list(flap_height)
+    if len(heights) != k:
+        raise ValueError(f"need {k} flap heights, got {len(heights)}")
     panels = [PanelSpec(id=1, parent=None, dims=(side, side, t))]
-    for i in range(k):
-        anchor, direction = edges[i]
-        panels.append(
-            PanelSpec(
-                id=i + 2,
-                parent=1,
-                dims=(flap_height, side - 20.0, t),
-                crease_anchor=anchor,
-                crease_dir=direction,
-                theta_init=0.0,
-                theta_final=np.pi / 2.0,
+    for e, (start, direction) in enumerate(edges):
+        slots = range(e, k, len(edges))
+        width = (side - gap * (len(slots) + 1)) / max(len(slots), 1)
+        for i, flap in enumerate(slots):
+            offset = gap + i * (width + gap)
+            panels.append(
+                PanelSpec(
+                    id=flap + 2,
+                    parent=1,
+                    dims=(heights[flap], width, t),
+                    crease_anchor=tuple(s + offset * d for s, d in zip(start, direction)),
+                    crease_dir=direction,
+                    theta_init=0.0,
+                    theta_final=np.pi / 2.0,
+                )
             )
-        )
     from cartonfold.geometry import Transform
 
     return CartonSpec(

@@ -50,7 +50,7 @@ def case():
 def test_criterion_1_case_study_scale(case):
     spec, tree, params, obstacles = case
     start = time.perf_counter()
-    sequences = enumerate_sequences(tree, params, obstacles, mode="memoized")
+    sequences = enumerate_sequences(tree, params, obstacles)
     elapsed = time.perf_counter() - start
     assert len(sequences) > 100
     assert elapsed < 10.0
@@ -114,25 +114,14 @@ def test_criterion_3_oracle_equivalence():
         params = SweepParams.from_spec(spec)
         obstacles = ObstacleSet.from_spec(spec)
         expected = sorted(brute_force_sequences(tree, params, obstacles))
-        naive = [s.order for s in enumerate_sequences(tree, params, obstacles, mode="naive")]
-        memo = [s.order for s in enumerate_sequences(tree, params, obstacles, mode="memoized")]
-        assert sorted(naive) == expected
-        assert sorted(memo) == expected
-        assert naive == memo
+        got = [s.order for s in enumerate_sequences(tree, params, obstacles)]
+        assert got == expected
         checked.append((name, len(expected)))
     assert checked
-    # Large carton: the two modes must still agree with each other.
-    spec = load_spec(SPEC_DIR / "case_study_tray.yaml")
-    tree = build_tree(spec)
-    params, obstacles = SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
-    naive = [s.order for s in enumerate_sequences(tree, params, obstacles, mode="naive")]
-    memo = [s.order for s in enumerate_sequences(tree, params, obstacles, mode="memoized")]
-    assert naive == memo
     report(
         3,
         "brute-force equivalence on "
-        + ", ".join(f"{n} ({c} seqs)" for n, c in checked)
-        + "; naive == memoized on every shipped carton",
+        + ", ".join(f"{n} ({c} seqs)" for n, c in checked),
     )
 
 

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
+import cartonfold
+
 from cartonfold.cli import (
-    EXIT_LIMIT,
     EXIT_NO_SEQUENCES,
     EXIT_OK,
     EXIT_SPEC_INVALID,
@@ -16,7 +18,9 @@ from cartonfold.cli import (
     main,
     run,
 )
+from cartonfold.collision import ObstacleSet, SweepParams
 from cartonfold.model import JointVector, build_tree, forward_kinematics, load_spec
+from cartonfold.planner import build_lattice
 
 
 def run_to_string(config: RunConfig) -> tuple[int, str]:
@@ -40,34 +44,39 @@ class TestRun:
         code, _ = run_to_string(RunConfig(spec_path=str(bad)))
         assert code == EXIT_SPEC_INVALID
 
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("dims_mm: [60, 190, 2]", "dims_mm: [.inf, 190, 2]", "dims_mm"),
+            ("dims_mm: [60, 190, 2]", "dims_mm: [a, 190, 2]", "dims_mm"),
+            ("dims_mm: [60, 190, 2]", "dims_mm: [[1, 2], 190, 2]", "dims_mm"),
+            ("tolerance_angle_deg: 5", "tolerance_angle_deg: .nan", "tolerance_angle_deg"),
+        ],
+    )
+    def test_malformed_number_exits_3_naming_the_field(
+        self, spec_dir, tmp_path, capsys, old, new, field
+    ):
+        text = (spec_dir / "three_flaps.yaml").read_text()
+        assert old in text
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace(old, new, 1))
+        code, report = run_to_string(RunConfig(spec_path=str(bad)))
+        assert code == EXIT_SPEC_INVALID
+        assert report == ""
+        assert field in capsys.readouterr().err
+
+    def test_non_finite_override_exits_3(self, spec_dir):
+        code, _ = run_to_string(
+            RunConfig(spec_path=str(spec_dir / "three_flaps.yaml"), tolerance_angle_deg=math.nan)
+        )
+        assert code == EXIT_SPEC_INVALID
+
     def test_zero_sequences_exits_2(self, spec_dir):
         code, text = run_to_string(
             RunConfig(spec_path=str(spec_dir / "obstructed_flap.yaml"), fmt="csv")
         )
         assert code == EXIT_NO_SEQUENCES
         assert text.strip() == "sequence,volume_mm3,maxdim_mm,naf"
-
-    def test_subset_cap_declined_exits_4(self, spec_dir):
-        code, _ = run_to_string(
-            RunConfig(
-                spec_path=str(spec_dir / "three_flaps.yaml"),
-                subset_cap=2,
-                no_naive_fallback=True,
-            )
-        )
-        assert code == EXIT_LIMIT
-
-    def test_subset_cap_fallback_still_reports(self, spec_dir):
-        with pytest.warns(UserWarning, match="subset cap"):
-            code, text = run_to_string(
-                RunConfig(
-                    spec_path=str(spec_dir / "three_flaps.yaml"),
-                    fmt="csv",
-                    subset_cap=2,
-                )
-            )
-        assert code == EXIT_OK
-        assert len(text.splitlines()) == 1 + 6
 
     def test_top_truncation(self, spec_dir):
         code, text = run_to_string(
@@ -147,6 +156,36 @@ class TestRun:
         naf_strict = int(strict.strip().splitlines()[1].split(",")[-1])
         naf_lax = int(lax.strip().splitlines()[1].split(",")[-1])
         assert naf_strict == 1 and naf_lax == 0
+
+
+class TestStateTable:
+    def test_run_folds_each_reachable_state_once(self, spec_dir, monkeypatch):
+        # One forward-kinematics run per state a fold leaves, shared by the
+        # collision checks and the ranking.
+        spec = load_spec(spec_dir / "case_study_tray.yaml")
+        lattice = build_lattice(
+            build_tree(spec), SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
+        )
+        expected = {
+            frozenset(JointVector.from_folded(lattice.tree, folded).angles.items())
+            for folded in lattice.edges
+            if folded != lattice.final
+        }
+        calls = []
+
+        def counted(tree, theta):
+            calls.append(frozenset(theta.angles.items()))
+            return forward_kinematics(tree, theta)
+
+        for module in vars(cartonfold).values():
+            if getattr(module, "forward_kinematics", None) is forward_kinematics:
+                monkeypatch.setattr(module, "forward_kinematics", counted)
+        code, _ = run_to_string(
+            RunConfig(spec_path=str(spec_dir / "case_study_tray.yaml"), fmt="csv", top=None)
+        )
+        assert code == EXIT_OK
+        assert len(calls) == len(set(calls)) == len(expected) == 79
+        assert set(calls) == expected
 
 
 class TestDumpStates:
@@ -302,11 +341,3 @@ class TestMainEntry:
         )
         assert code == EXIT_OK
         assert "sequence valid" in capsys.readouterr().out
-
-    def test_mode_flag_naive(self, spec_dir, capsys):
-        code = main(
-            ["--spec", str(spec_dir / "three_flaps.yaml"), "--mode", "naive",
-             "--format", "csv", "--top", "all"]
-        )
-        assert code == EXIT_OK
-        assert len(capsys.readouterr().out.splitlines()) == 7

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from cartonfold.collision import ObstacleSet, SweepParams, collision_check
 from cartonfold.geometry import OrientedBox, Transform
 from cartonfold.metrics import (
     RankingPolicy,
@@ -14,13 +16,15 @@ from cartonfold.metrics import (
     bounding_volume,
     is_aerial,
     max_dimension,
+    rank_lattice,
     score_and_rank,
     score_sequence,
 )
-from cartonfold.model import CartonSpec, PanelSpec, build_tree
-from cartonfold.planner import FoldSequence, FoldState
+from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec
+from cartonfold.planner import FoldSequence, FoldState, build_lattice
 
-from .conftest import free_flap_spec
+from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
+from .oracles import brute_force_sequences
 
 
 def single_panel_tree():
@@ -211,6 +215,21 @@ class TestScoreAndRank:
         policy = RankingPolicy(("aerial", "maxdim"))
         assert sorted([b, a], key=lambda s: s.key(policy))[0] is a
 
+    def test_sums_equal_as_printed_fall_through_to_the_next_criterion(self):
+        # 0.1 + 0.2 is 0.30000000000000004 in floating point; both sums
+        # print as 0.300000, so volume must decide, not the rounding.
+        noisy = SequenceScore(
+            sequence=FoldSequence(order=(2, 1)),
+            per_step=(StepMetrics(2, 4.0, 0.1, False), StepMetrics(1, 6.0, 0.2, False)),
+        )
+        exact = SequenceScore(
+            sequence=FoldSequence(order=(1, 2)),
+            per_step=(StepMetrics(1, 9.0, 0.3, False), StepMetrics(2, 11.0, 0.0, False)),
+        )
+        assert noisy.c_dim != exact.c_dim
+        policy = RankingPolicy(("maxdim", "volume"))
+        assert sorted([exact, noisy], key=lambda s: s.key(policy))[0] is noisy
+
     def test_ranking_is_input_order_invariant(self, three_flaps):
         import random
 
@@ -305,3 +324,67 @@ class TestFreeFlapMetricsSanity:
         tree = build_tree(free_flap_spec(3))
         for joint in tree.foldable_ids:
             assert is_aerial(tree, FoldState.initial(), joint, 1.0) is False
+
+
+# Cartons the lattice ranker is checked on: every shipped spec, free-flap
+# cartons with one flap height (rankings full of exact ties) and with
+# distinct heights (rankings decided by the criteria, so the bound prunes).
+RANKER_CASES = (
+    *SHIPPED_SPECS,
+    *(f"free:{k}" for k in range(3, 7)),
+    *(f"distinct:{k}" for k in (5, 6)),
+)
+POLICIES = (("aerial", "maxdim"), ("aerial", "maxdim", "volume"), ("volume",))
+
+
+@lru_cache(maxsize=None)
+def planned(case: str):
+    """(spec, tree, lattice, brute-force orders) of one ranker case."""
+    kind, _, arg = case.partition(":")
+    if kind == "free":
+        spec = free_flap_spec(int(arg))
+    elif kind == "distinct":
+        spec = free_flap_spec(int(arg), [40.0 + 7.3 * i for i in range(int(arg))])
+    else:
+        spec = load_spec(SPEC_DIR / case)
+    tree = build_tree(spec)
+    params, obstacles = SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
+    lattice = build_lattice(tree, params, obstacles, spec.support_tolerance)
+    cc = lru_cache(maxsize=None)(
+        lambda folded, joint: collision_check(tree, folded, joint, params, obstacles)
+    )
+    return spec, tree, lattice, brute_force_sequences(tree, params, obstacles, cc=cc)
+
+
+def row_values(report):
+    return [(r.sequence.order, r.c_aerial, r.c_dim, r.c_vol) for r in report.rows]
+
+
+class TestRankLattice:
+    @pytest.mark.parametrize("policy", POLICIES, ids=">".join)
+    @pytest.mark.parametrize("case", RANKER_CASES)
+    def test_top_n_equals_the_head_of_the_full_ranking(self, case, policy):
+        spec, tree, lattice, brute = planned(case)
+        policy = RankingPolicy(policy)
+        full = rank_lattice(lattice, policy)
+        assert full.sequence_count == len(full.rows) == len(brute)
+        # The full ranking is the reference sort of every brute-force order.
+        reference = score_and_rank(
+            tree, [FoldSequence(order) for order in brute], policy, spec.support_tolerance
+        )
+        assert row_values(full) == row_values(reference)
+        for n in (1, 5, 20):
+            head = rank_lattice(lattice, policy, n)
+            assert head.sequence_count == len(brute)
+            assert row_values(head) == row_values(full)[:n]
+
+    def test_bounded_search_prunes(self):
+        _, tree, lattice, _ = planned("distinct:6")
+        policy = RankingPolicy(("aerial", "maxdim", "volume"))
+        before = replace(lattice.stats)
+        rank_lattice(lattice, policy)
+        full_nodes = lattice.stats.nodes_expanded - before.nodes_expanded
+        assert lattice.stats.pruned == before.pruned
+        rank_lattice(lattice, policy, 5)
+        assert lattice.stats.pruned > before.pruned
+        assert lattice.stats.nodes_expanded - before.nodes_expanded - full_nodes < full_nodes / 4

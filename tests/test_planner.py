@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-import io
 import itertools
 import math
 
 import pytest
 
+import cartonfold.planner as planner_module
 from cartonfold.collision import ObstacleSet, SweepParams, collision_check
 from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec
 from cartonfold.planner import (
@@ -13,6 +13,7 @@ from cartonfold.planner import (
     FoldState,
     PlannerError,
     action_space,
+    build_lattice,
     enumerate_sequences,
     feasible_subsets,
     transition,
@@ -139,11 +140,6 @@ class TestEnumerateSequences:
                 build_tree(spec), SweepParams(), ObstacleSet.empty()
             )
 
-    def test_bad_mode_rejected(self, three_flaps):
-        spec, tree = three_flaps
-        with pytest.raises(ValueError, match="mode"):
-            enumerate_sequences(tree, *planner_inputs(spec), mode="clever")
-
     def test_q_bounded_by_factorial(self, case_study, case_study_sequences):
         _, tree = case_study
         assert len(case_study_sequences) <= math.factorial(len(tree.foldable_ids))
@@ -158,46 +154,37 @@ class TestEnumerateSequences:
     @pytest.mark.parametrize("name", SHIPPED_SPECS[:3])
     def test_oracle_equivalence_small_cartons(self, spec_dir, name):
         # For every shipped carton small enough, the search must agree with
-        # plain permutation filtering, in both modes.
+        # plain permutation filtering.
         spec = load_spec(spec_dir / name)
         tree = build_tree(spec)
         assert len(tree.foldable_ids) <= 6
         params, obstacles = planner_inputs(spec)
         expected = brute_force_sequences(tree, params, obstacles)
-        for mode in ("naive", "memoized"):
-            got = [s.order for s in enumerate_sequences(tree, params, obstacles, mode=mode)]
-            assert sorted(got) == sorted(expected)
-            assert got == sorted(got)
+        got = [s.order for s in enumerate_sequences(tree, params, obstacles)]
+        assert sorted(got) == sorted(expected)
+        assert got == sorted(got)
 
-    def test_modes_agree_on_case_study(self, case_study, case_study_sequences):
-        spec, tree = case_study
-        naive = enumerate_sequences(tree, *planner_inputs(spec), mode="naive")
-        assert [s.order for s in naive] == [s.order for s in case_study_sequences]
-
-    def test_memoized_never_repeats_a_check(self, case_study):
+    def test_memoized_never_repeats_a_check(self, case_study, monkeypatch):
+        # Exactly one collision check per (reachable subset, unfolded joint).
         spec, tree = case_study
         params, obstacles = planner_inputs(spec)
-        diag = io.StringIO()
-        enumerate_sequences(tree, params, obstacles, mode="memoized", diagnostics=diag)
-        stats = dict(line.split("=") for line in diag.getvalue().splitlines())
+        seen = []
+        real_check = planner_module.collision_check
+
+        def counted(tree_, folded, joint, *args):
+            seen.append((frozenset(folded), joint))
+            return real_check(tree_, folded, joint, *args)
+
+        monkeypatch.setattr(planner_module, "collision_check", counted)
+        lattice = build_lattice(tree, params, obstacles)
         k = len(tree.foldable_ids)
-        assert int(stats["cc_calls"]) <= (2 ** k) * k
-        assert int(stats["cc_cache_hits"]) > 0
-
-        diag_naive = io.StringIO()
-        enumerate_sequences(tree, params, obstacles, mode="naive", diagnostics=diag_naive)
-        naive_stats = dict(line.split("=") for line in diag_naive.getvalue().splitlines())
-        assert int(stats["cc_calls"]) <= int(naive_stats["cc_calls"])
-        assert int(naive_stats["cc_cache_hits"]) == 0
-
-    def test_subset_cap_falls_back_to_naive_with_warning(self, three_flaps):
-        spec, tree = three_flaps
-        params, obstacles = planner_inputs(spec)
-        with pytest.warns(UserWarning, match="subset cap"):
-            sequences = enumerate_sequences(
-                tree, params, obstacles, mode="memoized", subset_cap=2
-            )
-        assert len(sequences) == 6
+        assert len(seen) == len(set(seen)) == lattice.stats.cc_calls
+        assert set(seen) == {
+            (folded, j) for folded in lattice.edges for j in tree.foldable_ids
+            if j not in folded
+        }
+        assert lattice.stats.cc_calls <= (2 ** k) * k
+        assert lattice.sequence_count == len(lattice.sequences()) == 1680
 
     def test_sequences_carry_sample_counts(self, blocking_pair):
         spec, tree = blocking_pair
