@@ -3,8 +3,8 @@ Carton spec, kinematic tree, forward kinematics
 ===============================================
 
 A carton is declared as panels hinged to a parent by creases. Parsing
-validates the structure, the tree derives hereditary connectivity, and
-forward kinematics turns any joint-angle vector into world panel poses.
+validates the structure, the tree derives each joint's subtree (the
+panels a fold moves), and forward kinematics turns any joint-angle vector into world panel poses.
 """
 
 import numpy as np
@@ -29,10 +29,11 @@ tree = build_tree(spec)
 print("panels:", [p.id for p in spec.panels])
 print("foldable joints:", tree.foldable_ids)
 
-# Connectivity is hereditary: the base influences the wall AND the wall's
-# own flap; the wall influences only the flap.
-print("\nconnectivity matrix (row influences column):")
-print(tree.connectivity)
+# Subtrees are hereditary: folding the wall moves the wall AND its own
+# flap; folding the flap moves only the flap.
+print("\npanels moved by each joint:")
+for pid in tree.ids:
+    print(f"  joint {pid}: {tree.subtree_ids(pid)}")
 
 # Flat blank: everything coplanar on the table.
 flat = forward_kinematics(tree, JointVector.flat(tree))

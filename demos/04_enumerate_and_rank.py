@@ -5,16 +5,15 @@ Enumerating and ranking folding sequences
 A fold state is just the set of folded joints. The planner walks the
 reachable subsets once, with one swept collision check per (subset, joint),
 and every ordering whose steps are all collision free is a path through
-that lattice. The sequences are ranked lexicographically: fewest aerial
-folds first, cumulative bounding-box measures as tie breakers.
+that lattice. The sequences are ranked lexicographically by the spec's
+ranking: fewest aerial folds first, cumulative bounding-box measures as tie
+breakers.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 from cartonfold import (
-    ObstacleSet,
-    RankingPolicy,
-    SweepParams,
     build_lattice,
     enumerate_sequences,
     feasible_subsets,
@@ -26,11 +25,9 @@ from cartonfold.model import build_tree, load_spec
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 # Three independent flaps: nothing can collide, so all 3! orderings appear.
-spec = load_spec(SPECS / "three_flaps.yaml")
-tree = build_tree(spec)
-params, obstacles = SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
+tree = build_tree(load_spec(SPECS / "three_flaps.yaml"))
 
-lattice = build_lattice(tree, params, obstacles)
+lattice = build_lattice(tree)
 print("three_flaps orderings:", [s.order for s in lattice.sequences()])
 print("lattice:", len(lattice.edges), "reachable states,",
       lattice.sequence_count, "sequences by path count")
@@ -38,27 +35,22 @@ print("  " + "\n  ".join(lattice.stats.lines()))
 
 # The blocking pair: the cover's overhang bars the drop leaf's arc, so only
 # the leaf-first ordering survives.
-spec = load_spec(SPECS / "blocking_pair.yaml")
-tree = build_tree(spec)
-params, obstacles = SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
-print("\nblocking_pair orderings:",
-      [s.order for s in enumerate_sequences(tree, params, obstacles)])
+tree = build_tree(load_spec(SPECS / "blocking_pair.yaml"))
+print("\nblocking_pair orderings:", [s.order for s in enumerate_sequences(tree)])
 
 # The full feasibility table, reachable subsets or not: one verdict per
 # (folded subset, next joint) pair.
-table = feasible_subsets(tree, params, obstacles)
+table = feasible_subsets(tree)
 for subset in sorted(table, key=lambda s: (len(s), sorted(s))):
     shown = "{" + ", ".join(map(str, sorted(subset))) + "}"
     print(f"  folded {shown:<8} -> {table[subset]}")
 
-# Ranking: score each sequence over its intermediate states and sort.
+# Ranking: score each sequence over its intermediate states and sort by the
+# spec's ranking (here aerial, then maxdim).
 spec = load_spec(SPECS / "three_flaps.yaml")
 tree = build_tree(spec)
-sequences = enumerate_sequences(
-    tree, SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
-)
-report = score_and_rank(tree, sequences, RankingPolicy(("aerial", "maxdim")))
-print("\nranked three_flaps sequences:")
+report = score_and_rank(tree, enumerate_sequences(tree))
+print("\nranked three_flaps sequences, by", " > ".join(report.criteria) + ":")
 print(f"{'sequence':<14} {'volume_mm3':>12} {'maxdim_mm':>10} {'naf':>4}")
 for row in report.rows:
     print(f"{str(list(row.sequence.order)):<14} {row.c_vol:>12.1f} "
@@ -66,9 +58,11 @@ for row in report.rows:
 
 # The same ranking straight from the lattice: a bounded search finds the
 # best two without scoring the other orderings.
-lattice = build_lattice(
-    tree, SweepParams.from_spec(spec), ObstacleSet.from_spec(spec), spec.support_tolerance
-)
-best = rank_lattice(lattice, RankingPolicy(("aerial", "maxdim")), top=2)
+best = rank_lattice(build_lattice(tree), top=2)
 print(f"\nbest 2 of {best.sequence_count} from the lattice:",
       [row.sequence.order for row in best.rows])
+
+# Another ranking is another spec: volume first.
+by_volume = build_tree(replace(spec, ranking=("volume", "aerial")))
+best = rank_lattice(build_lattice(by_volume), top=2)
+print("best 2 by", " > ".join(best.criteria) + ":", [row.sequence.order for row in best.rows])

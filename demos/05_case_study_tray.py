@@ -11,24 +11,13 @@ in every valid sequence.
 import time
 from pathlib import Path
 
-from cartonfold import (
-    FoldState,
-    ObstacleSet,
-    RankingPolicy,
-    SweepParams,
-    build_lattice,
-    collision_check,
-    is_aerial,
-    rank_lattice,
-)
+from cartonfold import FoldState, build_lattice, collision_check, is_aerial, rank_lattice
 from cartonfold.model import build_tree, load_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 spec = load_spec(SPECS / "case_study_tray.yaml")
 tree = build_tree(spec)
-params = SweepParams.from_spec(spec)
-obstacles = ObstacleSet.from_spec(spec)
 
 names = {p.id: (p.name or f"panel {p.id}") for p in spec.panels}
 print("panels:")
@@ -40,13 +29,13 @@ for p in spec.panels:
 # through the table. Everything else is free.
 start = FoldState.initial()
 for joint in tree.foldable_ids:
-    feasible = collision_check(tree, start.folded, joint, params, obstacles)
+    feasible = collision_check(tree, start.folded, joint)
     print(f"  first fold of joint {joint} ({names[joint]}): "
           f"{'feasible' if feasible else 'blocked'}")
 
 t0 = time.perf_counter()
-lattice = build_lattice(tree, params, obstacles, spec.support_tolerance)
-report = rank_lattice(lattice, RankingPolicy(tuple(spec.ranking)), top=10)
+lattice = build_lattice(tree)
+report = rank_lattice(lattice, top=10)
 elapsed = time.perf_counter() - t0
 print(f"\n{report.sequence_count} valid folding sequences from "
       f"{lattice.stats.cc_calls} collision checks, best 10 ranked in {elapsed:.2f} s")
@@ -65,5 +54,5 @@ for (state, joint), step in zip(best.sequence.prefixes(), best.per_step):
     aerial = "aerial" if step.aerial else "on the bench"
     print(f"  fold {names[joint]:<16} from state {sorted(state.folded)}: {aerial}")
 
-flange_check = is_aerial(tree, FoldState(frozenset({1})), 5, spec.support_tolerance)
+flange_check = is_aerial(tree, FoldState(frozenset({1})), 5)
 print("\nflange fold after its wall is up is aerial:", flange_check)

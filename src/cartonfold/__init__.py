@@ -15,7 +15,6 @@ from .model import (
     PanelPose,
     PanelSpec,
     SpecValidationError,
-    StateTable,
     build_tree,
     forward_kinematics,
     load_spec,
@@ -24,8 +23,6 @@ from .model import (
 )
 from .collision import (
     GraspSide,
-    ObstacleSet,
-    SweepParams,
     collision_check,
     grasp_side,
     sweep_angles,
@@ -43,12 +40,9 @@ from .planner import (
 )
 from .metrics import (
     RankedReport,
-    RankingPolicy,
     SequenceScore,
     StepMetrics,
-    bounding_volume,
     is_aerial,
-    max_dimension,
     rank_lattice,
     score_and_rank,
     score_sequence,
@@ -66,21 +60,16 @@ __all__ = [
     "GripperSpec",
     "JointVector",
     "KinematicTree",
-    "ObstacleSet",
     "OrientedBox",
     "PanelPose",
     "PanelSpec",
     "PlannerError",
     "RankedReport",
-    "RankingPolicy",
     "SequenceScore",
     "SpecValidationError",
-    "StateTable",
     "StepMetrics",
-    "SweepParams",
     "Transform",
     "action_space",
-    "bounding_volume",
     "build_lattice",
     "build_tree",
     "collision_check",
@@ -90,7 +79,6 @@ __all__ = [
     "grasp_side",
     "is_aerial",
     "load_spec",
-    "max_dimension",
     "obb_intersect",
     "parse_spec",
     "rank_lattice",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success with at least one sequence, 2 valid input but no
 feasible sequence (or an --explain sequence that fails), 3 spec validation
-failure.
+failure, including a carton with no foldable joint.
 
 Set CARTONFOLD_LOG=debug|info|warning to control log verbosity.
 """
@@ -18,16 +18,10 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .collision import (
-    ObstacleSet,
-    SweepParams,
-    collision_check,
-    grasp_side,
-    n_sweep_samples,
-)
-from .metrics import RankedReport, RankingPolicy, SequenceScore, rank_lattice, round6
-from .model import SpecValidationError, StateTable, build_tree, load_spec
-from .planner import build_lattice
+from .collision import collision_check, grasp_side, n_sweep_samples
+from .metrics import RankedReport, SequenceScore, rank_lattice, round6
+from .model import KinematicTree, SpecValidationError, build_tree, load_spec
+from .planner import PlannerError, build_lattice
 
 logger = logging.getLogger(__name__)
 
@@ -50,21 +44,28 @@ class RunConfig:
     explain: tuple[int, ...] | None = None
 
 
-def _apply_overrides(spec, config: RunConfig):
+def _load_tree(config: RunConfig) -> KinematicTree:
+    """The spec file with the config's overrides, validated and built.
+
+    A carton without a foldable joint is rejected like a malformed spec.
+    """
+    spec = load_spec(config.spec_path)
     if config.tolerance_angle_deg is not None:
         spec = replace(spec, tolerance_angle=math.radians(config.tolerance_angle_deg))
     if config.penetration_mm is not None:
         spec = replace(spec, penetration_tolerance=config.penetration_mm)
     if config.support_mm is not None:
         spec = replace(spec, support_tolerance=config.support_mm)
-    spec.validate()
-    return spec
+    tree = build_tree(spec)
+    if not tree.foldable_ids:
+        raise PlannerError("carton has no foldable joints, nothing to plan")
+    return tree
 
 
 def format_table(report: RankedReport, top: int | None) -> str:
     rows = report.rows if top is None else report.rows[:top]
     lines = [
-        f"policy: {' > '.join(report.policy.criteria)}   "
+        f"policy: {' > '.join(report.criteria)}   "
         f"(showing {len(rows)} of {report.sequence_count} sequences)",
         f"{'rank':>4}  {'sequence':<28} {'volume_mm3':>16} {'maxdim_mm':>12} {'naf':>4}",
     ]
@@ -106,21 +107,21 @@ def _row_payload(row: SequenceScore) -> dict:
 def format_structured(report: RankedReport, top: int | None) -> str:
     rows = report.rows if top is None else report.rows[:top]
     payload = {
-        "policy": list(report.policy.criteria),
+        "policy": list(report.criteria),
         "sequence_count": report.sequence_count,
         "rows": [_row_payload(row) for row in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _state_record(states: StateTable, folded: frozenset, joint: int | None, aerial):
+def _state_record(tree: KinematicTree, folded: frozenset, joint: int | None, aerial):
     # Full float precision here: renderers and the replay invariant need the
     # dumped angles and poses to agree to machine accuracy.
-    record = states.state(folded)
+    record = tree.state(folded)
     return {
         "joint": joint,
         "aerial": aerial,
-        "theta_rad": {str(pid): record.theta.angle(pid) for pid in states.tree.ids},
+        "theta_rad": {str(pid): record.theta.angle(pid) for pid in tree.ids},
         "panels": [
             {
                 "id": p.panel_id,
@@ -138,7 +139,7 @@ def _state_record(states: StateTable, folded: frozenset, joint: int | None, aeri
     }
 
 
-def dump_states(states: StateTable, rows, directory: str) -> None:
+def dump_states(tree: KinematicTree, rows, directory: str) -> None:
     """One JSON file per reported sequence with a record for every state.
 
     Records 0 .. k-1 carry the state before each fold plus that fold's joint
@@ -152,10 +153,10 @@ def dump_states(states: StateTable, rows, directory: str) -> None:
         for t, ((state, joint), metrics) in enumerate(
             zip(row.sequence.prefixes(), row.per_step)
         ):
-            record = _state_record(states, state.folded, joint, metrics.aerial)
+            record = _state_record(tree, state.folded, joint, metrics.aerial)
             record["t"] = t
             steps.append(record)
-        final = _state_record(states, frozenset(row.sequence.order), None, None)
+        final = _state_record(tree, frozenset(row.sequence.order), None, None)
         final["t"] = len(row.sequence.order)
         steps.append(final)
         payload = {"sequence": list(row.sequence.order), "steps": steps}
@@ -170,13 +171,10 @@ def explain(config: RunConfig, sequence=None, out=None) -> int:
     """
     out = out or sys.stdout
     try:
-        spec = _apply_overrides(load_spec(config.spec_path), config)
-    except (SpecValidationError, OSError) as exc:
+        tree = _load_tree(config)
+    except (SpecValidationError, PlannerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_INVALID
-    tree = build_tree(spec)
-    params = SweepParams.from_spec(spec)
-    obstacles = ObstacleSet.from_spec(spec)
     sequence = tuple(sequence) if sequence is not None else (config.explain or ())
 
     if sorted(sequence) != sorted(tree.foldable_ids):
@@ -187,25 +185,19 @@ def explain(config: RunConfig, sequence=None, out=None) -> int:
         )
         return EXIT_NO_SEQUENCES
 
-    states = StateTable(tree)
     folded: frozenset = frozenset()
     for step, joint in enumerate(sequence, start=1):
-        if not collision_check(tree, folded, joint, params, obstacles, states):
+        if not collision_check(tree, folded, joint):
             print(
                 f"sequence invalid: step {step} (fold joint {joint}) collides",
                 file=out,
             )
             return EXIT_NO_SEQUENCES
-        record = states.state(folded)
-        aerial = record.lowest_z(tree.subtree_ids(joint)) > spec.support_tolerance
-        if spec.gripper is not None:
-            side = grasp_side(
-                tree, folded, joint, spec.gripper, params, obstacles, states
-            ).value
-        else:
-            side = "n/a"
+        record = tree.state(folded)
+        aerial = tree.is_aerial(folded, joint)
+        side = "n/a" if tree.spec.gripper is None else grasp_side(tree, folded, joint).value
         print(
-            f"step {step}: fold joint {joint} | cc_samples={n_sweep_samples(tree, joint, params)} "
+            f"step {step}: fold joint {joint} | cc_samples={n_sweep_samples(tree, joint)} "
             f"| aerial={'yes' if aerial else 'no'} | volume={record.volume:.1f} mm^3 "
             f"| maxdim={record.max_extent:.1f} mm | grasp={side}",
             file=out,
@@ -217,22 +209,16 @@ def explain(config: RunConfig, sequence=None, out=None) -> int:
 
 def run(config: RunConfig, out=None) -> int:
     """Build the fold-state lattice, rank it and report; returns the exit code."""
+    if config.explain is not None:
+        return explain(config, out=out)
     out = out or sys.stdout
     try:
-        spec = _apply_overrides(load_spec(config.spec_path), config)
-        tree = build_tree(spec)
-    except (SpecValidationError, OSError) as exc:
+        lattice = build_lattice(_load_tree(config))
+    except (SpecValidationError, PlannerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_INVALID
 
-    if config.explain is not None:
-        return explain(config, out=out)
-
-    params = SweepParams.from_spec(spec)
-    obstacles = ObstacleSet.from_spec(spec)
-
-    lattice = build_lattice(tree, params, obstacles, spec.support_tolerance)
-    report = rank_lattice(lattice, RankingPolicy(tuple(spec.ranking)), config.top)
+    report = rank_lattice(lattice, config.top)
     for line in lattice.stats.lines():
         logger.info("planner %s", line)
 
@@ -244,7 +230,7 @@ def run(config: RunConfig, out=None) -> int:
         out.write(format_structured(report, config.top))
 
     if config.dump_dir is not None:
-        dump_states(lattice.states, report.rows, config.dump_dir)
+        dump_states(lattice.tree, report.rows, config.dump_dir)
 
     if not report.sequence_count:
         logger.warning("no feasible folding sequence found")

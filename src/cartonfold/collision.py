@@ -1,72 +1,25 @@
 """Swept collision checking for single fold actions, plus grasp advisories.
 
 A fold drives one joint from its initial to its final angle while every
-other joint holds still. The motion is sampled at the tolerance angle and
-each sample is tested with the separating-axis kernel against the panels
-outside the moving subtree and against the environment. Panels that share
-a crease are allowed to interpenetrate by the penetration tolerance, since
-hinged slabs always touch (and, at the hinge line, overlap by up to half a
-thickness) during a fold.
+other joint holds still. The motion is sampled at the spec's tolerance
+angle and each sample is tested with the separating-axis kernel against
+the panels outside the moving subtree, the tree's packed fixture boxes and,
+when the spec has one, the table half-space: no moving corner may dip below
+``-penetration_tolerance`` in z. Panels that share a crease are allowed to
+interpenetrate by the penetration tolerance, since hinged slabs always
+touch (and, at the hinge line, overlap by up to half a thickness) during a
+fold. Every input comes from the kinematic tree: its spec, its obstacles
+and its fold-state records.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    CORNER_SIGNS,
-    OrientedBox,
-    Transform,
-    pack_boxes,
-    rotation_matrices,
-    sat_overlap_matrix,
-)
-from .model import CartonSpec, KinematicTree, StateTable
-
-
-@dataclass(frozen=True)
-class SweepParams:
-    """Sampling granularity and contact allowance for the swept check."""
-
-    tolerance_angle: float = math.radians(5.0)
-    penetration_tolerance: float = 0.1
-
-    def __post_init__(self):
-        if self.tolerance_angle <= 0.0:
-            raise ValueError("tolerance_angle must be positive")
-        if self.penetration_tolerance < 0.0:
-            raise ValueError("penetration_tolerance must be >= 0")
-
-    @classmethod
-    def from_spec(cls, spec: CartonSpec) -> "SweepParams":
-        return cls(
-            tolerance_angle=spec.tolerance_angle,
-            penetration_tolerance=spec.penetration_tolerance,
-        )
-
-
-@dataclass(frozen=True)
-class ObstacleSet:
-    """Static workcell geometry: fixture boxes plus the optional table plane.
-
-    With ``table_plane`` set, any moving panel point below
-    ``-penetration_tolerance`` in world z is a collision.
-    """
-
-    boxes: tuple[OrientedBox, ...] = ()
-    table_plane: bool = True
-
-    @classmethod
-    def from_spec(cls, spec: CartonSpec) -> "ObstacleSet":
-        return cls(boxes=spec.environment, table_plane=spec.table_plane)
-
-    @classmethod
-    def empty(cls) -> "ObstacleSet":
-        return cls(boxes=(), table_plane=False)
+from .geometry import CORNER_SIGNS, rotation_matrices, sat_overlap_matrix
+from .model import KinematicTree
 
 
 def sweep_angles(start: float, end: float, step: float) -> np.ndarray:
@@ -139,14 +92,7 @@ def _swept_movers(
     )
 
 
-def collision_check(
-    tree: KinematicTree,
-    folded,
-    moving_joint: int,
-    params: SweepParams,
-    obstacles: ObstacleSet,
-    states: StateTable | None = None,
-) -> bool:
+def collision_check(tree: KinematicTree, folded, moving_joint: int) -> bool:
     """True when folding ``moving_joint`` from the given state is collision free.
 
     The joint's whole subtree is swept from the initial to the final angle,
@@ -154,7 +100,6 @@ def collision_check(
     sample the subtree solids must clear all panels outside the subtree and
     all obstacles. Crease-adjacent panel pairs are tested with the
     penetration tolerance as allowance; everything else is tested exactly.
-    ``states`` shares fold-state records between calls.
     """
     folded = frozenset(folded)
     if moving_joint not in tree.foldable_ids:
@@ -165,19 +110,17 @@ def collision_check(
     if bad:
         raise ValueError(f"folded set contains non-foldable joints: {sorted(bad)}")
 
-    if states is None:
-        states = StateTable(tree)
-    record = states.state(folded)
-    poses_by_id = record.poses_by_id
+    spec = tree.spec
+    record = tree.state(folded)
     all_centers, all_rots, all_halves = record.solids
 
     panel = tree.panel(moving_joint)
-    samples = sweep_angles(panel.theta_init, panel.theta_final, params.tolerance_angle)
+    samples = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
     mov_centers, mov_rots, mov_halves, moving_ids = _swept_movers(
-        tree, poses_by_id, moving_joint, samples
+        tree, record.poses_by_id, moving_joint, samples
     )
 
-    eps = params.penetration_tolerance
+    eps = spec.penetration_tolerance
 
     static_ids = [pid for pid in tree.ids if pid not in moving_ids]
     if static_ids:
@@ -210,24 +153,21 @@ def collision_check(
             if hit.any():
                 return False
 
-    if obstacles.boxes:
-        ob_centers, ob_rots, ob_halves = pack_boxes(obstacles.boxes)
-        hit = sat_overlap_matrix(
-            mov_centers, mov_rots, mov_halves, ob_centers, ob_rots, ob_halves, 0.0
-        )
+    if tree.obstacles is not None:
+        hit = sat_overlap_matrix(mov_centers, mov_rots, mov_halves, *tree.obstacles, 0.0)
         if hit.any():
             return False
 
-    if obstacles.table_plane:
+    if spec.table_plane:
         if _min_corner_z(mov_centers, mov_rots, mov_halves) < -eps:
             return False
 
     return True
 
 
-def n_sweep_samples(tree: KinematicTree, joint: int, params: SweepParams) -> int:
+def n_sweep_samples(tree: KinematicTree, joint: int) -> int:
     panel = tree.panel(joint)
-    return len(sweep_angles(panel.theta_init, panel.theta_final, params.tolerance_angle))
+    return len(sweep_angles(panel.theta_init, panel.theta_final, tree.spec.tolerance_angle))
 
 
 class GraspSide(enum.Enum):
@@ -238,54 +178,42 @@ class GraspSide(enum.Enum):
     NONE = "none"
 
 
-def grasp_side(
-    tree: KinematicTree,
-    folded,
-    joint: int,
-    gripper,
-    params: SweepParams,
-    obstacles: ObstacleSet,
-    states: StateTable | None = None,
-) -> GraspSide:
-    """Advisory placement test for a gripper on the panel about to fold.
+def grasp_side(tree: KinematicTree, folded, joint: int) -> GraspSide:
+    """Advisory placement test for the spec's gripper on the panel about to fold.
 
     The inner face is the one facing the fold direction. A gripper-sized
     box is placed on it (offset by the standoff) at the fold's start pose;
-    if that placement collides, the outer face is tried. The result never
-    gates sequence validity.
+    if that placement collides with another panel, a fixture or the table,
+    the outer face is tried. The result never gates sequence validity.
     """
     folded = frozenset(folded)
     if joint in folded:
         raise ValueError(f"joint {joint} is already folded")
-    if states is None:
-        states = StateTable(tree)
-    poses_by_id = states.state(folded).poses_by_id
+    gripper = tree.spec.gripper
+    if gripper is None:
+        raise ValueError("the carton spec declares no gripper")
+    record = tree.state(folded)
     panel = tree.panel(joint)
-    solid = poses_by_id[joint].solid
+    solid = record.poses_by_id[joint].solid
 
     fold_sign = 1.0 if panel.theta_final > panel.theta_init else -1.0
-    gx, gy, gz = gripper.dims
-    half_g = np.array([gx, gy, gz]) / 2.0
+    half_g = np.asarray(gripper.dims, dtype=float) / 2.0
+    gz = gripper.dims[2]
     flip = np.diag([1.0, -1.0, -1.0])
 
-    others = [poses_by_id[pid].solid for pid in tree.ids if pid != joint]
-    eps = params.penetration_tolerance
+    others = [i for i, pid in enumerate(tree.ids) if pid != joint]
+    batches = [tuple(a[others] for a in record.solids)] if others else []
+    if tree.obstacles is not None:
+        batches.append(tree.obstacles)
+    eps = tree.spec.penetration_tolerance
 
     for side, sign in ((GraspSide.INSIDE, fold_sign), (GraspSide.OUTSIDE, -fold_sign)):
         normal = sign * solid.pose.rotation[:, 2]
         center = solid.center + normal * (panel.thickness / 2.0 + gripper.standoff + gz / 2.0)
         rot = solid.pose.rotation if sign > 0 else solid.pose.rotation @ flip
-        box = OrientedBox(Transform(rot, center), half_g)
-
-        c, r, h = box.center[None, :], box.pose.rotation[None, :, :], box.half_extents[None, :]
-        blocked = False
-        if others:
-            oc, orr, oh = pack_boxes(others)
-            blocked = bool(sat_overlap_matrix(c, r, h, oc, orr, oh, 0.0).any())
-        if not blocked and obstacles.boxes:
-            oc, orr, oh = pack_boxes(obstacles.boxes)
-            blocked = bool(sat_overlap_matrix(c, r, h, oc, orr, oh, 0.0).any())
-        if not blocked and obstacles.table_plane:
+        c, r, h = center[None, :], rot[None, :, :], half_g[None, :]
+        blocked = any(sat_overlap_matrix(c, r, h, *batch, 0.0).any() for batch in batches)
+        if not blocked and tree.spec.table_plane:
             blocked = _min_corner_z(c, r, h) < -eps
         if not blocked:
             return side

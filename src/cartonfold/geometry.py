@@ -55,10 +55,6 @@ class Transform:
     def identity(cls) -> "Transform":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_translation(cls, translation) -> "Transform":
-        return cls(np.eye(3), translation)
-
     def compose(self, other: "Transform") -> "Transform":
         """Return ``self @ other`` (apply ``other`` first, then ``self``)."""
         return Transform(

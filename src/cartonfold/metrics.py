@@ -10,11 +10,12 @@ every sum, matching the summation bounds of the cost definitions:
 * aerial: 1 when the fold leaving S_t starts off the workbench.
 
 A fold is aerial when the lowest corner of its moving subtree sits more
-than the support tolerance above the table at the start of the motion.
-Lower is better for all criteria. Float criteria are compared at the
-6-decimal precision the reports print, so two sums that print equal fall
-through to the next criterion, and finally to the order itself, instead
-of being ranked by rounding noise.
+than the support tolerance above the table at the start of the motion
+(``KinematicTree.is_aerial``). Lower is better for all criteria, and the
+spec's ``ranking`` lists them in the order they apply. Float criteria are
+compared at the 6-decimal precision the reports print, so two sums that
+print equal fall through to the next criterion, and finally to the order
+itself, instead of being ranked by rounding noise.
 
 ``score_and_rank`` scores and sorts a given list of sequences.
 ``rank_lattice`` ranks every path of a fold-state lattice without listing
@@ -27,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Aabb
-from .model import DEFAULT_SUPPORT_TOLERANCE_MM, RANKING_CRITERIA, KinematicTree, StateTable
+from .model import KinematicTree
 from .planner import FoldLattice, FoldSequence, FoldState, action_space
 
 # Relative loosening of rank_lattice's lower bounds. The bound and a path's
@@ -43,55 +43,11 @@ def round6(value: float) -> float:
     return float(f"{value:.6f}")
 
 
-@dataclass(frozen=True)
-class RankingPolicy:
-    """Ordered list of criteria, applied lexicographically, all ascending."""
-
-    criteria: tuple[str, ...] = ("aerial", "maxdim")
-
-    def __post_init__(self):
-        if not self.criteria:
-            raise ValueError("ranking policy needs at least one criterion")
-        if len(set(self.criteria)) != len(self.criteria):
-            raise ValueError("ranking criteria must not repeat")
-        for crit in self.criteria:
-            if crit not in RANKING_CRITERIA:
-                raise ValueError(
-                    f"unknown criterion {crit!r}, expected one of {RANKING_CRITERIA}"
-                )
-
-
-def state_aabb(tree: KinematicTree, state: FoldState) -> Aabb:
-    """World-aligned bounding box of every panel solid at the state's angles."""
-    return StateTable(tree).state(state.folded).box
-
-
-def bounding_volume(tree: KinematicTree, state: FoldState) -> float:
-    """V(S): product of the three bounding-box extents, mm^3."""
-    return StateTable(tree).state(state.folded).volume
-
-
-def max_dimension(tree: KinematicTree, state: FoldState) -> float:
-    """MaxDim(S): largest bounding-box extent, mm."""
-    return StateTable(tree).state(state.folded).max_extent
-
-
-def is_aerial(
-    tree: KinematicTree,
-    state_before: FoldState,
-    joint: int,
-    support_tolerance: float = DEFAULT_SUPPORT_TOLERANCE_MM,
-) -> bool:
-    """Whether folding ``joint`` starts without workbench support.
-
-    Tests the moving subtree at the fold's start pose: if its lowest panel
-    corner is more than ``support_tolerance`` above z = 0, nothing rests on
-    the table and the fold is aerial.
-    """
+def is_aerial(tree: KinematicTree, state_before: FoldState, joint: int) -> bool:
+    """Whether folding ``joint``, which must be available, starts off the workbench."""
     if joint not in action_space(tree, state_before):
         raise ValueError(f"joint {joint} is not available in this state")
-    record = StateTable(tree).state(state_before.folded)
-    return record.lowest_z(tree.subtree_ids(joint)) > support_tolerance
+    return tree.is_aerial(state_before.folded, joint)
 
 
 @dataclass(frozen=True)
@@ -123,31 +79,24 @@ class SequenceScore:
     def c_aerial(self) -> int:
         return sum(1 for step in self.per_step if step.aerial)
 
-    def key(self, policy: RankingPolicy):
+    def key(self, criteria: tuple[str, ...]):
         totals = {"aerial": self.c_aerial, "maxdim": self.c_dim, "volume": self.c_vol}
         return tuple(
-            totals[c] if c == "aerial" else round6(totals[c]) for c in policy.criteria
+            totals[c] if c == "aerial" else round6(totals[c]) for c in criteria
         ) + (self.sequence.order,)
 
 
-def score_sequence(
-    tree: KinematicTree,
-    sequence: FoldSequence,
-    support_tolerance: float = DEFAULT_SUPPORT_TOLERANCE_MM,
-    states: StateTable | None = None,
-) -> SequenceScore:
+def score_sequence(tree: KinematicTree, sequence: FoldSequence) -> SequenceScore:
     """Measure every intermediate state S_0 .. S_{k-1} of one sequence."""
-    if states is None:
-        states = StateTable(tree)
     steps = []
     for state, joint in sequence.prefixes():
-        record = states.state(state.folded)
+        record = tree.state(state.folded)
         steps.append(
             StepMetrics(
                 joint=joint,
                 volume=record.volume,
                 max_dim=record.max_extent,
-                aerial=record.lowest_z(tree.subtree_ids(joint)) > support_tolerance,
+                aerial=tree.is_aerial(state.folded, joint),
             )
         )
     return SequenceScore(sequence=sequence, per_step=tuple(steps))
@@ -155,13 +104,13 @@ def score_sequence(
 
 @dataclass(frozen=True)
 class RankedReport:
-    """The best sequences, sorted ascending-lexicographically under a policy.
+    """The best sequences, sorted ascending-lexicographically by ``criteria``.
 
     ``rows`` may be a prefix of the ranking; ``sequence_count`` counts every
     sequence that was ranked.
     """
 
-    policy: RankingPolicy
+    criteria: tuple[str, ...]
     rows: tuple[SequenceScore, ...]
     sequence_count: int
 
@@ -169,29 +118,20 @@ class RankedReport:
         return len(self.rows)
 
 
-def score_and_rank(
-    tree: KinematicTree,
-    sequences,
-    policy: RankingPolicy = RankingPolicy(),
-    support_tolerance: float = DEFAULT_SUPPORT_TOLERANCE_MM,
-) -> RankedReport:
-    """Score all sequences and sort them under the policy.
+def score_and_rank(tree: KinematicTree, sequences) -> RankedReport:
+    """Score all sequences and sort them by the spec's ranking.
 
     Ties after all criteria fall back to the sequence order tuple itself, so
     the report is a total order independent of input ordering. An empty
     input produces an empty report.
     """
-    states = StateTable(tree)
-    scores = [score_sequence(tree, seq, support_tolerance, states) for seq in sequences]
-    scores.sort(key=lambda s: s.key(policy))
-    return RankedReport(policy=policy, rows=tuple(scores), sequence_count=len(scores))
+    criteria = tree.spec.ranking
+    scores = [score_sequence(tree, seq) for seq in sequences]
+    scores.sort(key=lambda s: s.key(criteria))
+    return RankedReport(criteria=criteria, rows=tuple(scores), sequence_count=len(scores))
 
 
-def rank_lattice(
-    lattice: FoldLattice,
-    policy: RankingPolicy = RankingPolicy(),
-    top: int | None = None,
-) -> RankedReport:
+def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
     """The ``top`` best sequences of the lattice (all when None), ranked.
 
     One depth-first search in ascending joint order carries each path's
@@ -207,7 +147,7 @@ def rank_lattice(
     """
     count = lattice.sequence_count
     n = count if top is None else min(top, count)
-    criteria = policy.criteria
+    criteria = lattice.tree.spec.ranking
     rounded = tuple(c != "aerial" for c in criteria)
     final = lattice.final
     stats = lattice.stats
@@ -221,7 +161,7 @@ def rank_lattice(
         live = [e for e in edges if lattice.completions[e.child]]
         if not live:
             continue
-        record = lattice.states.state(folded)
+        record = lattice.tree.state(folded)
         weight = {"maxdim": record.max_extent, "volume": record.volume}
         folds[folded], steps[folded] = [], {}
         for e in live:
@@ -277,4 +217,4 @@ def rank_lattice(
             step, folded = steps[folded][joint]
             per_step.append(step)
         rows.append(SequenceScore(lattice.sequence(order), tuple(per_step)))
-    return RankedReport(policy=policy, rows=tuple(rows), sequence_count=count)
+    return RankedReport(criteria=criteria, rows=tuple(rows), sequence_count=count)

@@ -34,7 +34,13 @@ Carton-spec file format (YAML, degrees and millimeters at the boundary):
     ranking: [aerial, maxdim]
 
 Panels may carry an optional ``name`` and an optional explicit ``foldable``
-flag; a panel whose initial and final angles coincide is static.
+flag; a panel whose initial and final angles coincide is static. Joint
+angles lie within [-180, 180] degrees and the tolerance angle is at least
+``MIN_TOLERANCE_ANGLE_DEG``, which bounds the samples of every sweep. A
+missing or null ``ranking`` takes ``DEFAULT_RANKING``.
+
+``build_tree`` turns a validated spec into the ``KinematicTree`` that every
+planning function takes as its one input.
 """
 
 from __future__ import annotations
@@ -55,6 +61,9 @@ DEFAULT_SUPPORT_TOLERANCE_MM = 1.0
 DEFAULT_RANKING = ("aerial", "maxdim")
 
 RANKING_CRITERIA = ("aerial", "maxdim", "volume")
+
+# Finest sweep step accepted: 9001 samples for a 90 degree fold.
+MIN_TOLERANCE_ANGLE_DEG = 0.01
 
 
 class SpecValidationError(ValueError):
@@ -104,6 +113,15 @@ class PanelSpec:
                     f"panel {self.id}: non-root panels need crease_anchor and crease_dir"
                 )
             _unit(self.crease_dir, f"panel {self.id} crease_dir")
+        for key, value in (
+            ("theta_init_deg", self.theta_init),
+            ("theta_final_deg", self.theta_final),
+        ):
+            if not -math.pi <= value <= math.pi:
+                raise SpecValidationError(
+                    f"panel {self.id}: {key} must lie within [-180, 180], "
+                    f"got {math.degrees(value)!r}"
+                )
         if self.foldable_flag is True and self.theta_init == self.theta_final:
             raise SpecValidationError(
                 f"panel {self.id}: marked foldable but theta_init == theta_final"
@@ -189,8 +207,11 @@ class CartonSpec:
                     )
                 trail.add(node.id)
                 node = by_id[node.parent]
-        if not 0.0 < self.tolerance_angle < math.inf:
-            raise SpecValidationError("tolerance_angle must be positive and finite")
+        if not math.radians(MIN_TOLERANCE_ANGLE_DEG) <= self.tolerance_angle < math.inf:
+            raise SpecValidationError(
+                f"tolerance_angle_deg must be finite and at least {MIN_TOLERANCE_ANGLE_DEG}, "
+                f"got {math.degrees(self.tolerance_angle)!r}"
+            )
         if not 0.0 <= self.penetration_tolerance < math.inf:
             raise SpecValidationError("penetration_tolerance must be >= 0 and finite")
         if not 0.0 <= self.support_tolerance < math.inf:
@@ -232,25 +253,28 @@ def _mount_rotation(crease_dir: np.ndarray, panel_id: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KinematicTree:
-    """Carton spec plus derived parent/child structure and connectivity.
+    """A validated carton spec plus everything planning derives from it once.
 
-    ``connectivity[i, j] == 1`` exactly when panel ``ids[i]`` is a (transitive)
-    ancestor of panel ``ids[j]``: folding joint i moves panel j.
+    ``spec`` supplies every tolerance, the table, the gripper and the
+    ranking. ``obstacles`` packs the fixture boxes as (centers, rotations,
+    half_extents), or is None without fixtures. ``subtrees[j]`` lists the
+    panels that folding joint j moves. ``state(folded)`` measures each
+    fold state once and keeps the record: records are functions of the
+    immutable spec and the subset, so sharing them never changes a verdict
+    or a score.
     """
 
     spec: CartonSpec
     ids: tuple[int, ...]
     root_id: int
     children: dict[int, tuple[int, ...]]
-    connectivity: np.ndarray
     topo_order: tuple[int, ...]
     foldable_ids: tuple[int, ...]
     panels_by_id: dict[int, PanelSpec]
     mounts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
     subtrees: dict[int, tuple[int, ...]]
-
-    def index(self, panel_id: int) -> int:
-        return self.ids.index(panel_id)
+    obstacles: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def panel(self, panel_id: int) -> PanelSpec:
         return self.panels_by_id[panel_id]
@@ -259,13 +283,40 @@ class KinematicTree:
         """The panel and all its descendants, in topological order."""
         return self.subtrees[panel_id]
 
-    def is_ancestor(self, ancestor_id: int, panel_id: int) -> bool:
-        return bool(self.connectivity[self.index(ancestor_id), self.index(panel_id)])
+    def state(self, folded: frozenset) -> "StateRecord":
+        """The fold state with the given joints folded, from a single FK run."""
+        record = self.records.get(folded)
+        if record is None:
+            theta = JointVector.from_folded(self, folded)
+            poses = forward_kinematics(self, theta)
+            solids = [p.solid for p in poses]
+            box = world_aabb(solids)
+            record = StateRecord(
+                folded=folded,
+                theta=theta,
+                poses=tuple(poses),
+                poses_by_id={p.panel_id: p for p in poses},
+                solids=pack_boxes(solids),
+                box=box,
+                volume=box.volume,
+                max_extent=box.max_extent,
+                min_z={p.panel_id: float(p.solid.corners()[:, 2].min()) for p in poses},
+            )
+            self.records[folded] = record
+        return record
+
+    def is_aerial(self, folded: frozenset, joint: int) -> bool:
+        """Whether folding ``joint`` out of ``folded`` starts off the workbench.
+
+        It does when the lowest corner of the moving subtree sits more than
+        the support tolerance above z = 0 at the fold's start pose.
+        """
+        lowest = self.state(folded).lowest_z(self.subtree_ids(joint))
+        return lowest > self.spec.support_tolerance
 
 
 def build_tree(spec: CartonSpec) -> KinematicTree:
-    """Derive adjacency, topological order and the connectivity matrix."""
-    spec.validate()
+    """Derive adjacency, topological order, subtrees, mounts and obstacles."""
     ids = tuple(p.id for p in spec.panels)
     by_id = {p.id: p for p in spec.panels}
     children: dict[int, list[int]] = {pid: [] for pid in ids}
@@ -284,16 +335,6 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
         stack.extend(children[node])
     if len(topo) != len(ids):
         raise SpecValidationError("panel graph is not a single connected tree")
-
-    n = len(ids)
-    index = {pid: i for i, pid in enumerate(ids)}
-    connectivity = np.zeros((n, n), dtype=np.int8)
-    for panel in spec.panels:
-        node = panel
-        while node.parent is not None:
-            connectivity[index[node.parent], index[panel.id]] = 1
-            node = by_id[node.parent]
-    connectivity.setflags(write=False)
 
     mounts = {}
     for panel in spec.panels:
@@ -320,12 +361,12 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
         ids=ids,
         root_id=root_id,
         children={pid: tuple(kids) for pid, kids in children.items()},
-        connectivity=connectivity,
         topo_order=tuple(topo),
         foldable_ids=foldable,
         panels_by_id=by_id,
         mounts=mounts,
         subtrees=subtrees,
+        obstacles=pack_boxes(spec.environment) if spec.environment else None,
     )
 
 
@@ -435,39 +476,6 @@ class StateRecord:
     def lowest_z(self, panel_ids) -> float:
         """Lowest corner height over the given panels."""
         return min(self.min_z[pid] for pid in panel_ids)
-
-
-class StateTable:
-    """One StateRecord per folded subset, each from a single FK run.
-
-    Records are functions of the immutable tree and the subset, so sharing
-    a table never changes a verdict or a score.
-    """
-
-    def __init__(self, tree: KinematicTree):
-        self.tree = tree
-        self._records: dict[frozenset, StateRecord] = {}
-
-    def state(self, folded: frozenset) -> StateRecord:
-        record = self._records.get(folded)
-        if record is None:
-            theta = JointVector.from_folded(self.tree, folded)
-            poses = forward_kinematics(self.tree, theta)
-            solids = [p.solid for p in poses]
-            box = world_aabb(solids)
-            record = StateRecord(
-                folded=folded,
-                theta=theta,
-                poses=tuple(poses),
-                poses_by_id={p.panel_id: p for p in poses},
-                solids=pack_boxes(solids),
-                box=box,
-                volume=box.volume,
-                max_extent=box.max_extent,
-                min_z={p.panel_id: float(p.solid.corners()[:, 2].min()) for p in poses},
-            )
-            self._records[folded] = record
-        return record
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +615,9 @@ def spec_from_mapping(data: dict) -> CartonSpec:
         )
 
     planner = _section(data, "planner")
-    ranking = data.get("ranking") or list(DEFAULT_RANKING)
+    ranking = data.get("ranking")
+    if ranking is None:
+        ranking = list(DEFAULT_RANKING)
     if not isinstance(ranking, list):
         raise SpecValidationError("ranking must be a list of criteria")
 

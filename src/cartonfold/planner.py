@@ -9,12 +9,14 @@ subset to the full one, and every ranking criterion is a sum of node or
 edge weights along such a path.
 
 ``build_lattice`` walks the reachable subsets from the empty one and runs
-exactly one collision check per (reachable subset, unfolded joint). It
-keeps one measured StateRecord per subset, the feasible edges in ascending
-joint order (each with its aerial flag), and the number of complete paths
-below every subset, so the sequence count is a dynamic-programming result
-rather than an enumeration. ``enumerate_sequences`` lists all paths depth
-first; ``metrics.rank_lattice`` searches them for the best few.
+exactly one collision check per (reachable subset, unfolded joint). The
+tree measures each subset once (``KinematicTree.state``); the lattice
+keeps the feasible edges in ascending joint order (each with its aerial
+flag) and the number of complete paths below every subset, so the
+sequence count is a dynamic-programming result rather than an
+enumeration. Every input, from the sweep step to the support tolerance,
+is read from the tree's spec. ``enumerate_sequences`` lists all paths
+depth first; ``metrics.rank_lattice`` searches them for the best few.
 
 Everything here is a pure function of immutable inputs, and output order
 is canonical regardless of evaluation order.
@@ -25,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .collision import ObstacleSet, SweepParams, collision_check, n_sweep_samples
-from .model import DEFAULT_SUPPORT_TOLERANCE_MM, JointVector, KinematicTree, StateTable
+from .collision import collision_check, n_sweep_samples
+from .model import KinematicTree
 
 
 class PlannerError(ValueError):
@@ -42,12 +44,6 @@ class FoldState:
     @classmethod
     def initial(cls) -> "FoldState":
         return cls(frozenset())
-
-    def joint_vector(self, tree: KinematicTree) -> JointVector:
-        return JointVector.from_folded(tree, self.folded)
-
-    def is_final(self, tree: KinematicTree) -> bool:
-        return self.folded == frozenset(tree.foldable_ids)
 
 
 @dataclass(frozen=True)
@@ -122,13 +118,10 @@ class FoldLattice:
 
     ``edges`` maps every reachable subset, in order of size, to its
     feasible folds in ascending joint order. ``completions[F]`` is the
-    number of collision-free ways to finish folding from F. ``states``
-    holds the StateRecord of every subset a fold leaves.
+    number of collision-free ways to finish folding from F.
     """
 
     tree: KinematicTree
-    states: StateTable
-    support_tolerance: float
     edges: dict[frozenset[int], tuple[FoldEdge, ...]]
     completions: dict[frozenset[int], int]
     cc_samples: dict[int, int]
@@ -167,22 +160,15 @@ class FoldLattice:
         return found
 
 
-def build_lattice(
-    tree: KinematicTree,
-    params: SweepParams,
-    obstacles: ObstacleSet,
-    support_tolerance: float = DEFAULT_SUPPORT_TOLERANCE_MM,
-) -> FoldLattice:
+def build_lattice(tree: KinematicTree) -> FoldLattice:
     """Collision-check every fold out of every reachable subset, once.
 
     Subsets are expanded a layer (one more folded joint) at a time from the
-    empty one. A fold is aerial when the lowest corner of its moving subtree
-    starts more than ``support_tolerance`` above the table.
+    empty one, and each feasible fold carries ``tree.is_aerial``.
     """
     foldable = sorted(tree.foldable_ids)
     if not foldable:
         raise PlannerError("carton has no foldable joints, nothing to enumerate")
-    states = StateTable(tree)
     stats = SearchDiagnostics()
     final = frozenset(foldable)
     edges: dict[frozenset[int], tuple[FoldEdge, ...]] = {}
@@ -195,11 +181,10 @@ def build_lattice(
                 if joint in folded:
                     continue
                 stats.cc_calls += 1
-                if collision_check(tree, folded, joint, params, obstacles, states):
+                if collision_check(tree, folded, joint):
                     child = folded | {joint}
                     child = reached.setdefault(child, child)
-                    low = states.state(folded).lowest_z(tree.subtree_ids(joint))
-                    out.append(FoldEdge(joint, child, low > support_tolerance))
+                    out.append(FoldEdge(joint, child, tree.is_aerial(folded, joint)))
             if not out and folded != final:
                 stats.dead_ends += 1
             edges[folded] = tuple(out)
@@ -214,34 +199,23 @@ def build_lattice(
     stats.sequences = completions[frozenset()]
     return FoldLattice(
         tree=tree,
-        states=states,
-        support_tolerance=support_tolerance,
         edges=edges,
         completions=completions,
-        cc_samples={j: n_sweep_samples(tree, j, params) for j in foldable},
+        cc_samples={j: n_sweep_samples(tree, j) for j in foldable},
         stats=stats,
     )
 
 
-def enumerate_sequences(
-    tree: KinematicTree,
-    params: SweepParams,
-    obstacles: ObstacleSet,
-) -> list[FoldSequence]:
+def enumerate_sequences(tree: KinematicTree) -> list[FoldSequence]:
     """All orderings of the foldable joints whose every step is collision free.
 
     The paths of the fold-state lattice, depth first with children in
     ascending joint id order, so the output order is deterministic.
     """
-    return build_lattice(tree, params, obstacles).sequences()
+    return build_lattice(tree).sequences()
 
 
-def feasible_subsets(
-    tree: KinematicTree,
-    params: SweepParams,
-    obstacles: ObstacleSet,
-    subset_cap: int = 20,
-) -> dict[frozenset[int], dict[int, bool]]:
+def feasible_subsets(tree: KinematicTree, subset_cap: int = 20) -> dict[frozenset[int], dict[int, bool]]:
     """Full fold-feasibility table over every subset of the foldable joints.
 
     Entry ``table[F][j]`` is the collision_check verdict for folding joint
@@ -255,12 +229,11 @@ def feasible_subsets(
         raise PlannerError(
             f"{len(foldable)} foldable joints exceed the subset cap {subset_cap}"
         )
-    states = StateTable(tree)
     table: dict[frozenset[int], dict[int, bool]] = {}
     for mask in range(1 << len(foldable)):
         subset = frozenset(j for bit, j in enumerate(foldable) if mask >> bit & 1)
         table[subset] = {
-            j: collision_check(tree, subset, j, params, obstacles, states)
+            j: collision_check(tree, subset, j)
             for j in foldable
             if j not in subset
         }

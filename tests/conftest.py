@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cartonfold.collision import ObstacleSet, SweepParams
 from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec
 from cartonfold.planner import enumerate_sequences
 
@@ -32,10 +31,8 @@ def case_study():
 
 @pytest.fixture(scope="session")
 def case_study_sequences(case_study):
-    spec, tree = case_study
-    return enumerate_sequences(
-        tree, SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
-    )
+    _, tree = case_study
+    return enumerate_sequences(tree)
 
 
 @pytest.fixture(scope="session")

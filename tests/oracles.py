@@ -42,14 +42,14 @@ def sampling_band(a, b, per_axis: int = 12) -> float:
     return float(max(spacing_a, spacing_b))
 
 
-def brute_force_sequences(tree, params, obstacles, cc=None) -> list[tuple[int, ...]]:
+def brute_force_sequences(tree, cc=None) -> list[tuple[int, ...]]:
     """Every permutation of the foldable joints that survives stepwise checks.
 
     Enumeration is independent of the planner's search: all k! orderings are
     generated and each is replayed from scratch. ``cc`` may substitute a
     (cached) collision predicate with the same signature.
     """
-    cc = cc or (lambda folded, joint: collision_check(tree, folded, joint, params, obstacles))
+    cc = cc or (lambda folded, joint: collision_check(tree, folded, joint))
     valid = []
     for perm in itertools.permutations(sorted(tree.foldable_ids)):
         folded: frozenset = frozenset()

@@ -10,15 +10,16 @@ import io
 import json
 import math
 import time
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from cartonfold.cli import RunConfig, run
-from cartonfold.collision import ObstacleSet, SweepParams, collision_check
+from cartonfold.collision import collision_check
 from cartonfold.geometry import obb_intersect
-from cartonfold.metrics import RankingPolicy, score_and_rank, score_sequence
+from cartonfold.metrics import score_and_rank, score_sequence
 from cartonfold.model import build_tree, load_spec
 from cartonfold.planner import enumerate_sequences, feasible_subsets
 
@@ -41,16 +42,13 @@ def report(criterion: int, message: str) -> None:
 @pytest.fixture(scope="module")
 def case():
     spec = load_spec(SPEC_DIR / "case_study_tray.yaml")
-    tree = build_tree(spec)
-    params = SweepParams.from_spec(spec)
-    obstacles = ObstacleSet.from_spec(spec)
-    return spec, tree, params, obstacles
+    return spec, build_tree(spec)
 
 
 def test_criterion_1_case_study_scale(case):
-    spec, tree, params, obstacles = case
+    _, tree = case
     start = time.perf_counter()
-    sequences = enumerate_sequences(tree, params, obstacles)
+    sequences = enumerate_sequences(tree)
     elapsed = time.perf_counter() - start
     assert len(sequences) > 100
     assert elapsed < 10.0
@@ -58,13 +56,11 @@ def test_criterion_1_case_study_scale(case):
 
 
 def test_criterion_2_metric_plausibility(case):
-    spec, tree, params, obstacles = case
-    sequences = enumerate_sequences(tree, params, obstacles)
-    ranked = score_and_rank(
-        tree, sequences, RankingPolicy(tuple(spec.ranking)), spec.support_tolerance
-    )
-    best_key = ranked.rows[0].key(RankingPolicy(tuple(spec.ranking)))[:-1]
-    best = [r for r in ranked.rows if r.key(ranked.policy)[:-1] == best_key]
+    _, tree = case
+    sequences = enumerate_sequences(tree)
+    ranked = score_and_rank(tree, sequences)
+    best_key = ranked.rows[0].key(ranked.criteria)[:-1]
+    best = [r for r in ranked.rows if r.key(ranked.criteria)[:-1] == best_key]
 
     # NAF: every best-ranked sequence performs exactly two aerial folds.
     assert all(r.c_aerial == 2 for r in best)
@@ -88,13 +84,9 @@ def test_criterion_2_metric_plausibility(case):
     delta_dim = min(dims) / dim_hi
     expected = brute_force_sequences(
         tree,
-        params,
-        obstacles,
-        cc=lru_cache(maxsize=None)(
-            lambda folded, joint: collision_check(tree, folded, joint, params, obstacles)
-        ),
+        cc=lru_cache(maxsize=None)(lambda folded, joint: collision_check(tree, folded, joint)),
     )
-    got = [s.order for s in enumerate_sequences(tree, params, obstacles)]
+    got = [s.order for s in enumerate_sequences(tree)]
     assert sorted(got) == sorted(expected)
     report(
         2,
@@ -111,10 +103,8 @@ def test_criterion_3_oracle_equivalence():
         tree = build_tree(spec)
         if len(tree.foldable_ids) > 6:
             continue
-        params = SweepParams.from_spec(spec)
-        obstacles = ObstacleSet.from_spec(spec)
-        expected = sorted(brute_force_sequences(tree, params, obstacles))
-        got = [s.order for s in enumerate_sequences(tree, params, obstacles)]
+        expected = sorted(brute_force_sequences(tree))
+        got = [s.order for s in enumerate_sequences(tree)]
         assert got == expected
         checked.append((name, len(expected)))
     assert checked
@@ -127,10 +117,7 @@ def test_criterion_3_oracle_equivalence():
 
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_criterion_4_free_flap_factorial(k):
-    tree = build_tree(free_flap_spec(k))
-    sequences = enumerate_sequences(
-        tree, SweepParams(penetration_tolerance=1.05), ObstacleSet(table_plane=True)
-    )
+    sequences = enumerate_sequences(build_tree(free_flap_spec(k)))
     assert len(sequences) == math.factorial(k)
     report(4, f"{k} free flaps yield exactly {math.factorial(k)} sequences")
 
@@ -152,13 +139,8 @@ def test_criterion_5_collision_kernel():
     # Verdict stability under tolerance halving, all shipped cartons.
     for name in SHIPPED_SPECS:
         spec = load_spec(SPEC_DIR / name)
-        tree = build_tree(spec)
-        obstacles = ObstacleSet.from_spec(spec)
-        coarse = SweepParams.from_spec(spec)
-        fine = SweepParams(coarse.tolerance_angle / 2.0, coarse.penetration_tolerance)
-        assert feasible_subsets(tree, coarse, obstacles) == feasible_subsets(
-            tree, fine, obstacles
-        )
+        fine = replace(spec, tolerance_angle=spec.tolerance_angle / 2.0)
+        assert feasible_subsets(build_tree(spec)) == feasible_subsets(build_tree(fine))
     report(
         5,
         f"1000 random OBB pairs checked ({disagreements} inside the sampling "
@@ -167,12 +149,12 @@ def test_criterion_5_collision_kernel():
 
 
 def test_criterion_6_metric_identities(case):
-    spec, tree, params, obstacles = case
-    sequences = enumerate_sequences(tree, params, obstacles)[:40]
+    spec, tree = case
+    sequences = enumerate_sequences(tree)[:40]
     scale = 2.0
     scaled_tree = build_tree(scaled_spec(spec, scale))
     for seq in sequences:
-        base = score_sequence(tree, seq, spec.support_tolerance)
+        base = score_sequence(tree, seq)
         # Summation bounds: exactly k per-step entries, one per fold.
         assert len(base.per_step) == len(tree.foldable_ids)
         # Additivity.
@@ -181,16 +163,13 @@ def test_criterion_6_metric_identities(case):
         # First fold from the flat state is never aerial.
         assert base.per_step[0].aerial is False
         # Scale laws: volume ~ s^3, dimension ~ s, aerial unchanged.
-        big = score_sequence(scaled_tree, seq, scale * spec.support_tolerance)
+        big = score_sequence(scaled_tree, seq)
         assert big.c_vol == pytest.approx(scale**3 * base.c_vol, rel=1e-9)
         assert big.c_dim == pytest.approx(scale * base.c_dim, rel=1e-9)
         assert big.c_aerial == base.c_aerial
     # Ranking invariance under scaling.
-    policy = RankingPolicy(tuple(spec.ranking))
-    base_rank = score_and_rank(tree, sequences, policy, spec.support_tolerance)
-    big_rank = score_and_rank(
-        scaled_tree, sequences, policy, scale * spec.support_tolerance
-    )
+    base_rank = score_and_rank(tree, sequences)
+    big_rank = score_and_rank(scaled_tree, sequences)
     assert [r.sequence.order for r in base_rank.rows] == [
         r.sequence.order for r in big_rank.rows
     ]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cartonfold
+import cartonfold.cli as cli_module
 
 from cartonfold.cli import (
     EXIT_NO_SEQUENCES,
@@ -18,7 +19,6 @@ from cartonfold.cli import (
     main,
     run,
 )
-from cartonfold.collision import ObstacleSet, SweepParams
 from cartonfold.model import JointVector, build_tree, forward_kinematics, load_spec
 from cartonfold.planner import build_lattice
 
@@ -51,6 +51,12 @@ class TestRun:
             ("dims_mm: [60, 190, 2]", "dims_mm: [a, 190, 2]", "dims_mm"),
             ("dims_mm: [60, 190, 2]", "dims_mm: [[1, 2], 190, 2]", "dims_mm"),
             ("tolerance_angle_deg: 5", "tolerance_angle_deg: .nan", "tolerance_angle_deg"),
+            ("tolerance_angle_deg: 5", "tolerance_angle_deg: 1.0e-9", "tolerance_angle_deg"),
+            ("theta_final_deg: 90", "theta_final_deg: 720", "theta_final_deg"),
+            ("theta_init_deg: 0", "theta_init_deg: -181", "theta_init_deg"),
+            ("ranking: [aerial, maxdim]", "ranking: []", "ranking"),
+            ("ranking: [aerial, maxdim]", "ranking: [aerial, aerial]", "ranking"),
+            ("ranking: [aerial, maxdim]", "ranking: [speed]", "ranking"),
         ],
     )
     def test_malformed_number_exits_3_naming_the_field(
@@ -70,6 +76,22 @@ class TestRun:
             RunConfig(spec_path=str(spec_dir / "three_flaps.yaml"), tolerance_angle_deg=math.nan)
         )
         assert code == EXIT_SPEC_INVALID
+
+    def test_too_fine_sweep_override_exits_3(self, spec_dir, capsys):
+        code, _ = run_to_string(
+            RunConfig(spec_path=str(spec_dir / "three_flaps.yaml"), tolerance_angle_deg=1e-9)
+        )
+        assert code == EXIT_SPEC_INVALID
+        assert "tolerance_angle_deg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sequence", (None, ()), ids=("plan", "explain"))
+    def test_no_foldable_joint_exits_3(self, tmp_path, capsys, sequence):
+        path = tmp_path / "base_only.yaml"
+        path.write_text("panels: [{id: 1, parent: null, dims_mm: [10, 10, 1]}]\n")
+        code, report = run_to_string(RunConfig(spec_path=str(path), explain=sequence))
+        assert code == EXIT_SPEC_INVALID
+        assert report == ""
+        assert "error: carton has no foldable joints" in capsys.readouterr().err
 
     def test_zero_sequences_exits_2(self, spec_dir):
         code, text = run_to_string(
@@ -158,14 +180,11 @@ class TestRun:
         assert naf_strict == 1 and naf_lax == 0
 
 
-class TestStateTable:
+class TestStateMemo:
     def test_run_folds_each_reachable_state_once(self, spec_dir, monkeypatch):
         # One forward-kinematics run per state a fold leaves, shared by the
         # collision checks and the ranking.
-        spec = load_spec(spec_dir / "case_study_tray.yaml")
-        lattice = build_lattice(
-            build_tree(spec), SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
-        )
+        lattice = build_lattice(build_tree(load_spec(spec_dir / "case_study_tray.yaml")))
         expected = {
             frozenset(JointVector.from_folded(lattice.tree, folded).angles.items())
             for folded in lattice.edges
@@ -326,6 +345,36 @@ planner: {penetration_tolerance_mm: 1.05}
             out=io.StringIO(),
         )
         assert code == EXIT_NO_SEQUENCES
+
+    def test_crease_along_the_parent_normal_exits_3(self, tmp_path, capsys):
+        doc = """
+panels:
+  - {id: 1, parent: null, dims_mm: [100, 200, 2]}
+  - {id: 2, parent: 1, dims_mm: [60, 190, 2], crease_anchor_mm: [195, 0, 0],
+     crease_dir: [0, 0, 1], theta_init_deg: 0, theta_final_deg: 90}
+"""
+        path = tmp_path / "vertical_crease.yaml"
+        path.write_text(doc)
+        out = io.StringIO()
+        code = explain(RunConfig(spec_path=str(path), explain=(2,)), out=out)
+        assert code == EXIT_SPEC_INVALID
+        assert out.getvalue() == ""
+        assert "crease_dir" in capsys.readouterr().err
+
+    def test_run_loads_the_spec_once(self, spec_dir, monkeypatch):
+        loads = []
+
+        def counted(path):
+            loads.append(path)
+            return load_spec(path)
+
+        monkeypatch.setattr(cli_module, "load_spec", counted)
+        code, text = run_to_string(
+            RunConfig(spec_path=str(spec_dir / "blocking_pair.yaml"), explain=(3, 2))
+        )
+        assert code == EXIT_OK
+        assert "sequence valid" in text
+        assert len(loads) == 1
 
 
 class TestMainEntry:

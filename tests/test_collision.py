@@ -1,18 +1,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cartonfold.collision import (
-    GraspSide,
-    ObstacleSet,
-    SweepParams,
-    collision_check,
-    grasp_side,
-    sweep_angles,
-)
+from cartonfold.collision import GraspSide, collision_check, grasp_side, sweep_angles
 from cartonfold.geometry import OrientedBox, Transform
 from cartonfold.model import (
     CartonSpec,
@@ -29,6 +23,8 @@ from .conftest import SHIPPED_SPECS
 
 
 def two_panel_tree():
+    # Mid-plane hinges interpenetrate up to t/2 near the crease, so the
+    # allowance must exceed half the thickness.
     return build_tree(
         CartonSpec(
             panels=(
@@ -40,11 +36,15 @@ def two_panel_tree():
                 ),
             ),
             table_plane=False,
+            tolerance_angle=math.radians(5.0),
+            penetration_tolerance=1.05,
         )
     )
 
 
-PARAMS = SweepParams(tolerance_angle=math.radians(5.0), penetration_tolerance=1.05)
+def with_fixtures(tree, *boxes):
+    """The same carton with fixture boxes added to its workcell."""
+    return build_tree(replace(tree.spec, environment=tree.spec.environment + boxes))
 
 
 class TestSweepAngles:
@@ -73,7 +73,7 @@ class TestSweepAngles:
 class TestCollisionCheck:
     def test_free_fold_in_empty_environment(self):
         tree = two_panel_tree()
-        assert collision_check(tree, frozenset(), 2, PARAMS, ObstacleSet.empty()) is True
+        assert collision_check(tree, frozenset(), 2) is True
 
     def test_obstacle_across_the_arc_blocks(self):
         # Place the obstacle exactly at the flap's mid-arc pose, computed by
@@ -84,52 +84,41 @@ class TestCollisionCheck:
         )
         flap_mid_center = mid[1].solid.center
         block = OrientedBox.from_center(flap_mid_center, (20, 20, 20))
-        obstacles = ObstacleSet(boxes=(block,), table_plane=False)
-        assert collision_check(tree, frozenset(), 2, PARAMS, obstacles) is False
+        assert collision_check(with_fixtures(tree, block), frozenset(), 2) is False
 
     def test_blocking_pair_orders(self, blocking_pair):
         # Covering flap folded first blocks the drop leaf; leaf first is fine.
-        spec, tree = blocking_pair
-        params = SweepParams.from_spec(spec)
-        obstacles = ObstacleSet.from_spec(spec)
-        assert collision_check(tree, frozenset(), 3, params, obstacles) is True
-        assert collision_check(tree, frozenset({2}), 3, params, obstacles) is False
-        assert collision_check(tree, frozenset({3}), 2, params, obstacles) is True
+        _, tree = blocking_pair
+        assert collision_check(tree, frozenset(), 3) is True
+        assert collision_check(tree, frozenset({2}), 3) is False
+        assert collision_check(tree, frozenset({3}), 2) is True
 
     def test_already_folded_joint_rejected(self):
         tree = two_panel_tree()
         with pytest.raises(ValueError, match="already folded"):
-            collision_check(tree, frozenset({2}), 2, PARAMS, ObstacleSet.empty())
+            collision_check(tree, frozenset({2}), 2)
 
     def test_table_blocks_downward_fold(self):
-        tree = build_tree(
-            CartonSpec(
-                panels=(
-                    PanelSpec(id=1, parent=None, dims=(100, 200, 2)),
-                    PanelSpec(
-                        id=2, parent=1, dims=(60, 190, 2),
-                        crease_anchor=(195, 0, 0), crease_dir=(-1, 0, 0),
-                        theta_init=0.0, theta_final=-np.pi / 2,
-                    ),
+        spec = CartonSpec(
+            panels=(
+                PanelSpec(id=1, parent=None, dims=(100, 200, 2)),
+                PanelSpec(
+                    id=2, parent=1, dims=(60, 190, 2),
+                    crease_anchor=(195, 0, 0), crease_dir=(-1, 0, 0),
+                    theta_init=0.0, theta_final=-np.pi / 2,
                 ),
-                root_pose=Transform(np.eye(3), (0, 0, 1)),
-            )
+            ),
+            root_pose=Transform(np.eye(3), (0, 0, 1)),
+            table_plane=True,
+            penetration_tolerance=1.05,
         )
-        assert collision_check(
-            tree, frozenset(), 2, PARAMS, ObstacleSet(table_plane=True)
-        ) is False
-        assert collision_check(
-            tree, frozenset(), 2, PARAMS, ObstacleSet.empty()
-        ) is True
+        assert collision_check(build_tree(spec), frozenset(), 2) is False
+        no_table = build_tree(replace(spec, table_plane=False))
+        assert collision_check(no_table, frozenset(), 2) is True
 
     def test_determinism(self, blocking_pair):
-        spec, tree = blocking_pair
-        params = SweepParams.from_spec(spec)
-        obstacles = ObstacleSet.from_spec(spec)
-        verdicts = {
-            collision_check(tree, frozenset(), joint, params, obstacles)
-            for joint in (2, 2, 2)
-        }
+        _, tree = blocking_pair
+        verdicts = {collision_check(tree, frozenset(), joint) for joint in (2, 2, 2)}
         assert len(verdicts) == 1
 
     def test_adding_obstacles_never_unblocks(self):
@@ -138,12 +127,8 @@ class TestCollisionCheck:
         for _ in range(40):
             center = rng.uniform((-80, -80, -10), (280, 180, 90))
             box = OrientedBox.from_center(center, rng.uniform(5, 60, size=3))
-            base = collision_check(
-                tree, frozenset(), 2, PARAMS, ObstacleSet.empty()
-            )
-            augmented = collision_check(
-                tree, frozenset(), 2, PARAMS, ObstacleSet(boxes=(box,), table_plane=False)
-            )
+            base = collision_check(tree, frozenset(), 2)
+            augmented = collision_check(with_fixtures(tree, box), frozenset(), 2)
             if augmented:
                 assert base  # an obstacle may only flip true -> false
 
@@ -151,7 +136,6 @@ class TestCollisionCheck:
         # Panels outside the moving subtree must have identical poses at
         # every sampled angle of the sweep.
         spec, tree = case_study
-        params = SweepParams.from_spec(spec)
         folded = frozenset({3})
         joint = 1
         moving = set(tree.subtree_ids(joint))
@@ -160,7 +144,7 @@ class TestCollisionCheck:
         reference = {
             p.panel_id: p.pose for p in forward_kinematics(tree, base_theta)
         }
-        for phi in sweep_angles(panel.theta_init, panel.theta_final, params.tolerance_angle):
+        for phi in sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle):
             poses = forward_kinematics(tree, base_theta.replace(joint, float(phi)))
             for pose in poses:
                 if pose.panel_id in moving:
@@ -177,16 +161,8 @@ class TestCollisionCheck:
         # Halving the tolerance angle must not change any verdict, over every
         # (subset, joint) pair of the carton.
         spec = load_spec(spec_dir / name)
-        tree = build_tree(spec)
-        obstacles = ObstacleSet.from_spec(spec)
-        coarse = SweepParams.from_spec(spec)
-        fine = SweepParams(
-            tolerance_angle=coarse.tolerance_angle / 2.0,
-            penetration_tolerance=coarse.penetration_tolerance,
-        )
-        assert feasible_subsets(tree, coarse, obstacles) == feasible_subsets(
-            tree, fine, obstacles
-        )
+        fine = replace(spec, tolerance_angle=spec.tolerance_angle / 2.0)
+        assert feasible_subsets(build_tree(spec)) == feasible_subsets(build_tree(fine))
 
 
 class TestGraspSide:
@@ -203,35 +179,29 @@ class TestGraspSide:
             root_pose=Transform(np.eye(3), (0, 0, 1)),
             environment=tuple(extra_env),
             table_plane=True,
+            gripper=GripperSpec(dims=(40, 40, 20), standoff=3),
+            penetration_tolerance=1.05,
         )
         return build_tree(spec)
 
-    GRIPPER = GripperSpec(dims=(40, 40, 20), standoff=3)
-
     def test_flat_flap_grasped_from_inside(self):
         tree = self.make_flap_tree(np.pi / 2)
-        side = grasp_side(
-            tree, frozenset(), 2, self.GRIPPER, PARAMS,
-            ObstacleSet(table_plane=True),
-        )
-        assert side is GraspSide.INSIDE
+        assert grasp_side(tree, frozenset(), 2) is GraspSide.INSIDE
 
     def test_inner_face_on_table_forces_outside(self):
         # A downward fold's inner face is the underside, resting on the table.
         tree = self.make_flap_tree(-np.pi / 2)
-        side = grasp_side(
-            tree, frozenset(), 2, self.GRIPPER, PARAMS,
-            ObstacleSet(table_plane=True),
-        )
-        assert side is GraspSide.OUTSIDE
+        assert grasp_side(tree, frozenset(), 2) is GraspSide.OUTSIDE
 
     def test_boxed_in_flap_has_no_side(self):
         # Downward fold (inner face on the table) plus a fixture slab right
         # above the flap: neither face is reachable.
         lid = OrientedBox.from_center((100.0, -30.0, 7.0), (220, 80, 6))
         tree = self.make_flap_tree(-np.pi / 2, extra_env=(lid,))
-        side = grasp_side(
-            tree, frozenset(), 2, self.GRIPPER, PARAMS,
-            ObstacleSet(boxes=(lid,), table_plane=True),
-        )
-        assert side is GraspSide.NONE
+        assert grasp_side(tree, frozenset(), 2) is GraspSide.NONE
+
+    def test_spec_without_gripper_rejected(self):
+        tree = self.make_flap_tree(np.pi / 2)
+        bare = build_tree(replace(tree.spec, gripper=None))
+        with pytest.raises(ValueError, match="no gripper"):
+            grasp_side(bare, frozenset(), 2)

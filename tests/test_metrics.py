@@ -7,21 +7,18 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from cartonfold.collision import ObstacleSet, SweepParams, collision_check
+from cartonfold.collision import collision_check
 from cartonfold.geometry import OrientedBox, Transform
 from cartonfold.metrics import (
-    RankingPolicy,
     SequenceScore,
     StepMetrics,
-    bounding_volume,
     is_aerial,
-    max_dimension,
     rank_lattice,
     score_and_rank,
     score_sequence,
 )
 from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec
-from cartonfold.planner import FoldSequence, FoldState, build_lattice
+from cartonfold.planner import FoldSequence, FoldState, build_lattice, enumerate_sequences
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
 from .oracles import brute_force_sequences
@@ -77,16 +74,17 @@ def chain_tree():
     )
 
 
+FLAT = frozenset()
+
+
 class TestBoundingMeasures:
     def test_single_flat_panel_volume(self):
         tree = single_panel_tree()
-        assert bounding_volume(tree, FoldState.initial()) == pytest.approx(
-            100 * 200 * 2
-        )
+        assert tree.state(FLAT).volume == pytest.approx(100 * 200 * 2)
 
     def test_single_flat_panel_max_dimension(self):
         tree = single_panel_tree()
-        assert max_dimension(tree, FoldState.initial()) == pytest.approx(200.0)
+        assert tree.state(FLAT).max_extent == pytest.approx(200.0)
 
     def test_fold_trades_footprint_for_height(self):
         # Hand corner enumeration. Flat: base [0,200]x[0,100], flap extends
@@ -94,14 +92,10 @@ class TestBoundingMeasures:
         # up 90 degrees about the crease (y=0, z=1): the flap becomes a slab
         # y in [-1,1], z in [1,61].
         tree = two_panel_tree()
-        flat = FoldState.initial()
-        folded = FoldState(frozenset({2}))
-        assert max_dimension(tree, flat) == pytest.approx(200.0)
-        assert bounding_volume(tree, flat) == pytest.approx(200.0 * 160.0 * 2.0)
+        assert tree.state(FLAT).max_extent == pytest.approx(200.0)
+        assert tree.state(FLAT).volume == pytest.approx(200.0 * 160.0 * 2.0)
 
-        from cartonfold.metrics import state_aabb
-
-        box = state_aabb(tree, folded)
+        box = tree.state(frozenset({2})).box
         # y extent shrinks by the flap height, give or take half a thickness.
         assert box.extents[1] == pytest.approx(101.0, abs=1e-9)
         # z extent grows to the flap height above the crease line.
@@ -109,53 +103,57 @@ class TestBoundingMeasures:
 
     def test_case_study_folded_box_max_dimension(self, case_study):
         _, tree = case_study
-        folded = FoldState(frozenset(tree.foldable_ids))
+        folded = frozenset(tree.foldable_ids)
         # Fully folded tray: the long side dominates, up to board thickness.
-        assert max_dimension(tree, folded) == pytest.approx(330.0, abs=6.0)
+        assert tree.state(folded).max_extent == pytest.approx(330.0, abs=6.0)
 
     def test_case_study_flat_footprint_class(self, case_study):
         # Flat blank: walls extend each base side by their height, so the
         # long extent sits near 330 + 2*140 and the short one near
         # 240 + 2*140 (plus the rim flanges on one side).
-        from cartonfold.metrics import state_aabb
-
         _, tree = case_study
-        box = state_aabb(tree, FoldState.initial())
+        box = tree.state(FLAT).box
         assert box.extents[0] == pytest.approx(330.0 + 2 * 140.0, abs=20.0)
         assert box.extents[1] == pytest.approx(240.0 + 2 * 140.0, abs=50.0)
-        assert max_dimension(tree, FoldState.initial()) == pytest.approx(610.0, abs=20.0)
+        assert tree.state(FLAT).max_extent == pytest.approx(610.0, abs=20.0)
 
     def test_maxdim_never_below_largest_panel_extent(self, case_study):
         _, tree = case_study
         largest = max(max(p.height, p.width) for p in tree.spec.panels)
         for folded in (frozenset(), frozenset({1}), frozenset(tree.foldable_ids)):
-            assert max_dimension(tree, FoldState(folded)) >= largest - 1e-9
+            assert tree.state(folded).max_extent >= largest - 1e-9
 
 
 class TestIsAerial:
     def test_every_first_fold_from_flat_is_grounded(self, case_study):
         _, tree = case_study
         for joint in tree.foldable_ids:
-            assert is_aerial(tree, FoldState.initial(), joint, 1.0) is False
+            assert is_aerial(tree, FoldState.initial(), joint) is False
 
     def test_flap_on_raised_wall_is_aerial(self):
         tree = chain_tree()
-        assert is_aerial(tree, FoldState.initial(), 2, 1.0) is False
+        assert tree.spec.support_tolerance == 1.0
+        assert is_aerial(tree, FoldState.initial(), 2) is False
         after_wall = FoldState(frozenset({2}))
-        assert is_aerial(tree, after_wall, 3, 1.0) is True
+        assert is_aerial(tree, after_wall, 3) is True
+
+    def test_support_tolerance_comes_from_the_spec(self):
+        # The raised flap starts well under 1 m above the table.
+        lax = build_tree(replace(chain_tree().spec, support_tolerance=1000.0))
+        assert is_aerial(lax, FoldState(frozenset({2})), 3) is False
 
     def test_unavailable_joint_rejected(self):
         tree = chain_tree()
         with pytest.raises(ValueError, match="not available"):
-            is_aerial(tree, FoldState(frozenset({2})), 2, 1.0)
+            is_aerial(tree, FoldState(frozenset({2})), 2)
 
     def test_case_study_every_sequence_has_two_aerial_folds(
         self, case_study, case_study_sequences
     ):
-        spec, tree = case_study
+        _, tree = case_study
         sample = case_study_sequences[:: max(1, len(case_study_sequences) // 40)]
         for seq in sample:
-            score = score_sequence(tree, seq, spec.support_tolerance)
+            score = score_sequence(tree, seq)
             assert score.c_aerial == 2
             aerial_joints = {s.joint for s in score.per_step if s.aerial}
             assert aerial_joints == {5, 6}
@@ -171,26 +169,12 @@ class TestScoreSequence:
         assert score.c_dim == pytest.approx(200.0)
 
     def test_sums_equal_per_step_columns(self, case_study, case_study_sequences):
-        spec, tree = case_study
-        score = score_sequence(tree, case_study_sequences[0], spec.support_tolerance)
+        _, tree = case_study
+        score = score_sequence(tree, case_study_sequences[0])
         assert score.c_vol == pytest.approx(sum(s.volume for s in score.per_step))
         assert score.c_dim == pytest.approx(sum(s.max_dim for s in score.per_step))
         assert score.c_aerial == sum(1 for s in score.per_step if s.aerial)
         assert len(score.per_step) == len(tree.foldable_ids)
-
-
-class TestRankingPolicy:
-    def test_empty_policy_rejected(self):
-        with pytest.raises(ValueError):
-            RankingPolicy(())
-
-    def test_repeated_criterion_rejected(self):
-        with pytest.raises(ValueError):
-            RankingPolicy(("aerial", "aerial"))
-
-    def test_unknown_criterion_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            RankingPolicy(("speed",))
 
 
 def synthetic_score(order, aerial, maxdim, volume):
@@ -206,14 +190,14 @@ class TestScoreAndRank:
     def test_fewer_aerial_folds_win(self):
         a = synthetic_score((1, 2), aerial=1, maxdim=600, volume=1000)
         b = synthetic_score((2, 1), aerial=2, maxdim=500, volume=900)
-        policy = RankingPolicy(("aerial", "maxdim"))
-        assert sorted([b, a], key=lambda s: s.key(policy))[0] is a
+        criteria = ("aerial", "maxdim")
+        assert sorted([b, a], key=lambda s: s.key(criteria))[0] is a
 
     def test_maxdim_breaks_aerial_ties(self):
         a = synthetic_score((1, 2), aerial=1, maxdim=500, volume=1000)
         b = synthetic_score((2, 1), aerial=1, maxdim=600, volume=900)
-        policy = RankingPolicy(("aerial", "maxdim"))
-        assert sorted([b, a], key=lambda s: s.key(policy))[0] is a
+        criteria = ("aerial", "maxdim")
+        assert sorted([b, a], key=lambda s: s.key(criteria))[0] is a
 
     def test_sums_equal_as_printed_fall_through_to_the_next_criterion(self):
         # 0.1 + 0.2 is 0.30000000000000004 in floating point; both sums
@@ -227,19 +211,14 @@ class TestScoreAndRank:
             per_step=(StepMetrics(1, 9.0, 0.3, False), StepMetrics(2, 11.0, 0.0, False)),
         )
         assert noisy.c_dim != exact.c_dim
-        policy = RankingPolicy(("maxdim", "volume"))
-        assert sorted([exact, noisy], key=lambda s: s.key(policy))[0] is noisy
+        criteria = ("maxdim", "volume")
+        assert sorted([exact, noisy], key=lambda s: s.key(criteria))[0] is noisy
 
     def test_ranking_is_input_order_invariant(self, three_flaps):
         import random
 
-        spec, tree = three_flaps
-        from cartonfold.collision import ObstacleSet, SweepParams
-        from cartonfold.planner import enumerate_sequences
-
-        sequences = enumerate_sequences(
-            tree, SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
-        )
+        _, tree = three_flaps
+        sequences = enumerate_sequences(tree)
         baseline = score_and_rank(tree, sequences)
         rng = random.Random(9)
         for _ in range(5):
@@ -293,8 +272,8 @@ class TestScaleInvariance:
         big = build_tree(scaled_spec(spec, s))
         sample = case_study_sequences[:: max(1, len(case_study_sequences) // 25)]
         for seq in sample:
-            base = score_sequence(tree, seq, spec.support_tolerance)
-            scaled = score_sequence(big, seq, s * spec.support_tolerance)
+            base = score_sequence(tree, seq)
+            scaled = score_sequence(big, seq)
             assert scaled.c_vol == pytest.approx(s**3 * base.c_vol, rel=1e-9)
             assert scaled.c_dim == pytest.approx(s * base.c_dim, rel=1e-9)
             assert scaled.c_aerial == base.c_aerial
@@ -302,18 +281,11 @@ class TestScaleInvariance:
     def test_ranking_unchanged_by_scaling(self, three_flaps):
         s = 3.0
         spec, tree = three_flaps
-        from cartonfold.collision import ObstacleSet, SweepParams
-        from cartonfold.planner import enumerate_sequences
-
-        sequences = enumerate_sequences(
-            tree, SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
-        )
-        big = build_tree(scaled_spec(spec, s))
-        for policy in (RankingPolicy(("aerial", "maxdim")),
-                       RankingPolicy(("volume",)),
-                       RankingPolicy(("maxdim", "volume", "aerial"))):
-            base = score_and_rank(tree, sequences, policy, spec.support_tolerance)
-            scaled = score_and_rank(big, sequences, policy, s * spec.support_tolerance)
+        sequences = enumerate_sequences(tree)
+        for ranking in (("aerial", "maxdim"), ("volume",), ("maxdim", "volume", "aerial")):
+            ranked = replace(spec, ranking=ranking)
+            base = score_and_rank(build_tree(ranked), sequences)
+            scaled = score_and_rank(build_tree(scaled_spec(ranked, s)), sequences)
             assert [r.sequence.order for r in base.rows] == [
                 r.sequence.order for r in scaled.rows
             ]
@@ -323,7 +295,7 @@ class TestFreeFlapMetricsSanity:
     def test_factorial_carton_first_steps_grounded(self):
         tree = build_tree(free_flap_spec(3))
         for joint in tree.foldable_ids:
-            assert is_aerial(tree, FoldState.initial(), joint, 1.0) is False
+            assert is_aerial(tree, FoldState.initial(), joint) is False
 
 
 # Cartons the lattice ranker is checked on: every shipped spec, free-flap
@@ -337,23 +309,28 @@ RANKER_CASES = (
 POLICIES = (("aerial", "maxdim"), ("aerial", "maxdim", "volume"), ("volume",))
 
 
-@lru_cache(maxsize=None)
-def planned(case: str):
-    """(spec, tree, lattice, brute-force orders) of one ranker case."""
+def ranker_spec(case: str) -> CartonSpec:
     kind, _, arg = case.partition(":")
     if kind == "free":
-        spec = free_flap_spec(int(arg))
-    elif kind == "distinct":
-        spec = free_flap_spec(int(arg), [40.0 + 7.3 * i for i in range(int(arg))])
-    else:
-        spec = load_spec(SPEC_DIR / case)
-    tree = build_tree(spec)
-    params, obstacles = SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
-    lattice = build_lattice(tree, params, obstacles, spec.support_tolerance)
-    cc = lru_cache(maxsize=None)(
-        lambda folded, joint: collision_check(tree, folded, joint, params, obstacles)
-    )
-    return spec, tree, lattice, brute_force_sequences(tree, params, obstacles, cc=cc)
+        return free_flap_spec(int(arg))
+    if kind == "distinct":
+        return free_flap_spec(int(arg), [40.0 + 7.3 * i for i in range(int(arg))])
+    return load_spec(SPEC_DIR / case)
+
+
+@lru_cache(maxsize=None)
+def brute_orders(case: str) -> list[tuple[int, ...]]:
+    """Brute-force orders of one ranker case; they do not depend on the ranking."""
+    tree = build_tree(ranker_spec(case))
+    cc = lru_cache(maxsize=None)(lambda folded, joint: collision_check(tree, folded, joint))
+    return brute_force_sequences(tree, cc=cc)
+
+
+@lru_cache(maxsize=None)
+def planned(case: str, ranking: tuple[str, ...]):
+    """(tree, lattice, brute-force orders) of one ranker case under one ranking."""
+    tree = build_tree(replace(ranker_spec(case), ranking=ranking))
+    return tree, build_lattice(tree), brute_orders(case)
 
 
 def row_values(report):
@@ -364,27 +341,24 @@ class TestRankLattice:
     @pytest.mark.parametrize("policy", POLICIES, ids=">".join)
     @pytest.mark.parametrize("case", RANKER_CASES)
     def test_top_n_equals_the_head_of_the_full_ranking(self, case, policy):
-        spec, tree, lattice, brute = planned(case)
-        policy = RankingPolicy(policy)
-        full = rank_lattice(lattice, policy)
+        tree, lattice, brute = planned(case, policy)
+        full = rank_lattice(lattice)
+        assert full.criteria == policy
         assert full.sequence_count == len(full.rows) == len(brute)
         # The full ranking is the reference sort of every brute-force order.
-        reference = score_and_rank(
-            tree, [FoldSequence(order) for order in brute], policy, spec.support_tolerance
-        )
+        reference = score_and_rank(tree, [FoldSequence(order) for order in brute])
         assert row_values(full) == row_values(reference)
         for n in (1, 5, 20):
-            head = rank_lattice(lattice, policy, n)
+            head = rank_lattice(lattice, n)
             assert head.sequence_count == len(brute)
             assert row_values(head) == row_values(full)[:n]
 
     def test_bounded_search_prunes(self):
-        _, tree, lattice, _ = planned("distinct:6")
-        policy = RankingPolicy(("aerial", "maxdim", "volume"))
+        _, lattice, _ = planned("distinct:6", ("aerial", "maxdim", "volume"))
         before = replace(lattice.stats)
-        rank_lattice(lattice, policy)
+        rank_lattice(lattice)
         full_nodes = lattice.stats.nodes_expanded - before.nodes_expanded
         assert lattice.stats.pruned == before.pruned
-        rank_lattice(lattice, policy, 5)
+        rank_lattice(lattice, 5)
         assert lattice.stats.pruned > before.pruned
         assert lattice.stats.nodes_expanded - before.nodes_expanded - full_nodes < full_nodes / 4

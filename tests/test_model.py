@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cartonfold.geometry import rotate_about_axis
+import cartonfold.model as model_module
+from cartonfold.geometry import OrientedBox, rotate_about_axis
 from cartonfold.model import (
     CartonSpec,
     JointVector,
@@ -99,6 +101,14 @@ panels:
         with pytest.raises(SpecValidationError, match="root"):
             PanelSpec(id=1, parent=None, dims=(10, 10, 1), theta_init=0.3)
 
+    def test_missing_or_null_ranking_takes_the_default(self):
+        assert parse_spec(TWO_PANEL_DOC).ranking == ("aerial", "maxdim")
+        assert parse_spec(TWO_PANEL_DOC + "ranking: null\n").ranking == ("aerial", "maxdim")
+
+    def test_empty_ranking_rejected(self):
+        with pytest.raises(SpecValidationError, match="ranking"):
+            parse_spec(TWO_PANEL_DOC + "ranking: []\n")
+
     def test_not_yaml_rejected(self):
         with pytest.raises(SpecValidationError, match="YAML|mapping"):
             parse_spec("{:::")
@@ -135,11 +145,12 @@ panels:
 
 
 class TestBuildTree:
-    def test_two_panel_connectivity(self):
+    def test_two_panel_subtrees(self):
         tree = build_tree(parse_spec(TWO_PANEL_DOC))
-        np.testing.assert_array_equal(tree.connectivity, [[0, 1], [0, 0]])
+        assert tree.subtree_ids(1) == (1, 2)
+        assert tree.subtree_ids(2) == (2,)
 
-    def test_chain_connectivity_is_hereditary(self):
+    def test_chain_subtrees_are_hereditary(self):
         spec = CartonSpec(
             panels=(
                 PanelSpec(id=1, parent=None, dims=(50, 50, 2)),
@@ -157,7 +168,8 @@ class TestBuildTree:
             table_plane=False,
         )
         tree = build_tree(spec)
-        assert tree.connectivity[tree.index(1), tree.index(3)] == 1
+        assert tree.subtree_ids(1) == (1, 2, 3)
+        assert tree.subtree_ids(2) == (2, 3)
         # Moving joint 2 must move panel 3 in forward kinematics.
         base = forward_kinematics(tree, JointVector.flat(tree))
         nudged = forward_kinematics(
@@ -183,8 +195,43 @@ class TestBuildTree:
             table_plane=False,
         )
         tree = build_tree(spec)
-        assert tree.connectivity[tree.index(2), tree.index(3)] == 0
-        assert tree.connectivity[tree.index(3), tree.index(2)] == 0
+        assert tree.subtree_ids(2) == (2,)
+        assert tree.subtree_ids(3) == (3,)
+
+    def test_fixtures_are_packed_once(self):
+        spec = parse_spec(TWO_PANEL_DOC)
+        assert build_tree(spec).obstacles is None
+        post = OrientedBox.from_center((100.0, -30.0, 31.0), (40, 10, 10))
+        centers, rots, halves = build_tree(replace(spec, environment=(post,))).obstacles
+        np.testing.assert_array_equal(centers, [post.center])
+        np.testing.assert_array_equal(rots, [post.pose.rotation])
+        np.testing.assert_array_equal(halves, [post.half_extents])
+
+
+class TestStateMemo:
+    def test_each_state_runs_forward_kinematics_once(self, monkeypatch):
+        tree = build_tree(parse_spec(TWO_PANEL_DOC))
+        calls = []
+
+        def counted(tree_, theta):
+            calls.append(theta)
+            return forward_kinematics(tree_, theta)
+
+        monkeypatch.setattr(model_module, "forward_kinematics", counted)
+        first = tree.state(frozenset({2}))
+        assert tree.state(frozenset({2})) is first
+        assert len(calls) == 1
+        assert first.theta == JointVector.from_folded(tree, {2})
+        expected = forward_kinematics(tree, first.theta)
+        for got, want in zip(first.poses, expected):
+            np.testing.assert_array_equal(got.center, want.center)
+
+    def test_memo_is_per_tree_and_out_of_repr(self):
+        spec = parse_spec(TWO_PANEL_DOC)
+        used, fresh = build_tree(spec), build_tree(spec)
+        used.state(frozenset())
+        assert "records" not in repr(used)
+        assert used.records and not fresh.records
 
 
 def random_tree(rng: np.random.Generator, n_panels: int):
@@ -288,10 +335,7 @@ class TestForwardKinematics:
                     moved = not np.allclose(
                         pose.center, flat_centers[pose.panel_id], atol=1e-9
                     )
-                    expected = (
-                        pose.panel_id == joint
-                        or tree.is_ancestor(joint, pose.panel_id)
-                    )
+                    expected = pose.panel_id in tree.subtree_ids(joint)
                     assert moved == expected, (joint, pose.panel_id)
 
     def test_solid_half_extents_follow_dims(self):

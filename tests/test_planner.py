@@ -6,7 +6,7 @@ import math
 import pytest
 
 import cartonfold.planner as planner_module
-from cartonfold.collision import ObstacleSet, SweepParams, collision_check
+from cartonfold.collision import collision_check
 from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec
 from cartonfold.planner import (
     FoldSequence,
@@ -21,10 +21,6 @@ from cartonfold.planner import (
 
 from .conftest import SHIPPED_SPECS, free_flap_spec
 from .oracles import brute_force_sequences
-
-
-def planner_inputs(spec):
-    return SweepParams.from_spec(spec), ObstacleSet.from_spec(spec)
 
 
 class TestActionSpace:
@@ -87,15 +83,15 @@ class TestTransition:
 
 class TestEnumerateSequences:
     def test_three_free_flaps_all_orderings(self, three_flaps):
-        spec, tree = three_flaps
-        sequences = enumerate_sequences(tree, *planner_inputs(spec))
+        _, tree = three_flaps
+        sequences = enumerate_sequences(tree)
         assert sorted(s.order for s in sequences) == sorted(
             itertools.permutations((2, 3, 4))
         )
 
     def test_blocking_pair_constrained_order_only(self, blocking_pair):
-        spec, tree = blocking_pair
-        sequences = enumerate_sequences(tree, *planner_inputs(spec))
+        _, tree = blocking_pair
+        sequences = enumerate_sequences(tree)
         assert [s.order for s in sequences] == [(3, 2)]
 
     def test_one_blocking_pair_among_three_joints(self, blocking_pair):
@@ -118,16 +114,15 @@ class TestEnumerateSequences:
             tolerance_angle=spec.tolerance_angle,
         )
         tree = build_tree(extended)
-        params, obstacles = planner_inputs(extended)
-        got = [s.order for s in enumerate_sequences(tree, params, obstacles)]
-        assert got == sorted(brute_force_sequences(tree, params, obstacles))
+        got = [s.order for s in enumerate_sequences(tree)]
+        assert got == sorted(brute_force_sequences(tree))
         assert len(got) == 3
         for order in got:
             assert order.index(3) < order.index(2)
 
     def test_output_is_depth_first_ascending(self, three_flaps):
-        spec, tree = three_flaps
-        orders = [s.order for s in enumerate_sequences(tree, *planner_inputs(spec))]
+        _, tree = three_flaps
+        orders = [s.order for s in enumerate_sequences(tree)]
         assert orders == sorted(orders)
 
     def test_no_foldable_joints_is_an_error(self):
@@ -136,20 +131,17 @@ class TestEnumerateSequences:
             table_plane=False,
         )
         with pytest.raises(PlannerError, match="no foldable joints"):
-            enumerate_sequences(
-                build_tree(spec), SweepParams(), ObstacleSet.empty()
-            )
+            enumerate_sequences(build_tree(spec))
 
     def test_q_bounded_by_factorial(self, case_study, case_study_sequences):
         _, tree = case_study
         assert len(case_study_sequences) <= math.factorial(len(tree.foldable_ids))
 
     def test_soundness_replay(self, blocking_pair, three_flaps):
-        for spec, tree in (blocking_pair, three_flaps):
-            params, obstacles = planner_inputs(spec)
-            for seq in enumerate_sequences(tree, params, obstacles):
+        for _, tree in (blocking_pair, three_flaps):
+            for seq in enumerate_sequences(tree):
                 for state, joint in seq.prefixes():
-                    assert collision_check(tree, state.folded, joint, params, obstacles)
+                    assert collision_check(tree, state.folded, joint)
 
     @pytest.mark.parametrize("name", SHIPPED_SPECS[:3])
     def test_oracle_equivalence_small_cartons(self, spec_dir, name):
@@ -158,25 +150,23 @@ class TestEnumerateSequences:
         spec = load_spec(spec_dir / name)
         tree = build_tree(spec)
         assert len(tree.foldable_ids) <= 6
-        params, obstacles = planner_inputs(spec)
-        expected = brute_force_sequences(tree, params, obstacles)
-        got = [s.order for s in enumerate_sequences(tree, params, obstacles)]
+        expected = brute_force_sequences(tree)
+        got = [s.order for s in enumerate_sequences(tree)]
         assert sorted(got) == sorted(expected)
         assert got == sorted(got)
 
     def test_memoized_never_repeats_a_check(self, case_study, monkeypatch):
         # Exactly one collision check per (reachable subset, unfolded joint).
-        spec, tree = case_study
-        params, obstacles = planner_inputs(spec)
+        _, tree = case_study
         seen = []
         real_check = planner_module.collision_check
 
-        def counted(tree_, folded, joint, *args):
+        def counted(tree_, folded, joint):
             seen.append((frozenset(folded), joint))
-            return real_check(tree_, folded, joint, *args)
+            return real_check(tree_, folded, joint)
 
         monkeypatch.setattr(planner_module, "collision_check", counted)
-        lattice = build_lattice(tree, params, obstacles)
+        lattice = build_lattice(tree)
         k = len(tree.foldable_ids)
         assert len(seen) == len(set(seen)) == lattice.stats.cc_calls
         assert set(seen) == {
@@ -187,8 +177,8 @@ class TestEnumerateSequences:
         assert lattice.sequence_count == len(lattice.sequences()) == 1680
 
     def test_sequences_carry_sample_counts(self, blocking_pair):
-        spec, tree = blocking_pair
-        (seq,) = enumerate_sequences(tree, *planner_inputs(spec))
+        _, tree = blocking_pair
+        (seq,) = enumerate_sequences(tree)
         assert isinstance(seq, FoldSequence)
         assert len(seq.cc_samples) == len(seq.order)
         assert all(n >= 2 for n in seq.cc_samples)
@@ -207,39 +197,36 @@ class TestFeasibleSubsets:
                     ),
                 ),
                 table_plane=False,
+                # Mid-plane hinges interpenetrate up to t/2 near the crease,
+                # so the allowance must exceed half the thickness.
+                penetration_tolerance=1.05,
             )
         )
-        # Mid-plane hinges interpenetrate up to t/2 near the crease, so the
-        # allowance must exceed half the thickness.
-        table = feasible_subsets(
-            tree, SweepParams(penetration_tolerance=1.05), ObstacleSet.empty()
-        )
+        table = feasible_subsets(tree)
         assert set(table.keys()) == {frozenset(), frozenset({2})}
         assert table[frozenset()] == {2: True}
         assert table[frozenset({2})] == {}
 
     def test_blocking_pair_entries(self, blocking_pair):
-        spec, tree = blocking_pair
-        params, obstacles = planner_inputs(spec)
-        table = feasible_subsets(tree, params, obstacles)
+        _, tree = blocking_pair
+        table = feasible_subsets(tree)
         assert table[frozenset()][3] is True
         assert table[frozenset()][2] is False
         assert table[frozenset({3})][2] is True
         assert table[frozenset({2})][3] is False
 
     def test_matches_direct_collision_checks(self, three_flaps):
-        spec, tree = three_flaps
-        params, obstacles = planner_inputs(spec)
-        table = feasible_subsets(tree, params, obstacles)
+        _, tree = three_flaps
+        table = feasible_subsets(tree)
         assert len(table) == 2 ** len(tree.foldable_ids)
         for subset, row in table.items():
             for joint, verdict in row.items():
-                assert verdict == collision_check(tree, subset, joint, params, obstacles)
+                assert verdict == collision_check(tree, subset, joint)
 
     def test_cap_exceeded_is_an_error(self, three_flaps):
-        spec, tree = three_flaps
+        _, tree = three_flaps
         with pytest.raises(PlannerError, match="subset cap"):
-            feasible_subsets(tree, *planner_inputs(spec), subset_cap=2)
+            feasible_subsets(tree, subset_cap=2)
 
 
 class TestVerdictsArePathIndependent:
@@ -247,8 +234,7 @@ class TestVerdictsArePathIndependent:
         # The collision check takes the folded subset, not the path: build
         # the subset along different orders and compare every next-joint
         # verdict.
-        spec, tree = case_study
-        params, obstacles = planner_inputs(spec)
+        _, tree = case_study
         paths = [(1, 3, 4), (4, 3, 1), (3, 1, 4)]
         verdicts = []
         for path in paths:
@@ -257,7 +243,7 @@ class TestVerdictsArePathIndependent:
                 state = transition(tree, state, joint)
             verdicts.append(
                 {
-                    j: collision_check(tree, state.folded, j, params, obstacles)
+                    j: collision_check(tree, state.folded, j)
                     for j in action_space(tree, state)
                 }
             )
@@ -267,11 +253,6 @@ class TestVerdictsArePathIndependent:
 class TestFreeFlapFactorial:
     @pytest.mark.parametrize("k", (2, 3, 4))
     def test_factorial_counts(self, k):
-        tree = build_tree(free_flap_spec(k))
-        sequences = enumerate_sequences(
-            tree,
-            SweepParams(penetration_tolerance=1.05),
-            ObstacleSet(table_plane=True),
-        )
+        sequences = enumerate_sequences(build_tree(free_flap_spec(k)))
         assert len(sequences) == math.factorial(k)
         assert len({s.order for s in sequences}) == math.factorial(k)
