@@ -2,14 +2,23 @@
 
 A fold drives one joint from its initial to its final angle while every
 other joint holds still. The motion is sampled at the spec's tolerance
-angle and each sample is tested with the separating-axis kernel against
-the panels outside the moving subtree, the tree's packed fixture boxes and,
-when the spec has one, the table half-space: no moving corner may dip below
-``-penetration_tolerance`` in z. Panels that share a crease are allowed to
-interpenetrate by the penetration tolerance, since hinged slabs always
-touch (and, at the hinge line, overlap by up to half a thickness) during a
-fold. Every input comes from the kinematic tree: its spec, its obstacles
-and its fold-state records.
+angle. Every sample must clear the panels outside the moving subtree, the
+tree's packed fixture boxes and, when the spec has one, the table
+half-space: no moving corner may dip below ``-penetration_tolerance`` in z.
+Panels that share a crease are allowed to interpenetrate by the
+penetration tolerance, since hinged slabs always touch (and, at the hinge
+line, overlap by up to half a thickness) during a fold. Every input comes
+from the kinematic tree: its spec, its obstacles and its fold-state records.
+
+The check runs in two phases. The broad phase takes the world-axis-aligned
+bounds of every swept box (``|R| @ h`` about its center) and their union,
+the sweep's bounds. Its lowest z is the table test. A static box whose own
+bounds stay more than ``CULL_MARGIN`` away from the sweep's is disjoint
+from every swept box and is dropped. The narrow phase runs the 15-axis
+separating-axis kernel only on the boxes left, and not at all when none
+are. The crease-adjacent parent is culled with both sides shrunk by the
+penetration allowance, exactly as the kernel tests that pair, so every
+verdict is the one the kernel alone would give.
 """
 
 from __future__ import annotations
@@ -18,8 +27,13 @@ import enum
 
 import numpy as np
 
-from .geometry import CORNER_SIGNS, rotation_matrices, sat_overlap_matrix
+from .geometry import box_bounds, rotation_matrices, sat_overlap_matrix
 from .model import KinematicTree
+
+# Slack of the broad phase, in mm. It covers the kernel's padding of
+# degenerate axes (1e-12 times the half extents) and rounding, so a box it
+# culls is one the kernel could not report as a hit.
+CULL_MARGIN = 1e-6
 
 
 def sweep_angles(start: float, end: float, step: float) -> np.ndarray:
@@ -38,10 +52,30 @@ def sweep_angles(start: float, end: float, step: float) -> np.ndarray:
     return np.append(interior, end)
 
 
-def _min_corner_z(centers: np.ndarray, rots: np.ndarray, halves: np.ndarray) -> float:
-    offsets = CORNER_SIGNS[None, :, :] * halves[:, None, :]
-    corners = centers[:, None, :] + np.einsum("nij,nkj->nki", rots, offsets)
-    return float(corners[:, :, 2].min())
+def sweep_bounds(boxes, clearance: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """World-axis-aligned bounds (lo, hi) of the union of (centers, rotations,
+    half_extents) boxes, each grown by ``clearance / 2`` as the kernel grows it."""
+    lo, hi = box_bounds(*boxes, clearance)
+    return lo.min(axis=0), hi.max(axis=0)
+
+
+def near_sweep(sweep, boxes, clearance: float = 0.0) -> np.ndarray:
+    """Mask of the boxes whose bounds come within ``CULL_MARGIN`` of ``sweep``.
+
+    The boxes are grown by ``clearance / 2`` like the kernel grows them; the
+    sweep's bounds must be taken with the same clearance. A box outside the
+    mask overlaps no box inside the sweep's bounds.
+    """
+    lo, hi = box_bounds(*boxes, clearance)
+    return np.all((lo <= sweep[1] + CULL_MARGIN) & (hi >= sweep[0] - CULL_MARGIN), axis=1)
+
+
+def _blocked(movers, sweep, boxes, clearance: float) -> bool:
+    """Whether a mover overlaps one of ``boxes``, the kernel run on those near the sweep."""
+    near = near_sweep(sweep, boxes, clearance)
+    if not near.any():
+        return False
+    return bool(sat_overlap_matrix(*movers, *(a[near] for a in boxes), clearance).any())
 
 
 def _swept_movers(
@@ -112,57 +146,26 @@ def collision_check(tree: KinematicTree, folded, moving_joint: int) -> bool:
 
     spec = tree.spec
     record = tree.state(folded)
-    all_centers, all_rots, all_halves = record.solids
 
     panel = tree.panel(moving_joint)
     samples = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
-    mov_centers, mov_rots, mov_halves, moving_ids = _swept_movers(
-        tree, record.poses_by_id, moving_joint, samples
-    )
-
+    *movers, moving_ids = _swept_movers(tree, record.poses_by_id, moving_joint, samples)
     eps = spec.penetration_tolerance
 
-    static_ids = [pid for pid in tree.ids if pid not in moving_ids]
-    if static_ids:
-        sel = [tree.ids.index(pid) for pid in static_ids]
-        st_centers = all_centers[sel]
-        st_rots = all_rots[sel]
-        st_halves = all_halves[sel]
+    sweep = sweep_bounds(movers)
+    if spec.table_plane and sweep[0][2] < -eps:
+        return False
 
-        # Crease adjacency between a moving and a static panel: only the
-        # moving joint's own parent qualifies (children stay in the subtree).
-        adjacent = np.zeros(len(static_ids), dtype=bool)
-        if panel.parent in static_ids:
-            adjacent[static_ids.index(panel.parent)] = True
-
-        strict = ~adjacent
-        if strict.any():
-            hit = sat_overlap_matrix(
-                mov_centers, mov_rots, mov_halves,
-                st_centers[strict], st_rots[strict], st_halves[strict],
-                clearance=0.0,
-            )
-            if hit.any():
-                return False
-        if adjacent.any():
-            hit = sat_overlap_matrix(
-                mov_centers, mov_rots, mov_halves,
-                st_centers[adjacent], st_rots[adjacent], st_halves[adjacent],
-                clearance=-eps,
-            )
-            if hit.any():
-                return False
-
-    if tree.obstacles is not None:
-        hit = sat_overlap_matrix(mov_centers, mov_rots, mov_halves, *tree.obstacles, 0.0)
-        if hit.any():
-            return False
-
-    if spec.table_plane:
-        if _min_corner_z(mov_centers, mov_rots, mov_halves) < -eps:
-            return False
-
-    return True
+    # Crease adjacency between a moving and a static panel: only the
+    # moving joint's own parent qualifies (children stay in the subtree).
+    parent = tree.ids.index(panel.parent)
+    strict = [i for i, pid in enumerate(tree.ids) if pid not in moving_ids and i != parent]
+    if strict and _blocked(movers, sweep, tuple(a[strict] for a in record.solids), 0.0):
+        return False
+    if tree.obstacles is not None and _blocked(movers, sweep, tree.obstacles, 0.0):
+        return False
+    adjacent = tuple(a[[parent]] for a in record.solids)
+    return not _blocked(movers, sweep_bounds(movers, -eps), adjacent, -eps)
 
 
 def n_sweep_samples(tree: KinematicTree, joint: int) -> int:
@@ -211,10 +214,10 @@ def grasp_side(tree: KinematicTree, folded, joint: int) -> GraspSide:
         normal = sign * solid.pose.rotation[:, 2]
         center = solid.center + normal * (panel.thickness / 2.0 + gripper.standoff + gz / 2.0)
         rot = solid.pose.rotation if sign > 0 else solid.pose.rotation @ flip
-        c, r, h = center[None, :], rot[None, :, :], half_g[None, :]
-        blocked = any(sat_overlap_matrix(c, r, h, *batch, 0.0).any() for batch in batches)
-        if not blocked and tree.spec.table_plane:
-            blocked = _min_corner_z(c, r, h) < -eps
+        tool = (center[None, :], rot[None, :, :], half_g[None, :])
+        bounds = sweep_bounds(tool)
+        blocked = tree.spec.table_plane and bounds[0][2] < -eps
+        blocked = blocked or any(_blocked(tool, bounds, batch, 0.0) for batch in batches)
         if not blocked:
             return side
     return GraspSide.NONE

@@ -32,9 +32,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _key(*arrays: np.ndarray) -> tuple[bytes, ...]:
+    # Adding 0.0 turns -0.0 into 0.0, so arrays that compare equal hash alike.
+    return tuple((arr + 0.0).tobytes() for arr in arrays)
+
+
 @dataclass(frozen=True)
 class Transform:
-    """Proper rigid transform: ``p_world = rotation @ p_local + translation``."""
+    """Proper rigid transform: ``p_world = rotation @ p_local + translation``.
+
+    Transforms compare and hash by the values of their arrays.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -52,12 +60,30 @@ class Transform:
         object.__setattr__(self, "translation", _frozen(_as_vec3(self.translation, "translation")))
 
     @classmethod
+    def _of(cls, rotation: np.ndarray, translation: np.ndarray) -> "Transform":
+        """Transform of a rotation computed from proper rotations, not re-checked."""
+        transform = object.__new__(cls)
+        object.__setattr__(transform, "rotation", _frozen(rotation))
+        object.__setattr__(transform, "translation", _frozen(translation))
+        return transform
+
+    def __eq__(self, other):
+        if not isinstance(other, Transform):
+            return NotImplemented
+        return np.array_equal(self.rotation, other.rotation) and np.array_equal(
+            self.translation, other.translation
+        )
+
+    def __hash__(self):
+        return hash(_key(self.rotation, self.translation))
+
+    @classmethod
     def identity(cls) -> "Transform":
         return cls(np.eye(3), np.zeros(3))
 
     def compose(self, other: "Transform") -> "Transform":
         """Return ``self @ other`` (apply ``other`` first, then ``self``)."""
-        return Transform(
+        return Transform._of(
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
@@ -72,7 +98,7 @@ class Transform:
 
     def inverse(self) -> "Transform":
         rot_inv = self.rotation.T
-        return Transform(rot_inv, -rot_inv @ self.translation)
+        return Transform._of(rot_inv, -rot_inv @ self.translation)
 
 
 def rotation_matrix(axis_dir: np.ndarray, angle: float) -> np.ndarray:
@@ -134,6 +160,14 @@ class OrientedBox:
             raise ValueError(f"half_extents must be strictly positive, got {half}")
         object.__setattr__(self, "half_extents", _frozen(half))
 
+    def __eq__(self, other):
+        if not isinstance(other, OrientedBox):
+            return NotImplemented
+        return self.pose == other.pose and np.array_equal(self.half_extents, other.half_extents)
+
+    def __hash__(self):
+        return hash((self.pose, _key(self.half_extents)))
+
     @classmethod
     def from_center(cls, center, dims, rotation=None) -> "OrientedBox":
         """Box from full dimensions centered at ``center``."""
@@ -169,6 +203,14 @@ class Aabb:
         object.__setattr__(self, "min", _frozen(lo))
         object.__setattr__(self, "max", _frozen(hi))
 
+    def __eq__(self, other):
+        if not isinstance(other, Aabb):
+            return NotImplemented
+        return np.array_equal(self.min, other.min) and np.array_equal(self.max, other.max)
+
+    def __hash__(self):
+        return hash(_key(self.min, self.max))
+
     @property
     def extents(self) -> np.ndarray:
         return self.max - self.min
@@ -197,6 +239,19 @@ def pack_boxes(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rots = np.stack([b.pose.rotation for b in boxes])
     halves = np.stack([b.half_extents for b in boxes])
     return centers, rots, halves
+
+
+def box_bounds(
+    centers: np.ndarray, rots: np.ndarray, halves: np.ndarray, clearance: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """World-axis-aligned bounds (lo, hi) of each box, shape (n, 3) each.
+
+    Each box is first grown by ``clearance / 2`` per face and clamped at
+    zero, as ``sat_overlap_matrix`` grows it. A box's world half-reach
+    along each axis is ``|R| @ h``.
+    """
+    reach = np.einsum("nij,nj->ni", np.abs(rots), np.maximum(halves + clearance / 2.0, 0.0))
+    return centers - reach, centers + reach
 
 
 def sat_overlap_matrix(

@@ -251,7 +251,7 @@ def _mount_rotation(crease_dir: np.ndarray, panel_id: int) -> np.ndarray:
     return np.column_stack([x_axis, y_axis, z_axis])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KinematicTree:
     """A validated carton spec plus everything planning derives from it once.
 
@@ -261,7 +261,8 @@ class KinematicTree:
     panels that folding joint j moves. ``state(folded)`` measures each
     fold state once and keeps the record: records are functions of the
     immutable spec and the subset, so sharing them never changes a verdict
-    or a score.
+    or a score. Trees compare and hash by identity, since they hold the
+    memo and dicts of arrays; compare their specs to compare content.
     """
 
     spec: CartonSpec
@@ -426,7 +427,7 @@ def panel_pose_from_frame(panel: PanelSpec, frame: Transform) -> PanelPose:
     local_center = np.array([w / 2.0, h / 2.0, 0.0])
     center = frame.apply(local_center)
     solid = OrientedBox(
-        Transform(frame.rotation, center), np.array([w / 2.0, h / 2.0, t / 2.0])
+        Transform._of(frame.rotation, center), np.array([w / 2.0, h / 2.0, t / 2.0])
     )
     return PanelPose(panel_id=panel.id, pose=frame, center=center, solid=solid)
 
@@ -448,7 +449,7 @@ def forward_kinematics(tree: KinematicTree, theta: JointVector) -> list[PanelPos
             frames[pid] = spec.root_pose
             continue
         anchor, axis, mount = tree.mounts[pid]
-        local = Transform(rotation_matrix(axis, value) @ mount, anchor)
+        local = Transform._of(rotation_matrix(axis, value) @ mount, anchor)
         frames[pid] = frames[panel.parent] @ local
     return [panel_pose_from_frame(tree.panels_by_id[pid], frames[pid]) for pid in tree.ids]
 

@@ -1,12 +1,25 @@
 from __future__ import annotations
 
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec
 from cartonfold.planner import enumerate_sequences
+
+# Property tests draw the same examples on every run, keep no example
+# database and allow slow examples on a loaded machine. Hypothesis still
+# caches the constants it reads from the sources; that cache goes to the
+# temporary directory, not into the checkout.
+settings.register_profile(
+    "cartonfold", derandomize=True, database=None, deadline=None, max_examples=200
+)
+settings.load_profile("cartonfold")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "cartonfold-hypothesis")
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 

@@ -1,13 +1,28 @@
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cartonfold.collision import GraspSide, collision_check, grasp_side, sweep_angles
-from cartonfold.geometry import OrientedBox, Transform
+from cartonfold.collision import (
+    GraspSide,
+    _swept_movers,
+    collision_check,
+    grasp_side,
+    sweep_angles,
+    sweep_bounds,
+)
+from cartonfold.geometry import (
+    CORNER_SIGNS,
+    OrientedBox,
+    Transform,
+    obb_intersect,
+    pack_boxes,
+    sat_overlap_matrix,
+)
 from cartonfold.model import (
     CartonSpec,
     GripperSpec,
@@ -45,6 +60,33 @@ def two_panel_tree():
 def with_fixtures(tree, *boxes):
     """The same carton with fixture boxes added to its workcell."""
     return build_tree(replace(tree.spec, environment=tree.spec.environment + boxes))
+
+
+def full_kernel_check(tree, folded, joint) -> bool:
+    """The swept check without a broad phase: the kernel on every box pair
+    and the table test on all 8 corners of every swept box."""
+    spec = tree.spec
+    record = tree.state(frozenset(folded))
+    panel = tree.panel(joint)
+    samples = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
+    *movers, moving_ids = _swept_movers(tree, record.poses_by_id, joint, samples)
+    eps = spec.penetration_tolerance
+    for i, pid in enumerate(tree.ids):
+        if pid in moving_ids:
+            continue
+        clearance = -eps if pid == panel.parent else 0.0
+        box = tuple(a[[i]] for a in record.solids)
+        if sat_overlap_matrix(*movers, *box, clearance).any():
+            return False
+    if tree.obstacles is not None and sat_overlap_matrix(*movers, *tree.obstacles).any():
+        return False
+    if spec.table_plane:
+        centers, rots, halves = movers
+        offsets = CORNER_SIGNS[None, :, :] * halves[:, None, :]
+        corners = centers[:, None, :] + np.einsum("nij,nkj->nki", rots, offsets)
+        if corners[:, :, 2].min() < -eps:
+            return False
+    return True
 
 
 class TestSweepAngles:
@@ -163,6 +205,57 @@ class TestCollisionCheck:
         spec = load_spec(spec_dir / name)
         fine = replace(spec, tolerance_angle=spec.tolerance_angle / 2.0)
         assert feasible_subsets(build_tree(spec)) == feasible_subsets(build_tree(fine))
+
+
+class TestBroadPhase:
+    @pytest.mark.parametrize("name", SHIPPED_SPECS)
+    @pytest.mark.parametrize("step_deg", [5.0, 1.0])
+    @pytest.mark.parametrize("own_penetration", [False, True])
+    def test_matches_the_full_kernel(self, spec_dir, name, step_deg, own_penetration):
+        # Every (subset, joint) of the carton, reachable or not.
+        spec = load_spec(spec_dir / name)
+        tree = build_tree(
+            replace(
+                spec,
+                tolerance_angle=math.radians(step_deg),
+                penetration_tolerance=spec.penetration_tolerance if own_penetration else 0.0,
+            )
+        )
+        joints = tree.foldable_ids
+        for r in range(len(joints)):
+            for folded in itertools.combinations(joints, r):
+                for joint in set(joints) - set(folded):
+                    expected = full_kernel_check(tree, folded, joint)
+                    assert collision_check(tree, folded, joint) is expected, (folded, joint)
+
+    def test_fixture_hit_by_one_sample_is_not_culled(self):
+        # A 1 mm cube on the flap's mid-plane near its free edge at 45
+        # degrees: the 40 and 50 degree samples pass it by about 5 mm.
+        tree = two_panel_tree()
+        flat = JointVector.flat(tree)
+        at_45 = forward_kinematics(tree, flat.replace(2, np.pi / 4))[1]
+        cube = OrientedBox.from_center(at_45.pose.apply((95.0, 57.0, 0.0)), (1, 1, 1))
+        samples = sweep_angles(0.0, np.pi / 2, tree.spec.tolerance_angle)
+        solids = [forward_kinematics(tree, flat.replace(2, float(phi)))[1].solid for phi in samples]
+        assert sum(obb_intersect(solid, cube) for solid in solids) == 1
+
+        lo, hi = sweep_bounds(pack_boxes(solids))
+        corners = cube.corners()
+        assert np.all(corners > lo) and np.all(corners < hi)
+        assert collision_check(with_fixtures(tree, cube), frozenset(), 2) is False
+
+    @pytest.mark.parametrize("penetration", [0.0, 0.5])
+    def test_crease_adjacent_parent_still_collides(self, three_flaps, penetration):
+        # Below half the 2 mm thickness each flap overlaps the base at the
+        # crease by more than the allowance, and only that pair decides:
+        # with the spec's allowance the same folds are free.
+        spec, _ = three_flaps
+        tight = build_tree(replace(spec, penetration_tolerance=penetration, table_plane=False))
+        loose = build_tree(replace(spec, table_plane=False))
+        for joint in tight.foldable_ids:
+            assert full_kernel_check(tight, frozenset(), joint) is False
+            assert collision_check(tight, frozenset(), joint) is False
+            assert collision_check(loose, frozenset(), joint) is True
 
 
 class TestGraspSide:

@@ -2,16 +2,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cartonfold.collision import near_sweep, sweep_bounds
 from cartonfold.geometry import (
     Aabb,
     OrientedBox,
     Transform,
+    box_bounds,
     obb_intersect,
+    pack_boxes,
     rotate_about_axis,
     rotation_matrix,
+    sat_overlap_matrix,
     world_aabb,
 )
+from cartonfold.model import _rpy_matrix
 
 from .oracles import sampled_overlap, sampling_band
 
@@ -62,6 +69,42 @@ class TestTransform:
     def test_rejects_reflection(self):
         with pytest.raises(ValueError, match="proper"):
             Transform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+
+    def test_equal_values_compare_and_hash_alike(self):
+        rng = np.random.default_rng(17)
+        rot, trans = random_rotation(rng), rng.normal(size=3)
+        a, b = Transform(rot, trans), Transform(rot.copy(), trans.copy())
+        assert a == b and hash(a) == hash(b)
+        assert a != Transform(rot, trans + 1e-9)
+        assert Transform(np.eye(3), (-0.0, 0.0, 0.0)) == Transform.identity()
+        assert hash(Transform(np.eye(3), (-0.0, 0.0, 0.0))) == hash(Transform.identity())
+
+    def test_computed_transforms_are_frozen_copies(self):
+        rng = np.random.default_rng(19)
+        a = Transform(random_rotation(rng), rng.normal(size=3))
+        for t in (a @ a, a.inverse()):
+            assert not t.rotation.flags.writeable
+            assert not t.translation.flags.writeable
+        rot, trans = random_rotation(rng), rng.normal(size=3)
+        t = Transform._of(rot, trans)
+        rot[0, 0] = trans[0] = 7.0
+        assert t.rotation[0, 0] != 7.0 and t.translation[0] != 7.0
+
+
+class TestBoxEquality:
+    def test_oriented_boxes_compare_by_value(self):
+        box = OrientedBox.from_center((1, 2, 3), (4, 5, 6))
+        same = OrientedBox.from_center((1.0, 2.0, 3.0), np.array([4.0, 5.0, 6.0]))
+        assert box == same and hash(box) == hash(same)
+        assert box != OrientedBox.from_center((1, 2, 3), (4, 5, 7))
+        assert box != OrientedBox.from_center((1, 2, 4), (4, 5, 6))
+
+    def test_aabbs_compare_by_value(self):
+        box = Aabb((0, 0, 0), (1, 2, 3))
+        assert box == Aabb(np.zeros(3), (1.0, 2.0, 3.0))
+        assert hash(box) == hash(Aabb(np.zeros(3), (1.0, 2.0, 3.0)))
+        assert box != Aabb((0, 0, 0), (1, 2, 4))
 
 
 class TestRotateAboutAxis:
@@ -191,3 +234,54 @@ class TestWorldAabb:
     def test_min_above_max_rejected(self):
         with pytest.raises(ValueError, match="componentwise"):
             Aabb((0, 0, 0), (-1, 1, 1))
+
+    def test_box_bounds_match_the_corner_hull(self):
+        rng = np.random.default_rng(23)
+        boxes = [random_box(rng) for _ in range(30)]
+        lo, hi = box_bounds(*pack_boxes(boxes))
+        for box, box_lo, box_hi in zip(boxes, lo, hi):
+            aabb = world_aabb([box])
+            np.testing.assert_allclose(box_lo, aabb.min, atol=1e-12)
+            np.testing.assert_allclose(box_hi, aabb.max, atol=1e-12)
+
+
+_angles = st.floats(-180.0, 180.0)
+_dims = st.floats(0.5, 500.0)
+
+
+@st.composite
+def box_pair_beside(draw):
+    """Two boxes whose grown bounds are ``gap`` apart along one world axis.
+
+    On the other two axes the bounds overlap, so only that one axis keeps
+    the bounds apart. Returns (a, b, clearance).
+    """
+    clearance = draw(st.sampled_from((0.0, -0.1, -0.45)))
+    a, b = (
+        OrientedBox.from_center(
+            (0.0, 0.0, 0.0),
+            draw(st.tuples(_dims, _dims, _dims)),
+            _rpy_matrix(draw(st.tuples(_angles, _angles, _angles))),
+        )
+        for _ in range(2)
+    )
+    reach = [box_bounds(*pack_boxes([box]), clearance)[1][0] for box in (a, b)]
+    span = reach[0] + reach[1]
+    center = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)]) * span
+    axis = draw(st.integers(0, 2))
+    center[axis] = draw(st.sampled_from((-1.0, 1.0))) * (span[axis] + draw(st.floats(0.0, 5.0)))
+    b = OrientedBox(Transform(b.pose.rotation, center), b.half_extents)
+    return a, b, clearance
+
+
+class TestBoundsCull:
+    @given(box_pair_beside())
+    def test_bounds_apart_means_no_overlap(self, pair):
+        # Whenever the broad phase drops a box, neither the kernel nor the
+        # point-sampling oracle may find an overlap with it.
+        a, b, clearance = pair
+        boxes_a, boxes_b = pack_boxes([a]), pack_boxes([b])
+        if near_sweep(sweep_bounds(boxes_a, clearance), boxes_b, clearance)[0]:
+            return
+        assert not sat_overlap_matrix(*boxes_a, *boxes_b, clearance)[0, 0]
+        assert not sampled_overlap(a, b, clearance)

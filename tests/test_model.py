@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import cartonfold.model as model_module
-from cartonfold.geometry import OrientedBox, rotate_about_axis
+from cartonfold.geometry import ORTHONORMAL_TOL, OrientedBox, Transform, rotate_about_axis
 from cartonfold.model import (
     CartonSpec,
     JointVector,
@@ -15,9 +16,12 @@ from cartonfold.model import (
     SpecValidationError,
     build_tree,
     forward_kinematics,
+    load_spec,
     parse_spec,
     serialize_spec,
 )
+
+from .conftest import SHIPPED_SPECS
 
 TWO_PANEL_DOC = """
 panels:
@@ -142,6 +146,34 @@ panels:
         )
         assert again.gripper is not None and spec.gripper is not None
         assert again.gripper.dims == pytest.approx(spec.gripper.dims)
+
+
+class TestSpecEquality:
+    @pytest.mark.parametrize("name", SHIPPED_SPECS)
+    def test_two_loads_are_equal_and_hash_alike(self, spec_dir, name):
+        first, second = load_spec(spec_dir / name), load_spec(spec_dir / name)
+        assert first == second
+        assert hash(first) == hash(second)
+
+    @pytest.mark.parametrize("name", SHIPPED_SPECS)
+    def test_serialization_round_trips_exactly(self, spec_dir, name):
+        spec = load_spec(spec_dir / name)
+        assert parse_spec(serialize_spec(spec)) == spec
+
+    def test_root_pose_alone_makes_specs_unequal(self, case_study):
+        spec, _ = case_study
+        moved = replace(
+            spec,
+            root_pose=Transform(spec.root_pose.rotation, spec.root_pose.translation + (0, 0, 1)),
+        )
+        assert moved != spec
+
+    def test_trees_compare_by_identity(self, case_study):
+        spec, tree = case_study
+        other = build_tree(spec)
+        assert tree == tree and tree != other
+        assert len({tree, other}) == 2
+        assert other.spec == tree.spec
 
 
 class TestBuildTree:
@@ -346,6 +378,19 @@ class TestForwardKinematics:
             poses[0].solid.half_extents,
             (root.width / 2, root.height / 2, root.thickness / 2),
         )
+
+    @pytest.mark.parametrize("name", SHIPPED_SPECS)
+    def test_every_pose_is_a_proper_rotation(self, spec_dir, name):
+        # FK composes transforms without re-validating them; every product
+        # must still pass the check the public constructor makes.
+        tree = build_tree(load_spec(spec_dir / name))
+        joints = tree.foldable_ids
+        for r in range(len(joints) + 1):
+            for folded in itertools.combinations(joints, r):
+                for pose in forward_kinematics(tree, JointVector.from_folded(tree, folded)):
+                    for rot in (pose.pose.rotation, pose.solid.pose.rotation):
+                        assert np.abs(rot.T @ rot - np.eye(3)).max() <= ORTHONORMAL_TOL
+                        assert np.linalg.det(rot) > 0.0
 
     def test_center_is_pose_of_local_center(self):
         tree = build_tree(parse_spec(TWO_PANEL_DOC))
