@@ -8,9 +8,24 @@ half-space: no moving corner may dip below ``-penetration_tolerance`` in z.
 Panels that share a crease are allowed to interpenetrate by the
 penetration tolerance, since hinged slabs always touch (and, at the hinge
 line, overlap by up to half a thickness) during a fold. Every input comes
-from the kinematic tree: its spec, its obstacles and its fold-state records.
+from the kinematic tree: its spec, its obstacles and its per-panel records.
 
-The check runs in two phases. The broad phase takes the world-axis-aligned
+The verdict for folding joint j out of the folded subset F decomposes,
+because the kernel is pairwise and a panel's pose depends only on its
+ancestors' angles (the non-directional blocking graph of Wilson &
+Latombe, 1994, taken over the fold-state lattice). It is the AND of
+
+* one sweep per (j, F ∩ the joints that place j's parent or its
+  subtree): the swept boxes, their bounds and the table and fixture
+  verdict (``Sweep``);
+* one kernel verdict per (sweep, static panel p, F ∩ the joints that
+  place p), tested only until one blocks.
+
+Both are memoised on the tree, so a carton of k free flaps needs k sweeps
+and k(2k-1) pair tests for its k·2^(k-1) checks, and the verdicts are
+exactly those of the whole check.
+
+Each test runs in two phases. The broad phase takes the world-axis-aligned
 bounds of every swept box (``|R| @ h`` about its center) and their union,
 the sweep's bounds. Its lowest z is the table test. A static box whose own
 bounds stay more than ``CULL_MARGIN`` away from the sweep's is disjoint
@@ -24,10 +39,11 @@ verdict is the one the kernel alone would give.
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import box_bounds, rotation_matrices, sat_overlap_matrix
+from .geometry import box_bounds, pack_boxes, rotation_matrices, sat_overlap_matrix
 from .model import KinematicTree
 
 # Slack of the broad phase, in mm. It covers the kernel's padding of
@@ -126,6 +142,67 @@ def _swept_movers(
     )
 
 
+class Sweep(NamedTuple):
+    """One joint's swept subtree, built once per ``key``: (joint, folded
+    joints that place the joint's parent or the subtree).
+
+    ``boxes`` are the swept solids as (centers, rotations, half_extents),
+    ``bounds`` their union's bounds and ``shrunk`` the same bounds with the
+    boxes shrunk by the penetration allowance, as the crease-adjacent
+    parent is tested. ``clear`` is the table and fixture verdict, and
+    ``static`` lists the panels outside the subtree, in ``tree.ids`` order.
+    """
+
+    key: tuple
+    boxes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    bounds: tuple[np.ndarray, np.ndarray]
+    shrunk: tuple[np.ndarray, np.ndarray]
+    clear: bool
+    static: tuple[int, ...]
+
+
+def _sweep(tree: KinematicTree, folded: frozenset, joint: int) -> Sweep:
+    """The memoised sweep of ``joint`` out of ``folded``, with its table and fixture verdict."""
+    key = (joint, tree.subtree_ancestry[joint] & folded)
+    sweep = tree.sweeps.get(key)
+    if sweep is None:
+        spec = tree.spec
+        panel = tree.panel(joint)
+        moving_ids = tree.subtree_ids(joint)
+        poses = {pid: tree.panel_state(pid, folded).pose for pid in (panel.parent, *moving_ids)}
+        samples = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
+        *boxes, _ = _swept_movers(tree, poses, joint, samples)
+        eps = spec.penetration_tolerance
+        bounds = sweep_bounds(boxes)
+        clear = not (spec.table_plane and bounds[0][2] < -eps) and not (
+            tree.obstacles is not None and _blocked(boxes, bounds, tree.obstacles, 0.0)
+        )
+        static = tuple(pid for pid in tree.ids if pid not in moving_ids)
+        sweep = Sweep(key, tuple(boxes), bounds, sweep_bounds(boxes, -eps), clear, static)
+        tree.sweeps[key] = sweep
+    return sweep
+
+
+def _pair_blocked(tree: KinematicTree, sweep: Sweep, folded: frozenset, panel_id: int) -> bool:
+    """The memoised kernel verdict of one sweep against one static panel.
+
+    Crease adjacency between a moving and a static panel: only the moving
+    joint's own parent qualifies (children stay in the subtree), and it is
+    tested with the penetration allowance.
+    """
+    key = (sweep.key, panel_id, tree.ancestry[panel_id] & folded)
+    blocked = tree.pair_verdicts.get(key)
+    if blocked is None:
+        box = pack_boxes([tree.panel_state(panel_id, folded).pose.solid])
+        if panel_id == tree.panel(sweep.key[0]).parent:
+            eps = tree.spec.penetration_tolerance
+            blocked = _blocked(sweep.boxes, sweep.shrunk, box, -eps)
+        else:
+            blocked = _blocked(sweep.boxes, sweep.bounds, box, 0.0)
+        tree.pair_verdicts[key] = blocked
+    return blocked
+
+
 def collision_check(tree: KinematicTree, folded, moving_joint: int) -> bool:
     """True when folding ``moving_joint`` from the given state is collision free.
 
@@ -134,38 +211,23 @@ def collision_check(tree: KinematicTree, folded, moving_joint: int) -> bool:
     sample the subtree solids must clear all panels outside the subtree and
     all obstacles. Crease-adjacent panel pairs are tested with the
     penetration tolerance as allowance; everything else is tested exactly.
+    The verdict is the AND of the sweep's table and fixture verdict and of
+    one pair verdict per static panel, each memoised on the tree and
+    evaluated only until one blocks.
     """
     folded = frozenset(folded)
     if moving_joint not in tree.foldable_ids:
         raise ValueError(f"joint {moving_joint} is not a foldable joint")
     if moving_joint in folded:
         raise ValueError(f"joint {moving_joint} is already folded")
-    bad = folded - set(tree.foldable_ids)
+    bad = folded.difference(tree.foldable_ids)
     if bad:
         raise ValueError(f"folded set contains non-foldable joints: {sorted(bad)}")
 
-    spec = tree.spec
-    record = tree.state(folded)
-
-    panel = tree.panel(moving_joint)
-    samples = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
-    *movers, moving_ids = _swept_movers(tree, record.poses_by_id, moving_joint, samples)
-    eps = spec.penetration_tolerance
-
-    sweep = sweep_bounds(movers)
-    if spec.table_plane and sweep[0][2] < -eps:
-        return False
-
-    # Crease adjacency between a moving and a static panel: only the
-    # moving joint's own parent qualifies (children stay in the subtree).
-    parent = tree.ids.index(panel.parent)
-    strict = [i for i, pid in enumerate(tree.ids) if pid not in moving_ids and i != parent]
-    if strict and _blocked(movers, sweep, tuple(a[strict] for a in record.solids), 0.0):
-        return False
-    if tree.obstacles is not None and _blocked(movers, sweep, tree.obstacles, 0.0):
-        return False
-    adjacent = tuple(a[[parent]] for a in record.solids)
-    return not _blocked(movers, sweep_bounds(movers, -eps), adjacent, -eps)
+    sweep = _sweep(tree, folded, moving_joint)
+    return sweep.clear and not any(
+        _pair_blocked(tree, sweep, folded, pid) for pid in sweep.static
+    )
 
 
 def n_sweep_samples(tree: KinematicTree, joint: int) -> int:

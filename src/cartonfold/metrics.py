@@ -161,13 +161,13 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
         live = [e for e in edges if lattice.completions[e.child]]
         if not live:
             continue
-        record = lattice.tree.state(folded)
-        weight = {"maxdim": record.max_extent, "volume": record.volume}
+        volume, max_dim = lattice.tree.measures(folded)
+        weight = {"maxdim": max_dim, "volume": volume}
         folds[folded], steps[folded] = [], {}
         for e in live:
             weight["aerial"] = int(e.aerial)
             folds[folded].append((e.joint, e.child, tuple(weight[c] for c in criteria)))
-            step = StepMetrics(e.joint, record.volume, record.max_extent, e.aerial)
+            step = StepMetrics(e.joint, volume, max_dim, e.aerial)
             steps[folded][e.joint] = (step, e.child)
 
     # least[F]: per criterion, the smallest sum over the folds finishing F.

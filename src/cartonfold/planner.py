@@ -8,11 +8,16 @@ collision check. Every collision-free sequence is a path from the empty
 subset to the full one, and every ranking criterion is a sum of node or
 edge weights along such a path.
 
-``build_lattice`` walks the reachable subsets from the empty one and runs
-exactly one collision check per (reachable subset, unfolded joint). The
-tree measures each subset once (``KinematicTree.state``); the lattice
-keeps the feasible edges in ascending joint order (each with its aerial
-flag) and the number of complete paths below every subset, so the
+``build_lattice`` walks the reachable subsets from the empty one and asks
+for one collision verdict per (reachable subset, unfolded joint). Each
+verdict is an AND of memoised predicates (``collision``): a fold's sweep
+depends only on the folded joints that place the moving subtree, and a
+static panel only on its own ancestors, so a carton of k free flaps
+builds k sweeps and k(2k-1) pair tests for its k·2^(k-1) verdicts. The
+aerial flags read the tree's per-panel records (``KinematicTree.is_aerial``),
+so no fold state is ever run through forward kinematics as a whole. The
+lattice keeps the feasible edges in ascending joint order (each with its
+aerial flag) and the number of complete paths below every subset, so the
 sequence count is a dynamic-programming result rather than an
 enumeration. Every input, from the sweep step to the support tolerance,
 is read from the tree's spec. ``enumerate_sequences`` lists all paths
@@ -87,7 +92,9 @@ class SearchDiagnostics:
     """Counters of one lattice build and the searches over it.
 
     ``cc_calls`` counts collision checks (one per reachable subset and
-    unfolded joint), ``cc_cache_hits`` the lattice edges a search reused,
+    unfolded joint), ``sweeps`` and ``pair_tests`` the swept subtrees and
+    (sweep, static panel) kernel verdicts those checks built rather than
+    reused, ``cc_cache_hits`` the lattice edges a search reused,
     ``nodes_expanded`` the search nodes visited, ``pruned`` the edges a
     search cut by its bound, ``dead_ends`` the reachable subsets with no
     feasible fold, and ``sequences`` the collision-free sequences.
@@ -99,6 +106,8 @@ class SearchDiagnostics:
     pruned: int = 0
     dead_ends: int = 0
     sequences: int = 0
+    sweeps: int = 0
+    pair_tests: int = 0
 
     def lines(self) -> list[str]:
         return [f"{name}={value}" for name, value in vars(self).items()]
@@ -170,6 +179,7 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
     if not foldable:
         raise PlannerError("carton has no foldable joints, nothing to enumerate")
     stats = SearchDiagnostics()
+    sweeps, pair_tests = len(tree.sweeps), len(tree.pair_verdicts)
     final = frozenset(foldable)
     edges: dict[frozenset[int], tuple[FoldEdge, ...]] = {}
     layer = [frozenset()]
@@ -197,6 +207,8 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
         else:
             completions[folded] = sum(completions[e.child] for e in edges[folded])
     stats.sequences = completions[frozenset()]
+    stats.sweeps = len(tree.sweeps) - sweeps
+    stats.pair_tests = len(tree.pair_verdicts) - pair_tests
     return FoldLattice(
         tree=tree,
         edges=edges,

@@ -9,6 +9,7 @@ import pytest
 
 import cartonfold
 import cartonfold.cli as cli_module
+import cartonfold.model as model_module
 
 from cartonfold.cli import (
     EXIT_NO_SEQUENCES,
@@ -19,7 +20,13 @@ from cartonfold.cli import (
     main,
     run,
 )
-from cartonfold.model import JointVector, build_tree, forward_kinematics, load_spec
+from cartonfold.model import (
+    JointVector,
+    build_tree,
+    forward_kinematics,
+    load_spec,
+    panel_pose_from_frame,
+)
 from cartonfold.planner import build_lattice
 
 
@@ -43,6 +50,15 @@ class TestRun:
         bad.write_text("panels:\n  - {id: 1, parent: null, dims_mm: [0, 10, 1]}\n")
         code, _ = run_to_string(RunConfig(spec_path=str(bad)))
         assert code == EXIT_SPEC_INVALID
+
+    @pytest.mark.parametrize("document", ["panels: [\n", "{:::", "panels:\n\t- id: 1\n"])
+    def test_malformed_yaml_exits_3(self, tmp_path, capsys, document):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(document)
+        code, report = run_to_string(RunConfig(spec_path=str(bad)))
+        assert code == EXIT_SPEC_INVALID
+        assert report == ""
+        assert "not valid YAML" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "old, new, field",
@@ -181,30 +197,46 @@ class TestRun:
 
 
 class TestStateMemo:
-    def test_run_folds_each_reachable_state_once(self, spec_dir, monkeypatch):
-        # One forward-kinematics run per state a fold leaves, shared by the
-        # collision checks and the ranking.
-        lattice = build_lattice(build_tree(load_spec(spec_dir / "case_study_tray.yaml")))
+    def test_plan_builds_each_panel_pose_once_without_forward_kinematics(
+        self, spec_dir, monkeypatch
+    ):
+        # A plan never runs forward kinematics on a whole fold state: it
+        # builds each panel's pose once per folded subset of the joints that
+        # place it, shared by the sweeps, the pair tests and the ranking.
+        path = spec_dir / "case_study_tray.yaml"
+        lattice = build_lattice(build_tree(load_spec(path)))
+        tree = lattice.tree
         expected = {
-            frozenset(JointVector.from_folded(lattice.tree, folded).angles.items())
+            (pid, folded & tree.ancestry[pid])
             for folded in lattice.edges
             if folded != lattice.final
+            for pid in tree.ids
         }
-        calls = []
+        fk_calls, built, trees = [], [], []
 
-        def counted(tree, theta):
-            calls.append(frozenset(theta.angles.items()))
-            return forward_kinematics(tree, theta)
+        def counted_fk(tree_, theta):
+            fk_calls.append(theta)
+            return forward_kinematics(tree_, theta)
 
+        def counted_pose(panel, frame):
+            built.append(panel.id)
+            return panel_pose_from_frame(panel, frame)
+
+        def kept_tree(spec):
+            trees.append(build_tree(spec))
+            return trees[-1]
+
+        monkeypatch.setattr(model_module, "panel_pose_from_frame", counted_pose)
+        monkeypatch.setattr(cli_module, "build_tree", kept_tree)
         for module in vars(cartonfold).values():
             if getattr(module, "forward_kinematics", None) is forward_kinematics:
-                monkeypatch.setattr(module, "forward_kinematics", counted)
-        code, _ = run_to_string(
-            RunConfig(spec_path=str(spec_dir / "case_study_tray.yaml"), fmt="csv", top=None)
-        )
+                monkeypatch.setattr(module, "forward_kinematics", counted_fk)
+        code, _ = run_to_string(RunConfig(spec_path=str(path), fmt="csv", top=None))
         assert code == EXIT_OK
-        assert len(calls) == len(set(calls)) == len(expected) == 79
-        assert set(calls) == expected
+        assert fk_calls == []
+        (planned,) = trees
+        assert set(planned.panel_records) == expected
+        assert len(built) == len(expected) == 17
 
 
 class TestDumpStates:

@@ -35,6 +35,7 @@ from cartonfold.model import (
 from cartonfold.planner import feasible_subsets
 
 from .conftest import SHIPPED_SPECS
+from .test_model import random_tree
 
 
 def two_panel_tree():
@@ -63,20 +64,20 @@ def with_fixtures(tree, *boxes):
 
 
 def full_kernel_check(tree, folded, joint) -> bool:
-    """The swept check without a broad phase: the kernel on every box pair
-    and the table test on all 8 corners of every swept box."""
+    """The undecomposed swept check: forward kinematics of the whole fold
+    state, no broad phase and no memo, the kernel on every (swept box,
+    static box) pair and the table test on all 8 corners of every swept box."""
     spec = tree.spec
-    record = tree.state(frozenset(folded))
+    poses = forward_kinematics(tree, JointVector.from_folded(tree, folded))
     panel = tree.panel(joint)
     samples = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
-    *movers, moving_ids = _swept_movers(tree, record.poses_by_id, joint, samples)
+    *movers, moving_ids = _swept_movers(tree, {p.panel_id: p for p in poses}, joint, samples)
     eps = spec.penetration_tolerance
-    for i, pid in enumerate(tree.ids):
-        if pid in moving_ids:
+    for pose in poses:
+        if pose.panel_id in moving_ids:
             continue
-        clearance = -eps if pid == panel.parent else 0.0
-        box = tuple(a[[i]] for a in record.solids)
-        if sat_overlap_matrix(*movers, *box, clearance).any():
+        clearance = -eps if pose.panel_id == panel.parent else 0.0
+        if sat_overlap_matrix(*movers, *pack_boxes([pose.solid]), clearance).any():
             return False
     if tree.obstacles is not None and sat_overlap_matrix(*movers, *tree.obstacles).any():
         return False
@@ -87,6 +88,16 @@ def full_kernel_check(tree, folded, joint) -> bool:
         if corners[:, :, 2].min() < -eps:
             return False
     return True
+
+
+def all_folds(tree):
+    """Every (folded subset, unfolded joint) of the carton, reachable or not."""
+    joints = tree.foldable_ids
+    for r in range(len(joints)):
+        for folded in itertools.combinations(joints, r):
+            for joint in joints:
+                if joint not in folded:
+                    yield frozenset(folded), joint
 
 
 class TestSweepAngles:
@@ -221,12 +232,9 @@ class TestBroadPhase:
                 penetration_tolerance=spec.penetration_tolerance if own_penetration else 0.0,
             )
         )
-        joints = tree.foldable_ids
-        for r in range(len(joints)):
-            for folded in itertools.combinations(joints, r):
-                for joint in set(joints) - set(folded):
-                    expected = full_kernel_check(tree, folded, joint)
-                    assert collision_check(tree, folded, joint) is expected, (folded, joint)
+        for folded, joint in all_folds(tree):
+            expected = full_kernel_check(tree, folded, joint)
+            assert collision_check(tree, folded, joint) is expected, (folded, joint)
 
     def test_fixture_hit_by_one_sample_is_not_culled(self):
         # A 1 mm cube on the flap's mid-plane near its free edge at 45
@@ -256,6 +264,61 @@ class TestBroadPhase:
             assert full_kernel_check(tight, frozenset(), joint) is False
             assert collision_check(tight, frozenset(), joint) is False
             assert collision_check(loose, frozenset(), joint) is True
+
+
+class TestDecomposition:
+    """collision_check is an AND of memoised sweep and pair predicates; it
+    must give the undecomposed verdict on every (subset, joint)."""
+
+    @pytest.mark.parametrize("name", SHIPPED_SPECS)
+    def test_matches_the_full_kernel_at_a_quarter_degree(self, spec_dir, name):
+        spec = load_spec(spec_dir / name)
+        tree = build_tree(replace(spec, tolerance_angle=math.radians(0.25)))
+        for folded, joint in all_folds(tree):
+            expected = full_kernel_check(tree, folded, joint)
+            assert collision_check(tree, folded, joint) is expected, (folded, joint)
+
+    def test_matches_the_full_kernel_on_branchy_trees(self):
+        # Random trees at least three creases deep, so that sweeps and pairs
+        # are keyed on grandparents' and grandchildren's folds; half of them
+        # also stand on the table and carry a fixture. The keys do not
+        # depend on the sweep step, so one step covers them.
+        rng = np.random.default_rng(41)
+        trees, verdicts = 0, set()
+        while trees < 6:
+            tree = random_tree(rng, 7)
+            if max(len(joints) for joints in tree.ancestry.values()) < 3:
+                continue  # every panel of a random tree folds: this is its depth
+            if trees % 2:
+                post = OrientedBox.from_center(rng.uniform((0, 0, 5), (80, 80, 40)), (8, 8, 8))
+                tree = build_tree(
+                    replace(
+                        tree.spec,
+                        environment=(post,),
+                        table_plane=True,
+                        root_pose=Transform(np.eye(3), (0.0, 0.0, 1.0)),
+                    )
+                )
+            trees += 1
+            for folded, joint in all_folds(tree):
+                expected = full_kernel_check(tree, folded, joint)
+                assert collision_check(tree, folded, joint) is expected, (trees, folded, joint)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_repeated_checks_reuse_the_memos(self, case_study):
+        spec, _ = case_study
+        tree = build_tree(spec)
+        folds = list(all_folds(tree))
+        first = [collision_check(tree, folded, joint) for folded, joint in folds]
+        sizes = len(tree.sweeps), len(tree.pair_verdicts), len(tree.panel_records)
+        again = [collision_check(tree, folded, joint) for folded, joint in folds]
+        assert again == first
+        assert (len(tree.sweeps), len(tree.pair_verdicts), len(tree.panel_records)) == sizes
+        # One sweep per joint and folded subset of the joints that place it.
+        assert len(tree.sweeps) == len(
+            {(joint, folded & tree.subtree_ancestry[joint]) for folded, joint in folds}
+        )
 
 
 class TestGraspSide:

@@ -6,9 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 import cartonfold.model as model_module
-from cartonfold.geometry import ORTHONORMAL_TOL, OrientedBox, Transform, rotate_about_axis
+from cartonfold.geometry import (
+    ORTHONORMAL_TOL,
+    Aabb,
+    OrientedBox,
+    Transform,
+    obb_intersect,
+    rotate_about_axis,
+    world_aabb,
+)
 from cartonfold.model import (
     CartonSpec,
     JointVector,
@@ -17,8 +26,10 @@ from cartonfold.model import (
     build_tree,
     forward_kinematics,
     load_spec,
+    panel_pose_from_frame,
     parse_spec,
     serialize_spec,
+    spec_from_mapping,
 )
 
 from .conftest import SHIPPED_SPECS
@@ -112,6 +123,15 @@ panels:
     def test_empty_ranking_rejected(self):
         with pytest.raises(SpecValidationError, match="ranking"):
             parse_spec(TWO_PANEL_DOC + "ranking: []\n")
+
+    @pytest.mark.parametrize("name", SHIPPED_SPECS)
+    def test_fast_loader_parses_like_the_python_loader(self, spec_dir, name):
+        text = (spec_dir / name).read_text()
+        reference = spec_from_mapping(yaml.load(text, Loader=yaml.SafeLoader))
+        assert parse_spec(text) == reference
+        assert parse_spec(serialize_spec(reference)) == reference
+        if yaml.__with_libyaml__:
+            assert model_module._SAFE_LOADER is yaml.CSafeLoader
 
     def test_not_yaml_rejected(self):
         with pytest.raises(SpecValidationError, match="YAML|mapping"):
@@ -240,23 +260,43 @@ class TestBuildTree:
         np.testing.assert_array_equal(halves, [post.half_extents])
 
 
-class TestStateMemo:
-    def test_each_state_runs_forward_kinematics_once(self, monkeypatch):
-        tree = build_tree(parse_spec(TWO_PANEL_DOC))
-        calls = []
+def bits(value) -> bytes:
+    """The exact bytes of a float or array, so that -0.0 differs from 0.0."""
+    return np.asarray(value, dtype=float).tobytes()
 
-        def counted(tree_, theta):
-            calls.append(theta)
+
+def fk_measures(tree, folded):
+    """Poses, bounding box and lowest corner per panel, from one FK run."""
+    poses = forward_kinematics(tree, JointVector.from_folded(tree, folded))
+    min_z = {p.panel_id: float(p.solid.corners()[:, 2].min()) for p in poses}
+    return poses, world_aabb([p.solid for p in poses]), min_z
+
+
+class TestStateMemo:
+    def test_each_panel_pose_is_built_once(self, monkeypatch):
+        tree = build_tree(parse_spec(TWO_PANEL_DOC))
+        fk_calls, built = [], []
+
+        def counted_fk(tree_, theta):
+            fk_calls.append(theta)
             return forward_kinematics(tree_, theta)
 
-        monkeypatch.setattr(model_module, "forward_kinematics", counted)
+        def counted_pose(panel, frame):
+            built.append(panel.id)
+            return panel_pose_from_frame(panel, frame)
+
+        monkeypatch.setattr(model_module, "forward_kinematics", counted_fk)
+        monkeypatch.setattr(model_module, "panel_pose_from_frame", counted_pose)
         first = tree.state(frozenset({2}))
         assert tree.state(frozenset({2})) is first
-        assert len(calls) == 1
+        assert tree.state(frozenset()).poses[0] is first.poses[0]  # the root never moves
+        assert fk_calls == []
+        assert sorted(built) == [1, 2, 2]
+        assert sorted(tree.panel_records) == [
+            (1, frozenset()), (2, frozenset()), (2, frozenset({2}))
+        ]
         assert first.theta == JointVector.from_folded(tree, {2})
-        expected = forward_kinematics(tree, first.theta)
-        for got, want in zip(first.poses, expected):
-            np.testing.assert_array_equal(got.center, want.center)
+        assert first.poses == tuple(forward_kinematics(tree, first.theta))
 
     def test_memo_is_per_tree_and_out_of_repr(self):
         spec = parse_spec(TWO_PANEL_DOC)
@@ -264,27 +304,126 @@ class TestStateMemo:
         used.state(frozenset())
         assert "records" not in repr(used)
         assert used.records and not fresh.records
+        assert used.panel_records and not fresh.panel_records
+
+    @pytest.mark.parametrize("name", SHIPPED_SPECS)
+    def test_state_equals_forward_kinematics_bit_for_bit(self, spec_dir, name):
+        tree = build_tree(load_spec(spec_dir / name))
+        joints = tree.foldable_ids
+        for r in range(len(joints) + 1):
+            for folded in map(frozenset, itertools.combinations(joints, r)):
+                poses, box, _ = fk_measures(tree, folded)
+                record = tree.state(folded)
+                assert record.poses == tuple(poses)
+                for got, want in zip(record.poses, poses):
+                    assert bits(got.pose.rotation) == bits(want.pose.rotation)
+                    assert bits(got.pose.translation) == bits(want.pose.translation)
+                    assert bits(got.center) == bits(want.center)
+                assert bits(record.box.min) == bits(box.min)
+                assert bits(record.box.max) == bits(box.max)
+
+    def test_measures_equal_forward_kinematics_bit_for_bit(self, spec_dir):
+        # Volume, max extent and the aerial flag of every subset, on the
+        # shipped specs and on random trees at least three creases deep.
+        rng = np.random.default_rng(5)
+        trees = [build_tree(load_spec(spec_dir / name)) for name in SHIPPED_SPECS]
+        while len(trees) < len(SHIPPED_SPECS) + 4:
+            tree = random_tree(rng, 6)
+            if max(len(joints) for joints in tree.ancestry.values()) >= 3:
+                trees.append(tree)
+        for tree in trees:
+            joints = tree.foldable_ids
+            for r in range(len(joints) + 1):
+                for folded in map(frozenset, itertools.combinations(joints, r)):
+                    _, box, min_z = fk_measures(tree, folded)
+                    volume, max_extent = tree.measures(folded)
+                    assert bits(volume) == bits(box.volume)
+                    assert bits(max_extent) == bits(box.max_extent)
+                    for pid in tree.ids:
+                        assert bits(tree.panel_state(pid, folded).lo[2]) == bits(min_z[pid])
+                    for joint in set(joints) - folded:
+                        lowest = min(min_z[pid] for pid in tree.subtree_ids(joint))
+                        expected = lowest > tree.spec.support_tolerance
+                        assert tree.is_aerial(folded, joint) is expected
+
+    def test_volume_multiplies_in_numpy_order(self):
+        # measures() forms the volume as (dx * dy) * dz in Python floats;
+        # Aabb.volume takes np.prod of the same extents.
+        rng = np.random.default_rng(9)
+        for lo, hi in zip(rng.uniform(-500, 0, (2000, 3)), rng.uniform(0, 500, (2000, 3))):
+            dx, dy, dz = (float(h) - float(l) for h, l in zip(hi, lo))
+            assert bits(dx * dy * dz) == bits(Aabb(lo, hi).volume)
+
+
+class TestPoseEquality:
+    def test_poses_compare_by_value(self, three_flaps):
+        # Regression: the generated __eq__ compared ndarray fields and raised.
+        _, tree = three_flaps
+        flat = JointVector.flat(tree)
+        a, b = forward_kinematics(tree, flat)[0], forward_kinematics(tree, flat)[0]
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert forward_kinematics(tree, flat) == forward_kinematics(tree, flat)
+        flap = tree.foldable_ids[0]
+        moved = forward_kinematics(tree, JointVector.from_folded(tree, {flap}))
+        index = tree.ids.index(flap)
+        assert moved[index] != forward_kinematics(tree, flat)[index]
+        assert moved[0] == a
+
+    def test_state_records_compare_by_identity(self, three_flaps):
+        spec, tree = three_flaps
+        other = build_tree(spec)
+        assert tree.state(frozenset()) == tree.state(frozenset())
+        assert tree.state(frozenset()) != other.state(frozenset())
+        assert tree.state(frozenset()).poses == other.state(frozenset()).poses
 
 
 def random_tree(rng: np.random.Generator, n_panels: int):
-    """Random chain/branchy carton with in-plane creases."""
+    """Random chain/branchy carton laid out flat like a net.
+
+    Each panel hangs outward off a random free edge of a random earlier
+    panel (the root has four, every other panel the three away from its own
+    crease) and folds up or down by up to about 150 degrees, so flaps can
+    land on their parents' other flaps. A panel whose flat slab would touch
+    any panel but its parent is drawn again.
+    """
     panels = [PanelSpec(id=1, parent=None, dims=(80, 80, 2))]
-    for pid in range(2, n_panels + 1):
-        parent = int(rng.integers(1, pid))
-        angle = rng.uniform(0, 2 * np.pi)
-        direction = (math.cos(angle), math.sin(angle), 0.0)
-        panels.append(
-            PanelSpec(
-                id=pid,
-                parent=parent,
-                dims=tuple(rng.uniform(20, 60, size=2)) + (2.0,),
-                crease_anchor=tuple(rng.uniform(0, 40, size=2)) + (0.0,),
-                crease_dir=direction,
-                theta_init=0.0,
-                theta_final=float(rng.uniform(0.5, np.pi / 2)),
-            )
+    while True:
+        # Hinged 2 mm slabs overlap by up to 1 mm at the crease while folding.
+        tree = build_tree(
+            CartonSpec(panels=tuple(panels), table_plane=False, penetration_tolerance=1.05)
         )
-    return build_tree(CartonSpec(panels=tuple(panels), table_plane=False))
+        if len(panels) == n_panels:
+            return tree
+        parent = panels[int(rng.integers(0, len(panels)))]
+        ph, pw = parent.height, parent.width
+        edges = [  # (edge length, crease_dir, anchor for an offset a and width w)
+            (pw, (1.0, 0.0, 0.0), lambda a, w: (a, ph, 0.0)),
+            (ph, (0.0, 1.0, 0.0), lambda a, w: (0.0, a, 0.0)),
+            (ph, (0.0, -1.0, 0.0), lambda a, w: (pw, a + w, 0.0)),
+        ]
+        if parent.parent is None:
+            edges.append((pw, (-1.0, 0.0, 0.0), lambda a, w: (a + w, 0.0, 0.0)))
+        length, direction, anchor = edges[int(rng.integers(0, len(edges)))]
+        width = length * float(rng.uniform(0.3, 0.9))
+        offset = float(rng.uniform(0.0, length - width))
+        panel = PanelSpec(
+            id=len(panels) + 1,
+            parent=parent.id,
+            dims=(float(rng.uniform(20, 60)), width, 2.0),
+            crease_anchor=anchor(offset, width),
+            crease_dir=direction,
+            theta_init=0.0,
+            theta_final=float(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.6)),
+        )
+        grown = build_tree(replace(tree.spec, panels=tree.spec.panels + (panel,)))
+        flat = forward_kinematics(grown, JointVector.flat(grown))
+        if not any(
+            obb_intersect(flat[-1].solid, other.solid)
+            for other in flat[:-1]
+            if other.panel_id != parent.id
+        ):
+            panels.append(panel)
 
 
 class TestForwardKinematics:

@@ -256,3 +256,18 @@ class TestFreeFlapFactorial:
         sequences = enumerate_sequences(build_tree(free_flap_spec(k)))
         assert len(sequences) == math.factorial(k)
         assert len({s.order for s in sequences}) == math.factorial(k)
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 8))
+    def test_one_sweep_per_flap_and_one_pair_test_per_placed_panel(self, k):
+        # Each flap sweeps alone over the base and the k - 1 other flaps,
+        # which stand either flat or folded: k sweeps, k(2k - 1) pair tests
+        # for the k 2^(k-1) collision checks.
+        tree = build_tree(free_flap_spec(k))
+        stats = build_lattice(tree).stats
+        assert stats.cc_calls == k * 2 ** (k - 1)
+        assert (stats.sweeps, stats.pair_tests) == (k, k * (2 * k - 1))
+        assert "sweeps=%d" % k in stats.lines()
+        assert "pair_tests=%d" % (k * (2 * k - 1)) in stats.lines()
+        # A second build on the same tree reuses every predicate.
+        again = build_lattice(tree).stats
+        assert (again.cc_calls, again.sweeps, again.pair_tests) == (stats.cc_calls, 0, 0)
