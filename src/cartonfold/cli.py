@@ -194,7 +194,7 @@ def explain(config: RunConfig, sequence=None, out=None) -> int:
             )
             return EXIT_NO_SEQUENCES
         record = tree.state(folded)
-        aerial = tree.is_aerial(folded, joint)
+        aerial = tree.is_aerial(tree.mask(folded), joint)
         side = "n/a" if tree.spec.gripper is None else grasp_side(tree, folded, joint).value
         print(
             f"step {step}: fold joint {joint} | cc_samples={n_sweep_samples(tree, joint)} "

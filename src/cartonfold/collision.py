@@ -10,29 +10,35 @@ penetration tolerance, since hinged slabs always touch (and, at the hinge
 line, overlap by up to half a thickness) during a fold. Every input comes
 from the kinematic tree: its spec, its obstacles and its per-panel records.
 
-The verdict for folding joint j out of the folded subset F decomposes,
-because the kernel is pairwise and a panel's pose depends only on its
-ancestors' angles (the non-directional blocking graph of Wilson &
-Latombe, 1994, taken over the fold-state lattice). It is the AND of
+The verdict for folding joint j out of the fold state F (an int mask of
+folded joints, ``KinematicTree.bits``) decomposes, because the kernel is
+pairwise and a panel's pose depends only on its ancestors' angles (the
+non-directional blocking graph of Wilson & Latombe, 1994, taken over the
+fold-state lattice). It is the AND of
 
-* one sweep per (j, F ∩ the joints that place j's parent or its
-  subtree): the swept boxes, their bounds and the table and fixture
-  verdict (``Sweep``);
-* one kernel verdict per (sweep, static panel p, F ∩ the joints that
+* one sweep per (j, F & the joints that place j's parent or its
+  subtree): the swept boxes, their bounds, the table and fixture verdict
+  and the fold's aerial flag (``Sweep``);
+* one kernel verdict per (sweep, static panel p, F & the joints that
   place p), tested only until one blocks.
 
-Both are memoised on the tree, so a carton of k free flaps needs k sweeps
-and k(2k-1) pair tests for its k·2^(k-1) checks, and the verdicts are
-exactly those of the whole check.
+Both are memoised on the tree under int keys, so a carton of k free flaps
+needs k sweeps and k(2k-1) pair tests for its k·2^(k-1) checks, and the
+verdicts are exactly those of the whole check. Each sweep lists its static
+panels with their ancestry masks and the base of their pair keys, so a
+check that hits the memos builds no key but an int.
 
 Each test runs in two phases. The broad phase takes the world-axis-aligned
 bounds of every swept box (``|R| @ h`` about its center) and their union,
 the sweep's bounds. Its lowest z is the table test. A static box whose own
 bounds stay more than ``CULL_MARGIN`` away from the sweep's is disjoint
-from every swept box and is dropped. The narrow phase runs the 15-axis
-separating-axis kernel only on the boxes left, and not at all when none
-are. The crease-adjacent parent is culled with both sides shrunk by the
-penetration allowance, exactly as the kernel tests that pair, so every
+from every swept box and is dropped; a static panel is first culled on
+its memoised corner bounds, which equal those bounds up to rounding far
+below the margin, before its box is packed at all. The narrow phase runs
+the 15-axis separating-axis kernel only on the boxes left, and not at all
+when none are. The crease-adjacent parent is culled with both sides
+shrunk by the penetration allowance, exactly as the kernel tests that
+pair (its unshrunk corner bounds contain the shrunk ones), so every
 verdict is the one the kernel alone would give.
 """
 
@@ -75,20 +81,20 @@ def sweep_bounds(boxes, clearance: float = 0.0) -> tuple[np.ndarray, np.ndarray]
     return lo.min(axis=0), hi.max(axis=0)
 
 
-def near_sweep(sweep, boxes, clearance: float = 0.0) -> np.ndarray:
-    """Mask of the boxes whose bounds come within ``CULL_MARGIN`` of ``sweep``.
+def near_sweep(bounds, boxes, clearance: float = 0.0) -> np.ndarray:
+    """Mask of the boxes whose bounds come within ``CULL_MARGIN`` of a sweep's ``bounds``.
 
     The boxes are grown by ``clearance / 2`` like the kernel grows them; the
     sweep's bounds must be taken with the same clearance. A box outside the
     mask overlaps no box inside the sweep's bounds.
     """
     lo, hi = box_bounds(*boxes, clearance)
-    return np.all((lo <= sweep[1] + CULL_MARGIN) & (hi >= sweep[0] - CULL_MARGIN), axis=1)
+    return np.all((lo <= bounds[1] + CULL_MARGIN) & (hi >= bounds[0] - CULL_MARGIN), axis=1)
 
 
-def _blocked(movers, sweep, boxes, clearance: float) -> bool:
+def _blocked(movers, bounds, boxes, clearance: float) -> bool:
     """Whether a mover overlaps one of ``boxes``, the kernel run on those near the sweep."""
-    near = near_sweep(sweep, boxes, clearance)
+    near = near_sweep(bounds, boxes, clearance)
     if not near.any():
         return False
     return bool(sat_overlap_matrix(*movers, *(a[near] for a in boxes), clearance).any())
@@ -143,33 +149,41 @@ def _swept_movers(
 
 
 class Sweep(NamedTuple):
-    """One joint's swept subtree, built once per ``key``: (joint, folded
-    joints that place the joint's parent or the subtree).
+    """One joint's swept subtree, built once per joint and folded joints
+    that place the joint's parent or the subtree.
 
     ``boxes`` are the swept solids as (centers, rotations, half_extents),
     ``bounds`` their union's bounds and ``shrunk`` the same bounds with the
     boxes shrunk by the penetration allowance, as the crease-adjacent
-    parent is tested. ``clear`` is the table and fixture verdict, and
-    ``static`` lists the panels outside the subtree, in ``tree.ids`` order.
+    ``parent`` is tested. ``clear`` is the table and fixture verdict and
+    ``aerial`` the fold's aerial flag, which reads only subtree poses.
+    ``static`` lists the panels outside the subtree, in ``tree.ids`` order,
+    each as (panel id, its ancestry mask, the base of its pair keys).
     """
 
-    key: tuple
+    parent: int
     boxes: tuple[np.ndarray, np.ndarray, np.ndarray]
     bounds: tuple[np.ndarray, np.ndarray]
     shrunk: tuple[np.ndarray, np.ndarray]
     clear: bool
-    static: tuple[int, ...]
+    aerial: bool
+    static: tuple[tuple[int, int, int], ...]
 
 
-def _sweep(tree: KinematicTree, folded: frozenset, joint: int) -> Sweep:
-    """The memoised sweep of ``joint`` out of ``folded``, with its table and fixture verdict."""
-    key = (joint, tree.subtree_ancestry[joint] & folded)
-    sweep = tree.sweeps.get(key)
-    if sweep is None:
+def sweep(tree: KinematicTree, mask: int, joint: int) -> Sweep:
+    """The memoised sweep of ``joint`` out of fold state ``mask``.
+
+    The key is the folded part of the joint's subtree ancestry with one
+    more bit per joint above the fold bits, so it names the joint too.
+    """
+    k = len(tree.foldable_ids)
+    key = (mask & tree.subtree_ancestry[joint]) | tree.bits[joint] << k
+    found = tree.sweeps.get(key)
+    if found is None:
         spec = tree.spec
         panel = tree.panel(joint)
         moving_ids = tree.subtree_ids(joint)
-        poses = {pid: tree.panel_state(pid, folded).pose for pid in (panel.parent, *moving_ids)}
+        poses = {pid: tree.panel_state(pid, mask).pose for pid in (panel.parent, *moving_ids)}
         samples = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
         *boxes, _ = _swept_movers(tree, poses, joint, samples)
         eps = spec.penetration_tolerance
@@ -177,57 +191,86 @@ def _sweep(tree: KinematicTree, folded: frozenset, joint: int) -> Sweep:
         clear = not (spec.table_plane and bounds[0][2] < -eps) and not (
             tree.obstacles is not None and _blocked(boxes, bounds, tree.obstacles, 0.0)
         )
-        static = tuple(pid for pid in tree.ids if pid not in moving_ids)
-        sweep = Sweep(key, tuple(boxes), bounds, sweep_bounds(boxes, -eps), clear, static)
-        tree.sweeps[key] = sweep
-    return sweep
+        # A pair key is the static panel's slot in this sweep, shifted above
+        # the fold bits, with the folded part of the panel's ancestry below.
+        static = tuple(
+            (pid, tree.ancestry[pid], (key * len(tree.ids) + slot) << k)
+            for slot, pid in enumerate(tree.ids)
+            if pid not in moving_ids
+        )
+        found = Sweep(
+            panel.parent, tuple(boxes), bounds, sweep_bounds(boxes, -eps),
+            clear, tree.is_aerial(mask, joint), static,
+        )
+        tree.sweeps[key] = found
+    return found
 
 
-def _pair_blocked(tree: KinematicTree, sweep: Sweep, folded: frozenset, panel_id: int) -> bool:
-    """The memoised kernel verdict of one sweep against one static panel.
+def _pair_blocked(tree: KinematicTree, swept: Sweep, mask: int, panel_id: int) -> bool:
+    """The kernel verdict of one sweep against one static panel.
 
-    Crease adjacency between a moving and a static panel: only the moving
-    joint's own parent qualifies (children stay in the subtree), and it is
-    tested with the penetration allowance.
+    The panel's memoised corner bounds are culled first: they equal its
+    box's ``|R| @ h`` bounds up to rounding far below ``CULL_MARGIN``, and
+    they contain the crease parent's shrunk bounds. Crease adjacency
+    between a moving and a static panel: only the moving joint's own
+    parent qualifies (children stay in the subtree), and it is tested with
+    the penetration allowance.
     """
-    key = (sweep.key, panel_id, tree.ancestry[panel_id] & folded)
-    blocked = tree.pair_verdicts.get(key)
-    if blocked is None:
-        box = pack_boxes([tree.panel_state(panel_id, folded).pose.solid])
-        if panel_id == tree.panel(sweep.key[0]).parent:
-            eps = tree.spec.penetration_tolerance
-            blocked = _blocked(sweep.boxes, sweep.shrunk, box, -eps)
-        else:
-            blocked = _blocked(sweep.boxes, sweep.bounds, box, 0.0)
-        tree.pair_verdicts[key] = blocked
-    return blocked
+    record = tree.panel_state(panel_id, mask)
+    if panel_id == swept.parent:
+        bounds, clearance = swept.shrunk, -tree.spec.penetration_tolerance
+    else:
+        bounds, clearance = swept.bounds, 0.0
+    lo, hi = bounds
+    if any(
+        l > h + CULL_MARGIN or u < w - CULL_MARGIN
+        for l, u, w, h in zip(record.lo, record.hi, lo.tolist(), hi.tolist())
+    ):
+        return False
+    return _blocked(swept.boxes, bounds, pack_boxes([record.pose.solid]), clearance)
 
 
 def collision_check(tree: KinematicTree, folded, moving_joint: int) -> bool:
     """True when folding ``moving_joint`` from the given state is collision free.
 
-    The joint's whole subtree is swept from the initial to the final angle,
-    sampled at the tolerance angle with both endpoints forced. At every
-    sample the subtree solids must clear all panels outside the subtree and
-    all obstacles. Crease-adjacent panel pairs are tested with the
-    penetration tolerance as allowance; everything else is tested exactly.
-    The verdict is the AND of the sweep's table and fixture verdict and of
-    one pair verdict per static panel, each memoised on the tree and
-    evaluated only until one blocks.
+    ``folded`` holds the folded joints, as joint ids or as a fold mask
+    (``KinematicTree.mask``). The joint's whole subtree is swept from the
+    initial to the final angle, sampled at the tolerance angle with both
+    endpoints forced. At every sample the subtree solids must clear all
+    panels outside the subtree and all obstacles. Crease-adjacent panel
+    pairs are tested with the penetration tolerance as allowance;
+    everything else is tested exactly. The verdict is the AND of the
+    sweep's table and fixture verdict and of one pair verdict per static
+    panel, each memoised on the tree and evaluated only until one blocks.
     """
-    folded = frozenset(folded)
-    if moving_joint not in tree.foldable_ids:
+    bit = tree.bits.get(moving_joint)
+    if bit is None:
         raise ValueError(f"joint {moving_joint} is not a foldable joint")
-    if moving_joint in folded:
+    if isinstance(folded, int):
+        mask = folded
+        if mask < 0 or mask >> len(tree.foldable_ids):
+            raise ValueError(f"fold mask {mask:#x} sets bits of no foldable joint")
+    else:
+        folded = frozenset(folded)
+        bad = folded.difference(tree.foldable_ids)
+        if bad:
+            raise ValueError(f"folded set contains non-foldable joints: {sorted(bad)}")
+        mask = tree.mask(folded)
+    if mask & bit:
         raise ValueError(f"joint {moving_joint} is already folded")
-    bad = folded.difference(tree.foldable_ids)
-    if bad:
-        raise ValueError(f"folded set contains non-foldable joints: {sorted(bad)}")
 
-    sweep = _sweep(tree, folded, moving_joint)
-    return sweep.clear and not any(
-        _pair_blocked(tree, sweep, folded, pid) for pid in sweep.static
-    )
+    swept = sweep(tree, mask, moving_joint)
+    if not swept.clear:
+        return False
+    verdicts = tree.pair_verdicts
+    for pid, ancestry, base in swept.static:
+        key = base | mask & ancestry
+        blocked = verdicts.get(key)
+        if blocked is None:
+            blocked = verdicts[key] = _pair_blocked(tree, swept, mask, pid)
+        if blocked:
+            return False
+    return True
 
 
 def n_sweep_samples(tree: KinematicTree, joint: int) -> int:

@@ -19,23 +19,35 @@ itself, instead of being ranked by rounding noise.
 
 ``score_and_rank`` scores and sorts a given list of sequences.
 ``rank_lattice`` ranks every path of a fold-state lattice without listing
-them: volume and maxdim weigh the lattice's nodes and aerial its edges, so
-one bounded depth-first search finds the best N, and rows are built for
-those N only.
+them: volume and maxdim weigh the lattice's nodes and aerial its edges.
+Node weights and each state's least completion are computed in numpy
+passes over the state masks, a popcount layer at a time; then one
+depth-first branch-and-bound search, cheapest bound first, finds the best
+N, and rows are built for those N only.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from operator import add
+
+import numpy as np
 
 from .model import KinematicTree
 from .planner import FoldLattice, FoldSequence, FoldState, action_space
 
 # Relative loosening of rank_lattice's lower bounds. The bound and a path's
-# own sum add the same terms in different orders, so they can differ by a
-# few ulps of k terms; 1e-9 is far above that and far below the 1e-6
-# resolution at which criteria are compared.
-BOUND_SLACK = 1e-9
+# own sum add the same k terms in different orders, so they differ by at
+# most about 2k ulps; 1e-12 is far above that for any carton, and it moves
+# a sum below 1e5 by less than the 1e-6 resolution at which criteria are
+# compared, so a bound that ties the cutoff still rounds equal to it and
+# falls through to the next criterion instead of always ranking first.
+BOUND_SLACK = 1e-12
+
+# Half-width of the band about a cutoff within which rank_lattice rounds a
+# bound before comparing it; 1e-15 of the value is added to cover an ulp.
+ROUND_BAND = 1e-6
 
 
 def round6(value: float) -> float:
@@ -47,7 +59,7 @@ def is_aerial(tree: KinematicTree, state_before: FoldState, joint: int) -> bool:
     """Whether folding ``joint``, which must be available, starts off the workbench."""
     if joint not in action_space(tree, state_before):
         raise ValueError(f"joint {joint} is not available in this state")
-    return tree.is_aerial(state_before.folded, joint)
+    return tree.is_aerial(tree.mask(state_before.folded), joint)
 
 
 @dataclass(frozen=True)
@@ -96,7 +108,7 @@ def score_sequence(tree: KinematicTree, sequence: FoldSequence) -> SequenceScore
                 joint=joint,
                 volume=record.volume,
                 max_dim=record.max_extent,
-                aerial=tree.is_aerial(state.folded, joint),
+                aerial=tree.is_aerial(tree.mask(state.folded), joint),
             )
         )
     return SequenceScore(sequence=sequence, per_step=tuple(steps))
@@ -134,87 +146,150 @@ def score_and_rank(tree: KinematicTree, sequences) -> RankedReport:
 def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
     """The ``top`` best sequences of the lattice (all when None), ranked.
 
-    One depth-first search in ascending joint order carries each path's
-    criterion sums, adding one term per step left to right as
-    SequenceScore does, so every sum equals the scored one bit for bit. It
-    keeps the best keys found. Once it holds ``top`` of them, it skips a
-    fold whose lower bound already ranks at or after the ``top``-th key:
-    the sums so far plus each criterion's least completion over the
-    lattice, loosened by BOUND_SLACK and rounded as keys are, which keeps
-    the bound valid because rounding is monotone. With ``top`` None every
-    key is kept, so nothing is ever pruned. Rows are built only for the
-    returned sequences, from one StepMetrics per lattice edge.
+    The lattice's states are bit masks. First, in passes over the states
+    that can still complete, one popcount layer at a time from the full
+    state down: each state's volume and maxdim (``KinematicTree.measures``,
+    all states at once) and, per criterion, ``least``, the smallest sum
+    over the folds that finish it.
+
+    Then one depth-first search carries each path's criterion sums, adding
+    one term per step left to right as SequenceScore does, so every sum
+    equals the scored one bit for bit. It visits a state's folds in
+    ascending order of their lower bound (the fold's weights plus the
+    child's ``least``), so the best paths come first, and keeps the best
+    keys found. Once it holds ``top`` of them, it skips a fold whose lower
+    bound already ranks at or after the ``top``-th key: the sums so far
+    plus the child's ``least``, loosened by BOUND_SLACK and compared as
+    keys are. The kept set is the ``top`` smallest keys under a total
+    order, so the visit order changes the work, never the result. With
+    ``top`` None every key is kept, so nothing is ever pruned. Rows are
+    built only for the returned sequences, from one StepMetrics per
+    lattice edge they use.
     """
     count = lattice.sequence_count
     n = count if top is None else min(top, count)
-    criteria = lattice.tree.spec.ranking
+    tree = lattice.tree
+    criteria = tree.spec.ranking
     rounded = tuple(c != "aerial" for c in criteria)
-    final = lattice.final
+    if not n:
+        return RankedReport(criteria=criteria, rows=(), sequence_count=count)
     stats = lattice.stats
+    edges = lattice.edges
 
-    # Criterion weights of each fold that can still complete: maxdim and
-    # volume measure the state the fold leaves, aerial the fold itself.
-    # Each such fold also gets the one StepMetrics every row through it shares.
-    folds: dict[frozenset, list] = {}
-    steps: dict[frozenset, dict] = {}
-    for folded, edges in lattice.edges.items():
-        live = [e for e in edges if lattice.completions[e.child]]
-        if not live:
-            continue
-        volume, max_dim = lattice.tree.measures(folded)
-        weight = {"maxdim": max_dim, "volume": volume}
-        folds[folded], steps[folded] = [], {}
-        for e in live:
-            weight["aerial"] = int(e.aerial)
-            folds[folded].append((e.joint, e.child, tuple(weight[c] for c in criteria)))
-            step = StepMetrics(e.joint, volume, max_dim, e.aerial)
-            steps[folded][e.joint] = (step, e.child)
+    # The states on some complete path, in the lattice's layer order (the
+    # final state last), and the folds between them, grouped by state:
+    # state i's folds are first[i] up to first[i + 1].
+    live = [mask for mask in edges if lattice.completions[mask]]
+    index = {mask: i for i, mask in enumerate(live)}
+    first, children, aerial = [], [], []
+    for mask in live:
+        first.append(len(children))
+        for _, child, flag in edges[mask]:
+            c = index.get(child)
+            if c is not None:
+                children.append(c)
+                aerial.append(flag)
+    first = np.array(first)
+    children, aerial = np.array(children, dtype=np.intp), np.array(aerial, dtype=float)
+    node = dict(zip(("volume", "maxdim"), tree.measures(live[:-1])))
 
-    # least[F]: per criterion, the smallest sum over the folds finishing F.
-    least = {final: (0,) * len(criteria)}
-    for folded in reversed(folds):
-        least[folded] = tuple(
-            min(w[i] + least[child][i] for _, child, w in folds[folded])
-            for i in range(len(criteria))
-        )
+    # least[c][i]: the smallest sum of criterion c over the folds finishing
+    # state i. A node weight adds to the least child; aerial is per fold.
+    least = np.zeros((len(criteria), len(live)))
+    sizes = [mask.bit_count() for mask in live]
+    layer = np.searchsorted(sizes, range(len(tree.foldable_ids) + 1))
+    for a, b in zip(layer[-2::-1].tolist(), layer[:0:-1].tolist()):
+        lo, hi = first[a], first[b]
+        starts, kids = first[a:b] - lo, children[lo:hi]
+        for row, criterion in zip(least, criteria):
+            if criterion == "aerial":
+                row[a:b] = np.minimum.reduceat(aerial[lo:hi] + row[kids], starts)
+            else:
+                row[a:b] = node[criterion][a:b] + np.minimum.reduceat(row[kids], starts)
+    weights = {name: values.tolist() for name, values in node.items()}
+    least = least.T.tolist()
+    folds: dict[int, list] = {}
 
+    def folds_of(i: int) -> list:
+        """State i's folds that can complete, ascending by lower bound."""
+        found = folds.get(i)
+        if found is None:
+            found = []
+            for joint, child, flag in edges[live[i]]:
+                c = index.get(child)
+                if c is not None:
+                    w = tuple(int(flag) if x == "aerial" else weights[x][i] for x in criteria)
+                    found.append((tuple(map(add, w, least[c])), joint, c, w))
+            found.sort()
+            folds[i] = found
+        return found
+
+    last = len(live) - 1  # the full state
     best: list[tuple] = []
-    cutoff = None
+    cutoff = bands = None
     order: list[int] = []
 
-    def visit(folded: frozenset, sums: tuple) -> None:
-        nonlocal cutoff
-        stats.nodes_expanded += 1
-        if folded == final:
-            best.append(
-                tuple(round6(v) if r else v for r, v in zip(rounded, sums)) + (tuple(order),)
-            )
-            if len(best) >= 2 * n:
-                best.sort()
-                del best[n:]
-                cutoff = best[-1]
+    def ranks_after(reach: tuple, rest: list) -> bool:
+        """Whether a fold's lower bound ranks at or after the cutoff key.
+
+        Rounding moves a value by at most 5e-7 and an ulp, so a bound
+        outside its criterion's band about the cutoff compares the same
+        rounded or not, and only one inside it goes through ``round6``.
+        """
+        for r, v, extra, cut, (below, above) in zip(rounded, reach, rest, cutoff, bands):
+            v += extra
+            if r:
+                v *= 1.0 - BOUND_SLACK
+                if below < v < above:
+                    v = round6(v)
+            if v != cut:
+                return v > cut
+        return tuple(order) >= cutoff[-1]
+
+    def keep(key: tuple) -> None:
+        nonlocal cutoff, bands
+        if len(best) < n:
+            best.append(key)
+            if len(best) < n:
+                return
+            best.sort()
+        elif key < cutoff:
+            insort(best, key)
+            best.pop()
+        else:
             return
-        for joint, child, weights in folds[folded]:
+        cutoff = best[-1]
+        bands = [(c - ROUND_BAND - abs(c) * 1e-15, c + ROUND_BAND + abs(c) * 1e-15)
+                 for c in cutoff[:-1]]
+
+    def visit(i: int, sums: tuple) -> None:
+        stats.nodes_expanded += 1
+        if i == last:
+            keep(tuple(round6(v) if r else v for r, v in zip(rounded, sums)) + (tuple(order),))
+            return
+        for _, joint, c, w in folds_of(i):
             stats.cc_cache_hits += 1
             order.append(joint)
-            reach = tuple(s + w for s, w in zip(sums, weights))
-            if cutoff is not None and tuple(
-                round6((v + rest) * (1.0 - BOUND_SLACK)) if r else v + rest
-                for r, v, rest in zip(rounded, reach, least[child])
-            ) + (tuple(order),) >= cutoff:
+            reach = tuple(map(add, sums, w))
+            if cutoff is not None and ranks_after(reach, least[c]):
                 stats.pruned += 1
             else:
-                visit(child, reach)
+                visit(c, reach)
             order.pop()
 
-    if n:
-        visit(frozenset(), (0,) * len(criteria))
-    best.sort()
+    visit(0, (0,) * len(criteria))
+    steps: dict[tuple[int, int], StepMetrics] = {}
     rows = []
-    for *_, order in best[:n]:
-        folded, per_step = frozenset(), []
-        for joint in order:
-            step, folded = steps[folded][joint]
+    for *_, seq in best:
+        mask, per_step = 0, []
+        for joint in seq:
+            step = steps.get((mask, joint))
+            if step is None:
+                i = index[mask]
+                flag = next(e.aerial for e in edges[mask] if e.joint == joint)
+                volume, max_dim = weights["volume"][i], weights["maxdim"][i]
+                step = steps[mask, joint] = StepMetrics(joint, volume, max_dim, flag)
             per_step.append(step)
-        rows.append(SequenceScore(lattice.sequence(order), tuple(per_step)))
+            mask |= tree.bits[joint]
+        rows.append(SequenceScore(lattice.sequence(seq), tuple(per_step)))
     return RankedReport(criteria=criteria, rows=tuple(rows), sequence_count=count)

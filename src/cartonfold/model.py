@@ -14,30 +14,14 @@ local frame. The panel local frame convention is:
 At angle zero a child panel is coplanar with its parent (child Z equals
 the parent normal projected orthogonal to the crease).
 
-Carton-spec file format (YAML, degrees and millimeters at the boundary):
-
-.. code-block:: yaml
-
-    panels:
-      - {id: 1, parent: 2, dims_mm: [h, w, t],
-         crease_anchor_mm: [x, y, z], crease_dir: [x, y, z],
-         theta_init_deg: 0, theta_final_deg: 90}
-      - {id: 2, parent: null, dims_mm: [h, w, t]}   # exactly one root
-    root_pose: {translation_mm: [x, y, z], rpy_deg: [roll, pitch, yaw]}
-    environment:                  # static obstacles, world frame
-      - {name: table, half_space: true}             # z = 0 table half-space
-      - {name: post, center_mm: [x, y, z], dims_mm: [dx, dy, dz],
-         rpy_deg: [r, p, y]}
-    gripper: {dims_mm: [x, y, z], standoff_mm: 5}   # optional
-    planner: {tolerance_angle_deg: 5, penetration_tolerance_mm: 0.1,
-              support_tolerance_mm: 1.0}
-    ranking: [aerial, maxdim]
-
-Panels may carry an optional ``name`` and an optional explicit ``foldable``
-flag; a panel whose initial and final angles coincide is static. Joint
-angles lie within [-180, 180] degrees and the tolerance angle is at least
+The spec file (YAML, degrees and millimeters at the boundary) is
+documented in README.md, "Carton spec files". A panel may carry an
+explicit boolean ``foldable`` flag, which must agree with its angles: a
+panel whose initial and final angles coincide is static. Joint angles lie
+within [-180, 180] degrees and the tolerance angle is at least
 ``MIN_TOLERANCE_ANGLE_DEG``, which bounds the samples of every sweep. A
-missing or null ``ranking`` takes ``DEFAULT_RANKING``.
+missing or null ``ranking`` takes ``DEFAULT_RANKING``. Obstacle boxes
+have positive dimensions.
 
 ``build_tree`` turns a validated spec into the ``KinematicTree`` that every
 planning function takes as its one input.
@@ -123,10 +107,16 @@ class PanelSpec:
                     f"panel {self.id}: {key} must lie within [-180, 180], "
                     f"got {math.degrees(value)!r}"
                 )
-        if self.foldable_flag is True and self.theta_init == self.theta_final:
-            raise SpecValidationError(
-                f"panel {self.id}: marked foldable but theta_init == theta_final"
-            )
+        if self.foldable_flag is not None:
+            if not isinstance(self.foldable_flag, bool):
+                raise SpecValidationError(
+                    f"panel {self.id}: foldable must be true or false, got {self.foldable_flag!r}"
+                )
+            if self.foldable_flag != (self.theta_init != self.theta_final):
+                raise SpecValidationError(
+                    f"panel {self.id}: marked foldable: {str(self.foldable_flag).lower()} but "
+                    f"theta_init {'==' if self.foldable_flag else '!='} theta_final"
+                )
 
     @property
     def height(self) -> float:
@@ -259,15 +249,18 @@ class KinematicTree:
     ``spec`` supplies every tolerance, the table, the gripper and the
     ranking. ``obstacles`` packs the fixture boxes as (centers, rotations,
     half_extents), or is None without fixtures. ``subtrees[j]`` lists the
-    panels that folding joint j moves. ``ancestry[p]`` is the set of
-    foldable joints whose angles place panel p (its foldable ancestors and
-    p itself), and ``subtree_ancestry[p]`` the union of ``ancestry`` over
-    p's subtree.
+    panels that folding joint j moves.
+
+    A fold state is an int bit mask over ``foldable_ids``: ``bits[j]`` is
+    joint j's bit, ``mask`` and ``joints`` convert between masks and joint
+    ids. ``ancestry[p]`` masks the foldable joints whose angles place panel
+    p (its foldable ancestors and p itself), and ``subtree_ancestry[p]``
+    their union over p's subtree.
 
     A panel's pose depends only on the folded joints in its ancestry, so
-    ``panel_state`` builds it once per (panel, folded & ancestry) and
-    keeps it; ``measures``, ``is_aerial`` and ``state`` assemble a fold
-    state from those records. ``sweeps`` and ``pair_verdicts`` hold the swept
+    ``panel_state`` builds it once per (panel, mask & ancestry) and keeps
+    it; ``measures``, ``is_aerial`` and ``state`` assemble fold states from
+    those records. ``sweeps`` and ``pair_verdicts`` hold the swept
     collision check's own memos (see ``collision``). Every memo is a
     function of the immutable spec and its key, so sharing it never
     changes a verdict or a score, and it lives and dies with the tree.
@@ -281,11 +274,12 @@ class KinematicTree:
     children: dict[int, tuple[int, ...]]
     topo_order: tuple[int, ...]
     foldable_ids: tuple[int, ...]
+    bits: dict[int, int]
     panels_by_id: dict[int, PanelSpec]
     mounts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
     subtrees: dict[int, tuple[int, ...]]
-    ancestry: dict[int, frozenset[int]]
-    subtree_ancestry: dict[int, frozenset[int]]
+    ancestry: dict[int, int]
+    subtree_ancestry: dict[int, int]
     obstacles: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     panel_records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -299,22 +293,36 @@ class KinematicTree:
         """The panel and all its descendants, in topological order."""
         return self.subtrees[panel_id]
 
-    def panel_state(self, panel_id: int, folded) -> "PanelRecord":
-        """One panel's pose with the given joints folded, built once per ancestry subset.
+    def mask(self, joints) -> int:
+        """The fold state with the given foldable joints folded."""
+        mask = 0
+        for joint in joints:
+            bit = self.bits.get(joint)
+            if bit is None:
+                raise ValueError(f"joint {joint} is not a foldable joint")
+            mask |= bit
+        return mask
+
+    def joints(self, mask: int) -> tuple[int, ...]:
+        """The folded joints of a fold state, ascending."""
+        return tuple(j for j in self.foldable_ids if mask & self.bits[j])
+
+    def panel_state(self, panel_id: int, mask: int) -> "PanelRecord":
+        """One panel's pose in fold state ``mask``, built once per ancestry subset.
 
         The frame is composed from the parent's by ``_child_frame``, as in
         ``forward_kinematics``, so the pose is the one FK gives for the
         same fold state, bit for bit.
         """
-        key = (panel_id, self.ancestry[panel_id] & folded)
+        key = (panel_id, self.ancestry[panel_id] & mask)
         record = self.panel_records.get(key)
         if record is None:
             panel = self.panels_by_id[panel_id]
             if panel.parent is None:
                 frame = self.spec.root_pose
             else:
-                angle = panel.theta_final if panel_id in folded else panel.theta_init
-                parent_frame = self.panel_state(panel.parent, folded).pose.pose
+                angle = panel.theta_final if mask & self.bits.get(panel_id, 0) else panel.theta_init
+                parent_frame = self.panel_state(panel.parent, mask).pose.pose
                 frame = _child_frame(self, panel_id, parent_frame, angle)
             pose = panel_pose_from_frame(panel, frame)
             corners = pose.solid.corners()
@@ -324,30 +332,40 @@ class KinematicTree:
             self.panel_records[key] = record
         return record
 
-    def _bounds(self, folded) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """World-aligned bounds (lo, hi) of the fold state: the union of the panels' bounds."""
-        records = [self.panel_state(pid, folded) for pid in self.ids]
-        lo = tuple(map(min, zip(*(r.lo for r in records))))
-        hi = tuple(map(max, zip(*(r.hi for r in records))))
-        return lo, hi
+    def measures(self, masks) -> tuple[np.ndarray, np.ndarray]:
+        """Volume and largest extent of the bounding box of each fold state in ``masks``.
 
-    def measures(self, folded) -> tuple[float, float]:
-        """Volume and largest extent of the fold state's bounding box.
-
-        Min and max are exact and the extents multiply in ``np.prod``'s
-        order, so both equal ``Aabb.volume`` and ``Aabb.max_extent`` of the
-        box around every FK corner, bit for bit.
+        A box is the min/max union of the panels' corner bounds, taken over
+        all states one panel at a time. Min and max are exact and extents
+        multiply in ``np.prod``'s order, so both equal ``Aabb.volume`` and
+        ``Aabb.max_extent`` of the box around every FK corner, bit for bit.
         """
-        lo, hi = self._bounds(folded)
-        dx, dy, dz = (h - l for h, l in zip(hi, lo))
-        return dx * dy * dz, max(dx, dy, dz)
+        # Masks of 63 or more joints overflow int64; numpy then keeps Python ints.
+        masks = np.asarray(masks, dtype=np.int64 if len(self.foldable_ids) < 63 else object)
+        lo = np.full((len(masks), 3), np.inf)
+        hi = np.full((len(masks), 3), -np.inf)
+        for pid in self.ids:
+            placed = masks & self.ancestry[pid]
+            keys = sorted(set(placed.tolist()))
+            inverse = np.searchsorted(keys, placed)
+            records = [self.panel_state(pid, key) for key in keys]
+            np.minimum(lo, np.reshape([r.lo for r in records], (-1, 3))[inverse], out=lo)
+            np.maximum(hi, np.reshape([r.hi for r in records], (-1, 3))[inverse], out=hi)
+        dx, dy, dz = (hi - lo).T
+        return dx * dy * dz, np.maximum(np.maximum(dx, dy), dz)
 
-    def state(self, folded: frozenset) -> "StateRecord":
+    def state(self, folded) -> "StateRecord":
         """The fold state with the given joints folded, assembled from the panel records."""
-        record = self.records.get(folded)
+        folded = frozenset(folded)
+        mask = self.mask(folded)
+        record = self.records.get(mask)
         if record is None:
-            poses = tuple(self.panel_state(pid, folded).pose for pid in self.ids)
-            box = Aabb(*self._bounds(folded))
+            records = [self.panel_state(pid, mask) for pid in self.ids]
+            poses = tuple(r.pose for r in records)
+            box = Aabb(
+                tuple(map(min, zip(*(r.lo for r in records)))),
+                tuple(map(max, zip(*(r.hi for r in records)))),
+            )
             record = StateRecord(
                 folded=folded,
                 theta=JointVector.from_folded(self, folded),
@@ -358,16 +376,16 @@ class KinematicTree:
                 volume=box.volume,
                 max_extent=box.max_extent,
             )
-            self.records[folded] = record
+            self.records[mask] = record
         return record
 
-    def is_aerial(self, folded: frozenset, joint: int) -> bool:
-        """Whether folding ``joint`` out of ``folded`` starts off the workbench.
+    def is_aerial(self, mask: int, joint: int) -> bool:
+        """Whether folding ``joint`` out of fold state ``mask`` starts off the workbench.
 
         It does when the lowest corner of the moving subtree sits more than
         the support tolerance above z = 0 at the fold's start pose.
         """
-        lowest = min(self.panel_state(pid, folded).lo[2] for pid in self.subtree_ids(joint))
+        lowest = min(self.panel_state(pid, mask).lo[2] for pid in self.subtree_ids(joint))
         return lowest > self.spec.support_tolerance
 
 
@@ -412,11 +430,17 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
         subtrees[pid] = tuple(sorted(members, key=topo_rank.__getitem__))
 
     foldable = tuple(pid for pid in ids if by_id[pid].foldable)
-    ancestry: dict[int, frozenset[int]] = {}
+    bits = {joint: 1 << i for i, joint in enumerate(foldable)}
+    ancestry: dict[int, int] = {}
     for pid in topo:
         parent = by_id[pid].parent
-        inherited = frozenset() if parent is None else ancestry[parent]
-        ancestry[pid] = inherited | {pid} if by_id[pid].foldable else inherited
+        inherited = 0 if parent is None else ancestry[parent]
+        ancestry[pid] = inherited | bits.get(pid, 0)
+    subtree_ancestry = {}
+    for pid, members in subtrees.items():
+        subtree_ancestry[pid] = 0
+        for member in members:
+            subtree_ancestry[pid] |= ancestry[member]
     return KinematicTree(
         spec=spec,
         ids=ids,
@@ -424,14 +448,12 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
         children={pid: tuple(kids) for pid, kids in children.items()},
         topo_order=tuple(topo),
         foldable_ids=foldable,
+        bits=bits,
         panels_by_id=by_id,
         mounts=mounts,
         subtrees=subtrees,
         ancestry=ancestry,
-        subtree_ancestry={
-            pid: frozenset().union(*(ancestry[m] for m in members))
-            for pid, members in subtrees.items()
-        },
+        subtree_ancestry=subtree_ancestry,
         obstacles=pack_boxes(spec.environment) if spec.environment else None,
     )
 
@@ -679,6 +701,8 @@ def _environment_from_mapping(entries) -> tuple[tuple[OrientedBox, ...], bool]:
             continue
         center = _vec(entry, "center_mm", where)
         dims = _vec(entry, "dims_mm", where)
+        if not np.all(dims > 0.0):
+            raise SpecValidationError(f"{where}: dims_mm must be positive, got {dims.tolist()}")
         rot = _rpy_matrix(_vec(entry, "rpy_deg", where, default=(0.0, 0.0, 0.0)))
         boxes.append(OrientedBox.from_center(center, dims, rot))
     return tuple(boxes), table

@@ -1,27 +1,30 @@
 """The fold-state lattice: every collision-free folding sequence at once.
 
 Every fold drives its joint all the way to the final angle, so a carton
-state is just the set of folded joints. The reachable subsets form a DAG
-(the assembly-state graph of Homem de Mello & Sanderson): an edge leaves
-subset F for F + {j} when folding joint j out of F passes the swept
-collision check. Every collision-free sequence is a path from the empty
-subset to the full one, and every ranking criterion is a sum of node or
-edge weights along such a path.
+state is just the set of folded joints, held as an int bit mask over the
+sorted foldable joints (``KinematicTree.bits``). The reachable states
+form a DAG (the assembly-state graph of Homem de Mello & Sanderson): an
+edge leaves state F for F | bit(j) when folding joint j out of F passes
+the swept collision check. Every collision-free sequence is a path from
+the empty state to the full one, and every ranking criterion is a sum of
+node or edge weights along such a path.
 
-``build_lattice`` walks the reachable subsets from the empty one and asks
-for one collision verdict per (reachable subset, unfolded joint). Each
-verdict is an AND of memoised predicates (``collision``): a fold's sweep
-depends only on the folded joints that place the moving subtree, and a
-static panel only on its own ancestors, so a carton of k free flaps
-builds k sweeps and k(2k-1) pair tests for its k·2^(k-1) verdicts. The
-aerial flags read the tree's per-panel records (``KinematicTree.is_aerial``),
+``build_lattice`` walks the reachable states from the empty one, a
+popcount layer at a time, and asks for one collision verdict per
+(reachable state, unfolded joint). Each verdict is an AND of memoised
+predicates keyed on masks (``collision``): a fold's sweep depends only on
+the folded joints that place the moving subtree, and a static panel only
+on its own ancestors, so a carton of k free flaps builds k sweeps and
+k(2k-1) pair tests for its k·2^(k-1) verdicts. A fold's aerial flag is
+read from its sweep, since it depends on the subtree's start pose alone,
 so no fold state is ever run through forward kinematics as a whole. The
-lattice keeps the feasible edges in ascending joint order (each with its
-aerial flag) and the number of complete paths below every subset, so the
-sequence count is a dynamic-programming result rather than an
-enumeration. Every input, from the sweep step to the support tolerance,
-is read from the tree's spec. ``enumerate_sequences`` lists all paths
-depth first; ``metrics.rank_lattice`` searches them for the best few.
+lattice keeps the feasible edges of every state in ascending joint order
+(each with its aerial flag) and the number of complete paths below every
+state, counted with Python ints as in Held & Karp's subset recursion, so
+the sequence count is exact and never an enumeration. Every input, from
+the sweep step to the support tolerance, is read from the tree's spec.
+``enumerate_sequences`` lists all paths depth first;
+``metrics.rank_lattice`` searches them for the best few.
 
 Everything here is a pure function of immutable inputs, and output order
 is canonical regardless of evaluation order.
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .collision import collision_check, n_sweep_samples
+from .collision import collision_check, n_sweep_samples, sweep
 from .model import KinematicTree
 
 
@@ -91,13 +94,17 @@ def transition(tree: KinematicTree, state: FoldState, joint: int) -> FoldState:
 class SearchDiagnostics:
     """Counters of one lattice build and the searches over it.
 
-    ``cc_calls`` counts collision checks (one per reachable subset and
+    ``cc_calls`` counts collision checks (one per reachable state and
     unfolded joint), ``sweeps`` and ``pair_tests`` the swept subtrees and
     (sweep, static panel) kernel verdicts those checks built rather than
-    reused, ``cc_cache_hits`` the lattice edges a search reused,
-    ``nodes_expanded`` the search nodes visited, ``pruned`` the edges a
-    search cut by its bound, ``dead_ends`` the reachable subsets with no
-    feasible fold, and ``sequences`` the collision-free sequences.
+    reused, ``dead_ends`` the reachable states with no feasible fold, and
+    ``sequences`` the collision-free sequences. A ranking search adds
+    ``nodes_expanded``, the path prefixes it visited (with ``--top all``,
+    every prefix of every sequence), ``cc_cache_hits``, the lattice edges
+    it followed out of them, and ``pruned``, the edges it cut because their
+    lower bound ranked at or after the current N-th key. The search visits
+    the cheapest bound first, so both counts measure how soon it holds a
+    tight cutoff.
     """
 
     nodes_expanded: int = 0
@@ -114,10 +121,10 @@ class SearchDiagnostics:
 
 
 class FoldEdge(NamedTuple):
-    """A collision-free fold of ``joint`` into the subset ``child``."""
+    """A collision-free fold of ``joint`` into the fold state ``child``."""
 
     joint: int
-    child: frozenset[int]
+    child: int
     aerial: bool
 
 
@@ -125,24 +132,25 @@ class FoldEdge(NamedTuple):
 class FoldLattice:
     """The reachable fold states of one carton and the feasible folds between them.
 
-    ``edges`` maps every reachable subset, in order of size, to its
+    A fold state is a bit mask over ``tree.foldable_ids`` (``tree.bits``).
+    ``edges`` maps every reachable state, in order of size, to its
     feasible folds in ascending joint order. ``completions[F]`` is the
     number of collision-free ways to finish folding from F.
     """
 
     tree: KinematicTree
-    edges: dict[frozenset[int], tuple[FoldEdge, ...]]
-    completions: dict[frozenset[int], int]
+    edges: dict[int, tuple[FoldEdge, ...]]
+    completions: dict[int, int]
     cc_samples: dict[int, int]
     stats: SearchDiagnostics
 
     @property
-    def final(self) -> frozenset[int]:
-        return frozenset(self.tree.foldable_ids)
+    def final(self) -> int:
+        return (1 << len(self.tree.foldable_ids)) - 1
 
     @property
     def sequence_count(self) -> int:
-        return self.completions[frozenset()]
+        return self.completions[0]
 
     def sequence(self, order) -> FoldSequence:
         order = tuple(order)
@@ -154,59 +162,59 @@ class FoldLattice:
         order: list[int] = []
         final = self.final
 
-        def walk(folded: frozenset) -> None:
-            if folded == final:
+        def walk(mask: int) -> None:
+            if mask == final:
                 found.append(self.sequence(order))
                 return
-            for joint, child, _ in self.edges[folded]:
+            for joint, child, _ in self.edges[mask]:
                 if self.completions[child]:
                     order.append(joint)
                     walk(child)
                     order.pop()
 
         if self.sequence_count:
-            walk(frozenset())
+            walk(0)
         return found
 
 
 def build_lattice(tree: KinematicTree) -> FoldLattice:
-    """Collision-check every fold out of every reachable subset, once.
+    """Collision-check every fold out of every reachable state, once.
 
-    Subsets are expanded a layer (one more folded joint) at a time from the
-    empty one, and each feasible fold carries ``tree.is_aerial``.
+    States are expanded a layer (one more folded joint) at a time from the
+    empty one, and each feasible fold carries its sweep's aerial flag.
     """
-    foldable = sorted(tree.foldable_ids)
+    foldable = tree.foldable_ids
     if not foldable:
         raise PlannerError("carton has no foldable joints, nothing to enumerate")
+    bits = [tree.bits[joint] for joint in foldable]
     stats = SearchDiagnostics()
     sweeps, pair_tests = len(tree.sweeps), len(tree.pair_verdicts)
-    final = frozenset(foldable)
-    edges: dict[frozenset[int], tuple[FoldEdge, ...]] = {}
-    layer = [frozenset()]
+    final = (1 << len(foldable)) - 1
+    edges: dict[int, tuple[FoldEdge, ...]] = {}
+    layer = [0]
     while layer:
-        reached: dict[frozenset[int], frozenset[int]] = {}
-        for folded in layer:
+        reached: dict[int, None] = {}
+        for mask in layer:
             out = []
-            for joint in foldable:
-                if joint in folded:
+            for joint, bit in zip(foldable, bits):
+                if mask & bit:
                     continue
                 stats.cc_calls += 1
-                if collision_check(tree, folded, joint):
-                    child = folded | {joint}
-                    child = reached.setdefault(child, child)
-                    out.append(FoldEdge(joint, child, tree.is_aerial(folded, joint)))
-            if not out and folded != final:
+                if collision_check(tree, mask, joint):
+                    reached[mask | bit] = None
+                    out.append(FoldEdge(joint, mask | bit, sweep(tree, mask, joint).aerial))
+            if not out and mask != final:
                 stats.dead_ends += 1
-            edges[folded] = tuple(out)
+            edges[mask] = tuple(out)
         layer = list(reached)
 
-    completions: dict[frozenset[int], int] = {}
-    for folded in reversed(edges):
-        if folded == final:
-            completions[folded] = 1
+    completions: dict[int, int] = {}
+    for mask in reversed(edges):
+        if mask == final:
+            completions[mask] = 1
         else:
-            completions[folded] = sum(completions[e.child] for e in edges[folded])
-    stats.sequences = completions[frozenset()]
+            completions[mask] = sum(completions[e.child] for e in edges[mask])
+    stats.sequences = completions[0]
     stats.sweeps = len(tree.sweeps) - sweeps
     stats.pair_tests = len(tree.pair_verdicts) - pair_tests
     return FoldLattice(
@@ -243,10 +251,9 @@ def feasible_subsets(tree: KinematicTree, subset_cap: int = 20) -> dict[frozense
         )
     table: dict[frozenset[int], dict[int, bool]] = {}
     for mask in range(1 << len(foldable)):
-        subset = frozenset(j for bit, j in enumerate(foldable) if mask >> bit & 1)
-        table[subset] = {
-            j: collision_check(tree, subset, j)
+        table[frozenset(tree.joints(mask))] = {
+            j: collision_check(tree, mask, j)
             for j in foldable
-            if j not in subset
+            if not mask & tree.bits[j]
         }
     return table

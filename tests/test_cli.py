@@ -30,6 +30,11 @@ from cartonfold.model import (
 from cartonfold.planner import build_lattice
 
 
+# The table entry of specs/three_flaps.yaml, which malformed obstacles replace.
+TABLE = "- {name: table, half_space: true}"
+BOX = "- {{name: a, center_mm: [0, 0, 0], dims_mm: [{}]}}"
+
+
 def run_to_string(config: RunConfig) -> tuple[int, str]:
     out = io.StringIO()
     code = run(config, out=out)
@@ -73,6 +78,12 @@ class TestRun:
             ("ranking: [aerial, maxdim]", "ranking: []", "ranking"),
             ("ranking: [aerial, maxdim]", "ranking: [aerial, aerial]", "ranking"),
             ("ranking: [aerial, maxdim]", "ranking: [speed]", "ranking"),
+            (TABLE, BOX.format("0, 1, 1"), "environment[0]: dims_mm"),
+            (TABLE, BOX.format("-1, 1, 1"), "environment[0]: dims_mm"),
+            (TABLE, BOX.format("-1, 0, 2"), "environment[0]: dims_mm"),
+            ("theta_final_deg: 90}", "theta_final_deg: 90, foldable: false}", "foldable"),
+            ("theta_final_deg: 90}", "theta_final_deg: 90, foldable: 'no'}", "foldable"),
+            ("theta_final_deg: 90}", "theta_final_deg: 90, foldable: 1}", "foldable"),
         ],
     )
     def test_malformed_number_exits_3_naming_the_field(
@@ -196,6 +207,39 @@ class TestRun:
         assert naf_strict == 1 and naf_lax == 0
 
 
+# specs/obstructed_flap.yaml with its beam replaced by a 0.5 mm blade that
+# the flap's free edge passes between two 5 degree samples.
+BLADE_DOC = """
+panels:
+  - {id: 1, name: base, parent: null, dims_mm: [100, 200, 2]}
+  - {id: 2, name: flap, parent: 1, dims_mm: [60, 190, 2],
+     crease_anchor_mm: [195, 0, 0], crease_dir: [-1, 0, 0],
+     theta_init_deg: 0, theta_final_deg: 90}
+root_pose: {translation_mm: [0, 0, 1]}
+environment:
+  - {name: table, half_space: true}
+  - {name: blade, center_mm: [100, -50, 3.18], dims_mm: [10, 4, 0.5]}
+planner: {tolerance_angle_deg: 5, penetration_tolerance_mm: 1.05, support_tolerance_mm: 1.0}
+ranking: [aerial, maxdim]
+"""
+
+
+class TestThinBlade:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="certified sweeps, ROADMAP.md item 3: the swept check tests sampled angles only, "
+        "so at 5 degrees the flap passes through the blade between two samples",
+    )
+    def test_blade_blocks_the_fold_at_every_sweep_step(self, tmp_path):
+        path = tmp_path / "blade.yaml"
+        path.write_text(BLADE_DOC)
+        codes = {
+            step: run_to_string(RunConfig(spec_path=str(path), tolerance_angle_deg=step))[0]
+            for step in (1.0, 5.0)
+        }
+        assert codes == {1.0: EXIT_NO_SEQUENCES, 5.0: EXIT_NO_SEQUENCES}
+
+
 class TestStateMemo:
     def test_plan_builds_each_panel_pose_once_without_forward_kinematics(
         self, spec_dir, monkeypatch
@@ -207,9 +251,9 @@ class TestStateMemo:
         lattice = build_lattice(build_tree(load_spec(path)))
         tree = lattice.tree
         expected = {
-            (pid, folded & tree.ancestry[pid])
-            for folded in lattice.edges
-            if folded != lattice.final
+            (pid, mask & tree.ancestry[pid])
+            for mask in lattice.edges
+            if mask != lattice.final
             for pid in tree.ids
         }
         fk_calls, built, trees = [], [], []

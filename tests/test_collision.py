@@ -287,7 +287,7 @@ class TestDecomposition:
         trees, verdicts = 0, set()
         while trees < 6:
             tree = random_tree(rng, 7)
-            if max(len(joints) for joints in tree.ancestry.values()) < 3:
+            if max(joints.bit_count() for joints in tree.ancestry.values()) < 3:
                 continue  # every panel of a random tree folds: this is its depth
             if trees % 2:
                 post = OrientedBox.from_center(rng.uniform((0, 0, 5), (80, 80, 40)), (8, 8, 8))
@@ -317,7 +317,7 @@ class TestDecomposition:
         assert (len(tree.sweeps), len(tree.pair_verdicts), len(tree.panel_records)) == sizes
         # One sweep per joint and folded subset of the joints that place it.
         assert len(tree.sweeps) == len(
-            {(joint, folded & tree.subtree_ancestry[joint]) for folded, joint in folds}
+            {(joint, tree.mask(folded) & tree.subtree_ancestry[joint]) for folded, joint in folds}
         )
 
 

@@ -353,6 +353,23 @@ class TestRankLattice:
             assert head.sequence_count == len(brute)
             assert row_values(head) == row_values(full)[:n]
 
+    def test_top_20_search_nodes_on_eight_equal_flaps(self):
+        # Eight equal flaps tie on every criterion in many orders. Children
+        # are visited cheapest bound first, and a bound that ties the cutoff
+        # falls through to the order, so the search stays near the 20 paths
+        # it returns.
+        lattice = build_lattice(build_tree(free_flap_spec(8)))
+        report = rank_lattice(lattice, 20)
+        assert len(report) == 20 and report.sequence_count == math.factorial(8)
+        assert (lattice.stats.nodes_expanded, lattice.stats.pruned) == (59, 24)
+
+    def test_top_all_visits_every_node(self, case_study):
+        _, tree = case_study
+        lattice = build_lattice(tree)
+        report = rank_lattice(lattice)
+        assert len(report) == report.sequence_count == 1680
+        assert (lattice.stats.nodes_expanded, lattice.stats.pruned) == (4610, 0)
+
     def test_bounded_search_prunes(self):
         _, lattice, _ = planned("distinct:6", ("aerial", "maxdim", "volume"))
         before = replace(lattice.stats)

@@ -32,7 +32,7 @@ from cartonfold.model import (
     spec_from_mapping,
 )
 
-from .conftest import SHIPPED_SPECS
+from .conftest import SHIPPED_SPECS, free_flap_spec
 
 TWO_PANEL_DOC = """
 panels:
@@ -101,6 +101,19 @@ panels:
 """
         with pytest.raises(SpecValidationError, match="foldable"):
             parse_spec(doc)
+
+    @pytest.mark.parametrize(
+        "flag, valid",
+        [("true", True), ("null", True), ("false", False), ("'no'", False), ("1", False)],
+    )
+    def test_foldable_flag_on_a_flap_must_be_true_or_absent(self, flag, valid):
+        # A flap whose angles differ folds; the flag may only confirm it.
+        doc = TWO_PANEL_DOC.replace("deg: 90", f"deg: 90, foldable: {flag}")
+        if valid:
+            assert parse_spec(doc).panels[1].foldable
+        else:
+            with pytest.raises(SpecValidationError, match="foldable"):
+                parse_spec(doc)
 
     def test_non_unit_crease_dir_rejected(self):
         doc = """
@@ -292,9 +305,8 @@ class TestStateMemo:
         assert tree.state(frozenset()).poses[0] is first.poses[0]  # the root never moves
         assert fk_calls == []
         assert sorted(built) == [1, 2, 2]
-        assert sorted(tree.panel_records) == [
-            (1, frozenset()), (2, frozenset()), (2, frozenset({2}))
-        ]
+        bit = tree.bits[2]
+        assert sorted(tree.panel_records) == [(1, 0), (2, 0), (2, bit)]
         assert first.theta == JointVector.from_folded(tree, {2})
         assert first.poses == tuple(forward_kinematics(tree, first.theta))
 
@@ -329,30 +341,45 @@ class TestStateMemo:
         trees = [build_tree(load_spec(spec_dir / name)) for name in SHIPPED_SPECS]
         while len(trees) < len(SHIPPED_SPECS) + 4:
             tree = random_tree(rng, 6)
-            if max(len(joints) for joints in tree.ancestry.values()) >= 3:
+            if max(joints.bit_count() for joints in tree.ancestry.values()) >= 3:
                 trees.append(tree)
         for tree in trees:
             joints = tree.foldable_ids
-            for r in range(len(joints) + 1):
-                for folded in map(frozenset, itertools.combinations(joints, r)):
-                    _, box, min_z = fk_measures(tree, folded)
-                    volume, max_extent = tree.measures(folded)
-                    assert bits(volume) == bits(box.volume)
-                    assert bits(max_extent) == bits(box.max_extent)
-                    for pid in tree.ids:
-                        assert bits(tree.panel_state(pid, folded).lo[2]) == bits(min_z[pid])
-                    for joint in set(joints) - folded:
-                        lowest = min(min_z[pid] for pid in tree.subtree_ids(joint))
-                        expected = lowest > tree.spec.support_tolerance
-                        assert tree.is_aerial(folded, joint) is expected
+            subsets = [
+                frozenset(folded)
+                for r in range(len(joints) + 1)
+                for folded in itertools.combinations(joints, r)
+            ]
+            masks = [tree.mask(folded) for folded in subsets]
+            volumes, max_extents = tree.measures(masks)
+            for folded, mask, volume, max_extent in zip(subsets, masks, volumes, max_extents):
+                _, box, min_z = fk_measures(tree, folded)
+                assert bits(volume) == bits(box.volume)
+                assert bits(max_extent) == bits(box.max_extent)
+                for pid in tree.ids:
+                    assert bits(tree.panel_state(pid, mask).lo[2]) == bits(min_z[pid])
+                for joint in set(joints) - folded:
+                    lowest = min(min_z[pid] for pid in tree.subtree_ids(joint))
+                    expected = lowest > tree.spec.support_tolerance
+                    assert tree.is_aerial(mask, joint) is expected
+
+    def test_measures_of_masks_wider_than_int64(self):
+        # 64 joints: the full state's mask does not fit an int64.
+        tree = build_tree(free_flap_spec(64))
+        states = [frozenset(), frozenset(tree.foldable_ids[::3]), frozenset(tree.foldable_ids)]
+        volumes, max_extents = tree.measures([tree.mask(folded) for folded in states])
+        for folded, volume, max_extent in zip(states, volumes, max_extents):
+            assert bits(volume) == bits(tree.state(folded).volume)
+            assert bits(max_extent) == bits(tree.state(folded).max_extent)
 
     def test_volume_multiplies_in_numpy_order(self):
-        # measures() forms the volume as (dx * dy) * dz in Python floats;
-        # Aabb.volume takes np.prod of the same extents.
+        # measures() forms the volumes as (dx * dy) * dz over arrays of
+        # extents; Aabb.volume takes np.prod of one box's extents.
         rng = np.random.default_rng(9)
-        for lo, hi in zip(rng.uniform(-500, 0, (2000, 3)), rng.uniform(0, 500, (2000, 3))):
-            dx, dy, dz = (float(h) - float(l) for h, l in zip(hi, lo))
-            assert bits(dx * dy * dz) == bits(Aabb(lo, hi).volume)
+        los, his = rng.uniform(-500, 0, (2000, 3)), rng.uniform(0, 500, (2000, 3))
+        dx, dy, dz = (his - los).T
+        for volume, lo, hi in zip(dx * dy * dz, los, his):
+            assert bits(volume) == bits(Aabb(lo, hi).volume)
 
 
 class TestPoseEquality:

@@ -21,6 +21,34 @@ from cartonfold.planner import (
 
 from .conftest import SHIPPED_SPECS, free_flap_spec
 from .oracles import brute_force_sequences
+from .test_model import fk_measures
+
+
+def frozenset_lattice(tree):
+    """A reference lattice on frozensets: breadth first from the empty
+    subset, one collision_check per (reachable subset, unfolded joint),
+    aerial flags from forward kinematics of the whole state, completions by
+    the same path-count recursion."""
+    foldable = sorted(tree.foldable_ids)
+    edges, layer = {}, [frozenset()]
+    while layer:
+        reached = {}
+        for folded in layer:
+            _, _, min_z = fk_measures(tree, folded)
+            out = []
+            for joint in foldable:
+                if joint not in folded and collision_check(tree, folded, joint):
+                    lowest = min(min_z[pid] for pid in tree.subtree_ids(joint))
+                    out.append((joint, folded | {joint}, lowest > tree.spec.support_tolerance))
+                    reached[folded | {joint}] = None
+            edges[folded] = tuple(out)
+        layer = list(reached)
+    completions = {}
+    for folded in reversed(edges):
+        completions[folded] = 1 if len(folded) == len(foldable) else sum(
+            completions[child] for _, child, _ in edges[folded]
+        )
+    return edges, completions
 
 
 class TestActionSpace:
@@ -161,17 +189,17 @@ class TestEnumerateSequences:
         seen = []
         real_check = planner_module.collision_check
 
-        def counted(tree_, folded, joint):
-            seen.append((frozenset(folded), joint))
-            return real_check(tree_, folded, joint)
+        def counted(tree_, mask, joint):
+            seen.append((mask, joint))
+            return real_check(tree_, mask, joint)
 
         monkeypatch.setattr(planner_module, "collision_check", counted)
         lattice = build_lattice(tree)
         k = len(tree.foldable_ids)
         assert len(seen) == len(set(seen)) == lattice.stats.cc_calls
         assert set(seen) == {
-            (folded, j) for folded in lattice.edges for j in tree.foldable_ids
-            if j not in folded
+            (mask, j) for mask in lattice.edges for j in tree.foldable_ids
+            if not mask & tree.bits[j]
         }
         assert lattice.stats.cc_calls <= (2 ** k) * k
         assert lattice.sequence_count == len(lattice.sequences()) == 1680
@@ -248,6 +276,46 @@ class TestVerdictsArePathIndependent:
                 }
             )
         assert verdicts[0] == verdicts[1] == verdicts[2]
+
+
+class TestMaskLattice:
+    """The lattice keys fold states on int masks; read back as frozensets it
+    must be the reference lattice, edge for edge and in the same order."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [*SHIPPED_SPECS, *(f"free:{k}" for k in range(3, 9))],
+    )
+    def test_equals_the_frozenset_lattice(self, spec_dir, spec):
+        if spec.startswith("free:"):
+            spec = free_flap_spec(int(spec[5:]))
+        else:
+            spec = load_spec(spec_dir / spec)
+        lattice = build_lattice(build_tree(spec))
+        tree = lattice.tree
+
+        def subset(mask):
+            return frozenset(tree.joints(mask))
+
+        edges = {
+            subset(mask): tuple((e.joint, subset(e.child), e.aerial) for e in out)
+            for mask, out in lattice.edges.items()
+        }
+        completions = {subset(mask): ways for mask, ways in lattice.completions.items()}
+        reference_edges, reference_completions = frozenset_lattice(build_tree(spec))
+        assert subset(lattice.final) == frozenset(tree.foldable_ids)
+        assert list(edges.items()) == list(reference_edges.items())
+        assert completions == reference_completions
+
+    def test_masks_and_joints_convert_both_ways(self, case_study):
+        _, tree = case_study
+        for r in range(len(tree.foldable_ids) + 1):
+            for folded in itertools.combinations(tree.foldable_ids, r):
+                mask = tree.mask(folded)
+                assert mask == sum(tree.bits[j] for j in folded)
+                assert tree.joints(mask) == folded
+        with pytest.raises(ValueError, match="not a foldable joint"):
+            tree.mask([tree.root_id])
 
 
 class TestFreeFlapFactorial:
