@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .collision import collision_check, grasp_side, n_sweep_samples
-from .metrics import RankedReport, SequenceScore, rank_lattice, round6
+from .metrics import RankedReport, rank_lattice, round6
 from .model import KinematicTree, SpecValidationError, build_tree, load_spec
 from .planner import PlannerError, build_lattice
 
@@ -63,55 +63,90 @@ def _load_tree(config: RunConfig) -> KinematicTree:
 
 
 def format_table(report: RankedReport, top: int | None) -> str:
-    rows = report.rows if top is None else report.rows[:top]
+    orders = report.orders[:top].tolist()
     lines = [
         f"policy: {' > '.join(report.criteria)}   "
-        f"(showing {len(rows)} of {report.sequence_count} sequences)",
+        f"(showing {len(orders)} of {report.sequence_count} sequences)",
         f"{'rank':>4}  {'sequence':<28} {'volume_mm3':>16} {'maxdim_mm':>12} {'naf':>4}",
     ]
-    for rank, row in enumerate(rows, start=1):
-        seq = "[" + ", ".join(str(j) for j in row.sequence.order) + "]"
-        lines.append(
-            f"{rank:>4}  {seq:<28} {row.c_vol:>16.1f} {row.c_dim:>12.1f} {row.c_aerial:>4}"
-        )
+    totals = zip(report.c_vol.tolist(), report.c_dim.tolist(), report.c_aerial.tolist())
+    for rank, (order, (c_vol, c_dim, naf)) in enumerate(zip(orders, totals), start=1):
+        seq = "[" + ", ".join(map(str, order)) + "]"
+        lines.append(f"{rank:>4}  {seq:<28} {c_vol:>16.1f} {c_dim:>12.1f} {naf:>4}")
     return "\n".join(lines) + "\n"
 
 
 def format_csv(report: RankedReport, top: int | None) -> str:
-    rows = report.rows if top is None else report.rows[:top]
+    orders = report.orders[:top].tolist()
+    c_vol, c_dim = report.c_vol.tolist(), report.c_dim.tolist()
+    # Rows share few distinct totals; each is written out once.
+    text = {v: f"{v:.6f}" for v in {*c_vol, *c_dim}}
+    line = "-".join(["%d"] * report.orders.shape[1]) + ",%s,%s,%d"
     lines = ["sequence,volume_mm3,maxdim_mm,naf"]
-    for row in rows:
-        seq = "-".join(str(j) for j in row.sequence.order)
-        lines.append(f"{seq},{row.c_vol:.6f},{row.c_dim:.6f},{row.c_aerial}")
+    lines += [
+        line % (*order, text[vol], text[dim], naf)
+        for order, vol, dim, naf in zip(orders, c_vol, c_dim, report.c_aerial.tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 
-def _row_payload(row: SequenceScore) -> dict:
-    return {
-        "sequence": list(row.sequence.order),
-        "volume_mm3": round6(row.c_vol),
-        "maxdim_mm": round6(row.c_dim),
-        "naf": row.c_aerial,
-        "per_step": [
-            {
-                "joint": step.joint,
-                "volume_mm3": round6(step.volume),
-                "maxdim_mm": round6(step.max_dim),
-                "aerial": step.aerial,
-            }
-            for step in row.per_step
-        ],
-    }
+# The structured report is the text of json.dumps(payload, indent=2), with
+# payload {"policy": [...], "sequence_count": n, "rows": [row, ...]}, row
+# {"sequence": [...], "volume_mm3", "maxdim_mm", "naf", "per_step": [step,
+# ...]} and float values rounded by round6. It is written from templates,
+# each distinct total and each step once, since json.dumps with an indent
+# runs the pure-Python encoder.
+_ROW = """    {{
+      "sequence": [
+{}
+      ],
+      "volume_mm3": {},
+      "maxdim_mm": {},
+      "naf": {},
+      "per_step": [
+{}
+      ]
+    }}"""
+_STEP = """        {{
+          "joint": {},
+          "volume_mm3": {!r},
+          "maxdim_mm": {!r},
+          "aerial": {}
+        }}"""
 
 
 def format_structured(report: RankedReport, top: int | None) -> str:
-    rows = report.rows if top is None else report.rows[:top]
-    payload = {
-        "policy": list(report.criteria),
-        "sequence_count": report.sequence_count,
-        "rows": [_row_payload(row) for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    orders = report.orders[:top].tolist()
+    c_vol, c_dim = report.c_vol.tolist(), report.c_dim.tolist()
+    number = {v: repr(round6(v)) for v in {*c_vol, *c_dim}}
+    steps: dict[int, str] = {}
+
+    def step(e: int) -> str:
+        text = steps.get(e)
+        if text is None:
+            s = report.edges.step(e)
+            aerial = "true" if s.aerial else "false"
+            text = steps[e] = _STEP.format(s.joint, round6(s.volume), round6(s.max_dim), aerial)
+        return text
+
+    rows = [
+        _ROW.format(
+            ",\n".join(f"        {j}" for j in order),
+            number[vol],
+            number[dim],
+            naf,
+            ",\n".join(map(step, ids)),
+        )
+        for order, ids, vol, dim, naf in zip(
+            orders, report.steps.tolist(), c_vol, c_dim, report.c_aerial.tolist()
+        )
+    ]
+    policy = ",\n".join(f"    {json.dumps(c)}" for c in report.criteria)
+    listed = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return (
+        f'{{\n  "policy": [\n{policy}\n  ],\n  "sequence_count": {report.sequence_count},\n'
+        f'  "rows": {listed}\n}}\n'
+    )
 
 
 def _state_record(tree: KinematicTree, folded: frozenset, joint: int | None, aerial):

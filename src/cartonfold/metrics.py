@@ -18,19 +18,30 @@ print equal fall through to the next criterion, and finally to the order
 itself, instead of being ranked by rounding noise.
 
 ``score_and_rank`` scores and sorts a given list of sequences.
-``rank_lattice`` ranks every path of a fold-state lattice without listing
-them: volume and maxdim weigh the lattice's nodes and aerial its edges.
-Node weights and each state's least completion are computed in numpy
-passes over the state masks, a popcount layer at a time; then one
-depth-first branch-and-bound search, cheapest bound first, finds the best
-N, and rows are built for those N only.
+``rank_lattice`` ranks the paths of a fold-state lattice: volume and
+maxdim weigh the lattice's nodes and aerial its edges, and node weights
+come from one numpy pass over the state masks. It works in one of two
+regimes, split on whether the report asks for every path:
+
+* every path (``--top all``, or a top N at least the sequence count):
+  nothing can be pruned, so the paths are listed a popcount layer at a
+  time as arrays of edge ids and ordered by one ``np.lexsort``;
+* the best N of a larger count: each state's least completion is
+  computed in numpy passes, a layer at a time, and one depth-first
+  branch-and-bound search, cheapest bound first, finds the best N without
+  listing the rest.
+
+Both give a ``RankedReport`` that holds its rows as arrays; a row's
+``SequenceScore`` is built only when ``rows`` is read.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,20 +125,102 @@ def score_sequence(tree: KinematicTree, sequence: FoldSequence) -> SequenceScore
     return SequenceScore(sequence=sequence, per_step=tuple(steps))
 
 
-@dataclass(frozen=True)
+class EdgeMetrics(NamedTuple):
+    """Step columns indexed by edge id.
+
+    Edge e folds ``joint[e]`` out of a state whose bounding box has volume
+    ``volume[e]`` and largest extent ``max_dim[e]``; ``aerial[e]`` flags a
+    fold that starts off the workbench.
+    """
+
+    joint: np.ndarray
+    volume: np.ndarray
+    max_dim: np.ndarray
+    aerial: np.ndarray
+
+    def step(self, e: int) -> StepMetrics:
+        return StepMetrics(
+            int(self.joint[e]), float(self.volume[e]), float(self.max_dim[e]), bool(self.aerial[e])
+        )
+
+    def totals(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The volume, maxdim and aerial sums of each row of edge ids.
+
+        Terms are added left to right, as SequenceScore adds them, so every
+        sum equals the scored one bit for bit.
+        """
+        columns = (self.volume, self.max_dim, self.aerial.astype(np.intp))
+        sums = [column[steps[:, 0]] for column in columns]
+        for t in range(1, steps.shape[1]):
+            for total, column in zip(sums, columns):
+                total += column[steps[:, t]]
+        return tuple(sums)
+
+
+@dataclass(frozen=True, eq=False)
 class RankedReport:
     """The best sequences, sorted ascending-lexicographically by ``criteria``.
 
-    ``rows`` may be a prefix of the ranking; ``sequence_count`` counts every
-    sequence that was ranked.
+    One row per sequence, best first, held as arrays: row i folds the
+    joints ``orders[i]`` along the edges ``steps[i]`` of ``edges``, and
+    ``c_vol[i]``, ``c_dim[i]`` and ``c_aerial[i]`` are its totals. The rows
+    may be a prefix of the ranking; ``sequence_count`` counts every
+    sequence that was ranked. ``rows`` builds every row's SequenceScore,
+    with one StepMetrics per edge and the sample counts of ``cc_samples``,
+    when it is first read.
     """
 
     criteria: tuple[str, ...]
-    rows: tuple[SequenceScore, ...]
     sequence_count: int
+    orders: np.ndarray
+    steps: np.ndarray
+    edges: EdgeMetrics
+    c_vol: np.ndarray
+    c_dim: np.ndarray
+    c_aerial: np.ndarray
+    cc_samples: dict[int, int]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.orders)
+
+    @cached_property
+    def rows(self) -> tuple[SequenceScore, ...]:
+        built: dict[int, StepMetrics] = {}
+
+        def step(e: int) -> StepMetrics:
+            found = built.get(e)
+            if found is None:
+                found = built[e] = self.edges.step(e)
+            return found
+
+        return tuple(
+            SequenceScore(
+                FoldSequence(tuple(order), tuple(self.cc_samples[j] for j in order)),
+                tuple(map(step, ids)),
+            )
+            for order, ids in zip(self.orders.tolist(), self.steps.tolist())
+        )
+
+    @classmethod
+    def of_scores(cls, criteria: tuple[str, ...], scores: list[SequenceScore]) -> "RankedReport":
+        """A report whose rows are ``scores``, in the order given."""
+        shape = (len(scores), len(scores[0].per_step) if scores else 0)
+        per_step = [step for score in scores for step in score.per_step]
+        report = cls(
+            criteria=criteria,
+            sequence_count=len(scores),
+            orders=np.array([s.sequence.order for s in scores], dtype=np.intp).reshape(shape),
+            steps=np.arange(len(per_step)).reshape(shape),
+            edges=EdgeMetrics(
+                *(np.array([getattr(step, name) for step in per_step]) for name in EdgeMetrics._fields)
+            ),
+            c_vol=np.array([s.c_vol for s in scores], dtype=float),
+            c_dim=np.array([s.c_dim for s in scores], dtype=float),
+            c_aerial=np.array([s.c_aerial for s in scores], dtype=np.intp),
+            cc_samples={},
+        )
+        report.__dict__["rows"] = tuple(scores)  # fills the cache of ``rows``
+        return report
 
 
 def score_and_rank(tree: KinematicTree, sequences) -> RankedReport:
@@ -140,94 +233,135 @@ def score_and_rank(tree: KinematicTree, sequences) -> RankedReport:
     criteria = tree.spec.ranking
     scores = [score_sequence(tree, seq) for seq in sequences]
     scores.sort(key=lambda s: s.key(criteria))
-    return RankedReport(criteria=criteria, rows=tuple(scores), sequence_count=len(scores))
+    return RankedReport.of_scores(criteria, scores)
+
+
+def _rounded(values: np.ndarray) -> np.ndarray:
+    """``round6`` of every value, computed once per distinct value."""
+    values = values.tolist()
+    table = {v: round6(v) for v in set(values)}
+    return np.array([table[v] for v in values], dtype=float)
 
 
 def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
     """The ``top`` best sequences of the lattice (all when None), ranked.
 
-    The lattice's states are bit masks. First, in passes over the states
-    that can still complete, one popcount layer at a time from the full
-    state down: each state's volume and maxdim (``KinematicTree.measures``,
-    all states at once) and, per criterion, ``least``, the smallest sum
-    over the folds that finish it.
+    The lattice's states are bit masks, and the ranking reads the states
+    and folds that lie on some complete path (``FoldLattice.live``). Each
+    state's volume and maxdim come from ``KinematicTree.measures``, all
+    states at once, and weigh the folds out of it; each fold's aerial flag
+    weighs the fold itself.
 
-    Then one depth-first search carries each path's criterion sums, adding
-    one term per step left to right as SequenceScore does, so every sum
-    equals the scored one bit for bit. It visits a state's folds in
-    ascending order of their lower bound (the fold's weights plus the
-    child's ``least``), so the best paths come first, and keeps the best
-    keys found. Once it holds ``top`` of them, it skips a fold whose lower
-    bound already ranks at or after the ``top``-th key: the sums so far
-    plus the child's ``least``, loosened by BOUND_SLACK and compared as
-    keys are. The kept set is the ``top`` smallest keys under a total
-    order, so the visit order changes the work, never the result. With
-    ``top`` None every key is kept, so nothing is ever pruned. Rows are
-    built only for the returned sequences, from one StepMetrics per
-    lattice edge they use.
+    When every path is asked for, nothing can be pruned, so nothing is
+    searched: ``LiveLattice.paths`` lists every path as a row of edge ids,
+    a layer at a time, each row's sums add its steps left to right, and one
+    ``np.lexsort`` orders the rows by the criteria, the float ones rounded
+    by ``round6`` once per distinct sum, and then by the order itself.
+
+    Otherwise, in passes over the live states, one popcount layer at a time
+    from the full state down, ``least`` gets, per criterion, each state's
+    smallest sum over the folds that finish it. Then one depth-first search
+    carries each path's criterion sums, adding one term per step left to
+    right, so every sum equals the scored one bit for bit. It visits a
+    state's folds in ascending order of their lower bound (the fold's
+    weights plus the child's ``least``), so the best paths come first, and
+    keeps the best keys found. Once it holds ``top`` of them, it skips a
+    fold whose lower bound already ranks at or after the ``top``-th key:
+    the sums so far plus the child's ``least``, loosened by BOUND_SLACK and
+    compared as keys are. The kept set is the ``top`` smallest keys under
+    a total order, so the visit order changes the work, never the result.
+
+    Either way the report holds its rows as arrays, and builds a row's
+    SequenceScore only when ``rows`` is read.
     """
     count = lattice.sequence_count
     n = count if top is None else min(top, count)
     tree = lattice.tree
+    live = lattice.live
+    volume, max_dim = tree.measures(live.masks[:-1])
+    edges = EdgeMetrics(live.joint, volume[live.source], max_dim[live.source], live.aerial)
+    if not n:
+        steps = np.zeros((0, len(tree.foldable_ids)), dtype=np.intp)
+    elif n < count:
+        steps = _search(lattice, n, edges)
+    else:
+        steps = _sort_every_path(lattice, edges)
+    c_vol, c_dim, c_aerial = edges.totals(steps)
+    return RankedReport(
+        criteria=tree.spec.ranking,
+        sequence_count=count,
+        orders=live.joint[steps],
+        steps=steps,
+        edges=edges,
+        c_vol=c_vol,
+        c_dim=c_dim,
+        c_aerial=c_aerial,
+        cc_samples=lattice.cc_samples,
+    )
+
+
+def _sort_every_path(lattice: FoldLattice, edges: EdgeMetrics) -> np.ndarray:
+    """The edge ids of every path, best first, by one lexsort."""
+    steps, prefixes = lattice.live.paths()
+    lattice.stats.nodes_expanded += prefixes
+    lattice.stats.cc_cache_hits += prefixes - 1
+    c_vol, c_dim, c_aerial = edges.totals(steps)
+    totals = {"aerial": c_aerial, "maxdim": c_dim, "volume": c_vol}
+    orders = edges.joint[steps]
+    # np.lexsort sorts by its last key first.
+    keys = [orders[:, t] for t in reversed(range(orders.shape[1]))]
+    criteria = lattice.tree.spec.ranking
+    keys += [c_aerial if c == "aerial" else _rounded(totals[c]) for c in reversed(criteria)]
+    return steps[np.lexsort(keys)]
+
+
+def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
+    """The edge ids of the ``n`` best paths, best first, by bounded search.
+
+    ``rank_lattice`` describes the bounds and the search.
+    """
+    tree = lattice.tree
     criteria = tree.spec.ranking
     rounded = tuple(c != "aerial" for c in criteria)
-    if not n:
-        return RankedReport(criteria=criteria, rows=(), sequence_count=count)
     stats = lattice.stats
-    edges = lattice.edges
-
-    # The states on some complete path, in the lattice's layer order (the
-    # final state last), and the folds between them, grouped by state:
-    # state i's folds are first[i] up to first[i + 1].
-    live = [mask for mask in edges if lattice.completions[mask]]
-    index = {mask: i for i, mask in enumerate(live)}
-    first, children, aerial = [], [], []
-    for mask in live:
-        first.append(len(children))
-        for _, child, flag in edges[mask]:
-            c = index.get(child)
-            if c is not None:
-                children.append(c)
-                aerial.append(flag)
-    first = np.array(first)
-    children, aerial = np.array(children, dtype=np.intp), np.array(aerial, dtype=float)
-    node = dict(zip(("volume", "maxdim"), tree.measures(live[:-1])))
+    live = lattice.live
+    first, children = live.first, live.child
+    weight = {"aerial": edges.aerial.astype(float), "maxdim": edges.max_dim, "volume": edges.volume}
 
     # least[c][i]: the smallest sum of criterion c over the folds finishing
-    # state i. A node weight adds to the least child; aerial is per fold.
-    least = np.zeros((len(criteria), len(live)))
-    sizes = [mask.bit_count() for mask in live]
+    # state i. A fold out of state i weighs i's volume and maxdim and its
+    # own aerial flag; adding one weight to every candidate moves the
+    # minimum by exactly that weight, since rounded addition is monotone.
+    least = np.zeros((len(criteria), len(live.masks)))
+    sizes = [mask.bit_count() for mask in live.masks]
     layer = np.searchsorted(sizes, range(len(tree.foldable_ids) + 1))
     for a, b in zip(layer[-2::-1].tolist(), layer[:0:-1].tolist()):
         lo, hi = first[a], first[b]
         starts, kids = first[a:b] - lo, children[lo:hi]
         for row, criterion in zip(least, criteria):
-            if criterion == "aerial":
-                row[a:b] = np.minimum.reduceat(aerial[lo:hi] + row[kids], starts)
-            else:
-                row[a:b] = node[criterion][a:b] + np.minimum.reduceat(row[kids], starts)
-    weights = {name: values.tolist() for name, values in node.items()}
+            row[a:b] = np.minimum.reduceat(weight[criterion][lo:hi] + row[kids], starts)
+    weights = list(zip(*(weight[c].tolist() for c in criteria)))
     least = least.T.tolist()
+    first, children, joints = first.tolist(), children.tolist(), live.joint.tolist()
     folds: dict[int, list] = {}
 
     def folds_of(i: int) -> list:
-        """State i's folds that can complete, ascending by lower bound."""
+        """State i's folds, ascending by lower bound."""
         found = folds.get(i)
         if found is None:
             found = []
-            for joint, child, flag in edges[live[i]]:
-                c = index.get(child)
-                if c is not None:
-                    w = tuple(int(flag) if x == "aerial" else weights[x][i] for x in criteria)
-                    found.append((tuple(map(add, w, least[c])), joint, c, w))
+            for e in range(first[i], first[i + 1]):
+                c, w = children[e], weights[e]
+                found.append((tuple(map(add, w, least[c])), joints[e], e, c, w))
             found.sort()
             folds[i] = found
         return found
 
-    last = len(live) - 1  # the full state
+    last = len(live.masks) - 1  # the full state
     best: list[tuple] = []
     cutoff = bands = None
     order: list[int] = []
+    path: list[int] = []
 
     def ranks_after(reach: tuple, rest: list) -> bool:
         """Whether a fold's lower bound ranks at or after the cutoff key.
@@ -244,7 +378,7 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
                     v = round6(v)
             if v != cut:
                 return v > cut
-        return tuple(order) >= cutoff[-1]
+        return tuple(order) >= cutoff[-2]
 
     def keep(key: tuple) -> None:
         nonlocal cutoff, bands
@@ -260,36 +394,26 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
             return
         cutoff = best[-1]
         bands = [(c - ROUND_BAND - abs(c) * 1e-15, c + ROUND_BAND + abs(c) * 1e-15)
-                 for c in cutoff[:-1]]
+                 for c in cutoff[:-2]]
 
     def visit(i: int, sums: tuple) -> None:
         stats.nodes_expanded += 1
         if i == last:
-            keep(tuple(round6(v) if r else v for r, v in zip(rounded, sums)) + (tuple(order),))
+            # Orders are distinct, so keys never tie up to the edge ids.
+            sums = tuple(round6(v) if r else v for r, v in zip(rounded, sums))
+            keep(sums + (tuple(order), tuple(path)))
             return
-        for _, joint, c, w in folds_of(i):
+        for _, joint, e, c, w in folds_of(i):
             stats.cc_cache_hits += 1
             order.append(joint)
+            path.append(e)
             reach = tuple(map(add, sums, w))
             if cutoff is not None and ranks_after(reach, least[c]):
                 stats.pruned += 1
             else:
                 visit(c, reach)
             order.pop()
+            path.pop()
 
     visit(0, (0,) * len(criteria))
-    steps: dict[tuple[int, int], StepMetrics] = {}
-    rows = []
-    for *_, seq in best:
-        mask, per_step = 0, []
-        for joint in seq:
-            step = steps.get((mask, joint))
-            if step is None:
-                i = index[mask]
-                flag = next(e.aerial for e in edges[mask] if e.joint == joint)
-                volume, max_dim = weights["volume"][i], weights["maxdim"][i]
-                step = steps[mask, joint] = StepMetrics(joint, volume, max_dim, flag)
-            per_step.append(step)
-            mask |= tree.bits[joint]
-        rows.append(SequenceScore(lattice.sequence(seq), tuple(per_step)))
-    return RankedReport(criteria=criteria, rows=tuple(rows), sequence_count=count)
+    return np.array([key[-1] for key in best], dtype=np.intp)

@@ -59,9 +59,9 @@ def _unit(vec, what: str) -> np.ndarray:
     arr = np.asarray(vec, dtype=float)
     if arr.shape != (3,):
         raise SpecValidationError(f"{what} must be a 3-vector")
-    norm = float(np.linalg.norm(arr))
+    norm = math.hypot(*arr.tolist())  # no overflow: |v| of a huge v stays finite
     if abs(norm - 1.0) > 1e-6:
-        raise SpecValidationError(f"{what} must be a unit vector, |v| = {norm:.9f}")
+        raise SpecValidationError(f"{what} must be a unit vector, |v| = {norm:.9g}")
     return arr / norm
 
 

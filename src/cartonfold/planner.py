@@ -23,8 +23,11 @@ lattice keeps the feasible edges of every state in ascending joint order
 state, counted with Python ints as in Held & Karp's subset recursion, so
 the sequence count is exact and never an enumeration. Every input, from
 the sweep step to the support tolerance, is read from the tree's spec.
-``enumerate_sequences`` lists all paths depth first;
-``metrics.rank_lattice`` searches them for the best few.
+``FoldLattice.live`` holds the states and folds on some complete path as
+arrays, and ``LiveLattice.paths`` lists those paths as rows of edge ids,
+a layer at a time. ``enumerate_sequences`` reads them, and so does
+``metrics.rank_lattice`` when it ranks every path; to rank the best few
+it searches them instead.
 
 Everything here is a pure function of immutable inputs, and output order
 is canonical regardless of evaluation order.
@@ -33,7 +36,10 @@ is canonical regardless of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 from .collision import collision_check, n_sweep_samples, sweep
 from .model import KinematicTree
@@ -98,12 +104,13 @@ class SearchDiagnostics:
     unfolded joint), ``sweeps`` and ``pair_tests`` the swept subtrees and
     (sweep, static panel) kernel verdicts those checks built rather than
     reused, ``dead_ends`` the reachable states with no feasible fold, and
-    ``sequences`` the collision-free sequences. A ranking search adds
-    ``nodes_expanded``, the path prefixes it visited (with ``--top all``,
-    every prefix of every sequence), ``cc_cache_hits``, the lattice edges
-    it followed out of them, and ``pruned``, the edges it cut because their
-    lower bound ranked at or after the current N-th key. The search visits
-    the cheapest bound first, so both counts measure how soon it holds a
+    ``sequences`` the collision-free sequences. A ranking adds
+    ``nodes_expanded``, the path prefixes it visited, ``cc_cache_hits``,
+    the lattice edges it followed out of them, and ``pruned``, the edges
+    it cut because their lower bound ranked at or after the current N-th
+    key. A ranking of every path enumerates every prefix of every
+    sequence and prunes nothing. A search for the best few visits the
+    cheapest bound first, so its counts measure how soon it holds a
     tight cutoff.
     """
 
@@ -126,6 +133,49 @@ class FoldEdge(NamedTuple):
     joint: int
     child: int
     aerial: bool
+
+
+class LiveLattice(NamedTuple):
+    """The part of a lattice that lies on some complete path, as arrays.
+
+    ``masks`` lists those states in the lattice's layer order, the full
+    state last. State i's folds are the edges ``first[i]`` up to
+    ``first[i + 1]``, in ascending joint order; edge e folds ``joint[e]``
+    out of state ``source[e]`` into state ``child[e]`` (indices into
+    ``masks``), and ``aerial[e]`` is its aerial flag.
+    """
+
+    masks: list[int]
+    first: np.ndarray
+    source: np.ndarray
+    child: np.ndarray
+    joint: np.ndarray
+    aerial: np.ndarray
+
+    def paths(self) -> tuple[np.ndarray, int]:
+        """Every complete path as a row of edge ids, and the number of prefixes.
+
+        Paths grow a popcount layer at a time from the empty state, each
+        path of t folds followed by its extensions in ascending joint
+        order, so the rows come out in ascending lexicographic order of
+        their joints, the order of a depth-first walk. The prefix count
+        covers every length from the empty path to the complete ones.
+        """
+        if not self.masks:
+            return np.zeros((0, 0), dtype=np.intp), 0
+        paths = np.zeros((1, 0), dtype=np.intp)
+        state = np.zeros(1, dtype=np.intp)
+        prefixes = 1
+        for _ in range(self.masks[-1].bit_count()):
+            begin = self.first[state]
+            count = self.first[state + 1] - begin
+            ends = np.cumsum(count)
+            # Path p's extensions are its state's count[p] edges from begin[p].
+            edge = np.arange(ends[-1]) + np.repeat(begin - ends + count, count)
+            paths = np.column_stack((np.repeat(paths, count, axis=0), edge))
+            state = self.child[edge]
+            prefixes += len(edge)
+        return paths, prefixes
 
 
 @dataclass
@@ -156,25 +206,34 @@ class FoldLattice:
         order = tuple(order)
         return FoldSequence(order, tuple(self.cc_samples[j] for j in order))
 
+    @cached_property
+    def live(self) -> LiveLattice:
+        """The states and folds that lie on some complete path, as arrays."""
+        masks = [mask for mask in self.edges if self.completions[mask]]
+        index = {mask: i for i, mask in enumerate(masks)}
+        first, source, child, joint, aerial = [0], [], [], [], []
+        for i, mask in enumerate(masks):
+            for j, c, flag in self.edges[mask]:
+                c = index.get(c)
+                if c is not None:
+                    source.append(i)
+                    child.append(c)
+                    joint.append(j)
+                    aerial.append(flag)
+            first.append(len(child))
+        return LiveLattice(
+            masks,
+            np.array(first, dtype=np.intp),
+            np.array(source, dtype=np.intp),
+            np.array(child, dtype=np.intp),
+            np.array(joint, dtype=np.intp),
+            np.array(aerial, dtype=bool),
+        )
+
     def sequences(self) -> list[FoldSequence]:
-        """Every complete path, depth first in ascending joint order."""
-        found: list[FoldSequence] = []
-        order: list[int] = []
-        final = self.final
-
-        def walk(mask: int) -> None:
-            if mask == final:
-                found.append(self.sequence(order))
-                return
-            for joint, child, _ in self.edges[mask]:
-                if self.completions[child]:
-                    order.append(joint)
-                    walk(child)
-                    order.pop()
-
-        if self.sequence_count:
-            walk(0)
-        return found
+        """Every complete path, in ascending lexicographic order of the joints."""
+        paths, _ = self.live.paths()
+        return [self.sequence(order) for order in self.live.joint[paths].tolist()]
 
 
 def build_lattice(tree: KinematicTree) -> FoldLattice:

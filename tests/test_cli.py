@@ -3,6 +3,11 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +22,11 @@ from cartonfold.cli import (
     EXIT_SPEC_INVALID,
     RunConfig,
     explain,
+    format_structured,
     main,
     run,
 )
+from cartonfold.metrics import rank_lattice, round6
 from cartonfold.model import (
     JointVector,
     build_tree,
@@ -28,6 +35,11 @@ from cartonfold.model import (
     panel_pose_from_frame,
 )
 from cartonfold.planner import build_lattice
+
+from .conftest import SHIPPED_SPECS, SPEC_DIR
+from .test_metrics import POLICIES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # The table entry of specs/three_flaps.yaml, which malformed obstacles replace.
@@ -170,6 +182,38 @@ class TestRun:
             assert float(vol) == pytest.approx(row["volume_mm3"], rel=1e-6)
             assert float(dim) == pytest.approx(row["maxdim_mm"], rel=1e-6)
             assert int(naf) == row["naf"]
+
+    @pytest.mark.parametrize("top", (1, 20, None))
+    @pytest.mark.parametrize("policy", POLICIES, ids=">".join)
+    @pytest.mark.parametrize("name", SHIPPED_SPECS)
+    def test_structured_report_is_the_json_encoding(self, name, policy, top):
+        # format_structured writes from templates; the text must be that of
+        # the JSON encoder with a two-space indent, byte for byte.
+        tree = build_tree(replace(load_spec(SPEC_DIR / name), ranking=policy))
+        report = rank_lattice(build_lattice(tree), top)
+        payload = {
+            "policy": list(report.criteria),
+            "sequence_count": report.sequence_count,
+            "rows": [
+                {
+                    "sequence": list(row.sequence.order),
+                    "volume_mm3": round6(row.c_vol),
+                    "maxdim_mm": round6(row.c_dim),
+                    "naf": row.c_aerial,
+                    "per_step": [
+                        {
+                            "joint": step.joint,
+                            "volume_mm3": round6(step.volume),
+                            "maxdim_mm": round6(step.max_dim),
+                            "aerial": step.aerial,
+                        }
+                        for step in row.per_step
+                    ],
+                }
+                for row in report.rows
+            ],
+        }
+        assert format_structured(report, top) == json.dumps(payload, indent=2) + "\n"
 
     def test_machine_output_is_deterministic(self, spec_dir):
         for fmt in ("csv", "structured"):
@@ -436,6 +480,29 @@ panels:
         assert code == EXIT_SPEC_INVALID
         assert out.getvalue() == ""
         assert "crease_dir" in capsys.readouterr().err
+
+    def test_huge_crease_dir_exits_3_with_one_line_on_stderr(self, tmp_path):
+        # |v| of a vector too long to square must not overflow on its way
+        # to the unit-vector check: the only output is the error line.
+        path = tmp_path / "huge_crease.yaml"
+        path.write_text(
+            (SPEC_DIR / "three_flaps.yaml").read_text().replace(
+                "crease_dir: [1, 0, 0]", "crease_dir: [1e200, 0, 0]"
+            )
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "cartonfold.cli", "--spec", str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == EXIT_SPEC_INVALID
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: panel 2 crease_dir must be a unit vector, |v| = 1e+200\n"
+        )
 
     def test_run_loads_the_spec_once(self, spec_dir, monkeypatch):
         loads = []

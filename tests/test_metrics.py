@@ -348,10 +348,29 @@ class TestRankLattice:
         # The full ranking is the reference sort of every brute-force order.
         reference = score_and_rank(tree, [FoldSequence(order) for order in brute])
         assert row_values(full) == row_values(reference)
-        for n in (1, 5, 20):
+        # Below the sequence count the bounded search ranks, not the sort.
+        for n in sorted({n for n in (1, 5, 20, len(brute) - 1) if n > 0}):
             head = rank_lattice(lattice, n)
             assert head.sequence_count == len(brute)
             assert row_values(head) == row_values(full)[:n]
+
+    @pytest.mark.parametrize("top", (1, 20, None))
+    @pytest.mark.parametrize("case", RANKER_CASES)
+    def test_rows_equal_the_scored_sequences(self, case, top):
+        # Rows are built from the report's arrays only when read; each one
+        # must be the SequenceScore of its sequence, and the arrays must
+        # hold its totals bit for bit.
+        tree, lattice, _ = planned(case, ("aerial", "maxdim", "volume"))
+        report = rank_lattice(lattice, top)
+        assert len(report.rows) == len(report)
+        for i, row in enumerate(report.rows):
+            assert row == score_sequence(tree, lattice.sequence(row.sequence.order))
+            assert row.sequence.order == tuple(report.orders[i].tolist())
+            assert (row.c_vol, row.c_dim, row.c_aerial) == (
+                report.c_vol[i], report.c_dim[i], report.c_aerial[i]
+            )
+        steps = [step for row in report.rows for step in row.per_step]
+        assert len({id(step) for step in steps}) == len(set(report.steps.ravel().tolist()))
 
     def test_top_20_search_nodes_on_eight_equal_flaps(self):
         # Eight equal flaps tie on every criterion in many orders. Children
@@ -364,11 +383,13 @@ class TestRankLattice:
         assert (lattice.stats.nodes_expanded, lattice.stats.pruned) == (59, 24)
 
     def test_top_all_visits_every_node(self, case_study):
+        # Ranking every path lists every prefix of every sequence.
         _, tree = case_study
         lattice = build_lattice(tree)
         report = rank_lattice(lattice)
         assert len(report) == report.sequence_count == 1680
-        assert (lattice.stats.nodes_expanded, lattice.stats.pruned) == (4610, 0)
+        stats = lattice.stats
+        assert (stats.nodes_expanded, stats.cc_cache_hits, stats.pruned) == (4610, 4609, 0)
 
     def test_bounded_search_prunes(self):
         _, lattice, _ = planned("distinct:6", ("aerial", "maxdim", "volume"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import replace
@@ -7,6 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cartonfold.model as model_module
 from cartonfold.geometry import (
@@ -32,7 +35,7 @@ from cartonfold.model import (
     spec_from_mapping,
 )
 
-from .conftest import SHIPPED_SPECS, free_flap_spec
+from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
 
 TWO_PANEL_DOC = """
 panels:
@@ -179,6 +182,48 @@ panels:
         )
         assert again.gripper is not None and spec.gripper is not None
         assert again.gripper.dims == pytest.approx(spec.gripper.dims)
+
+
+# Values a single field of a spec mapping is set to by the boundary test.
+BAD_VALUES = (
+    None, True, False, math.nan, math.inf, -math.inf, "x", [], [1.0], [1.0, 2.0], {}, {"a": 1}
+)
+DELETE = object()
+SHIPPED_MAPPINGS = {name: yaml.safe_load((SPEC_DIR / name).read_text()) for name in SHIPPED_SPECS}
+
+
+def field_paths(node, path=()):
+    """Paths to every dict value and list item under ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+@st.composite
+def mutated_spec_mappings(draw):
+    """A shipped spec's mapping with one field deleted or set to a bad value."""
+    data = copy.deepcopy(SHIPPED_MAPPINGS[draw(st.sampled_from(SHIPPED_SPECS))])
+    *head, last = draw(st.sampled_from(list(field_paths(data))))
+    parent = data
+    for key in head:
+        parent = parent[key]
+    value = draw(st.sampled_from((DELETE,) + BAD_VALUES))
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(value)
+    return data
+
+
+class TestSpecBoundary:
+    @settings(max_examples=1000)
+    @given(mutated_spec_mappings())
+    def test_single_field_mutations_raise_only_spec_errors(self, data):
+        try:
+            build_tree(spec_from_mapping(data))
+        except SpecValidationError:
+            pass
 
 
 class TestSpecEquality:

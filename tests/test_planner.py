@@ -339,3 +339,49 @@ class TestFreeFlapFactorial:
         # A second build on the same tree reuses every predicate.
         again = build_lattice(tree).stats
         assert (again.cc_calls, again.sweeps, again.pair_tests) == (stats.cc_calls, 0, 0)
+
+
+def walked_paths(lattice) -> tuple[list[tuple[int, ...]], int]:
+    """Reference enumeration: a recursive walk of the mask lattice, folds in
+    ascending joint order, skipping children that cannot complete. Returns
+    the joint orders and the number of path prefixes visited."""
+    found, order, prefixes = [], [], 0
+
+    def walk(mask: int) -> None:
+        nonlocal prefixes
+        prefixes += 1
+        if mask == lattice.final:
+            found.append(tuple(order))
+            return
+        for joint, child, _ in lattice.edges[mask]:
+            if lattice.completions[child]:
+                order.append(joint)
+                walk(child)
+                order.pop()
+
+    if lattice.sequence_count:
+        walk(0)
+    return found, prefixes
+
+
+class TestLivePaths:
+    @pytest.mark.parametrize("case", (*SHIPPED_SPECS, "free:1", "free:5"))
+    def test_paths_equal_a_depth_first_walk(self, spec_dir, case):
+        if case.startswith("free:"):
+            tree = build_tree(free_flap_spec(int(case[5:])))
+        else:
+            tree = build_tree(load_spec(spec_dir / case))
+        lattice = build_lattice(tree)
+        live = lattice.live
+        paths, prefixes = live.paths()
+        orders, walked_prefixes = walked_paths(lattice)
+        assert [tuple(row) for row in live.joint[paths].tolist()] == orders
+        assert [s.order for s in lattice.sequences()] == orders
+        assert prefixes == walked_prefixes
+        # Every row is a chain of edges from the empty state to the full one.
+        for row in paths.tolist():
+            states = [0] + [live.child[e] for e in row]
+            assert [live.source[e] for e in row] == states[:-1]
+            assert live.masks[states[-1]] == lattice.final
+            for e in row:
+                assert live.first[live.source[e]] <= e < live.first[live.source[e] + 1]
