@@ -36,21 +36,22 @@ phis = sweep_angles(0.0, np.pi / 2, spec.tolerance_angle)
 print(f"sweep samples: {len(phis)}, first {np.degrees(phis[0]):.0f} deg,",
       f"last {np.degrees(phis[-1]):.0f} deg")
 
-# Nothing in the way: the fold is feasible.
-print("free fold feasible:", collision_check(tree, frozenset(), 2))
+# Nothing in the way: folding joint 2 out of the flat state (fold mask 0)
+# is feasible.
+print("free fold feasible:", collision_check(tree, 0, 2))
 
 # Drop a fixture right on the flap's mid-arc pose and the same fold dies.
 mid = forward_kinematics(tree, JointVector.flat(tree).replace(2, np.pi / 4))
 beam = OrientedBox.from_center(mid[1].solid.center, dims=(20, 20, 20))
 with_beam = build_tree(replace(spec, environment=(beam,)))
-print("fold through a beam:  ", collision_check(with_beam, frozenset(), 2))
+print("fold through a beam:  ", collision_check(with_beam, 0, 2))
 
 # Grasp advisory for the spec's gripper: the inner face is the one facing
 # the fold direction. An upward fold is grasped from above (inside); a
 # downward fold's inner face rests on the table, so the tool must take the
 # outside.
-print("upward fold grasp: ", grasp_side(tree, frozenset(), 2).value)
+print("upward fold grasp: ", grasp_side(tree, 0, 2).value)
 
 DOWN = DOC.replace("theta_final_deg: 90", "theta_final_deg: -90")
 down_tree = build_tree(parse_spec(DOWN))
-print("downward fold grasp:", grasp_side(down_tree, frozenset(), 2).value)
+print("downward fold grasp:", grasp_side(down_tree, 0, 2).value)

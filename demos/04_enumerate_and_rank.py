@@ -2,10 +2,10 @@
 Enumerating and ranking folding sequences
 =========================================
 
-A fold state is just the set of folded joints. The planner walks the
-reachable subsets once, with one swept collision check per (subset, joint),
-and every ordering whose steps are all collision free is a path through
-that lattice. The sequences are ranked lexicographically by the spec's
+A fold state is just the set of folded joints, held as an int bit mask.
+The planner walks the reachable states once, with one swept collision
+check per (state, joint), and every ordering whose steps are all
+collision free is a path through that lattice. The sequences are ranked lexicographically by the spec's
 ranking: fewest aerial folds first, cumulative bounding-box measures as tie
 breakers.
 """
@@ -15,8 +15,8 @@ from pathlib import Path
 
 from cartonfold import (
     build_lattice,
+    collision_check,
     enumerate_sequences,
-    feasible_subsets,
     rank_lattice,
     score_and_rank,
 )
@@ -29,7 +29,7 @@ tree = build_tree(load_spec(SPECS / "three_flaps.yaml"))
 
 lattice = build_lattice(tree)
 print("three_flaps orderings:", [s.order for s in lattice.sequences()])
-print("lattice:", len(lattice.edges), "reachable states,",
+print("lattice:", len(lattice.masks), "states on a complete path,",
       lattice.sequence_count, "sequences by path count")
 print("  " + "\n  ".join(lattice.stats.lines()))
 
@@ -38,12 +38,11 @@ print("  " + "\n  ".join(lattice.stats.lines()))
 tree = build_tree(load_spec(SPECS / "blocking_pair.yaml"))
 print("\nblocking_pair orderings:", [s.order for s in enumerate_sequences(tree)])
 
-# The full feasibility table, reachable subsets or not: one verdict per
-# (folded subset, next joint) pair.
-table = feasible_subsets(tree)
-for subset in sorted(table, key=lambda s: (len(s), sorted(s))):
-    shown = "{" + ", ".join(map(str, sorted(subset))) + "}"
-    print(f"  folded {shown:<8} -> {table[subset]}")
+# Every verdict, reachable states or not: one per (fold mask, next joint).
+for mask in range(1 << len(tree.foldable_ids)):
+    verdicts = {j: collision_check(tree, mask, j) for j in tree.foldable_ids if not mask & tree.bits[j]}
+    shown = "{" + ", ".join(map(str, tree.joints(mask))) + "}"
+    print(f"  folded {shown:<8} -> {verdicts}")
 
 # Ranking: score each sequence over its intermediate states and sort by the
 # spec's ranking (here aerial, then maxdim).

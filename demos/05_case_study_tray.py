@@ -11,7 +11,8 @@ in every valid sequence.
 import time
 from pathlib import Path
 
-from cartonfold import FoldState, build_lattice, collision_check, is_aerial, rank_lattice
+from cartonfold import build_lattice, collision_check, rank_lattice
+from cartonfold.collision import sweep
 from cartonfold.model import build_tree, load_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -27,9 +28,8 @@ for p in spec.panels:
 
 # From the flat blank, the rim flanges cannot move: their fold would pass
 # through the table. Everything else is free.
-start = FoldState.initial()
 for joint in tree.foldable_ids:
-    feasible = collision_check(tree, start.folded, joint)
+    feasible = collision_check(tree, 0, joint)
     print(f"  first fold of joint {joint} ({names[joint]}): "
           f"{'feasible' if feasible else 'blocked'}")
 
@@ -50,9 +50,9 @@ for row in report.rows:
 # high on the standing wall whenever they move.
 best = report.rows[0]
 print("\nbest sequence step by step:")
-for (state, joint), step in zip(best.sequence.prefixes(), best.per_step):
+for t, step in enumerate(best.per_step):
     aerial = "aerial" if step.aerial else "on the bench"
-    print(f"  fold {names[joint]:<16} from state {sorted(state.folded)}: {aerial}")
+    print(f"  fold {names[step.joint]:<16} from state {sorted(best.sequence.order[:t])}: {aerial}")
 
-flange_check = is_aerial(tree, FoldState(frozenset({1})), 5)
+flange_check = sweep(tree, tree.mask({1}), 5).aerial
 print("\nflange fold after its wall is up is aerial:", flange_check)

@@ -30,19 +30,14 @@ from .collision import (
 from .planner import (
     FoldLattice,
     FoldSequence,
-    FoldState,
     PlannerError,
-    action_space,
     build_lattice,
     enumerate_sequences,
-    feasible_subsets,
-    transition,
 )
 from .metrics import (
     RankedReport,
     SequenceScore,
     StepMetrics,
-    is_aerial,
     rank_lattice,
     score_and_rank,
     score_sequence,
@@ -55,7 +50,6 @@ __all__ = [
     "CartonSpec",
     "FoldLattice",
     "FoldSequence",
-    "FoldState",
     "GraspSide",
     "GripperSpec",
     "JointVector",
@@ -69,15 +63,12 @@ __all__ = [
     "SpecValidationError",
     "StepMetrics",
     "Transform",
-    "action_space",
     "build_lattice",
     "build_tree",
     "collision_check",
     "enumerate_sequences",
-    "feasible_subsets",
     "forward_kinematics",
     "grasp_side",
-    "is_aerial",
     "load_spec",
     "obb_intersect",
     "parse_spec",
@@ -87,6 +78,5 @@ __all__ = [
     "score_sequence",
     "serialize_spec",
     "sweep_angles",
-    "transition",
     "world_aabb",
 ]

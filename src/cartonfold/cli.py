@@ -2,7 +2,9 @@
 
 Exit codes: 0 success with at least one sequence, 2 valid input but no
 feasible sequence (or an --explain sequence that fails), 3 spec validation
-failure, including a carton with no foldable joint.
+failure, including a carton with no foldable joint, or an unreadable
+--spec or a --dump-states directory that cannot be created (nothing is
+reported then).
 
 Set CARTONFOLD_LOG=debug|info|warning to control log verbosity.
 """
@@ -18,9 +20,9 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .collision import collision_check, grasp_side, n_sweep_samples
+from .collision import collision_check, grasp_side, n_sweep_samples, sweep
 from .metrics import RankedReport, rank_lattice, round6
-from .model import KinematicTree, SpecValidationError, build_tree, load_spec
+from .model import JointVector, KinematicTree, SpecValidationError, build_tree, load_spec
 from .planner import PlannerError, build_lattice
 
 logger = logging.getLogger(__name__)
@@ -149,54 +151,67 @@ def format_structured(report: RankedReport, top: int | None) -> str:
     )
 
 
-def _state_record(tree: KinematicTree, folded: frozenset, joint: int | None, aerial):
+def _state_record(tree: KinematicTree, mask: int, joint: int | None, aerial) -> dict:
     # Full float precision here: renderers and the replay invariant need the
     # dumped angles and poses to agree to machine accuracy.
-    record = tree.state(folded)
+    records = [tree.panel_state(pid, mask) for pid in tree.ids]
+    theta = JointVector.from_folded(tree, tree.joints(mask))
     return {
         "joint": joint,
         "aerial": aerial,
-        "theta_rad": {str(pid): record.theta.angle(pid) for pid in tree.ids},
+        "theta_rad": {str(pid): theta.angle(pid) for pid in tree.ids},
         "panels": [
             {
-                "id": p.panel_id,
-                "rotation": [list(map(float, row)) for row in p.pose.rotation],
-                "translation": [float(v) for v in p.pose.translation],
-                "center": [float(v) for v in p.center],
-                "half_extents": [float(v) for v in p.solid.half_extents],
+                "id": r.pose.panel_id,
+                "rotation": [list(map(float, row)) for row in r.pose.pose.rotation],
+                "translation": [float(v) for v in r.pose.pose.translation],
+                "center": [float(v) for v in r.pose.center],
+                "half_extents": [float(v) for v in r.pose.solid.half_extents],
             }
-            for p in record.poses
+            for r in records
         ],
         "aabb": {
-            "min": [float(v) for v in record.box.min],
-            "max": [float(v) for v in record.box.max],
+            "min": list(map(min, zip(*(r.lo for r in records)))),
+            "max": list(map(max, zip(*(r.hi for r in records)))),
         },
     }
 
 
-def dump_states(tree: KinematicTree, rows, directory: str) -> None:
+def dump_states(tree: KinematicTree, report: RankedReport, directory: str) -> None:
     """One JSON file per reported sequence with a record for every state.
 
     Records 0 .. k-1 carry the state before each fold plus that fold's joint
     and aerial flag; a final record holds the fully folded pose. Feeding any
     record's theta back through forward kinematics reproduces its poses.
+    Each file is the text of ``json.dumps(payload, indent=2)``, with payload
+    {"sequence": [...], "steps": [record, ...]}. Sequences share most of
+    their steps, so each distinct (state, joint) record is encoded once,
+    and the files are written from those texts.
     """
     out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    for rank, row in enumerate(rows, start=1):
-        steps = []
-        for t, ((state, joint), metrics) in enumerate(
-            zip(row.sequence.prefixes(), row.per_step)
-        ):
-            record = _state_record(tree, state.folded, joint, metrics.aerial)
-            record["t"] = t
-            steps.append(record)
-        final = _state_record(tree, frozenset(row.sequence.order), None, None)
-        final["t"] = len(row.sequence.order)
-        steps.append(final)
-        payload = {"sequence": list(row.sequence.order), "steps": steps}
+    texts: dict[tuple[int, int | None], str] = {}
+
+    def step(t: int, mask: int, joint: int | None, aerial) -> str:
+        text = texts.get((mask, joint))
+        if text is None:
+            # The record as a list item, less its closing brace, so "t" can follow.
+            body = json.dumps(_state_record(tree, mask, joint, aerial), indent=2)
+            text = texts[mask, joint] = "    " + body[:-2].replace("\n", "\n    ")
+        return f'{text},\n      "t": {t}\n    }}'
+
+    aerial = report.edges.aerial[report.steps].tolist()
+    for rank, (order, flags) in enumerate(zip(report.orders.tolist(), aerial), start=1):
+        steps, mask = [], 0
+        for t, (joint, flag) in enumerate(zip(order, flags)):
+            steps.append(step(t, mask, joint, flag))
+            mask |= tree.bits[joint]
+        steps.append(step(len(order), mask, None, None))
+        sequence = ",\n".join(f"    {j}" for j in order)
         path = out / f"sequence_{rank:04d}.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        path.write_text(
+            f'{{\n  "sequence": [\n{sequence}\n  ],\n  "steps": [\n' + ",\n".join(steps) + "\n  ]\n}\n",
+            encoding="utf-8",
+        )
 
 
 def explain(config: RunConfig, sequence=None, out=None) -> int:
@@ -220,24 +235,24 @@ def explain(config: RunConfig, sequence=None, out=None) -> int:
         )
         return EXIT_NO_SEQUENCES
 
-    folded: frozenset = frozenset()
+    mask = 0
     for step, joint in enumerate(sequence, start=1):
-        if not collision_check(tree, folded, joint):
+        if not collision_check(tree, mask, joint):
             print(
                 f"sequence invalid: step {step} (fold joint {joint}) collides",
                 file=out,
             )
             return EXIT_NO_SEQUENCES
-        record = tree.state(folded)
-        aerial = tree.is_aerial(tree.mask(folded), joint)
-        side = "n/a" if tree.spec.gripper is None else grasp_side(tree, folded, joint).value
+        (volume,), (max_dim,) = tree.measures([mask])
+        aerial = sweep(tree, mask, joint).aerial
+        side = "n/a" if tree.spec.gripper is None else grasp_side(tree, mask, joint).value
         print(
             f"step {step}: fold joint {joint} | cc_samples={n_sweep_samples(tree, joint)} "
-            f"| aerial={'yes' if aerial else 'no'} | volume={record.volume:.1f} mm^3 "
-            f"| maxdim={record.max_extent:.1f} mm | grasp={side}",
+            f"| aerial={'yes' if aerial else 'no'} | volume={volume:.1f} mm^3 "
+            f"| maxdim={max_dim:.1f} mm | grasp={side}",
             file=out,
         )
-        folded = folded | {joint}
+        mask |= tree.bits[joint]
     print(f"sequence valid: {len(sequence)} steps", file=out)
     return EXIT_OK
 
@@ -248,7 +263,10 @@ def run(config: RunConfig, out=None) -> int:
         return explain(config, out=out)
     out = out or sys.stdout
     try:
-        lattice = build_lattice(_load_tree(config))
+        tree = _load_tree(config)
+        if config.dump_dir is not None:
+            Path(config.dump_dir).mkdir(parents=True, exist_ok=True)
+        lattice = build_lattice(tree)
     except (SpecValidationError, PlannerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_INVALID
@@ -265,7 +283,7 @@ def run(config: RunConfig, out=None) -> int:
         out.write(format_structured(report, config.top))
 
     if config.dump_dir is not None:
-        dump_states(lattice.tree, report.rows, config.dump_dir)
+        dump_states(lattice.tree, report, config.dump_dir)
 
     if not report.sequence_count:
         logger.warning("no feasible folding sequence found")

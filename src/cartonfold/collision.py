@@ -156,7 +156,9 @@ class Sweep(NamedTuple):
     ``bounds`` their union's bounds and ``shrunk`` the same bounds with the
     boxes shrunk by the penetration allowance, as the crease-adjacent
     ``parent`` is tested. ``clear`` is the table and fixture verdict and
-    ``aerial`` the fold's aerial flag, which reads only subtree poses.
+    ``aerial`` the fold's aerial flag: whether the lowest corner of the
+    subtree sits more than the support tolerance above z = 0 at the fold's
+    start pose, which reads only subtree poses.
     ``static`` lists the panels outside the subtree, in ``tree.ids`` order,
     each as (panel id, its ancestry mask, the base of its pair keys).
     """
@@ -183,7 +185,9 @@ def sweep(tree: KinematicTree, mask: int, joint: int) -> Sweep:
         spec = tree.spec
         panel = tree.panel(joint)
         moving_ids = tree.subtree_ids(joint)
-        poses = {pid: tree.panel_state(pid, mask).pose for pid in (panel.parent, *moving_ids)}
+        records = {pid: tree.panel_state(pid, mask) for pid in (panel.parent, *moving_ids)}
+        poses = {pid: record.pose for pid, record in records.items()}
+        aerial = min(records[pid].lo[2] for pid in moving_ids) > spec.support_tolerance
         samples = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
         *boxes, _ = _swept_movers(tree, poses, joint, samples)
         eps = spec.penetration_tolerance
@@ -200,7 +204,7 @@ def sweep(tree: KinematicTree, mask: int, joint: int) -> Sweep:
         )
         found = Sweep(
             panel.parent, tuple(boxes), bounds, sweep_bounds(boxes, -eps),
-            clear, tree.is_aerial(mask, joint), static,
+            clear, aerial, static,
         )
         tree.sweeps[key] = found
     return found
@@ -230,32 +234,24 @@ def _pair_blocked(tree: KinematicTree, swept: Sweep, mask: int, panel_id: int) -
     return _blocked(swept.boxes, bounds, pack_boxes([record.pose.solid]), clearance)
 
 
-def collision_check(tree: KinematicTree, folded, moving_joint: int) -> bool:
-    """True when folding ``moving_joint`` from the given state is collision free.
+def collision_check(tree: KinematicTree, mask: int, moving_joint: int) -> bool:
+    """True when folding ``moving_joint`` out of fold state ``mask`` is collision free.
 
-    ``folded`` holds the folded joints, as joint ids or as a fold mask
-    (``KinematicTree.mask``). The joint's whole subtree is swept from the
-    initial to the final angle, sampled at the tolerance angle with both
-    endpoints forced. At every sample the subtree solids must clear all
-    panels outside the subtree and all obstacles. Crease-adjacent panel
-    pairs are tested with the penetration tolerance as allowance;
-    everything else is tested exactly. The verdict is the AND of the
-    sweep's table and fixture verdict and of one pair verdict per static
-    panel, each memoised on the tree and evaluated only until one blocks.
+    ``mask`` is an int bit mask of folded joints (``KinematicTree.bits``).
+    The joint's whole subtree is swept from the initial to the final angle,
+    sampled at the tolerance angle with both endpoints forced. At every
+    sample the subtree solids must clear all panels outside the subtree and
+    all obstacles. Crease-adjacent panel pairs are tested with the
+    penetration tolerance as allowance; everything else is tested exactly.
+    The verdict is the AND of the sweep's table and fixture verdict and of
+    one pair verdict per static panel, each memoised on the tree and
+    evaluated only until one blocks.
     """
     bit = tree.bits.get(moving_joint)
     if bit is None:
         raise ValueError(f"joint {moving_joint} is not a foldable joint")
-    if isinstance(folded, int):
-        mask = folded
-        if mask < 0 or mask >> len(tree.foldable_ids):
-            raise ValueError(f"fold mask {mask:#x} sets bits of no foldable joint")
-    else:
-        folded = frozenset(folded)
-        bad = folded.difference(tree.foldable_ids)
-        if bad:
-            raise ValueError(f"folded set contains non-foldable joints: {sorted(bad)}")
-        mask = tree.mask(folded)
+    if mask < 0 or mask >> len(tree.foldable_ids):
+        raise ValueError(f"fold mask {mask:#x} sets bits of no foldable joint")
     if mask & bit:
         raise ValueError(f"joint {moving_joint} is already folded")
 
@@ -286,31 +282,30 @@ class GraspSide(enum.Enum):
     NONE = "none"
 
 
-def grasp_side(tree: KinematicTree, folded, joint: int) -> GraspSide:
+def grasp_side(tree: KinematicTree, mask: int, joint: int) -> GraspSide:
     """Advisory placement test for the spec's gripper on the panel about to fold.
 
-    The inner face is the one facing the fold direction. A gripper-sized
-    box is placed on it (offset by the standoff) at the fold's start pose;
-    if that placement collides with another panel, a fixture or the table,
-    the outer face is tried. The result never gates sequence validity.
+    ``mask`` is the fold state the fold starts from. The inner face is the
+    one facing the fold direction. A gripper-sized box is placed on it
+    (offset by the standoff) at the fold's start pose; if that placement
+    collides with another panel, a fixture or the table, the outer face is
+    tried. The result never gates sequence validity.
     """
-    folded = frozenset(folded)
-    if joint in folded:
+    if mask & tree.bits.get(joint, 0):
         raise ValueError(f"joint {joint} is already folded")
     gripper = tree.spec.gripper
     if gripper is None:
         raise ValueError("the carton spec declares no gripper")
-    record = tree.state(folded)
     panel = tree.panel(joint)
-    solid = record.poses_by_id[joint].solid
+    solid = tree.panel_state(joint, mask).pose.solid
 
     fold_sign = 1.0 if panel.theta_final > panel.theta_init else -1.0
     half_g = np.asarray(gripper.dims, dtype=float) / 2.0
     gz = gripper.dims[2]
     flip = np.diag([1.0, -1.0, -1.0])
 
-    others = [i for i, pid in enumerate(tree.ids) if pid != joint]
-    batches = [tuple(a[others] for a in record.solids)] if others else []
+    others = [tree.panel_state(pid, mask).pose.solid for pid in tree.ids if pid != joint]
+    batches = [pack_boxes(others)] if others else []
     if tree.obstacles is not None:
         batches.append(tree.obstacles)
     eps = tree.spec.penetration_tolerance

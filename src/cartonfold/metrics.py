@@ -11,16 +11,18 @@ every sum, matching the summation bounds of the cost definitions:
 
 A fold is aerial when the lowest corner of its moving subtree sits more
 than the support tolerance above the table at the start of the motion
-(``KinematicTree.is_aerial``). Lower is better for all criteria, and the
+(``collision.Sweep``). Lower is better for all criteria, and the
 spec's ``ranking`` lists them in the order they apply. Float criteria are
 compared at the 6-decimal precision the reports print, so two sums that
 print equal fall through to the next criterion, and finally to the order
 itself, instead of being ranked by rounding noise.
 
-``score_and_rank`` scores and sorts a given list of sequences.
-``rank_lattice`` ranks the paths of a fold-state lattice: volume and
-maxdim weigh the lattice's nodes and aerial its edges, and node weights
-come from one numpy pass over the state masks. It works in one of two
+``score_and_rank`` scores and sorts a given list of sequences, placing
+each state by forward kinematics as a whole; it is the reference that
+``rank_lattice`` is tested against. ``rank_lattice`` ranks the paths of a
+fold-state lattice: volume and maxdim weigh the lattice's nodes and
+aerial its edges, and node weights come from one numpy pass over the
+state masks, assembled from memoised panel records. It works in one of two
 regimes, split on whether the report asks for every path:
 
 * every path (``--top all``, or a top N at least the sequence count):
@@ -45,8 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import KinematicTree
-from .planner import FoldLattice, FoldSequence, FoldState, action_space
+from .geometry import world_aabb
+from .model import JointVector, KinematicTree, forward_kinematics
+from .planner import FoldLattice, FoldSequence
 
 # Relative loosening of rank_lattice's lower bounds. The bound and a path's
 # own sum add the same k terms in different orders, so they differ by at
@@ -64,13 +67,6 @@ ROUND_BAND = 1e-6
 def round6(value: float) -> float:
     """Round through fixed 6-decimal text, the precision reports print."""
     return float(f"{value:.6f}")
-
-
-def is_aerial(tree: KinematicTree, state_before: FoldState, joint: int) -> bool:
-    """Whether folding ``joint``, which must be available, starts off the workbench."""
-    if joint not in action_space(tree, state_before):
-        raise ValueError(f"joint {joint} is not available in this state")
-    return tree.is_aerial(tree.mask(state_before.folded), joint)
 
 
 @dataclass(frozen=True)
@@ -110,18 +106,30 @@ class SequenceScore:
 
 
 def score_sequence(tree: KinematicTree, sequence: FoldSequence) -> SequenceScore:
-    """Measure every intermediate state S_0 .. S_{k-1} of one sequence."""
+    """Measure every intermediate state S_0 .. S_{k-1} of one sequence.
+
+    The reference scorer: each state is placed by ``forward_kinematics`` as
+    a whole and measured by ``world_aabb``, sharing no memo with
+    ``rank_lattice``.
+    """
+    return _score(tree, sequence, {})
+
+
+def _score(tree: KinematicTree, sequence: FoldSequence, states: dict) -> SequenceScore:
+    """``score_sequence``, reusing and filling ``states``: the volume, largest
+    extent and lowest corner z per panel of each fold state measured so far."""
     steps = []
-    for state, joint in sequence.prefixes():
-        record = tree.state(state.folded)
-        steps.append(
-            StepMetrics(
-                joint=joint,
-                volume=record.volume,
-                max_dim=record.max_extent,
-                aerial=tree.is_aerial(tree.mask(state.folded), joint),
-            )
-        )
+    for t, joint in enumerate(sequence.order):
+        folded = frozenset(sequence.order[:t])
+        measured = states.get(folded)
+        if measured is None:
+            poses = forward_kinematics(tree, JointVector.from_folded(tree, folded))
+            box = world_aabb(p.solid for p in poses)
+            lowest = {p.panel_id: p.solid.corners()[:, 2].min() for p in poses}
+            measured = states[folded] = (box.volume, box.max_extent, lowest)
+        volume, max_extent, lowest = measured
+        aerial = min(lowest[pid] for pid in tree.subtree_ids(joint)) > tree.spec.support_tolerance
+        steps.append(StepMetrics(joint, volume, max_extent, bool(aerial)))
     return SequenceScore(sequence=sequence, per_step=tuple(steps))
 
 
@@ -228,10 +236,12 @@ def score_and_rank(tree: KinematicTree, sequences) -> RankedReport:
 
     Ties after all criteria fall back to the sequence order tuple itself, so
     the report is a total order independent of input ordering. An empty
-    input produces an empty report.
+    input produces an empty report. Each fold state the sequences share is
+    placed and measured once per call.
     """
     criteria = tree.spec.ranking
-    scores = [score_sequence(tree, seq) for seq in sequences]
+    states: dict = {}
+    scores = [_score(tree, seq, states) for seq in sequences]
     scores.sort(key=lambda s: s.key(criteria))
     return RankedReport.of_scores(criteria, scores)
 
@@ -246,14 +256,13 @@ def _rounded(values: np.ndarray) -> np.ndarray:
 def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
     """The ``top`` best sequences of the lattice (all when None), ranked.
 
-    The lattice's states are bit masks, and the ranking reads the states
-    and folds that lie on some complete path (``FoldLattice.live``). Each
-    state's volume and maxdim come from ``KinematicTree.measures``, all
-    states at once, and weigh the folds out of it; each fold's aerial flag
-    weighs the fold itself.
+    The lattice's states are bit masks, all on some complete path, and its
+    folds are arrays of edges. Each state's volume and maxdim come from
+    ``KinematicTree.measures``, all states at once, and weigh the folds out
+    of it; each fold's aerial flag weighs the fold itself.
 
     When every path is asked for, nothing can be pruned, so nothing is
-    searched: ``LiveLattice.paths`` lists every path as a row of edge ids,
+    searched: ``FoldLattice.paths`` lists every path as a row of edge ids,
     a layer at a time, each row's sums add its steps left to right, and one
     ``np.lexsort`` orders the rows by the criteria, the float ones rounded
     by ``round6`` once per distinct sum, and then by the order itself.
@@ -264,7 +273,8 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
     carries each path's criterion sums, adding one term per step left to
     right, so every sum equals the scored one bit for bit. It visits a
     state's folds in ascending order of their lower bound (the fold's
-    weights plus the child's ``least``), so the best paths come first, and
+    weights plus the child's ``least``), so the best paths come first,
+    reading the weights and bounds of only the states it visits, and
     keeps the best keys found. Once it holds ``top`` of them, it skips a
     fold whose lower bound already ranks at or after the ``top``-th key:
     the sums so far plus the child's ``least``, loosened by BOUND_SLACK and
@@ -277,9 +287,8 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
     count = lattice.sequence_count
     n = count if top is None else min(top, count)
     tree = lattice.tree
-    live = lattice.live
-    volume, max_dim = tree.measures(live.masks[:-1])
-    edges = EdgeMetrics(live.joint, volume[live.source], max_dim[live.source], live.aerial)
+    volume, max_dim = tree.measures(lattice.masks[:-1])
+    edges = EdgeMetrics(lattice.joint, volume[lattice.source], max_dim[lattice.source], lattice.aerial)
     if not n:
         steps = np.zeros((0, len(tree.foldable_ids)), dtype=np.intp)
     elif n < count:
@@ -290,7 +299,7 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
     return RankedReport(
         criteria=tree.spec.ranking,
         sequence_count=count,
-        orders=live.joint[steps],
+        orders=lattice.joint[steps],
         steps=steps,
         edges=edges,
         c_vol=c_vol,
@@ -302,7 +311,7 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
 
 def _sort_every_path(lattice: FoldLattice, edges: EdgeMetrics) -> np.ndarray:
     """The edge ids of every path, best first, by one lexsort."""
-    steps, prefixes = lattice.live.paths()
+    steps, prefixes = lattice.paths()
     lattice.stats.nodes_expanded += prefixes
     lattice.stats.cc_cache_hits += prefixes - 1
     c_vol, c_dim, c_aerial = edges.totals(steps)
@@ -324,40 +333,37 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
     criteria = tree.spec.ranking
     rounded = tuple(c != "aerial" for c in criteria)
     stats = lattice.stats
-    live = lattice.live
-    first, children = live.first, live.child
-    weight = {"aerial": edges.aerial.astype(float), "maxdim": edges.max_dim, "volume": edges.volume}
+    first, children = lattice.first, lattice.child
+    columns = {"aerial": edges.aerial, "maxdim": edges.max_dim, "volume": edges.volume}
+    weight = np.array([columns[c] for c in criteria], dtype=float)
 
-    # least[c][i]: the smallest sum of criterion c over the folds finishing
-    # state i. A fold out of state i weighs i's volume and maxdim and its
-    # own aerial flag; adding one weight to every candidate moves the
-    # minimum by exactly that weight, since rounded addition is monotone.
-    least = np.zeros((len(criteria), len(live.masks)))
-    sizes = [mask.bit_count() for mask in live.masks]
+    # least[:, i]: the smallest sum of each criterion over the folds
+    # finishing state i. A fold out of state i weighs i's volume and maxdim
+    # and its own aerial flag; adding one weight to every candidate moves
+    # the minimum by exactly that weight, since rounded addition is monotone.
+    least = np.zeros((len(criteria), len(lattice.masks)))
+    sizes = [mask.bit_count() for mask in lattice.masks]
     layer = np.searchsorted(sizes, range(len(tree.foldable_ids) + 1))
     for a, b in zip(layer[-2::-1].tolist(), layer[:0:-1].tolist()):
         lo, hi = first[a], first[b]
-        starts, kids = first[a:b] - lo, children[lo:hi]
-        for row, criterion in zip(least, criteria):
-            row[a:b] = np.minimum.reduceat(weight[criterion][lo:hi] + row[kids], starts)
-    weights = list(zip(*(weight[c].tolist() for c in criteria)))
-    least = least.T.tolist()
-    first, children, joints = first.tolist(), children.tolist(), live.joint.tolist()
+        candidates = weight[:, lo:hi] + least[:, children[lo:hi]]
+        least[:, a:b] = np.minimum.reduceat(candidates, first[a:b] - lo, axis=1)
     folds: dict[int, list] = {}
 
     def folds_of(i: int) -> list:
-        """State i's folds, ascending by lower bound."""
+        """State i's folds, ascending by lower bound, each with its child's least sums."""
         found = folds.get(i)
         if found is None:
-            found = []
-            for e in range(first[i], first[i + 1]):
-                c, w = children[e], weights[e]
-                found.append((tuple(map(add, w, least[c])), joints[e], e, c, w))
-            found.sort()
-            folds[i] = found
+            lo, hi = int(first[i]), int(first[i + 1])
+            kids = children[lo:hi]
+            w, rest = weight[:, lo:hi].T, least[:, kids].T
+            found = folds[i] = sorted(zip(
+                (w + rest).tolist(), lattice.joint[lo:hi].tolist(), range(lo, hi),
+                kids.tolist(), w.tolist(), rest.tolist(),
+            ))
         return found
 
-    last = len(live.masks) - 1  # the full state
+    last = len(lattice.masks) - 1  # the full state
     best: list[tuple] = []
     cutoff = bands = None
     order: list[int] = []
@@ -403,12 +409,12 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
             sums = tuple(round6(v) if r else v for r, v in zip(rounded, sums))
             keep(sums + (tuple(order), tuple(path)))
             return
-        for _, joint, e, c, w in folds_of(i):
+        for _, joint, e, c, w, rest in folds_of(i):
             stats.cc_cache_hits += 1
             order.append(joint)
             path.append(e)
             reach = tuple(map(add, sums, w))
-            if cutoff is not None and ranks_after(reach, least[c]):
+            if cutoff is not None and ranks_after(reach, rest):
                 stats.pruned += 1
             else:
                 visit(c, reach)

@@ -24,7 +24,13 @@ missing or null ``ranking`` takes ``DEFAULT_RANKING``. Obstacle boxes
 have positive dimensions.
 
 ``build_tree`` turns a validated spec into the ``KinematicTree`` that every
-planning function takes as its one input.
+planning function takes as its one input. A fold state is an int bit mask
+over the tree's foldable joints, and the tree places one panel in one fold
+state at a time (``KinematicTree.panel_state``), memoised per panel and
+the folded joints that place it. Bounding-box measures, aerial flags and
+the poses of traces and dumps are all assembled from those records.
+``forward_kinematics`` places every panel of any joint vector at once and
+gives the same poses, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from .geometry import Aabb, OrientedBox, Transform, pack_boxes, rotation_matrix
+from .geometry import OrientedBox, Transform, pack_boxes, rotation_matrix
 
 ANGLE_SLACK = 1e-9
 
@@ -259,8 +265,9 @@ class KinematicTree:
 
     A panel's pose depends only on the folded joints in its ancestry, so
     ``panel_state`` builds it once per (panel, mask & ancestry) and keeps
-    it; ``measures``, ``is_aerial`` and ``state`` assemble fold states from
-    those records. ``sweeps`` and ``pair_verdicts`` hold the swept
+    it; ``measures`` assembles fold states from those records, and so do
+    the swept check, ``--explain``, ``--dump-states`` and the grasp
+    advisory. ``sweeps`` and ``pair_verdicts`` hold the swept
     collision check's own memos (see ``collision``). Every memo is a
     function of the immutable spec and its key, so sharing it never
     changes a verdict or a score, and it lives and dies with the tree.
@@ -282,7 +289,6 @@ class KinematicTree:
     subtree_ancestry: dict[int, int]
     obstacles: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     panel_records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     sweeps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     pair_verdicts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -353,40 +359,6 @@ class KinematicTree:
             np.maximum(hi, np.reshape([r.hi for r in records], (-1, 3))[inverse], out=hi)
         dx, dy, dz = (hi - lo).T
         return dx * dy * dz, np.maximum(np.maximum(dx, dy), dz)
-
-    def state(self, folded) -> "StateRecord":
-        """The fold state with the given joints folded, assembled from the panel records."""
-        folded = frozenset(folded)
-        mask = self.mask(folded)
-        record = self.records.get(mask)
-        if record is None:
-            records = [self.panel_state(pid, mask) for pid in self.ids]
-            poses = tuple(r.pose for r in records)
-            box = Aabb(
-                tuple(map(min, zip(*(r.lo for r in records)))),
-                tuple(map(max, zip(*(r.hi for r in records)))),
-            )
-            record = StateRecord(
-                folded=folded,
-                theta=JointVector.from_folded(self, folded),
-                poses=poses,
-                poses_by_id={p.panel_id: p for p in poses},
-                solids=pack_boxes([p.solid for p in poses]),
-                box=box,
-                volume=box.volume,
-                max_extent=box.max_extent,
-            )
-            self.records[mask] = record
-        return record
-
-    def is_aerial(self, mask: int, joint: int) -> bool:
-        """Whether folding ``joint`` out of fold state ``mask`` starts off the workbench.
-
-        It does when the lowest corner of the moving subtree sits more than
-        the support tolerance above z = 0 at the fold's start pose.
-        """
-        lowest = min(self.panel_state(pid, mask).lo[2] for pid in self.subtree_ids(joint))
-        return lowest > self.spec.support_tolerance
 
 
 def build_tree(spec: CartonSpec) -> KinematicTree:
@@ -573,26 +545,6 @@ def forward_kinematics(tree: KinematicTree, theta: JointVector) -> list[PanelPos
             continue
         frames[pid] = _child_frame(tree, pid, frames[panel.parent], value)
     return [panel_pose_from_frame(tree.panels_by_id[pid], frames[pid]) for pid in tree.ids]
-
-
-@dataclass(frozen=True, eq=False)
-class StateRecord:
-    """One fold state, as ``--explain``, ``--dump-states`` and grasp advisories read it.
-
-    ``solids`` packs the panel solids as (centers, rotations, half_extents)
-    in ``tree.ids`` order. ``volume`` and ``max_extent`` are the bounding
-    box's measures as Python floats. Records are memo entries and compare
-    by identity; compare their ``poses`` and ``box`` to compare content.
-    """
-
-    folded: frozenset[int]
-    theta: JointVector
-    poses: tuple[PanelPose, ...]
-    poses_by_id: dict[int, PanelPose]
-    solids: tuple[np.ndarray, np.ndarray, np.ndarray]
-    box: Aabb
-    volume: float
-    max_extent: float
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,16 @@ on its own ancestors, so a carton of k free flaps builds k sweeps and
 k(2k-1) pair tests for its k·2^(k-1) verdicts. A fold's aerial flag is
 read from its sweep, since it depends on the subtree's start pose alone,
 so no fold state is ever run through forward kinematics as a whole. The
-lattice keeps the feasible edges of every state in ascending joint order
-(each with its aerial flag) and the number of complete paths below every
-state, counted with Python ints as in Held & Karp's subset recursion, so
-the sequence count is exact and never an enumeration. Every input, from
-the sweep step to the support tolerance, is read from the tree's spec.
-``FoldLattice.live`` holds the states and folds on some complete path as
-arrays, and ``LiveLattice.paths`` lists those paths as rows of edge ids,
-a layer at a time. ``enumerate_sequences`` reads them, and so does
-``metrics.rank_lattice`` when it ranks every path; to rank the best few
-it searches them instead.
+feasible folds go straight into flat arrays. One numpy pass a layer at a
+time from the full state counts the complete paths below every state,
+with Python ints as in Held & Karp's subset recursion, so the sequence
+count is exact and never an enumeration, and the ``FoldLattice`` keeps
+only the states and folds that lie on some complete path, in compressed
+sparse rows. Every input, from the sweep step to the support tolerance,
+is read from the tree's spec. ``FoldLattice.paths`` lists every complete
+path as a row of edge ids, a layer at a time. ``enumerate_sequences``
+reads them, and so does ``metrics.rank_lattice`` when it ranks every
+path; to rank the best few it searches them instead.
 
 Everything here is a pure function of immutable inputs, and output order
 is canonical regardless of evaluation order.
@@ -35,9 +35,8 @@ is canonical regardless of evaluation order.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,17 +46,6 @@ from .model import KinematicTree
 
 class PlannerError(ValueError):
     """The planning problem itself is malformed (e.g. nothing to fold)."""
-
-
-@dataclass(frozen=True)
-class FoldState:
-    """Carton state: the set of completed folds (joint angles follow from it)."""
-
-    folded: frozenset[int]
-
-    @classmethod
-    def initial(cls) -> "FoldState":
-        return cls(frozenset())
 
 
 @dataclass(frozen=True)
@@ -73,27 +61,6 @@ class FoldSequence:
 
     def __len__(self) -> int:
         return len(self.order)
-
-    def prefixes(self):
-        """FoldState before each step: S_0, S_1, ..., S_{k-1}."""
-        done: set[int] = set()
-        for joint in self.order:
-            yield FoldState(frozenset(done)), joint
-            done.add(joint)
-
-
-def action_space(tree: KinematicTree, state: FoldState) -> list[int]:
-    """Unfolded foldable joints, ascending; empty exactly at the final state."""
-    return [j for j in sorted(tree.foldable_ids) if j not in state.folded]
-
-
-def transition(tree: KinematicTree, state: FoldState, joint: int) -> FoldState:
-    """Fold one joint to its final angle; all other joints keep their state."""
-    if joint not in tree.foldable_ids:
-        raise ValueError(f"joint {joint} is not a foldable joint")
-    if joint in state.folded:
-        raise ValueError(f"joint {joint} is already folded")
-    return FoldState(state.folded | {joint})
 
 
 @dataclass
@@ -127,30 +94,36 @@ class SearchDiagnostics:
         return [f"{name}={value}" for name, value in vars(self).items()]
 
 
-class FoldEdge(NamedTuple):
-    """A collision-free fold of ``joint`` into the fold state ``child``."""
+@dataclass(frozen=True, eq=False)
+class FoldLattice:
+    """The fold states of one carton that lie on some complete path, and their folds.
 
-    joint: int
-    child: int
-    aerial: bool
-
-
-class LiveLattice(NamedTuple):
-    """The part of a lattice that lies on some complete path, as arrays.
-
-    ``masks`` lists those states in the lattice's layer order, the full
-    state last. State i's folds are the edges ``first[i]`` up to
-    ``first[i + 1]``, in ascending joint order; edge e folds ``joint[e]``
-    out of state ``source[e]`` into state ``child[e]`` (indices into
-    ``masks``), and ``aerial[e]`` is its aerial flag.
+    A fold state is a bit mask over ``tree.foldable_ids`` (``tree.bits``).
+    ``masks`` lists the states in layer order (by popcount, in the order
+    the build reached them), the full state last. The folds are held in
+    compressed sparse rows: state i's folds are the edges ``first[i]`` up
+    to ``first[i + 1]``, in ascending joint order; edge e folds
+    ``joint[e]`` out of state ``source[e]`` into state ``child[e]``
+    (indices into ``masks``), and ``aerial[e]`` is its aerial flag.
+    ``sequence_count`` is the exact number of complete paths and
+    ``cc_samples[j]`` the sweep samples of joint j's check. Without a
+    feasible sequence the lattice has no state at all.
     """
 
+    tree: KinematicTree
     masks: list[int]
     first: np.ndarray
     source: np.ndarray
     child: np.ndarray
     joint: np.ndarray
     aerial: np.ndarray
+    sequence_count: int
+    cc_samples: dict[int, int]
+    stats: SearchDiagnostics
+
+    def sequence(self, order) -> FoldSequence:
+        order = tuple(order)
+        return FoldSequence(order, tuple(self.cc_samples[j] for j in order))
 
     def paths(self) -> tuple[np.ndarray, int]:
         """Every complete path as a row of edge ids, and the number of prefixes.
@@ -177,63 +150,10 @@ class LiveLattice(NamedTuple):
             prefixes += len(edge)
         return paths, prefixes
 
-
-@dataclass
-class FoldLattice:
-    """The reachable fold states of one carton and the feasible folds between them.
-
-    A fold state is a bit mask over ``tree.foldable_ids`` (``tree.bits``).
-    ``edges`` maps every reachable state, in order of size, to its
-    feasible folds in ascending joint order. ``completions[F]`` is the
-    number of collision-free ways to finish folding from F.
-    """
-
-    tree: KinematicTree
-    edges: dict[int, tuple[FoldEdge, ...]]
-    completions: dict[int, int]
-    cc_samples: dict[int, int]
-    stats: SearchDiagnostics
-
-    @property
-    def final(self) -> int:
-        return (1 << len(self.tree.foldable_ids)) - 1
-
-    @property
-    def sequence_count(self) -> int:
-        return self.completions[0]
-
-    def sequence(self, order) -> FoldSequence:
-        order = tuple(order)
-        return FoldSequence(order, tuple(self.cc_samples[j] for j in order))
-
-    @cached_property
-    def live(self) -> LiveLattice:
-        """The states and folds that lie on some complete path, as arrays."""
-        masks = [mask for mask in self.edges if self.completions[mask]]
-        index = {mask: i for i, mask in enumerate(masks)}
-        first, source, child, joint, aerial = [0], [], [], [], []
-        for i, mask in enumerate(masks):
-            for j, c, flag in self.edges[mask]:
-                c = index.get(c)
-                if c is not None:
-                    source.append(i)
-                    child.append(c)
-                    joint.append(j)
-                    aerial.append(flag)
-            first.append(len(child))
-        return LiveLattice(
-            masks,
-            np.array(first, dtype=np.intp),
-            np.array(source, dtype=np.intp),
-            np.array(child, dtype=np.intp),
-            np.array(joint, dtype=np.intp),
-            np.array(aerial, dtype=bool),
-        )
-
     def sequences(self) -> list[FoldSequence]:
         """Every complete path, in ascending lexicographic order of the joints."""
-        paths, _ = self.live.paths()
-        return [self.sequence(order) for order in self.live.joint[paths].tolist()]
+        paths, _ = self.paths()
+        return [self.sequence(order) for order in self.joint[paths].tolist()]
 
 
 def build_lattice(tree: KinematicTree) -> FoldLattice:
@@ -241,6 +161,8 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
 
     States are expanded a layer (one more folded joint) at a time from the
     empty one, and each feasible fold carries its sweep's aerial flag.
+    The folds of every reachable state are recorded by state index, and
+    the states and folds on no complete path are dropped at the end.
     """
     foldable = tree.foldable_ids
     if not foldable:
@@ -249,37 +171,54 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
     stats = SearchDiagnostics()
     sweeps, pair_tests = len(tree.sweeps), len(tree.pair_verdicts)
     final = (1 << len(foldable)) - 1
-    edges: dict[int, tuple[FoldEdge, ...]] = {}
+    masks: list[int] = []
+    source, child, joint, aerial = array("q"), array("q"), array("q"), array("b")
+    layer_edges = []  # the first edge out of each layer
     layer = [0]
     while layer:
-        reached: dict[int, None] = {}
-        for mask in layer:
-            out = []
-            for joint, bit in zip(foldable, bits):
+        layer_edges.append(len(source))
+        reached: dict[int, int] = {}  # the next layer's states and their indices
+        base = len(masks) + len(layer)
+        for i, mask in enumerate(layer, len(masks)):
+            folds = len(source)
+            for j, bit in zip(foldable, bits):
                 if mask & bit:
                     continue
                 stats.cc_calls += 1
-                if collision_check(tree, mask, joint):
-                    reached[mask | bit] = None
-                    out.append(FoldEdge(joint, mask | bit, sweep(tree, mask, joint).aerial))
-            if not out and mask != final:
+                if collision_check(tree, mask, j):
+                    source.append(i)
+                    child.append(reached.setdefault(mask | bit, base + len(reached)))
+                    joint.append(j)
+                    aerial.append(sweep(tree, mask, j).aerial)
+            if len(source) == folds and mask != final:
                 stats.dead_ends += 1
-            edges[mask] = tuple(out)
+        masks += layer
         layer = list(reached)
+    source, child = np.array(source, dtype=np.intp), np.array(child, dtype=np.intp)
 
-    completions: dict[int, int] = {}
-    for mask in reversed(edges):
-        if mask == final:
-            completions[mask] = 1
-        else:
-            completions[mask] = sum(completions[e.child] for e in edges[mask])
-    stats.sequences = completions[0]
+    # ways[i]: the complete paths from state i, summed from the last layer
+    # back; the last layer has no folds, and holds the full state if any.
+    ways = np.zeros(len(masks), dtype=object)
+    ways[-1] = int(masks[-1] == final)
+    for lo, hi in zip(layer_edges[-2::-1], layer_edges[:0:-1]):
+        np.add.at(ways, source[lo:hi], ways[child[lo:hi]])
+    keep = np.flatnonzero(ways)
+    index = np.full(len(masks), -1, dtype=np.intp)
+    index[keep] = np.arange(len(keep))
+    live = index[child] >= 0
+    source = index[source[live]]
+    stats.sequences = int(ways[0])
     stats.sweeps = len(tree.sweeps) - sweeps
     stats.pair_tests = len(tree.pair_verdicts) - pair_tests
     return FoldLattice(
         tree=tree,
-        edges=edges,
-        completions=completions,
+        masks=[masks[i] for i in keep.tolist()],
+        first=np.searchsorted(source, np.arange(len(keep) + 1)),
+        source=source,
+        child=index[child[live]],
+        joint=np.array(joint, dtype=np.intp)[live],
+        aerial=np.array(aerial, dtype=bool)[live],
+        sequence_count=stats.sequences,
         cc_samples={j: n_sweep_samples(tree, j) for j in foldable},
         stats=stats,
     )
@@ -292,27 +231,3 @@ def enumerate_sequences(tree: KinematicTree) -> list[FoldSequence]:
     ascending joint id order, so the output order is deterministic.
     """
     return build_lattice(tree).sequences()
-
-
-def feasible_subsets(tree: KinematicTree, subset_cap: int = 20) -> dict[frozenset[int], dict[int, bool]]:
-    """Full fold-feasibility table over every subset of the foldable joints.
-
-    Entry ``table[F][j]`` is the collision_check verdict for folding joint
-    ``j`` out of state ``F``, reachable or not. The table has 2^k rows,
-    hence the cap on k.
-    """
-    foldable = sorted(tree.foldable_ids)
-    if not foldable:
-        raise PlannerError("carton has no foldable joints")
-    if len(foldable) > subset_cap:
-        raise PlannerError(
-            f"{len(foldable)} foldable joints exceed the subset cap {subset_cap}"
-        )
-    table: dict[frozenset[int], dict[int, bool]] = {}
-    for mask in range(1 << len(foldable)):
-        table[frozenset(tree.joints(mask))] = {
-            j: collision_check(tree, mask, j)
-            for j in foldable
-            if not mask & tree.bits[j]
-        }
-    return table

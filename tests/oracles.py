@@ -47,16 +47,30 @@ def brute_force_sequences(tree, cc=None) -> list[tuple[int, ...]]:
 
     Enumeration is independent of the planner's search: all k! orderings are
     generated and each is replayed from scratch. ``cc`` may substitute a
-    (cached) collision predicate with the same signature.
+    (cached) collision predicate with the same signature, taking a fold
+    mask and a joint.
     """
-    cc = cc or (lambda folded, joint: collision_check(tree, folded, joint))
+    cc = cc or (lambda mask, joint: collision_check(tree, mask, joint))
     valid = []
     for perm in itertools.permutations(sorted(tree.foldable_ids)):
-        folded: frozenset = frozenset()
+        mask = 0
         for joint in perm:
-            if not cc(folded, joint):
+            if not cc(mask, joint):
                 break
-            folded = folded | {joint}
+            mask |= tree.bits[joint]
         else:
             valid.append(perm)
     return valid
+
+
+def every_verdict(tree) -> dict[tuple[int, int], bool]:
+    """The collision verdict of every fold out of every fold state, reachable or not.
+
+    Keys are (fold mask, joint). There are 2^k states, so keep k small.
+    """
+    return {
+        (mask, joint): collision_check(tree, mask, joint)
+        for mask in range(1 << len(tree.foldable_ids))
+        for joint in tree.foldable_ids
+        if not mask & tree.bits[joint]
+    }

@@ -21,10 +21,10 @@ from cartonfold.collision import collision_check
 from cartonfold.geometry import obb_intersect
 from cartonfold.metrics import score_and_rank, score_sequence
 from cartonfold.model import build_tree, load_spec
-from cartonfold.planner import enumerate_sequences, feasible_subsets
+from cartonfold.planner import enumerate_sequences
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
-from .oracles import brute_force_sequences, sampled_overlap, sampling_band
+from .oracles import brute_force_sequences, every_verdict, sampled_overlap, sampling_band
 from .test_geometry import random_box
 from .test_metrics import scaled_spec
 
@@ -84,7 +84,7 @@ def test_criterion_2_metric_plausibility(case):
     delta_dim = min(dims) / dim_hi
     expected = brute_force_sequences(
         tree,
-        cc=lru_cache(maxsize=None)(lambda folded, joint: collision_check(tree, folded, joint)),
+        cc=lru_cache(maxsize=None)(lambda mask, joint: collision_check(tree, mask, joint)),
     )
     got = [s.order for s in enumerate_sequences(tree)]
     assert sorted(got) == sorted(expected)
@@ -140,7 +140,7 @@ def test_criterion_5_collision_kernel():
     for name in SHIPPED_SPECS:
         spec = load_spec(SPEC_DIR / name)
         fine = replace(spec, tolerance_angle=spec.tolerance_angle / 2.0)
-        assert feasible_subsets(build_tree(spec)) == feasible_subsets(build_tree(fine))
+        assert every_verdict(build_tree(spec)) == every_verdict(build_tree(fine))
     report(
         5,
         f"1000 random OBB pairs checked ({disagreements} inside the sampling "

@@ -38,6 +38,7 @@ from cartonfold.planner import build_lattice
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR
 from .test_metrics import POLICIES
+from .test_planner import frozenset_lattice
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -292,12 +293,12 @@ class TestStateMemo:
         # builds each panel's pose once per folded subset of the joints that
         # place it, shared by the sweeps, the pair tests and the ranking.
         path = spec_dir / "case_study_tray.yaml"
-        lattice = build_lattice(build_tree(load_spec(path)))
-        tree = lattice.tree
+        tree = build_tree(load_spec(path))
+        reachable, _ = frozenset_lattice(tree)
         expected = {
-            (pid, mask & tree.ancestry[pid])
-            for mask in lattice.edges
-            if mask != lattice.final
+            (pid, tree.mask(folded) & tree.ancestry[pid])
+            for folded in reachable
+            if len(folded) < len(tree.foldable_ids)
             for pid in tree.ids
         }
         fk_calls, built, trees = [], [], []
@@ -374,6 +375,37 @@ class TestDumpStates:
         payload = json.loads((out_dir / "sequence_0001.json").read_text())
         flags = [s["aerial"] for s in payload["steps"][:-1]]
         assert sum(flags) == 2
+
+    @pytest.mark.parametrize("name, top", [("three_flaps.yaml", None), ("case_study_tray.yaml", 40)])
+    def test_files_are_the_json_encoding(self, spec_dir, tmp_path, name, top):
+        # Steps are encoded once and shared between files; each file must
+        # still be the text of json.dumps with an indent of 2.
+        out_dir = tmp_path / "dump"
+        code, report = run_to_string(
+            RunConfig(spec_path=str(spec_dir / name), fmt="csv", top=top, dump_dir=str(out_dir))
+        )
+        assert code == EXIT_OK
+        files = sorted(out_dir.iterdir())
+        assert [f.name for f in files] == [
+            f"sequence_{rank:04d}.json" for rank in range(1, len(report.splitlines()))
+        ]
+        for path in files:
+            text = path.read_text(encoding="utf-8")
+            payload = json.loads(text)
+            assert text == json.dumps(payload, indent=2) + "\n"
+            assert [s["t"] for s in payload["steps"]] == list(range(len(payload["sequence"]) + 1))
+
+    def test_dump_onto_a_file_exits_3_before_reporting(self, spec_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        code, report = run_to_string(
+            RunConfig(spec_path=str(spec_dir / "three_flaps.yaml"), top=1, dump_dir=str(taken))
+        )
+        assert code == EXIT_SPEC_INVALID
+        assert report == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0]
+        assert taken.read_text() == "keep me\n"
 
 
 class TestExplain:

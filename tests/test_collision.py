@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import replace
 
@@ -32,9 +31,8 @@ from cartonfold.model import (
     forward_kinematics,
     load_spec,
 )
-from cartonfold.planner import feasible_subsets
-
 from .conftest import SHIPPED_SPECS
+from .oracles import every_verdict
 from .test_model import random_tree
 
 
@@ -63,12 +61,12 @@ def with_fixtures(tree, *boxes):
     return build_tree(replace(tree.spec, environment=tree.spec.environment + boxes))
 
 
-def full_kernel_check(tree, folded, joint) -> bool:
+def full_kernel_check(tree, mask, joint) -> bool:
     """The undecomposed swept check: forward kinematics of the whole fold
     state, no broad phase and no memo, the kernel on every (swept box,
     static box) pair and the table test on all 8 corners of every swept box."""
     spec = tree.spec
-    poses = forward_kinematics(tree, JointVector.from_folded(tree, folded))
+    poses = forward_kinematics(tree, JointVector.from_folded(tree, tree.joints(mask)))
     panel = tree.panel(joint)
     samples = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
     *movers, moving_ids = _swept_movers(tree, {p.panel_id: p for p in poses}, joint, samples)
@@ -91,13 +89,11 @@ def full_kernel_check(tree, folded, joint) -> bool:
 
 
 def all_folds(tree):
-    """Every (folded subset, unfolded joint) of the carton, reachable or not."""
-    joints = tree.foldable_ids
-    for r in range(len(joints)):
-        for folded in itertools.combinations(joints, r):
-            for joint in joints:
-                if joint not in folded:
-                    yield frozenset(folded), joint
+    """Every (fold mask, unfolded joint) of the carton, reachable or not."""
+    for mask in range(1 << len(tree.foldable_ids)):
+        for joint in tree.foldable_ids:
+            if not mask & tree.bits[joint]:
+                yield mask, joint
 
 
 class TestSweepAngles:
@@ -126,7 +122,7 @@ class TestSweepAngles:
 class TestCollisionCheck:
     def test_free_fold_in_empty_environment(self):
         tree = two_panel_tree()
-        assert collision_check(tree, frozenset(), 2) is True
+        assert collision_check(tree, 0, 2) is True
 
     def test_obstacle_across_the_arc_blocks(self):
         # Place the obstacle exactly at the flap's mid-arc pose, computed by
@@ -137,19 +133,30 @@ class TestCollisionCheck:
         )
         flap_mid_center = mid[1].solid.center
         block = OrientedBox.from_center(flap_mid_center, (20, 20, 20))
-        assert collision_check(with_fixtures(tree, block), frozenset(), 2) is False
+        assert collision_check(with_fixtures(tree, block), 0, 2) is False
 
     def test_blocking_pair_orders(self, blocking_pair):
         # Covering flap folded first blocks the drop leaf; leaf first is fine.
         _, tree = blocking_pair
-        assert collision_check(tree, frozenset(), 3) is True
-        assert collision_check(tree, frozenset({2}), 3) is False
-        assert collision_check(tree, frozenset({3}), 2) is True
+        assert collision_check(tree, 0, 3) is True
+        assert collision_check(tree, tree.mask({2}), 3) is False
+        assert collision_check(tree, tree.mask({3}), 2) is True
 
     def test_already_folded_joint_rejected(self):
         tree = two_panel_tree()
         with pytest.raises(ValueError, match="already folded"):
-            collision_check(tree, frozenset({2}), 2)
+            collision_check(tree, tree.mask({2}), 2)
+
+    @pytest.mark.parametrize("mask", [-1, 2])
+    def test_mask_out_of_range_rejected(self, mask):
+        tree = two_panel_tree()
+        with pytest.raises(ValueError, match="no foldable joint"):
+            collision_check(tree, mask, 2)
+
+    def test_static_joint_rejected(self):
+        tree = two_panel_tree()
+        with pytest.raises(ValueError, match="not a foldable joint"):
+            collision_check(tree, 0, 1)
 
     def test_table_blocks_downward_fold(self):
         spec = CartonSpec(
@@ -165,13 +172,13 @@ class TestCollisionCheck:
             table_plane=True,
             penetration_tolerance=1.05,
         )
-        assert collision_check(build_tree(spec), frozenset(), 2) is False
+        assert collision_check(build_tree(spec), 0, 2) is False
         no_table = build_tree(replace(spec, table_plane=False))
-        assert collision_check(no_table, frozenset(), 2) is True
+        assert collision_check(no_table, 0, 2) is True
 
     def test_determinism(self, blocking_pair):
         _, tree = blocking_pair
-        verdicts = {collision_check(tree, frozenset(), joint) for joint in (2, 2, 2)}
+        verdicts = {collision_check(tree, 0, joint) for joint in (2, 2, 2)}
         assert len(verdicts) == 1
 
     def test_adding_obstacles_never_unblocks(self):
@@ -180,8 +187,8 @@ class TestCollisionCheck:
         for _ in range(40):
             center = rng.uniform((-80, -80, -10), (280, 180, 90))
             box = OrientedBox.from_center(center, rng.uniform(5, 60, size=3))
-            base = collision_check(tree, frozenset(), 2)
-            augmented = collision_check(with_fixtures(tree, box), frozenset(), 2)
+            base = collision_check(tree, 0, 2)
+            augmented = collision_check(with_fixtures(tree, box), 0, 2)
             if augmented:
                 assert base  # an obstacle may only flip true -> false
 
@@ -189,7 +196,7 @@ class TestCollisionCheck:
         # Panels outside the moving subtree must have identical poses at
         # every sampled angle of the sweep.
         spec, tree = case_study
-        folded = frozenset({3})
+        folded = {3}
         joint = 1
         moving = set(tree.subtree_ids(joint))
         panel = tree.panel(joint)
@@ -215,7 +222,7 @@ class TestCollisionCheck:
         # (subset, joint) pair of the carton.
         spec = load_spec(spec_dir / name)
         fine = replace(spec, tolerance_angle=spec.tolerance_angle / 2.0)
-        assert feasible_subsets(build_tree(spec)) == feasible_subsets(build_tree(fine))
+        assert every_verdict(build_tree(spec)) == every_verdict(build_tree(fine))
 
 
 class TestBroadPhase:
@@ -232,9 +239,9 @@ class TestBroadPhase:
                 penetration_tolerance=spec.penetration_tolerance if own_penetration else 0.0,
             )
         )
-        for folded, joint in all_folds(tree):
-            expected = full_kernel_check(tree, folded, joint)
-            assert collision_check(tree, folded, joint) is expected, (folded, joint)
+        for mask, joint in all_folds(tree):
+            expected = full_kernel_check(tree, mask, joint)
+            assert collision_check(tree, mask, joint) is expected, (mask, joint)
 
     def test_fixture_hit_by_one_sample_is_not_culled(self):
         # A 1 mm cube on the flap's mid-plane near its free edge at 45
@@ -250,7 +257,7 @@ class TestBroadPhase:
         lo, hi = sweep_bounds(pack_boxes(solids))
         corners = cube.corners()
         assert np.all(corners > lo) and np.all(corners < hi)
-        assert collision_check(with_fixtures(tree, cube), frozenset(), 2) is False
+        assert collision_check(with_fixtures(tree, cube), 0, 2) is False
 
     @pytest.mark.parametrize("penetration", [0.0, 0.5])
     def test_crease_adjacent_parent_still_collides(self, three_flaps, penetration):
@@ -261,9 +268,9 @@ class TestBroadPhase:
         tight = build_tree(replace(spec, penetration_tolerance=penetration, table_plane=False))
         loose = build_tree(replace(spec, table_plane=False))
         for joint in tight.foldable_ids:
-            assert full_kernel_check(tight, frozenset(), joint) is False
-            assert collision_check(tight, frozenset(), joint) is False
-            assert collision_check(loose, frozenset(), joint) is True
+            assert full_kernel_check(tight, 0, joint) is False
+            assert collision_check(tight, 0, joint) is False
+            assert collision_check(loose, 0, joint) is True
 
 
 class TestDecomposition:
@@ -274,9 +281,9 @@ class TestDecomposition:
     def test_matches_the_full_kernel_at_a_quarter_degree(self, spec_dir, name):
         spec = load_spec(spec_dir / name)
         tree = build_tree(replace(spec, tolerance_angle=math.radians(0.25)))
-        for folded, joint in all_folds(tree):
-            expected = full_kernel_check(tree, folded, joint)
-            assert collision_check(tree, folded, joint) is expected, (folded, joint)
+        for mask, joint in all_folds(tree):
+            expected = full_kernel_check(tree, mask, joint)
+            assert collision_check(tree, mask, joint) is expected, (mask, joint)
 
     def test_matches_the_full_kernel_on_branchy_trees(self):
         # Random trees at least three creases deep, so that sweeps and pairs
@@ -300,9 +307,9 @@ class TestDecomposition:
                     )
                 )
             trees += 1
-            for folded, joint in all_folds(tree):
-                expected = full_kernel_check(tree, folded, joint)
-                assert collision_check(tree, folded, joint) is expected, (trees, folded, joint)
+            for mask, joint in all_folds(tree):
+                expected = full_kernel_check(tree, mask, joint)
+                assert collision_check(tree, mask, joint) is expected, (trees, mask, joint)
                 verdicts.add(expected)
         assert verdicts == {True, False}
 
@@ -310,14 +317,14 @@ class TestDecomposition:
         spec, _ = case_study
         tree = build_tree(spec)
         folds = list(all_folds(tree))
-        first = [collision_check(tree, folded, joint) for folded, joint in folds]
+        first = [collision_check(tree, mask, joint) for mask, joint in folds]
         sizes = len(tree.sweeps), len(tree.pair_verdicts), len(tree.panel_records)
-        again = [collision_check(tree, folded, joint) for folded, joint in folds]
+        again = [collision_check(tree, mask, joint) for mask, joint in folds]
         assert again == first
         assert (len(tree.sweeps), len(tree.pair_verdicts), len(tree.panel_records)) == sizes
         # One sweep per joint and folded subset of the joints that place it.
         assert len(tree.sweeps) == len(
-            {(joint, tree.mask(folded) & tree.subtree_ancestry[joint]) for folded, joint in folds}
+            {(joint, mask & tree.subtree_ancestry[joint]) for mask, joint in folds}
         )
 
 
@@ -342,22 +349,22 @@ class TestGraspSide:
 
     def test_flat_flap_grasped_from_inside(self):
         tree = self.make_flap_tree(np.pi / 2)
-        assert grasp_side(tree, frozenset(), 2) is GraspSide.INSIDE
+        assert grasp_side(tree, 0, 2) is GraspSide.INSIDE
 
     def test_inner_face_on_table_forces_outside(self):
         # A downward fold's inner face is the underside, resting on the table.
         tree = self.make_flap_tree(-np.pi / 2)
-        assert grasp_side(tree, frozenset(), 2) is GraspSide.OUTSIDE
+        assert grasp_side(tree, 0, 2) is GraspSide.OUTSIDE
 
     def test_boxed_in_flap_has_no_side(self):
         # Downward fold (inner face on the table) plus a fixture slab right
         # above the flap: neither face is reachable.
         lid = OrientedBox.from_center((100.0, -30.0, 7.0), (220, 80, 6))
         tree = self.make_flap_tree(-np.pi / 2, extra_env=(lid,))
-        assert grasp_side(tree, frozenset(), 2) is GraspSide.NONE
+        assert grasp_side(tree, 0, 2) is GraspSide.NONE
 
     def test_spec_without_gripper_rejected(self):
         tree = self.make_flap_tree(np.pi / 2)
         bare = build_tree(replace(tree.spec, gripper=None))
         with pytest.raises(ValueError, match="no gripper"):
-            grasp_side(bare, frozenset(), 2)
+            grasp_side(bare, 0, 2)

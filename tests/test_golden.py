@@ -1,15 +1,19 @@
 """Golden reports: the sha256 of stdout for pinned CLI configurations.
 
 Every shipped spec in every format at top 20 and top all, and eight equal
-free flaps at top 20 under each of the three test policies. A change to
-planning, ranking or formatting that is meant to keep the reports the same
-must keep these hashes. To print the current hashes:
+free flaps at top 20 under each of the three test policies. Beside the
+reports, the ``--explain`` trace (stdout, stderr and exit code) of pinned
+orders, and the ``--dump-states`` directory of two plans, hashed over its
+sorted file names and bytes. A change to planning, ranking or formatting
+that is meant to keep the output the same must keep these hashes. To
+print the current hashes:
 
     PYTHONPATH=src python -m tests.test_golden
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import tempfile
@@ -65,6 +69,46 @@ GOLDEN: dict[tuple[str, str, int | None], str] = {
 }
 
 
+# (spec, order) -> sha256 of the --explain exit code, stdout and stderr: the
+# tray's top 20 orders, one that collides at step 1, and every order of the
+# three flaps. Both specs declare a gripper, so every step reports a grasp.
+EXPLAIN_GOLDEN: dict[tuple[str, str], str] = {
+    ("case_study_tray.yaml", "3,1,4,2,7,5,6"): "91f4954f6353e6c0975d6faab4cee68592123db24e0dd452206e1513f49b7fed",
+    ("case_study_tray.yaml", "3,1,4,2,7,6,5"): "ecca6896ffaad958353c7036edea72d12d0a1cbd27f686cf61e5349c712f6f43",
+    ("case_study_tray.yaml", "3,1,4,7,2,5,6"): "43b9e902120400f9252897f25d33ff6737c39da9305ce26765324cdb7f7e80e9",
+    ("case_study_tray.yaml", "3,1,4,7,2,6,5"): "41ccafd1d61bb346b1aed807fcef0bb50fa768f849680600ca5113bc88bb781a",
+    ("case_study_tray.yaml", "4,1,3,2,7,5,6"): "02d7d8c440c400f4e2b021a09d78e4f46083d383348a1cd94d099ae3f5b41323",
+    ("case_study_tray.yaml", "4,1,3,2,7,6,5"): "c371d797661aa0018eb7d1eb1335b59873a7bac81592f39226776cc1799bb04e",
+    ("case_study_tray.yaml", "4,1,3,7,2,5,6"): "381f3e5d042579142b28fe88e3a670189bc65bf7828a913057c7a094912b87eb",
+    ("case_study_tray.yaml", "4,1,3,7,2,6,5"): "2604feb15857a995b6769303ac702224216d770e5c4da9ca35373a2268f39978",
+    ("case_study_tray.yaml", "1,3,4,2,7,5,6"): "92b8580e0878f1710dcf96c7726ce0b4be71d1278b94cf21facfe54f72f82408",
+    ("case_study_tray.yaml", "1,3,4,2,7,6,5"): "511f332d0fbd21ae9cd053183b44376b84c1c2f31f83443cb476bd3de6e04086",
+    ("case_study_tray.yaml", "1,3,4,7,2,5,6"): "171836cf3092c09d99a12b296c12d24fbec022b80ed9435df5259f6a44651eab",
+    ("case_study_tray.yaml", "1,3,4,7,2,6,5"): "d2cf9e9ae98a26c1be14f8aa50f6c14f90af27567766d97f0a76572222da64b2",
+    ("case_study_tray.yaml", "1,4,3,2,7,5,6"): "f9416c9dda1cb4fd5c8e224fde130af6c964d5c640943e1a2341ecd7fc47adb7",
+    ("case_study_tray.yaml", "1,4,3,2,7,6,5"): "78875c725995d78877b512390a5db867665e871cf775b9c4bcac2cdae6aadeda",
+    ("case_study_tray.yaml", "1,4,3,7,2,5,6"): "7f9a1d07bea0f73e91cad6e30c17259f482e412774cc4a3ac335be98b26bc102",
+    ("case_study_tray.yaml", "1,4,3,7,2,6,5"): "e7136a49ec3b609048a675f242335f8b00a099d9500cb223f084ede8d4e5e221",
+    ("case_study_tray.yaml", "3,1,4,2,5,7,6"): "80c14d06758895f0bb9cd228f511b990089b2607b57e59a6f8e7ed495c5c518a",
+    ("case_study_tray.yaml", "3,1,4,2,6,7,5"): "439228568a72d573486a4cabf40c9f3109ef9c40708b4cc5dfe034427d6d780c",
+    ("case_study_tray.yaml", "3,1,4,7,5,2,6"): "dcbb3d5c1ed4a52809e08a9b1f5034d9dfdbf66751cebfd6c9de711ab89c45bf",
+    ("case_study_tray.yaml", "3,1,4,7,6,2,5"): "74066704553ef199f911d19238907b10cc085542f2c952d3d4c5d9874fa117b2",
+    ("case_study_tray.yaml", "5,1,2,3,4,6,7"): "e0bbbb7a5728b8b0f3792a7a119c0eb577d8bdc8ce14b5b39fc5ad010cb04c34",
+    ("three_flaps.yaml", "2,3,4"): "6ff0ae4a3529f658ca4c9000fc60de05d1ee46d567122ef8fe171a0be7e2840a",
+    ("three_flaps.yaml", "2,4,3"): "5ab4a0bd746ff10e490f3b2596fde0e7608acce53c55c39c1578a7cd7a034dbe",
+    ("three_flaps.yaml", "3,2,4"): "f5ee9dc292bd34814deebe782c5f8766d86099d52ab23a86a21458c62e473e08",
+    ("three_flaps.yaml", "3,4,2"): "89f852e3eed5026069e7dfdad10ac99e889886c97e76dc1cdc2b53a76be6cbc1",
+    ("three_flaps.yaml", "4,2,3"): "2c433ca027ad8eaa34c214c6e5ac82703404d9ca58c3a56fe4ba4add3767c266",
+    ("three_flaps.yaml", "4,3,2"): "e592b6073c3ee1bcd4e7d924b7592266c1660dd246bc71fd249ad9c7eebc5f35",
+}
+
+# (spec, top) -> sha256 over the sorted file names and bytes of --dump-states.
+DUMP_GOLDEN: dict[tuple[str, int | None], str] = {
+    ("three_flaps.yaml", None): "574a740c46ac05e3dc9fae46d3957bcdc8b8980c2d7f4c1adffccc6af1427114",
+    ("case_study_tray.yaml", 5): "17f27cf55901b208b6452b6274f313cb1157245487ecdf7a1ae50e6bcbe25c95",
+}
+
+
 def cases() -> list[tuple[str, str, int | None]]:
     found = [(spec, fmt, top) for spec in SHIPPED_SPECS for fmt in FORMATS for top in (20, None)]
     found += [(f"free:8 {'>'.join(p)}", fmt, 20) for p in POLICIES for fmt in FORMATS]
@@ -83,9 +127,39 @@ def report_digest(case: str, fmt: str, top: int | None, workdir: Path) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def explain_digest(spec: str, order: str) -> str:
+    config = RunConfig(
+        spec_path=str(SPEC_DIR / spec), explain=tuple(map(int, order.split(",")))
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(config, out=out)
+    return hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
+
+
+def dump_digest(spec: str, top: int | None, workdir: Path) -> str:
+    directory = workdir / "dump"
+    config = RunConfig(spec_path=str(SPEC_DIR / spec), fmt="csv", top=top, dump_dir=str(directory))
+    run(config, out=io.StringIO())
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("case, fmt, top", cases(), ids=lambda v: str(v))
 def test_report_matches_its_golden_hash(case, fmt, top, tmp_path):
     assert report_digest(case, fmt, top, tmp_path) == GOLDEN[case, fmt, top]
+
+
+@pytest.mark.parametrize("spec, order", list(EXPLAIN_GOLDEN), ids=lambda v: str(v))
+def test_explain_matches_its_golden_hash(spec, order):
+    assert explain_digest(spec, order) == EXPLAIN_GOLDEN[spec, order]
+
+
+@pytest.mark.parametrize("spec, top", list(DUMP_GOLDEN), ids=lambda v: str(v))
+def test_dump_states_match_their_golden_hash(spec, top, tmp_path):
+    assert dump_digest(spec, top, tmp_path) == DUMP_GOLDEN[spec, top]
 
 
 if __name__ == "__main__":
@@ -93,3 +167,8 @@ if __name__ == "__main__":
         for key in cases():
             case, fmt, top = key
             print(f'    ("{case}", "{fmt}", {top}): "{report_digest(*key, Path(tmp))}",')
+        for spec, order in EXPLAIN_GOLDEN:
+            print(f'    ("{spec}", "{order}"): "{explain_digest(spec, order)}",')
+        for spec, top in DUMP_GOLDEN:
+            with tempfile.TemporaryDirectory() as work:
+                print(f'    ("{spec}", {top}): "{dump_digest(spec, top, Path(work))}",')

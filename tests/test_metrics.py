@@ -7,18 +7,24 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from cartonfold.collision import collision_check
-from cartonfold.geometry import OrientedBox, Transform
+from cartonfold.collision import collision_check, sweep
+from cartonfold.geometry import OrientedBox, Transform, world_aabb
 from cartonfold.metrics import (
     SequenceScore,
     StepMetrics,
-    is_aerial,
     rank_lattice,
     score_and_rank,
     score_sequence,
 )
-from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec
-from cartonfold.planner import FoldSequence, FoldState, build_lattice, enumerate_sequences
+from cartonfold.model import (
+    CartonSpec,
+    JointVector,
+    PanelSpec,
+    build_tree,
+    forward_kinematics,
+    load_spec,
+)
+from cartonfold.planner import FoldSequence, build_lattice, enumerate_sequences
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
 from .oracles import brute_force_sequences
@@ -74,17 +80,33 @@ def chain_tree():
     )
 
 
-FLAT = frozenset()
+FLAT = ()
+
+
+def measured(tree, folded) -> tuple[float, float]:
+    """Volume and largest extent of the state with the given joints folded."""
+    (volume,), (max_extent,) = tree.measures([tree.mask(folded)])
+    return volume, max_extent
+
+
+def state_box(tree, folded):
+    """The bounding box of the state with the given joints folded."""
+    poses = forward_kinematics(tree, JointVector.from_folded(tree, folded))
+    return world_aabb(p.solid for p in poses)
+
+
+def is_aerial(tree, folded, joint) -> bool:
+    return sweep(tree, tree.mask(folded), joint).aerial
 
 
 class TestBoundingMeasures:
     def test_single_flat_panel_volume(self):
         tree = single_panel_tree()
-        assert tree.state(FLAT).volume == pytest.approx(100 * 200 * 2)
+        assert measured(tree, FLAT)[0] == pytest.approx(100 * 200 * 2)
 
     def test_single_flat_panel_max_dimension(self):
         tree = single_panel_tree()
-        assert tree.state(FLAT).max_extent == pytest.approx(200.0)
+        assert measured(tree, FLAT)[1] == pytest.approx(200.0)
 
     def test_fold_trades_footprint_for_height(self):
         # Hand corner enumeration. Flat: base [0,200]x[0,100], flap extends
@@ -92,10 +114,10 @@ class TestBoundingMeasures:
         # up 90 degrees about the crease (y=0, z=1): the flap becomes a slab
         # y in [-1,1], z in [1,61].
         tree = two_panel_tree()
-        assert tree.state(FLAT).max_extent == pytest.approx(200.0)
-        assert tree.state(FLAT).volume == pytest.approx(200.0 * 160.0 * 2.0)
+        assert measured(tree, FLAT)[1] == pytest.approx(200.0)
+        assert measured(tree, FLAT)[0] == pytest.approx(200.0 * 160.0 * 2.0)
 
-        box = tree.state(frozenset({2})).box
+        box = state_box(tree, {2})
         # y extent shrinks by the flap height, give or take half a thickness.
         assert box.extents[1] == pytest.approx(101.0, abs=1e-9)
         # z extent grows to the flap height above the crease line.
@@ -103,49 +125,42 @@ class TestBoundingMeasures:
 
     def test_case_study_folded_box_max_dimension(self, case_study):
         _, tree = case_study
-        folded = frozenset(tree.foldable_ids)
         # Fully folded tray: the long side dominates, up to board thickness.
-        assert tree.state(folded).max_extent == pytest.approx(330.0, abs=6.0)
+        assert measured(tree, tree.foldable_ids)[1] == pytest.approx(330.0, abs=6.0)
 
     def test_case_study_flat_footprint_class(self, case_study):
         # Flat blank: walls extend each base side by their height, so the
         # long extent sits near 330 + 2*140 and the short one near
         # 240 + 2*140 (plus the rim flanges on one side).
         _, tree = case_study
-        box = tree.state(FLAT).box
+        box = state_box(tree, FLAT)
         assert box.extents[0] == pytest.approx(330.0 + 2 * 140.0, abs=20.0)
         assert box.extents[1] == pytest.approx(240.0 + 2 * 140.0, abs=50.0)
-        assert tree.state(FLAT).max_extent == pytest.approx(610.0, abs=20.0)
+        assert measured(tree, FLAT)[1] == pytest.approx(610.0, abs=20.0)
 
     def test_maxdim_never_below_largest_panel_extent(self, case_study):
         _, tree = case_study
         largest = max(max(p.height, p.width) for p in tree.spec.panels)
-        for folded in (frozenset(), frozenset({1}), frozenset(tree.foldable_ids)):
-            assert tree.state(folded).max_extent >= largest - 1e-9
+        for folded in ((), (1,), tree.foldable_ids):
+            assert measured(tree, folded)[1] >= largest - 1e-9
 
 
 class TestIsAerial:
     def test_every_first_fold_from_flat_is_grounded(self, case_study):
         _, tree = case_study
         for joint in tree.foldable_ids:
-            assert is_aerial(tree, FoldState.initial(), joint) is False
+            assert is_aerial(tree, FLAT, joint) is False
 
     def test_flap_on_raised_wall_is_aerial(self):
         tree = chain_tree()
         assert tree.spec.support_tolerance == 1.0
-        assert is_aerial(tree, FoldState.initial(), 2) is False
-        after_wall = FoldState(frozenset({2}))
-        assert is_aerial(tree, after_wall, 3) is True
+        assert is_aerial(tree, FLAT, 2) is False
+        assert is_aerial(tree, {2}, 3) is True
 
     def test_support_tolerance_comes_from_the_spec(self):
         # The raised flap starts well under 1 m above the table.
         lax = build_tree(replace(chain_tree().spec, support_tolerance=1000.0))
-        assert is_aerial(lax, FoldState(frozenset({2})), 3) is False
-
-    def test_unavailable_joint_rejected(self):
-        tree = chain_tree()
-        with pytest.raises(ValueError, match="not available"):
-            is_aerial(tree, FoldState(frozenset({2})), 2)
+        assert is_aerial(lax, {2}, 3) is False
 
     def test_case_study_every_sequence_has_two_aerial_folds(
         self, case_study, case_study_sequences
@@ -295,7 +310,7 @@ class TestFreeFlapMetricsSanity:
     def test_factorial_carton_first_steps_grounded(self):
         tree = build_tree(free_flap_spec(3))
         for joint in tree.foldable_ids:
-            assert is_aerial(tree, FoldState.initial(), joint) is False
+            assert is_aerial(tree, FLAT, joint) is False
 
 
 # Cartons the lattice ranker is checked on: every shipped spec, free-flap
@@ -322,7 +337,7 @@ def ranker_spec(case: str) -> CartonSpec:
 def brute_orders(case: str) -> list[tuple[int, ...]]:
     """Brute-force orders of one ranker case; they do not depend on the ranking."""
     tree = build_tree(ranker_spec(case))
-    cc = lru_cache(maxsize=None)(lambda folded, joint: collision_check(tree, folded, joint))
+    cc = lru_cache(maxsize=None)(lambda mask, joint: collision_check(tree, mask, joint))
     return brute_force_sequences(tree, cc=cc)
 
 
@@ -363,8 +378,10 @@ class TestRankLattice:
         tree, lattice, _ = planned(case, ("aerial", "maxdim", "volume"))
         report = rank_lattice(lattice, top)
         assert len(report.rows) == len(report)
+        scored = score_and_rank(tree, [lattice.sequence(order) for order in report.orders.tolist()])
+        reference = {row.sequence.order: row for row in scored.rows}
         for i, row in enumerate(report.rows):
-            assert row == score_sequence(tree, lattice.sequence(row.sequence.order))
+            assert row == reference[row.sequence.order]
             assert row.sequence.order == tuple(report.orders[i].tolist())
             assert (row.c_vol, row.c_dim, row.c_aerial) == (
                 report.c_vol[i], report.c_dim[i], report.c_aerial[i]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cartonfold.model as model_module
+from cartonfold.collision import sweep
 from cartonfold.geometry import (
     ORTHONORMAL_TOL,
     Aabb,
@@ -345,39 +346,39 @@ class TestStateMemo:
 
         monkeypatch.setattr(model_module, "forward_kinematics", counted_fk)
         monkeypatch.setattr(model_module, "panel_pose_from_frame", counted_pose)
-        first = tree.state(frozenset({2}))
-        assert tree.state(frozenset({2})) is first
-        assert tree.state(frozenset()).poses[0] is first.poses[0]  # the root never moves
+        bit = tree.bits[2]
+        folded = [tree.panel_state(pid, bit) for pid in tree.ids]
+        assert tree.panel_state(2, bit) is folded[1]
+        assert tree.panel_state(1, 0) is folded[0]  # the root never moves
+        tree.panel_state(2, 0)
         assert fk_calls == []
         assert sorted(built) == [1, 2, 2]
-        bit = tree.bits[2]
         assert sorted(tree.panel_records) == [(1, 0), (2, 0), (2, bit)]
-        assert first.theta == JointVector.from_folded(tree, {2})
-        assert first.poses == tuple(forward_kinematics(tree, first.theta))
+        theta = JointVector.from_folded(tree, {2})
+        assert [r.pose for r in folded] == forward_kinematics(tree, theta)
 
     def test_memo_is_per_tree_and_out_of_repr(self):
         spec = parse_spec(TWO_PANEL_DOC)
         used, fresh = build_tree(spec), build_tree(spec)
-        used.state(frozenset())
-        assert "records" not in repr(used)
-        assert used.records and not fresh.records
+        used.panel_state(2, 0)
+        assert "panel_records" not in repr(used)
         assert used.panel_records and not fresh.panel_records
 
     @pytest.mark.parametrize("name", SHIPPED_SPECS)
-    def test_state_equals_forward_kinematics_bit_for_bit(self, spec_dir, name):
+    def test_panel_records_equal_forward_kinematics_bit_for_bit(self, spec_dir, name):
+        # The poses and the box that --explain, --dump-states and the grasp
+        # advisory assemble from the records, state by state.
         tree = build_tree(load_spec(spec_dir / name))
-        joints = tree.foldable_ids
-        for r in range(len(joints) + 1):
-            for folded in map(frozenset, itertools.combinations(joints, r)):
-                poses, box, _ = fk_measures(tree, folded)
-                record = tree.state(folded)
-                assert record.poses == tuple(poses)
-                for got, want in zip(record.poses, poses):
-                    assert bits(got.pose.rotation) == bits(want.pose.rotation)
-                    assert bits(got.pose.translation) == bits(want.pose.translation)
-                    assert bits(got.center) == bits(want.center)
-                assert bits(record.box.min) == bits(box.min)
-                assert bits(record.box.max) == bits(box.max)
+        for mask in range(1 << len(tree.foldable_ids)):
+            poses, box, _ = fk_measures(tree, tree.joints(mask))
+            records = [tree.panel_state(pid, mask) for pid in tree.ids]
+            assert [r.pose for r in records] == poses
+            for got, want in zip(records, poses):
+                assert bits(got.pose.pose.rotation) == bits(want.pose.rotation)
+                assert bits(got.pose.pose.translation) == bits(want.pose.translation)
+                assert bits(got.pose.center) == bits(want.center)
+            assert bits([min(r.lo[i] for r in records) for i in range(3)]) == bits(box.min)
+            assert bits([max(r.hi[i] for r in records) for i in range(3)]) == bits(box.max)
 
     def test_measures_equal_forward_kinematics_bit_for_bit(self, spec_dir):
         # Volume, max extent and the aerial flag of every subset, on the
@@ -406,7 +407,7 @@ class TestStateMemo:
                 for joint in set(joints) - folded:
                     lowest = min(min_z[pid] for pid in tree.subtree_ids(joint))
                     expected = lowest > tree.spec.support_tolerance
-                    assert tree.is_aerial(mask, joint) is expected
+                    assert sweep(tree, mask, joint).aerial is expected
 
     def test_measures_of_masks_wider_than_int64(self):
         # 64 joints: the full state's mask does not fit an int64.
@@ -414,8 +415,9 @@ class TestStateMemo:
         states = [frozenset(), frozenset(tree.foldable_ids[::3]), frozenset(tree.foldable_ids)]
         volumes, max_extents = tree.measures([tree.mask(folded) for folded in states])
         for folded, volume, max_extent in zip(states, volumes, max_extents):
-            assert bits(volume) == bits(tree.state(folded).volume)
-            assert bits(max_extent) == bits(tree.state(folded).max_extent)
+            _, box, _ = fk_measures(tree, folded)
+            assert bits(volume) == bits(box.volume)
+            assert bits(max_extent) == bits(box.max_extent)
 
     def test_volume_multiplies_in_numpy_order(self):
         # measures() forms the volumes as (dx * dy) * dz over arrays of
@@ -441,13 +443,6 @@ class TestPoseEquality:
         index = tree.ids.index(flap)
         assert moved[index] != forward_kinematics(tree, flat)[index]
         assert moved[0] == a
-
-    def test_state_records_compare_by_identity(self, three_flaps):
-        spec, tree = three_flaps
-        other = build_tree(spec)
-        assert tree.state(frozenset()) == tree.state(frozenset())
-        assert tree.state(frozenset()) != other.state(frozenset())
-        assert tree.state(frozenset()).poses == other.state(frozenset()).poses
 
 
 def random_tree(rng: np.random.Generator, n_panels: int):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,17 +11,13 @@ from cartonfold.collision import collision_check
 from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec
 from cartonfold.planner import (
     FoldSequence,
-    FoldState,
     PlannerError,
-    action_space,
     build_lattice,
     enumerate_sequences,
-    feasible_subsets,
-    transition,
 )
 
 from .conftest import SHIPPED_SPECS, free_flap_spec
-from .oracles import brute_force_sequences
+from .oracles import brute_force_sequences, every_verdict
 from .test_model import fk_measures
 
 
@@ -37,7 +34,7 @@ def frozenset_lattice(tree):
             _, _, min_z = fk_measures(tree, folded)
             out = []
             for joint in foldable:
-                if joint not in folded and collision_check(tree, folded, joint):
+                if joint not in folded and collision_check(tree, tree.mask(folded), joint):
                     lowest = min(min_z[pid] for pid in tree.subtree_ids(joint))
                     out.append((joint, folded | {joint}, lowest > tree.spec.support_tolerance))
                     reached[folded | {joint}] = None
@@ -51,14 +48,18 @@ def frozenset_lattice(tree):
     return edges, completions
 
 
-class TestActionSpace:
-    def test_all_available_from_start(self, three_flaps):
+class TestLatticeStates:
+    def test_every_flap_folds_out_of_the_flat_state(self, three_flaps):
         _, tree = three_flaps
-        assert action_space(tree, FoldState.initial()) == [2, 3, 4]
+        lattice = build_lattice(tree)
+        assert lattice.masks[0] == 0
+        assert lattice.joint[lattice.first[0]:lattice.first[1]].tolist() == [2, 3, 4]
 
-    def test_terminal_state_is_empty(self, three_flaps):
+    def test_full_state_is_last_and_has_no_folds(self, three_flaps):
         _, tree = three_flaps
-        assert action_space(tree, FoldState(frozenset({2, 3, 4}))) == []
+        lattice = build_lattice(tree)
+        assert lattice.masks[-1] == tree.mask(tree.foldable_ids)
+        assert lattice.first[-2] == lattice.first[-1] == len(lattice.joint)
 
     def test_static_joints_never_appear(self):
         spec = CartonSpec(
@@ -80,33 +81,9 @@ class TestActionSpace:
         )
         tree = build_tree(spec)
         assert tree.foldable_ids == (2,)
-        assert action_space(tree, FoldState.initial()) == [2]
-
-    def test_case_study_after_one_fold(self, case_study):
-        _, tree = case_study
-        state = transition(tree, FoldState.initial(), 2)
-        assert action_space(tree, state) == [1, 3, 4, 5, 6, 7]
-
-
-class TestTransition:
-    def test_fold_accumulates(self, case_study):
-        _, tree = case_study
-        state = transition(tree, FoldState.initial(), 2)
-        assert state.folded == frozenset({2})
-        state = transition(tree, state, 7)
-        assert state.folded == frozenset({2, 7})
-
-    def test_repeated_fold_rejected(self, case_study):
-        _, tree = case_study
-        state = transition(tree, FoldState.initial(), 2)
-        with pytest.raises(ValueError, match="already folded"):
-            transition(tree, state, 2)
-
-    def test_state_identity_is_order_free(self, case_study):
-        _, tree = case_study
-        one = transition(tree, transition(tree, FoldState.initial(), 2), 7)
-        other = transition(tree, transition(tree, FoldState.initial(), 7), 2)
-        assert one == other
+        assert tree.bits == {2: 1}
+        # One state, one fold to check out of it.
+        assert build_lattice(tree).stats.cc_calls == 1
 
 
 class TestEnumerateSequences:
@@ -168,8 +145,10 @@ class TestEnumerateSequences:
     def test_soundness_replay(self, blocking_pair, three_flaps):
         for _, tree in (blocking_pair, three_flaps):
             for seq in enumerate_sequences(tree):
-                for state, joint in seq.prefixes():
-                    assert collision_check(tree, state.folded, joint)
+                mask = 0
+                for joint in seq.order:
+                    assert collision_check(tree, mask, joint)
+                    mask |= tree.bits[joint]
 
     @pytest.mark.parametrize("name", SHIPPED_SPECS[:3])
     def test_oracle_equivalence_small_cartons(self, spec_dir, name):
@@ -186,6 +165,7 @@ class TestEnumerateSequences:
     def test_memoized_never_repeats_a_check(self, case_study, monkeypatch):
         # Exactly one collision check per (reachable subset, unfolded joint).
         _, tree = case_study
+        reachable, _ = frozenset_lattice(tree)
         seen = []
         real_check = planner_module.collision_check
 
@@ -198,8 +178,8 @@ class TestEnumerateSequences:
         k = len(tree.foldable_ids)
         assert len(seen) == len(set(seen)) == lattice.stats.cc_calls
         assert set(seen) == {
-            (mask, j) for mask in lattice.edges for j in tree.foldable_ids
-            if not mask & tree.bits[j]
+            (tree.mask(folded), j) for folded in reachable for j in tree.foldable_ids
+            if j not in folded
         }
         assert lattice.stats.cc_calls <= (2 ** k) * k
         assert lattice.sequence_count == len(lattice.sequences()) == 1680
@@ -212,52 +192,16 @@ class TestEnumerateSequences:
         assert all(n >= 2 for n in seq.cc_samples)
 
 
-class TestFeasibleSubsets:
-    def test_two_panel_table_shape(self):
-        tree = build_tree(
-            CartonSpec(
-                panels=(
-                    PanelSpec(id=1, parent=None, dims=(100, 200, 2)),
-                    PanelSpec(
-                        id=2, parent=1, dims=(60, 190, 2),
-                        crease_anchor=(195, 0, 0), crease_dir=(-1, 0, 0),
-                        theta_init=0.0, theta_final=math.pi / 2,
-                    ),
-                ),
-                table_plane=False,
-                # Mid-plane hinges interpenetrate up to t/2 near the crease,
-                # so the allowance must exceed half the thickness.
-                penetration_tolerance=1.05,
-            )
-        )
-        table = feasible_subsets(tree)
-        assert set(table.keys()) == {frozenset(), frozenset({2})}
-        assert table[frozenset()] == {2: True}
-        assert table[frozenset({2})] == {}
-
+class TestVerdicts:
     def test_blocking_pair_entries(self, blocking_pair):
         _, tree = blocking_pair
-        table = feasible_subsets(tree)
-        assert table[frozenset()][3] is True
-        assert table[frozenset()][2] is False
-        assert table[frozenset({3})][2] is True
-        assert table[frozenset({2})][3] is False
+        verdicts = every_verdict(tree)
+        assert len(verdicts) == 4
+        assert verdicts[0, 3] is True
+        assert verdicts[0, 2] is False
+        assert verdicts[tree.mask({3}), 2] is True
+        assert verdicts[tree.mask({2}), 3] is False
 
-    def test_matches_direct_collision_checks(self, three_flaps):
-        _, tree = three_flaps
-        table = feasible_subsets(tree)
-        assert len(table) == 2 ** len(tree.foldable_ids)
-        for subset, row in table.items():
-            for joint, verdict in row.items():
-                assert verdict == collision_check(tree, subset, joint)
-
-    def test_cap_exceeded_is_an_error(self, three_flaps):
-        _, tree = three_flaps
-        with pytest.raises(PlannerError, match="subset cap"):
-            feasible_subsets(tree, subset_cap=2)
-
-
-class TestVerdictsArePathIndependent:
     def test_same_subset_same_verdict(self, case_study):
         # The collision check takes the folded subset, not the path: build
         # the subset along different orders and compare every next-joint
@@ -266,46 +210,68 @@ class TestVerdictsArePathIndependent:
         paths = [(1, 3, 4), (4, 3, 1), (3, 1, 4)]
         verdicts = []
         for path in paths:
-            state = FoldState.initial()
+            mask = 0
             for joint in path:
-                state = transition(tree, state, joint)
+                mask |= tree.bits[joint]
             verdicts.append(
                 {
-                    j: collision_check(tree, state.folded, j)
-                    for j in action_space(tree, state)
+                    j: collision_check(tree, mask, j)
+                    for j in tree.foldable_ids
+                    if not mask & tree.bits[j]
                 }
             )
         assert verdicts[0] == verdicts[1] == verdicts[2]
 
 
 class TestMaskLattice:
-    """The lattice keys fold states on int masks; read back as frozensets it
-    must be the reference lattice, edge for edge and in the same order."""
+    """The lattice keys fold states on int masks and keeps the states and
+    folds on some complete path; read back as frozensets it must be the
+    reference lattice cut to those states, edge for edge and in the same
+    order."""
 
     @pytest.mark.parametrize(
         "spec",
         [*SHIPPED_SPECS, *(f"free:{k}" for k in range(3, 9))],
     )
-    def test_equals_the_frozenset_lattice(self, spec_dir, spec):
+    def test_equals_the_live_frozenset_lattice(self, spec_dir, spec):
         if spec.startswith("free:"):
             spec = free_flap_spec(int(spec[5:]))
         else:
             spec = load_spec(spec_dir / spec)
         lattice = build_lattice(build_tree(spec))
         tree = lattice.tree
+        reference, ways = frozenset_lattice(build_tree(spec))
 
-        def subset(mask):
-            return frozenset(tree.joints(mask))
+        def subset(i):
+            return frozenset(tree.joints(lattice.masks[i]))
 
-        edges = {
-            subset(mask): tuple((e.joint, subset(e.child), e.aerial) for e in out)
-            for mask, out in lattice.edges.items()
-        }
-        completions = {subset(mask): ways for mask, ways in lattice.completions.items()}
-        reference_edges, reference_completions = frozenset_lattice(build_tree(spec))
-        assert subset(lattice.final) == frozenset(tree.foldable_ids)
-        assert list(edges.items()) == list(reference_edges.items())
-        assert completions == reference_completions
+        columns = (lattice.joint, lattice.child, lattice.aerial)
+        got = [
+            (subset(i), [(j, subset(c), a) for j, c, a in zip(*(col[lo:hi].tolist() for col in columns))])
+            for i, (lo, hi) in enumerate(zip(lattice.first[:-1], lattice.first[1:]))
+        ]
+        expected = [
+            (folded, [edge for edge in out if ways[edge[1]]])
+            for folded, out in reference.items()
+            if ways[folded]
+        ]
+        assert got == expected
+        assert lattice.source.tolist() == [
+            i for i, (lo, hi) in enumerate(zip(lattice.first[:-1], lattice.first[1:])) for _ in range(lo, hi)
+        ]
+        assert lattice.sequence_count == lattice.stats.sequences == ways[frozenset()]
+        k = len(tree.foldable_ids)
+        assert lattice.stats.dead_ends == sum(
+            1 for folded, out in reference.items() if not out and len(folded) < k
+        )
+
+    def test_no_sequence_leaves_no_state(self, spec_dir):
+        spec = load_spec(spec_dir / "three_flaps.yaml")
+        lattice = build_lattice(build_tree(replace(spec, penetration_tolerance=0.0)))
+        assert lattice.sequence_count == 0 and lattice.masks == []
+        assert lattice.first.tolist() == [0] and len(lattice.joint) == 0
+        assert lattice.sequences() == []
+        assert lattice.stats.dead_ends == 1
 
     def test_masks_and_joints_convert_both_ways(self, case_study):
         _, tree = case_study
@@ -341,26 +307,28 @@ class TestFreeFlapFactorial:
         assert (again.cc_calls, again.sweeps, again.pair_tests) == (stats.cc_calls, 0, 0)
 
 
-def walked_paths(lattice) -> tuple[list[tuple[int, ...]], int]:
-    """Reference enumeration: a recursive walk of the mask lattice, folds in
-    ascending joint order, skipping children that cannot complete. Returns
-    the joint orders and the number of path prefixes visited."""
+def walked_paths(tree) -> tuple[list[tuple[int, ...]], int]:
+    """Reference enumeration: a recursive walk of the reference lattice,
+    folds in ascending joint order, skipping children that cannot complete.
+    Returns the joint orders and the number of path prefixes visited."""
+    edges, ways = frozenset_lattice(tree)
+    final = frozenset(tree.foldable_ids)
     found, order, prefixes = [], [], 0
 
-    def walk(mask: int) -> None:
+    def walk(folded: frozenset) -> None:
         nonlocal prefixes
         prefixes += 1
-        if mask == lattice.final:
+        if folded == final:
             found.append(tuple(order))
             return
-        for joint, child, _ in lattice.edges[mask]:
-            if lattice.completions[child]:
+        for joint, child, _ in edges[folded]:
+            if ways[child]:
                 order.append(joint)
                 walk(child)
                 order.pop()
 
-    if lattice.sequence_count:
-        walk(0)
+    if ways[frozenset()]:
+        walk(frozenset())
     return found, prefixes
 
 
@@ -372,16 +340,15 @@ class TestLivePaths:
         else:
             tree = build_tree(load_spec(spec_dir / case))
         lattice = build_lattice(tree)
-        live = lattice.live
-        paths, prefixes = live.paths()
-        orders, walked_prefixes = walked_paths(lattice)
-        assert [tuple(row) for row in live.joint[paths].tolist()] == orders
+        paths, prefixes = lattice.paths()
+        orders, walked_prefixes = walked_paths(tree)
+        assert [tuple(row) for row in lattice.joint[paths].tolist()] == orders
         assert [s.order for s in lattice.sequences()] == orders
         assert prefixes == walked_prefixes
         # Every row is a chain of edges from the empty state to the full one.
         for row in paths.tolist():
-            states = [0] + [live.child[e] for e in row]
-            assert [live.source[e] for e in row] == states[:-1]
-            assert live.masks[states[-1]] == lattice.final
+            states = [0] + [lattice.child[e] for e in row]
+            assert [lattice.source[e] for e in row] == states[:-1]
+            assert lattice.masks[states[-1]] == tree.mask(tree.foldable_ids)
             for e in row:
-                assert live.first[live.source[e]] <= e < live.first[live.source[e] + 1]
+                assert lattice.first[lattice.source[e]] <= e < lattice.first[lattice.source[e] + 1]
