@@ -38,7 +38,7 @@ lattice = build_lattice(tree)
 report = rank_lattice(lattice, top=10)
 elapsed = time.perf_counter() - t0
 print(f"\n{report.sequence_count} valid folding sequences from "
-      f"{lattice.stats.cc_calls} collision checks, best 10 ranked in {elapsed:.2f} s")
+      f"{lattice.stats.cc_calls} collision verdicts, best 10 ranked in {elapsed:.2f} s")
 
 print("\ntop 10 under policy", " > ".join(spec.ranking) + ":")
 print(f"{'sequence':<24} {'volume_mm3':>14} {'maxdim_mm':>11} {'naf':>4}")

@@ -136,8 +136,8 @@ def _swept_movers(
     rel_trans = np.stack(rel_trans)
     halves = np.stack(halves)
 
-    rots = np.einsum("sij,pjk->spik", joint_rots, rel_rots)
-    centers = np.einsum("sij,pj->spi", joint_rots, rel_trans) + joint_origin
+    rots = joint_rots[:, None] @ rel_rots
+    centers = rel_trans @ joint_rots.transpose(0, 2, 1) + joint_origin
 
     n = len(samples) * len(moving_ids)
     return (

@@ -342,9 +342,8 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
     # and its own aerial flag; adding one weight to every candidate moves
     # the minimum by exactly that weight, since rounded addition is monotone.
     least = np.zeros((len(criteria), len(lattice.masks)))
-    sizes = [mask.bit_count() for mask in lattice.masks]
-    layer = np.searchsorted(sizes, range(len(tree.foldable_ids) + 1))
-    for a, b in zip(layer[-2::-1].tolist(), layer[:0:-1].tolist()):
+    layer = lattice.layers
+    for a, b in zip(layer[-3::-1].tolist(), layer[-2:0:-1].tolist()):
         lo, hi = first[a], first[b]
         candidates = weight[:, lo:hi] + least[:, children[lo:hi]]
         least[:, a:b] = np.minimum.reduceat(candidates, first[a:b] - lo, axis=1)

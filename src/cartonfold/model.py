@@ -351,12 +351,11 @@ class KinematicTree:
         lo = np.full((len(masks), 3), np.inf)
         hi = np.full((len(masks), 3), -np.inf)
         for pid in self.ids:
-            placed = masks & self.ancestry[pid]
-            keys = sorted(set(placed.tolist()))
-            inverse = np.searchsorted(keys, placed)
-            records = [self.panel_state(pid, key) for key in keys]
-            np.minimum(lo, np.reshape([r.lo for r in records], (-1, 3))[inverse], out=lo)
-            np.maximum(hi, np.reshape([r.hi for r in records], (-1, 3))[inverse], out=hi)
+            keys, inverse = np.unique(masks & self.ancestry[pid], return_inverse=True)
+            records = [self.panel_state(pid, key) for key in keys.tolist()]
+            bounds = np.reshape([r.lo + r.hi for r in records], (-1, 6))[inverse]
+            np.minimum(lo, bounds[:, :3], out=lo)
+            np.maximum(hi, bounds[:, 3:], out=hi)
         dx, dy, dz = (hi - lo).T
         return dx * dy * dz, np.maximum(np.maximum(dx, dy), dz)
 

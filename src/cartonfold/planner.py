@@ -10,24 +10,32 @@ the empty state to the full one, and every ranking criterion is a sum of
 node or edge weights along such a path.
 
 ``build_lattice`` walks the reachable states from the empty one, a
-popcount layer at a time, and asks for one collision verdict per
-(reachable state, unfolded joint). Each verdict is an AND of memoised
-predicates keyed on masks (``collision``): a fold's sweep depends only on
-the folded joints that place the moving subtree, and a static panel only
-on its own ancestors, so a carton of k free flaps builds k sweeps and
-k(2k-1) pair tests for its k·2^(k-1) verdicts. A fold's aerial flag is
-read from its sweep, since it depends on the subtree's start pose alone,
-so no fold state is ever run through forward kinematics as a whole. The
-feasible folds go straight into flat arrays. One numpy pass a layer at a
-time from the full state counts the complete paths below every state,
-with Python ints as in Held & Karp's subset recursion, so the sequence
-count is exact and never an enumeration, and the ``FoldLattice`` keeps
-only the states and folds that lie on some complete path, in compressed
-sparse rows. Every input, from the sweep step to the support tolerance,
-is read from the tree's spec. ``FoldLattice.paths`` lists every complete
-path as a row of edge ids, a layer at a time. ``enumerate_sequences``
-reads them, and so does ``metrics.rank_lattice`` when it ranks every
-path; to rank the best few it searches them instead.
+popcount layer at a time, and decides every fold out of a layer in one
+pass. The verdict for folding joint j out of state F is an AND of
+memoised predicates keyed on masks (``collision``): a fold's sweep reads
+only the folded joints that place the moving subtree, and its pair test
+against a static panel only those and the panel's own ancestors. So the
+pass holds sets of the layer's states as Python-int bitboards, bit s for
+the layer's state s (the bitwise subset tables of Knuth, TAOCP 4A,
+§7.1.3), splits each set by the bits a predicate reads, and evaluates a
+predicate once for each key that some state still alive carries: exactly
+the predicates that one ``collision.collision_check`` per (reachable
+state, unfolded joint) evaluates, without calling it. A carton of k free
+flaps builds k sweeps and k(2k-1) pair tests for its k·2^(k-1) verdicts.
+A fold's aerial flag is read from its sweep, since it depends on the
+subtree's start pose alone, so no fold state is ever run through forward
+kinematics as a whole. Each layer's feasible folds are unpacked once into
+flat arrays, and the work follows the reachable states, never all 2^k.
+One numpy pass a layer at a time from the full state counts the complete
+paths below every state, with Python ints as in Held & Karp's subset
+recursion, so the sequence count is exact and never an enumeration, and
+the ``FoldLattice`` keeps only the states and folds that lie on some
+complete path, in compressed sparse rows. Every input, from the sweep
+step to the support tolerance, is read from the tree's spec.
+``FoldLattice.paths`` lists every complete path as a row of edge ids, a
+layer at a time. ``enumerate_sequences`` reads them, and so does
+``metrics.rank_lattice`` when it ranks every path; to rank the best few
+it searches them instead.
 
 Everything here is a pure function of immutable inputs, and output order
 is canonical regardless of evaluation order.
@@ -35,12 +43,13 @@ is canonical regardless of evaluation order.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
-from .collision import collision_check, n_sweep_samples, sweep
+from .collision import _pair_blocked, n_sweep_samples, sweep
 from .model import KinematicTree
 
 
@@ -67,15 +76,16 @@ class FoldSequence:
 class SearchDiagnostics:
     """Counters of one lattice build and the searches over it.
 
-    ``cc_calls`` counts collision checks (one per reachable state and
-    unfolded joint), ``sweeps`` and ``pair_tests`` the swept subtrees and
-    (sweep, static panel) kernel verdicts those checks built rather than
-    reused, ``dead_ends`` the reachable states with no feasible fold, and
-    ``sequences`` the collision-free sequences. A ranking adds
-    ``nodes_expanded``, the path prefixes it visited, ``cc_cache_hits``,
-    the lattice edges it followed out of them, and ``pruned``, the edges
-    it cut because their lower bound ranked at or after the current N-th
-    key. A ranking of every path enumerates every prefix of every
+    ``cc_calls`` counts collision verdicts, one per reachable state and
+    unfolded joint, though the build decides them a layer at a time and
+    calls no ``collision_check``; ``sweeps`` and ``pair_tests`` count the
+    swept subtrees and (sweep, static panel) kernel verdicts those
+    verdicts built rather than reused, ``dead_ends`` the reachable states
+    with no feasible fold, and ``sequences`` the collision-free sequences.
+    A ranking adds ``nodes_expanded``, the path prefixes it visited,
+    ``cc_cache_hits``, the lattice edges it followed out of them, and
+    ``pruned``, the edges it cut because their lower bound ranked at or
+    after the current N-th key. A ranking of every path enumerates every prefix of every
     sequence and prunes nothing. A search for the best few visits the
     cheapest bound first, so its counts measure how soon it holds a
     tight cutoff.
@@ -100,7 +110,8 @@ class FoldLattice:
 
     A fold state is a bit mask over ``tree.foldable_ids`` (``tree.bits``).
     ``masks`` lists the states in layer order (by popcount, in the order
-    the build reached them), the full state last. The folds are held in
+    the build reached them), the full state last; layer t is the states
+    ``layers[t]`` up to ``layers[t + 1]``. The folds are held in
     compressed sparse rows: state i's folds are the edges ``first[i]`` up
     to ``first[i + 1]``, in ascending joint order; edge e folds
     ``joint[e]`` out of state ``source[e]`` into state ``child[e]``
@@ -112,6 +123,7 @@ class FoldLattice:
 
     tree: KinematicTree
     masks: list[int]
+    layers: np.ndarray
     first: np.ndarray
     source: np.ndarray
     child: np.ndarray
@@ -157,50 +169,61 @@ class FoldLattice:
 
 
 def build_lattice(tree: KinematicTree) -> FoldLattice:
-    """Collision-check every fold out of every reachable state, once.
+    """Every feasible fold out of every reachable state, a layer at a time.
 
     States are expanded a layer (one more folded joint) at a time from the
-    empty one, and each feasible fold carries its sweep's aerial flag.
-    The folds of every reachable state are recorded by state index, and
-    the states and folds on no complete path are dropped at the end.
+    empty one, each layer's verdicts in one pass (``_layer_folds``), and
+    each feasible fold carries its sweep's aerial flag. The folds of a
+    layer are listed by state, then by joint, and the next layer holds
+    their children in the order the folds first reach them. The states and
+    folds on no complete path are dropped at the end.
     """
     foldable = tree.foldable_ids
     if not foldable:
         raise PlannerError("carton has no foldable joints, nothing to enumerate")
-    bits = [tree.bits[joint] for joint in foldable]
+    k = len(foldable)
     stats = SearchDiagnostics()
     sweeps, pair_tests = len(tree.sweeps), len(tree.pair_verdicts)
-    final = (1 << len(foldable)) - 1
+    # Masks of 63 or more joints overflow int64; numpy then keeps Python ints.
+    dtype = np.int64 if k < 63 else object
+    bits = np.array([1 << i for i in range(k)], dtype=dtype)
     masks: list[int] = []
-    source, child, joint, aerial = array("q"), array("q"), array("q"), array("b")
-    layer_edges = []  # the first edge out of each layer
+    source, child, slot, aerial = [], [], [], []
+    starts = [0]  # the first state of each layer, then the end
     layer = [0]
-    while layer:
-        layer_edges.append(len(source))
-        reached: dict[int, int] = {}  # the next layer's states and their indices
-        base = len(masks) + len(layer)
-        for i, mask in enumerate(layer, len(masks)):
-            folds = len(source)
-            for j, bit in zip(foldable, bits):
-                if mask & bit:
-                    continue
-                stats.cc_calls += 1
-                if collision_check(tree, mask, j):
-                    source.append(i)
-                    child.append(reached.setdefault(mask | bit, base + len(reached)))
-                    joint.append(j)
-                    aerial.append(sweep(tree, mask, j).aerial)
-            if len(source) == folds and mask != final:
-                stats.dead_ends += 1
+    walks: dict = {}  # (joint, folded joints that place its sweep) -> _Walk
+    for size in range(k):
+        n = len(layer)
+        layer_masks = np.array(layer, dtype=dtype)
+        free, aloft = _layer_folds(tree, _Projections(layer_masks, bits), walks)
+        stats.cc_calls += n * (k - size)
+        stats.dead_ends += ((1 << n) - 1 & ~reduce(or_, free)).bit_count()
+        table = _unpack(free + aloft, n)
+        state, slots = np.nonzero(table[:k].T)
+        reached = (layer_masks[state] | bits[slots]).tolist()
+        first_reach = dict.fromkeys(reached)
+        end = starts[-1] + n
+        index = dict(zip(first_reach, range(end, end + len(first_reach))))
         masks += layer
-        layer = list(reached)
-    source, child = np.array(source, dtype=np.intp), np.array(child, dtype=np.intp)
+        source.append(state + starts[-1])
+        child.append(np.fromiter(map(index.__getitem__, reached), np.intp, len(reached)))
+        slot.append(slots)
+        aerial.append(table[k:].T[state, slots])
+        starts.append(end)
+        layer = list(first_reach)
+        if not layer:
+            break
+    else:  # the full state, with nothing left to fold
+        masks += layer
+        starts.append(starts[-1] + 1)
+    source, child = np.concatenate(source), np.concatenate(child)
 
     # ways[i]: the complete paths from state i, summed from the last layer
     # back; the last layer has no folds, and holds the full state if any.
     ways = np.zeros(len(masks), dtype=object)
-    ways[-1] = int(masks[-1] == final)
-    for lo, hi in zip(layer_edges[-2::-1], layer_edges[:0:-1]):
+    ways[-1] = int(masks[-1] == (1 << k) - 1)
+    for a, b in zip(starts[-3::-1], starts[-2:0:-1]):
+        lo, hi = np.searchsorted(source, (a, b))
         np.add.at(ways, source[lo:hi], ways[child[lo:hi]])
     keep = np.flatnonzero(ways)
     index = np.full(len(masks), -1, dtype=np.intp)
@@ -213,15 +236,139 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
     return FoldLattice(
         tree=tree,
         masks=[masks[i] for i in keep.tolist()],
+        layers=np.searchsorted(keep, starts) if len(keep) else np.zeros(1, dtype=np.intp),
         first=np.searchsorted(source, np.arange(len(keep) + 1)),
         source=source,
         child=index[child[live]],
-        joint=np.array(joint, dtype=np.intp)[live],
-        aerial=np.array(aerial, dtype=bool)[live],
+        joint=np.array(foldable, dtype=np.intp)[np.concatenate(slot)[live]],
+        aerial=np.concatenate(aerial)[live],
         sequence_count=stats.sequences,
         cc_samples={j: n_sweep_samples(tree, j) for j in foldable},
         stats=stats,
     )
+
+
+class _Projections(dict):
+    """One layer's states, as bitboards, split by their values of a set of fold bits.
+
+    Bit s of a board stands for the layer's state s. ``has[i]`` is the
+    board of the states with fold bit i, from one ``np.packbits`` of the
+    layer's masks. ``self[bits]`` lists (a value of ``bits``, the board of
+    the states that have it) for every value some state has, built when
+    first asked for; ``split`` does the same for a part of the layer.
+    """
+
+    def __init__(self, layer: np.ndarray, bits: np.ndarray):
+        super().__init__()
+        self.everyone = (1 << len(layer)) - 1
+        width = (len(layer) + 7) // 8
+        packed = np.packbits((layer & bits[:, None]) != 0, axis=1, bitorder="little").tobytes()
+        self.has = [
+            int.from_bytes(packed[i * width:(i + 1) * width], "little") for i in range(len(bits))
+        ]
+
+    def __missing__(self, bits: int) -> list[tuple[int, int]]:
+        parts = self[bits] = self.split(self.everyone, bits)
+        return parts
+
+    def split(self, states: int, bits: int) -> list[tuple[int, int]]:
+        parts = [(0, states)] if states else []
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            on = self.has[low.bit_length() - 1]
+            parts = [
+                part
+                for value, board in parts
+                for part in ((value, board & ~on), (value | low, board & on))
+                if part[1]
+            ]
+        return parts
+
+
+def _unpack(boards: list[int], n: int) -> np.ndarray:
+    """Bitboards over an n-state layer as the rows of a boolean table."""
+    width = (n + 7) // 8
+    data = b"".join(board.to_bytes(width, "little") for board in boards)
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(len(boards), width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _layer_folds(
+    tree: KinematicTree, layer: _Projections, walks: dict
+) -> tuple[list[int], list[int]]:
+    """Which of a layer's states fold each joint freely, and which of those folds are aerial.
+
+    Returns two lists of bitboards, one board per joint slot. For each
+    joint, the states where it is unfolded are split by the folded joints
+    that place its sweep, and each part is walked through its sweep's
+    ``_Walk``, kept in ``walks`` for the whole build.
+    """
+    free, aloft = [], []
+    for i, moving in enumerate(tree.foldable_ids):
+        placing = tree.subtree_ancestry[moving] & ~(1 << i)
+        free.append(0)
+        aloft.append(0)
+        for value, states in layer.split(layer.everyone & ~layer.has[i], placing):
+            walk = walks.get((moving, value))
+            if walk is None:
+                walk = walks[moving, value] = _Walk(tree, moving, value, placing)
+            states = walk(states, layer)
+            free[i] |= states
+            if walk.swept.aerial:
+                aloft[i] |= states
+    return free, aloft
+
+
+class _Walk:
+    """The pair tests of one sweep that can still change a verdict, during one build.
+
+    Called with a board of states that fold the sweep's joint and carry
+    its key ``value``, it returns the states whose fold is free. The
+    sweep's static panels are walked in order: the states still alive are
+    split by the folded joints that place the panel, and a part is dropped
+    when its pair verdict is blocked. A verdict is thus the AND of the
+    memoised predicates that ``collision_check`` evaluates, and each
+    predicate is evaluated only for a key that some state alive at that
+    point carries, as ``collision_check`` state by state would. A panel
+    whose every key this build has found free can neither block nor be
+    evaluated again, so later walks leave it out.
+    """
+
+    def __init__(self, tree: KinematicTree, moving: int, value: int, placing: int):
+        self.tree = tree
+        self.swept = swept = sweep(tree, value, moving)
+        # [panel id, the fold bits that split the states, the fixed part of
+        # the pair key, its fold bits, how many keys are not yet found free]
+        self.steps = []
+        for pid, ancestry, base in swept.static:
+            split, fixed = ancestry & ~placing, value & ancestry
+            self.steps.append([pid, split, base | fixed, fixed, 1 << split.bit_count()])
+
+    def __call__(self, states: int, layer: _Projections) -> int:
+        if not self.swept.clear:
+            return 0
+        verdicts = self.tree.pair_verdicts
+        inert = False
+        for step in self.steps:
+            pid, split, key, fixed, _ = step
+            for placed, part in layer[split]:
+                if part & states:
+                    blocked = verdicts.get(key | placed)
+                    if blocked is None:
+                        blocked = verdicts[key | placed] = _pair_blocked(
+                            self.tree, self.swept, fixed | placed, pid
+                        )
+                        if not blocked:
+                            step[4] -= 1
+                            inert = inert or not step[4]
+                    if blocked:
+                        states &= ~part
+            if not states:
+                break
+        if inert:
+            self.steps = [step for step in self.steps if step[4]]
+        return states
 
 
 def enumerate_sequences(tree: KinematicTree) -> list[FoldSequence]:

@@ -2,16 +2,20 @@
 
 These deliberately avoid the library's own kernels: box overlap is decided
 by dense point sampling, and sequence enumeration by filtering raw
-permutations. Slow and simple on purpose.
+permutations. Slow and simple on purpose. ``loop_lattice`` is the lattice
+build as one ``collision_check`` per (reachable state, unfolded joint), the
+reference for the layer-at-a-time build.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 
 import numpy as np
 
-from cartonfold.collision import collision_check
+from cartonfold.collision import collision_check, n_sweep_samples, sweep
+from cartonfold.planner import FoldLattice, PlannerError, SearchDiagnostics
 
 
 def points_in_box(box, clearance: float, per_axis: int) -> np.ndarray:
@@ -74,3 +78,74 @@ def every_verdict(tree) -> dict[tuple[int, int], bool]:
         for joint in tree.foldable_ids
         if not mask & tree.bits[joint]
     }
+
+
+def loop_lattice(tree) -> FoldLattice:
+    """The fold-state lattice built one ``collision_check`` at a time.
+
+    States are expanded a popcount layer at a time from the empty one; each
+    state's folds are checked in joint-slot order, each feasible one takes
+    its aerial flag from its sweep, and the next layer holds the children in
+    the order the folds first reach them. Paths are counted from the last
+    layer back and the states and folds on no complete path are dropped,
+    as ``planner.build_lattice`` documents.
+    """
+    foldable = tree.foldable_ids
+    if not foldable:
+        raise PlannerError("carton has no foldable joints, nothing to enumerate")
+    bits = [tree.bits[joint] for joint in foldable]
+    stats = SearchDiagnostics()
+    sweeps, pair_tests = len(tree.sweeps), len(tree.pair_verdicts)
+    final = (1 << len(foldable)) - 1
+    masks: list[int] = []
+    source, child, joint, aerial = array("q"), array("q"), array("q"), array("b")
+    layer_edges = []  # the first edge out of each layer
+    layer = [0]
+    while layer:
+        layer_edges.append(len(source))
+        reached: dict[int, int] = {}  # the next layer's states and their indices
+        base = len(masks) + len(layer)
+        for i, mask in enumerate(layer, len(masks)):
+            folds = len(source)
+            for j, bit in zip(foldable, bits):
+                if mask & bit:
+                    continue
+                stats.cc_calls += 1
+                if collision_check(tree, mask, j):
+                    source.append(i)
+                    child.append(reached.setdefault(mask | bit, base + len(reached)))
+                    joint.append(j)
+                    aerial.append(sweep(tree, mask, j).aerial)
+            if len(source) == folds and mask != final:
+                stats.dead_ends += 1
+        masks += layer
+        layer = list(reached)
+    source, child = np.array(source, dtype=np.intp), np.array(child, dtype=np.intp)
+
+    ways = np.zeros(len(masks), dtype=object)
+    ways[-1] = int(masks[-1] == final)
+    for lo, hi in zip(layer_edges[-2::-1], layer_edges[:0:-1]):
+        np.add.at(ways, source[lo:hi], ways[child[lo:hi]])
+    keep = np.flatnonzero(ways)
+    index = np.full(len(masks), -1, dtype=np.intp)
+    index[keep] = np.arange(len(keep))
+    live = index[child] >= 0
+    source = index[source[live]]
+    stats.sequences = int(ways[0])
+    stats.sweeps = len(tree.sweeps) - sweeps
+    stats.pair_tests = len(tree.pair_verdicts) - pair_tests
+    kept = [masks[i] for i in keep.tolist()]
+    sizes = [mask.bit_count() for mask in kept]
+    return FoldLattice(
+        tree=tree,
+        masks=kept,
+        layers=np.searchsorted(sizes, range(len(foldable) + 2)) if kept else np.zeros(1, np.intp),
+        first=np.searchsorted(source, np.arange(len(keep) + 1)),
+        source=source,
+        child=index[child[live]],
+        joint=np.array(joint, dtype=np.intp)[live],
+        aerial=np.array(aerial, dtype=bool)[live],
+        sequence_count=stats.sequences,
+        cc_samples={j: n_sweep_samples(tree, j) for j in foldable},
+        stats=stats,
+    )

@@ -11,6 +11,7 @@ from cartonfold.collision import (
     _swept_movers,
     collision_check,
     grasp_side,
+    sweep,
     sweep_angles,
     sweep_bounds,
 )
@@ -86,6 +87,30 @@ def full_kernel_check(tree, mask, joint) -> bool:
         if corners[:, :, 2].min() < -eps:
             return False
     return True
+
+
+def branchy_trees(count: int = 6, seed: int = 41):
+    """Random trees at least three creases deep, so that sweeps and pairs are
+    keyed on grandparents' and grandchildren's folds; every other one also
+    stands on the table and carries a fixture."""
+    rng = np.random.default_rng(seed)
+    trees = []
+    while len(trees) < count:
+        tree = random_tree(rng, 7)
+        if max(joints.bit_count() for joints in tree.ancestry.values()) < 3:
+            continue  # every panel of a random tree folds: this is its depth
+        if len(trees) % 2:
+            post = OrientedBox.from_center(rng.uniform((0, 0, 5), (80, 80, 40)), (8, 8, 8))
+            tree = build_tree(
+                replace(
+                    tree.spec,
+                    environment=(post,),
+                    table_plane=True,
+                    root_pose=Transform(np.eye(3), (0.0, 0.0, 1.0)),
+                )
+            )
+        trees.append(tree)
+    return trees
 
 
 def all_folds(tree):
@@ -225,6 +250,49 @@ class TestCollisionCheck:
         assert every_verdict(build_tree(spec)) == every_verdict(build_tree(fine))
 
 
+class TestSweptSolids:
+    @staticmethod
+    def check_every_sweep(tree):
+        """Each swept box, row (sample, subtree panel), is the panel's solid
+        placed by forward kinematics of the fold state with the moving joint
+        at the sample angle; the sweep builds it another way, from the panel
+        records and one product per sample. Each joint folds first (nothing
+        folded) and last (everything else folded), so subtrees carry folded
+        panels and parents stand rotated. The states are not taken from a
+        lattice, which a broken product would empty."""
+        everything = tree.mask(tree.foldable_ids)
+        for joint in tree.foldable_ids:
+            panel = tree.panel(joint)
+            samples = sweep_angles(panel.theta_init, panel.theta_final, tree.spec.tolerance_angle)
+            moving = tree.subtree_ids(joint)
+            for mask in (0, everything & ~tree.bits[joint]):
+                centers, rotations, halves = sweep(tree, mask, joint).boxes
+                assert len(centers) == len(samples) * len(moving)
+                folded = JointVector.from_folded(tree, tree.joints(mask))
+                row = 0
+                for phi in samples:
+                    poses = forward_kinematics(tree, folded.replace(joint, float(phi)))
+                    by_id = {pose.panel_id: pose.solid for pose in poses}
+                    for pid in moving:
+                        solid = by_id[pid]
+                        np.testing.assert_allclose(centers[row], solid.center, rtol=0, atol=1e-9)
+                        np.testing.assert_allclose(rotations[row], solid.pose.rotation, rtol=0, atol=1e-9)
+                        np.testing.assert_allclose(halves[row], solid.half_extents, rtol=0, atol=1e-9)
+                        row += 1
+
+    @pytest.mark.parametrize("name", SHIPPED_SPECS)
+    @pytest.mark.parametrize("step_deg", [5.0, 0.25])
+    def test_shipped_specs(self, spec_dir, name, step_deg):
+        spec = load_spec(spec_dir / name)
+        self.check_every_sweep(build_tree(replace(spec, tolerance_angle=math.radians(step_deg))))
+
+    def test_branchy_trees(self):
+        # The shipped specs hinge every subtree on parallel creases, so their
+        # rotations commute; these trees turn creases across each other.
+        for tree in branchy_trees():
+            self.check_every_sweep(tree)
+
+
 class TestBroadPhase:
     @pytest.mark.parametrize("name", SHIPPED_SPECS)
     @pytest.mark.parametrize("step_deg", [5.0, 1.0])
@@ -286,30 +354,12 @@ class TestDecomposition:
             assert collision_check(tree, mask, joint) is expected, (mask, joint)
 
     def test_matches_the_full_kernel_on_branchy_trees(self):
-        # Random trees at least three creases deep, so that sweeps and pairs
-        # are keyed on grandparents' and grandchildren's folds; half of them
-        # also stand on the table and carry a fixture. The keys do not
-        # depend on the sweep step, so one step covers them.
-        rng = np.random.default_rng(41)
-        trees, verdicts = 0, set()
-        while trees < 6:
-            tree = random_tree(rng, 7)
-            if max(joints.bit_count() for joints in tree.ancestry.values()) < 3:
-                continue  # every panel of a random tree folds: this is its depth
-            if trees % 2:
-                post = OrientedBox.from_center(rng.uniform((0, 0, 5), (80, 80, 40)), (8, 8, 8))
-                tree = build_tree(
-                    replace(
-                        tree.spec,
-                        environment=(post,),
-                        table_plane=True,
-                        root_pose=Transform(np.eye(3), (0.0, 0.0, 1.0)),
-                    )
-                )
-            trees += 1
+        # The keys do not depend on the sweep step, so one step covers them.
+        verdicts = set()
+        for n, tree in enumerate(branchy_trees()):
             for mask, joint in all_folds(tree):
                 expected = full_kernel_check(tree, mask, joint)
-                assert collision_check(tree, mask, joint) is expected, (trees, mask, joint)
+                assert collision_check(tree, mask, joint) is expected, (n, mask, joint)
                 verdicts.add(expected)
         assert verdicts == {True, False}
 

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import cartonfold
+import cartonfold.collision as collision_module
 import cartonfold.planner as planner_module
+from cartonfold.cli import EXIT_NO_SEQUENCES, RunConfig, run
 from cartonfold.collision import collision_check
-from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec
+from cartonfold.geometry import OrientedBox
+from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec, serialize_spec
 from cartonfold.planner import (
     FoldSequence,
     PlannerError,
@@ -16,8 +23,10 @@ from cartonfold.planner import (
     enumerate_sequences,
 )
 
+from . import oracles
 from .conftest import SHIPPED_SPECS, free_flap_spec
-from .oracles import brute_force_sequences, every_verdict
+from .oracles import brute_force_sequences, every_verdict, loop_lattice
+from .test_collision import branchy_trees
 from .test_model import fk_measures
 
 
@@ -163,25 +172,48 @@ class TestEnumerateSequences:
         assert got == sorted(got)
 
     def test_memoized_never_repeats_a_check(self, case_study, monkeypatch):
-        # Exactly one collision check per (reachable subset, unfolded joint).
-        _, tree = case_study
-        reachable, _ = frozenset_lattice(tree)
-        seen = []
-        real_check = planner_module.collision_check
+        # Exactly one verdict per (reachable subset, unfolded joint), with no
+        # collision_check call: the reference loop checks each reachable
+        # state's folds once, and the build computes each sweep and each
+        # pair test once.
+        spec, _ = case_study
+        checked = []
 
-        def counted(tree_, mask, joint):
-            seen.append((mask, joint))
-            return real_check(tree_, mask, joint)
+        def counted_check(tree_, mask, joint):
+            checked.append((mask, joint))
+            return collision_check(tree_, mask, joint)
 
-        monkeypatch.setattr(planner_module, "collision_check", counted)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, "collision_check", counted_check)
+            reference = loop_lattice(build_tree(spec))
+
+        calls, swept, pairs = [], [], []
+        real_movers, real_pair = collision_module._swept_movers, planner_module._pair_blocked
+
+        def movers(tree_, poses, joint, samples):
+            swept.append(joint)
+            return real_movers(tree_, poses, joint, samples)
+
+        def pair(tree_, sweep_, mask, pid):
+            pairs.append((id(sweep_), pid, mask))
+            return real_pair(tree_, sweep_, mask, pid)
+
+        for module in (cartonfold, *vars(cartonfold).values()):
+            if getattr(module, "collision_check", None) is collision_check:
+                monkeypatch.setattr(module, "collision_check", lambda *args: calls.append(args))
+        monkeypatch.setattr(collision_module, "_swept_movers", movers)
+        monkeypatch.setattr(planner_module, "_pair_blocked", pair)
+        tree = build_tree(spec)
         lattice = build_lattice(tree)
         k = len(tree.foldable_ids)
-        assert len(seen) == len(set(seen)) == lattice.stats.cc_calls
-        assert set(seen) == {
-            (tree.mask(folded), j) for folded in reachable for j in tree.foldable_ids
-            if j not in folded
+        assert calls == []
+        assert len(checked) == len(set(checked)) == lattice.stats.cc_calls == reference.stats.cc_calls
+        assert set(checked) == {
+            (mask, j) for mask in lattice.masks for j in tree.foldable_ids if not mask & tree.bits[j]
         }
         assert lattice.stats.cc_calls <= (2 ** k) * k
+        assert len(swept) == lattice.stats.sweeps == len(tree.sweeps) == 9
+        assert len(pairs) == len(set(pairs)) == lattice.stats.pair_tests == len(tree.pair_verdicts)
         assert lattice.sequence_count == len(lattice.sequences()) == 1680
 
     def test_sequences_carry_sample_counts(self, blocking_pair):
@@ -352,3 +384,84 @@ class TestLivePaths:
             assert lattice.masks[states[-1]] == tree.mask(tree.foldable_ids)
             for e in row:
                 assert lattice.first[lattice.source[e]] <= e < lattice.first[lattice.source[e] + 1]
+
+
+def assert_same_lattice(got, want):
+    """Two lattices of one spec, on trees of their own, agree in every array,
+    counter and memo key."""
+    assert got.masks == want.masks
+    for name in ("layers", "first", "source", "child", "joint", "aerial"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    assert got.sequence_count == want.sequence_count
+    assert got.cc_samples == want.cc_samples
+    assert vars(got.stats) == vars(want.stats)
+    assert set(got.tree.sweeps) == set(want.tree.sweeps)
+    assert got.tree.pair_verdicts == want.tree.pair_verdicts
+    assert set(got.tree.panel_records) == set(want.tree.panel_records)
+
+
+class TestLoopReference:
+    """The layer-at-a-time build against one collision_check per
+    (reachable state, unfolded joint), ``oracles.loop_lattice``."""
+
+    @pytest.mark.parametrize("name", SHIPPED_SPECS)
+    @pytest.mark.parametrize("step_deg", [5.0, 1.0, 0.25])
+    @pytest.mark.parametrize("own_penetration", [True, False])
+    def test_shipped_specs(self, spec_dir, name, step_deg, own_penetration):
+        spec = load_spec(spec_dir / name)
+        spec = replace(
+            spec,
+            tolerance_angle=math.radians(step_deg),
+            penetration_tolerance=spec.penetration_tolerance if own_penetration else 0.0,
+        )
+        assert_same_lattice(build_lattice(build_tree(spec)), loop_lattice(build_tree(spec)))
+
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_free_flaps(self, k):
+        spec = free_flap_spec(k)
+        assert_same_lattice(build_lattice(build_tree(spec)), loop_lattice(build_tree(spec)))
+
+    @pytest.mark.parametrize("reach", [1.0, 0.3])
+    def test_branchy_trees(self, reach):
+        # As drawn, every one of these trees collides within a few folds.
+        # With each fold cut to 30% of its angle, half of them fold all the
+        # way, through states whose sweep and pair keys span several
+        # ancestry bits.
+        counts = []
+        for tree in branchy_trees():
+            panels = tuple(replace(p, theta_final=p.theta_final * reach) for p in tree.spec.panels)
+            spec = replace(tree.spec, panels=panels)
+            lattice = build_lattice(build_tree(spec))
+            assert_same_lattice(lattice, loop_lattice(build_tree(spec)))
+            counts.append(lattice.sequence_count)
+        assert any(counts) is (reach < 1.0)
+
+    @pytest.mark.parametrize("name", SHIPPED_SPECS)
+    def test_second_build_on_the_same_tree(self, spec_dir, name):
+        # Every predicate is memoised already, so nothing is evaluated again.
+        tree = build_tree(load_spec(spec_dir / name))
+        first = build_lattice(tree)
+        again = build_lattice(tree)
+        assert (again.stats.sweeps, again.stats.pair_tests) == (0, 0)
+        assert_same_lattice(again, replace(first, stats=replace(first.stats, sweeps=0, pair_tests=0)))
+
+
+class TestSparseLargeK:
+    @pytest.mark.parametrize("k", [24, 64])
+    def test_every_fold_blocked_costs_the_reachable_states_only(self, tmp_path, k):
+        # k flaps under a slab that every one of them hits on its way up:
+        # one reachable state and k verdicts, never the 2^k states. At 64
+        # flaps the masks no longer fit an int64.
+        slab = OrientedBox.from_center((300.0, 300.0, 25.0), (800.0, 800.0, 10.0))
+        spec = replace(free_flap_spec(k), environment=(slab,))
+        tree = build_tree(spec)
+        start = time.perf_counter()
+        lattice = build_lattice(tree)
+        elapsed = time.perf_counter() - start
+        assert lattice.stats.cc_calls <= k
+        assert lattice.sequence_count == 0 and lattice.stats.dead_ends == 1
+        assert elapsed < 0.5
+        path = tmp_path / "slab.yaml"
+        path.write_text(serialize_spec(spec))
+        assert run(RunConfig(spec_path=str(path)), out=io.StringIO()) == EXIT_NO_SEQUENCES
