@@ -28,7 +28,7 @@ SPECS = Path(__file__).resolve().parent.parent / "specs"
 tree = build_tree(load_spec(SPECS / "three_flaps.yaml"))
 
 lattice = build_lattice(tree)
-print("three_flaps orderings:", [s.order for s in lattice.sequences()])
+print("three_flaps orderings:", lattice.sequences())
 print("lattice:", len(lattice.masks), "states on a complete path,",
       lattice.sequence_count, "sequences by path count")
 print("  " + "\n  ".join(lattice.stats.lines()))
@@ -36,7 +36,7 @@ print("  " + "\n  ".join(lattice.stats.lines()))
 # The blocking pair: the cover's overhang bars the drop leaf's arc, so only
 # the leaf-first ordering survives.
 tree = build_tree(load_spec(SPECS / "blocking_pair.yaml"))
-print("\nblocking_pair orderings:", [s.order for s in enumerate_sequences(tree)])
+print("\nblocking_pair orderings:", enumerate_sequences(tree))
 
 # Every verdict, reachable states or not: one per (fold mask, next joint).
 for mask in range(1 << len(tree.foldable_ids)):
@@ -51,17 +51,25 @@ tree = build_tree(spec)
 report = score_and_rank(tree, enumerate_sequences(tree))
 print("\nranked three_flaps sequences, by", " > ".join(report.criteria) + ":")
 print(f"{'sequence':<14} {'volume_mm3':>12} {'maxdim_mm':>10} {'naf':>4}")
-for row in report.rows:
-    print(f"{str(list(row.sequence.order)):<14} {row.c_vol:>12.1f} "
-          f"{row.c_dim:>10.1f} {row.c_aerial:>4}")
+totals = zip(report.orders.tolist(), report.c_vol, report.c_dim, report.c_aerial)
+for order, c_vol, c_dim, naf in totals:
+    print(f"{str(order):<14} {c_vol:>12.1f} {c_dim:>10.1f} {naf:>4}")
+
+# A report is its arrays: row i folds along the edges report.steps[i], and
+# each edge holds the joint it folds and the state it folds out of. The
+# best sequence's totals are the sums of its steps.
+edges = report.edges
+print("\nbest sequence step by step:")
+for e in report.steps[0]:
+    print(f"  fold {edges.joint[e]}: volume {edges.volume[e]:.1f} mm^3, "
+          f"maxdim {edges.max_dim[e]:.1f} mm, aerial {bool(edges.aerial[e])}")
 
 # The same ranking straight from the lattice: a bounded search finds the
 # best two without scoring the other orderings.
 best = rank_lattice(build_lattice(tree), top=2)
-print(f"\nbest 2 of {best.sequence_count} from the lattice:",
-      [row.sequence.order for row in best.rows])
+print(f"\nbest 2 of {best.sequence_count} from the lattice:", best.orders.tolist())
 
 # Another ranking is another spec: volume first.
 by_volume = build_tree(replace(spec, ranking=("volume", "aerial")))
 best = rank_lattice(build_lattice(by_volume), top=2)
-print("best 2 by", " > ".join(best.criteria) + ":", [row.sequence.order for row in best.rows])
+print("best 2 by", " > ".join(best.criteria) + ":", best.orders.tolist())

@@ -42,17 +42,18 @@ print(f"\n{report.sequence_count} valid folding sequences from "
 
 print("\ntop 10 under policy", " > ".join(spec.ranking) + ":")
 print(f"{'sequence':<24} {'volume_mm3':>14} {'maxdim_mm':>11} {'naf':>4}")
-for row in report.rows:
-    print(f"{str(list(row.sequence.order)):<24} {row.c_vol:>14.1f} "
-          f"{row.c_dim:>11.1f} {row.c_aerial:>4}")
+totals = zip(report.orders.tolist(), report.c_vol, report.c_dim, report.c_aerial)
+for order, c_vol, c_dim, naf in totals:
+    print(f"{str(order):<24} {c_vol:>14.1f} {c_dim:>11.1f} {naf:>4}")
 
 # Every sequence carries exactly two aerial folds: the two flanges start
 # high on the standing wall whenever they move.
-best = report.rows[0]
+best = report.orders[0].tolist()
 print("\nbest sequence step by step:")
-for t, step in enumerate(best.per_step):
-    aerial = "aerial" if step.aerial else "on the bench"
-    print(f"  fold {names[step.joint]:<16} from state {sorted(best.sequence.order[:t])}: {aerial}")
+for t, e in enumerate(report.steps[0]):
+    aerial = "aerial" if report.edges.aerial[e] else "on the bench"
+    joint = int(report.edges.joint[e])
+    print(f"  fold {names[joint]:<16} from state {sorted(best[:t])}: {aerial}")
 
 flange_check = sweep(tree, tree.mask({1}), 5).aerial
 print("\nflange fold after its wall is up is aerial:", flange_check)

@@ -29,18 +29,14 @@ from .collision import (
 )
 from .planner import (
     FoldLattice,
-    FoldSequence,
     PlannerError,
     build_lattice,
     enumerate_sequences,
 )
 from .metrics import (
     RankedReport,
-    SequenceScore,
-    StepMetrics,
     rank_lattice,
     score_and_rank,
-    score_sequence,
 )
 
 __version__ = "0.1.0"
@@ -49,7 +45,6 @@ __all__ = [
     "Aabb",
     "CartonSpec",
     "FoldLattice",
-    "FoldSequence",
     "GraspSide",
     "GripperSpec",
     "JointVector",
@@ -59,9 +54,7 @@ __all__ = [
     "PanelSpec",
     "PlannerError",
     "RankedReport",
-    "SequenceScore",
     "SpecValidationError",
-    "StepMetrics",
     "Transform",
     "build_lattice",
     "build_tree",
@@ -75,7 +68,6 @@ __all__ = [
     "rank_lattice",
     "rotate_about_axis",
     "score_and_rank",
-    "score_sequence",
     "serialize_spec",
     "sweep_angles",
     "world_aabb",

@@ -64,8 +64,8 @@ def _load_tree(config: RunConfig) -> KinematicTree:
     return tree
 
 
-def format_table(report: RankedReport, top: int | None) -> str:
-    orders = report.orders[:top].tolist()
+def format_table(report: RankedReport) -> str:
+    orders = report.orders.tolist()
     lines = [
         f"policy: {' > '.join(report.criteria)}   "
         f"(showing {len(orders)} of {report.sequence_count} sequences)",
@@ -78,8 +78,8 @@ def format_table(report: RankedReport, top: int | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_csv(report: RankedReport, top: int | None) -> str:
-    orders = report.orders[:top].tolist()
+def format_csv(report: RankedReport) -> str:
+    orders = report.orders.tolist()
     c_vol, c_dim = report.c_vol.tolist(), report.c_dim.tolist()
     # Rows share few distinct totals; each is written out once.
     text = {v: f"{v:.6f}" for v in {*c_vol, *c_dim}}
@@ -117,18 +117,17 @@ _STEP = """        {{
         }}"""
 
 
-def format_structured(report: RankedReport, top: int | None) -> str:
-    orders = report.orders[:top].tolist()
+def format_structured(report: RankedReport) -> str:
     c_vol, c_dim = report.c_vol.tolist(), report.c_dim.tolist()
     number = {v: repr(round6(v)) for v in {*c_vol, *c_dim}}
+    joint, volume, max_dim, aerial = report.edges
     steps: dict[int, str] = {}
 
     def step(e: int) -> str:
         text = steps.get(e)
         if text is None:
-            s = report.edges.step(e)
-            aerial = "true" if s.aerial else "false"
-            text = steps[e] = _STEP.format(s.joint, round6(s.volume), round6(s.max_dim), aerial)
+            flag = "true" if aerial[e] else "false"
+            text = steps[e] = _STEP.format(joint[e], round6(volume[e]), round6(max_dim[e]), flag)
         return text
 
     rows = [
@@ -140,7 +139,7 @@ def format_structured(report: RankedReport, top: int | None) -> str:
             ",\n".join(map(step, ids)),
         )
         for order, ids, vol, dim, naf in zip(
-            orders, report.steps.tolist(), c_vol, c_dim, report.c_aerial.tolist()
+            report.orders.tolist(), report.steps.tolist(), c_vol, c_dim, report.c_aerial.tolist()
         )
     ]
     policy = ",\n".join(f"    {json.dumps(c)}" for c in report.criteria)
@@ -276,11 +275,11 @@ def run(config: RunConfig, out=None) -> int:
         logger.info("planner %s", line)
 
     if config.fmt == "table":
-        out.write(format_table(report, config.top))
+        out.write(format_table(report))
     elif config.fmt == "csv":
-        out.write(format_csv(report, config.top))
+        out.write(format_csv(report))
     else:
-        out.write(format_structured(report, config.top))
+        out.write(format_structured(report))
 
     if config.dump_dir is not None:
         dump_states(lattice.tree, report, config.dump_dir)

@@ -17,8 +17,8 @@ compared at the 6-decimal precision the reports print, so two sums that
 print equal fall through to the next criterion, and finally to the order
 itself, instead of being ranked by rounding noise.
 
-``score_and_rank`` scores and sorts a given list of sequences, placing
-each state by forward kinematics as a whole; it is the reference that
+``score_and_rank`` scores and sorts a given list of orders, placing each
+state by forward kinematics as a whole; it is the reference that
 ``rank_lattice`` is tested against. ``rank_lattice`` ranks the paths of a
 fold-state lattice: volume and maxdim weigh the lattice's nodes and
 aerial its edges, and node weights come from one numpy pass over the
@@ -33,23 +33,22 @@ regimes, split on whether the report asks for every path:
   branch-and-bound search, cheapest bound first, finds the best N without
   listing the rest.
 
-Both give a ``RankedReport`` that holds its rows as arrays; a row's
-``SequenceScore`` is built only when ``rows`` is read.
+Both give a ``RankedReport``, which holds its rows as arrays: a ranking
+has no other representation.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import world_aabb
 from .model import JointVector, KinematicTree, forward_kinematics
-from .planner import FoldLattice, FoldSequence
+from .planner import FoldLattice
 
 # Relative loosening of rank_lattice's lower bounds. The bound and a path's
 # own sum add the same k terms in different orders, so they differ by at
@@ -69,70 +68,6 @@ def round6(value: float) -> float:
     return float(f"{value:.6f}")
 
 
-@dataclass(frozen=True)
-class StepMetrics:
-    """Per-state measurements taken just before one fold executes."""
-
-    joint: int
-    volume: float
-    max_dim: float
-    aerial: bool
-
-
-@dataclass(frozen=True)
-class SequenceScore:
-    """A sequence with its per-step breakdown and accumulated criteria."""
-
-    sequence: FoldSequence
-    per_step: tuple[StepMetrics, ...]
-
-    @property
-    def c_vol(self) -> float:
-        return sum(step.volume for step in self.per_step)
-
-    @property
-    def c_dim(self) -> float:
-        return sum(step.max_dim for step in self.per_step)
-
-    @property
-    def c_aerial(self) -> int:
-        return sum(1 for step in self.per_step if step.aerial)
-
-    def key(self, criteria: tuple[str, ...]):
-        totals = {"aerial": self.c_aerial, "maxdim": self.c_dim, "volume": self.c_vol}
-        return tuple(
-            totals[c] if c == "aerial" else round6(totals[c]) for c in criteria
-        ) + (self.sequence.order,)
-
-
-def score_sequence(tree: KinematicTree, sequence: FoldSequence) -> SequenceScore:
-    """Measure every intermediate state S_0 .. S_{k-1} of one sequence.
-
-    The reference scorer: each state is placed by ``forward_kinematics`` as
-    a whole and measured by ``world_aabb``, sharing no memo with
-    ``rank_lattice``.
-    """
-    return _score(tree, sequence, {})
-
-
-def _score(tree: KinematicTree, sequence: FoldSequence, states: dict) -> SequenceScore:
-    """``score_sequence``, reusing and filling ``states``: the volume, largest
-    extent and lowest corner z per panel of each fold state measured so far."""
-    steps = []
-    for t, joint in enumerate(sequence.order):
-        folded = frozenset(sequence.order[:t])
-        measured = states.get(folded)
-        if measured is None:
-            poses = forward_kinematics(tree, JointVector.from_folded(tree, folded))
-            box = world_aabb(p.solid for p in poses)
-            lowest = {p.panel_id: p.solid.corners()[:, 2].min() for p in poses}
-            measured = states[folded] = (box.volume, box.max_extent, lowest)
-        volume, max_extent, lowest = measured
-        aerial = min(lowest[pid] for pid in tree.subtree_ids(joint)) > tree.spec.support_tolerance
-        steps.append(StepMetrics(joint, volume, max_extent, bool(aerial)))
-    return SequenceScore(sequence=sequence, per_step=tuple(steps))
-
-
 class EdgeMetrics(NamedTuple):
     """Step columns indexed by edge id.
 
@@ -146,16 +81,11 @@ class EdgeMetrics(NamedTuple):
     max_dim: np.ndarray
     aerial: np.ndarray
 
-    def step(self, e: int) -> StepMetrics:
-        return StepMetrics(
-            int(self.joint[e]), float(self.volume[e]), float(self.max_dim[e]), bool(self.aerial[e])
-        )
-
     def totals(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The volume, maxdim and aerial sums of each row of edge ids.
 
-        Terms are added left to right, as SequenceScore adds them, so every
-        sum equals the scored one bit for bit.
+        Terms are added left to right, as ``score_and_rank`` adds them, so
+        every sum equals the scored one bit for bit.
         """
         columns = (self.volume, self.max_dim, self.aerial.astype(np.intp))
         sums = [column[steps[:, 0]] for column in columns]
@@ -173,9 +103,7 @@ class RankedReport:
     joints ``orders[i]`` along the edges ``steps[i]`` of ``edges``, and
     ``c_vol[i]``, ``c_dim[i]`` and ``c_aerial[i]`` are its totals. The rows
     may be a prefix of the ranking; ``sequence_count`` counts every
-    sequence that was ranked. ``rows`` builds every row's SequenceScore,
-    with one StepMetrics per edge and the sample counts of ``cc_samples``,
-    when it is first read.
+    sequence that was ranked.
     """
 
     criteria: tuple[str, ...]
@@ -186,64 +114,71 @@ class RankedReport:
     c_vol: np.ndarray
     c_dim: np.ndarray
     c_aerial: np.ndarray
-    cc_samples: dict[int, int]
 
     def __len__(self) -> int:
         return len(self.orders)
 
-    @cached_property
-    def rows(self) -> tuple[SequenceScore, ...]:
-        built: dict[int, StepMetrics] = {}
 
-        def step(e: int) -> StepMetrics:
-            found = built.get(e)
-            if found is None:
-                found = built[e] = self.edges.step(e)
-            return found
-
-        return tuple(
-            SequenceScore(
-                FoldSequence(tuple(order), tuple(self.cc_samples[j] for j in order)),
-                tuple(map(step, ids)),
-            )
-            for order, ids in zip(self.orders.tolist(), self.steps.tolist())
-        )
-
-    @classmethod
-    def of_scores(cls, criteria: tuple[str, ...], scores: list[SequenceScore]) -> "RankedReport":
-        """A report whose rows are ``scores``, in the order given."""
-        shape = (len(scores), len(scores[0].per_step) if scores else 0)
-        per_step = [step for score in scores for step in score.per_step]
-        report = cls(
-            criteria=criteria,
-            sequence_count=len(scores),
-            orders=np.array([s.sequence.order for s in scores], dtype=np.intp).reshape(shape),
-            steps=np.arange(len(per_step)).reshape(shape),
-            edges=EdgeMetrics(
-                *(np.array([getattr(step, name) for step in per_step]) for name in EdgeMetrics._fields)
-            ),
-            c_vol=np.array([s.c_vol for s in scores], dtype=float),
-            c_dim=np.array([s.c_dim for s in scores], dtype=float),
-            c_aerial=np.array([s.c_aerial for s in scores], dtype=np.intp),
-            cc_samples={},
-        )
-        report.__dict__["rows"] = tuple(scores)  # fills the cache of ``rows``
-        return report
+def ranking_key(criteria: tuple[str, ...], c_vol, c_dim, c_aerial, order) -> tuple:
+    """The sort key of one sequence: its totals in ``criteria`` order, the
+    float ones rounded by ``round6``, then the order itself."""
+    totals = {"aerial": c_aerial, "maxdim": c_dim, "volume": c_vol}
+    return tuple(
+        totals[c] if c == "aerial" else round6(totals[c]) for c in criteria
+    ) + (tuple(order),)
 
 
-def score_and_rank(tree: KinematicTree, sequences) -> RankedReport:
-    """Score all sequences and sort them by the spec's ranking.
+def score_and_rank(tree: KinematicTree, orders) -> RankedReport:
+    """Score every order and sort them by the spec's ranking.
 
-    Ties after all criteria fall back to the sequence order tuple itself, so
-    the report is a total order independent of input ordering. An empty
-    input produces an empty report. Each fold state the sequences share is
-    placed and measured once per call.
+    The reference ranker, sharing no memo with ``rank_lattice``: each fold
+    state the orders pass through is placed by ``forward_kinematics`` as a
+    whole and measured by ``world_aabb``, once per call. Each order's
+    totals add its steps left to right, and the orders are sorted by
+    ``ranking_key``, so ties after all criteria fall back to the order
+    itself and the report does not depend on the input's order. The report
+    has one edge per (order, step); an empty input gives an empty report.
     """
     criteria = tree.spec.ranking
     states: dict = {}
-    scores = [_score(tree, seq, states) for seq in sequences]
-    scores.sort(key=lambda s: s.key(criteria))
-    return RankedReport.of_scores(criteria, scores)
+    scored = []
+    for order in map(tuple, orders):
+        steps = []
+        for t, joint in enumerate(order):
+            folded = frozenset(order[:t])
+            measured = states.get(folded)
+            if measured is None:
+                poses = forward_kinematics(tree, JointVector.from_folded(tree, folded))
+                box = world_aabb(p.solid for p in poses)
+                lowest = {p.panel_id: p.solid.corners()[:, 2].min() for p in poses}
+                measured = states[folded] = (box.volume, box.max_extent, lowest)
+            volume, max_dim, lowest = measured
+            aerial = min(lowest[pid] for pid in tree.subtree_ids(joint)) > tree.spec.support_tolerance
+            steps.append((joint, volume, max_dim, bool(aerial)))
+        c_vol = sum(step[1] for step in steps)
+        c_dim = sum(step[2] for step in steps)
+        c_aerial = sum(step[3] for step in steps)
+        key = ranking_key(criteria, c_vol, c_dim, c_aerial, order)
+        scored.append((key, c_vol, c_dim, c_aerial, steps))
+    scored.sort(key=itemgetter(0))
+    shape = (len(scored), len(tree.foldable_ids))
+    per_step = [step for *_, steps in scored for step in steps]
+    return RankedReport(
+        criteria=criteria,
+        sequence_count=len(scored),
+        orders=np.array([key[-1] for key, *_ in scored], dtype=np.intp).reshape(shape),
+        steps=np.arange(len(per_step)).reshape(shape),
+        edges=EdgeMetrics(
+            *(_column(per_step, i, dtype) for i, dtype in enumerate((np.intp, float, float, bool)))
+        ),
+        c_vol=_column(scored, 1, float),
+        c_dim=_column(scored, 2, float),
+        c_aerial=_column(scored, 3, np.intp),
+    )
+
+
+def _column(rows: list[tuple], i: int, dtype) -> np.ndarray:
+    return np.array([row[i] for row in rows], dtype=dtype)
 
 
 def _rounded(values: np.ndarray) -> np.ndarray:
@@ -281,8 +216,7 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
     compared as keys are. The kept set is the ``top`` smallest keys under
     a total order, so the visit order changes the work, never the result.
 
-    Either way the report holds its rows as arrays, and builds a row's
-    SequenceScore only when ``rows`` is read.
+    Either way the report holds its rows as arrays.
     """
     count = lattice.sequence_count
     n = count if top is None else min(top, count)
@@ -305,7 +239,6 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
         c_vol=c_vol,
         c_dim=c_dim,
         c_aerial=c_aerial,
-        cc_samples=lattice.cc_samples,
     )
 
 

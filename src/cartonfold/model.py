@@ -277,8 +277,6 @@ class KinematicTree:
 
     spec: CartonSpec
     ids: tuple[int, ...]
-    root_id: int
-    children: dict[int, tuple[int, ...]]
     topo_order: tuple[int, ...]
     foldable_ids: tuple[int, ...]
     bits: dict[int, int]
@@ -365,7 +363,6 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
     ids = tuple(p.id for p in spec.panels)
     by_id = {p.id: p for p in spec.panels}
     children: dict[int, list[int]] = {pid: [] for pid in ids}
-    root_id = spec.root.id
     for panel in spec.panels:
         if panel.parent is not None:
             children[panel.parent].append(panel.id)
@@ -373,7 +370,7 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
         children[pid].sort()
 
     topo: list[int] = []
-    stack = [root_id]
+    stack = [spec.root.id]
     while stack:
         node = stack.pop(0)
         topo.append(node)
@@ -415,8 +412,6 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
     return KinematicTree(
         spec=spec,
         ids=ids,
-        root_id=root_id,
-        children={pid: tuple(kids) for pid, kids in children.items()},
         topo_order=tuple(topo),
         foldable_ids=foldable,
         bits=bits,

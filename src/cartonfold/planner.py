@@ -49,27 +49,12 @@ from operator import or_
 
 import numpy as np
 
-from .collision import _pair_blocked, n_sweep_samples, sweep
+from .collision import _pair_blocked, sweep
 from .model import KinematicTree
 
 
 class PlannerError(ValueError):
     """The planning problem itself is malformed (e.g. nothing to fold)."""
-
-
-@dataclass(frozen=True)
-class FoldSequence:
-    """A complete ordering of all foldable joints, with sweep evidence.
-
-    ``cc_samples[t]`` is the number of swept samples the collision check
-    evaluated when step ``t`` was validated.
-    """
-
-    order: tuple[int, ...]
-    cc_samples: tuple[int, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.order)
 
 
 @dataclass
@@ -116,8 +101,7 @@ class FoldLattice:
     to ``first[i + 1]``, in ascending joint order; edge e folds
     ``joint[e]`` out of state ``source[e]`` into state ``child[e]``
     (indices into ``masks``), and ``aerial[e]`` is its aerial flag.
-    ``sequence_count`` is the exact number of complete paths and
-    ``cc_samples[j]`` the sweep samples of joint j's check. Without a
+    ``sequence_count`` is the exact number of complete paths. Without a
     feasible sequence the lattice has no state at all.
     """
 
@@ -130,12 +114,7 @@ class FoldLattice:
     joint: np.ndarray
     aerial: np.ndarray
     sequence_count: int
-    cc_samples: dict[int, int]
     stats: SearchDiagnostics
-
-    def sequence(self, order) -> FoldSequence:
-        order = tuple(order)
-        return FoldSequence(order, tuple(self.cc_samples[j] for j in order))
 
     def paths(self) -> tuple[np.ndarray, int]:
         """Every complete path as a row of edge ids, and the number of prefixes.
@@ -162,10 +141,10 @@ class FoldLattice:
             prefixes += len(edge)
         return paths, prefixes
 
-    def sequences(self) -> list[FoldSequence]:
-        """Every complete path, in ascending lexicographic order of the joints."""
+    def sequences(self) -> list[tuple[int, ...]]:
+        """The joint order of every complete path, in ascending lexicographic order."""
         paths, _ = self.paths()
-        return [self.sequence(order) for order in self.joint[paths].tolist()]
+        return list(map(tuple, self.joint[paths].tolist()))
 
 
 def build_lattice(tree: KinematicTree) -> FoldLattice:
@@ -243,7 +222,6 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
         joint=np.array(foldable, dtype=np.intp)[np.concatenate(slot)[live]],
         aerial=np.concatenate(aerial)[live],
         sequence_count=stats.sequences,
-        cc_samples={j: n_sweep_samples(tree, j) for j in foldable},
         stats=stats,
     )
 
@@ -371,8 +349,8 @@ class _Walk:
         return states
 
 
-def enumerate_sequences(tree: KinematicTree) -> list[FoldSequence]:
-    """All orderings of the foldable joints whose every step is collision free.
+def enumerate_sequences(tree: KinematicTree) -> list[tuple[int, ...]]:
+    """All orderings of the foldable joints whose every step is collision free, as joint tuples.
 
     The paths of the fold-state lattice, depth first with children in
     ascending joint id order, so the output order is deterministic.

@@ -14,7 +14,7 @@ from array import array
 
 import numpy as np
 
-from cartonfold.collision import collision_check, n_sweep_samples, sweep
+from cartonfold.collision import collision_check, sweep
 from cartonfold.planner import FoldLattice, PlannerError, SearchDiagnostics
 
 
@@ -146,6 +146,5 @@ def loop_lattice(tree) -> FoldLattice:
         joint=np.array(joint, dtype=np.intp)[live],
         aerial=np.array(aerial, dtype=bool)[live],
         sequence_count=stats.sequences,
-        cc_samples={j: n_sweep_samples(tree, j) for j in foldable},
         stats=stats,
     )

@@ -19,7 +19,7 @@ import pytest
 from cartonfold.cli import RunConfig, run
 from cartonfold.collision import collision_check
 from cartonfold.geometry import obb_intersect
-from cartonfold.metrics import score_and_rank, score_sequence
+from cartonfold.metrics import ranking_key, score_and_rank
 from cartonfold.model import build_tree, load_spec
 from cartonfold.planner import enumerate_sequences
 
@@ -59,16 +59,19 @@ def test_criterion_2_metric_plausibility(case):
     _, tree = case
     sequences = enumerate_sequences(tree)
     ranked = score_and_rank(tree, sequences)
-    best_key = ranked.rows[0].key(ranked.criteria)[:-1]
-    best = [r for r in ranked.rows if r.key(ranked.criteria)[:-1] == best_key]
+    rows = list(zip(
+        ranked.c_vol.tolist(), ranked.c_dim.tolist(), ranked.c_aerial.tolist(), ranked.orders.tolist()
+    ))
+    keys = [ranking_key(ranked.criteria, *row)[:-1] for row in rows]
+    best = [row for row, key in zip(rows, keys) if key == keys[0]]
 
     # NAF: every best-ranked sequence performs exactly two aerial folds.
-    assert all(r.c_aerial == 2 for r in best)
+    assert all(c_aerial == 2 for _, _, c_aerial, _ in best)
 
     dim_lo, dim_hi = REFERENCE_DIM_BAND[0] * 0.9, REFERENCE_DIM_BAND[1] * 1.1
     vol_lo, vol_hi = REFERENCE_VOL_BAND[0] * 0.85, REFERENCE_VOL_BAND[1] * 1.15
-    dims = [r.c_dim for r in best]
-    vols = [r.c_vol for r in best]
+    dims = [c_dim for _, c_dim, _, _ in best]
+    vols = [c_vol for c_vol, _, _, _ in best]
     in_band = all(dim_lo <= d <= dim_hi for d in dims) and all(
         vol_lo <= v <= vol_hi for v in vols
     )
@@ -86,7 +89,7 @@ def test_criterion_2_metric_plausibility(case):
         tree,
         cc=lru_cache(maxsize=None)(lambda mask, joint: collision_check(tree, mask, joint)),
     )
-    got = [s.order for s in enumerate_sequences(tree)]
+    got = enumerate_sequences(tree)
     assert sorted(got) == sorted(expected)
     report(
         2,
@@ -104,7 +107,7 @@ def test_criterion_3_oracle_equivalence():
         if len(tree.foldable_ids) > 6:
             continue
         expected = sorted(brute_force_sequences(tree))
-        got = [s.order for s in enumerate_sequences(tree)]
+        got = enumerate_sequences(tree)
         assert got == expected
         checked.append((name, len(expected)))
     assert checked
@@ -154,25 +157,24 @@ def test_criterion_6_metric_identities(case):
     scale = 2.0
     scaled_tree = build_tree(scaled_spec(spec, scale))
     for seq in sequences:
-        base = score_sequence(tree, seq)
+        base = score_and_rank(tree, [seq])
+        steps = base.steps[0]
         # Summation bounds: exactly k per-step entries, one per fold.
-        assert len(base.per_step) == len(tree.foldable_ids)
+        assert len(steps) == len(tree.foldable_ids)
         # Additivity.
-        assert base.c_vol == pytest.approx(sum(s.volume for s in base.per_step))
-        assert base.c_dim == pytest.approx(sum(s.max_dim for s in base.per_step))
+        assert base.c_vol[0] == pytest.approx(sum(base.edges.volume[steps]))
+        assert base.c_dim[0] == pytest.approx(sum(base.edges.max_dim[steps]))
         # First fold from the flat state is never aerial.
-        assert base.per_step[0].aerial is False
+        assert base.edges.aerial[steps[0]].item() is False
         # Scale laws: volume ~ s^3, dimension ~ s, aerial unchanged.
-        big = score_sequence(scaled_tree, seq)
-        assert big.c_vol == pytest.approx(scale**3 * base.c_vol, rel=1e-9)
-        assert big.c_dim == pytest.approx(scale * base.c_dim, rel=1e-9)
-        assert big.c_aerial == base.c_aerial
+        big = score_and_rank(scaled_tree, [seq])
+        assert big.c_vol[0] == pytest.approx(scale**3 * base.c_vol[0], rel=1e-9)
+        assert big.c_dim[0] == pytest.approx(scale * base.c_dim[0], rel=1e-9)
+        assert big.c_aerial[0] == base.c_aerial[0]
     # Ranking invariance under scaling.
     base_rank = score_and_rank(tree, sequences)
     big_rank = score_and_rank(scaled_tree, sequences)
-    assert [r.sequence.order for r in base_rank.rows] == [
-        r.sequence.order for r in big_rank.rows
-    ]
+    assert base_rank.orders.tolist() == big_rank.orders.tolist()
     report(6, "summation bounds, additivity, flat-start grounding and "
               f"s/s^3 scale laws hold on {len(sequences)} sequences")
 

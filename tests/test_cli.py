@@ -192,29 +192,33 @@ class TestRun:
         # the JSON encoder with a two-space indent, byte for byte.
         tree = build_tree(replace(load_spec(SPEC_DIR / name), ranking=policy))
         report = rank_lattice(build_lattice(tree), top)
+        joint, volume, max_dim, aerial = (column.tolist() for column in report.edges)
         payload = {
             "policy": list(report.criteria),
             "sequence_count": report.sequence_count,
             "rows": [
                 {
-                    "sequence": list(row.sequence.order),
-                    "volume_mm3": round6(row.c_vol),
-                    "maxdim_mm": round6(row.c_dim),
-                    "naf": row.c_aerial,
+                    "sequence": order,
+                    "volume_mm3": round6(c_vol),
+                    "maxdim_mm": round6(c_dim),
+                    "naf": naf,
                     "per_step": [
                         {
-                            "joint": step.joint,
-                            "volume_mm3": round6(step.volume),
-                            "maxdim_mm": round6(step.max_dim),
-                            "aerial": step.aerial,
+                            "joint": joint[e],
+                            "volume_mm3": round6(volume[e]),
+                            "maxdim_mm": round6(max_dim[e]),
+                            "aerial": aerial[e],
                         }
-                        for step in row.per_step
+                        for e in steps
                     ],
                 }
-                for row in report.rows
+                for order, steps, c_vol, c_dim, naf in zip(
+                    report.orders.tolist(), report.steps.tolist(),
+                    report.c_vol.tolist(), report.c_dim.tolist(), report.c_aerial.tolist(),
+                )
             ],
         }
-        assert format_structured(report, top) == json.dumps(payload, indent=2) + "\n"
+        assert format_structured(report) == json.dumps(payload, indent=2) + "\n"
 
     def test_machine_output_is_deterministic(self, spec_dir):
         for fmt in ("csv", "structured"):
@@ -438,7 +442,7 @@ class TestExplain:
         assert "joint 2" in out.getvalue()
 
     def test_case_study_sequence_trace(self, spec_dir, case_study_sequences):
-        order = case_study_sequences[0].order
+        order = case_study_sequences[0]
         out = io.StringIO()
         code = explain(
             RunConfig(

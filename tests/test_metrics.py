@@ -9,13 +9,7 @@ import pytest
 
 from cartonfold.collision import collision_check, sweep
 from cartonfold.geometry import OrientedBox, Transform, world_aabb
-from cartonfold.metrics import (
-    SequenceScore,
-    StepMetrics,
-    rank_lattice,
-    score_and_rank,
-    score_sequence,
-)
+from cartonfold.metrics import rank_lattice, ranking_key, score_and_rank
 from cartonfold.model import (
     CartonSpec,
     JointVector,
@@ -24,7 +18,7 @@ from cartonfold.model import (
     forward_kinematics,
     load_spec,
 )
-from cartonfold.planner import FoldSequence, build_lattice, enumerate_sequences
+from cartonfold.planner import build_lattice, enumerate_sequences
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
 from .oracles import brute_force_sequences
@@ -168,37 +162,52 @@ class TestIsAerial:
         _, tree = case_study
         sample = case_study_sequences[:: max(1, len(case_study_sequences) // 40)]
         for seq in sample:
-            score = score_sequence(tree, seq)
-            assert score.c_aerial == 2
-            aerial_joints = {s.joint for s in score.per_step if s.aerial}
+            score = score_and_rank(tree, [seq])
+            assert score.c_aerial[0] == 2
+            steps = score.steps[0]
+            aerial_joints = set(score.edges.joint[steps][score.edges.aerial[steps]].tolist())
             assert aerial_joints == {5, 6}
 
 
 class TestScoreSequence:
     def test_per_step_excludes_final_state(self):
         tree = two_panel_tree()
-        score = score_sequence(tree, FoldSequence(order=(2,)))
-        assert len(score.per_step) == 1
+        score = score_and_rank(tree, [(2,)])
+        assert score.steps.shape == (1, 1)
         # The single entry measures S_0 (flat), not the folded final state.
-        assert score.per_step[0].volume == pytest.approx(200.0 * 160.0 * 2.0)
-        assert score.c_dim == pytest.approx(200.0)
+        assert score.edges.volume[score.steps[0, 0]] == pytest.approx(200.0 * 160.0 * 2.0)
+        assert score.c_dim[0] == pytest.approx(200.0)
 
     def test_sums_equal_per_step_columns(self, case_study, case_study_sequences):
         _, tree = case_study
-        score = score_sequence(tree, case_study_sequences[0])
-        assert score.c_vol == pytest.approx(sum(s.volume for s in score.per_step))
-        assert score.c_dim == pytest.approx(sum(s.max_dim for s in score.per_step))
-        assert score.c_aerial == sum(1 for s in score.per_step if s.aerial)
-        assert len(score.per_step) == len(tree.foldable_ids)
+        score = score_and_rank(tree, [case_study_sequences[0]])
+        steps = score.steps[0]
+        assert score.c_vol[0] == pytest.approx(sum(score.edges.volume[steps]))
+        assert score.c_dim[0] == pytest.approx(sum(score.edges.max_dim[steps]))
+        assert score.c_aerial[0] == sum(1 for aerial in score.edges.aerial[steps] if aerial)
+        assert len(steps) == len(tree.foldable_ids)
+
+
+def synthetic_totals(steps) -> dict:
+    """The totals of a sequence given as (joint, volume, maxdim, aerial) steps,
+    summed left to right as ``score_and_rank`` sums them."""
+    return {
+        "order": tuple(step[0] for step in steps),
+        "c_vol": sum(step[1] for step in steps),
+        "c_dim": sum(step[2] for step in steps),
+        "c_aerial": sum(step[3] for step in steps),
+    }
 
 
 def synthetic_score(order, aerial, maxdim, volume):
-    steps = tuple(
-        StepMetrics(joint=j, volume=volume / len(order), max_dim=maxdim / len(order),
-                    aerial=(i < aerial))
-        for i, j in enumerate(order)
+    return synthetic_totals(
+        [(j, volume / len(order), maxdim / len(order), i < aerial) for i, j in enumerate(order)]
     )
-    return SequenceScore(sequence=FoldSequence(order=order), per_step=steps)
+
+
+def by_key(criteria):
+    """Sort key of synthetic totals: the reference ranker's own key."""
+    return lambda totals: ranking_key(criteria, **totals)
 
 
 class TestScoreAndRank:
@@ -206,28 +215,22 @@ class TestScoreAndRank:
         a = synthetic_score((1, 2), aerial=1, maxdim=600, volume=1000)
         b = synthetic_score((2, 1), aerial=2, maxdim=500, volume=900)
         criteria = ("aerial", "maxdim")
-        assert sorted([b, a], key=lambda s: s.key(criteria))[0] is a
+        assert sorted([b, a], key=by_key(criteria))[0] is a
 
     def test_maxdim_breaks_aerial_ties(self):
         a = synthetic_score((1, 2), aerial=1, maxdim=500, volume=1000)
         b = synthetic_score((2, 1), aerial=1, maxdim=600, volume=900)
         criteria = ("aerial", "maxdim")
-        assert sorted([b, a], key=lambda s: s.key(criteria))[0] is a
+        assert sorted([b, a], key=by_key(criteria))[0] is a
 
     def test_sums_equal_as_printed_fall_through_to_the_next_criterion(self):
         # 0.1 + 0.2 is 0.30000000000000004 in floating point; both sums
         # print as 0.300000, so volume must decide, not the rounding.
-        noisy = SequenceScore(
-            sequence=FoldSequence(order=(2, 1)),
-            per_step=(StepMetrics(2, 4.0, 0.1, False), StepMetrics(1, 6.0, 0.2, False)),
-        )
-        exact = SequenceScore(
-            sequence=FoldSequence(order=(1, 2)),
-            per_step=(StepMetrics(1, 9.0, 0.3, False), StepMetrics(2, 11.0, 0.0, False)),
-        )
-        assert noisy.c_dim != exact.c_dim
+        noisy = synthetic_totals([(2, 4.0, 0.1, False), (1, 6.0, 0.2, False)])
+        exact = synthetic_totals([(1, 9.0, 0.3, False), (2, 11.0, 0.0, False)])
+        assert noisy["c_dim"] != exact["c_dim"]
         criteria = ("maxdim", "volume")
-        assert sorted([exact, noisy], key=lambda s: s.key(criteria))[0] is noisy
+        assert sorted([exact, noisy], key=by_key(criteria))[0] is noisy
 
     def test_ranking_is_input_order_invariant(self, three_flaps):
         import random
@@ -240,9 +243,7 @@ class TestScoreAndRank:
             shuffled = sequences[:]
             rng.shuffle(shuffled)
             report = score_and_rank(tree, shuffled)
-            assert [r.sequence.order for r in report.rows] == [
-                r.sequence.order for r in baseline.rows
-            ]
+            assert report.orders.tolist() == baseline.orders.tolist()
 
     def test_empty_input_gives_empty_report(self, three_flaps):
         _, tree = three_flaps
@@ -287,11 +288,11 @@ class TestScaleInvariance:
         big = build_tree(scaled_spec(spec, s))
         sample = case_study_sequences[:: max(1, len(case_study_sequences) // 25)]
         for seq in sample:
-            base = score_sequence(tree, seq)
-            scaled = score_sequence(big, seq)
-            assert scaled.c_vol == pytest.approx(s**3 * base.c_vol, rel=1e-9)
-            assert scaled.c_dim == pytest.approx(s * base.c_dim, rel=1e-9)
-            assert scaled.c_aerial == base.c_aerial
+            base = score_and_rank(tree, [seq])
+            scaled = score_and_rank(big, [seq])
+            assert scaled.c_vol[0] == pytest.approx(s**3 * base.c_vol[0], rel=1e-9)
+            assert scaled.c_dim[0] == pytest.approx(s * base.c_dim[0], rel=1e-9)
+            assert scaled.c_aerial[0] == base.c_aerial[0]
 
     def test_ranking_unchanged_by_scaling(self, three_flaps):
         s = 3.0
@@ -301,9 +302,7 @@ class TestScaleInvariance:
             ranked = replace(spec, ranking=ranking)
             base = score_and_rank(build_tree(ranked), sequences)
             scaled = score_and_rank(build_tree(scaled_spec(ranked, s)), sequences)
-            assert [r.sequence.order for r in base.rows] == [
-                r.sequence.order for r in scaled.rows
-            ]
+            assert base.orders.tolist() == scaled.orders.tolist()
 
 
 class TestFreeFlapMetricsSanity:
@@ -348,21 +347,30 @@ def planned(case: str, ranking: tuple[str, ...]):
     return tree, build_lattice(tree), brute_orders(case)
 
 
+@lru_cache(maxsize=None)
+def reference(case: str, ranking: tuple[str, ...]):
+    """The reference ranking of every brute-force order of one ranker case."""
+    tree, _, brute = planned(case, ranking)
+    return score_and_rank(tree, brute)
+
+
 def row_values(report):
-    return [(r.sequence.order, r.c_aerial, r.c_dim, r.c_vol) for r in report.rows]
+    return list(zip(
+        map(tuple, report.orders.tolist()),
+        report.c_aerial.tolist(), report.c_dim.tolist(), report.c_vol.tolist(),
+    ))
 
 
 class TestRankLattice:
     @pytest.mark.parametrize("policy", POLICIES, ids=">".join)
     @pytest.mark.parametrize("case", RANKER_CASES)
     def test_top_n_equals_the_head_of_the_full_ranking(self, case, policy):
-        tree, lattice, brute = planned(case, policy)
+        _, lattice, brute = planned(case, policy)
         full = rank_lattice(lattice)
         assert full.criteria == policy
-        assert full.sequence_count == len(full.rows) == len(brute)
+        assert full.sequence_count == len(full) == len(brute)
         # The full ranking is the reference sort of every brute-force order.
-        reference = score_and_rank(tree, [FoldSequence(order) for order in brute])
-        assert row_values(full) == row_values(reference)
+        assert row_values(full) == row_values(reference(case, policy))
         # Below the sequence count the bounded search ranks, not the sort.
         for n in sorted({n for n in (1, 5, 20, len(brute) - 1) if n > 0}):
             head = rank_lattice(lattice, n)
@@ -372,22 +380,18 @@ class TestRankLattice:
     @pytest.mark.parametrize("top", (1, 20, None))
     @pytest.mark.parametrize("case", RANKER_CASES)
     def test_rows_equal_the_scored_sequences(self, case, top):
-        # Rows are built from the report's arrays only when read; each one
-        # must be the SequenceScore of its sequence, and the arrays must
-        # hold its totals bit for bit.
-        tree, lattice, _ = planned(case, ("aerial", "maxdim", "volume"))
+        # Each row of the lattice ranking, its totals and the four columns of
+        # each of its steps equal the reference's row bit for bit.
+        policy = ("aerial", "maxdim", "volume")
+        _, lattice, _ = planned(case, policy)
         report = rank_lattice(lattice, top)
-        assert len(report.rows) == len(report)
-        scored = score_and_rank(tree, [lattice.sequence(order) for order in report.orders.tolist()])
-        reference = {row.sequence.order: row for row in scored.rows}
-        for i, row in enumerate(report.rows):
-            assert row == reference[row.sequence.order]
-            assert row.sequence.order == tuple(report.orders[i].tolist())
-            assert (row.c_vol, row.c_dim, row.c_aerial) == (
-                report.c_vol[i], report.c_dim[i], report.c_aerial[i]
-            )
-        steps = [step for row in report.rows for step in row.per_step]
-        assert len({id(step) for step in steps}) == len(set(report.steps.ravel().tolist()))
+        scored = reference(case, policy)
+        n = len(report)
+        assert n == (scored.sequence_count if top is None else min(top, scored.sequence_count))
+        for name in ("orders", "c_vol", "c_dim", "c_aerial"):
+            assert getattr(report, name).tolist() == getattr(scored, name)[:n].tolist(), name
+        for name, got, want in zip(report.edges._fields, report.edges, scored.edges):
+            assert got[report.steps].tolist() == want[scored.steps[:n]].tolist(), name
 
     def test_top_20_search_nodes_on_eight_equal_flaps(self):
         # Eight equal flaps tie on every criterion in many orders. Children

@@ -16,12 +16,7 @@ from cartonfold.cli import EXIT_NO_SEQUENCES, RunConfig, run
 from cartonfold.collision import collision_check
 from cartonfold.geometry import OrientedBox
 from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec, serialize_spec
-from cartonfold.planner import (
-    FoldSequence,
-    PlannerError,
-    build_lattice,
-    enumerate_sequences,
-)
+from cartonfold.planner import PlannerError, build_lattice, enumerate_sequences
 
 from . import oracles
 from .conftest import SHIPPED_SPECS, free_flap_spec
@@ -99,14 +94,14 @@ class TestEnumerateSequences:
     def test_three_free_flaps_all_orderings(self, three_flaps):
         _, tree = three_flaps
         sequences = enumerate_sequences(tree)
-        assert sorted(s.order for s in sequences) == sorted(
+        assert sorted(sequences) == sorted(
             itertools.permutations((2, 3, 4))
         )
 
     def test_blocking_pair_constrained_order_only(self, blocking_pair):
         _, tree = blocking_pair
         sequences = enumerate_sequences(tree)
-        assert [s.order for s in sequences] == [(3, 2)]
+        assert sequences == [(3, 2)]
 
     def test_one_blocking_pair_among_three_joints(self, blocking_pair):
         # Add an unconstrained flap to the blocking pair: of the 3! = 6
@@ -128,7 +123,7 @@ class TestEnumerateSequences:
             tolerance_angle=spec.tolerance_angle,
         )
         tree = build_tree(extended)
-        got = [s.order for s in enumerate_sequences(tree)]
+        got = enumerate_sequences(tree)
         assert got == sorted(brute_force_sequences(tree))
         assert len(got) == 3
         for order in got:
@@ -136,7 +131,7 @@ class TestEnumerateSequences:
 
     def test_output_is_depth_first_ascending(self, three_flaps):
         _, tree = three_flaps
-        orders = [s.order for s in enumerate_sequences(tree)]
+        orders = enumerate_sequences(tree)
         assert orders == sorted(orders)
 
     def test_no_foldable_joints_is_an_error(self):
@@ -153,9 +148,9 @@ class TestEnumerateSequences:
 
     def test_soundness_replay(self, blocking_pair, three_flaps):
         for _, tree in (blocking_pair, three_flaps):
-            for seq in enumerate_sequences(tree):
+            for order in enumerate_sequences(tree):
                 mask = 0
-                for joint in seq.order:
+                for joint in order:
                     assert collision_check(tree, mask, joint)
                     mask |= tree.bits[joint]
 
@@ -167,7 +162,7 @@ class TestEnumerateSequences:
         tree = build_tree(spec)
         assert len(tree.foldable_ids) <= 6
         expected = brute_force_sequences(tree)
-        got = [s.order for s in enumerate_sequences(tree)]
+        got = enumerate_sequences(tree)
         assert sorted(got) == sorted(expected)
         assert got == sorted(got)
 
@@ -215,13 +210,6 @@ class TestEnumerateSequences:
         assert len(swept) == lattice.stats.sweeps == len(tree.sweeps) == 9
         assert len(pairs) == len(set(pairs)) == lattice.stats.pair_tests == len(tree.pair_verdicts)
         assert lattice.sequence_count == len(lattice.sequences()) == 1680
-
-    def test_sequences_carry_sample_counts(self, blocking_pair):
-        _, tree = blocking_pair
-        (seq,) = enumerate_sequences(tree)
-        assert isinstance(seq, FoldSequence)
-        assert len(seq.cc_samples) == len(seq.order)
-        assert all(n >= 2 for n in seq.cc_samples)
 
 
 class TestVerdicts:
@@ -313,7 +301,7 @@ class TestMaskLattice:
                 assert mask == sum(tree.bits[j] for j in folded)
                 assert tree.joints(mask) == folded
         with pytest.raises(ValueError, match="not a foldable joint"):
-            tree.mask([tree.root_id])
+            tree.mask([tree.spec.root.id])
 
 
 class TestFreeFlapFactorial:
@@ -321,7 +309,7 @@ class TestFreeFlapFactorial:
     def test_factorial_counts(self, k):
         sequences = enumerate_sequences(build_tree(free_flap_spec(k)))
         assert len(sequences) == math.factorial(k)
-        assert len({s.order for s in sequences}) == math.factorial(k)
+        assert len(set(sequences)) == math.factorial(k)
 
     @pytest.mark.parametrize("k", (1, 2, 3, 8))
     def test_one_sweep_per_flap_and_one_pair_test_per_placed_panel(self, k):
@@ -375,7 +363,7 @@ class TestLivePaths:
         paths, prefixes = lattice.paths()
         orders, walked_prefixes = walked_paths(tree)
         assert [tuple(row) for row in lattice.joint[paths].tolist()] == orders
-        assert [s.order for s in lattice.sequences()] == orders
+        assert lattice.sequences() == orders
         assert prefixes == walked_prefixes
         # Every row is a chain of edges from the empty state to the full one.
         for row in paths.tolist():
@@ -394,7 +382,6 @@ def assert_same_lattice(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
     assert got.sequence_count == want.sequence_count
-    assert got.cc_samples == want.cc_samples
     assert vars(got.stats) == vars(want.stats)
     assert set(got.tree.sweeps) == set(want.tree.sweeps)
     assert got.tree.pair_verdicts == want.tree.pair_verdicts
