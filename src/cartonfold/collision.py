@@ -28,6 +28,11 @@ verdicts are exactly those of the whole check. Each sweep lists its static
 panels with their ancestry masks and the base of their pair keys, so a
 check that hits the memos builds no key but an int.
 
+A joint turns about one crease (Redon et al., 2004), so every swept box is
+a weighted sum of three fixed poses (``KinematicTree.crease_terms``).
+``build_sweeps`` builds a lattice layer's new sweeps in one stacked pass,
+and ``sweep`` a missing one as a batch of one.
+
 Each test runs in two phases. The broad phase takes the world-axis-aligned
 bounds of every swept box (``|R| @ h`` about its center) and their union,
 the sweep's bounds. Its lowest z is the table test. A static box whose own
@@ -45,33 +50,18 @@ verdict is the one the kernel alone would give.
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import box_bounds, pack_boxes, rotation_matrices, sat_overlap_matrix
-from .model import KinematicTree
+from .geometry import box_bounds, half_reach, pack_boxes, sat_overlap_matrix
+from .model import KinematicTree, sweep_angles  # noqa: F401  (re-exported)
 
 # Slack of the broad phase, in mm. It covers the kernel's padding of
 # degenerate axes (1e-12 times the half extents) and rounding, so a box it
 # culls is one the kernel could not report as a hit.
 CULL_MARGIN = 1e-6
-
-
-def sweep_angles(start: float, end: float, step: float) -> np.ndarray:
-    """Sample angles from start to end inclusive, spaced by at most step.
-
-    Both endpoints are always present, whatever the divisibility; the
-    result therefore has at least two entries for any non-degenerate arc.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    span = end - start
-    if span == 0.0:
-        return np.array([start])
-    n_steps = int(np.ceil(abs(span) / step - 1e-12))
-    interior = start + np.sign(span) * step * np.arange(n_steps)
-    return np.append(interior, end)
 
 
 def sweep_bounds(boxes, clearance: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -100,54 +90,6 @@ def _blocked(movers, bounds, boxes, clearance: float) -> bool:
     return bool(sat_overlap_matrix(*movers, *(a[near] for a in boxes), clearance).any())
 
 
-def _swept_movers(
-    tree: KinematicTree,
-    poses_by_id: dict,
-    moving_joint: int,
-    samples: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    """World solids of the moving subtree at every sample angle.
-
-    Returns (centers, rotations, half_extents) with one row per
-    (sample, panel) pair, plus the subtree panel ids.
-    """
-    moving_ids = tree.subtree_ids(moving_joint)
-    joint_panel = tree.panel(moving_joint)
-    parent_pose = poses_by_id[joint_panel.parent].pose
-    anchor, axis, mount = tree.mounts[moving_joint]
-
-    # Joint frame per sample; the anchor sits on the axis, so the frame
-    # origin is constant across the sweep.
-    spin = rotation_matrices(axis, samples) @ mount
-    joint_rots = np.einsum("ij,sjk->sik", parent_pose.rotation, spin)
-    joint_origin = parent_pose.apply(anchor)
-
-    # Fixed transforms from the joint frame to each subtree solid.
-    state_joint = poses_by_id[moving_joint].pose
-    inv = state_joint.inverse()
-    rel_rots, rel_trans, halves = [], [], []
-    for pid in moving_ids:
-        solid = poses_by_id[pid].solid
-        rel = inv @ solid.pose
-        rel_rots.append(rel.rotation)
-        rel_trans.append(rel.translation)
-        halves.append(solid.half_extents)
-    rel_rots = np.stack(rel_rots)
-    rel_trans = np.stack(rel_trans)
-    halves = np.stack(halves)
-
-    rots = joint_rots[:, None] @ rel_rots
-    centers = rel_trans @ joint_rots.transpose(0, 2, 1) + joint_origin
-
-    n = len(samples) * len(moving_ids)
-    return (
-        centers.reshape(n, 3),
-        rots.reshape(n, 3, 3),
-        np.tile(halves, (len(samples), 1)),
-        moving_ids,
-    )
-
-
 class Sweep(NamedTuple):
     """One joint's swept subtree, built once per joint and folded joints
     that place the joint's parent or the subtree.
@@ -172,42 +114,90 @@ class Sweep(NamedTuple):
     static: tuple[tuple[int, int, int], ...]
 
 
-def sweep(tree: KinematicTree, mask: int, joint: int) -> Sweep:
-    """The memoised sweep of ``joint`` out of fold state ``mask``.
+def _sweep_key(tree: KinematicTree, mask: int, joint: int) -> int:
+    """The folded part of the joint's subtree ancestry, with the joint's bit above the fold bits."""
+    return (mask & tree.subtree_ancestry[joint]) | tree.bits[joint] << len(tree.foldable_ids)
 
-    The key is the folded part of the joint's subtree ancestry with one
-    more bit per joint above the fold bits, so it names the joint too.
-    """
-    k = len(tree.foldable_ids)
-    key = (mask & tree.subtree_ancestry[joint]) | tree.bits[joint] << k
-    found = tree.sweeps.get(key)
-    if found is None:
-        spec = tree.spec
-        panel = tree.panel(joint)
-        moving_ids = tree.subtree_ids(joint)
-        records = {pid: tree.panel_state(pid, mask) for pid in (panel.parent, *moving_ids)}
-        poses = {pid: record.pose for pid, record in records.items()}
-        aerial = min(records[pid].lo[2] for pid in moving_ids) > spec.support_tolerance
-        samples = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
-        *boxes, _ = _swept_movers(tree, poses, joint, samples)
-        eps = spec.penetration_tolerance
-        bounds = sweep_bounds(boxes)
-        clear = not (spec.table_plane and bounds[0][2] < -eps) and not (
-            tree.obstacles is not None and _blocked(boxes, bounds, tree.obstacles, 0.0)
+
+def sweep(tree: KinematicTree, mask: int, joint: int) -> Sweep:
+    """The memoised sweep of ``joint`` out of fold state ``mask``, built on a miss."""
+    key = _sweep_key(tree, mask, joint)
+    if key not in tree.sweeps:
+        build_sweeps(tree, [(mask, joint)])
+    return tree.sweeps[key]
+
+
+def build_sweeps(tree: KinematicTree, folds) -> None:
+    """Build and memoise the sweeps of (fold mask, joint) pairs not built yet.
+
+    A solid's pose at a sample is its joint's three crease terms, with the
+    parent's pose and the solid's offset from the joint frame folded in,
+    weighted by the sample's row: two ``weights @ table`` products a sweep,
+    into one stack of boxes whose bounds take one ``|R|``."""
+    todo = {key: fold for fold in folds if (key := _sweep_key(tree, *fold)) not in tree.sweeps}
+    if not todo:
+        return
+    spec = tree.spec
+    # Per solid: its box, parent rotation, crease terms, joint origin (fixed) and start frame.
+    solids, parent_rots, crease, origins, frames, aerial = [], [], [], [], [], []
+    for mask, joint in todo.values():
+        parent = tree.panel_state(tree.panels_by_id[joint].parent, mask).pose.pose
+        records = [tree.panel_state(pid, mask) for pid in tree.subtrees[joint]]
+        size = len(records)
+        solids += [record.pose.solid for record in records]
+        parent_rots += [parent.rotation] * size
+        crease += [tree.crease_terms[joint][0]] * size
+        origins += [parent.apply(tree.mounts[joint][0])] * size
+        frames += [records[0].pose.pose] * size
+        aerial.append(min(record.lo[2] for record in records) > spec.support_tolerance)
+    # Row t of a table holds term t of every solid's world rotation or center.
+    unframe = np.array([frame.rotation for frame in frames]).transpose(0, 2, 1)
+    offsets = np.array([solid.center - frame.translation for solid, frame in zip(solids, frames)])
+    world = np.array(parent_rots)[:, None] @ np.array(crease)
+    center_terms = (world @ (unframe @ offsets[:, :, None])[:, None])[..., 0]
+    center_terms[:, 0] += origins
+    center_table = center_terms.transpose(1, 0, 2).reshape(3, -1)
+    rel_rots = unframe @ np.array([solid.pose.rotation for solid in solids])
+    rot_table = (world @ rel_rots[:, None]).transpose(1, 0, 2, 3).reshape(3, -1)
+    solid_halves = np.array([solid.half_extents for solid in solids])
+
+    weights = [tree.crease_terms[joint][1] for _, joint in todo.values()]
+    sizes = [len(tree.subtrees[joint]) for _, joint in todo.values()]
+    ends = list(itertools.accumulate(len(w) * size for w, size in zip(weights, sizes)))
+    starts = [0, *ends[:-1]]
+    centers, rots, halves = (np.empty((ends[-1], *shape)) for shape in ((3,), (3, 3), (3,)))
+    c1 = 0
+    for w, size, a, b in zip(weights, sizes, starts, ends):
+        c0, c1 = c1, c1 + size  # the sweep's solids
+        np.matmul(w, center_table[:, 3 * c0:3 * c1], out=centers[a:b].reshape(len(w), -1))
+        np.matmul(w, rot_table[:, 9 * c0:9 * c1], out=rots[a:b].reshape(len(w), -1))
+        halves[a:b].reshape(len(w), size, 3)[:] = solid_halves[c0:c1]
+    # Axis first, so every elementwise pass runs over all the boxes at once.
+    abs_rots = np.abs(rots.reshape(-1, 9).T, order="C").reshape(3, 3, -1)
+    axis_centers, axis_halves = centers.T.copy(), halves.T.copy()
+    bounds = []
+    for clearance in (0.0, -spec.penetration_tolerance):
+        reach = half_reach(abs_rots, axis_halves, clearance)
+        low = np.minimum.reduceat(axis_centers - reach, starts, axis=1).T
+        reach += axis_centers
+        bounds.append((low, np.maximum.reduceat(reach, starts, axis=1).T))
+    (lo, hi), shrunk = bounds
+    for s, ((key, (_, joint)), a, b) in enumerate(zip(todo.items(), starts, ends)):
+        swept, around = (centers[a:b], rots[a:b], halves[a:b]), (lo[s], hi[s])
+        clear = not (spec.table_plane and lo[s][2] < -spec.penetration_tolerance) and not (
+            tree.obstacles is not None and _blocked(swept, around, tree.obstacles, 0.0)
         )
         # A pair key is the static panel's slot in this sweep, shifted above
         # the fold bits, with the folded part of the panel's ancestry below.
         static = tuple(
-            (pid, tree.ancestry[pid], (key * len(tree.ids) + slot) << k)
+            (pid, tree.ancestry[pid], (key * len(tree.ids) + slot) << len(tree.foldable_ids))
             for slot, pid in enumerate(tree.ids)
-            if pid not in moving_ids
+            if pid not in tree.subtrees[joint]
         )
-        found = Sweep(
-            panel.parent, tuple(boxes), bounds, sweep_bounds(boxes, -eps),
-            clear, aerial, static,
+        tree.sweeps[key] = Sweep(
+            tree.panels_by_id[joint].parent, swept, around, (shrunk[0][s], shrunk[1][s]),
+            clear, aerial[s], static,
         )
-        tree.sweeps[key] = found
-    return found
 
 
 def _pair_blocked(tree: KinematicTree, swept: Sweep, mask: int, panel_id: int) -> bool:
@@ -270,8 +260,7 @@ def collision_check(tree: KinematicTree, mask: int, moving_joint: int) -> bool:
 
 
 def n_sweep_samples(tree: KinematicTree, joint: int) -> int:
-    panel = tree.panel(joint)
-    return len(sweep_angles(panel.theta_init, panel.theta_final, tree.spec.tolerance_angle))
+    return len(tree.crease_terms[joint][1])
 
 
 class GraspSide(enum.Enum):

@@ -109,16 +109,6 @@ def rotation_matrix(axis_dir: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + sin_a * k_cross + (1.0 - cos_a) * (k_cross @ k_cross)
 
 
-def rotation_matrices(axis_dir: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Vectorised Rodrigues formula: one (3, 3) matrix per angle."""
-    kx, ky, kz = axis_dir
-    k_cross = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    angles = np.asarray(angles, dtype=float)
-    sin_a = np.sin(angles)[:, None, None]
-    cos_a = np.cos(angles)[:, None, None]
-    return np.eye(3) + sin_a * k_cross + (1.0 - cos_a) * (k_cross @ k_cross)
-
-
 def rotate_about_axis(point_on_axis, axis_dir, angle: float) -> Transform:
     """Transform rotating by ``angle`` about the line through ``point_on_axis``
     along unit vector ``axis_dir``. Every point on the axis is fixed.
@@ -241,16 +231,22 @@ def pack_boxes(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return centers, rots, halves
 
 
+def half_reach(abs_rots: np.ndarray, halves: np.ndarray, clearance: float = 0.0) -> np.ndarray:
+    """World half-reach ``|R| @ h``, shape (3, n), of n boxes stored axis first
+    (``abs_rots[i, j]`` and ``halves[j]`` hold every box's entry), each grown by
+    ``clearance / 2`` and clamped at zero, as ``sat_overlap_matrix`` grows them."""
+    grown = np.maximum(halves + clearance / 2.0, 0.0)
+    reach = abs_rots[:, 0] * grown[0]
+    reach += abs_rots[:, 1] * grown[1]
+    reach += abs_rots[:, 2] * grown[2]
+    return reach
+
+
 def box_bounds(
     centers: np.ndarray, rots: np.ndarray, halves: np.ndarray, clearance: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """World-axis-aligned bounds (lo, hi) of each box, shape (n, 3) each.
-
-    Each box is first grown by ``clearance / 2`` per face and clamped at
-    zero, as ``sat_overlap_matrix`` grows it. A box's world half-reach
-    along each axis is ``|R| @ h``.
-    """
-    reach = np.einsum("nij,nj->ni", np.abs(rots), np.maximum(halves + clearance / 2.0, 0.0))
+    """World-axis-aligned bounds (lo, hi), shape (n, 3), of boxes grown by ``clearance / 2``."""
+    reach = half_reach(np.abs(rots).transpose(1, 2, 0), halves.T, clearance).T
     return centers - reach, centers + reach
 
 

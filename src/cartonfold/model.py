@@ -24,7 +24,8 @@ missing or null ``ranking`` takes ``DEFAULT_RANKING``. Obstacle boxes
 have positive dimensions.
 
 ``build_tree`` turns a validated spec into the ``KinematicTree`` that every
-planning function takes as its one input. A fold state is an int bit mask
+planning function takes as its one input, with every sweep's sample
+angles (``sweep_angles``) read once. A fold state is an int bit mask
 over the tree's foldable joints, and the tree places one panel in one fold
 state at a time (``KinematicTree.panel_state``), memoised per panel and
 the folded joints that place it. Bounding-box measures, aerial flags and
@@ -55,6 +56,19 @@ RANKING_CRITERIA = ("aerial", "maxdim", "volume")
 
 # Finest sweep step accepted: 9001 samples for a 90 degree fold.
 MIN_TOLERANCE_ANGLE_DEG = 0.01
+
+
+def sweep_angles(start: float, end: float, step: float) -> np.ndarray:
+    """Sample angles from start to end inclusive, spaced by at most step: both
+    endpoints whatever the divisibility, so two or more for a non-degenerate arc."""
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    span = end - start
+    if span == 0.0:
+        return np.array([start])
+    n_steps = int(np.ceil(abs(span) / step - 1e-12))
+    interior = start + np.sign(span) * step * np.arange(n_steps)
+    return np.append(interior, end)
 
 
 class SpecValidationError(ValueError):
@@ -234,6 +248,10 @@ class CartonSpec:
         raise KeyError(f"no panel with id {panel_id}")
 
 
+# The crease is a mount M's x axis: K·M = M·X, exactly, for K and X the cross-product matrices.
+_CROSS_X = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+
+
 def _mount_rotation(crease_dir: np.ndarray, panel_id: int) -> np.ndarray:
     """Child-frame axes (columns) in the parent frame at joint angle zero."""
     x_axis = crease_dir
@@ -263,6 +281,10 @@ class KinematicTree:
     p (its foldable ancestors and p itself), and ``subtree_ancestry[p]``
     their union over p's subtree.
 
+    ``crease_terms[j]`` holds foldable joint j's (M, KM, K²M), for mount M and
+    crease cross-product matrix K, and per sample angle θ of its sweep a row
+    [1, sin θ, 1 − cos θ], whose sum of the three is M turned by θ (Rodrigues).
+
     A panel's pose depends only on the folded joints in its ancestry, so
     ``panel_state`` builds it once per (panel, mask & ancestry) and keeps
     it; ``measures`` assembles fold states from those records, and so do
@@ -282,6 +304,7 @@ class KinematicTree:
     bits: dict[int, int]
     panels_by_id: dict[int, PanelSpec]
     mounts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    crease_terms: dict[int, tuple[np.ndarray, np.ndarray]]
     subtrees: dict[int, tuple[int, ...]]
     ancestry: dict[int, int]
     subtree_ancestry: dict[int, int]
@@ -359,7 +382,7 @@ class KinematicTree:
 
 
 def build_tree(spec: CartonSpec) -> KinematicTree:
-    """Derive adjacency, topological order, subtrees, mounts and obstacles."""
+    """Derive adjacency, topological order, subtrees, mounts, crease terms and obstacles."""
     ids = tuple(p.id for p in spec.panels)
     by_id = {p.id: p for p in spec.panels}
     children: dict[int, list[int]] = {pid: [] for pid in ids}
@@ -378,13 +401,19 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
     if len(topo) != len(ids):
         raise SpecValidationError("panel graph is not a single connected tree")
 
-    mounts = {}
+    mounts, crease_terms = {}, {}
     for panel in spec.panels:
         if panel.parent is None:
             continue
         axis = _unit(panel.crease_dir, f"panel {panel.id} crease_dir")
         anchor = np.asarray(panel.crease_anchor, dtype=float)
-        mounts[panel.id] = (anchor, axis, _mount_rotation(axis, panel.id))
+        mount = _mount_rotation(axis, panel.id)
+        mounts[panel.id] = (anchor, axis, mount)
+        if panel.foldable:
+            angles = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
+            weights = np.column_stack((np.ones(len(angles)), np.sin(angles), 1.0 - np.cos(angles)))
+            turned = mount @ _CROSS_X
+            crease_terms[panel.id] = np.stack((mount, turned, turned @ _CROSS_X)), weights
 
     topo_rank = {pid: i for i, pid in enumerate(topo)}
     subtrees = {}
@@ -417,6 +446,7 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
         bits=bits,
         panels_by_id=by_id,
         mounts=mounts,
+        crease_terms=crease_terms,
         subtrees=subtrees,
         ancestry=ancestry,
         subtree_ancestry=subtree_ancestry,
@@ -736,6 +766,18 @@ def _rotation_to_rpy_deg(rot: np.ndarray) -> list[float]:
     return [math.degrees(roll), math.degrees(pitch), math.degrees(yaw)]
 
 
+def _degrees(angle: float) -> float:
+    """The float nearest ``math.degrees(angle)``, within four ulps, whose ``math.radians``
+    is ``angle``: the plain pair misses by an ulp for one degree value in twenty."""
+    degrees = below = above = math.degrees(angle)
+    for _ in range(5):
+        for candidate in (above, below):
+            if math.radians(candidate) == angle:
+                return candidate
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+    return degrees
+
+
 def serialize_spec(spec: CartonSpec) -> str:
     """Write a spec back to the document format; parse(serialize(s)) == s."""
     panels = []
@@ -748,8 +790,8 @@ def serialize_spec(spec: CartonSpec) -> str:
         if p.parent is not None:
             entry["crease_anchor_mm"] = [float(v) for v in p.crease_anchor]
             entry["crease_dir"] = [float(v) for v in p.crease_dir]
-            entry["theta_init_deg"] = math.degrees(p.theta_init)
-            entry["theta_final_deg"] = math.degrees(p.theta_final)
+            entry["theta_init_deg"] = _degrees(p.theta_init)
+            entry["theta_final_deg"] = _degrees(p.theta_final)
         if p.foldable_flag is not None:
             entry["foldable"] = p.foldable_flag
         panels.append(entry)
@@ -774,7 +816,7 @@ def serialize_spec(spec: CartonSpec) -> str:
         },
         "environment": environment,
         "planner": {
-            "tolerance_angle_deg": math.degrees(spec.tolerance_angle),
+            "tolerance_angle_deg": _degrees(spec.tolerance_angle),
             "penetration_tolerance_mm": spec.penetration_tolerance,
             "support_tolerance_mm": spec.support_tolerance,
         },

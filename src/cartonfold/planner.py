@@ -49,7 +49,7 @@ from operator import or_
 
 import numpy as np
 
-from .collision import _pair_blocked, sweep
+from .collision import _pair_blocked, build_sweeps, sweep
 from .model import KinematicTree
 
 
@@ -279,22 +279,25 @@ def _layer_folds(
 
     Returns two lists of bitboards, one board per joint slot. For each
     joint, the states where it is unfolded are split by the folded joints
-    that place its sweep, and each part is walked through its sweep's
-    ``_Walk``, kept in ``walks`` for the whole build.
+    that place its sweep. The sweeps of the parts not yet walked are built
+    in one ``build_sweeps`` call, then each part is walked through its
+    sweep's ``_Walk``, kept in ``walks`` for the whole build.
     """
-    free, aloft = [], []
+    parts = []
     for i, moving in enumerate(tree.foldable_ids):
         placing = tree.subtree_ancestry[moving] & ~(1 << i)
-        free.append(0)
-        aloft.append(0)
         for value, states in layer.split(layer.everyone & ~layer.has[i], placing):
-            walk = walks.get((moving, value))
-            if walk is None:
-                walk = walks[moving, value] = _Walk(tree, moving, value, placing)
-            states = walk(states, layer)
-            free[i] |= states
-            if walk.swept.aerial:
-                aloft[i] |= states
+            parts.append((i, moving, placing, value, states))
+    build_sweeps(tree, [(v, moving) for _, moving, _, v, _ in parts if (moving, v) not in walks])
+    free, aloft = [0] * len(tree.foldable_ids), [0] * len(tree.foldable_ids)
+    for i, moving, placing, value, states in parts:
+        walk = walks.get((moving, value))
+        if walk is None:
+            walk = walks[moving, value] = _Walk(tree, moving, value, placing)
+        states = walk(states, layer)
+        free[i] |= states
+        if walk.swept.aerial:
+            aloft[i] |= states
     return free, aloft
 
 

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cartonfold.collision as collision_module
+import cartonfold.planner as planner_module
 from cartonfold.collision import (
     GraspSide,
-    _swept_movers,
     collision_check,
     grasp_side,
+    n_sweep_samples,
     sweep,
     sweep_angles,
     sweep_bounds,
@@ -32,6 +35,8 @@ from cartonfold.model import (
     forward_kinematics,
     load_spec,
 )
+from cartonfold.planner import build_lattice
+
 from .conftest import SHIPPED_SPECS
 from .oracles import every_verdict
 from .test_model import random_tree
@@ -62,15 +67,49 @@ def with_fixtures(tree, *boxes):
     return build_tree(replace(tree.spec, environment=tree.spec.environment + boxes))
 
 
+# tree -> {(joint, folded joints that place its subtree): (boxes, moving ids)}
+_FK_SWEEPS = weakref.WeakKeyDictionary()
+
+
+def fk_sweep(tree, mask, joint):
+    """The moving subtree's solids at every sample angle of the fold, packed
+    as (centers, rotations, half_extents) rows (sample, subtree panel in
+    topological order), each from forward kinematics of the whole carton
+    with the joint at the sample angle. A panel's pose reads only its
+    ancestors' angles, so the result is kept per tree and per folded joint
+    among those above a subtree panel, found by the spec's parent links."""
+
+    def lineage(pid):
+        while pid is not None:
+            yield pid
+            pid = tree.panel(pid).parent
+
+    moving = tuple(pid for pid in tree.topo_order if joint in lineage(pid))
+    placing = {above for pid in moving for above in lineage(pid)} - {joint}
+    folded = set(tree.joints(mask))
+    memo = _FK_SWEEPS.setdefault(tree, {})
+    key = (joint, frozenset(folded & placing))
+    if key not in memo:
+        panel = tree.panel(joint)
+        base = JointVector.from_folded(tree, folded)
+        solids = []
+        for phi in sweep_angles(panel.theta_init, panel.theta_final, tree.spec.tolerance_angle):
+            poses = forward_kinematics(tree, base.replace(joint, float(phi)))
+            by_id = {pose.panel_id: pose.solid for pose in poses}
+            solids += [by_id[pid] for pid in moving]
+        memo[key] = pack_boxes(solids), moving
+    return memo[key]
+
+
 def full_kernel_check(tree, mask, joint) -> bool:
     """The undecomposed swept check: forward kinematics of the whole fold
-    state, no broad phase and no memo, the kernel on every (swept box,
-    static box) pair and the table test on all 8 corners of every swept box."""
+    state and of every sample (``fk_sweep``), no broad phase and no
+    collision memo, the kernel on every (swept box, static box) pair and
+    the table test on all 8 corners of every swept box."""
     spec = tree.spec
     poses = forward_kinematics(tree, JointVector.from_folded(tree, tree.joints(mask)))
     panel = tree.panel(joint)
-    samples = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
-    *movers, moving_ids = _swept_movers(tree, {p.panel_id: p for p in poses}, joint, samples)
+    movers, moving_ids = fk_sweep(tree, mask, joint)
     eps = spec.penetration_tolerance
     for pose in poses:
         if pose.panel_id in moving_ids:
@@ -252,33 +291,26 @@ class TestCollisionCheck:
 
 class TestSweptSolids:
     @staticmethod
-    def check_every_sweep(tree):
+    def assert_fk_boxes(tree, mask, joint):
         """Each swept box, row (sample, subtree panel), is the panel's solid
         placed by forward kinematics of the fold state with the moving joint
-        at the sample angle; the sweep builds it another way, from the panel
-        records and one product per sample. Each joint folds first (nothing
-        folded) and last (everything else folded), so subtrees carry folded
-        panels and parents stand rotated. The states are not taken from a
-        lattice, which a broken product would empty."""
+        at the sample angle (``fk_sweep``); the sweep builds it another way,
+        from the panel records and the joint's Rodrigues terms."""
+        want, _ = fk_sweep(tree, mask, joint)
+        got = sweep(tree, mask, joint).boxes
+        assert [len(a) for a in got] == [len(a) for a in want]
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+
+    def check_every_sweep(self, tree):
+        """Each joint folds first (nothing folded) and last (everything else
+        folded), so subtrees carry folded panels and parents stand rotated.
+        The states are not taken from a lattice, which a broken product
+        would empty."""
         everything = tree.mask(tree.foldable_ids)
         for joint in tree.foldable_ids:
-            panel = tree.panel(joint)
-            samples = sweep_angles(panel.theta_init, panel.theta_final, tree.spec.tolerance_angle)
-            moving = tree.subtree_ids(joint)
             for mask in (0, everything & ~tree.bits[joint]):
-                centers, rotations, halves = sweep(tree, mask, joint).boxes
-                assert len(centers) == len(samples) * len(moving)
-                folded = JointVector.from_folded(tree, tree.joints(mask))
-                row = 0
-                for phi in samples:
-                    poses = forward_kinematics(tree, folded.replace(joint, float(phi)))
-                    by_id = {pose.panel_id: pose.solid for pose in poses}
-                    for pid in moving:
-                        solid = by_id[pid]
-                        np.testing.assert_allclose(centers[row], solid.center, rtol=0, atol=1e-9)
-                        np.testing.assert_allclose(rotations[row], solid.pose.rotation, rtol=0, atol=1e-9)
-                        np.testing.assert_allclose(halves[row], solid.half_extents, rtol=0, atol=1e-9)
-                        row += 1
+                self.assert_fk_boxes(tree, mask, joint)
 
     @pytest.mark.parametrize("name", SHIPPED_SPECS)
     @pytest.mark.parametrize("step_deg", [5.0, 0.25])
@@ -291,6 +323,36 @@ class TestSweptSolids:
         # rotations commute; these trees turn creases across each other.
         for tree in branchy_trees():
             self.check_every_sweep(tree)
+
+    def test_batched_sweeps_of_a_lattice_build(self, monkeypatch):
+        # The lattice build asks for a layer's sweeps in one batch, and on
+        # these trees one batch mixes joints of different spans (so of
+        # different sample counts) and subtrees of different sizes.
+        batches = []
+        real = collision_module.build_sweeps
+
+        def recorded(tree, folds):
+            folds = list(folds)
+            batches.append(folds)
+            return real(tree, folds)
+
+        monkeypatch.setattr(collision_module, "build_sweeps", recorded)
+        monkeypatch.setattr(planner_module, "build_sweeps", recorded)
+        mixed = False
+        for tree in branchy_trees():
+            batches.clear()
+            build_lattice(tree)
+            built = len(tree.sweeps)
+            for folds in batches:
+                samples = {n_sweep_samples(tree, joint) for _, joint in folds}
+                sizes = {len(tree.subtree_ids(joint)) for _, joint in folds}
+                mixed = mixed or (len(samples) > 1 and len(sizes) > 1)
+                for mask, joint in folds:
+                    self.assert_fk_boxes(tree, mask, joint)
+            assert len(tree.sweeps) == built  # the checks found every sweep memoised
+            asked = [fold for folds in batches for fold in folds]
+            assert built == len({(joint, mask & tree.subtree_ancestry[joint]) for mask, joint in asked})
+        assert mixed
 
 
 class TestBroadPhase:
@@ -310,6 +372,17 @@ class TestBroadPhase:
         for mask, joint in all_folds(tree):
             expected = full_kernel_check(tree, mask, joint)
             assert collision_check(tree, mask, joint) is expected, (mask, joint)
+
+    @pytest.mark.parametrize("own_penetration", [False, True])
+    def test_matches_the_full_kernel_on_branchy_trees(self, own_penetration):
+        # Cross creases, grandchildren in the sweeps, and on every other tree
+        # the table and a fixture.
+        for n, tree in enumerate(branchy_trees(count=3)):
+            if not own_penetration:
+                tree = build_tree(replace(tree.spec, penetration_tolerance=0.0))
+            for mask, joint in all_folds(tree):
+                expected = full_kernel_check(tree, mask, joint)
+                assert collision_check(tree, mask, joint) is expected, (n, mask, joint)
 
     def test_fixture_hit_by_one_sample_is_not_culled(self):
         # A 1 mm cube on the flap's mid-plane near its free edge at 45

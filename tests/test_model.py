@@ -227,6 +227,66 @@ class TestSpecBoundary:
             pass
 
 
+QUARTER_DEGREES = st.integers(-720, 720).map(lambda q: q * 0.25)
+DEGREES = st.floats(-180.0, 180.0, allow_subnormal=False) | QUARTER_DEGREES
+AXES = st.sampled_from(([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]))
+
+
+def vec3(lo: float, hi: float):
+    return st.lists(st.floats(lo, hi), min_size=3, max_size=3)
+
+
+@st.composite
+def spec_mappings(draw):
+    """A valid spec mapping whose angles are drawn in degrees, as written by hand."""
+    panels = [{"id": 1, "parent": None, "dims_mm": draw(vec3(0.5, 500.0))}]
+    for pid in range(2, draw(st.integers(2, 5)) + 1):
+        panels.append({
+            "id": pid,
+            "name": draw(st.sampled_from(("", "flap", "lid 2"))),
+            "parent": draw(st.integers(1, pid - 1)),
+            "dims_mm": draw(vec3(0.5, 500.0)),
+            "crease_anchor_mm": draw(vec3(-300.0, 300.0)),
+            "crease_dir": draw(AXES),
+            "theta_init_deg": draw(DEGREES),
+            "theta_final_deg": draw(DEGREES),
+        })
+    environment = [{"name": "table", "half_space": True}] if draw(st.booleans()) else []
+    if draw(st.booleans()):
+        environment.append({"center_mm": draw(vec3(-300.0, 300.0)), "dims_mm": draw(vec3(0.5, 500.0))})
+    data = {
+        "panels": panels,
+        "root_pose": {"translation_mm": draw(vec3(-10.0, 10.0))},
+        "environment": environment,
+        "planner": {
+            "tolerance_angle_deg": draw(st.floats(0.01, 90.0) | st.sampled_from((0.25, 1.5, 3.0, 6.0))),
+            "penetration_tolerance_mm": draw(st.floats(0.0, 5.0)),
+            "support_tolerance_mm": draw(st.floats(0.0, 5.0)),
+        },
+        "ranking": draw(st.permutations(("aerial", "maxdim", "volume")).flatmap(
+            lambda order: st.integers(1, 3).map(lambda n: list(order[:n]))
+        )),
+    }
+    if draw(st.booleans()):
+        data["gripper"] = {"dims_mm": draw(vec3(0.5, 500.0)), "standoff_mm": draw(st.floats(0.0, 10.0))}
+    return data
+
+
+class TestSpecRoundTrip:
+    @given(spec_mappings())
+    def test_serialized_specs_parse_back_equal(self, data):
+        spec = spec_from_mapping(data)
+        assert parse_spec(serialize_spec(spec)) == spec
+
+    @pytest.mark.parametrize("deg", [3.0, 6.0, 1.5])
+    def test_degree_values_that_drift_by_an_ulp(self, deg):
+        # math.radians(math.degrees(x)) != x for these.
+        spec = replace(load_spec(SPEC_DIR / "three_flaps.yaml"), tolerance_angle=math.radians(deg))
+        assert math.radians(math.degrees(spec.tolerance_angle)) != spec.tolerance_angle
+        assert parse_spec(serialize_spec(spec)) == spec
+        assert yaml.safe_load(serialize_spec(spec))["planner"]["tolerance_angle_deg"] == deg
+
+
 class TestSpecEquality:
     @pytest.mark.parametrize("name", SHIPPED_SPECS)
     def test_two_loads_are_equal_and_hash_alike(self, spec_dir, name):

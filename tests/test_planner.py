@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import cartonfold
-import cartonfold.collision as collision_module
 import cartonfold.planner as planner_module
 from cartonfold.cli import EXIT_NO_SEQUENCES, RunConfig, run
 from cartonfold.collision import collision_check
@@ -182,12 +181,19 @@ class TestEnumerateSequences:
             patch.setattr(oracles, "collision_check", counted_check)
             reference = loop_lattice(build_tree(spec))
 
-        calls, swept, pairs = [], [], []
-        real_movers, real_pair = collision_module._swept_movers, planner_module._pair_blocked
+        calls, pairs = [], []
+        real_pair = planner_module._pair_blocked
 
-        def movers(tree_, poses, joint, samples):
-            swept.append(joint)
-            return real_movers(tree_, poses, joint, samples)
+        class Sweeps(dict):
+            """A sweep memo that lists every key stored in it."""
+
+            def __init__(self):
+                super().__init__()
+                self.built = []
+
+            def __setitem__(self, key, value):
+                self.built.append(key)
+                super().__setitem__(key, value)
 
         def pair(tree_, sweep_, mask, pid):
             pairs.append((id(sweep_), pid, mask))
@@ -196,10 +202,11 @@ class TestEnumerateSequences:
         for module in (cartonfold, *vars(cartonfold).values()):
             if getattr(module, "collision_check", None) is collision_check:
                 monkeypatch.setattr(module, "collision_check", lambda *args: calls.append(args))
-        monkeypatch.setattr(collision_module, "_swept_movers", movers)
         monkeypatch.setattr(planner_module, "_pair_blocked", pair)
         tree = build_tree(spec)
+        object.__setattr__(tree, "sweeps", Sweeps())
         lattice = build_lattice(tree)
+        swept = tree.sweeps.built
         k = len(tree.foldable_ids)
         assert calls == []
         assert len(checked) == len(set(checked)) == lattice.stats.cc_calls == reference.stats.cc_calls
@@ -207,7 +214,7 @@ class TestEnumerateSequences:
             (mask, j) for mask in lattice.masks for j in tree.foldable_ids if not mask & tree.bits[j]
         }
         assert lattice.stats.cc_calls <= (2 ** k) * k
-        assert len(swept) == lattice.stats.sweeps == len(tree.sweeps) == 9
+        assert len(swept) == len(set(swept)) == lattice.stats.sweeps == len(tree.sweeps) == 9
         assert len(pairs) == len(set(pairs)) == lattice.stats.pair_tests == len(tree.pair_verdicts)
         assert lattice.sequence_count == len(lattice.sequences()) == 1680
 
