@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .collision import collision_check, grasp_side, n_sweep_samples, sweep
 from .metrics import RankedReport, rank_lattice, round6
 from .model import JointVector, KinematicTree, SpecValidationError, build_tree, load_spec
@@ -30,6 +32,9 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_NO_SEQUENCES = 2
 EXIT_SPEC_INVALID = 3
+
+# Characters of CSV text that format_csv assembles per array pass.
+CSV_BLOCK_CHARS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -79,17 +84,57 @@ def format_table(report: RankedReport) -> str:
 
 
 def format_csv(report: RankedReport) -> str:
-    orders = report.orders.tolist()
-    c_vol, c_dim = report.c_vol.tolist(), report.c_dim.tolist()
-    # Rows share few distinct totals; each is written out once.
-    text = {v: f"{v:.6f}" for v in {*c_vol, *c_dim}}
-    line = "-".join(["%d"] * report.orders.shape[1]) + ",%s,%s,%d"
-    lines = ["sequence,volume_mm3,maxdim_mm,naf"]
-    lines += [
-        line % (*order, text[vol], text[dim], naf)
-        for order, vol, dim, naf in zip(orders, c_vol, c_dim, report.c_aerial.tolist())
-    ]
-    return "\n".join(lines) + "\n"
+    """The header, then one line per row: the order joined by "-", the
+    volume and maxdim totals to 6 decimals, and the aerial count.
+
+    A line is k + 3 words of a vocabulary: each joint with the separator
+    that follows it (``5-``, or ``5,`` in last place), then the volume
+    with its comma, the maxdim with its comma and the count with the
+    newline, each distinct value formatted once. Values are told apart by
+    their bits, so two that print differently never share a word. The text
+    is assembled from the vocabulary in array passes over blocks of about
+    CSV_BLOCK_CHARS characters, so the index arrays stay small.
+    """
+    header = b"sequence,volume_mm3,maxdim_mm,naf\n"
+    n, k = report.orders.shape
+    if not n:
+        return header.decode("ascii")
+    joints = np.sort(report.orders[0])  # every row orders the same joints
+    words = [f"{j}-" for j in joints.tolist()] + [f"{j}," for j in joints.tolist()]
+    tails = []  # the word of each row's volume, maxdim and count
+    for column, form in ((report.c_vol, "{:.6f},"), (report.c_dim, "{:.6f},"), (report.c_aerial, "{}\n")):
+        distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+        tails.append(index + len(words))
+        words += map(form.format, distinct.view(column.dtype).tolist())
+    vocab = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+    length = np.array([len(word) for word in words], dtype=np.int32)
+    end = np.cumsum(length, dtype=np.int32)
+    start = end - length
+    order_chars = int(length[:k].sum())
+    text = np.empty(len(header) + n * order_chars + sum(int(length[t].sum()) for t in tails), np.uint8)
+    text[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+    at = len(header)
+    rows = max(1, CSV_BLOCK_CHARS // (order_chars + sum(int(length[t].max()) for t in tails)))
+    for a in range(0, n, rows):
+        ids = np.empty((min(rows, n - a), k + 3), dtype=np.intp)
+        ids[:, :k] = np.searchsorted(joints, report.orders[a:a + rows])
+        ids[:, k - 1] += k
+        for i, tail in enumerate(tails, k):
+            ids[:, i] = tail[a:a + rows]
+        ids = ids.ravel()
+        size = length[ids]
+        offset = np.cumsum(size)
+        # Each character's vocabulary index is the previous one plus a step:
+        # 1 within a word, and a jump from a word's last character to the
+        # next word's first.
+        index = np.ones(offset[-1], dtype=np.int32)
+        jump = start[ids]
+        jump[1:] -= end[ids[:-1]] - 1
+        index[offset - size] = jump
+        np.cumsum(index, out=index)
+        vocab.take(index, out=text[at:at + len(index)])
+        at += len(index)
+    return str(text.data, "ascii")
 
 
 # The structured report is the text of json.dumps(payload, indent=2), with

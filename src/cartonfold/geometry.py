@@ -245,8 +245,13 @@ def half_reach(abs_rots: np.ndarray, halves: np.ndarray, clearance: float = 0.0)
 def box_bounds(
     centers: np.ndarray, rots: np.ndarray, halves: np.ndarray, clearance: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """World-axis-aligned bounds (lo, hi), shape (n, 3), of boxes grown by ``clearance / 2``."""
-    reach = half_reach(np.abs(rots).transpose(1, 2, 0), halves.T, clearance).T
+    """World-axis-aligned bounds (lo, hi), shape (n, 3), of boxes grown by ``clearance / 2``.
+
+    The half-reach is ``|R| @ h``, grown as in ``half_reach``; ``einsum``
+    forms it faster than the axis-first ``half_reach`` for the few boxes
+    of one call, which ``collision.build_sweeps`` uses on a whole layer.
+    """
+    reach = np.einsum("nij,nj->ni", np.abs(rots), np.maximum(halves + clearance / 2.0, 0.0))
     return centers - reach, centers + reach
 
 

@@ -27,7 +27,9 @@ regimes, split on whether the report asks for every path:
 
 * every path (``--top all``, or a top N at least the sequence count):
   nothing can be pruned, so the paths are listed a popcount layer at a
-  time as arrays of edge ids and ordered by one ``np.lexsort``;
+  time as arrays of edge ids, already in ascending order of their joints,
+  and ordered by one stable ``np.lexsort`` on the criteria alone, so rows
+  that tie on every criterion keep their joint order;
 * the best N of a larger count: each state's least completion is
   computed in numpy passes, a layer at a time, and one depth-first
   branch-and-bound search, cheapest bound first, finds the best N without
@@ -100,7 +102,8 @@ class RankedReport:
     """The best sequences, sorted ascending-lexicographically by ``criteria``.
 
     One row per sequence, best first, held as arrays: row i folds the
-    joints ``orders[i]`` along the edges ``steps[i]`` of ``edges``, and
+    joints ``orders[i]``, each foldable joint once, along the edges
+    ``steps[i]`` of ``edges``, and
     ``c_vol[i]``, ``c_dim[i]`` and ``c_aerial[i]`` are its totals. The rows
     may be a prefix of the ranking; ``sequence_count`` counts every
     sequence that was ranked.
@@ -183,9 +186,8 @@ def _column(rows: list[tuple], i: int, dtype) -> np.ndarray:
 
 def _rounded(values: np.ndarray) -> np.ndarray:
     """``round6`` of every value, computed once per distinct value."""
-    values = values.tolist()
-    table = {v: round6(v) for v in set(values)}
-    return np.array([table[v] for v in values], dtype=float)
+    distinct, index = np.unique(values, return_inverse=True)
+    return np.array([round6(v) for v in distinct.tolist()], dtype=float)[index]
 
 
 def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
@@ -198,9 +200,10 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
 
     When every path is asked for, nothing can be pruned, so nothing is
     searched: ``FoldLattice.paths`` lists every path as a row of edge ids,
-    a layer at a time, each row's sums add its steps left to right, and one
-    ``np.lexsort`` orders the rows by the criteria, the float ones rounded
-    by ``round6`` once per distinct sum, and then by the order itself.
+    a layer at a time, in ascending order of their joints; each row's sums
+    add its steps left to right, and one stable ``np.lexsort`` orders the
+    rows by the criteria alone, the float ones rounded by ``round6`` once
+    per distinct sum, so ties fall back to the order itself.
 
     Otherwise, in passes over the live states, one popcount layer at a time
     from the full state down, ``least`` gets, per criterion, each state's
@@ -225,11 +228,13 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
     edges = EdgeMetrics(lattice.joint, volume[lattice.source], max_dim[lattice.source], lattice.aerial)
     if not n:
         steps = np.zeros((0, len(tree.foldable_ids)), dtype=np.intp)
+        totals = edges.totals(steps)
     elif n < count:
         steps = _search(lattice, n, edges)
+        totals = edges.totals(steps)
     else:
-        steps = _sort_every_path(lattice, edges)
-    c_vol, c_dim, c_aerial = edges.totals(steps)
+        steps, totals = _sort_every_path(lattice, edges)
+    c_vol, c_dim, c_aerial = totals
     return RankedReport(
         criteria=tree.spec.ranking,
         sequence_count=count,
@@ -242,19 +247,24 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
     )
 
 
-def _sort_every_path(lattice: FoldLattice, edges: EdgeMetrics) -> np.ndarray:
-    """The edge ids of every path, best first, by one lexsort."""
+def _sort_every_path(lattice: FoldLattice, edges: EdgeMetrics) -> tuple[np.ndarray, tuple]:
+    """The edge ids of every path, best first, by one lexsort, and their totals.
+
+    ``FoldLattice.paths`` lists the rows in ascending lexicographic order
+    of their joints and ``np.lexsort`` is stable, so sorting on the
+    criteria alone leaves rows that tie on all of them in that order.
+    """
     steps, prefixes = lattice.paths()
     lattice.stats.nodes_expanded += prefixes
     lattice.stats.cc_cache_hits += prefixes - 1
     c_vol, c_dim, c_aerial = edges.totals(steps)
     totals = {"aerial": c_aerial, "maxdim": c_dim, "volume": c_vol}
-    orders = edges.joint[steps]
     # np.lexsort sorts by its last key first.
-    keys = [orders[:, t] for t in reversed(range(orders.shape[1]))]
-    criteria = lattice.tree.spec.ranking
-    keys += [c_aerial if c == "aerial" else _rounded(totals[c]) for c in reversed(criteria)]
-    return steps[np.lexsort(keys)]
+    rank = np.lexsort([
+        c_aerial if c == "aerial" else _rounded(totals[c])
+        for c in reversed(lattice.tree.spec.ranking)
+    ])
+    return steps[rank], (c_vol[rank], c_dim[rank], c_aerial[rank])
 
 
 def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:

@@ -124,22 +124,29 @@ class FoldLattice:
         order, so the rows come out in ascending lexicographic order of
         their joints, the order of a depth-first walk. The prefix count
         covers every length from the empty path to the complete ones.
+        Each layer keeps the last edge of each of its prefixes and the
+        prefix that edge extends; the rows are filled once at the end, by
+        following those links back from the complete paths.
         """
         if not self.masks:
             return np.zeros((0, 0), dtype=np.intp), 0
-        paths = np.zeros((1, 0), dtype=np.intp)
         state = np.zeros(1, dtype=np.intp)
-        prefixes = 1
+        edges, parents = [], []
         for _ in range(self.masks[-1].bit_count()):
             begin = self.first[state]
             count = self.first[state + 1] - begin
             ends = np.cumsum(count)
             # Path p's extensions are its state's count[p] edges from begin[p].
             edge = np.arange(ends[-1]) + np.repeat(begin - ends + count, count)
-            paths = np.column_stack((np.repeat(paths, count, axis=0), edge))
+            edges.append(edge)
+            parents.append(np.repeat(np.arange(len(count)), count))
             state = self.child[edge]
-            prefixes += len(edge)
-        return paths, prefixes
+        paths = np.empty((len(state), len(edges)), dtype=np.intp)
+        prefix = np.arange(len(state))
+        for t in reversed(range(len(edges))):
+            paths[:, t] = edges[t][prefix]
+            prefix = parents[t][prefix]
+        return paths, 1 + sum(map(len, edges))
 
     def sequences(self) -> list[tuple[int, ...]]:
         """The joint order of every complete path, in ascending lexicographic order."""

@@ -4,7 +4,8 @@ These deliberately avoid the library's own kernels: box overlap is decided
 by dense point sampling, and sequence enumeration by filtering raw
 permutations. Slow and simple on purpose. ``loop_lattice`` is the lattice
 build as one ``collision_check`` per (reachable state, unfolded joint), the
-reference for the layer-at-a-time build.
+reference for the layer-at-a-time build, and ``csv_report`` writes a CSV
+report one line at a time, the reference for ``cli.format_csv``.
 """
 
 from __future__ import annotations
@@ -148,3 +149,18 @@ def loop_lattice(tree) -> FoldLattice:
         sequence_count=stats.sequences,
         stats=stats,
     )
+
+
+def csv_report(report) -> str:
+    """The CSV text of a ``RankedReport``, one ``%`` template per line."""
+    orders = report.orders.tolist()
+    c_vol, c_dim = report.c_vol.tolist(), report.c_dim.tolist()
+    # Rows share few distinct totals; each is written out once.
+    text = {v: f"{v:.6f}" for v in {*c_vol, *c_dim}}
+    line = "-".join(["%d"] * report.orders.shape[1]) + ",%s,%s,%d"
+    lines = ["sequence,volume_mm3,maxdim_mm,naf"]
+    lines += [
+        line % (*order, text[vol], text[dim], naf)
+        for order, vol, dim, naf in zip(orders, c_vol, c_dim, report.c_aerial.tolist())
+    ]
+    return "\n".join(lines) + "\n"

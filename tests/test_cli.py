@@ -6,11 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cartonfold
 import cartonfold.cli as cli_module
@@ -22,11 +25,12 @@ from cartonfold.cli import (
     EXIT_SPEC_INVALID,
     RunConfig,
     explain,
+    format_csv,
     format_structured,
     main,
     run,
 )
-from cartonfold.metrics import rank_lattice, round6
+from cartonfold.metrics import EdgeMetrics, RankedReport, rank_lattice, round6
 from cartonfold.model import (
     JointVector,
     build_tree,
@@ -36,7 +40,8 @@ from cartonfold.model import (
 )
 from cartonfold.planner import build_lattice
 
-from .conftest import SHIPPED_SPECS, SPEC_DIR
+from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
+from .oracles import csv_report
 from .test_metrics import POLICIES
 from .test_planner import frozenset_lattice
 
@@ -254,6 +259,74 @@ class TestRun:
         naf_strict = int(strict.strip().splitlines()[1].split(",")[-1])
         naf_lax = int(lax.strip().splitlines()[1].split(",")[-1])
         assert naf_strict == 1 and naf_lax == 0
+
+
+def csv_total(rng: np.random.Generator) -> float:
+    """A total as reports print it: any value, or one within two ulps of a
+    6-decimal rounding edge."""
+    if rng.random() < 0.5:
+        return float(rng.uniform(0.0, 1e9))
+    value = (int(rng.integers(0, 10**12)) + 0.5) / 1e6
+    for _ in range(abs(int(rng.integers(-2, 3)))):
+        value = float(np.nextafter(value, rng.choice((0.0, np.inf))))
+    return value
+
+
+@st.composite
+def csv_reports(draw):
+    """A report of 0, 1 or many rows over multi-digit, non-contiguous joint
+    ids, its totals drawn from a small pool (repeating) or row by row."""
+    k = draw(st.integers(1, 6))
+    joints = draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k, unique=True))
+    n = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [csv_total(rng) for _ in range(draw(st.sampled_from((1, 3, 40))))]
+    repeat = draw(st.booleans())
+
+    def totals() -> np.ndarray:
+        values = [pool[i] for i in rng.integers(0, len(pool), n)] if repeat else [
+            csv_total(rng) for _ in range(n)
+        ]
+        return np.array(values, dtype=float)
+
+    return RankedReport(
+        criteria=("aerial", "maxdim"),
+        sequence_count=n,
+        orders=np.array([rng.permutation(joints) for _ in range(n)], dtype=np.intp).reshape(n, k),
+        steps=np.zeros((n, k), dtype=np.intp),
+        edges=EdgeMetrics(np.array(joints[:1]), np.zeros(1), np.zeros(1), np.zeros(1, bool)),
+        c_vol=totals(),
+        c_dim=totals(),
+        c_aerial=rng.integers(0, k + 1, n),
+    )
+
+
+class TestCsvWriter:
+    """``format_csv`` against the line-by-line writer ``oracles.csv_report``."""
+
+    @given(csv_reports())
+    def test_drawn_reports_are_written_byte_for_byte(self, report):
+        want = csv_report(report)
+        assert format_csv(report) == want
+        # One row per block: every row crosses a block boundary.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli_module, "CSV_BLOCK_CHARS", 1)
+            assert format_csv(report) == want
+
+    def test_peak_memory_no_higher_than_the_reference(self):
+        # Index arrays over the whole report, not a block, would exceed it.
+        report = rank_lattice(build_lattice(build_tree(free_flap_spec(8))), None)
+        assert len(report) == 40320
+        peaks = []
+        for write in (format_csv, csv_report):
+            tracemalloc.start()
+            try:
+                text = write(report)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del text
+        assert peaks[0] <= peaks[1]
 
 
 # specs/obstructed_flap.yaml with its beam replaced by a 0.5 mm blade that

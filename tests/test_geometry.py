@@ -142,6 +142,45 @@ class TestRotateAboutAxis:
             rotate_about_axis((0, 0, 0), (1, 1, 0), 0.5)
 
 
+_angles = st.floats(-180.0, 180.0)
+_dims = st.floats(0.5, 500.0)
+_halves = st.floats(0.25, 1.5)
+
+
+@st.composite
+def boxes_along_each_axis(draw):
+    """A box a, and one box b per separating axis of the pair, ``gap`` from a along it.
+
+    The 15 axes are the face normals of a and of b and the cross products
+    of an edge of each; b has one rotation and size throughout, and a cross
+    axis of near-parallel edges is left out. Each b's center lies on its
+    axis through a's center, so that axis separates the grown boxes exactly
+    when gap > 0, and with the centers in line often no other axis does.
+    Returns (a, [b], [gap], clearance).
+    """
+    clearance = draw(st.sampled_from((0.0, 0.25, -0.1)))
+    # Rotations and gaps come from a drawn seed: drawn angles favour
+    # axis-aligned boxes, whose coinciding face axes all separate at once.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rots = [random_rotation(rng) for _ in range(2)]
+    halves = [np.array(draw(st.tuples(_halves, _halves, _halves))) for _ in range(2)]
+    axes = [*rots[0].T, *rots[1].T]
+    axes += [np.cross(rots[0][:, i], rots[1][:, j]) for i in range(3) for j in range(3)]
+    boxes, gaps = [], []
+    for axis in axes:
+        if np.linalg.norm(axis) < 1e-3:
+            continue
+        axis = axis / np.linalg.norm(axis)
+        support = sum(
+            np.abs(rot.T @ axis) @ np.maximum(half + clearance / 2.0, 0.0)
+            for rot, half in zip(rots, halves)
+        )
+        # Small gaps leave the axis the only one that separates, most often.
+        gaps.append(float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, -1.0)))
+        boxes.append(OrientedBox(Transform(rots[1], axis * (support + gaps[-1])), halves[1]))
+    return OrientedBox(Transform(rots[0], np.zeros(3)), halves[0]), boxes, gaps, clearance
+
+
 class TestObbIntersect:
     def test_disjoint_unit_cubes(self):
         a = OrientedBox.from_center((0, 0, 0), (2, 2, 2))
@@ -194,6 +233,27 @@ class TestObbIntersect:
         assert checked == 1000
         assert disagreements < checked * 0.1
 
+    @given(boxes_along_each_axis())
+    def test_matches_point_sampling_outside_its_blind_band(self, drawn):
+        # As the fixed draw above, on pairs drawn from overlapping to just
+        # apart along every kind of separating axis: the kernel may differ
+        # from the oracle only where a nudge of two sampling bands in the
+        # clearance flips its verdict. The band hides a missing axis, so a
+        # pair that its drawn axis separates must also be apart by the kernel.
+        a, boxes, gaps, clearance = drawn
+        packed_a, packed_b = pack_boxes([a]), pack_boxes(boxes)
+
+        def kernel(c: float) -> np.ndarray:
+            return sat_overlap_matrix(*packed_a, *packed_b, c)[0]
+
+        overlaps = kernel(clearance)
+        assert not overlaps[np.array(gaps) > 1e-6].any()
+        for i, b in enumerate(boxes):
+            if overlaps[i] != sampled_overlap(a, b, clearance):
+                band = 2.0 * sampling_band(a, b)
+                assert kernel(clearance + band)[i]
+                assert not kernel(clearance - band)[i]
+
 
 class TestWorldAabb:
     def test_single_axis_aligned_cube(self):
@@ -245,8 +305,6 @@ class TestWorldAabb:
             np.testing.assert_allclose(box_hi, aabb.max, atol=1e-12)
 
 
-_angles = st.floats(-180.0, 180.0)
-_dims = st.floats(0.5, 500.0)
 
 
 @st.composite

@@ -469,6 +469,36 @@ class TestStateMemo:
                     expected = lowest > tree.spec.support_tolerance
                     assert sweep(tree, mask, joint).aerial is expected
 
+    def test_measures_of_grouped_states_equal_forward_kinematics_bit_for_bit(self):
+        # measures() groups the states by each panel's key, its group index
+        # derived from the parent's: a chain of five foldable panels, with a
+        # glued one in the middle that keeps its parent's groups, renumbers
+        # at every level; branchy trees split several children at once.
+        from .test_collision import branchy_trees
+
+        chain = [PanelSpec(id=1, parent=None, dims=(60, 60, 2))]
+        for pid in range(2, 8):
+            angle = 0.4 if pid == 4 else 0.0
+            chain.append(PanelSpec(
+                id=pid, parent=pid - 1, dims=(30 + pid, 60, 2),
+                crease_anchor=(0.0, chain[-1].height, 0.0), crease_dir=(1.0, 0.0, 0.0),
+                theta_init=angle, theta_final=angle if pid == 4 else 0.3 * pid,
+            ))
+        chain_tree = build_tree(CartonSpec(panels=tuple(chain), table_plane=False))
+        assert len(chain_tree.foldable_ids) == 5
+        rng = np.random.default_rng(3)
+        for tree in (chain_tree, *branchy_trees()):
+            k = len(tree.foldable_ids)
+            # Every state, in a shuffled order with repeats.
+            masks = rng.permutation(np.r_[np.arange(1 << k), rng.integers(0, 1 << k, 9)]).tolist()
+            volumes, max_extents = tree.measures(masks)
+            for mask, volume, max_extent in zip(masks, volumes, max_extents):
+                _, box, _ = fk_measures(tree, tree.joints(mask))
+                assert bits(volume) == bits(box.volume)
+                assert bits(max_extent) == bits(box.max_extent)
+            empty = tree.measures([])
+            assert [a.shape for a in empty] == [(0,), (0,)]
+
     def test_measures_of_masks_wider_than_int64(self):
         # 64 joints: the full state's mask does not fit an int64.
         tree = build_tree(free_flap_spec(64))

@@ -372,6 +372,8 @@ class TestLivePaths:
         assert [tuple(row) for row in lattice.joint[paths].tolist()] == orders
         assert lattice.sequences() == orders
         assert prefixes == walked_prefixes
+        if case == "case_study_tray.yaml":
+            assert (len(orders), prefixes) == (1680, 4610)
         # Every row is a chain of edges from the empty state to the full one.
         for row in paths.tolist():
             states = [0] + [lattice.child[e] for e in row]
@@ -379,6 +381,22 @@ class TestLivePaths:
             assert lattice.masks[states[-1]] == tree.mask(tree.foldable_ids)
             for e in row:
                 assert lattice.first[lattice.source[e]] <= e < lattice.first[lattice.source[e] + 1]
+
+
+    def test_paths_of_branchy_trees_equal_a_depth_first_walk(self):
+        # Folds cut to 30% of their angle, as in TestLoopReference: prefixes
+        # branch unevenly, and some states on complete paths have one fold.
+        counts = []
+        for tree in branchy_trees():
+            panels = tuple(replace(p, theta_final=p.theta_final * 0.3) for p in tree.spec.panels)
+            tree = build_tree(replace(tree.spec, panels=panels))
+            lattice = build_lattice(tree)
+            paths, prefixes = lattice.paths()
+            orders, walked_prefixes = walked_paths(tree)
+            assert [tuple(row) for row in lattice.joint[paths].tolist()] == orders
+            assert prefixes == walked_prefixes
+            counts.append(len(orders))
+        assert sum(map(bool, counts)) >= 2
 
 
 def assert_same_lattice(got, want):
