@@ -31,6 +31,10 @@ lattice = build_lattice(tree)
 print("three_flaps orderings:", lattice.sequences())
 print("lattice:", len(lattice.masks), "states on a complete path,",
       lattice.sequence_count, "sequences by path count")
+# The states are one mask array, a popcount layer at a time, each layer in
+# ascending mask order.
+layers = lattice.layers.tolist()
+print("states by layer:", [lattice.masks[lo:hi].tolist() for lo, hi in zip(layers, layers[1:])])
 print("  " + "\n  ".join(lattice.stats.lines()))
 
 # The blocking pair: the cover's overhang bars the drop leaf's arc, so only

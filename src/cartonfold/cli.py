@@ -24,7 +24,7 @@ import numpy as np
 
 from .collision import collision_check, grasp_side, n_sweep_samples, sweep
 from .metrics import RankedReport, rank_lattice, round6
-from .model import JointVector, KinematicTree, SpecValidationError, build_tree, load_spec
+from .model import KinematicTree, SpecValidationError, build_tree, load_spec
 from .planner import PlannerError, build_lattice
 
 logger = logging.getLogger(__name__)
@@ -199,11 +199,11 @@ def _state_record(tree: KinematicTree, mask: int, joint: int | None, aerial) -> 
     # Full float precision here: renderers and the replay invariant need the
     # dumped angles and poses to agree to machine accuracy.
     records = [tree.panel_state(pid, mask) for pid in tree.ids]
-    theta = JointVector.from_folded(tree, tree.joints(mask))
     return {
         "joint": joint,
         "aerial": aerial,
-        "theta_rad": {str(pid): theta.angle(pid) for pid in tree.ids},
+        "theta_rad": {str(p.id): p.theta_final if mask & tree.bits.get(p.id, 0) else p.theta_init
+                      for p in tree.spec.panels},
         "panels": [
             {
                 "id": r.pose.panel_id,

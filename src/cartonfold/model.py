@@ -780,7 +780,11 @@ def parse_spec(document: str) -> CartonSpec:
 
 def load_spec(path) -> CartonSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecValidationError(f"spec is not UTF-8 text: {exc}") from None
+    return parse_spec(text)
 
 
 def _rotation_to_rpy_deg(rot: np.ndarray) -> list[float]:

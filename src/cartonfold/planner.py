@@ -25,7 +25,8 @@ flaps builds k sweeps and k(2k-1) pair tests for its k·2^(k-1) verdicts.
 A fold's aerial flag is read from its sweep, since it depends on the
 subtree's start pose alone, so no fold state is ever run through forward
 kinematics as a whole. Each layer's feasible folds are unpacked once into
-flat arrays, and the work follows the reachable states, never all 2^k.
+flat arrays, one ``np.unique`` of their children numbers the next layer
+in ascending mask order, and the work follows the reachable states.
 One numpy pass a layer at a time from the full state counts the complete
 paths below every state, with Python ints as in Held & Karp's subset
 recursion, so the sequence count is exact and never an enumeration, and
@@ -94,11 +95,11 @@ class FoldLattice:
     """The fold states of one carton that lie on some complete path, and their folds.
 
     A fold state is a bit mask over ``tree.foldable_ids`` (``tree.bits``).
-    ``masks`` lists the states in layer order (by popcount, in the order
-    the build reached them), the full state last; layer t is the states
-    ``layers[t]`` up to ``layers[t + 1]``. The folds are held in
-    compressed sparse rows: state i's folds are the edges ``first[i]`` up
-    to ``first[i + 1]``, in ascending joint order; edge e folds
+    ``masks`` holds the states (int64, or Python ints from 63 joints) in
+    layer order, by popcount, then ascending, the full state last; layer t
+    is the states ``layers[t]`` up to ``layers[t + 1]``. The folds are held
+    in compressed sparse rows: state i's folds are the edges ``first[i]``
+    up to ``first[i + 1]``, in ascending joint order; edge e folds
     ``joint[e]`` out of state ``source[e]`` into state ``child[e]``
     (indices into ``masks``), and ``aerial[e]`` is its aerial flag.
     ``sequence_count`` is the exact number of complete paths. Without a
@@ -106,7 +107,7 @@ class FoldLattice:
     """
 
     tree: KinematicTree
-    masks: list[int]
+    masks: np.ndarray
     layers: np.ndarray
     first: np.ndarray
     source: np.ndarray
@@ -128,11 +129,11 @@ class FoldLattice:
         prefix that edge extends; the rows are filled once at the end, by
         following those links back from the complete paths.
         """
-        if not self.masks:
+        if not len(self.masks):
             return np.zeros((0, 0), dtype=np.intp), 0
         state = np.zeros(1, dtype=np.intp)
         edges, parents = [], []
-        for _ in range(self.masks[-1].bit_count()):
+        for _ in range(int(self.masks[-1]).bit_count()):
             begin = self.first[state]
             count = self.first[state + 1] - begin
             ends = np.cumsum(count)
@@ -160,9 +161,9 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
     States are expanded a layer (one more folded joint) at a time from the
     empty one, each layer's verdicts in one pass (``_layer_folds``), and
     each feasible fold carries its sweep's aerial flag. The folds of a
-    layer are listed by state, then by joint, and the next layer holds
-    their children in the order the folds first reach them. The states and
-    folds on no complete path are dropped at the end.
+    layer are listed by state, then by joint; one ``np.unique`` of their
+    children's masks gives the next layer, in ascending mask order, and
+    each fold's child index. States and folds on no path are dropped.
     """
     foldable = tree.foldable_ids
     if not foldable:
@@ -173,36 +174,30 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
     # Masks of 63 or more joints overflow int64; numpy then keeps Python ints.
     dtype = np.int64 if k < 63 else object
     bits = np.array([1 << i for i in range(k)], dtype=dtype)
-    masks: list[int] = []
-    source, child, slot, aerial = [], [], [], []
+    masks, source, child, slot, aerial = [], [], [], [], []
     starts = [0]  # the first state of each layer, then the end
-    layer = [0]
+    layer = np.zeros(1, dtype=dtype)
     walks: dict = {}  # (joint, folded joints that place its sweep) -> _Walk
     for size in range(k):
         n = len(layer)
-        layer_masks = np.array(layer, dtype=dtype)
-        free, aloft = _layer_folds(tree, _Projections(layer_masks, bits), walks)
+        free, aloft = _layer_folds(tree, _Projections(layer, bits), walks)
         stats.cc_calls += n * (k - size)
         stats.dead_ends += ((1 << n) - 1 & ~reduce(or_, free)).bit_count()
         table = _unpack(free + aloft, n)
         state, slots = np.nonzero(table[:k].T)
-        reached = (layer_masks[state] | bits[slots]).tolist()
-        first_reach = dict.fromkeys(reached)
         end = starts[-1] + n
-        index = dict(zip(first_reach, range(end, end + len(first_reach))))
-        masks += layer
+        masks.append(layer)
         source.append(state + starts[-1])
-        child.append(np.fromiter(map(index.__getitem__, reached), np.intp, len(reached)))
+        layer, reached = np.unique(layer[state] | bits[slots], return_inverse=True)
+        child.append(reached + end)
         slot.append(slots)
         aerial.append(table[k:].T[state, slots])
         starts.append(end)
-        layer = list(first_reach)
-        if not layer:
+        if not len(layer):
             break
-    else:  # the full state, with nothing left to fold
-        masks += layer
-        starts.append(starts[-1] + 1)
-    source, child = np.concatenate(source), np.concatenate(child)
+    masks.append(layer)  # the full state, or no state when it is out of reach
+    starts.append(starts[-1] + len(layer))
+    masks, source, child = np.concatenate(masks), np.concatenate(source), np.concatenate(child)
 
     # ways[i]: the complete paths from state i, summed from the last layer
     # back; the last layer has no folds, and holds the full state if any.
@@ -221,7 +216,7 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
     stats.pair_tests = len(tree.pair_verdicts) - pair_tests
     return FoldLattice(
         tree=tree,
-        masks=[masks[i] for i in keep.tolist()],
+        masks=masks[keep],
         layers=np.searchsorted(keep, starts) if len(keep) else np.zeros(1, dtype=np.intp),
         first=np.searchsorted(source, np.arange(len(keep) + 1)),
         source=source,

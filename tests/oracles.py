@@ -87,9 +87,9 @@ def loop_lattice(tree) -> FoldLattice:
     States are expanded a popcount layer at a time from the empty one; each
     state's folds are checked in joint-slot order, each feasible one takes
     its aerial flag from its sweep, and the next layer holds the children in
-    the order the folds first reach them. Paths are counted from the last
-    layer back and the states and folds on no complete path are dropped,
-    as ``planner.build_lattice`` documents.
+    ascending mask order. Paths are counted from the last layer back and
+    the states and folds on no complete path are dropped, as
+    ``planner.build_lattice`` documents.
     """
     foldable = tree.foldable_ids
     if not foldable:
@@ -104,8 +104,7 @@ def loop_lattice(tree) -> FoldLattice:
     layer = [0]
     while layer:
         layer_edges.append(len(source))
-        reached: dict[int, int] = {}  # the next layer's states and their indices
-        base = len(masks) + len(layer)
+        reached = []  # the mask of each fold's child
         for i, mask in enumerate(layer, len(masks)):
             folds = len(source)
             for j, bit in zip(foldable, bits):
@@ -114,13 +113,15 @@ def loop_lattice(tree) -> FoldLattice:
                 stats.cc_calls += 1
                 if collision_check(tree, mask, j):
                     source.append(i)
-                    child.append(reached.setdefault(mask | bit, base + len(reached)))
+                    reached.append(mask | bit)
                     joint.append(j)
                     aerial.append(sweep(tree, mask, j).aerial)
             if len(source) == folds and mask != final:
                 stats.dead_ends += 1
         masks += layer
-        layer = list(reached)
+        layer = sorted(set(reached))
+        index = {mask: i for i, mask in enumerate(layer, len(masks))}
+        child.extend(index[mask] for mask in reached)
     source, child = np.array(source, dtype=np.intp), np.array(child, dtype=np.intp)
 
     ways = np.zeros(len(masks), dtype=object)
@@ -139,7 +140,7 @@ def loop_lattice(tree) -> FoldLattice:
     sizes = [mask.bit_count() for mask in kept]
     return FoldLattice(
         tree=tree,
-        masks=kept,
+        masks=np.array(kept, dtype=np.int64 if len(foldable) < 63 else object),
         layers=np.searchsorted(sizes, range(len(foldable) + 2)) if kept else np.zeros(1, np.intp),
         first=np.searchsorted(source, np.arange(len(keep) + 1)),
         source=source,

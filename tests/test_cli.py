@@ -116,6 +116,19 @@ class TestRun:
         assert report == ""
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sequence", (None, (2, 3, 4)), ids=("plan", "explain"))
+    def test_spec_that_is_not_utf8_exits_3_naming_the_encoding(
+        self, spec_dir, tmp_path, capsys, sequence
+    ):
+        text = (spec_dir / "three_flaps.yaml").read_bytes()
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(text.replace(b"# ", b"# \xff", 1))
+        code, report = run_to_string(RunConfig(spec_path=str(bad), explain=sequence))
+        assert code == EXIT_SPEC_INVALID
+        assert report == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec is not UTF-8 text:") and "byte 0xff" in err
+
     def test_non_finite_override_exits_3(self, spec_dir):
         code, _ = run_to_string(
             RunConfig(spec_path=str(spec_dir / "three_flaps.yaml"), tolerance_angle_deg=math.nan)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import cartonfold.model as model_module
@@ -272,9 +272,41 @@ def spec_mappings(draw):
     return data
 
 
+RPY_DEGREES = st.lists(DEGREES, min_size=3, max_size=3).filter(any)
+
+
+@st.composite
+def posed_spec_mappings(draw):
+    """A valid spec mapping whose root pose and environment boxes are turned by roll, pitch and yaw."""
+    data = draw(spec_mappings())
+    data["root_pose"]["rpy_deg"] = draw(RPY_DEGREES)
+    data["environment"].append({"center_mm": draw(vec3(-300.0, 300.0)), "dims_mm": draw(vec3(0.5, 500.0))})
+    for entry in data["environment"]:
+        if not entry.get("half_space"):
+            entry["rpy_deg"] = draw(RPY_DEGREES)
+    return data
+
+
 class TestSpecRoundTrip:
     @given(spec_mappings())
     def test_serialized_specs_parse_back_equal(self, data):
+        spec = spec_from_mapping(data)
+        assert parse_spec(serialize_spec(spec)) == spec
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP.md item 8: serialize_spec writes a rotation as roll, pitch and yaw "
+        "degrees from asin and atan2 of its entries, and the matrix parsed back from them "
+        "differs from the original by an ulp in some entry for many drawn poses",
+    )
+    # The first failing example is reported as drawn: shrinking it would
+    # take most of a minute and tell nothing the reason does not. On a
+    # failure hypothesis's pytest plugin imports libcst, which warns about
+    # a deprecated mypy_extensions class as it loads.
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(phases=(Phase.explicit, Phase.generate))
+    @given(posed_spec_mappings())
+    def test_rotated_poses_parse_back_equal(self, data):
         spec = spec_from_mapping(data)
         assert parse_spec(serialize_spec(spec)) == spec
 

@@ -28,7 +28,8 @@ def frozenset_lattice(tree):
     """A reference lattice on frozensets: breadth first from the empty
     subset, one collision_check per (reachable subset, unfolded joint),
     aerial flags from forward kinematics of the whole state, completions by
-    the same path-count recursion."""
+    the same path-count recursion. Each layer's subsets are in ascending
+    order of their masks, as in ``build_lattice``."""
     foldable = sorted(tree.foldable_ids)
     edges, layer = {}, [frozenset()]
     while layer:
@@ -42,7 +43,7 @@ def frozenset_lattice(tree):
                     out.append((joint, folded | {joint}, lowest > tree.spec.support_tolerance))
                     reached[folded | {joint}] = None
             edges[folded] = tuple(out)
-        layer = list(reached)
+        layer = sorted(reached, key=tree.mask)
     completions = {}
     for folded in reversed(edges):
         completions[folded] = 1 if len(folded) == len(foldable) else sum(
@@ -51,7 +52,36 @@ def frozenset_lattice(tree):
     return edges, completions
 
 
+def slab_spec(k: int) -> CartonSpec:
+    """k free flaps under a slab that every one of them hits on its way up."""
+    slab = OrientedBox.from_center((300.0, 300.0, 25.0), (800.0, 800.0, 10.0))
+    return replace(free_flap_spec(k), environment=(slab,))
+
+
 class TestLatticeStates:
+    @pytest.mark.parametrize("case", ["free:6", "case_study_tray.yaml", "slab:64"])
+    def test_masks_are_one_array_ascending_within_each_layer(self, spec_dir, case):
+        # At 64 flaps the masks no longer fit an int64; the slab blocks
+        # every fold, so that lattice is empty but keeps the wide dtype.
+        if case.startswith("free:"):
+            spec = free_flap_spec(int(case[5:]))
+        elif case.startswith("slab:"):
+            spec = slab_spec(int(case[5:]))
+        else:
+            spec = load_spec(spec_dir / case)
+        lattice = build_lattice(build_tree(spec))
+        k = len(lattice.tree.foldable_ids)
+        assert isinstance(lattice.masks, np.ndarray)
+        assert lattice.masks.dtype == (np.int64 if k < 63 else object)
+        layers = lattice.layers.tolist()
+        assert layers[0] == 0 and layers[-1] == len(lattice.masks)
+        for size, (lo, hi) in enumerate(zip(layers, layers[1:])):
+            layer = lattice.masks[lo:hi].tolist()
+            assert layer and all(a < b for a, b in zip(layer, layer[1:]))
+            assert {mask.bit_count() for mask in layer} == {size}
+        if case.startswith("free:"):
+            assert len(lattice.masks) == 2 ** k
+
     def test_every_flap_folds_out_of_the_flat_state(self, three_flaps):
         _, tree = three_flaps
         lattice = build_lattice(tree)
@@ -211,7 +241,7 @@ class TestEnumerateSequences:
         assert calls == []
         assert len(checked) == len(set(checked)) == lattice.stats.cc_calls == reference.stats.cc_calls
         assert set(checked) == {
-            (mask, j) for mask in lattice.masks for j in tree.foldable_ids if not mask & tree.bits[j]
+            (mask, j) for mask in lattice.masks.tolist() for j in tree.foldable_ids if not mask & tree.bits[j]
         }
         assert lattice.stats.cc_calls <= (2 ** k) * k
         assert len(swept) == len(set(swept)) == lattice.stats.sweeps == len(tree.sweeps) == 9
@@ -295,7 +325,7 @@ class TestMaskLattice:
     def test_no_sequence_leaves_no_state(self, spec_dir):
         spec = load_spec(spec_dir / "three_flaps.yaml")
         lattice = build_lattice(build_tree(replace(spec, penetration_tolerance=0.0)))
-        assert lattice.sequence_count == 0 and lattice.masks == []
+        assert lattice.sequence_count == 0 and len(lattice.masks) == 0
         assert lattice.first.tolist() == [0] and len(lattice.joint) == 0
         assert lattice.sequences() == []
         assert lattice.stats.dead_ends == 1
@@ -402,8 +432,7 @@ class TestLivePaths:
 def assert_same_lattice(got, want):
     """Two lattices of one spec, on trees of their own, agree in every array,
     counter and memo key."""
-    assert got.masks == want.masks
-    for name in ("layers", "first", "source", "child", "joint", "aerial"):
+    for name in ("masks", "layers", "first", "source", "child", "joint", "aerial"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
     assert got.sequence_count == want.sequence_count
@@ -449,6 +478,18 @@ class TestLoopReference:
             counts.append(lattice.sequence_count)
         assert any(counts) is (reach < 1.0)
 
+    def test_masks_wider_than_int64(self):
+        # 64 flaps under a slab that only the last, shortest one clears: the
+        # second layer holds the one state 2^63, numbered by np.unique over
+        # Python ints, and then every fold is blocked.
+        k = 64
+        slab = OrientedBox.from_center((300.0, 300.0, 65.0), (800.0, 800.0, 10.0))
+        spec = replace(free_flap_spec(k, [100.0] * (k - 1) + [50.0]), environment=(slab,))
+        lattice = build_lattice(build_tree(spec))
+        assert_same_lattice(lattice, loop_lattice(build_tree(spec)))
+        assert (lattice.stats.cc_calls, lattice.stats.dead_ends) == (k + k - 1, 1)
+        assert lattice.masks.dtype == object
+
     @pytest.mark.parametrize("name", SHIPPED_SPECS)
     def test_second_build_on_the_same_tree(self, spec_dir, name):
         # Every predicate is memoised already, so nothing is evaluated again.
@@ -465,8 +506,7 @@ class TestSparseLargeK:
         # k flaps under a slab that every one of them hits on its way up:
         # one reachable state and k verdicts, never the 2^k states. At 64
         # flaps the masks no longer fit an int64.
-        slab = OrientedBox.from_center((300.0, 300.0, 25.0), (800.0, 800.0, 10.0))
-        spec = replace(free_flap_spec(k), environment=(slab,))
+        spec = slab_spec(k)
         tree = build_tree(spec)
         start = time.perf_counter()
         lattice = build_lattice(tree)
