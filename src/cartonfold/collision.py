@@ -97,7 +97,9 @@ class Sweep(NamedTuple):
     ``boxes`` are the swept solids as (centers, rotations, half_extents),
     ``bounds`` their union's bounds and ``shrunk`` the same bounds with the
     boxes shrunk by the penetration allowance, as the crease-adjacent
-    ``parent`` is tested. ``clear`` is the table and fixture verdict and
+    ``parent`` is tested; ``cull`` holds both again as lists of floats,
+    (lo, hi) of ``bounds`` then of ``shrunk``, for the pair tests' first cull.
+    ``clear`` is the table and fixture verdict and
     ``aerial`` the fold's aerial flag: whether the lowest corner of the
     subtree sits more than the support tolerance above z = 0 at the fold's
     start pose, which reads only subtree poses.
@@ -109,6 +111,7 @@ class Sweep(NamedTuple):
     boxes: tuple[np.ndarray, np.ndarray, np.ndarray]
     bounds: tuple[np.ndarray, np.ndarray]
     shrunk: tuple[np.ndarray, np.ndarray]
+    cull: tuple[tuple[list[float], list[float]], tuple[list[float], list[float]]]
     clear: bool
     aerial: bool
     static: tuple[tuple[int, int, int], ...]
@@ -182,7 +185,8 @@ def build_sweeps(tree: KinematicTree, folds) -> None:
         reach += axis_centers
         bounds.append((low, np.maximum.reduceat(reach, starts, axis=1).T))
     (lo, hi), shrunk = bounds
-    for s, ((key, (_, joint)), a, b) in enumerate(zip(todo.items(), starts, ends)):
+    culls = zip(zip(lo.tolist(), hi.tolist()), zip(shrunk[0].tolist(), shrunk[1].tolist()))
+    for s, ((key, (_, joint)), a, b, cull) in enumerate(zip(todo.items(), starts, ends, culls)):
         swept, around = (centers[a:b], rots[a:b], halves[a:b]), (lo[s], hi[s])
         clear = not (spec.table_plane and lo[s][2] < -spec.penetration_tolerance) and not (
             tree.obstacles is not None and _blocked(swept, around, tree.obstacles, 0.0)
@@ -196,7 +200,7 @@ def build_sweeps(tree: KinematicTree, folds) -> None:
         )
         tree.sweeps[key] = Sweep(
             tree.panels_by_id[joint].parent, swept, around, (shrunk[0][s], shrunk[1][s]),
-            clear, aerial[s], static,
+            cull, clear, aerial[s], static,
         )
 
 
@@ -213,12 +217,13 @@ def _pair_blocked(tree: KinematicTree, swept: Sweep, mask: int, panel_id: int) -
     record = tree.panel_state(panel_id, mask)
     if panel_id == swept.parent:
         bounds, clearance = swept.shrunk, -tree.spec.penetration_tolerance
+        lo, hi = swept.cull[1]
     else:
         bounds, clearance = swept.bounds, 0.0
-    lo, hi = bounds
+        lo, hi = swept.cull[0]
     if any(
         l > h + CULL_MARGIN or u < w - CULL_MARGIN
-        for l, u, w, h in zip(record.lo, record.hi, lo.tolist(), hi.tolist())
+        for l, u, w, h in zip(record.lo, record.hi, lo, hi)
     ):
         return False
     return _blocked(swept.boxes, bounds, pack_boxes([record.pose.solid]), clearance)

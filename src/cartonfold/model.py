@@ -23,9 +23,21 @@ within [-180, 180] degrees and the tolerance angle is at least
 missing or null ``ranking`` takes ``DEFAULT_RANKING``. Obstacle boxes
 have positive dimensions.
 
+``parse_spec`` reads a document into the plain data that PyYAML's safe
+loader gives, without PyYAML's pure-Python constructor: libyaml composes
+the node graph (``_compose``), with each distinct implicit tag resolved
+once per document, and one walk over the nodes builds the mappings,
+sequences and strings itself (``_plain_data``). It hands ints, floats,
+bools and nulls to the loader's own constructors, merge keys to its
+``flatten_mapping`` and any other tag to its ``construct_object``; an
+aliased node is built once, so shared and recursive nodes come out as
+PyYAML builds them. Every load starts from the file; no memo outlives it.
+
 ``build_tree`` turns a validated spec into the ``KinematicTree`` that every
-planning function takes as its one input, with every sweep's sample
-angles (``sweep_angles``) read once. A fold state is an int bit mask
+planning function takes as its one input. It forms every crease's mount,
+its turns to the initial and final angles and its sweep's sample rows
+(from ``sweep_angles``) in stacked passes, each element by the same
+operations as the one-panel forms. A fold state is an int bit mask
 over the tree's foldable joints, and the tree places one panel in one fold
 state at a time (``KinematicTree.panel_state``), memoised per panel and
 the folded joints that place it. Bounding-box measures, aerial flags and
@@ -36,13 +48,17 @@ gives the same poses, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
+from collections import Counter, deque
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import yaml
+from yaml.constructor import ConstructorError
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .geometry import OrientedBox, Transform, pack_boxes, rotation_matrix
 
@@ -76,14 +92,14 @@ class SpecValidationError(ValueError):
     """A carton description violates the format or a structural invariant."""
 
 
-def _unit(vec, what: str) -> np.ndarray:
-    arr = np.asarray(vec, dtype=float)
-    if arr.shape != (3,):
-        raise SpecValidationError(f"{what} must be a 3-vector")
-    norm = math.hypot(*arr.tolist())  # no overflow: |v| of a huge v stays finite
+def _check_unit(vec, what: str) -> None:
+    try:
+        x, y, z = (float(v) for v in vec)
+    except (TypeError, ValueError):
+        raise SpecValidationError(f"{what} must be a 3-vector") from None
+    norm = math.hypot(x, y, z)  # no overflow: |v| of a huge v stays finite
     if abs(norm - 1.0) > 1e-6:
         raise SpecValidationError(f"{what} must be a unit vector, |v| = {norm:.9g}")
-    return arr / norm
 
 
 @dataclass(frozen=True)
@@ -118,7 +134,7 @@ class PanelSpec:
                 raise SpecValidationError(
                     f"panel {self.id}: non-root panels need crease_anchor and crease_dir"
                 )
-            _unit(self.crease_dir, f"panel {self.id} crease_dir")
+            _check_unit(self.crease_dir, f"panel {self.id} crease_dir")
         for key, value in (
             ("theta_init_deg", self.theta_init),
             ("theta_final_deg", self.theta_final),
@@ -251,22 +267,52 @@ class CartonSpec:
 
 # The crease is a mount M's x axis: K·M = M·X, exactly, for K and X the cross-product matrices.
 _CROSS_X = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+_UP = np.array([0.0, 0.0, 1.0])
 
 
-def _mount_rotation(crease_dir: np.ndarray, panel_id: int) -> np.ndarray:
-    """Child-frame axes (columns) in the parent frame at joint angle zero."""
-    x_axis = crease_dir
-    z_axis = np.array([0.0, 0.0, 1.0]) - x_axis[2] * x_axis
-    norm = float(np.linalg.norm(z_axis))
-    if norm < 1e-9:
-        raise SpecValidationError(
-            f"panel {panel_id}: crease_dir may not be parallel to the parent normal"
-        )
-    z_axis = z_axis / norm
-    (x0, x1, x2), (z0, z1, z2) = x_axis.tolist(), z_axis.tolist()
-    # z × x, term by term as np.cross forms it, at a fraction of its cost
-    y_axis = np.array([z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0])
-    return np.column_stack([x_axis, y_axis, z_axis])
+def _mount_rotations(axes: np.ndarray, panel_ids) -> np.ndarray:
+    """Child-frame axes (columns) in the parent frame at joint angle zero,
+    for each unit crease direction (row) of ``axes``."""
+    z_axes = _UP - axes[:, 2:3] * axes
+    # |z| as np.linalg.norm forms it, a dot product then a square root
+    norms = np.sqrt((z_axes[:, None, :] @ z_axes[:, :, None])[:, 0, 0])
+    for panel_id, norm in zip(panel_ids, norms.tolist()):
+        if norm < 1e-9:
+            raise SpecValidationError(
+                f"panel {panel_id}: crease_dir may not be parallel to the parent normal"
+            )
+    z_axes /= norms[:, None]
+    # z × x, term by term as np.cross forms it
+    y_axes = z_axes[:, [1, 2, 0]] * axes[:, [2, 0, 1]] - z_axes[:, [2, 0, 1]] * axes[:, [1, 2, 0]]
+    return np.stack((axes, y_axes, z_axes), axis=2)
+
+
+def _turned(axes: np.ndarray, mounts: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """``rotation_matrix(axes[i], angles[i, a]) @ mounts[i]`` for every i and a,
+    in one stacked pass of the same operations."""
+    kx, ky, kz = axes.T
+    cross = np.zeros((len(axes), 3, 3))
+    cross[:, 0, 1], cross[:, 0, 2] = -kz, ky
+    cross[:, 1, 0], cross[:, 1, 2] = kz, -kx
+    cross[:, 2, 0], cross[:, 2, 1] = -ky, kx
+    sin, cos = np.sin(angles)[..., None, None], np.cos(angles)[..., None, None]
+    rotations = np.eye(3) + sin * cross[:, None] + (1.0 - cos) * (cross @ cross)[:, None]
+    return rotations @ mounts[:, None]
+
+
+def _sweep_weights(panels, step: float) -> list[np.ndarray]:
+    """Per foldable panel, a row [1, sin θ, 1 − cos θ] for each of its
+    ``sweep_angles(theta_init, theta_final, step)``, from one stacked pass."""
+    # As sweep_angles: each panel's interior samples, spaced by the signed
+    # step from theta_init, then theta_final.
+    sizes = [math.ceil(abs(p.theta_final - p.theta_init) / step - 1e-12) + 1 for p in panels]
+    steps = [math.copysign(step, p.theta_final - p.theta_init) for p in panels]
+    ends = np.cumsum(sizes)
+    index = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    angles = np.repeat([p.theta_init for p in panels], sizes) + np.repeat(steps, sizes) * index
+    angles[ends - 1] = [p.theta_final for p in panels]
+    weights = np.column_stack((np.ones(len(angles)), np.sin(angles), 1.0 - np.cos(angles)))
+    return [weights[end - size:end] for end, size in zip(ends.tolist(), sizes)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,9 +330,14 @@ class KinematicTree:
     p (its foldable ancestors and p itself), and ``subtree_ancestry[p]``
     their union over p's subtree.
 
-    ``crease_terms[j]`` holds foldable joint j's (M, KM, K²M), for mount M and
-    crease cross-product matrix K, and per sample angle θ of its sweep a row
-    [1, sin θ, 1 − cos θ], whose sum of the three is M turned by θ (Rodrigues).
+    ``mounts[p]`` holds non-root panel p's crease (anchor, unit direction,
+    mount M): M holds the panel's frame axes in its parent's frame at
+    angle zero. ``crease_terms[j]`` holds foldable joint j's (M, KM, K²M),
+    for crease cross-product matrix K, and per sample angle θ of its sweep
+    a row [1, sin θ, 1 − cos θ], whose sum of the three is M turned by θ
+    (Rodrigues). ``turns[p]`` holds M turned by theta_init and by
+    theta_final, each the product ``rotation_matrix(axis, θ) @ M`` that
+    ``forward_kinematics`` forms, computed for all panels in one pass.
 
     A panel's pose depends only on the folded joints in its ancestry, so
     ``panel_state`` builds it once per (panel, mask & ancestry) and keeps
@@ -308,6 +359,7 @@ class KinematicTree:
     panels_by_id: dict[int, PanelSpec]
     mounts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
     crease_terms: dict[int, tuple[np.ndarray, np.ndarray]]
+    turns: dict[int, np.ndarray]
     subtrees: dict[int, tuple[int, ...]]
     ancestry: dict[int, int]
     subtree_ancestry: dict[int, int]
@@ -340,9 +392,11 @@ class KinematicTree:
     def panel_state(self, panel_id: int, mask: int) -> "PanelRecord":
         """One panel's pose in fold state ``mask``, built once per ancestry subset.
 
-        The frame is composed from the parent's by ``_child_frame``, as in
-        ``forward_kinematics``, so the pose is the one FK gives for the
-        same fold state, bit for bit.
+        The frame is the parent's composed with the panel's turned mount
+        (``turns``) at its anchor, the product ``_child_frame`` forms in
+        ``forward_kinematics``, so the pose is the one FK gives for the same
+        fold state, bit for bit. The record's arrays are all computed here,
+        so they are frozen in place rather than copied.
         """
         key = (panel_id, self.ancestry[panel_id] & mask)
         record = self.panel_records.get(key)
@@ -351,9 +405,13 @@ class KinematicTree:
             if panel.parent is None:
                 frame = self.spec.root_pose
             else:
-                angle = panel.theta_final if mask & self.bits.get(panel_id, 0) else panel.theta_init
-                parent_frame = self.panel_state(panel.parent, mask).pose.pose
-                frame = _child_frame(self, panel_id, parent_frame, angle)
+                parent = self.panel_state(panel.parent, mask).pose.pose
+                turned = self.turns[panel_id][1 if mask & self.bits.get(panel_id, 0) else 0]
+                frame = _frozen_in_place(
+                    Transform,
+                    rotation=parent.rotation @ turned,
+                    translation=parent.rotation @ self.mounts[panel_id][0] + parent.translation,
+                )
             pose = panel_pose_from_frame(panel, frame)
             corners = pose.solid.corners()
             record = PanelRecord(
@@ -430,19 +488,28 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
     if len(topo) != len(ids):
         raise SpecValidationError("panel graph is not a single connected tree")
 
-    mounts, crease_terms = {}, {}
-    for panel in spec.panels:
-        if panel.parent is None:
-            continue
-        axis = _unit(panel.crease_dir, f"panel {panel.id} crease_dir")
-        anchor = np.asarray(panel.crease_anchor, dtype=float)
-        mount = _mount_rotation(axis, panel.id)
-        mounts[panel.id] = (anchor, axis, mount)
-        if panel.foldable:
-            angles = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
-            weights = np.column_stack((np.ones(len(angles)), np.sin(angles), 1.0 - np.cos(angles)))
-            turned = mount @ _CROSS_X
-            crease_terms[panel.id] = np.stack((mount, turned, turned @ _CROSS_X)), weights
+    # Every non-root panel's crease at once. PanelSpec has checked that each
+    # direction is a unit vector; it is divided by its hypot, as measured there.
+    movers = [p for p in spec.panels if p.parent is not None]
+    mounts, crease_terms, turns = {}, {}, {}
+    if movers:
+        axes = np.array([p.crease_dir for p in movers], dtype=float)
+        axes /= np.array([math.hypot(*axis) for axis in axes.tolist()])[:, None]
+        anchors = np.array([p.crease_anchor for p in movers], dtype=float)
+        rotations = _mount_rotations(axes, [p.id for p in movers])
+        turned = _turned(axes, rotations, np.array([(p.theta_init, p.theta_final) for p in movers]))
+        x_terms = rotations @ _CROSS_X
+        terms = np.stack((rotations, x_terms, x_terms @ _CROSS_X), axis=1)
+        for array in (axes, anchors, rotations, turned, terms):
+            array.setflags(write=False)
+        for i, panel in enumerate(movers):
+            mounts[panel.id] = (anchors[i], axes[i], rotations[i])
+            turns[panel.id] = turned[i]
+        moving = [i for i, p in enumerate(movers) if p.foldable]
+        if moving:
+            weights = _sweep_weights([movers[i] for i in moving], spec.tolerance_angle)
+            for i, w in zip(moving, weights):
+                crease_terms[movers[i].id] = terms[i], w
 
     topo_rank = {pid: i for i, pid in enumerate(topo)}
     subtrees = {}
@@ -476,6 +543,7 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
         panels_by_id=by_id,
         mounts=mounts,
         crease_terms=crease_terms,
+        turns=turns,
         subtrees=subtrees,
         ancestry=ancestry,
         subtree_ancestry=subtree_ancestry,
@@ -559,13 +627,29 @@ def _check_angle(panel: PanelSpec, value: float) -> None:
         )
 
 
+def _frozen_in_place(cls, **fields):
+    """A frozen ``cls`` (``Transform`` or ``OrientedBox``) of fields computed
+    here from validated input: arrays are write-protected without a copy,
+    and nothing is checked again."""
+    made = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(made, name, value)
+    return made
+
+
 def panel_pose_from_frame(panel: PanelSpec, frame: Transform) -> PanelPose:
-    """Panel pose record given the world transform of its local frame."""
+    """Panel pose record given the world transform of its local frame.
+
+    The solid shares the frame's rotation and the pose's center, all
+    write-protected."""
     h, w, t = panel.dims
-    local_center = np.array([w / 2.0, h / 2.0, 0.0])
-    center = frame.apply(local_center)
-    solid = OrientedBox(
-        Transform._of(frame.rotation, center), np.array([w / 2.0, h / 2.0, t / 2.0])
+    center = frame.apply(np.array([w / 2.0, h / 2.0, 0.0]))
+    solid = _frozen_in_place(
+        OrientedBox,
+        pose=_frozen_in_place(Transform, rotation=frame.rotation, translation=center),
+        half_extents=np.array([w / 2.0, h / 2.0, t / 2.0]),
     )
     return PanelPose(panel_id=panel.id, pose=frame, center=center, solid=solid)
 
@@ -638,15 +722,15 @@ def _integer(mapping: dict, key: str, where: str) -> int:
     return int(number)
 
 
-def _vec(mapping: dict, key: str, where: str, default=None) -> np.ndarray:
+def _vec(mapping: dict, key: str, where: str, default=None) -> tuple[float, float, float]:
     if key not in mapping:
         if default is None:
             raise SpecValidationError(f"{where}: missing required key {key!r}")
-        return np.asarray(default, dtype=float)
+        return default
     value = mapping[key]
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise SpecValidationError(f"{where}: {key} must be a 3-element list")
-    return np.array([_number(v, f"{where}: {key}") for v in value])
+    return tuple([_number(v, f"{where}: {key}") for v in value])
 
 
 def _section(data: dict, key: str) -> dict:
@@ -673,8 +757,8 @@ def _panel_from_mapping(entry: dict) -> PanelSpec:
     dims = _vec(entry, "dims_mm", where)
     kwargs = {}
     if parent is not None:
-        kwargs["crease_anchor"] = tuple(_vec(entry, "crease_anchor_mm", where))
-        kwargs["crease_dir"] = tuple(_vec(entry, "crease_dir", where))
+        kwargs["crease_anchor"] = _vec(entry, "crease_anchor_mm", where)
+        kwargs["crease_dir"] = _vec(entry, "crease_dir", where)
         kwargs["theta_init"] = math.radians(_scalar(entry, "theta_init_deg", where))
         kwargs["theta_final"] = math.radians(_scalar(entry, "theta_final_deg", where))
     elif "theta_init_deg" in entry or "theta_final_deg" in entry:
@@ -683,7 +767,7 @@ def _panel_from_mapping(entry: dict) -> PanelSpec:
     return PanelSpec(
         id=pid,
         parent=parent,
-        dims=tuple(dims),
+        dims=dims,
         name=str(entry.get("name", "")),
         foldable_flag=entry.get("foldable"),
         **kwargs,
@@ -706,8 +790,8 @@ def _environment_from_mapping(entries) -> tuple[tuple[OrientedBox, ...], bool]:
             continue
         center = _vec(entry, "center_mm", where)
         dims = _vec(entry, "dims_mm", where)
-        if not np.all(dims > 0.0):
-            raise SpecValidationError(f"{where}: dims_mm must be positive, got {dims.tolist()}")
+        if not all(d > 0.0 for d in dims):
+            raise SpecValidationError(f"{where}: dims_mm must be positive, got {list(dims)}")
         rot = _rpy_matrix(_vec(entry, "rpy_deg", where, default=(0.0, 0.0, 0.0)))
         boxes.append(OrientedBox.from_center(center, dims, rot))
     return tuple(boxes), table
@@ -734,7 +818,7 @@ def spec_from_mapping(data: dict) -> CartonSpec:
     if data.get("gripper") is not None:
         gmap = _section(data, "gripper")
         gripper = GripperSpec(
-            dims=tuple(_vec(gmap, "dims_mm", "gripper")),
+            dims=_vec(gmap, "dims_mm", "gripper"),
             standoff=_scalar(gmap, "standoff_mm", "gripper", 0.0),
         )
 
@@ -764,15 +848,111 @@ def spec_from_mapping(data: dict) -> CartonSpec:
     )
 
 
-# libyaml's loader when PyYAML was built with it: the same mappings, about
-# eight times faster on the shipped specs.
+# libyaml's loader when PyYAML was built with it: its scanner, parser and
+# composer run in C, about eight times faster on the shipped specs.
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+_TAG = "tag:yaml.org,2002:"
+_MAP, _SEQ, _STR = _TAG + "map", _TAG + "seq", _TAG + "str"
+# Scalars built by the loader's own constructors, each distinct text once.
+_SCALAR_TAGS = tuple(_TAG + name for name in ("int", "float", "bool", "null"))
+# Keys that make ``flatten_mapping`` rewrite a mapping node.
+_FLATTENED = (_TAG + "merge", _TAG + "value")
+
+
+def _compose(loader) -> yaml.Node | None:
+    """The document's node graph, or None for an empty stream.
+
+    The composer asks ``loader.resolve`` for the implicit tag of every
+    node; without path resolvers the answer depends on the node's kind,
+    text and implicit flags alone, so it is memoised for this document.
+    The memo is an instance attribute, deleted again so that no reference
+    cycle keeps the loader and its nodes alive.
+    """
+    if loader.yaml_path_resolvers:
+        return loader.get_single_node()
+    loader.resolve = functools.lru_cache(maxsize=None)(loader.resolve)
+    try:
+        return loader.get_single_node()
+    finally:
+        del loader.resolve
+
+
+def _plain_data(loader, root: yaml.Node):
+    """The data ``loader.construct_document(root)`` builds, in one walk over the nodes.
+
+    Mappings, sequences and strings are built here; ints, floats, bools and
+    nulls by the loader's registered constructors; merge keys are
+    flattened by the loader's ``flatten_mapping``; any other tag goes to
+    ``loader.construct_object``. A container is memoised per node before
+    it is filled, in the loader's own ``constructed_objects``, so an alias
+    gives the same object and a recursive node contains itself, as with
+    PyYAML. Containers are filled first in, first out, the order in which
+    PyYAML runs its construction generators, so a document with several
+    faults fails on the one PyYAML fails on, unless one lies under another
+    tag: ``construct_object`` builds such a node whole when it is reached.
+    """
+    built = loader.constructed_objects
+    makers = {tag: loader.yaml_constructors[tag] for tag in _SCALAR_TAGS}
+    scalars: dict[tuple[str, str], object] = {}
+    todo: deque = deque()
+
+    def make(node):
+        tag = node.tag
+        if type(node) is ScalarNode:
+            if tag == _STR:
+                return node.value
+            maker = makers.get(tag)
+            if maker is not None:
+                key = tag, node.value
+                if key not in scalars:
+                    scalars[key] = maker(loader, node)
+                return scalars[key]
+        if node in built:
+            return built[node]
+        if type(node) is MappingNode and tag == _MAP:
+            data = {}
+        elif type(node) is SequenceNode and tag == _SEQ:
+            data = []
+        else:
+            return loader.construct_object(node, deep=True)
+        built[node] = data
+        todo.append((node, data))
+        return data
+
+    data = make(root)
+    while todo:
+        node, into = todo.popleft()
+        if type(into) is list:
+            into.extend(map(make, node.value))
+            continue
+        if any(key.tag in _FLATTENED for key, _ in node.value):
+            loader.flatten_mapping(node)
+        for key_node, value_node in node.value:
+            key = make(key_node)
+            if type(key) is not str and not isinstance(key, Hashable):
+                raise ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    "found unhashable key", key_node.start_mark,
+                )
+            into[key] = make(value_node)
+    return data
 
 
 def parse_spec(document: str) -> CartonSpec:
-    """Parse and validate a carton-spec document (YAML text)."""
+    """Parse and validate a carton-spec document (YAML text).
+
+    The plain data is what ``yaml.load(document, Loader=_SAFE_LOADER)``
+    gives, built by ``_compose`` and ``_plain_data`` rather than by
+    PyYAML's pure-Python constructor.
+    """
     try:
-        data = yaml.load(document, Loader=_SAFE_LOADER)
+        loader = _SAFE_LOADER(document)
+        try:
+            root = _compose(loader)
+            data = None if root is None else _plain_data(loader, root)
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         raise SpecValidationError(f"carton spec is not valid YAML: {exc}") from exc
     return spec_from_mapping(data)

@@ -28,8 +28,9 @@ kinematics as a whole. Each layer's feasible folds are unpacked once into
 flat arrays, one ``np.unique`` of their children numbers the next layer
 in ascending mask order, and the work follows the reachable states.
 One numpy pass a layer at a time from the full state counts the complete
-paths below every state, with Python ints as in Held & Karp's subset
-recursion, so the sequence count is exact and never an enumeration, and
+paths below every state, as in Held & Karp's subset recursion, in int64
+while k! fits one and in Python ints above, so the sequence count is
+exact and never an enumeration, and
 the ``FoldLattice`` keeps only the states and folds that lie on some
 complete path, in compressed sparse rows. Every input, from the sweep
 step to the support tolerance, is read from the tree's spec.
@@ -201,7 +202,7 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
 
     # ways[i]: the complete paths from state i, summed from the last layer
     # back; the last layer has no folds, and holds the full state if any.
-    ways = np.zeros(len(masks), dtype=object)
+    ways = np.zeros(len(masks), dtype=_path_count_dtype(k))
     ways[-1] = int(masks[-1] == (1 << k) - 1)
     for a, b in zip(starts[-3::-1], starts[-2:0:-1]):
         lo, hi = np.searchsorted(source, (a, b))
@@ -226,6 +227,11 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
         sequence_count=stats.sequences,
         stats=stats,
     )
+
+
+def _path_count_dtype(k: int):
+    """The dtype of path counts over k joints: none exceeds k!, and 20! < 2**63 < 21!."""
+    return np.int64 if k <= 20 else object
 
 
 class _Projections(dict):

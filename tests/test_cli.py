@@ -74,6 +74,22 @@ class TestRun:
         code, _ = run_to_string(RunConfig(spec_path=str(bad)))
         assert code == EXIT_SPEC_INVALID
 
+    def test_each_run_reads_parses_and_places_the_spec_afresh(self, spec_dir, tmp_path):
+        # Nothing of one plan outlives its run: a spec file rewritten between
+        # two runs in one process gives the second run the new file's report.
+        text = (spec_dir / "three_flaps.yaml").read_text()
+        grown = text.replace("dims_mm: [60, 190, 2]", "dims_mm: [75, 190, 2]", 1)
+        assert grown != text
+        path, fresh = tmp_path / "spec.yaml", tmp_path / "fresh.yaml"
+        fresh.write_text(grown)
+        reports = []
+        for version in (text, grown, text):
+            path.write_text(version)
+            reports.append(run_to_string(RunConfig(spec_path=str(path), fmt="csv", top=None)))
+        assert reports[0][0] == EXIT_OK and reports[1] != reports[0]
+        assert reports[1] == run_to_string(RunConfig(spec_path=str(fresh), fmt="csv", top=None))
+        assert reports[2] == reports[0]
+
     @pytest.mark.parametrize("document", ["panels: [\n", "{:::", "panels:\n\t- id: 1\n"])
     def test_malformed_yaml_exits_3(self, tmp_path, capsys, document):
         bad = tmp_path / "bad.yaml"

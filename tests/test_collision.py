@@ -356,6 +356,17 @@ class TestSweptSolids:
 
 
 class TestBroadPhase:
+    def test_cull_floats_are_the_sweep_bounds(self, spec_dir):
+        # The pair tests cull on each sweep's bounds as floats, taken once
+        # per sweep from the batch that built it.
+        trees = [*branchy_trees(), build_tree(load_spec(spec_dir / "case_study_tray.yaml"))]
+        for tree in trees:
+            build_lattice(tree)
+            assert tree.sweeps
+            for swept in tree.sweeps.values():
+                for floats, arrays in zip(swept.cull, (swept.bounds, swept.shrunk)):
+                    assert np.array(floats).tobytes() == np.array(arrays).tobytes()
+
     @pytest.mark.parametrize("name", SHIPPED_SPECS)
     @pytest.mark.parametrize("step_deg", [5.0, 1.0])
     @pytest.mark.parametrize("own_penetration", [False, True])

@@ -20,6 +20,7 @@ from cartonfold.geometry import (
     Transform,
     obb_intersect,
     rotate_about_axis,
+    rotation_matrix,
     world_aabb,
 )
 from cartonfold.model import (
@@ -34,6 +35,7 @@ from cartonfold.model import (
     parse_spec,
     serialize_spec,
     spec_from_mapping,
+    sweep_angles,
 )
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
@@ -183,6 +185,159 @@ panels:
         )
         assert again.gripper is not None and spec.gripper is not None
         assert again.gripper.dims == pytest.approx(spec.gripper.dims)
+
+
+# PyYAML's safe loader, on libyaml where PyYAML has it, as parse_spec reads documents.
+REFERENCE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def reference_outcome(text: str):
+    """What PyYAML's own loader and ``spec_from_mapping`` make of a document:
+    the spec, or the text of the error ``parse_spec`` must raise."""
+    try:
+        try:
+            data = yaml.load(text, Loader=REFERENCE_LOADER)
+        except yaml.YAMLError as exc:
+            raise SpecValidationError(f"carton spec is not valid YAML: {exc}") from exc
+        return spec_from_mapping(data)
+    except SpecValidationError as exc:
+        return f"SpecValidationError: {exc}"
+
+
+def outcome(text: str):
+    try:
+        return parse_spec(text)
+    except SpecValidationError as exc:
+        return f"SpecValidationError: {exc}"
+
+
+def plain_data(text: str):
+    """The data of the ingestion walk, without the spec built from it."""
+    loader = model_module._SAFE_LOADER(text)
+    try:
+        root = model_module._compose(loader)
+        return None if root is None else model_module._plain_data(loader, root)
+    finally:
+        loader.dispose()
+
+
+# A valid carton whose second flap takes its fields from the first by a merge key.
+MERGED_DOC = """
+base: &flap {parent: 1, dims_mm: &dims [60, 190, 2], crease_dir: [-1, 0, 0],
+             theta_init_deg: 0, theta_final_deg: 90}
+panels:
+  - {id: 1, parent: null, dims_mm: [300, 400, 2]}
+  - {<<: *flap, id: 2, crease_anchor_mm: [195, 0, 0]}
+  - <<: *flap
+    id: 3
+    crease_anchor_mm: [395, 0, 0]
+    dims_mm: *dims
+"""
+
+# Documents whose plain data PyYAML builds in some special way.
+INGESTION_CASES = {
+    "recursive alias": "panels: &a [*a]\n",
+    "merge key": MERGED_DOC,
+    "unhashable key": "panels: [{[1, 2]: 3}]\n",
+    "quoted number": TWO_PANEL_DOC.replace("id: 2,", "id: '2',"),
+    "YAML 1.1 yes": TWO_PANEL_DOC.replace("half_space: true", "half_space: yes"),
+    "python tuple": "panels: [{id: !!python/tuple [1, 2]}]\n",
+    "empty document": "",
+    "two documents": TWO_PANEL_DOC + "---\n" + TWO_PANEL_DOC,
+    "timestamp id": TWO_PANEL_DOC.replace("id: 2,", "id: 2001-12-14,"),
+    "set": "panels: !!set {? a, ? b}\n",
+}
+
+# Plain scalars of every implicit tag: ints in several notations, floats,
+# YAML 1.1 bools, nulls, a timestamp, a value key and strings.
+SCALAR_TEXTS = (
+    "0", "2", "-3", "0x1F", "0o17", "1_000", "190:20", "+5", "1.5", "-0.0", "6.5e3",
+    ".inf", "-.Inf", ".nan", "yes", "No", "on", "true", "null", "~", "2001-12-14",
+    "=", "'7'", '"8.5"', "''", "id", "parent", "dims_mm", "panels", "abc",
+)
+
+
+@st.composite
+def aliased_documents(draw):
+    """A flow-style YAML document of nested mappings, sequences and scalars,
+    in which nodes carry anchors and later nodes alias them, merge keys
+    included. An alias may name a node that is still open, so some
+    documents are recursive."""
+    anchors: list[str] = []
+
+    def node(depth: int) -> str:
+        kinds = ("scalar", "alias", "seq", "map") if depth else ("scalar", "alias")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "alias" and anchors:
+            return f"*{draw(st.sampled_from(anchors))} "
+        if kind in ("scalar", "alias"):
+            return draw(st.sampled_from(SCALAR_TEXTS))
+        prefix = ""
+        if draw(st.booleans()):
+            anchors.append(f"a{len(anchors)}")
+            prefix = f"&{anchors[-1]} "
+        size = draw(st.integers(0, 3))
+        if kind == "seq":
+            return prefix + "[" + ", ".join(node(depth - 1) for _ in range(size)) + "]"
+        pairs = [f"{node(0)}: {node(depth - 1)}" for _ in range(size)]
+        if anchors and draw(st.booleans()):
+            names = draw(st.lists(st.sampled_from(anchors), min_size=1, max_size=2))
+            merged = [f"*{name} " for name in names]
+            value = merged[0] if len(merged) == 1 else "[" + ", ".join(merged) + "]"
+            pairs.insert(draw(st.integers(0, len(pairs))), "<<: " + value)
+        return prefix + "{" + ", ".join(pairs) + "}"
+
+    body = node(3)
+    if draw(st.booleans()):
+        body = "{panels: " + body + ", ranking: " + node(1) + "}"
+    return body + "\n"
+
+
+class TestIngestion:
+    @pytest.mark.parametrize("case", sorted(INGESTION_CASES))
+    def test_special_documents_parse_as_pyyaml_builds_them(self, case):
+        text = INGESTION_CASES[case]
+        assert outcome(text) == reference_outcome(text)
+
+    def test_recursive_panels_name_the_panel_entry(self):
+        assert outcome("panels: &a [*a]\n") == (
+            "SpecValidationError: each panel entry must be a mapping"
+        )
+
+    def test_merge_keys_fill_in_the_merged_fields(self):
+        spec = parse_spec(MERGED_DOC)
+        assert [p.crease_anchor for p in spec.panels[1:]] == [(195.0, 0.0, 0.0), (395.0, 0.0, 0.0)]
+        assert {p.dims for p in spec.panels[1:]} == {(60.0, 190.0, 2.0)}
+
+    @settings(max_examples=400, deadline=None)
+    @given(aliased_documents())
+    def test_aliased_documents_build_the_same_data(self, text):
+        try:
+            want = repr(yaml.load(text, Loader=REFERENCE_LOADER))
+        except (yaml.YAMLError, RecursionError) as exc:
+            want = exc
+        try:
+            got = repr(plain_data(text))
+        except (yaml.YAMLError, RecursionError) as exc:
+            got = exc
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert got == want
+            assert outcome(text) == reference_outcome(text)
+
+    def test_shared_nodes_are_one_object_and_recursive_ones_contain_themselves(self):
+        data = plain_data("a: &x {k: [1]}\nb: *x\nc: &y [*y, *x]\n")
+        assert data["a"] is data["b"]
+        assert data["c"][0] is data["c"] and data["c"][1] is data["a"]
+
+    def test_the_resolver_memo_lives_for_one_document(self):
+        loader = model_module._SAFE_LOADER("a: 1\n")
+        try:
+            model_module._compose(loader)
+            assert "resolve" not in vars(loader)
+        finally:
+            loader.dispose()
 
 
 # Values a single field of a spec mapping is set to by the boundary test.
@@ -347,7 +502,60 @@ class TestSpecEquality:
         assert other.spec == tree.spec
 
 
+@st.composite
+def oblique_spec_mappings(draw):
+    """A valid spec mapping whose creases run in any direction but the normal's."""
+    data = draw(spec_mappings())
+    for entry in data["panels"][1:]:
+        x, y, z = draw(
+            st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+                lambda v: math.hypot(*v) > 0.1 and abs(v[2]) < 0.9 * math.hypot(*v)
+            )
+        )
+        norm = math.hypot(x, y, z)
+        entry["crease_dir"] = [x / norm, y / norm, z / norm]
+    return data
+
+
+def reference_mount(axis: np.ndarray) -> np.ndarray:
+    """A crease's mount, one panel at a time."""
+    z_axis = np.array([0.0, 0.0, 1.0]) - axis[2] * axis
+    z_axis = z_axis / float(np.linalg.norm(z_axis))
+    return np.column_stack([axis, np.cross(z_axis, axis), z_axis])
+
+
 class TestBuildTree:
+    @settings(max_examples=200, deadline=None)
+    @given(oblique_spec_mappings())
+    def test_stacked_crease_tables_equal_the_per_panel_forms(self, data):
+        # build_tree forms every crease's mount, turns and sweep rows in
+        # stacked passes; each must equal its one-panel form bit for bit.
+        spec = spec_from_mapping(data)
+        tree = build_tree(spec)
+        cross_x = model_module._CROSS_X
+        for panel in spec.panels[1:]:
+            anchor, axis, mount = tree.mounts[panel.id]
+            direction = np.asarray(panel.crease_dir, dtype=float)
+            assert bits(anchor) == bits(panel.crease_anchor)
+            assert bits(axis) == bits(direction / math.hypot(*direction.tolist()))
+            assert bits(mount) == bits(reference_mount(axis))
+            for turned, angle in zip(tree.turns[panel.id], (panel.theta_init, panel.theta_final)):
+                assert bits(turned) == bits(rotation_matrix(axis, angle) @ mount)
+            if not panel.foldable:
+                assert panel.id not in tree.crease_terms
+                continue
+            terms, weights = tree.crease_terms[panel.id]
+            x_term = mount @ cross_x
+            assert bits(terms) == bits(np.stack((mount, x_term, x_term @ cross_x)))
+            angles = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
+            rows = np.column_stack((np.ones(len(angles)), np.sin(angles), 1.0 - np.cos(angles)))
+            assert bits(weights) == bits(rows)
+
+    def test_a_crease_along_the_parent_normal_is_named(self):
+        doc = TWO_PANEL_DOC.replace("crease_dir: [-1, 0, 0]", "crease_dir: [0, 0, 1]")
+        with pytest.raises(SpecValidationError, match="panel 2: crease_dir may not be parallel"):
+            build_tree(parse_spec(doc))
+
     def test_two_panel_subtrees(self):
         tree = build_tree(parse_spec(TWO_PANEL_DOC))
         assert tree.subtree_ids(1) == (1, 2)

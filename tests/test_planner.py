@@ -364,6 +364,29 @@ class TestFreeFlapFactorial:
         assert (again.cc_calls, again.sweeps, again.pair_tests) == (stats.cc_calls, 0, 0)
 
 
+class TestPathCounts:
+    def test_counts_are_int64_while_k_factorial_fits_one(self):
+        assert math.factorial(20) < 2**63 < math.factorial(21)
+        assert planner_module._path_count_dtype(20) is np.int64
+        assert planner_module._path_count_dtype(21) is object
+
+    def test_ten_free_flaps_count_ten_factorial(self):
+        lattice = build_lattice(build_tree(free_flap_spec(10)))
+        assert lattice.sequence_count == lattice.stats.sequences == math.factorial(10)
+        assert type(lattice.sequence_count) is int
+
+    def test_counts_in_python_ints_are_exact(self, monkeypatch):
+        monkeypatch.setattr(planner_module, "_path_count_dtype", lambda k: object)
+        lattice = build_lattice(build_tree(free_flap_spec(5)))
+        assert lattice.sequence_count == math.factorial(5)
+        assert type(lattice.sequence_count) is int
+
+    def test_sixty_four_blocked_flaps_count_in_python_ints(self):
+        assert planner_module._path_count_dtype(64) is object
+        lattice = build_lattice(build_tree(slab_spec(64)))
+        assert lattice.sequence_count == 0 and type(lattice.sequence_count) is int
+
+
 def walked_paths(tree) -> tuple[list[tuple[int, ...]], int]:
     """Reference enumeration: a recursive walk of the reference lattice,
     folds in ascending joint order, skipping children that cannot complete.
