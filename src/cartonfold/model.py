@@ -74,6 +74,9 @@ RANKING_CRITERIA = ("aerial", "maxdim", "volume")
 # Finest sweep step accepted: 9001 samples for a 90 degree fold.
 MIN_TOLERANCE_ANGLE_DEG = 0.01
 
+# Largest panel id accepted: a plan holds joint ids as int64.
+MAX_PANEL_ID = 2**63 - 1
+
 
 def sweep_angles(start: float, end: float, step: float) -> np.ndarray:
     """Sample angles from start to end inclusive, spaced by at most step: both
@@ -142,7 +145,7 @@ class PanelSpec:
             if not -math.pi <= value <= math.pi:
                 raise SpecValidationError(
                     f"panel {self.id}: {key} must lie within [-180, 180], "
-                    f"got {math.degrees(value)!r}"
+                    f"got {_degrees(value)!r}"
                 )
         if self.foldable_flag is not None:
             if not isinstance(self.foldable_flag, bool):
@@ -238,7 +241,7 @@ class CartonSpec:
         if not math.radians(MIN_TOLERANCE_ANGLE_DEG) <= self.tolerance_angle < math.inf:
             raise SpecValidationError(
                 f"tolerance_angle_deg must be finite and at least {MIN_TOLERANCE_ANGLE_DEG}, "
-                f"got {math.degrees(self.tolerance_angle)!r}"
+                f"got {_degrees(self.tolerance_angle)!r}"
             )
         if not 0.0 <= self.penetration_tolerance < math.inf:
             raise SpecValidationError("penetration_tolerance must be >= 0 and finite")
@@ -716,10 +719,19 @@ def _scalar(mapping: dict, key: str, where: str, default: float | None = None) -
 
 
 def _integer(mapping: dict, key: str, where: str) -> int:
-    number = _number(_require(mapping, key, where), f"{where}: {key}")
-    if number != int(number):
-        raise SpecValidationError(f"{where}: {key} must be an integer, got {mapping[key]!r}")
-    return int(number)
+    """A panel id from spec data, exact: an int as written, or a float with
+    no fraction, at most MAX_PANEL_ID."""
+    value = _require(mapping, key, where)
+    if type(value) is int:
+        number = value
+    else:
+        real = _number(value, f"{where}: {key}")
+        if not real.is_integer():
+            raise SpecValidationError(f"{where}: {key} must be an integer, got {value!r}")
+        number = int(real)
+    if number > MAX_PANEL_ID:
+        raise SpecValidationError(f"{where}: {key} must be at most 2**63 - 1, got {value!r}")
+    return number
 
 
 def _vec(mapping: dict, key: str, where: str, default=None) -> tuple[float, float, float]:
@@ -751,7 +763,7 @@ def _rpy_matrix(rpy_deg) -> np.ndarray:
 def _panel_from_mapping(entry: dict) -> PanelSpec:
     if not isinstance(entry, dict):
         raise SpecValidationError("each panel entry must be a mapping")
-    pid = _integer(entry, "id", "panel")
+    pid = _integer(entry, "id", f"panel {_require(entry, 'id', 'panel')!r}")
     where = f"panel {pid}"
     parent = None if entry.get("parent") is None else _integer(entry, "parent", where)
     dims = _vec(entry, "dims_mm", where)
@@ -865,17 +877,24 @@ def _compose(loader) -> yaml.Node | None:
 
     The composer asks ``loader.resolve`` for the implicit tag of every
     node; without path resolvers the answer depends on the node's kind,
-    text and implicit flags alone, so it is memoised for this document.
-    The memo is an instance attribute, deleted again so that no reference
-    cycle keeps the loader and its nodes alive.
+    text and implicit flags alone, so it is memoised for this document,
+    and the composer's calls to track a node's path, ``descend_resolver``
+    and ``ascend_resolver``, do nothing. The memo and the no-ops are
+    instance attributes, deleted again so that no reference cycle keeps
+    the loader and its nodes alive.
     """
     if loader.yaml_path_resolvers:
         return loader.get_single_node()
     loader.resolve = functools.lru_cache(maxsize=None)(loader.resolve)
+    loader.descend_resolver = loader.ascend_resolver = _no_path
     try:
         return loader.get_single_node()
     finally:
-        del loader.resolve
+        del loader.resolve, loader.descend_resolver, loader.ascend_resolver
+
+
+def _no_path(*_) -> None:
+    """What a loader without path resolvers does to track a node's path."""
 
 
 def _plain_data(loader, root: yaml.Node):
@@ -980,15 +999,17 @@ def _rotation_to_rpy_deg(rot: np.ndarray) -> list[float]:
 
 
 def _degrees(angle: float) -> float:
-    """The float nearest ``math.degrees(angle)``, within four ulps, whose ``math.radians``
-    is ``angle``: the plain pair misses by an ulp for one degree value in twenty."""
+    """The shortest float within four ulps of ``math.degrees(angle)`` whose
+    ``math.radians`` is ``angle``, the nearest of those on a tie: the plain
+    pair misses by an ulp for one degree value in twenty, and a spec's 500
+    reads back as 500.0, not 500.00000000000006."""
     degrees = below = above = math.degrees(angle)
-    for _ in range(5):
-        for candidate in (above, below):
-            if math.radians(candidate) == angle:
-                return candidate
+    candidates = [degrees]
+    for _ in range(4):
         below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
-    return degrees
+        candidates += (above, below)
+    exact = [c for c in candidates if math.radians(c) == angle]
+    return min(exact, key=lambda c: len(repr(c)), default=degrees)
 
 
 def serialize_spec(spec: CartonSpec) -> str:

@@ -27,10 +27,11 @@ from cartonfold.cli import (
     explain,
     format_csv,
     format_structured,
+    format_table,
     main,
     run,
 )
-from cartonfold.metrics import EdgeMetrics, RankedReport, rank_lattice, round6
+from cartonfold.metrics import EdgeMetrics, RankedReport, rank_lattice
 from cartonfold.model import (
     JointVector,
     build_tree,
@@ -41,7 +42,7 @@ from cartonfold.model import (
 from cartonfold.planner import build_lattice
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
-from .oracles import csv_report
+from .oracles import csv_report, structured_report, table_report
 from .test_metrics import POLICIES
 from .test_planner import frozenset_lattice
 
@@ -131,6 +132,45 @@ class TestRun:
         assert code == EXIT_SPEC_INVALID
         assert report == ""
         assert field in capsys.readouterr().err
+
+    def test_joint_range_error_echoes_the_spec_number(self, spec_dir, tmp_path, capsys):
+        text = (spec_dir / "three_flaps.yaml").read_text()
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace("theta_final_deg: 90}", "theta_final_deg: 500}", 1))
+        code, _ = run_to_string(RunConfig(spec_path=str(bad)))
+        assert code == EXIT_SPEC_INVALID
+        assert capsys.readouterr().err == (
+            "error: panel 2: theta_final_deg must lie within [-180, 180], got 500.0\n"
+        )
+
+    @pytest.mark.parametrize("sequence", (None, (3, 4, 2)), ids=("plan", "explain"))
+    @pytest.mark.parametrize("spelling", ("9223372036854775808", "1" + "0" * 30, "1e300", "1.0e+300"))
+    def test_panel_id_above_int64_exits_3_naming_the_panel(
+        self, spec_dir, tmp_path, capsys, spelling, sequence
+    ):
+        text = (spec_dir / "three_flaps.yaml").read_text()
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace("{id: 2,", f"{{id: {spelling},", 1))
+        code, report = run_to_string(RunConfig(spec_path=str(bad), explain=sequence))
+        assert code == EXIT_SPEC_INVALID
+        assert report == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: panel ") and "id must be at most 2**63 - 1" in err
+
+    def test_panel_id_of_int64_max_plans_exactly(self, spec_dir, tmp_path):
+        big = 2**63 - 1
+        text = (spec_dir / "three_flaps.yaml").read_text()
+        path = tmp_path / "big.yaml"
+        path.write_text(text.replace("{id: 2,", f"{{id: {big},", 1))
+        assert big in {panel.id for panel in load_spec(path).panels}
+        code, report = run_to_string(RunConfig(spec_path=str(path), fmt="csv", top=None))
+        assert code == EXIT_OK
+        want = run_to_string(RunConfig(spec_path=str(spec_dir / "three_flaps.yaml"), fmt="csv", top=None))[1]
+        # Joint 2 sorts first among 2, 3 and 4, and 2**63 - 1 last, so the
+        # rows of equal totals may list in another order: compare as sets.
+        rows = {line.replace(str(big), "2") for line in report.splitlines()}
+        assert rows == set(want.splitlines())
+        assert run_to_string(RunConfig(spec_path=str(path), explain=(3, 4, big)))[0] == EXIT_OK
 
     @pytest.mark.parametrize("sequence", (None, (2, 3, 4)), ids=("plan", "explain"))
     def test_spec_that_is_not_utf8_exits_3_naming_the_encoding(
@@ -226,33 +266,7 @@ class TestRun:
         # the JSON encoder with a two-space indent, byte for byte.
         tree = build_tree(replace(load_spec(SPEC_DIR / name), ranking=policy))
         report = rank_lattice(build_lattice(tree), top)
-        joint, volume, max_dim, aerial = (column.tolist() for column in report.edges)
-        payload = {
-            "policy": list(report.criteria),
-            "sequence_count": report.sequence_count,
-            "rows": [
-                {
-                    "sequence": order,
-                    "volume_mm3": round6(c_vol),
-                    "maxdim_mm": round6(c_dim),
-                    "naf": naf,
-                    "per_step": [
-                        {
-                            "joint": joint[e],
-                            "volume_mm3": round6(volume[e]),
-                            "maxdim_mm": round6(max_dim[e]),
-                            "aerial": aerial[e],
-                        }
-                        for e in steps
-                    ],
-                }
-                for order, steps, c_vol, c_dim, naf in zip(
-                    report.orders.tolist(), report.steps.tolist(),
-                    report.c_vol.tolist(), report.c_dim.tolist(), report.c_aerial.tolist(),
-                )
-            ],
-        }
-        assert format_structured(report) == json.dumps(payload, indent=2) + "\n"
+        assert format_structured(report) == structured_report(report)
 
     def test_machine_output_is_deterministic(self, spec_dir):
         for fmt in ("csv", "structured"):
@@ -292,21 +306,28 @@ class TestRun:
 
 def csv_total(rng: np.random.Generator) -> float:
     """A total as reports print it: any value, or one within two ulps of a
-    6-decimal rounding edge."""
+    rounding edge of the 6 decimals of a CSV or the 1 of a table."""
     if rng.random() < 0.5:
         return float(rng.uniform(0.0, 1e9))
-    value = (int(rng.integers(0, 10**12)) + 0.5) / 1e6
+    value = (int(rng.integers(0, 10**12)) + 0.5) / rng.choice((1e6, 10.0))
     for _ in range(abs(int(rng.integers(-2, 3)))):
         value = float(np.nextafter(value, rng.choice((0.0, np.inf))))
     return value
 
 
 @st.composite
-def csv_reports(draw):
+def drawn_reports(draw):
     """A report of 0, 1 or many rows over multi-digit, non-contiguous joint
-    ids, its totals drawn from a small pool (repeating) or row by row."""
+    ids, its totals drawn from a small pool (repeating) or row by row.
+
+    Its edges list each joint one or more times, in shuffled order, and each
+    step is one of its joint's edges, so ``orders == edges.joint[steps]``;
+    a report may hold fewer or more edge ids than it has edges. Edge
+    measures are drawn like totals.
+    """
     k = draw(st.integers(1, 6))
-    joints = draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k, unique=True))
+    ids = st.integers(1, 10**6) | st.integers(2**53, 2**63 - 1)
+    joints = np.array(draw(st.lists(ids, min_size=k, max_size=k, unique=True)), dtype=np.intp)
     n = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 600)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = [csv_total(rng) for _ in range(draw(st.sampled_from((1, 3, 40))))]
@@ -318,44 +339,83 @@ def csv_reports(draw):
         ]
         return np.array(values, dtype=float)
 
+    copies = rng.integers(1, draw(st.sampled_from((2, 40))), k)
+    edge_id = rng.permutation(int(copies.sum()))  # of each edge, grouped by joint
+    edge_joint = np.empty(len(edge_id), dtype=np.intp)
+    edge_joint[edge_id] = np.repeat(joints, copies)
+    position = np.array([rng.permutation(k) for _ in range(n)], dtype=np.intp).reshape(n, k)
+    pick = (rng.random((n, k)) * copies[position]).astype(np.intp)
+    steps = edge_id[(np.cumsum(copies) - copies)[position] + pick]
+    measures = [np.array([csv_total(rng) for _ in edge_id]) for _ in range(2)]
     return RankedReport(
         criteria=("aerial", "maxdim"),
         sequence_count=n,
-        orders=np.array([rng.permutation(joints) for _ in range(n)], dtype=np.intp).reshape(n, k),
-        steps=np.zeros((n, k), dtype=np.intp),
-        edges=EdgeMetrics(np.array(joints[:1]), np.zeros(1), np.zeros(1), np.zeros(1, bool)),
+        orders=edge_joint[steps],
+        steps=steps,
+        edges=EdgeMetrics(edge_joint, *measures, rng.random(len(edge_id)) < 0.5),
         c_vol=totals(),
         c_dim=totals(),
         c_aerial=rng.integers(0, k + 1, n),
     )
 
 
+def assert_written_like(write, reference, report) -> None:
+    """``write`` gives the bytes of ``reference``, also one row per block."""
+    assert np.array_equal(report.orders, report.edges.joint[report.steps])
+    want = reference(report)
+    assert write(report) == want
+    # One row per block: every row crosses a block boundary.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli_module, "REPORT_BLOCK_WORDS", 1)
+        assert write(report) == want
+
+
+def assert_peak_memory_no_higher(write, reference) -> None:
+    """``write`` gives the bytes of ``reference`` on every ranked sequence of
+    8 free flaps, and allocates no more at its peak."""
+    # Word ids over the whole report, not a block, would exceed it.
+    report = rank_lattice(build_lattice(build_tree(free_flap_spec(8))), None)
+    assert len(report) == 40320
+    texts, peaks = [], []
+    for writer in (write, reference):
+        tracemalloc.start()
+        try:
+            texts.append(writer(report))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert texts[0] == texts[1]
+    assert peaks[0] <= peaks[1]
+
+
 class TestCsvWriter:
     """``format_csv`` against the line-by-line writer ``oracles.csv_report``."""
 
-    @given(csv_reports())
+    @given(drawn_reports())
     def test_drawn_reports_are_written_byte_for_byte(self, report):
-        want = csv_report(report)
-        assert format_csv(report) == want
-        # One row per block: every row crosses a block boundary.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli_module, "CSV_BLOCK_CHARS", 1)
-            assert format_csv(report) == want
+        assert_written_like(format_csv, csv_report, report)
 
     def test_peak_memory_no_higher_than_the_reference(self):
-        # Index arrays over the whole report, not a block, would exceed it.
-        report = rank_lattice(build_lattice(build_tree(free_flap_spec(8))), None)
-        assert len(report) == 40320
-        peaks = []
-        for write in (format_csv, csv_report):
-            tracemalloc.start()
-            try:
-                text = write(report)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            del text
-        assert peaks[0] <= peaks[1]
+        assert_peak_memory_no_higher(format_csv, csv_report)
+
+
+class TestStructuredWriter:
+    """``format_structured`` against ``json.dumps``, ``oracles.structured_report``."""
+
+    @given(drawn_reports())
+    def test_drawn_reports_are_written_byte_for_byte(self, report):
+        assert format_structured(report) == structured_report(report)
+
+
+class TestTableWriter:
+    """``format_table`` against the line-by-line writer ``oracles.table_report``."""
+
+    @given(drawn_reports())
+    def test_drawn_reports_are_written_byte_for_byte(self, report):
+        assert_written_like(format_table, table_report, report)
+
+    def test_peak_memory_no_higher_than_the_reference(self):
+        assert_peak_memory_no_higher(format_table, table_report)
 
 
 # specs/obstructed_flap.yaml with its beam replaced by a 0.5 mm blade that

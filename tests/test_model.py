@@ -335,7 +335,7 @@ class TestIngestion:
         loader = model_module._SAFE_LOADER("a: 1\n")
         try:
             model_module._compose(loader)
-            assert "resolve" not in vars(loader)
+            assert not vars(loader).keys() & {"resolve", "descend_resolver", "ascend_resolver"}
         finally:
             loader.dispose()
 
