@@ -19,7 +19,6 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -34,9 +33,9 @@ EXIT_OK = 0
 EXIT_NO_SEQUENCES = 2
 EXIT_SPEC_INVALID = 3
 
-# Words of report text that a writer assembles per block of rows: its word
+# Words of CSV text that format_csv assembles per block of rows: its word
 # ids, gathered words and joined text grow with this, not with the report.
-REPORT_BLOCK_WORDS = 1 << 12
+CSV_BLOCK_WORDS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -71,140 +70,54 @@ def _load_tree(config: RunConfig) -> KinematicTree:
     return tree
 
 
-def _joint_slots(report: RankedReport) -> tuple[list[int], Callable[[slice], np.ndarray]]:
-    """The report's joints in ascending order, and a function from a slice
-    of rows to the index of each of their joints in that order.
-
-    Every row orders the same joints. Each edge's index is found once and
-    gathered by ``report.steps``, or each row's joints are searched when the
-    rows hold fewer ids than there are edges.
-    """
-    joints = np.sort(report.orders[0])
-    joint = report.edges.joint
-    if len(joint) > report.orders.size:
-        return joints.tolist(), lambda rows: np.searchsorted(joints, report.orders[rows])
-    slot = np.searchsorted(joints, joint)
-    return joints.tolist(), lambda rows: slot[report.steps[rows]]
-
-
-def _total_words(report: RankedReport, forms, words: list[str]) -> list[np.ndarray]:
-    """Append the text of each distinct volume, maxdim and aerial total to
-    ``words``, written by the matching one of ``forms``; the word id of each
-    row's three totals.
-
-    Values are told apart by their bits, so two that print differently
-    never share a word.
-    """
-    tails = []
-    for column, form in zip((report.c_vol, report.c_dim, report.c_aerial), forms):
-        # np.unique(bits, return_inverse=True) with less fixed cost: sort,
-        # mark each value unlike the one before it, and number the marks.
-        bits = column.view(np.int64)
-        order = bits.argsort()
-        bits = bits[order]
-        new = np.ones(len(bits), dtype=bool)
-        np.not_equal(bits[1:], bits[:-1], out=new[1:])
-        index = np.empty(len(bits), dtype=np.intp)
-        index[order] = new.cumsum() + (len(words) - 1)
-        tails.append(index)
-        words += map(form, bits[new].view(column.dtype).tolist())
-    return tails
-
-
-def _write_rows(head: str, words: list[str], width: int, n: int,
-                row_words: Callable[[slice], np.ndarray]) -> str:
-    """``head``, then n rows of ``width`` words each: ``row_words(rows)``
-    gives the word ids of a slice of rows, one row of ids per row of text.
-    Each block of rows is one gather from the vocabulary and one
-    ``str.join``.
-    """
-    vocab = np.array(words, dtype=object)
-    size = max(1, REPORT_BLOCK_WORDS // width)
-    blocks = [head]
-    for a in range(0, n, size):
-        blocks.append("".join(vocab.take(row_words(slice(a, a + size)).ravel()).tolist()))
-    return "".join(blocks)
-
-
-# The last two digits of a table rank, right-aligned when it has no more,
-# else zero-padded, each with the list's opening bracket.
-_RANK_ENDS = [f"{r:>2}  [" for r in range(100)] + [f"{r:02d}  [" for r in range(100)]
-
-
 def format_table(report: RankedReport) -> str:
-    """A two-line header, then one line per row: the rank, the order as a
-    list, the volume and maxdim totals to 1 decimal and the aerial count,
-    in fixed-width columns.
-
-    Each line is k + 5 words: the rank as its hundreds and the rest, with
-    the list's opening bracket; each joint with the separator after it; the
-    volume, the maxdim and the count, each distinct value formatted once.
-    Every row lists the same joints, so every list pads to the same width.
-    """
-    n = len(report)
-    head = (
+    orders = report.orders.tolist()
+    lines = [
         f"policy: {' > '.join(report.criteria)}   "
-        f"(showing {n} of {report.sequence_count} sequences)\n"
-        f"{'rank':>4}  {'sequence':<28} {'volume_mm3':>16} {'maxdim_mm':>12} {'naf':>4}\n"
-    )
-    if not n:
-        return head
-    joints, slots = _joint_slots(report)
-    k = len(joints)
-    names = list(map(str, joints))
-    pad = " " * (28 - (sum(map(len, names)) + 2 * k))
-    words = [f"{j}, " for j in names] + [f"{j}]{pad} " for j in names]
-    # Rank r is r // 100, right-aligned to 2, then the end of r % 100, which
-    # gives f"{r:>4}" for every r.
-    hundreds = len(words)
-    words += ["  "] + [f"{h:>2}" for h in range(1, n // 100 + 1)]
-    ends = len(words)
-    words += _RANK_ENDS
-    tails = _total_words(report, ("{:>16.1f} ".format, "{:>12.1f} ".format, "{:>4}\n".format), words)
-
-    def row_words(rows: slice) -> np.ndarray:
-        slot = slots(rows)
-        ids = np.empty((len(slot), k + 5), dtype=np.intp)
-        high, ids[:, 1] = np.divmod(np.arange(rows.start + 1, rows.start + 1 + len(slot)), 100)
-        ids[:, 0] = high + hundreds
-        ids[:, 1] += ends + 100 * (high > 0)
-        ids[:, 2:k + 2] = slot
-        ids[:, k + 1] += k
-        for i, tail in enumerate(tails, k + 2):
-            ids[:, i] = tail[rows]
-        return ids
-
-    return _write_rows(head, words, k + 5, n, row_words)
+        f"(showing {len(orders)} of {report.sequence_count} sequences)",
+        f"{'rank':>4}  {'sequence':<28} {'volume_mm3':>16} {'maxdim_mm':>12} {'naf':>4}",
+    ]
+    totals = zip(report.c_vol.tolist(), report.c_dim.tolist(), report.c_aerial.tolist())
+    for rank, (order, (c_vol, c_dim, naf)) in enumerate(zip(orders, totals), start=1):
+        seq = "[" + ", ".join(map(str, order)) + "]"
+        lines.append(f"{rank:>4}  {seq:<28} {c_vol:>16.1f} {c_dim:>12.1f} {naf:>4}")
+    return "\n".join(lines) + "\n"
 
 
 def format_csv(report: RankedReport) -> str:
     """The header, then one line per row: the order joined by "-", the
     volume and maxdim totals to 6 decimals, and the aerial count.
 
-    A line is k + 3 words: each joint with the separator that follows it
-    (``5-``, or ``5,`` in last place), then the volume with its comma, the
-    maxdim with its comma and the count with the newline, each distinct
-    value formatted once.
+    A line is k + 3 words of a vocabulary: each joint with the separator
+    that follows it (``5-``, or ``5,`` in last place), then the volume
+    with its comma, the maxdim with its comma and the count with the
+    newline, each distinct value formatted once. Values are told apart by
+    their bits, so two that print differently never share a word. Each
+    block of about CSV_BLOCK_WORDS words is one gather from the vocabulary
+    and one ``str.join``.
     """
-    head = "sequence,volume_mm3,maxdim_mm,naf\n"
-    n = len(report)
+    header = "sequence,volume_mm3,maxdim_mm,naf\n"
+    n, k = report.orders.shape
     if not n:
-        return head
-    joints, slots = _joint_slots(report)
-    k = len(joints)
-    words = [f"{j}-" for j in joints] + [f"{j}," for j in joints]
-    tails = _total_words(report, ("{:.6f},".format, "{:.6f},".format, "{}\n".format), words)
-
-    def row_words(rows: slice) -> np.ndarray:
-        slot = slots(rows)
-        ids = np.empty((len(slot), k + 3), dtype=np.intp)
-        ids[:, :k] = slot
+        return header
+    joints = np.sort(report.orders[0])  # every row orders the same joints
+    words = [f"{j}-" for j in joints.tolist()] + [f"{j}," for j in joints.tolist()]
+    tails = []  # the word of each row's volume, maxdim and count
+    for column, form in ((report.c_vol, "{:.6f},"), (report.c_dim, "{:.6f},"), (report.c_aerial, "{}\n")):
+        distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+        tails.append(index + len(words))
+        words += map(form.format, distinct.view(column.dtype).tolist())
+    vocab = np.array(words, dtype=object)
+    rows = max(1, CSV_BLOCK_WORDS // (k + 3))
+    blocks = [header]
+    for a in range(0, n, rows):
+        ids = np.empty((min(rows, n - a), k + 3), dtype=np.intp)
+        ids[:, :k] = np.searchsorted(joints, report.orders[a:a + rows])
         ids[:, k - 1] += k
         for i, tail in enumerate(tails, k):
-            ids[:, i] = tail[rows]
-        return ids
-
-    return _write_rows(head, words, k + 3, n, row_words)
+            ids[:, i] = tail[a:a + rows]
+        blocks.append("".join(vocab.take(ids.ravel()).tolist()))
+    return "".join(blocks)
 
 
 # The structured report is the text of json.dumps(payload, indent=2), with

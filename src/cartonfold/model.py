@@ -719,12 +719,16 @@ def _scalar(mapping: dict, key: str, where: str, default: float | None = None) -
 
 
 def _integer(mapping: dict, key: str, where: str) -> int:
-    """A panel id from spec data, exact: an int as written, or a float with
-    no fraction, at most MAX_PANEL_ID."""
+    """A panel id from spec data, exact: an int or integer text as written,
+    or a float with no fraction, at most MAX_PANEL_ID."""
     value = _require(mapping, key, where)
-    if type(value) is int:
-        number = value
-    else:
+    number = value if type(value) is int else None
+    if type(value) is str:
+        try:
+            number = int(value)
+        except ValueError:
+            pass
+    if number is None:
         real = _number(value, f"{where}: {key}")
         if not real.is_integer():
             raise SpecValidationError(f"{where}: {key} must be an integer, got {value!r}")

@@ -4,10 +4,9 @@ These deliberately avoid the library's own kernels: box overlap is decided
 by dense point sampling, and sequence enumeration by filtering raw
 permutations. Slow and simple on purpose. ``loop_lattice`` is the lattice
 build as one ``collision_check`` per (reachable state, unfolded joint), the
-reference for the layer-at-a-time build. ``csv_report`` and
-``table_report`` write a report one line at a time, and
-``structured_report`` through ``json.dumps``: the references for the
-writers of ``cli``.
+reference for the layer-at-a-time build. ``csv_report`` writes a CSV
+report one line at a time and ``structured_report`` through
+``json.dumps``: the references for the writers of ``cli``.
 """
 
 from __future__ import annotations
@@ -168,21 +167,6 @@ def csv_report(report) -> str:
         line % (*order, text[vol], text[dim], naf)
         for order, vol, dim, naf in zip(orders, c_vol, c_dim, report.c_aerial.tolist())
     ]
-    return "\n".join(lines) + "\n"
-
-
-def table_report(report) -> str:
-    """The table text of a ``RankedReport``, one f-string per line."""
-    orders = report.orders.tolist()
-    lines = [
-        f"policy: {' > '.join(report.criteria)}   "
-        f"(showing {len(orders)} of {report.sequence_count} sequences)",
-        f"{'rank':>4}  {'sequence':<28} {'volume_mm3':>16} {'maxdim_mm':>12} {'naf':>4}",
-    ]
-    totals = zip(report.c_vol.tolist(), report.c_dim.tolist(), report.c_aerial.tolist())
-    for rank, (order, (c_vol, c_dim, naf)) in enumerate(zip(orders, totals), start=1):
-        seq = "[" + ", ".join(map(str, order)) + "]"
-        lines.append(f"{rank:>4}  {seq:<28} {c_vol:>16.1f} {c_dim:>12.1f} {naf:>4}")
     return "\n".join(lines) + "\n"
 
 

@@ -59,6 +59,14 @@ class TestParseSpec:
         assert flap.theta_final == pytest.approx(math.pi / 2)
         assert flap.foldable
 
+    @pytest.mark.parametrize("quote", ("", "'", '"'), ids=("plain", "single", "double"))
+    @pytest.mark.parametrize("pid", (2**53 + 1, 2**63 - 1))
+    def test_integer_ids_stay_exact(self, pid, quote):
+        # Neither id is a float: a round trip through one would give 2**53
+        # and 2**63.
+        spec = parse_spec(TWO_PANEL_DOC.replace("id: 2,", f"id: {quote}{pid}{quote},"))
+        assert [panel.id for panel in spec.panels] == [1, pid]
+
     def test_parent_cycle_rejected(self):
         doc = """
 panels:
