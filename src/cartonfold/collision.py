@@ -42,9 +42,13 @@ its memoised corner bounds, which equal those bounds up to rounding far
 below the margin, before its box is packed at all. The narrow phase runs
 the 15-axis separating-axis kernel only on the boxes left, and not at all
 when none are. The crease-adjacent parent is culled with both sides
-shrunk by the penetration allowance, exactly as the kernel tests that
-pair (its unshrunk corner bounds contain the shrunk ones), so every
-verdict is the one the kernel alone would give.
+shrunk as the kernel tests that pair: the sweep's bounds by the
+penetration allowance, and the parent's corner bounds by the least amount
+the kernel shrinks its box on any world axis, ``min(allowance / 2, its
+least half extent)``. The kernel shrinks each half extent by that much at
+least (it clamps them at zero), and the absolute entries of a rotation
+row sum to at least 1, so the box it tests lies within the shrunk bounds
+and every verdict is the one the kernel alone would give.
 """
 
 from __future__ import annotations
@@ -204,27 +208,44 @@ def build_sweeps(tree: KinematicTree, folds) -> None:
         )
 
 
+def corners_apart(lo, hi, cull, clearance: float, dims) -> bool:
+    """Whether a box is culled from a pair test on its corner bounds.
+
+    ``lo`` and ``hi`` are the world-axis-aligned bounds of the box's
+    corners, ``dims`` its full dimensions and ``cull`` a sweep's (lo, hi)
+    taken with the same ``clearance <= 0``. The bounds are pulled in by
+    ``min(-clearance / 2, the least half extent)`` on every world axis:
+    the kernel shrinks each half extent by at least that much (it clamps
+    them at zero), and the absolute entries of a rotation row sum to at
+    least 1, so the box the kernel tests lies within them. The box is
+    culled when they stay more than ``CULL_MARGIN`` away from ``cull``.
+    """
+    (x0, y0, z0), (x1, y1, z1) = lo, hi
+    (lx, ly, lz), (hx, hy, hz) = cull
+    s = min(-clearance, *dims) / 2.0
+    return (
+        x0 + s > hx + CULL_MARGIN or y0 + s > hy + CULL_MARGIN or z0 + s > hz + CULL_MARGIN
+        or x1 - s < lx - CULL_MARGIN or y1 - s < ly - CULL_MARGIN or z1 - s < lz - CULL_MARGIN
+    )
+
+
 def _pair_blocked(tree: KinematicTree, swept: Sweep, mask: int, panel_id: int) -> bool:
     """The kernel verdict of one sweep against one static panel.
 
-    The panel's memoised corner bounds are culled first: they equal its
-    box's ``|R| @ h`` bounds up to rounding far below ``CULL_MARGIN``, and
-    they contain the crease parent's shrunk bounds. Crease adjacency
-    between a moving and a static panel: only the moving joint's own
-    parent qualifies (children stay in the subtree), and it is tested with
-    the penetration allowance.
+    The panel's memoised corner bounds are culled first (``corners_apart``):
+    they equal its box's ``|R| @ h`` bounds up to rounding far below
+    ``CULL_MARGIN``. Crease adjacency between a moving and a static panel:
+    only the moving joint's own parent qualifies (children stay in the
+    subtree), and it is tested with the penetration allowance, so it is
+    culled on its corner bounds shrunk by the least amount the kernel
+    shrinks its box.
     """
     record = tree.panel_state(panel_id, mask)
     if panel_id == swept.parent:
-        bounds, clearance = swept.shrunk, -tree.spec.penetration_tolerance
-        lo, hi = swept.cull[1]
+        bounds, cull, clearance = swept.shrunk, swept.cull[1], -tree.spec.penetration_tolerance
     else:
-        bounds, clearance = swept.bounds, 0.0
-        lo, hi = swept.cull[0]
-    if any(
-        l > h + CULL_MARGIN or u < w - CULL_MARGIN
-        for l, u, w, h in zip(record.lo, record.hi, lo, hi)
-    ):
+        bounds, cull, clearance = swept.bounds, swept.cull[0], 0.0
+    if corners_apart(record.lo, record.hi, cull, clearance, tree.panels_by_id[panel_id].dims):
         return False
     return _blocked(swept.boxes, bounds, pack_boxes([record.pose.solid]), clearance)
 

@@ -23,17 +23,19 @@ from cartonfold.planner import FoldLattice, PlannerError, SearchDiagnostics
 
 
 def points_in_box(box, clearance: float, per_axis: int) -> np.ndarray:
-    """Regular grid filling the box (inflated by clearance/2), world frame."""
-    half = box.half_extents + clearance / 2.0
+    """Regular grid filling the box (inflated by clearance/2, each half
+    extent clamped at zero as the kernel clamps it), world frame."""
+    half = np.maximum(box.half_extents + clearance / 2.0, 0.0)
     axes = [np.linspace(-h, h, per_axis) for h in half]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     return box.pose.apply(grid)
 
 
 def contains(box, points: np.ndarray, clearance: float) -> np.ndarray:
-    """Componentwise containment test in the box inflated by clearance/2."""
+    """Componentwise containment test in the box inflated by clearance/2,
+    each half extent clamped at zero."""
     local = (points - box.center) @ box.pose.rotation
-    return np.all(np.abs(local) <= box.half_extents + clearance / 2.0, axis=1)
+    return np.all(np.abs(local) <= np.maximum(box.half_extents + clearance / 2.0, 0.0), axis=1)
 
 
 def sampled_overlap(a, b, clearance: float = 0.0, per_axis: int = 12) -> bool:

@@ -37,7 +37,7 @@ from cartonfold.model import (
 )
 from cartonfold.planner import build_lattice
 
-from .conftest import SHIPPED_SPECS
+from .conftest import SHIPPED_SPECS, free_flap_spec
 from .oracles import every_verdict
 from .test_model import random_tree
 
@@ -65,6 +65,22 @@ def two_panel_tree():
 def with_fixtures(tree, *boxes):
     """The same carton with fixture boxes added to its workcell."""
     return build_tree(replace(tree.spec, environment=tree.spec.environment + boxes))
+
+
+# A generated variant of three_flaps: its base, the crease parent of every
+# flap, is 0.1 mm thin, so its half thickness lies below half the 1.05 mm
+# penetration allowance and the kernel clamps it at zero.
+THIN_BASE = "three_flaps.yaml:0.1 mm base"
+
+
+def load_case(spec_dir, name):
+    """A shipped spec by file name, or ``THIN_BASE``."""
+    path, _, variant = name.partition(":")
+    spec = load_spec(spec_dir / path)
+    if variant:
+        base = replace(spec.panels[0], dims=(*spec.panels[0].dims[:2], 0.1))
+        spec = replace(spec, panels=(base, *spec.panels[1:]))
+    return spec
 
 
 # tree -> {(joint, folded joints that place its subtree): (boxes, moving ids)}
@@ -367,12 +383,12 @@ class TestBroadPhase:
                 for floats, arrays in zip(swept.cull, (swept.bounds, swept.shrunk)):
                     assert np.array(floats).tobytes() == np.array(arrays).tobytes()
 
-    @pytest.mark.parametrize("name", SHIPPED_SPECS)
+    @pytest.mark.parametrize("name", [*SHIPPED_SPECS, THIN_BASE])
     @pytest.mark.parametrize("step_deg", [5.0, 1.0])
     @pytest.mark.parametrize("own_penetration", [False, True])
     def test_matches_the_full_kernel(self, spec_dir, name, step_deg, own_penetration):
         # Every (subset, joint) of the carton, reachable or not.
-        spec = load_spec(spec_dir / name)
+        spec = load_case(spec_dir, name)
         tree = build_tree(
             replace(
                 spec,
@@ -394,6 +410,45 @@ class TestBroadPhase:
             for mask, joint in all_folds(tree):
                 expected = full_kernel_check(tree, mask, joint)
                 assert collision_check(tree, mask, joint) is expected, (n, mask, joint)
+
+    @pytest.mark.parametrize(
+        "name, fixture_checks, pair_checks",
+        [
+            ("case_study_tray.yaml", [], []),
+            ("three_flaps.yaml", [], []),
+            ("free_flap_spec(8)", [], []),
+            # One non-parent pair that blocks, and one fixture that does.
+            ("blocking_pair.yaml", [], [(0.0, True)]),
+            ("obstructed_flap.yaml", [(0.0, True)], []),
+        ],
+    )
+    def test_only_pairs_the_kernel_can_hit_are_packed(
+        self, spec_dir, monkeypatch, name, fixture_checks, pair_checks
+    ):
+        # The float cull settles every pair test whose box the sweep's
+        # bounds drop, crease parents included, so only pairs that reach
+        # the kernel pack a box and call _blocked.
+        spec = free_flap_spec(8) if name == "free_flap_spec(8)" else load_spec(spec_dir / name)
+        tree = build_tree(spec)
+        calls, kernel_calls = [], []
+        blocked, kernel = collision_module._blocked, collision_module.sat_overlap_matrix
+
+        def recorded(movers, bounds, boxes, clearance):
+            verdict = blocked(movers, bounds, boxes, clearance)
+            calls.append((boxes is tree.obstacles, clearance, verdict))
+            return verdict
+
+        def counted(*args):
+            kernel_calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(collision_module, "_blocked", recorded)
+        monkeypatch.setattr(collision_module, "sat_overlap_matrix", counted)
+        build_lattice(tree)
+        assert [call[1:] for call in calls if call[0]] == fixture_checks
+        assert [call[1:] for call in calls if not call[0]] == pair_checks
+        assert len(kernel_calls) == len(fixture_checks) + len(pair_checks)
+        assert sum(tree.pair_verdicts.values()) == len(pair_checks)
 
     def test_fixture_hit_by_one_sample_is_not_culled(self):
         # A 1 mm cube on the flap's mid-plane near its free edge at 45

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cartonfold.collision import near_sweep, sweep_bounds
+from cartonfold.collision import corners_apart, near_sweep, sweep_bounds
 from cartonfold.geometry import (
     Aabb,
     OrientedBox,
@@ -144,6 +144,7 @@ class TestRotateAboutAxis:
 
 _angles = st.floats(-180.0, 180.0)
 _dims = st.floats(0.5, 500.0)
+_thin_dims = st.one_of(st.floats(0.05, 1.0), _dims)
 _halves = st.floats(0.25, 1.5)
 
 
@@ -311,14 +312,16 @@ class TestWorldAabb:
 def box_pair_beside(draw):
     """Two boxes whose grown bounds are ``gap`` apart along one world axis.
 
-    On the other two axes the bounds overlap, so only that one axis keeps
-    the bounds apart. Returns (a, b, clearance).
+    On the other two axes the bounds overlap, so only that one axis can
+    keep the bounds apart; a negative gap overlaps them there too. Some
+    half extents fall below half the largest allowance, where the kernel
+    clamps them at zero. Returns (a, b, clearance).
     """
-    clearance = draw(st.sampled_from((0.0, -0.1, -0.45)))
+    clearance = draw(st.sampled_from((0.0, -0.1, -0.45, -1.05)))
     a, b = (
         OrientedBox.from_center(
             (0.0, 0.0, 0.0),
-            draw(st.tuples(_dims, _dims, _dims)),
+            draw(st.tuples(_thin_dims, _dims, _dims)),
             _rpy_matrix(draw(st.tuples(_angles, _angles, _angles))),
         )
         for _ in range(2)
@@ -327,7 +330,7 @@ def box_pair_beside(draw):
     span = reach[0] + reach[1]
     center = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)]) * span
     axis = draw(st.integers(0, 2))
-    center[axis] = draw(st.sampled_from((-1.0, 1.0))) * (span[axis] + draw(st.floats(0.0, 5.0)))
+    center[axis] = draw(st.sampled_from((-1.0, 1.0))) * (span[axis] + draw(st.floats(-1.0, 5.0)))
     b = OrientedBox(Transform(b.pose.rotation, center), b.half_extents)
     return a, b, clearance
 
@@ -340,6 +343,24 @@ class TestBoundsCull:
         a, b, clearance = pair
         boxes_a, boxes_b = pack_boxes([a]), pack_boxes([b])
         if near_sweep(sweep_bounds(boxes_a, clearance), boxes_b, clearance)[0]:
+            return
+        assert not sat_overlap_matrix(*boxes_a, *boxes_b, clearance)[0, 0]
+        assert not sampled_overlap(a, b, clearance)
+
+    @given(box_pair_beside())
+    def test_corner_bounds_apart_means_no_overlap(self, pair):
+        # The pair test's first cull, on the static box's corner bounds as
+        # floats: at clearance 0 as is, at a negative clearance shrunk as
+        # the crease parent's. Whenever it drops a box, neither the kernel
+        # nor the point-sampling oracle may find an overlap with it.
+        a, b, clearance = pair
+        boxes_a, boxes_b = pack_boxes([a]), pack_boxes([b])
+        lo, hi = sweep_bounds(boxes_a, clearance)
+        corners = b.corners()
+        if not corners_apart(
+            corners.min(axis=0).tolist(), corners.max(axis=0).tolist(),
+            (lo.tolist(), hi.tolist()), clearance, (2.0 * b.half_extents).tolist(),
+        ):
             return
         assert not sat_overlap_matrix(*boxes_a, *boxes_b, clearance)[0, 0]
         assert not sampled_overlap(a, b, clearance)
