@@ -17,12 +17,13 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .collision import collision_check, grasp_side, n_sweep_samples, sweep
+from .geometry import FrozenValue
 from .metrics import RankedReport, rank_lattice, round6
 from .model import KinematicTree, SpecValidationError, build_tree, load_spec
 from .planner import PlannerError, build_lattice
@@ -38,18 +39,27 @@ EXIT_SPEC_INVALID = 3
 CSV_BLOCK_WORDS = 1 << 12
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(FrozenValue):
     """Everything one CLI invocation needs."""
 
     spec_path: str
-    fmt: str = "table"
-    top: int | None = 20  # None means all
-    tolerance_angle_deg: float | None = None
-    penetration_mm: float | None = None
-    support_mm: float | None = None
-    dump_dir: str | None = None
-    explain: tuple[int, ...] | None = None
+    fmt: str
+    top: int | None  # None means all
+    tolerance_angle_deg: float | None
+    penetration_mm: float | None
+    support_mm: float | None
+    dump_dir: str | None
+    explain: tuple[int, ...] | None
+
+    def __init__(
+        self, spec_path, fmt="table", top=20, tolerance_angle_deg=None, penetration_mm=None,
+        support_mm=None, dump_dir=None, explain=None,
+    ):
+        self.__dict__.update(
+            spec_path=spec_path, fmt=fmt, top=top, tolerance_angle_deg=tolerance_angle_deg,
+            penetration_mm=penetration_mm, support_mm=support_mm, dump_dir=dump_dir,
+            explain=explain,
+        )
 
 
 def _load_tree(config: RunConfig) -> KinematicTree:

@@ -7,8 +7,6 @@ shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 ORTHONORMAL_TOL = 1e-9
@@ -37,8 +35,33 @@ def _key(*arrays: np.ndarray) -> tuple[bytes, ...]:
     return tuple((arr + 0.0).tobytes() for arr in arrays)
 
 
-@dataclass(frozen=True)
-class Transform:
+class Frozen:
+    """Base of the package's immutable records: ``__init__`` fills the
+    instance dict, and setting or deleting an attribute afterwards raises
+    AttributeError. Records compare by identity unless a subclass says
+    otherwise; the repr lists the annotated fields."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__annotations__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenValue(Frozen):
+    """A frozen record that compares and hashes by its fields, in order."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+
+class Transform(Frozen):
     """Proper rigid transform: ``p_world = rotation @ p_local + translation``.
 
     Transforms compare and hash by the values of their arrays.
@@ -46,6 +69,10 @@ class Transform:
 
     rotation: np.ndarray
     translation: np.ndarray
+
+    def __init__(self, rotation, translation):
+        self.__dict__.update(rotation=rotation, translation=translation)
+        self.__post_init__()
 
     def __post_init__(self):
         rot = np.asarray(self.rotation, dtype=float)
@@ -56,15 +83,15 @@ class Transform:
             raise ValueError(f"rotation is not orthonormal (max deviation {err:.3e})")
         if np.linalg.det(rot) < 0.0:
             raise ValueError("rotation must be proper (det = +1), got a reflection")
-        object.__setattr__(self, "rotation", _frozen(rot))
-        object.__setattr__(self, "translation", _frozen(_as_vec3(self.translation, "translation")))
+        self.__dict__.update(
+            rotation=_frozen(rot), translation=_frozen(_as_vec3(self.translation, "translation"))
+        )
 
     @classmethod
     def _of(cls, rotation: np.ndarray, translation: np.ndarray) -> "Transform":
         """Transform of a rotation computed from proper rotations, not re-checked."""
         transform = object.__new__(cls)
-        object.__setattr__(transform, "rotation", _frozen(rotation))
-        object.__setattr__(transform, "translation", _frozen(translation))
+        transform.__dict__.update(rotation=_frozen(rotation), translation=_frozen(translation))
         return transform
 
     def __eq__(self, other):
@@ -137,18 +164,17 @@ CORNER_SIGNS = np.array(
 )
 
 
-@dataclass(frozen=True)
-class OrientedBox:
+class OrientedBox(Frozen):
     """Box spanning ``[-h, +h]`` per axis of its pose frame (h = half_extents)."""
 
     pose: Transform
     half_extents: np.ndarray
 
-    def __post_init__(self):
-        half = _as_vec3(self.half_extents, "half_extents")
+    def __init__(self, pose, half_extents):
+        half = _as_vec3(half_extents, "half_extents")
         if not np.all(half > 0.0):
             raise ValueError(f"half_extents must be strictly positive, got {half}")
-        object.__setattr__(self, "half_extents", _frozen(half))
+        self.__dict__.update(pose=pose, half_extents=_frozen(half))
 
     def __eq__(self, other):
         if not isinstance(other, OrientedBox):
@@ -178,20 +204,18 @@ class OrientedBox:
         return self.pose.apply(CORNER_SIGNS * self.half_extents)
 
 
-@dataclass(frozen=True)
-class Aabb:
+class Aabb(Frozen):
     """World-axis-aligned bounding box."""
 
     min: np.ndarray
     max: np.ndarray
 
-    def __post_init__(self):
-        lo = _as_vec3(self.min, "min")
-        hi = _as_vec3(self.max, "max")
+    def __init__(self, min, max):
+        lo = _as_vec3(min, "min")
+        hi = _as_vec3(max, "max")
         if np.any(lo > hi):
             raise ValueError(f"Aabb min must be <= max componentwise, got {lo} > {hi}")
-        object.__setattr__(self, "min", _frozen(lo))
-        object.__setattr__(self, "max", _frozen(hi))
+        self.__dict__.update(min=_frozen(lo), max=_frozen(hi))
 
     def __eq__(self, other):
         if not isinstance(other, Aabb):

@@ -42,13 +42,12 @@ has no other representation.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import world_aabb
+from .geometry import Frozen, world_aabb
 from .model import JointVector, KinematicTree, forward_kinematics
 from .planner import FoldLattice
 
@@ -97,8 +96,7 @@ class EdgeMetrics(NamedTuple):
         return tuple(sums)
 
 
-@dataclass(frozen=True, eq=False)
-class RankedReport:
+class RankedReport(Frozen):
     """The best sequences, sorted ascending-lexicographically by ``criteria``.
 
     One row per sequence, best first, held as arrays: row i folds the
@@ -117,6 +115,12 @@ class RankedReport:
     c_vol: np.ndarray
     c_dim: np.ndarray
     c_aerial: np.ndarray
+
+    def __init__(self, criteria, sequence_count, orders, steps, edges, c_vol, c_dim, c_aerial):
+        self.__dict__.update(
+            criteria=criteria, sequence_count=sequence_count, orders=orders, steps=steps,
+            edges=edges, c_vol=c_vol, c_dim=c_dim, c_aerial=c_aerial,
+        )
 
     def __len__(self) -> int:
         return len(self.orders)

@@ -60,7 +60,7 @@ import yaml
 from yaml.constructor import ConstructorError
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
-from .geometry import OrientedBox, Transform, pack_boxes, rotation_matrix
+from .geometry import Frozen, FrozenValue, OrientedBox, Transform, pack_boxes, rotation_matrix
 
 ANGLE_SLACK = 1e-9
 
@@ -175,18 +175,18 @@ class PanelSpec:
         return self.parent is not None and self.theta_init != self.theta_final
 
 
-@dataclass(frozen=True)
-class GripperSpec:
+class GripperSpec(FrozenValue):
     """Suction-tool footprint used for grasp-side advisories."""
 
     dims: tuple[float, float, float]
-    standoff: float = 0.0
+    standoff: float
 
-    def __post_init__(self):
-        if not all(d > 0.0 for d in self.dims):
-            raise SpecValidationError(f"gripper dims must be positive, got {self.dims}")
-        if self.standoff < 0.0:
+    def __init__(self, dims, standoff=0.0):
+        if not all(d > 0.0 for d in dims):
+            raise SpecValidationError(f"gripper dims must be positive, got {dims}")
+        if standoff < 0.0:
             raise SpecValidationError("gripper standoff must be >= 0")
+        self.__dict__.update(dims=dims, standoff=standoff)
 
 
 @dataclass(frozen=True)
@@ -318,8 +318,7 @@ def _sweep_weights(panels, step: float) -> list[np.ndarray]:
     return [weights[end - size:end] for end, size in zip(ends.tolist(), sizes)]
 
 
-@dataclass(frozen=True, eq=False)
-class KinematicTree:
+class KinematicTree(Frozen):
     """A validated carton spec plus everything planning derives from it once.
 
     ``spec`` supplies every tolerance, the table, the gripper and the
@@ -367,9 +366,19 @@ class KinematicTree:
     ancestry: dict[int, int]
     subtree_ancestry: dict[int, int]
     obstacles: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    panel_records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    sweeps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    pair_verdicts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __init__(
+        self, spec, ids, topo_order, foldable_ids, bits, panels_by_id, mounts, crease_terms,
+        turns, subtrees, ancestry, subtree_ancestry, obstacles,
+    ):
+        self.__dict__.update(
+            spec=spec, ids=ids, topo_order=topo_order, foldable_ids=foldable_ids, bits=bits,
+            panels_by_id=panels_by_id, mounts=mounts, crease_terms=crease_terms, turns=turns,
+            subtrees=subtrees, ancestry=ancestry, subtree_ancestry=subtree_ancestry,
+            obstacles=obstacles,
+            # The memos, empty until used and left out of the repr.
+            panel_records={}, sweeps={}, pair_verdicts={},
+        )
 
     def panel(self, panel_id: int) -> PanelSpec:
         return self.panels_by_id[panel_id]
@@ -554,11 +563,13 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
     )
 
 
-@dataclass(frozen=True)
-class JointVector:
+class JointVector(FrozenValue):
     """Joint angle per panel id; the root entry is fixed at zero."""
 
     angles: dict[int, float]
+
+    def __init__(self, angles):
+        self.__dict__["angles"] = angles
 
     def angle(self, panel_id: int) -> float:
         return self.angles[panel_id]
@@ -584,8 +595,7 @@ class JointVector:
         return JointVector(angles)
 
 
-@dataclass(frozen=True)
-class PanelPose:
+class PanelPose(Frozen):
     """World placement of one panel at a given joint vector.
 
     Poses compare by value, like the transforms and boxes they hold.
@@ -595,6 +605,9 @@ class PanelPose:
     pose: Transform
     center: np.ndarray
     solid: OrientedBox
+
+    def __init__(self, panel_id, pose, center, solid):
+        self.__dict__.update(panel_id=panel_id, pose=pose, center=center, solid=solid)
 
     def __eq__(self, other):
         if not isinstance(other, PanelPose):
@@ -635,10 +648,10 @@ def _frozen_in_place(cls, **fields):
     here from validated input: arrays are write-protected without a copy,
     and nothing is checked again."""
     made = object.__new__(cls)
-    for name, value in fields.items():
+    for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        object.__setattr__(made, name, value)
+    made.__dict__.update(fields)
     return made
 
 
@@ -991,15 +1004,48 @@ def load_spec(path) -> CartonSpec:
 
 
 def _rotation_to_rpy_deg(rot: np.ndarray) -> list[float]:
-    # Inverse of _rpy_matrix (ZYX convention); gimbal-locked poses pick yaw = 0.
-    pitch = -math.asin(max(-1.0, min(1.0, float(rot[2, 0]))))
-    if abs(abs(rot[2, 0]) - 1.0) < 1e-12:
-        roll = math.atan2(-float(rot[1, 2]), float(rot[1, 1]))
-        yaw = 0.0
-    else:
-        roll = math.atan2(float(rot[2, 1]), float(rot[2, 2]))
-        yaw = math.atan2(float(rot[1, 0]), float(rot[0, 0]))
-    return [math.degrees(roll), math.degrees(pitch), math.degrees(yaw)]
+    """Roll, pitch and yaw degrees whose ``_rpy_matrix`` is ``rot`` bit for bit.
+
+    The angles are read off the matrix (ZYX) with cos(pitch) >= 0, then
+    <= 0. Read degrees are often an ulp off, so the floats near each
+    reading (``_near``) are searched: pitch first, since entry [2, 0]
+    depends on it alone, then roll, since row 2 does not depend on yaw,
+    then yaw. A rotation that no such triple rebuilds (one not built from
+    degrees, or gimbal-locked with underflowed entries) gets the first
+    reading, with yaw = 0 at gimbal lock."""
+    (r00, _, _), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
+    readings = [
+        [
+            math.degrees(math.atan2(sign * r21, sign * r22)),
+            math.degrees(math.atan2(-r20, sign * math.hypot(r21, r22))),
+            math.degrees(math.atan2(sign * r10, sign * r00)),
+        ]
+        for sign in (1.0, -1.0)
+    ]
+    for roll, pitch, yaw in readings:
+        for p in _near(pitch):
+            if _rpy_matrix((0.0, p, 0.0))[2, 0] != r20:
+                continue
+            for r in _near(roll):
+                if _rpy_matrix((r, p, 0.0))[2].tolist() != [r20, r21, r22]:
+                    continue
+                for y in _near(yaw):
+                    if np.array_equal(_rpy_matrix((r, p, y)), rot):
+                        return [r, p, y]
+    if abs(abs(r20) - 1.0) < 1e-12:
+        return [math.degrees(math.atan2(-r12, r11)), readings[0][1], 0.0]
+    return readings[0]
+
+
+def _near(value: float) -> list[float]:
+    """``value`` and the floats within four ulps of it, the shortest repr
+    first, the nearer first among equally short ones."""
+    below = above = value
+    near = [value]
+    for _ in range(4):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        near += (above, below)
+    return sorted(near, key=lambda c: len(repr(c)))
 
 
 def _degrees(angle: float) -> float:
@@ -1007,13 +1053,8 @@ def _degrees(angle: float) -> float:
     ``math.radians`` is ``angle``, the nearest of those on a tie: the plain
     pair misses by an ulp for one degree value in twenty, and a spec's 500
     reads back as 500.0, not 500.00000000000006."""
-    degrees = below = above = math.degrees(angle)
-    candidates = [degrees]
-    for _ in range(4):
-        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
-        candidates += (above, below)
-    exact = [c for c in candidates if math.radians(c) == angle]
-    return min(exact, key=lambda c: len(repr(c)), default=degrees)
+    degrees = math.degrees(angle)
+    return next((c for c in _near(degrees) if math.radians(c) == angle), degrees)
 
 
 def serialize_spec(spec: CartonSpec) -> str:

@@ -45,13 +45,13 @@ is canonical regardless of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
 import numpy as np
 
 from .collision import _pair_blocked, build_sweeps, sweep
+from .geometry import Frozen
 from .model import KinematicTree
 
 
@@ -59,7 +59,6 @@ class PlannerError(ValueError):
     """The planning problem itself is malformed (e.g. nothing to fold)."""
 
 
-@dataclass
 class SearchDiagnostics:
     """Counters of one lattice build and the searches over it.
 
@@ -75,24 +74,30 @@ class SearchDiagnostics:
     after the current N-th key. A ranking of every path enumerates every prefix of every
     sequence and prunes nothing. A search for the best few visits the
     cheapest bound first, so its counts measure how soon it holds a
-    tight cutoff.
+    tight cutoff. Counters compare by value.
     """
 
-    nodes_expanded: int = 0
-    cc_calls: int = 0
-    cc_cache_hits: int = 0
-    pruned: int = 0
-    dead_ends: int = 0
-    sequences: int = 0
-    sweeps: int = 0
-    pair_tests: int = 0
+    def __init__(
+        self, nodes_expanded=0, cc_calls=0, cc_cache_hits=0, pruned=0, dead_ends=0,
+        sequences=0, sweeps=0, pair_tests=0,
+    ):
+        self.__dict__.update(
+            nodes_expanded=nodes_expanded, cc_calls=cc_calls, cc_cache_hits=cc_cache_hits,
+            pruned=pruned, dead_ends=dead_ends, sequences=sequences, sweeps=sweeps,
+            pair_tests=pair_tests,
+        )
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"SearchDiagnostics({', '.join(self.lines())})"
 
     def lines(self) -> list[str]:
         return [f"{name}={value}" for name, value in vars(self).items()]
 
 
-@dataclass(frozen=True, eq=False)
-class FoldLattice:
+class FoldLattice(Frozen):
     """The fold states of one carton that lie on some complete path, and their folds.
 
     A fold state is a bit mask over ``tree.foldable_ids`` (``tree.bits``).
@@ -117,6 +122,12 @@ class FoldLattice:
     aerial: np.ndarray
     sequence_count: int
     stats: SearchDiagnostics
+
+    def __init__(self, tree, masks, layers, first, source, child, joint, aerial, sequence_count, stats):
+        self.__dict__.update(
+            tree=tree, masks=masks, layers=layers, first=first, source=source, child=child,
+            joint=joint, aerial=aerial, sequence_count=sequence_count, stats=stats,
+        )
 
     def paths(self) -> tuple[np.ndarray, int]:
         """Every complete path as a row of edge ids, and the number of prefixes.

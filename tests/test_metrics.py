@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -414,7 +415,7 @@ class TestRankLattice:
 
     def test_bounded_search_prunes(self):
         _, lattice, _ = planned("distinct:6", ("aerial", "maxdim", "volume"))
-        before = replace(lattice.stats)
+        before = copy.copy(lattice.stats)
         rank_lattice(lattice)
         full_nodes = lattice.stats.nodes_expanded - before.nodes_expanded
         assert lattice.stats.pruned == before.pruned

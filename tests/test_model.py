@@ -456,12 +456,6 @@ class TestSpecRoundTrip:
         spec = spec_from_mapping(data)
         assert parse_spec(serialize_spec(spec)) == spec
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP.md item 8: serialize_spec writes a rotation as roll, pitch and yaw "
-        "degrees from asin and atan2 of its entries, and the matrix parsed back from them "
-        "differs from the original by an ulp in some entry for many drawn poses",
-    )
     # The first failing example is reported as drawn: shrinking it would
     # take most of a minute and tell nothing the reason does not. On a
     # failure hypothesis's pytest plugin imports libcst, which warns about

@@ -15,7 +15,13 @@ from cartonfold.cli import EXIT_NO_SEQUENCES, RunConfig, run
 from cartonfold.collision import collision_check
 from cartonfold.geometry import OrientedBox
 from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec, serialize_spec
-from cartonfold.planner import PlannerError, build_lattice, enumerate_sequences
+from cartonfold.planner import (
+    FoldLattice,
+    PlannerError,
+    SearchDiagnostics,
+    build_lattice,
+    enumerate_sequences,
+)
 
 from . import oracles
 from .conftest import SHIPPED_SPECS, free_flap_spec
@@ -520,7 +526,8 @@ class TestLoopReference:
         first = build_lattice(tree)
         again = build_lattice(tree)
         assert (again.stats.sweeps, again.stats.pair_tests) == (0, 0)
-        assert_same_lattice(again, replace(first, stats=replace(first.stats, sweeps=0, pair_tests=0)))
+        stats = SearchDiagnostics(**{**vars(first.stats), "sweeps": 0, "pair_tests": 0})
+        assert_same_lattice(again, FoldLattice(**{**vars(first), "stats": stats}))
 
 
 class TestSparseLargeK:
