@@ -13,7 +13,8 @@ from dataclasses import replace
 import numpy as np
 
 from cartonfold import OrientedBox, collision_check, grasp_side, sweep_angles
-from cartonfold.model import JointVector, build_tree, forward_kinematics, parse_spec
+from cartonfold.model import build_tree, parse_spec
+from cartonfold.reference import JointVector, forward_kinematics
 
 DOC = """
 panels:

@@ -12,7 +12,6 @@ Set CARTONFOLD_LOG=debug|info|warning to control log verbosity.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -22,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .collision import collision_check, grasp_side, n_sweep_samples, sweep
 from .geometry import FrozenValue
 from .metrics import RankedReport, rank_lattice, round6
 from .model import KinematicTree, SpecValidationError, build_tree, load_spec
@@ -180,7 +178,9 @@ def format_structured(report: RankedReport) -> str:
             report.orders.tolist(), report.steps.tolist(), c_vol, c_dim, report.c_aerial.tolist()
         )
     ]
-    policy = ",\n".join(f"    {json.dumps(c)}" for c in report.criteria)
+    # Every criterion is a plain name from RANKING_CRITERIA, so its JSON
+    # text is the name in double quotes.
+    policy = ",\n".join(f'    "{c}"' for c in report.criteria)
     listed = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     return (
         f'{{\n  "policy": [\n{policy}\n  ],\n  "sequence_count": {report.sequence_count},\n'
@@ -188,115 +188,11 @@ def format_structured(report: RankedReport) -> str:
     )
 
 
-def _state_record(tree: KinematicTree, mask: int, joint: int | None, aerial) -> dict:
-    # Full float precision here: renderers and the replay invariant need the
-    # dumped angles and poses to agree to machine accuracy.
-    records = [tree.panel_state(pid, mask) for pid in tree.ids]
-    return {
-        "joint": joint,
-        "aerial": aerial,
-        "theta_rad": {str(p.id): p.theta_final if mask & tree.bits.get(p.id, 0) else p.theta_init
-                      for p in tree.spec.panels},
-        "panels": [
-            {
-                "id": r.pose.panel_id,
-                "rotation": [list(map(float, row)) for row in r.pose.pose.rotation],
-                "translation": [float(v) for v in r.pose.pose.translation],
-                "center": [float(v) for v in r.pose.center],
-                "half_extents": [float(v) for v in r.pose.solid.half_extents],
-            }
-            for r in records
-        ],
-        "aabb": {
-            "min": list(map(min, zip(*(r.lo for r in records)))),
-            "max": list(map(max, zip(*(r.hi for r in records)))),
-        },
-    }
-
-
-def dump_states(tree: KinematicTree, report: RankedReport, directory: str) -> None:
-    """One JSON file per reported sequence with a record for every state.
-
-    Records 0 .. k-1 carry the state before each fold plus that fold's joint
-    and aerial flag; a final record holds the fully folded pose. Feeding any
-    record's theta back through forward kinematics reproduces its poses.
-    Each file is the text of ``json.dumps(payload, indent=2)``, with payload
-    {"sequence": [...], "steps": [record, ...]}. Sequences share most of
-    their steps, so each distinct (state, joint) record is encoded once,
-    and the files are written from those texts.
-    """
-    out = Path(directory)
-    texts: dict[tuple[int, int | None], str] = {}
-
-    def step(t: int, mask: int, joint: int | None, aerial) -> str:
-        text = texts.get((mask, joint))
-        if text is None:
-            # The record as a list item, less its closing brace, so "t" can follow.
-            body = json.dumps(_state_record(tree, mask, joint, aerial), indent=2)
-            text = texts[mask, joint] = "    " + body[:-2].replace("\n", "\n    ")
-        return f'{text},\n      "t": {t}\n    }}'
-
-    aerial = report.edges.aerial[report.steps].tolist()
-    for rank, (order, flags) in enumerate(zip(report.orders.tolist(), aerial), start=1):
-        steps, mask = [], 0
-        for t, (joint, flag) in enumerate(zip(order, flags)):
-            steps.append(step(t, mask, joint, flag))
-            mask |= tree.bits[joint]
-        steps.append(step(len(order), mask, None, None))
-        sequence = ",\n".join(f"    {j}" for j in order)
-        path = out / f"sequence_{rank:04d}.json"
-        path.write_text(
-            f'{{\n  "sequence": [\n{sequence}\n  ],\n  "steps": [\n' + ",\n".join(steps) + "\n  ]\n}\n",
-            encoding="utf-8",
-        )
-
-
-def explain(config: RunConfig, sequence=None, out=None) -> int:
-    """Replay one sequence step by step and print a trace.
-
-    ``sequence`` defaults to the one carried in the config.
-    """
-    out = out or sys.stdout
-    try:
-        tree = _load_tree(config)
-    except (SpecValidationError, PlannerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_INVALID
-    sequence = tuple(sequence) if sequence is not None else (config.explain or ())
-
-    if sorted(sequence) != sorted(tree.foldable_ids):
-        print(
-            "error: sequence must order all foldable joints "
-            f"{sorted(tree.foldable_ids)}, got {list(sequence)}",
-            file=sys.stderr,
-        )
-        return EXIT_NO_SEQUENCES
-
-    mask = 0
-    for step, joint in enumerate(sequence, start=1):
-        if not collision_check(tree, mask, joint):
-            print(
-                f"sequence invalid: step {step} (fold joint {joint}) collides",
-                file=out,
-            )
-            return EXIT_NO_SEQUENCES
-        (volume,), (max_dim,) = tree.measures([mask])
-        aerial = sweep(tree, mask, joint).aerial
-        side = "n/a" if tree.spec.gripper is None else grasp_side(tree, mask, joint).value
-        print(
-            f"step {step}: fold joint {joint} | cc_samples={n_sweep_samples(tree, joint)} "
-            f"| aerial={'yes' if aerial else 'no'} | volume={volume:.1f} mm^3 "
-            f"| maxdim={max_dim:.1f} mm | grasp={side}",
-            file=out,
-        )
-        mask |= tree.bits[joint]
-    print(f"sequence valid: {len(sequence)} steps", file=out)
-    return EXIT_OK
-
-
 def run(config: RunConfig, out=None) -> int:
     """Build the fold-state lattice, rank it and report; returns the exit code."""
     if config.explain is not None:
+        from .replay import explain
+
         return explain(config, out=out)
     out = out or sys.stdout
     try:
@@ -320,6 +216,8 @@ def run(config: RunConfig, out=None) -> int:
         out.write(format_structured(report))
 
     if config.dump_dir is not None:
+        from .replay import dump_states
+
         dump_states(lattice.tree, report, config.dump_dir)
 
     if not report.sequence_count:

@@ -1,4 +1,4 @@
-"""Swept collision checking for single fold actions, plus grasp advisories.
+"""Swept collision checking for single fold actions.
 
 A fold drives one joint from its initial to its final angle while every
 other joint holds still. The motion is sampled at the spec's tolerance
@@ -53,7 +53,6 @@ and every verdict is the one the kernel alone would give.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import NamedTuple
 
@@ -287,52 +286,3 @@ def collision_check(tree: KinematicTree, mask: int, moving_joint: int) -> bool:
 
 def n_sweep_samples(tree: KinematicTree, joint: int) -> int:
     return len(tree.crease_terms[joint][1])
-
-
-class GraspSide(enum.Enum):
-    """Which panel face a gripper can reach at the start of a fold."""
-
-    INSIDE = "inside"
-    OUTSIDE = "outside"
-    NONE = "none"
-
-
-def grasp_side(tree: KinematicTree, mask: int, joint: int) -> GraspSide:
-    """Advisory placement test for the spec's gripper on the panel about to fold.
-
-    ``mask`` is the fold state the fold starts from. The inner face is the
-    one facing the fold direction. A gripper-sized box is placed on it
-    (offset by the standoff) at the fold's start pose; if that placement
-    collides with another panel, a fixture or the table, the outer face is
-    tried. The result never gates sequence validity.
-    """
-    if mask & tree.bits.get(joint, 0):
-        raise ValueError(f"joint {joint} is already folded")
-    gripper = tree.spec.gripper
-    if gripper is None:
-        raise ValueError("the carton spec declares no gripper")
-    panel = tree.panel(joint)
-    solid = tree.panel_state(joint, mask).pose.solid
-
-    fold_sign = 1.0 if panel.theta_final > panel.theta_init else -1.0
-    half_g = np.asarray(gripper.dims, dtype=float) / 2.0
-    gz = gripper.dims[2]
-    flip = np.diag([1.0, -1.0, -1.0])
-
-    others = [tree.panel_state(pid, mask).pose.solid for pid in tree.ids if pid != joint]
-    batches = [pack_boxes(others)] if others else []
-    if tree.obstacles is not None:
-        batches.append(tree.obstacles)
-    eps = tree.spec.penetration_tolerance
-
-    for side, sign in ((GraspSide.INSIDE, fold_sign), (GraspSide.OUTSIDE, -fold_sign)):
-        normal = sign * solid.pose.rotation[:, 2]
-        center = solid.center + normal * (panel.thickness / 2.0 + gripper.standoff + gz / 2.0)
-        rot = solid.pose.rotation if sign > 0 else solid.pose.rotation @ flip
-        tool = (center[None, :], rot[None, :, :], half_g[None, :])
-        bounds = sweep_bounds(tool)
-        blocked = tree.spec.table_plane and bounds[0][2] < -eps
-        blocked = blocked or any(_blocked(tool, bounds, batch, 0.0) for batch in batches)
-        if not blocked:
-            return side
-    return GraspSide.NONE

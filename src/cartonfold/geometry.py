@@ -136,19 +136,6 @@ def rotation_matrix(axis_dir: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + sin_a * k_cross + (1.0 - cos_a) * (k_cross @ k_cross)
 
 
-def rotate_about_axis(point_on_axis, axis_dir, angle: float) -> Transform:
-    """Transform rotating by ``angle`` about the line through ``point_on_axis``
-    along unit vector ``axis_dir``. Every point on the axis is fixed.
-    """
-    point = _as_vec3(point_on_axis, "point_on_axis")
-    axis = _as_vec3(axis_dir, "axis_dir")
-    norm = np.linalg.norm(axis)
-    if abs(norm - 1.0) > ORTHONORMAL_TOL:
-        raise ValueError(f"axis_dir must be a unit vector, |axis| = {norm!r}")
-    rot = rotation_matrix(axis, angle)
-    return Transform(rot, point - rot @ point)
-
-
 CORNER_SIGNS = np.array(
     [
         [-1, -1, -1],
@@ -202,49 +189,6 @@ class OrientedBox(Frozen):
     def corners(self) -> np.ndarray:
         """All 8 corner vertices in world coordinates, shape (8, 3)."""
         return self.pose.apply(CORNER_SIGNS * self.half_extents)
-
-
-class Aabb(Frozen):
-    """World-axis-aligned bounding box."""
-
-    min: np.ndarray
-    max: np.ndarray
-
-    def __init__(self, min, max):
-        lo = _as_vec3(min, "min")
-        hi = _as_vec3(max, "max")
-        if np.any(lo > hi):
-            raise ValueError(f"Aabb min must be <= max componentwise, got {lo} > {hi}")
-        self.__dict__.update(min=_frozen(lo), max=_frozen(hi))
-
-    def __eq__(self, other):
-        if not isinstance(other, Aabb):
-            return NotImplemented
-        return np.array_equal(self.min, other.min) and np.array_equal(self.max, other.max)
-
-    def __hash__(self):
-        return hash(_key(self.min, self.max))
-
-    @property
-    def extents(self) -> np.ndarray:
-        return self.max - self.min
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.extents))
-
-    @property
-    def max_extent(self) -> float:
-        return float(self.extents.max())
-
-
-def world_aabb(boxes) -> Aabb:
-    """Tightest world-aligned box containing every corner of every input box."""
-    boxes = list(boxes)
-    if not boxes:
-        raise ValueError("world_aabb requires at least one box")
-    corners = np.vstack([box.corners() for box in boxes])
-    return Aabb(corners.min(axis=0), corners.max(axis=0))
 
 
 def pack_boxes(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,14 +272,3 @@ def sat_overlap_matrix(
             separated |= dist > radius
 
     return ~separated
-
-
-def obb_intersect(a: OrientedBox, b: OrientedBox, clearance: float = 0.0) -> bool:
-    """True when the boxes, each inflated by ``clearance / 2``, overlap.
-
-    A negative clearance acts as a penetration allowance: the boxes must
-    interpenetrate by more than ``|clearance|`` before this reports True.
-    """
-    ca, ra, hha = pack_boxes([a])
-    cb, rb, hhb = pack_boxes([b])
-    return bool(sat_overlap_matrix(ca, ra, hha, cb, rb, hhb, clearance)[0, 0])

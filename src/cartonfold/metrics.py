@@ -17,10 +17,10 @@ compared at the 6-decimal precision the reports print, so two sums that
 print equal fall through to the next criterion, and finally to the order
 itself, instead of being ranked by rounding noise.
 
-``score_and_rank`` scores and sorts a given list of orders, placing each
-state by forward kinematics as a whole; it is the reference that
-``rank_lattice`` is tested against. ``rank_lattice`` ranks the paths of a
-fold-state lattice: volume and maxdim weigh the lattice's nodes and
+``reference.score_and_rank`` scores and sorts a given list of orders,
+placing each state by forward kinematics as a whole; it is the reference
+that ``rank_lattice`` is tested against. ``rank_lattice`` ranks the paths
+of a fold-state lattice: volume and maxdim weigh the lattice's nodes and
 aerial its edges, and node weights come from one numpy pass over the
 state masks, assembled from memoised panel records. It works in one of two
 regimes, split on whether the report asks for every path:
@@ -42,13 +42,12 @@ has no other representation.
 from __future__ import annotations
 
 from bisect import insort
-from operator import add, itemgetter
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Frozen, world_aabb
-from .model import JointVector, KinematicTree, forward_kinematics
+from .geometry import Frozen
 from .planner import FoldLattice
 
 # Relative loosening of rank_lattice's lower bounds. The bound and a path's
@@ -124,68 +123,6 @@ class RankedReport(Frozen):
 
     def __len__(self) -> int:
         return len(self.orders)
-
-
-def ranking_key(criteria: tuple[str, ...], c_vol, c_dim, c_aerial, order) -> tuple:
-    """The sort key of one sequence: its totals in ``criteria`` order, the
-    float ones rounded by ``round6``, then the order itself."""
-    totals = {"aerial": c_aerial, "maxdim": c_dim, "volume": c_vol}
-    return tuple(
-        totals[c] if c == "aerial" else round6(totals[c]) for c in criteria
-    ) + (tuple(order),)
-
-
-def score_and_rank(tree: KinematicTree, orders) -> RankedReport:
-    """Score every order and sort them by the spec's ranking.
-
-    The reference ranker, sharing no memo with ``rank_lattice``: each fold
-    state the orders pass through is placed by ``forward_kinematics`` as a
-    whole and measured by ``world_aabb``, once per call. Each order's
-    totals add its steps left to right, and the orders are sorted by
-    ``ranking_key``, so ties after all criteria fall back to the order
-    itself and the report does not depend on the input's order. The report
-    has one edge per (order, step); an empty input gives an empty report.
-    """
-    criteria = tree.spec.ranking
-    states: dict = {}
-    scored = []
-    for order in map(tuple, orders):
-        steps = []
-        for t, joint in enumerate(order):
-            folded = frozenset(order[:t])
-            measured = states.get(folded)
-            if measured is None:
-                poses = forward_kinematics(tree, JointVector.from_folded(tree, folded))
-                box = world_aabb(p.solid for p in poses)
-                lowest = {p.panel_id: p.solid.corners()[:, 2].min() for p in poses}
-                measured = states[folded] = (box.volume, box.max_extent, lowest)
-            volume, max_dim, lowest = measured
-            aerial = min(lowest[pid] for pid in tree.subtree_ids(joint)) > tree.spec.support_tolerance
-            steps.append((joint, volume, max_dim, bool(aerial)))
-        c_vol = sum(step[1] for step in steps)
-        c_dim = sum(step[2] for step in steps)
-        c_aerial = sum(step[3] for step in steps)
-        key = ranking_key(criteria, c_vol, c_dim, c_aerial, order)
-        scored.append((key, c_vol, c_dim, c_aerial, steps))
-    scored.sort(key=itemgetter(0))
-    shape = (len(scored), len(tree.foldable_ids))
-    per_step = [step for *_, steps in scored for step in steps]
-    return RankedReport(
-        criteria=criteria,
-        sequence_count=len(scored),
-        orders=np.array([key[-1] for key, *_ in scored], dtype=np.intp).reshape(shape),
-        steps=np.arange(len(per_step)).reshape(shape),
-        edges=EdgeMetrics(
-            *(_column(per_step, i, dtype) for i, dtype in enumerate((np.intp, float, float, bool)))
-        ),
-        c_vol=_column(scored, 1, float),
-        c_dim=_column(scored, 2, float),
-        c_aerial=_column(scored, 3, np.intp),
-    )
-
-
-def _column(rows: list[tuple], i: int, dtype) -> np.ndarray:
-    return np.array([row[i] for row in rows], dtype=dtype)
 
 
 def _rounded(values: np.ndarray) -> np.ndarray:
@@ -369,3 +306,14 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
 
     visit(0, (0,) * len(criteria))
     return np.array([key[-1] for key in best], dtype=np.intp)
+
+
+def __getattr__(name: str):
+    # The benchmark's tracer (bench/tracing.py) looks score_and_rank up on
+    # this module, the one its span names. The hook goes when the tracer
+    # reads the run's own counters instead (ROADMAP item 2).
+    if name == "score_and_rank":
+        from .reference import score_and_rank
+
+        return score_and_rank
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -42,8 +42,9 @@ over the tree's foldable joints, and the tree places one panel in one fold
 state at a time (``KinematicTree.panel_state``), memoised per panel and
 the folded joints that place it. Bounding-box measures, aerial flags and
 the poses of traces and dumps are all assembled from those records.
-``forward_kinematics`` places every panel of any joint vector at once and
-gives the same poses, bit for bit.
+``reference.forward_kinematics`` places every panel of any joint vector at
+once and gives the same poses, bit for bit. Writing a spec back out
+(``reference.serialize_spec``) lives there too, since no plan runs it.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ from yaml.constructor import ConstructorError
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .geometry import Frozen, FrozenValue, OrientedBox, Transform, pack_boxes, rotation_matrix
-
-ANGLE_SLACK = 1e-9
 
 DEFAULT_TOLERANCE_ANGLE_DEG = 5.0
 DEFAULT_PENETRATION_TOLERANCE_MM = 0.1
@@ -339,7 +338,7 @@ class KinematicTree(Frozen):
     a row [1, sin θ, 1 − cos θ], whose sum of the three is M turned by θ
     (Rodrigues). ``turns[p]`` holds M turned by theta_init and by
     theta_final, each the product ``rotation_matrix(axis, θ) @ M`` that
-    ``forward_kinematics`` forms, computed for all panels in one pass.
+    ``reference.forward_kinematics`` forms, computed for all panels in one pass.
 
     A panel's pose depends only on the folded joints in its ancestry, so
     ``panel_state`` builds it once per (panel, mask & ancestry) and keeps
@@ -405,10 +404,10 @@ class KinematicTree(Frozen):
         """One panel's pose in fold state ``mask``, built once per ancestry subset.
 
         The frame is the parent's composed with the panel's turned mount
-        (``turns``) at its anchor, the product ``_child_frame`` forms in
-        ``forward_kinematics``, so the pose is the one FK gives for the same
-        fold state, bit for bit. The record's arrays are all computed here,
-        so they are frozen in place rather than copied.
+        (``turns``) at its anchor, the product ``reference._child_frame``
+        forms in forward kinematics, so the pose is the one FK gives for
+        the same fold state, bit for bit. The record's arrays are all
+        computed here, so they are frozen in place rather than copied.
         """
         key = (panel_id, self.ancestry[panel_id] & mask)
         record = self.panel_records.get(key)
@@ -563,38 +562,6 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
     )
 
 
-class JointVector(FrozenValue):
-    """Joint angle per panel id; the root entry is fixed at zero."""
-
-    angles: dict[int, float]
-
-    def __init__(self, angles):
-        self.__dict__["angles"] = angles
-
-    def angle(self, panel_id: int) -> float:
-        return self.angles[panel_id]
-
-    @classmethod
-    def flat(cls, tree: KinematicTree) -> "JointVector":
-        return cls({p.id: p.theta_init for p in tree.spec.panels})
-
-    @classmethod
-    def from_folded(cls, tree: KinematicTree, folded) -> "JointVector":
-        """Binary fold model: folded joints sit at theta_final, the rest at theta_init."""
-        folded = set(folded)
-        return cls(
-            {
-                p.id: (p.theta_final if p.id in folded else p.theta_init)
-                for p in tree.spec.panels
-            }
-        )
-
-    def replace(self, panel_id: int, angle: float) -> "JointVector":
-        angles = dict(self.angles)
-        angles[panel_id] = angle
-        return JointVector(angles)
-
-
 class PanelPose(Frozen):
     """World placement of one panel at a given joint vector.
 
@@ -633,16 +600,6 @@ class PanelRecord(NamedTuple):
     hi: tuple[float, float, float]
 
 
-def _check_angle(panel: PanelSpec, value: float) -> None:
-    lo = min(panel.theta_init, panel.theta_final) - ANGLE_SLACK
-    hi = max(panel.theta_init, panel.theta_final) + ANGLE_SLACK
-    if not (lo <= value <= hi):
-        raise ValueError(
-            f"theta for panel {panel.id} out of range: {value!r} not within "
-            f"[{panel.theta_init!r}, {panel.theta_final!r}]"
-        )
-
-
 def _frozen_in_place(cls, **fields):
     """A frozen ``cls`` (``Transform`` or ``OrientedBox``) of fields computed
     here from validated input: arrays are write-protected without a copy,
@@ -668,36 +625,6 @@ def panel_pose_from_frame(panel: PanelSpec, frame: Transform) -> PanelPose:
         half_extents=np.array([w / 2.0, h / 2.0, t / 2.0]),
     )
     return PanelPose(panel_id=panel.id, pose=frame, center=center, solid=solid)
-
-
-def _child_frame(
-    tree: KinematicTree, panel_id: int, parent_frame: Transform, angle: float
-) -> Transform:
-    """World frame of a panel: its parent's frame composed with the crease
-    rotation by ``angle`` about the axis anchored in the parent frame, then
-    the panel's zero-angle frame."""
-    anchor, axis, mount = tree.mounts[panel_id]
-    return parent_frame @ Transform._of(rotation_matrix(axis, angle) @ mount, anchor)
-
-
-def forward_kinematics(tree: KinematicTree, theta: JointVector) -> list[PanelPose]:
-    """Panel poses for a joint vector, ordered by panel id.
-
-    Each child frame is the parent frame composed with the crease rotation:
-    rotate by theta about the crease axis anchored in the parent frame, then
-    place the child's zero-angle frame.
-    """
-    spec = tree.spec
-    frames: dict[int, Transform] = {}
-    for pid in tree.topo_order:
-        panel = tree.panels_by_id[pid]
-        value = theta.angle(pid)
-        _check_angle(panel, value)
-        if panel.parent is None:
-            frames[pid] = spec.root_pose
-            continue
-        frames[pid] = _child_frame(tree, pid, frames[panel.parent], value)
-    return [panel_pose_from_frame(tree.panels_by_id[pid], frames[pid]) for pid in tree.ids]
 
 
 # ---------------------------------------------------------------------------
@@ -1003,40 +930,6 @@ def load_spec(path) -> CartonSpec:
     return parse_spec(text)
 
 
-def _rotation_to_rpy_deg(rot: np.ndarray) -> list[float]:
-    """Roll, pitch and yaw degrees whose ``_rpy_matrix`` is ``rot`` bit for bit.
-
-    The angles are read off the matrix (ZYX) with cos(pitch) >= 0, then
-    <= 0. Read degrees are often an ulp off, so the floats near each
-    reading (``_near``) are searched: pitch first, since entry [2, 0]
-    depends on it alone, then roll, since row 2 does not depend on yaw,
-    then yaw. A rotation that no such triple rebuilds (one not built from
-    degrees, or gimbal-locked with underflowed entries) gets the first
-    reading, with yaw = 0 at gimbal lock."""
-    (r00, _, _), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
-    readings = [
-        [
-            math.degrees(math.atan2(sign * r21, sign * r22)),
-            math.degrees(math.atan2(-r20, sign * math.hypot(r21, r22))),
-            math.degrees(math.atan2(sign * r10, sign * r00)),
-        ]
-        for sign in (1.0, -1.0)
-    ]
-    for roll, pitch, yaw in readings:
-        for p in _near(pitch):
-            if _rpy_matrix((0.0, p, 0.0))[2, 0] != r20:
-                continue
-            for r in _near(roll):
-                if _rpy_matrix((r, p, 0.0))[2].tolist() != [r20, r21, r22]:
-                    continue
-                for y in _near(yaw):
-                    if np.array_equal(_rpy_matrix((r, p, y)), rot):
-                        return [r, p, y]
-    if abs(abs(r20) - 1.0) < 1e-12:
-        return [math.degrees(math.atan2(-r12, r11)), readings[0][1], 0.0]
-    return readings[0]
-
-
 def _near(value: float) -> list[float]:
     """``value`` and the floats within four ulps of it, the shortest repr
     first, the nearer first among equally short ones."""
@@ -1057,53 +950,12 @@ def _degrees(angle: float) -> float:
     return next((c for c in _near(degrees) if math.radians(c) == angle), degrees)
 
 
-def serialize_spec(spec: CartonSpec) -> str:
-    """Write a spec back to the document format; parse(serialize(s)) == s."""
-    panels = []
-    for p in spec.panels:
-        entry: dict = {"id": p.id}
-        if p.name:
-            entry["name"] = p.name
-        entry["parent"] = p.parent
-        entry["dims_mm"] = [float(v) for v in p.dims]
-        if p.parent is not None:
-            entry["crease_anchor_mm"] = [float(v) for v in p.crease_anchor]
-            entry["crease_dir"] = [float(v) for v in p.crease_dir]
-            entry["theta_init_deg"] = _degrees(p.theta_init)
-            entry["theta_final_deg"] = _degrees(p.theta_final)
-        if p.foldable_flag is not None:
-            entry["foldable"] = p.foldable_flag
-        panels.append(entry)
+def __getattr__(name: str):
+    # The benchmark's tracer (bench/tracing.py) looks forward_kinematics up
+    # on this module, the one its span names. The hook goes when the tracer
+    # reads the run's own counters instead (ROADMAP item 2).
+    if name == "forward_kinematics":
+        from .reference import forward_kinematics
 
-    environment: list[dict] = []
-    if spec.table_plane:
-        environment.append({"name": "table", "half_space": True})
-    for box in spec.environment:
-        environment.append(
-            {
-                "center_mm": [float(v) for v in box.center],
-                "dims_mm": [float(v) for v in 2.0 * box.half_extents],
-                "rpy_deg": _rotation_to_rpy_deg(box.pose.rotation),
-            }
-        )
-
-    data: dict = {
-        "panels": panels,
-        "root_pose": {
-            "translation_mm": [float(v) for v in spec.root_pose.translation],
-            "rpy_deg": _rotation_to_rpy_deg(spec.root_pose.rotation),
-        },
-        "environment": environment,
-        "planner": {
-            "tolerance_angle_deg": _degrees(spec.tolerance_angle),
-            "penetration_tolerance_mm": spec.penetration_tolerance,
-            "support_tolerance_mm": spec.support_tolerance,
-        },
-        "ranking": list(spec.ranking),
-    }
-    if spec.gripper is not None:
-        data["gripper"] = {
-            "dims_mm": [float(v) for v in spec.gripper.dims],
-            "standoff_mm": spec.gripper.standoff,
-        }
-    return yaml.safe_dump(data, sort_keys=False)
+        return forward_kinematics
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

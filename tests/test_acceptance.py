@@ -18,10 +18,9 @@ import pytest
 
 from cartonfold.cli import RunConfig, run
 from cartonfold.collision import collision_check
-from cartonfold.geometry import obb_intersect
-from cartonfold.metrics import ranking_key, score_and_rank
 from cartonfold.model import build_tree, load_spec
 from cartonfold.planner import enumerate_sequences
+from cartonfold.reference import obb_intersect, ranking_key, score_and_rank
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
 from .oracles import brute_force_sequences, every_verdict, sampled_overlap, sampling_band

@@ -24,7 +24,6 @@ from cartonfold.cli import (
     EXIT_OK,
     EXIT_SPEC_INVALID,
     RunConfig,
-    explain,
     format_csv,
     format_structured,
     main,
@@ -32,13 +31,13 @@ from cartonfold.cli import (
 )
 from cartonfold.metrics import EdgeMetrics, RankedReport, rank_lattice
 from cartonfold.model import (
-    JointVector,
     build_tree,
-    forward_kinematics,
     load_spec,
     panel_pose_from_frame,
 )
 from cartonfold.planner import build_lattice
+from cartonfold.reference import JointVector, forward_kinematics
+from cartonfold.replay import explain
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
 from .oracles import csv_report, structured_report
@@ -57,6 +56,18 @@ def run_to_string(config: RunConfig) -> tuple[int, str]:
     out = io.StringIO()
     code = run(config, out=out)
     return code, out.getvalue()
+
+
+def cli_process(*args: str) -> subprocess.CompletedProcess:
+    """``python -m cartonfold.cli`` in a fresh interpreter, with ``src`` importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "cartonfold.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 class TestRun:
@@ -667,14 +678,7 @@ panels:
                 "crease_dir: [1, 0, 0]", "crease_dir: [1e200, 0, 0]"
             )
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        result = subprocess.run(
-            [sys.executable, "-m", "cartonfold.cli", "--spec", str(path)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        result = cli_process("--spec", str(path))
         assert result.returncode == EXIT_SPEC_INVALID
         assert result.stdout == ""
         assert result.stderr == (
@@ -710,3 +714,22 @@ class TestMainEntry:
         )
         assert code == EXIT_OK
         assert "sequence valid" in capsys.readouterr().out
+
+
+class TestOnDemandPaths:
+    """--explain and --dump-states in a fresh interpreter: the replay module
+    loads only for them, so an import it lacks cannot be hidden by one that
+    an earlier test made in this process."""
+
+    def test_explain(self, spec_dir):
+        result = cli_process("--spec", str(spec_dir / "three_flaps.yaml"), "--explain", "2,3,4")
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stdout.splitlines()[-1] == "sequence valid: 3 steps"
+
+    def test_dump_states(self, spec_dir, tmp_path):
+        out_dir = tmp_path / "dump"
+        result = cli_process(
+            "--spec", str(spec_dir / "three_flaps.yaml"), "--top", "3", "--dump-states", str(out_dir)
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert len(list(out_dir.glob("sequence_*.json"))) == 3

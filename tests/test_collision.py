@@ -10,9 +10,7 @@ import pytest
 import cartonfold.collision as collision_module
 import cartonfold.planner as planner_module
 from cartonfold.collision import (
-    GraspSide,
     collision_check,
-    grasp_side,
     n_sweep_samples,
     sweep,
     sweep_angles,
@@ -22,20 +20,19 @@ from cartonfold.geometry import (
     CORNER_SIGNS,
     OrientedBox,
     Transform,
-    obb_intersect,
     pack_boxes,
     sat_overlap_matrix,
 )
 from cartonfold.model import (
     CartonSpec,
     GripperSpec,
-    JointVector,
     PanelSpec,
     build_tree,
-    forward_kinematics,
     load_spec,
 )
 from cartonfold.planner import build_lattice
+from cartonfold.reference import JointVector, forward_kinematics, obb_intersect
+from cartonfold.replay import GraspSide, grasp_side
 
 from .conftest import SHIPPED_SPECS, free_flap_spec
 from .oracles import every_verdict

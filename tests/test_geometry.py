@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 
 from cartonfold.collision import corners_apart, near_sweep, sweep_bounds
 from cartonfold.geometry import (
-    Aabb,
     OrientedBox,
     Transform,
     box_bounds,
-    obb_intersect,
     pack_boxes,
-    rotate_about_axis,
     rotation_matrix,
     sat_overlap_matrix,
-    world_aabb,
 )
 from cartonfold.model import _rpy_matrix
+from cartonfold.reference import Aabb, obb_intersect, rotate_about_axis, world_aabb
 
 from .oracles import sampled_overlap, sampling_band
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from cartonfold.cli import RunConfig, run
-from cartonfold.model import serialize_spec
+from cartonfold.reference import serialize_spec
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
 from .test_metrics import POLICIES

@@ -9,17 +9,16 @@ import numpy as np
 import pytest
 
 from cartonfold.collision import collision_check, sweep
-from cartonfold.geometry import OrientedBox, Transform, world_aabb
-from cartonfold.metrics import rank_lattice, ranking_key, score_and_rank
+from cartonfold.geometry import OrientedBox, Transform
+from cartonfold.metrics import rank_lattice
 from cartonfold.model import (
     CartonSpec,
-    JointVector,
     PanelSpec,
     build_tree,
-    forward_kinematics,
     load_spec,
 )
 from cartonfold.planner import build_lattice, enumerate_sequences
+from cartonfold.reference import JointVector, forward_kinematics, ranking_key, score_and_rank, world_aabb
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
 from .oracles import brute_force_sequences

@@ -15,27 +15,29 @@ import cartonfold.model as model_module
 from cartonfold.collision import sweep
 from cartonfold.geometry import (
     ORTHONORMAL_TOL,
-    Aabb,
     OrientedBox,
     Transform,
-    obb_intersect,
-    rotate_about_axis,
     rotation_matrix,
-    world_aabb,
 )
 from cartonfold.model import (
     CartonSpec,
-    JointVector,
     PanelSpec,
     SpecValidationError,
     build_tree,
-    forward_kinematics,
     load_spec,
     panel_pose_from_frame,
     parse_spec,
-    serialize_spec,
     spec_from_mapping,
     sweep_angles,
+)
+from cartonfold.reference import (
+    Aabb,
+    JointVector,
+    forward_kinematics,
+    obb_intersect,
+    rotate_about_axis,
+    serialize_spec,
+    world_aabb,
 )
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
@@ -466,6 +468,21 @@ class TestSpecRoundTrip:
     def test_rotated_poses_parse_back_equal(self, data):
         spec = spec_from_mapping(data)
         assert parse_spec(serialize_spec(spec)) == spec
+
+    @pytest.mark.parametrize("slot", [0, 2], ids=("roll", "yaw"))
+    @pytest.mark.parametrize("pitch", [90.0, -90.0])
+    def test_gimbal_lock_with_a_tiny_roll_or_yaw(self, pitch, slot):
+        # At pitch ±90 the entries that scale roll and yaw by cos(pitch)
+        # underflow for a tiny angle; the other slot holds 0 or an angle
+        # whose radians underflow to 0.
+        data = yaml.safe_load((SPEC_DIR / "three_flaps.yaml").read_text())
+        for tiny in (1e-300, -1e-300, 5e-324, -5e-324):
+            for other in (0.0, 5e-324):
+                rpy = [other, pitch, other]
+                rpy[slot] = tiny
+                data["root_pose"]["rpy_deg"] = rpy
+                spec = spec_from_mapping(data)
+                assert parse_spec(serialize_spec(spec)) == spec, rpy
 
     @pytest.mark.parametrize("deg", [3.0, 6.0, 1.5])
     def test_degree_values_that_drift_by_an_ulp(self, deg):

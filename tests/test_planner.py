@@ -14,7 +14,7 @@ import cartonfold.planner as planner_module
 from cartonfold.cli import EXIT_NO_SEQUENCES, RunConfig, run
 from cartonfold.collision import collision_check
 from cartonfold.geometry import OrientedBox
-from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec, serialize_spec
+from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec
 from cartonfold.planner import (
     FoldLattice,
     PlannerError,
@@ -22,6 +22,7 @@ from cartonfold.planner import (
     build_lattice,
     enumerate_sequences,
 )
+from cartonfold.reference import serialize_spec
 
 from . import oracles
 from .conftest import SHIPPED_SPECS, free_flap_spec

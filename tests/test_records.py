@@ -15,19 +15,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cartonfold
 from cartonfold.cli import RunConfig
-from cartonfold.geometry import Aabb, OrientedBox, Transform
+from cartonfold.geometry import OrientedBox, Transform
 from cartonfold.metrics import RankedReport, rank_lattice
 from cartonfold.model import (
     GripperSpec,
-    JointVector,
     KinematicTree,
     PanelPose,
     build_tree,
-    forward_kinematics,
     load_spec,
 )
 from cartonfold.planner import FoldLattice, SearchDiagnostics, build_lattice
+from cartonfold.reference import Aabb, JointVector, forward_kinematics
 
 from .conftest import SPEC_DIR
 
@@ -248,11 +248,12 @@ class TestPlanRecords:
 
 
 # Run in a fresh interpreter: which top-level modules `import cartonfold.cli`
-# loads from outside the standard library, and which of the package's classes
-# are dataclasses.
+# loads from outside the standard library, which of the package's classes
+# are dataclasses, and which of the package's modules are loaded after the
+# import and after a default plan of the spec named by the first argument.
 FOOTPRINT = textwrap.dedent(
     """
-    import dataclasses, json, sys
+    import dataclasses, io, json, sys
     before = set(sys.modules)
     import cartonfold.cli
     loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
@@ -266,17 +267,77 @@ FOOTPRINT = textwrap.dedent(
         for name, value in vars(module).items()
         if isinstance(value, type) and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)
     }
-    print(json.dumps({"outside": outside, "dataclasses": sorted(classes)}))
+
+    def package():
+        return sorted(name for name in sys.modules if name.partition(".")[0] == "cartonfold")
+
+    imported = package()
+    code = cartonfold.cli.run(cartonfold.cli.RunConfig(sys.argv[1]), out=io.StringIO())
+    print(json.dumps({
+        "outside": outside, "dataclasses": sorted(classes), "imported": imported,
+        "code": code, "planned": package(),
+    }))
     """
 )
+
+# The package's modules that a default plan needs; the reference
+# implementations and the replay paths load on first use.
+PLAN_MODULES = [
+    "cartonfold", "cartonfold.cli", "cartonfold.collision", "cartonfold.geometry",
+    "cartonfold.metrics", "cartonfold.model", "cartonfold.planner",
+]
 
 
 def test_import_footprint():
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-B", "-c", FOOTPRINT], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        [sys.executable, "-B", "-c", FOOTPRINT, str(SPEC_DIR / "case_study_tray.yaml")],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     found = json.loads(done.stdout)
     assert found["outside"] == ["cartonfold", "numpy", "yaml"]
     assert found["dataclasses"] == ["cartonfold.model.CartonSpec", "cartonfold.model.PanelSpec"]
+    assert found["imported"] == PLAN_MODULES
+    assert found["code"] == 0
+    assert found["planned"] == PLAN_MODULES
+
+
+# Where each name of the package that no plan runs is defined.
+ON_FIRST_USE = {
+    "cartonfold.reference": [
+        "Aabb", "JointVector", "forward_kinematics", "obb_intersect", "rotate_about_axis",
+        "score_and_rank", "serialize_spec", "world_aabb",
+    ],
+    "cartonfold.replay": ["GraspSide", "grasp_side"],
+}
+
+
+def test_exported_names_resolve_to_their_homes():
+    listed = dir(cartonfold)
+    for name in cartonfold.__all__:
+        value = getattr(cartonfold, name)
+        home = sys.modules[value.__module__]
+        assert getattr(home, name) is value, name
+        assert name in listed, name
+    moved = {
+        home: [name for name in cartonfold.__all__ if getattr(cartonfold, name).__module__ == home]
+        for home in ON_FIRST_USE
+    }
+    assert moved == ON_FIRST_USE
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cartonfold.no_such_name
+
+
+def test_traced_names_stay_on_their_old_modules():
+    # The benchmark's tracer looks these two up by the module its span names.
+    import cartonfold.metrics
+    import cartonfold.model
+    import cartonfold.reference
+    from cartonfold.metrics import score_and_rank
+    from cartonfold.model import forward_kinematics
+
+    assert forward_kinematics is cartonfold.reference.forward_kinematics
+    assert score_and_rank is cartonfold.reference.score_and_rank
+    for module in (cartonfold.model, cartonfold.metrics):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
