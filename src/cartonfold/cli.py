@@ -189,20 +189,22 @@ def format_structured(report: RankedReport) -> str:
 
 
 def run(config: RunConfig, out=None) -> int:
-    """Build the fold-state lattice, rank it and report; returns the exit code."""
-    if config.explain is not None:
-        from .replay import explain
-
-        return explain(config, out=out)
+    """Build the fold-state lattice, rank it and report, or explain the
+    config's sequence; returns the exit code."""
     out = out or sys.stdout
     try:
         tree = _load_tree(config)
-        if config.dump_dir is not None:
-            Path(config.dump_dir).mkdir(parents=True, exist_ok=True)
-        lattice = build_lattice(tree)
+        if config.explain is None:
+            if config.dump_dir is not None:
+                Path(config.dump_dir).mkdir(parents=True, exist_ok=True)
+            lattice = build_lattice(tree)
     except (SpecValidationError, PlannerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_INVALID
+    if config.explain is not None:
+        from .replay import explain
+
+        return EXIT_OK if explain(tree, config.explain, out) else EXIT_NO_SEQUENCES
 
     report = rank_lattice(lattice, config.top)
     for line in lattice.stats.lines():

@@ -35,18 +35,19 @@ and ``sweep`` a missing one as a batch of one.
 
 Each test runs in two phases. The broad phase takes the world-axis-aligned
 bounds of every swept box (``|R| @ h`` about its center) and their union,
-the sweep's bounds. Its lowest z is the table test. A static box whose own
-bounds stay more than ``CULL_MARGIN`` away from the sweep's is disjoint
-from every swept box and is dropped; a static panel is first culled on
-its memoised corner bounds, which equal those bounds up to rounding far
-below the margin, before its box is packed at all. The narrow phase runs
-the 15-axis separating-axis kernel only on the boxes left, and not at all
-when none are. The crease-adjacent parent is culled with both sides
-shrunk as the kernel tests that pair: the sweep's bounds by the
-penetration allowance, and the parent's corner bounds by the least amount
-the kernel shrinks its box on any world axis, ``min(allowance / 2, its
-least half extent)``. The kernel shrinks each half extent by that much at
-least (it clamps them at zero), and the absolute entries of a rotation
+the sweep's bounds, kept as floats (``Sweep.cull``). Its lowest z is the
+table test. A static box, a panel or a fixture, is culled on the bounds of
+its corners (``corners_apart``): when they stay more than ``CULL_MARGIN``
+away from the sweep's, the box is disjoint from every swept box and is
+dropped before it reaches the kernel. A panel's corner bounds are memoised
+on its record, a fixture's are taken once per ``build_sweeps`` call. The
+narrow phase runs the 15-axis separating-axis kernel only on the boxes
+left, and not at all when none are. The crease-adjacent parent is culled
+with both sides shrunk as the kernel tests that pair: the sweep's bounds
+by the penetration allowance, and the parent's corner bounds by the least
+amount the kernel shrinks its box on any world axis, ``min(allowance / 2,
+its least half extent)``. The kernel shrinks each half extent by that much
+at least (it clamps them at zero), and the absolute entries of a rotation
 row sum to at least 1, so the box it tests lies within the shrunk bounds
 and every verdict is the one the kernel alone would give.
 """
@@ -58,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import box_bounds, half_reach, pack_boxes, sat_overlap_matrix
+from .geometry import half_reach, sat_overlap_matrix
 from .model import KinematicTree, sweep_angles  # noqa: F401  (re-exported)
 
 # Slack of the broad phase, in mm. It covers the kernel's padding of
@@ -67,42 +68,15 @@ from .model import KinematicTree, sweep_angles  # noqa: F401  (re-exported)
 CULL_MARGIN = 1e-6
 
 
-def sweep_bounds(boxes, clearance: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """World-axis-aligned bounds (lo, hi) of the union of (centers, rotations,
-    half_extents) boxes, each grown by ``clearance / 2`` as the kernel grows it."""
-    lo, hi = box_bounds(*boxes, clearance)
-    return lo.min(axis=0), hi.max(axis=0)
-
-
-def near_sweep(bounds, boxes, clearance: float = 0.0) -> np.ndarray:
-    """Mask of the boxes whose bounds come within ``CULL_MARGIN`` of a sweep's ``bounds``.
-
-    The boxes are grown by ``clearance / 2`` like the kernel grows them; the
-    sweep's bounds must be taken with the same clearance. A box outside the
-    mask overlaps no box inside the sweep's bounds.
-    """
-    lo, hi = box_bounds(*boxes, clearance)
-    return np.all((lo <= bounds[1] + CULL_MARGIN) & (hi >= bounds[0] - CULL_MARGIN), axis=1)
-
-
-def _blocked(movers, bounds, boxes, clearance: float) -> bool:
-    """Whether a mover overlaps one of ``boxes``, the kernel run on those near the sweep."""
-    near = near_sweep(bounds, boxes, clearance)
-    if not near.any():
-        return False
-    return bool(sat_overlap_matrix(*movers, *(a[near] for a in boxes), clearance).any())
-
-
 class Sweep(NamedTuple):
     """One joint's swept subtree, built once per joint and folded joints
     that place the joint's parent or the subtree.
 
-    ``boxes`` are the swept solids as (centers, rotations, half_extents),
-    ``bounds`` their union's bounds and ``shrunk`` the same bounds with the
-    boxes shrunk by the penetration allowance, as the crease-adjacent
-    ``parent`` is tested; ``cull`` holds both again as lists of floats,
-    (lo, hi) of ``bounds`` then of ``shrunk``, for the pair tests' first cull.
-    ``clear`` is the table and fixture verdict and
+    ``boxes`` are the swept solids as (centers, rotations, half_extents).
+    ``cull`` holds the world-axis-aligned bounds of their union as lists of
+    floats: (lo, hi) of the boxes as they are, then (lo, hi) with the boxes
+    shrunk by the penetration allowance, as the crease-adjacent ``parent``
+    is tested. ``clear`` is the table and fixture verdict and
     ``aerial`` the fold's aerial flag: whether the lowest corner of the
     subtree sits more than the support tolerance above z = 0 at the fold's
     start pose, which reads only subtree poses.
@@ -112,8 +86,6 @@ class Sweep(NamedTuple):
 
     parent: int
     boxes: tuple[np.ndarray, np.ndarray, np.ndarray]
-    bounds: tuple[np.ndarray, np.ndarray]
-    shrunk: tuple[np.ndarray, np.ndarray]
     cull: tuple[tuple[list[float], list[float]], tuple[list[float], list[float]]]
     clear: bool
     aerial: bool
@@ -184,15 +156,22 @@ def build_sweeps(tree: KinematicTree, folds) -> None:
     bounds = []
     for clearance in (0.0, -spec.penetration_tolerance):
         reach = half_reach(abs_rots, axis_halves, clearance)
-        low = np.minimum.reduceat(axis_centers - reach, starts, axis=1).T
+        low = np.minimum.reduceat(axis_centers - reach, starts, axis=1).T.tolist()
         reach += axis_centers
-        bounds.append((low, np.maximum.reduceat(reach, starts, axis=1).T))
-    (lo, hi), shrunk = bounds
-    culls = zip(zip(lo.tolist(), hi.tolist()), zip(shrunk[0].tolist(), shrunk[1].tolist()))
-    for s, ((key, (_, joint)), a, b, cull) in enumerate(zip(todo.items(), starts, ends, culls)):
-        swept, around = (centers[a:b], rots[a:b], halves[a:b]), (lo[s], hi[s])
-        clear = not (spec.table_plane and lo[s][2] < -spec.penetration_tolerance) and not (
-            tree.obstacles is not None and _blocked(swept, around, tree.obstacles, 0.0)
+        bounds.append(zip(low, np.maximum.reduceat(reach, starts, axis=1).T.tolist()))
+    # Each fixture's corner bounds and dims, culled against every sweep here.
+    fixtures = [
+        (corners.min(axis=0).tolist(), corners.max(axis=0).tolist(), (2.0 * box.half_extents).tolist())
+        for box in spec.environment
+        for corners in (box.corners(),)
+    ]
+    for (key, (_, joint)), a, b, cull, flag in zip(todo.items(), starts, ends, zip(*bounds), aerial):
+        swept = centers[a:b], rots[a:b], halves[a:b]
+        near = [
+            i for i, (lo, hi, dims) in enumerate(fixtures) if not corners_apart(lo, hi, cull[0], 0.0, dims)
+        ]
+        clear = not (spec.table_plane and cull[0][0][2] < -spec.penetration_tolerance) and not (
+            near and sat_overlap_matrix(*swept, *(boxes[near] for boxes in tree.obstacles)).any()
         )
         # A pair key is the static panel's slot in this sweep, shifted above
         # the fold bits, with the folded part of the panel's ancestry below.
@@ -201,10 +180,7 @@ def build_sweeps(tree: KinematicTree, folds) -> None:
             for slot, pid in enumerate(tree.ids)
             if pid not in tree.subtrees[joint]
         )
-        tree.sweeps[key] = Sweep(
-            tree.panels_by_id[joint].parent, swept, around, (shrunk[0][s], shrunk[1][s]),
-            cull, clear, aerial[s], static,
-        )
+        tree.sweeps[key] = Sweep(tree.panels_by_id[joint].parent, swept, cull, clear, flag, static)
 
 
 def corners_apart(lo, hi, cull, clearance: float, dims) -> bool:
@@ -231,22 +207,24 @@ def corners_apart(lo, hi, cull, clearance: float, dims) -> bool:
 def _pair_blocked(tree: KinematicTree, swept: Sweep, mask: int, panel_id: int) -> bool:
     """The kernel verdict of one sweep against one static panel.
 
-    The panel's memoised corner bounds are culled first (``corners_apart``):
-    they equal its box's ``|R| @ h`` bounds up to rounding far below
-    ``CULL_MARGIN``. Crease adjacency between a moving and a static panel:
-    only the moving joint's own parent qualifies (children stay in the
-    subtree), and it is tested with the penetration allowance, so it is
-    culled on its corner bounds shrunk by the least amount the kernel
-    shrinks its box.
+    The panel is culled on its memoised corner bounds (``corners_apart``)
+    before the kernel runs on its solid. Crease adjacency between a moving
+    and a static panel: only the moving joint's own parent qualifies
+    (children stay in the subtree), and it is tested with the penetration
+    allowance, so it is culled on its corner bounds shrunk by the least
+    amount the kernel shrinks its box.
     """
     record = tree.panel_state(panel_id, mask)
-    if panel_id == swept.parent:
-        bounds, cull, clearance = swept.shrunk, swept.cull[1], -tree.spec.penetration_tolerance
-    else:
-        bounds, cull, clearance = swept.bounds, swept.cull[0], 0.0
-    if corners_apart(record.lo, record.hi, cull, clearance, tree.panels_by_id[panel_id].dims):
+    parent = panel_id == swept.parent
+    clearance = -tree.spec.penetration_tolerance if parent else 0.0
+    if corners_apart(record.lo, record.hi, swept.cull[parent], clearance, tree.panels_by_id[panel_id].dims):
         return False
-    return _blocked(swept.boxes, bounds, pack_boxes([record.pose.solid]), clearance)
+    solid = record.pose.solid
+    return bool(
+        sat_overlap_matrix(
+            *swept.boxes, solid.center[None], solid.pose.rotation[None], solid.half_extents[None], clearance
+        ).any()
+    )
 
 
 def collision_check(tree: KinematicTree, mask: int, moving_joint: int) -> bool:

@@ -210,19 +210,6 @@ def half_reach(abs_rots: np.ndarray, halves: np.ndarray, clearance: float = 0.0)
     return reach
 
 
-def box_bounds(
-    centers: np.ndarray, rots: np.ndarray, halves: np.ndarray, clearance: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """World-axis-aligned bounds (lo, hi), shape (n, 3), of boxes grown by ``clearance / 2``.
-
-    The half-reach is ``|R| @ h``, grown as in ``half_reach``; ``einsum``
-    forms it faster than the axis-first ``half_reach`` for the few boxes
-    of one call, which ``collision.build_sweeps`` uses on a whole layer.
-    """
-    reach = np.einsum("nij,nj->ni", np.abs(rots), np.maximum(halves + clearance / 2.0, 0.0))
-    return centers - reach, centers + reach
-
-
 def sat_overlap_matrix(
     centers_a: np.ndarray,
     rots_a: np.ndarray,

@@ -2,8 +2,9 @@
 and the grasp advisory they report.
 
 A default plan runs none of this, so ``cli.run`` imports the module only
-when a run explains a sequence or dumps states. Every pose comes from the
-tree's memoised panel records, as in a plan.
+when a run explains a sequence or dumps states; ``cli.run`` loads the tree
+for both. Every pose comes from the tree's memoised panel records, as in a
+plan.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cli import EXIT_NO_SEQUENCES, EXIT_OK, EXIT_SPEC_INVALID, RunConfig, _load_tree
-from .collision import _blocked, collision_check, n_sweep_samples, sweep, sweep_bounds
-from .geometry import pack_boxes
+from .collision import collision_check, n_sweep_samples, sweep
+from .geometry import pack_boxes, sat_overlap_matrix
 from .metrics import RankedReport
-from .model import KinematicTree, SpecValidationError
-from .planner import PlannerError
+from .model import KinematicTree
 
 
 class GraspSide(enum.Enum):
@@ -64,9 +63,8 @@ def grasp_side(tree: KinematicTree, mask: int, joint: int) -> GraspSide:
         center = solid.center + normal * (panel.thickness / 2.0 + gripper.standoff + gz / 2.0)
         rot = solid.pose.rotation if sign > 0 else solid.pose.rotation @ flip
         tool = (center[None, :], rot[None, :, :], half_g[None, :])
-        bounds = sweep_bounds(tool)
-        blocked = tree.spec.table_plane and bounds[0][2] < -eps
-        blocked = blocked or any(_blocked(tool, bounds, batch, 0.0) for batch in batches)
+        blocked = tree.spec.table_plane and center[2] - np.abs(rot[2]) @ half_g < -eps
+        blocked = blocked or any(sat_overlap_matrix(*tool, *batch).any() for batch in batches)
         if not blocked:
             return side
     return GraspSide.NONE
@@ -135,26 +133,21 @@ def dump_states(tree: KinematicTree, report: RankedReport, directory: str) -> No
         )
 
 
-def explain(config: RunConfig, sequence=None, out=None) -> int:
-    """Replay one sequence step by step and print a trace.
+def explain(tree: KinematicTree, sequence, out) -> bool:
+    """Replay one sequence step by step, print a trace to ``out`` and
+    return whether every step is collision free.
 
-    ``sequence`` defaults to the one carried in the config.
+    A sequence that does not order every foldable joint once is reported
+    on stderr and is not replayed.
     """
-    out = out or sys.stdout
-    try:
-        tree = _load_tree(config)
-    except (SpecValidationError, PlannerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_INVALID
-    sequence = tuple(sequence) if sequence is not None else (config.explain or ())
-
+    sequence = tuple(sequence)
     if sorted(sequence) != sorted(tree.foldable_ids):
         print(
             "error: sequence must order all foldable joints "
             f"{sorted(tree.foldable_ids)}, got {list(sequence)}",
             file=sys.stderr,
         )
-        return EXIT_NO_SEQUENCES
+        return False
 
     mask = 0
     for step, joint in enumerate(sequence, start=1):
@@ -163,7 +156,7 @@ def explain(config: RunConfig, sequence=None, out=None) -> int:
                 f"sequence invalid: step {step} (fold joint {joint}) collides",
                 file=out,
             )
-            return EXIT_NO_SEQUENCES
+            return False
         (volume,), (max_dim,) = tree.measures([mask])
         aerial = sweep(tree, mask, joint).aerial
         side = "n/a" if tree.spec.gripper is None else grasp_side(tree, mask, joint).value
@@ -175,4 +168,4 @@ def explain(config: RunConfig, sequence=None, out=None) -> int:
         )
         mask |= tree.bits[joint]
     print(f"sequence valid: {len(sequence)} steps", file=out)
-    return EXIT_OK
+    return True

@@ -37,7 +37,6 @@ from cartonfold.model import (
 )
 from cartonfold.planner import build_lattice
 from cartonfold.reference import JointVector, forward_kinematics
-from cartonfold.replay import explain
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
 from .oracles import csv_report, structured_report
@@ -58,16 +57,32 @@ def run_to_string(config: RunConfig) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def cli_process(*args: str) -> subprocess.CompletedProcess:
-    """``python -m cartonfold.cli`` in a fresh interpreter, with ``src`` importable."""
+def python_process(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter, with ``src`` importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.run(
-        [sys.executable, "-m", "cartonfold.cli", *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def cli_process(*args: str) -> subprocess.CompletedProcess:
+    """``python -m cartonfold.cli`` in a fresh interpreter, with ``src`` importable."""
+    return python_process("-m", "cartonfold.cli", *args)
+
+
+# Runs cartonfold.cli as __main__, as ``python -m`` does, with the script's
+# arguments, then prints on stderr the exit code and whether the module was
+# also loaded under its own name.
+AS_MAIN = """
+import runpy, sys
+try:
+    runpy.run_module("cartonfold.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    print(exit.code, "cartonfold.cli" in sys.modules, file=sys.stderr)
+"""
 
 
 class TestRun:
@@ -567,7 +582,7 @@ class TestDumpStates:
 class TestExplain:
     def test_flat_start_steps_are_grounded(self, spec_dir):
         out = io.StringIO()
-        code = explain(
+        code = run(
             RunConfig(
                 spec_path=str(spec_dir / "three_flaps.yaml"),
                 explain=(2, 3, 4),
@@ -582,7 +597,7 @@ class TestExplain:
 
     def test_infeasible_order_names_the_failing_step(self, spec_dir):
         out = io.StringIO()
-        code = explain(
+        code = run(
             RunConfig(
                 spec_path=str(spec_dir / "blocking_pair.yaml"),
                 explain=(2, 3),
@@ -596,7 +611,7 @@ class TestExplain:
     def test_case_study_sequence_trace(self, spec_dir, case_study_sequences):
         order = case_study_sequences[0]
         out = io.StringIO()
-        code = explain(
+        code = run(
             RunConfig(
                 spec_path=str(spec_dir / "case_study_tray.yaml"),
                 explain=order,
@@ -613,7 +628,7 @@ class TestExplain:
         # The ordering reported as implementable for the reference carton:
         # seven steps, exactly two of them aerial.
         out = io.StringIO()
-        code = explain(
+        code = run(
             RunConfig(
                 spec_path=str(spec_dir / "case_study_tray.yaml"),
                 explain=(2, 1, 7, 4, 3, 6, 5),
@@ -638,14 +653,14 @@ planner: {penetration_tolerance_mm: 1.05}
         path = tmp_path / "single_flap.yaml"
         path.write_text(doc)
         out = io.StringIO()
-        code = explain(RunConfig(spec_path=str(path), explain=(2,)), out=out)
+        code = run(RunConfig(spec_path=str(path), explain=(2,)), out=out)
         assert code == EXIT_OK
         text = out.getvalue()
         assert text.count("step ") == 1
         assert "aerial=yes" not in text
 
     def test_incomplete_sequence_rejected(self, spec_dir):
-        code = explain(
+        code = run(
             RunConfig(
                 spec_path=str(spec_dir / "three_flaps.yaml"),
                 explain=(2, 3),
@@ -664,7 +679,7 @@ panels:
         path = tmp_path / "vertical_crease.yaml"
         path.write_text(doc)
         out = io.StringIO()
-        code = explain(RunConfig(spec_path=str(path), explain=(2,)), out=out)
+        code = run(RunConfig(spec_path=str(path), explain=(2,)), out=out)
         assert code == EXIT_SPEC_INVALID
         assert out.getvalue() == ""
         assert "crease_dir" in capsys.readouterr().err
@@ -733,3 +748,11 @@ class TestOnDemandPaths:
         )
         assert result.returncode == EXIT_OK, result.stderr
         assert len(list(out_dir.glob("sequence_*.json"))) == 3
+
+    @pytest.mark.parametrize("flags", (["--explain", "2,3,4"], ["--top", "3", "--dump-states"]),
+                             ids=("explain", "dump-states"))
+    def test_cli_runs_as_main_without_loading_itself_again(self, spec_dir, tmp_path, flags):
+        if flags[-1] == "--dump-states":
+            flags = [*flags, str(tmp_path / "dump")]
+        result = python_process("-c", AS_MAIN, "--spec", str(spec_dir / "three_flaps.yaml"), *flags)
+        assert result.stderr.splitlines() == ["0 False"], result.stderr

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from dataclasses import replace
 
@@ -14,7 +15,6 @@ from cartonfold.collision import (
     n_sweep_samples,
     sweep,
     sweep_angles,
-    sweep_bounds,
 )
 from cartonfold.geometry import (
     CORNER_SIGNS,
@@ -29,6 +29,7 @@ from cartonfold.model import (
     PanelSpec,
     build_tree,
     load_spec,
+    parse_spec,
 )
 from cartonfold.planner import build_lattice
 from cartonfold.reference import JointVector, forward_kinematics, obb_intersect
@@ -36,6 +37,7 @@ from cartonfold.replay import GraspSide, grasp_side
 
 from .conftest import SHIPPED_SPECS, free_flap_spec
 from .oracles import every_verdict
+from .test_geometry import reach_bounds
 from .test_model import random_tree
 
 
@@ -69,10 +71,18 @@ def with_fixtures(tree, *boxes):
 # penetration allowance and the kernel clamps it at zero.
 THIN_BASE = "three_flaps.yaml:0.1 mm base"
 
+# A generated variant of obstructed_flap: its beam turned by rpy_deg
+# [10, 20, 30], so the fixture's corner bounds are not its own box.
+TURNED_BEAM = "obstructed_flap.yaml:turned beam"
+
 
 def load_case(spec_dir, name):
-    """A shipped spec by file name, or ``THIN_BASE``."""
+    """A shipped spec by file name, ``THIN_BASE`` or ``TURNED_BEAM``."""
     path, _, variant = name.partition(":")
+    if variant == "turned beam":
+        beam, text = "dims_mm: [40, 10, 10]", (spec_dir / path).read_text()
+        assert text.count(beam) == 1
+        return parse_spec(text.replace(beam, f"{beam}, rpy_deg: [10, 20, 30]"))
     spec = load_spec(spec_dir / path)
     if variant:
         base = replace(spec.panels[0], dims=(*spec.panels[0].dims[:2], 0.1))
@@ -377,10 +387,11 @@ class TestBroadPhase:
             build_lattice(tree)
             assert tree.sweeps
             for swept in tree.sweeps.values():
-                for floats, arrays in zip(swept.cull, (swept.bounds, swept.shrunk)):
-                    assert np.array(floats).tobytes() == np.array(arrays).tobytes()
+                for floats, clearance in zip(swept.cull, (0.0, -tree.spec.penetration_tolerance)):
+                    lo, hi = reach_bounds(swept.boxes, clearance)
+                    assert np.array(floats).tobytes() == np.array([lo.min(axis=0), hi.max(axis=0)]).tobytes()
 
-    @pytest.mark.parametrize("name", [*SHIPPED_SPECS, THIN_BASE])
+    @pytest.mark.parametrize("name", [*SHIPPED_SPECS, THIN_BASE, TURNED_BEAM])
     @pytest.mark.parametrize("step_deg", [5.0, 1.0])
     @pytest.mark.parametrize("own_penetration", [False, True])
     def test_matches_the_full_kernel(self, spec_dir, name, step_deg, own_penetration):
@@ -422,29 +433,24 @@ class TestBroadPhase:
     def test_only_pairs_the_kernel_can_hit_are_packed(
         self, spec_dir, monkeypatch, name, fixture_checks, pair_checks
     ):
-        # The float cull settles every pair test whose box the sweep's
-        # bounds drop, crease parents included, so only pairs that reach
-        # the kernel pack a box and call _blocked.
+        # The float cull settles every pair and fixture test whose box the
+        # sweep's bounds drop, crease parents included, so only boxes that
+        # can be hit reach the kernel: fixtures from build_sweeps, panels
+        # from _pair_blocked.
         spec = free_flap_spec(8) if name == "free_flap_spec(8)" else load_spec(spec_dir / name)
         tree = build_tree(spec)
-        calls, kernel_calls = [], []
-        blocked, kernel = collision_module._blocked, collision_module.sat_overlap_matrix
+        calls = []
+        kernel = collision_module.sat_overlap_matrix
 
-        def recorded(movers, bounds, boxes, clearance):
-            verdict = blocked(movers, bounds, boxes, clearance)
-            calls.append((boxes is tree.obstacles, clearance, verdict))
-            return verdict
+        def recorded(ca, ra, ha, cb, rb, hb, clearance=0.0):
+            overlaps = kernel(ca, ra, ha, cb, rb, hb, clearance)
+            calls.append((sys._getframe(1).f_code.co_name == "build_sweeps", clearance, bool(overlaps.any())))
+            return overlaps
 
-        def counted(*args):
-            kernel_calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(collision_module, "_blocked", recorded)
-        monkeypatch.setattr(collision_module, "sat_overlap_matrix", counted)
+        monkeypatch.setattr(collision_module, "sat_overlap_matrix", recorded)
         build_lattice(tree)
         assert [call[1:] for call in calls if call[0]] == fixture_checks
         assert [call[1:] for call in calls if not call[0]] == pair_checks
-        assert len(kernel_calls) == len(fixture_checks) + len(pair_checks)
         assert sum(tree.pair_verdicts.values()) == len(pair_checks)
 
     def test_fixture_hit_by_one_sample_is_not_culled(self):
@@ -458,7 +464,8 @@ class TestBroadPhase:
         solids = [forward_kinematics(tree, flat.replace(2, float(phi)))[1].solid for phi in samples]
         assert sum(obb_intersect(solid, cube) for solid in solids) == 1
 
-        lo, hi = sweep_bounds(pack_boxes(solids))
+        lo, hi = reach_bounds(pack_boxes(solids))
+        lo, hi = lo.min(axis=0), hi.max(axis=0)
         corners = cube.corners()
         assert np.all(corners > lo) and np.all(corners < hi)
         assert collision_check(with_fixtures(tree, cube), 0, 2) is False

@@ -484,6 +484,22 @@ class TestSpecRoundTrip:
                 spec = spec_from_mapping(data)
                 assert parse_spec(serialize_spec(spec)) == spec, rpy
 
+    # Roll and yaw both tiny and nonzero: the rotation's block entries then
+    # carry only their sum or difference at full precision and the
+    # cos(pitch) entries are subnormal, so the angles written back do not
+    # reproduce the matrix.
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="gimbal lock with tiny nonzero roll and yaw does not round trip"
+    )
+    @pytest.mark.parametrize(
+        "rpy", [[1e-300, 90.0, -1e-300], [-1e-300, -90.0, 1e-308], [2e-308, 89.75, 1e-308]]
+    )
+    def test_gimbal_lock_with_a_tiny_roll_and_yaw(self, rpy):
+        data = yaml.safe_load((SPEC_DIR / "three_flaps.yaml").read_text())
+        data["root_pose"]["rpy_deg"] = rpy
+        spec = spec_from_mapping(data)
+        assert parse_spec(serialize_spec(spec)) == spec
+
     @pytest.mark.parametrize("deg", [3.0, 6.0, 1.5])
     def test_degree_values_that_drift_by_an_ulp(self, deg):
         # math.radians(math.degrees(x)) != x for these.
