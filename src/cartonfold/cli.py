@@ -207,8 +207,9 @@ def run(config: RunConfig, out=None) -> int:
         return EXIT_OK if explain(tree, config.explain, out) else EXIT_NO_SEQUENCES
 
     report = rank_lattice(lattice, config.top)
-    for line in lattice.stats.lines():
-        logger.info("planner %s", line)
+    if logger.isEnabledFor(logging.INFO):
+        for line in lattice.stats.lines():
+            logger.info("planner %s", line)
 
     if config.fmt == "table":
         out.write(format_table(report))

@@ -17,8 +17,8 @@ non-directional blocking graph of Wilson & Latombe, 1994, taken over the
 fold-state lattice). It is the AND of
 
 * one sweep per (j, F & the joints that place j's parent or its
-  subtree): the swept boxes, their bounds, the table and fixture verdict
-  and the fold's aerial flag (``Sweep``);
+  subtree): the motion of the subtree's solids, their bounds, the table
+  and fixture verdict and the fold's aerial flag (``Sweep``);
 * one kernel verdict per (sweep, static panel p, F & the joints that
   place p), tested only until one blocks.
 
@@ -28,39 +28,46 @@ verdicts are exactly those of the whole check. Each sweep lists its static
 panels with their ancestry masks and the base of their pair keys, so a
 check that hits the memos builds no key but an int.
 
-A joint turns about one crease (Redon et al., 2004), so every swept box is
-a weighted sum of three fixed poses (``KinematicTree.crease_terms``).
+A joint turns about one crease (Redon et al., 2004), so every pose of a
+swept solid is a weighted sum of three fixed poses
+(``KinematicTree.crease_terms``), and so is every corner coordinate.
 ``build_sweeps`` builds a lattice layer's new sweeps in one stacked pass,
 and ``sweep`` a missing one as a batch of one.
 
-Each test runs in two phases. The broad phase takes the world-axis-aligned
-bounds of every swept box (``|R| @ h`` about its center) and their union,
-the sweep's bounds, kept as floats (``Sweep.cull``). Its lowest z is the
-table test. A static box, a panel or a fixture, is culled on the bounds of
-its corners (``corners_apart``): when they stay more than ``CULL_MARGIN``
-away from the sweep's, the box is disjoint from every swept box and is
-dropped before it reaches the kernel. A panel's corner bounds are memoised
-on its record, a fixture's are taken once per ``build_sweeps`` call. The
-narrow phase runs the 15-axis separating-axis kernel only on the boxes
-left, and not at all when none are. The crease-adjacent parent is culled
+Each test runs in two phases. The broad phase bounds the continuous fold:
+the world-axis-aligned bounds of the moving solids over the whole arc,
+taken in closed form from the extremes of each corner coordinate and kept
+as floats (``Sweep.cull``). They hold every sampled box, so a box culled
+on them could not touch one. The narrow phase, and so every verdict,
+still tests the sampled angles only: a gap between two samples is missed
+(ROADMAP item 3). A static box, a panel or a fixture, is culled on the
+bounds of its corners (``corners_apart``): when they stay more than
+``CULL_MARGIN`` away from the sweep's, the box is disjoint from every
+swept box and is dropped before it reaches the kernel. A panel's corner
+bounds are memoised on its record, a fixture's are taken once per
+``build_sweeps`` call. The narrow phase places the sweep's sampled boxes
+and runs the 15-axis separating-axis kernel only on the boxes left; when
+none are, no sample is placed at all. The table test reads the bounds'
+lowest z, then the corners of the two end samples, and places the samples
+only for a sweep that neither settles. The crease-adjacent parent is culled
 with both sides shrunk as the kernel tests that pair: the sweep's bounds
-by the penetration allowance, and the parent's corner bounds by the least
-amount the kernel shrinks its box on any world axis, ``min(allowance / 2,
-its least half extent)``. The kernel shrinks each half extent by that much
-at least (it clamps them at zero), and the absolute entries of a rotation
-row sum to at least 1, so the box it tests lies within the shrunk bounds
-and every verdict is the one the kernel alone would give.
+with the solids shrunk by the penetration allowance, and the parent's
+corner bounds by the least amount the kernel shrinks its box on any world
+axis, ``min(allowance / 2, its least half extent)``. The kernel shrinks
+each half extent by that much at least (it clamps them at zero), and the
+absolute entries of a rotation row sum to at least 1, so the box it tests
+lies within the shrunk bounds and every verdict is the one the kernel
+alone would give.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import NamedTuple
+import functools
 
 import numpy as np
 
-from .geometry import half_reach, sat_overlap_matrix
-from .model import KinematicTree, sweep_angles  # noqa: F401  (re-exported)
+from .geometry import CORNER_SIGNS, Frozen, half_reach, sat_overlap_matrix
+from .model import KinematicTree, sweep_angles, sweep_steps, weight_rows
 
 # Slack of the broad phase, in mm. It covers the kernel's padding of
 # degenerate axes (1e-12 times the half extents) and rounding, so a box it
@@ -68,16 +75,33 @@ from .model import KinematicTree, sweep_angles  # noqa: F401  (re-exported)
 CULL_MARGIN = 1e-6
 
 
-class Sweep(NamedTuple):
+class Sweep(Frozen):
     """One joint's swept subtree, built once per joint and folded joints
     that place the joint's parent or the subtree.
 
-    ``boxes`` are the swept solids as (centers, rotations, half_extents).
-    ``cull`` holds the world-axis-aligned bounds of their union as lists of
-    floats: (lo, hi) of the boxes as they are, then (lo, hi) with the boxes
-    shrunk by the penetration allowance, as the crease-adjacent ``parent``
-    is tested. ``clear`` is the table and fixture verdict and
-    ``aerial`` the fold's aerial flag: whether the lowest corner of the
+    ``terms`` is the motion: per subtree solid, the three crease terms of
+    its world center and of its world rotation (with the parent's pose and
+    the solid's offset from the joint frame folded in), and its half
+    extents. ``at(rows)`` places the solids at weight rows [1, sin θ,
+    1 − cos θ] (``weight_rows``). ``arc`` holds the fold's initial and
+    final angle and the sample step, and ``boxes`` places the solids at
+    every sampled angle (``sweep_angles``), as (centers, rotations,
+    half_extents) with rows (sample, solid). It is evaluated on first read:
+    by a kernel call, or by a table test that neither the bounds nor the
+    two end samples settle.
+    ``cull`` holds the world-axis-aligned bounds of the solids over the
+    continuous fold as lists of floats: (lo, hi) of the solids as they are,
+    then (lo, hi) with them shrunk by the penetration allowance, as the
+    crease-adjacent ``parent`` is tested. They hold every sampled box, and
+    exceed the sampled boxes' bounds by at most the sagitta r (1 − cos(Δ/2))
+    of a corner r from the crease at sample step Δ; the kernel still tests
+    the sampled boxes only.
+    ``clear`` is the table and fixture verdict on the sampled boxes, taken
+    on construction. ``table`` is None when there is no table or the bounds
+    keep every corner ``CULL_MARGIN`` above the lowest z a corner may take,
+    else (that z, the lowest corner z of the two end samples). ``fixtures``
+    packs the fixture boxes that the bounds do not cull, or is None.
+    ``aerial`` is the fold's aerial flag: whether the lowest corner of the
     subtree sits more than the support tolerance above z = 0 at the fold's
     start pose, which reads only subtree poses.
     ``static`` lists the panels outside the subtree, in ``tree.ids`` order,
@@ -85,11 +109,47 @@ class Sweep(NamedTuple):
     """
 
     parent: int
-    boxes: tuple[np.ndarray, np.ndarray, np.ndarray]
-    cull: tuple[tuple[list[float], list[float]], tuple[list[float], list[float]]]
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray]
+    arc: tuple[float, float, float]
+    cull: list[list[list[float]]]
     clear: bool
     aerial: bool
     static: tuple[tuple[int, int, int], ...]
+
+    def __init__(self, parent, terms, arc, cull, aerial, static, table, fixtures):
+        self.__dict__.update(
+            parent=parent, terms=terms, arc=arc, cull=cull, aerial=aerial, static=static
+        )
+        self.__dict__["clear"] = not (table is not None and self._dips_below(*table)) and not (
+            fixtures is not None and sat_overlap_matrix(*self.boxes, *fixtures).any()
+        )
+
+    def at(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The solids placed at each weight row, rows (row, solid)."""
+        centers, rots, halves = self.terms
+        return (
+            (rows @ centers.transpose(1, 0, 2).reshape(3, -1)).reshape(-1, 3),
+            (rows @ rots.transpose(1, 0, 2, 3).reshape(3, -1)).reshape(-1, 3, 3),
+            np.tile(halves, (len(rows), 1)),
+        )
+
+    @functools.cached_property
+    def boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.at(weight_rows(sweep_angles(*self.arc)))
+
+    def _dips_below(self, floor: float, lowest_end: float) -> bool:
+        """Whether a sampled box has a corner below z = ``floor``: the
+        corners of the two end samples settle most sweeps before every
+        sample is placed. That shortcut keeps ``CULL_MARGIN`` below the
+        floor, so that rounding cannot make it differ from the test on
+        every sample."""
+        return lowest_end < floor - CULL_MARGIN or _lowest_z(self.boxes) < floor
+
+
+def _lowest_z(boxes) -> float:
+    """The lowest corner z of packed boxes."""
+    centers, rots, halves = boxes
+    return float((centers[:, 2] - half_reach(np.abs(rots).transpose(1, 2, 0), halves.T)[2]).min())
 
 
 def _sweep_key(tree: KinematicTree, mask: int, joint: int) -> int:
@@ -108,71 +168,78 @@ def sweep(tree: KinematicTree, mask: int, joint: int) -> Sweep:
 def build_sweeps(tree: KinematicTree, folds) -> None:
     """Build and memoise the sweeps of (fold mask, joint) pairs not built yet.
 
-    A solid's pose at a sample is its joint's three crease terms, with the
+    A solid's pose at angle θ is its joint's three crease terms, with the
     parent's pose and the solid's offset from the joint frame folded in,
-    weighted by the sample's row: two ``weights @ table`` products a sweep,
-    into one stack of boxes whose bounds take one ``|R|``."""
+    weighted by [1, sin θ, 1 − cos θ]. So is each corner coordinate, and
+    its extremes over the fold's arc are its values at the two ends, or
+    its mean ± the hypot of its sin and cos terms where that peak falls
+    inside the arc (``model._arc_rows_of``). One stacked pass takes them for
+    every corner of every solid at both clearances, and places no sample.
+    """
     todo = {key: fold for fold in folds if (key := _sweep_key(tree, *fold)) not in tree.sweeps}
     if not todo:
         return
     spec = tree.spec
-    # Per solid: its box, parent rotation, crease terms, joint origin (fixed) and start frame.
-    solids, parent_rots, crease, origins, frames, aerial = [], [], [], [], [], []
+    # Per solid: its box, parent rotation, crease terms, joint origin (fixed),
+    # start frame, arc rows and arc width; per sweep, its first solid and aerial flag.
+    solids, parent_rots, crease, origins, frames, arcs, narrow, starts, aerial = ([] for _ in range(9))
     for mask, joint in todo.values():
         parent = tree.panel_state(tree.panels_by_id[joint].parent, mask).pose.pose
         records = [tree.panel_state(pid, mask) for pid in tree.subtrees[joint]]
+        terms, rows, wide = tree.crease_terms[joint]
         size = len(records)
+        starts.append(len(solids))
         solids += [record.pose.solid for record in records]
         parent_rots += [parent.rotation] * size
-        crease += [tree.crease_terms[joint][0]] * size
+        crease += [terms] * size
         origins += [parent.apply(tree.mounts[joint][0])] * size
         frames += [records[0].pose.pose] * size
+        arcs += [rows] * size
+        narrow += [not wide] * size
         aerial.append(min(record.lo[2] for record in records) > spec.support_tolerance)
-    # Row t of a table holds term t of every solid's world rotation or center.
     unframe = np.array([frame.rotation for frame in frames]).transpose(0, 2, 1)
     offsets = np.array([solid.center - frame.translation for solid, frame in zip(solids, frames)])
     world = np.array(parent_rots)[:, None] @ np.array(crease)
     center_terms = (world @ (unframe @ offsets[:, :, None])[:, None])[..., 0]
     center_terms[:, 0] += origins
-    center_table = center_terms.transpose(1, 0, 2).reshape(3, -1)
-    rel_rots = unframe @ np.array([solid.pose.rotation for solid in solids])
-    rot_table = (world @ rel_rots[:, None]).transpose(1, 0, 2, 3).reshape(3, -1)
+    rot_terms = world @ (unframe @ np.array([solid.pose.rotation for solid in solids]))[:, None]
     solid_halves = np.array([solid.half_extents for solid in solids])
 
-    weights = [tree.crease_terms[joint][1] for _, joint in todo.values()]
-    sizes = [len(tree.subtrees[joint]) for _, joint in todo.values()]
-    ends = list(itertools.accumulate(len(w) * size for w, size in zip(weights, sizes)))
-    starts = [0, *ends[:-1]]
-    centers, rots, halves = (np.empty((ends[-1], *shape)) for shape in ((3,), (3, 3), (3,)))
-    c1 = 0
-    for w, size, a, b in zip(weights, sizes, starts, ends):
-        c0, c1 = c1, c1 + size  # the sweep's solids
-        np.matmul(w, center_table[:, 3 * c0:3 * c1], out=centers[a:b].reshape(len(w), -1))
-        np.matmul(w, rot_table[:, 9 * c0:9 * c1], out=rots[a:b].reshape(len(w), -1))
-        halves[a:b].reshape(len(w), size, 3)[:] = solid_halves[c0:c1]
-    # Axis first, so every elementwise pass runs over all the boxes at once.
-    abs_rots = np.abs(rots.reshape(-1, 9).T, order="C").reshape(3, 3, -1)
-    axis_centers, axis_halves = centers.T.copy(), halves.T.copy()
-    bounds = []
-    for clearance in (0.0, -spec.penetration_tolerance):
-        reach = half_reach(abs_rots, axis_halves, clearance)
-        low = np.minimum.reduceat(axis_centers - reach, starts, axis=1).T.tolist()
-        reach += axis_centers
-        bounds.append(zip(low, np.maximum.reduceat(reach, starts, axis=1).T.tolist()))
+    # Term t of coordinate i of corner k of solid n, at clearance c (0, then
+    # the allowance), is corners[c, n, t, 8 * i + k]; arc row r of it is
+    # values[r, c, n, 8 * i + k]. A row and its negation take two rows, so
+    # the highest value of a corner coordinate and its lowest negated are
+    # found in one pass.
+    n = len(solids)
+    grown = np.maximum(solid_halves + [[[0.0]], [[-spec.penetration_tolerance / 2.0]]], 0.0)
+    corners = rot_terms.reshape(n, 9, 3) @ (grown[..., None] * CORNER_SIGNS.T) + center_terms.reshape(n, 9, 1)
+    values = np.ascontiguousarray((np.array(arcs) @ corners.reshape(2, n, 3, 24)).transpose(2, 0, 1, 3))
+    end_a, end_b, peak = values[:6].reshape(3, 2, 2, n, 24)
+    on_arc = np.add(*(values[6:10] >= 0.0).reshape(2, 2, 2, n, 24), dtype=np.int8) > np.array(narrow)[:, None]
+    peak += np.hypot(values[10], values[11])
+    reach = np.maximum(end_a, end_b)
+    np.maximum(reach, peak, where=on_arc, out=reach)
+    # Per sweep, clearance and coordinate: its lowest and highest value.
+    reach = np.maximum.reduceat(reach.reshape(2, 2, n, 3, 8).max(axis=-1), starts, axis=2)
+    reach[1] *= -1.0
+    bounds = reach[::-1].transpose(2, 1, 0, 3).tolist()
+
+    floor = -spec.penetration_tolerance if spec.table_plane else None
     # Each fixture's corner bounds and dims, culled against every sweep here.
     fixtures = [
-        (corners.min(axis=0).tolist(), corners.max(axis=0).tolist(), (2.0 * box.half_extents).tolist())
+        (points.min(axis=0).tolist(), points.max(axis=0).tolist(), (2.0 * box.half_extents).tolist())
         for box in spec.environment
-        for corners in (box.corners(),)
+        for points in (box.corners(),)
     ]
-    for (key, (_, joint)), a, b, cull, flag in zip(todo.items(), starts, ends, zip(*bounds), aerial):
-        swept = centers[a:b], rots[a:b], halves[a:b]
+    stops = [*starts[1:], n]
+    for (key, (_, joint)), a, b, cull, flag in zip(todo.items(), starts, stops, bounds, aerial):
+        table = None
+        if floor is not None and cull[0][0][2] < floor + CULL_MARGIN:
+            # The lowest corner z at either end: coordinate 2, negated, clearance 0.
+            table = floor, -max(end_a[1, 0, a:b, 16:].max(), end_b[1, 0, a:b, 16:].max())
         near = [
             i for i, (lo, hi, dims) in enumerate(fixtures) if not corners_apart(lo, hi, cull[0], 0.0, dims)
         ]
-        clear = not (spec.table_plane and cull[0][0][2] < -spec.penetration_tolerance) and not (
-            near and sat_overlap_matrix(*swept, *(boxes[near] for boxes in tree.obstacles)).any()
-        )
         # A pair key is the static panel's slot in this sweep, shifted above
         # the fold bits, with the folded part of the panel's ancestry below.
         static = tuple(
@@ -180,7 +247,17 @@ def build_sweeps(tree: KinematicTree, folds) -> None:
             for slot, pid in enumerate(tree.ids)
             if pid not in tree.subtrees[joint]
         )
-        tree.sweeps[key] = Sweep(tree.panels_by_id[joint].parent, swept, cull, clear, flag, static)
+        panel = tree.panels_by_id[joint]
+        tree.sweeps[key] = Sweep(
+            panel.parent,
+            (center_terms[a:b], rot_terms[a:b], solid_halves[a:b]),
+            (panel.theta_init, panel.theta_final, spec.tolerance_angle),
+            cull,
+            flag,
+            static,
+            table,
+            tuple(boxes[near] for boxes in tree.obstacles) if near else None,
+        )
 
 
 def corners_apart(lo, hi, cull, clearance: float, dims) -> bool:
@@ -263,4 +340,6 @@ def collision_check(tree: KinematicTree, mask: int, moving_joint: int) -> bool:
 
 
 def n_sweep_samples(tree: KinematicTree, joint: int) -> int:
-    return len(tree.crease_terms[joint][1])
+    """The number of angles ``sweep_angles`` samples the joint's fold at."""
+    panel = tree.panels_by_id[joint]
+    return sweep_steps(panel.theta_final - panel.theta_init, tree.spec.tolerance_angle) + 1

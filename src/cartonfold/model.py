@@ -35,10 +35,11 @@ PyYAML builds them. Every load starts from the file; no memo outlives it.
 
 ``build_tree`` turns a validated spec into the ``KinematicTree`` that every
 planning function takes as its one input. It forms every crease's mount,
-its turns to the initial and final angles and its sweep's sample rows
-(from ``sweep_angles``) in stacked passes, each element by the same
-operations as the one-panel forms. A fold state is an int bit mask
-over the tree's foldable joints, and the tree places one panel in one fold
+its turns to the initial and final angles and the rows that bound its
+sweep over the whole arc in stacked passes, each element by the same
+operations as the one-panel forms; a sweep's sample rows are taken only
+when its samples are placed (``weight_rows``). A fold state is an int
+bit mask over the tree's foldable joints, and the tree places one panel in one fold
 state at a time (``KinematicTree.panel_state``), memoised per panel and
 the folded joints that place it. Bounding-box measures, aerial flags and
 the poses of traces and dumps are all assembled from those records.
@@ -85,9 +86,14 @@ def sweep_angles(start: float, end: float, step: float) -> np.ndarray:
     span = end - start
     if span == 0.0:
         return np.array([start])
-    n_steps = int(np.ceil(abs(span) / step - 1e-12))
+    n_steps = sweep_steps(span, step)
     interior = start + np.sign(span) * step * np.arange(n_steps)
     return np.append(interior, end)
+
+
+def sweep_steps(span: float, step: float) -> int:
+    """The number of steps ``sweep_angles`` takes over an arc of ``span``."""
+    return math.ceil(abs(span) / step - 1e-12)
 
 
 class SpecValidationError(ValueError):
@@ -302,19 +308,48 @@ def _turned(axes: np.ndarray, mounts: np.ndarray, angles: np.ndarray) -> np.ndar
     return rotations @ mounts[:, None]
 
 
-def _sweep_weights(panels, step: float) -> list[np.ndarray]:
-    """Per foldable panel, a row [1, sin θ, 1 − cos θ] for each of its
-    ``sweep_angles(theta_init, theta_final, step)``, from one stacked pass."""
-    # As sweep_angles: each panel's interior samples, spaced by the signed
-    # step from theta_init, then theta_final.
-    sizes = [math.ceil(abs(p.theta_final - p.theta_init) / step - 1e-12) + 1 for p in panels]
-    steps = [math.copysign(step, p.theta_final - p.theta_init) for p in panels]
-    ends = np.cumsum(sizes)
-    index = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
-    angles = np.repeat([p.theta_init for p in panels], sizes) + np.repeat(steps, sizes) * index
-    angles[ends - 1] = [p.theta_final for p in panels]
-    weights = np.column_stack((np.ones(len(angles)), np.sin(angles), 1.0 - np.cos(angles)))
-    return [weights[end - size:end] for end, size in zip(ends.tolist(), sizes)]
+def weight_rows(angles) -> np.ndarray:
+    """A row [1, sin θ, 1 − cos θ] per angle θ: the weights of a joint's
+    three crease terms (``KinematicTree.crease_terms``) at θ."""
+    angles = np.asarray(angles, dtype=float)
+    return np.column_stack((np.ones(len(angles)), np.sin(angles), 1.0 - np.cos(angles)))
+
+
+def _arc_rows_of(sin_a, cos_a, sin_b, cos_b) -> list[tuple[float, float, float]]:
+    """The rows that bound a term P0 + P1 sin θ + P2 (1 − cos θ) over an arc
+    with ends θa <= θb, each applied to (P0, P1, P2): the term's values at
+    θa and at θb, its mean P0 + P2, its slope at θa and its slope at θb
+    negated, each followed by its negation, then P1 and P2. The term's
+    peak, the mean plus hypot(P1, P2), lies on the arc when both slope rows
+    are at least 0, or for an arc over 180° either of them; so, applied to
+    the negated term, does its trough."""
+    rows = [
+        (1.0, sin_a, 1.0 - cos_a),
+        (1.0, sin_b, 1.0 - cos_b),
+        (1.0, 0.0, 1.0),
+        (0.0, cos_a, sin_a),
+        (0.0, -cos_b, -sin_b),
+    ]
+    signed = [row for p0, p1, p2 in rows for row in ((p0, p1, p2), (-p0, -p1, -p2))]
+    return [*signed, (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+
+
+# ``_arc_rows_of`` is affine in its arguments, and exactly so in floats (up
+# to the sign of a zero): its rows are (sin θa, cos θa, sin θb, cos θb) @
+# _ARC_MAP + _ARC_BASE.
+_ARC_BASE = np.array(_arc_rows_of(0.0, 0.0, 0.0, 0.0))
+_ARC_MAP = np.array([_arc_rows_of(*unit) for unit in np.eye(4).tolist()]) - _ARC_BASE
+
+
+def _arc_rows(panels) -> np.ndarray:
+    """Per foldable panel, ``_arc_rows_of`` its arc, from one stacked pass."""
+    trig = []
+    for panel in panels:
+        a, b = sorted((panel.theta_init, panel.theta_final))
+        trig.append((math.sin(a), math.cos(a), math.sin(b), math.cos(b)))
+    rows = (np.array(trig) @ _ARC_MAP.reshape(4, -1)).reshape(-1, *_ARC_BASE.shape) + _ARC_BASE
+    rows.setflags(write=False)
+    return rows
 
 
 class KinematicTree(Frozen):
@@ -334,10 +369,12 @@ class KinematicTree(Frozen):
     ``mounts[p]`` holds non-root panel p's crease (anchor, unit direction,
     mount M): M holds the panel's frame axes in its parent's frame at
     angle zero. ``crease_terms[j]`` holds foldable joint j's (M, KM, K²M),
-    for crease cross-product matrix K, and per sample angle θ of its sweep
-    a row [1, sin θ, 1 − cos θ], whose sum of the three is M turned by θ
-    (Rodrigues). ``turns[p]`` holds M turned by theta_init and by
-    theta_final, each the product ``rotation_matrix(axis, θ) @ M`` that
+    for crease cross-product matrix K, whose sum weighted by a row
+    [1, sin θ, 1 − cos θ] (``weight_rows``) is M turned by θ (Rodrigues),
+    then the rows that bound such a sum over the joint's whole arc
+    (``_arc_rows_of``) and whether the arc spans more than 180°.
+    ``turns[p]`` holds M turned by theta_init and by theta_final, each the
+    product ``rotation_matrix(axis, θ) @ M`` that
     ``reference.forward_kinematics`` forms, computed for all panels in one pass.
 
     A panel's pose depends only on the folded joints in its ancestry, so
@@ -359,7 +396,7 @@ class KinematicTree(Frozen):
     bits: dict[int, int]
     panels_by_id: dict[int, PanelSpec]
     mounts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
-    crease_terms: dict[int, tuple[np.ndarray, np.ndarray]]
+    crease_terms: dict[int, tuple[np.ndarray, np.ndarray, bool]]
     turns: dict[int, np.ndarray]
     subtrees: dict[int, tuple[int, ...]]
     ancestry: dict[int, int]
@@ -518,9 +555,9 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
             turns[panel.id] = turned[i]
         moving = [i for i, p in enumerate(movers) if p.foldable]
         if moving:
-            weights = _sweep_weights([movers[i] for i in moving], spec.tolerance_angle)
-            for i, w in zip(moving, weights):
-                crease_terms[movers[i].id] = terms[i], w
+            for i, rows in zip(moving, _arc_rows([movers[i] for i in moving])):
+                wide = abs(movers[i].theta_final - movers[i].theta_init) > math.pi
+                crease_terms[movers[i].id] = terms[i], rows, wide
 
     topo_rank = {pid: i for i, pid in enumerate(topo)}
     subtrees = {}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -35,7 +36,7 @@ from cartonfold.model import (
     load_spec,
     panel_pose_from_frame,
 )
-from cartonfold.planner import build_lattice
+from cartonfold.planner import SearchDiagnostics, build_lattice
 from cartonfold.reference import JointVector, forward_kinematics
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
@@ -93,6 +94,22 @@ class TestRun:
         assert code == EXIT_OK
         lines = [l for l in text.splitlines() if l.strip()]
         assert len(lines) == 2 + 6  # policy line, header, six sequences
+
+    def test_planner_lines_are_formatted_only_when_logged(self, spec_dir, monkeypatch, caplog):
+        # The counters' log lines are built only when INFO is on for the CLI's logger.
+        built = []
+        lines = SearchDiagnostics.lines
+        monkeypatch.setattr(SearchDiagnostics, "lines", lambda stats: built.append(1) or lines(stats))
+        config = RunConfig(spec_path=str(spec_dir / "three_flaps.yaml"))
+        caplog.set_level(logging.WARNING, logger="cartonfold.cli")
+        quiet = run_to_string(config)
+        assert not built and not caplog.records
+        caplog.set_level(logging.INFO, logger="cartonfold.cli")
+        assert run_to_string(config) == quiet
+        assert built == [1]
+        logged = [record.getMessage() for record in caplog.records]
+        assert logged and all(message.startswith("planner ") for message in logged)
+        assert "planner sequences=6" in logged
 
     def test_malformed_spec_exits_3(self, tmp_path):
         bad = tmp_path / "bad.yaml"

@@ -21,6 +21,7 @@ from cartonfold.geometry import (
     OrientedBox,
     Transform,
     pack_boxes,
+    rotation_matrix,
     sat_overlap_matrix,
 )
 from cartonfold.model import (
@@ -30,6 +31,7 @@ from cartonfold.model import (
     build_tree,
     load_spec,
     parse_spec,
+    weight_rows,
 )
 from cartonfold.planner import build_lattice
 from cartonfold.reference import JointVector, forward_kinematics, obb_intersect
@@ -378,18 +380,73 @@ class TestSweptSolids:
         assert mixed
 
 
+def two_arc_tree(step_deg: float = 5.0):
+    """Two flaps on one base: flap 2 folds down from 0 to -150 degrees (a
+    negative span), flap 3 from -100 to +120 degrees (a span over 180)."""
+    return build_tree(
+        CartonSpec(
+            panels=(
+                PanelSpec(id=1, parent=None, dims=(100, 200, 2)),
+                PanelSpec(
+                    id=2, parent=1, dims=(60, 190, 2),
+                    crease_anchor=(195, 0, 0), crease_dir=(-1, 0, 0),
+                    theta_init=0.0, theta_final=math.radians(-150.0),
+                ),
+                PanelSpec(
+                    id=3, parent=1, dims=(40, 150, 2),
+                    crease_anchor=(25, 100, 0), crease_dir=(1, 0, 0),
+                    theta_init=math.radians(-100.0), theta_final=math.radians(120.0),
+                ),
+            ),
+            table_plane=False,
+            tolerance_angle=math.radians(step_deg),
+            penetration_tolerance=1.05,
+        )
+    )
+
+
+def crease_reach(tree, mask, joint) -> float:
+    """The largest distance of a corner of the joint's swept solids from its crease."""
+    parent = tree.panel_state(tree.panel(joint).parent, mask).pose.pose
+    anchor, axis, _ = tree.mounts[joint]
+    direction = parent.rotation @ axis
+    centers, rots, halves = sweep(tree, mask, joint).boxes
+    corners = centers[:, None] + np.einsum("nij,nkj->nki", rots, CORNER_SIGNS * halves[:, None])
+    away = corners - parent.apply(anchor)
+    away -= (away @ direction)[..., None] * direction
+    return float(np.linalg.norm(away, axis=-1).max())
+
+
 class TestBroadPhase:
-    def test_cull_floats_are_the_sweep_bounds(self, spec_dir):
-        # The pair tests cull on each sweep's bounds as floats, taken once
-        # per sweep from the batch that built it.
-        trees = [*branchy_trees(), build_tree(load_spec(spec_dir / "case_study_tray.yaml"))]
+    @pytest.mark.parametrize("step_deg", [5.0, 1.0, 0.25])
+    def test_cull_bounds_the_continuous_fold(self, spec_dir, step_deg):
+        # The pair tests cull on each sweep's bounds over the continuous fold,
+        # at both clearances: they hold every sampled box and every box at
+        # 0.01 degree steps, and exceed the sampled bounds by at most the
+        # sagitta r (1 - cos(step / 2)) of the corner farthest from the crease.
+        step = math.radians(step_deg)
+        specs = [tree.spec for tree in branchy_trees()]
+        specs += [load_spec(spec_dir / name) for name in SHIPPED_SPECS]
+        trees = [*(build_tree(replace(spec, tolerance_angle=step)) for spec in specs), two_arc_tree(step_deg)]
+        spans = []
         for tree in trees:
-            build_lattice(tree)
-            assert tree.sweeps
-            for swept in tree.sweeps.values():
-                for floats, clearance in zip(swept.cull, (0.0, -tree.spec.penetration_tolerance)):
-                    lo, hi = reach_bounds(swept.boxes, clearance)
-                    assert np.array(floats).tobytes() == np.array([lo.min(axis=0), hi.max(axis=0)]).tobytes()
+            everything = tree.mask(tree.foldable_ids)
+            for joint in tree.foldable_ids:
+                panel = tree.panel(joint)
+                spans.append(panel.theta_final - panel.theta_init)
+                fine = weight_rows(sweep_angles(panel.theta_init, panel.theta_final, math.radians(0.01)))
+                for mask in (0, everything & ~tree.bits[joint]):
+                    swept = sweep(tree, mask, joint)
+                    sagitta = crease_reach(tree, mask, joint) * (1.0 - math.cos(step / 2.0))
+                    for (lo, hi), clearance in zip(swept.cull, (0.0, -tree.spec.penetration_tolerance)):
+                        for boxes in (swept.boxes, swept.at(fine)):
+                            box_lo, box_hi = reach_bounds(boxes, clearance)
+                            assert np.all(np.array(lo) <= box_lo.min(axis=0) + 1e-9)
+                            assert np.all(np.array(hi) >= box_hi.max(axis=0) - 1e-9)
+                        box_lo, box_hi = reach_bounds(swept.boxes, clearance)
+                        assert np.all(box_lo.min(axis=0) - lo <= sagitta + 1e-9)
+                        assert np.all(hi - box_hi.max(axis=0) <= sagitta + 1e-9)
+        assert min(spans) < 0.0 and max(map(abs, spans)) > math.pi
 
     @pytest.mark.parametrize("name", [*SHIPPED_SPECS, THIN_BASE, TURNED_BEAM])
     @pytest.mark.parametrize("step_deg", [5.0, 1.0])
@@ -419,39 +476,70 @@ class TestBroadPhase:
                 expected = full_kernel_check(tree, mask, joint)
                 assert collision_check(tree, mask, joint) is expected, (n, mask, joint)
 
+    @pytest.mark.parametrize("step_deg", [5.0, 0.25])
     @pytest.mark.parametrize(
-        "name, fixture_checks, pair_checks",
+        "name, fixture_checks, pair_checks, placed",
         [
-            ("case_study_tray.yaml", [], []),
-            ("three_flaps.yaml", [], []),
-            ("free_flap_spec(8)", [], []),
+            ("case_study_tray.yaml", [], [], False),
+            ("three_flaps.yaml", [], [], False),
+            ("free_flap_spec(8)", [], [], False),
             # One non-parent pair that blocks, and one fixture that does.
-            ("blocking_pair.yaml", [], [(0.0, True)]),
-            ("obstructed_flap.yaml", [(0.0, True)], []),
+            ("blocking_pair.yaml", [], [(0.0, True)], True),
+            ("obstructed_flap.yaml", [(0.0, True)], [], True),
         ],
     )
     def test_only_pairs_the_kernel_can_hit_are_packed(
-        self, spec_dir, monkeypatch, name, fixture_checks, pair_checks
+        self, spec_dir, monkeypatch, name, fixture_checks, pair_checks, placed, step_deg
     ):
         # The float cull settles every pair and fixture test whose box the
         # sweep's bounds drop, crease parents included, so only boxes that
-        # can be hit reach the kernel: fixtures from build_sweeps, panels
-        # from _pair_blocked.
+        # can be hit reach the kernel: fixtures as a sweep is built, panels
+        # from _pair_blocked. A sweep places all its samples only for the
+        # kernel, so on cartons that never reach it no sweep places them.
         spec = free_flap_spec(8) if name == "free_flap_spec(8)" else load_spec(spec_dir / name)
-        tree = build_tree(spec)
-        calls = []
+        tree = build_tree(replace(spec, tolerance_angle=math.radians(step_deg)))
+        calls, rows = [], []
         kernel = collision_module.sat_overlap_matrix
+        at = collision_module.Sweep.at
 
         def recorded(ca, ra, ha, cb, rb, hb, clearance=0.0):
             overlaps = kernel(ca, ra, ha, cb, rb, hb, clearance)
-            calls.append((sys._getframe(1).f_code.co_name == "build_sweeps", clearance, bool(overlaps.any())))
+            calls.append((sys._getframe(1).f_code.co_name == "__init__", clearance, bool(overlaps.any())))
             return overlaps
 
+        def placing(swept, weights):
+            rows.append(len(weights) == len(sweep_angles(*swept.arc)))
+            return at(swept, weights)
+
         monkeypatch.setattr(collision_module, "sat_overlap_matrix", recorded)
+        monkeypatch.setattr(collision_module.Sweep, "at", placing)
         build_lattice(tree)
         assert [call[1:] for call in calls if call[0]] == fixture_checks
         assert [call[1:] for call in calls if not call[0]] == pair_checks
         assert sum(tree.pair_verdicts.values()) == len(pair_checks)
+        assert any(rows) is placed
+
+    def test_table_is_tested_at_the_samples(self):
+        # The base rises at 45 degrees from its crease, 58 mm over the table,
+        # and the 60 mm flap folds from 0 to -90 degrees, through pointing
+        # straight down at -45, where the continuous fold dips 2 mm below
+        # the table. At a 60 degree step no sample comes near that angle, so
+        # the sampled verdict stays clear until sweeps are certified (ROADMAP
+        # item 3), as the kernel alone gives it.
+        tree = two_panel_tree()
+        spec = replace(
+            tree.spec,
+            panels=(tree.spec.panels[0], replace(tree.spec.panels[1], theta_final=math.radians(-90.0))),
+            root_pose=Transform(rotation_matrix(np.array([1.0, 0.0, 0.0]), math.radians(45.0)), (0, 0, 58)),
+            table_plane=True,
+        )
+        for step_deg, clear in ((60.0, True), (5.0, False)):
+            tree = build_tree(replace(spec, tolerance_angle=math.radians(step_deg)))
+            swept = sweep(tree, 0, 2)
+            assert swept.cull[0][0][2] < -2.0
+            assert swept.clear is clear
+            assert collision_check(tree, 0, 2) is clear
+            assert full_kernel_check(tree, 0, 2) is clear
 
     def test_fixture_hit_by_one_sample_is_not_culled(self):
         # A 1 mm cube on the flap's mid-plane near its free edge at 45

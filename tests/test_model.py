@@ -28,7 +28,6 @@ from cartonfold.model import (
     panel_pose_from_frame,
     parse_spec,
     spec_from_mapping,
-    sweep_angles,
 )
 from cartonfold.reference import (
     Aabb,
@@ -563,7 +562,7 @@ class TestBuildTree:
     @settings(max_examples=200, deadline=None)
     @given(oblique_spec_mappings())
     def test_stacked_crease_tables_equal_the_per_panel_forms(self, data):
-        # build_tree forms every crease's mount, turns and sweep rows in
+        # build_tree forms every crease's mount, turns and arc rows in
         # stacked passes; each must equal its one-panel form bit for bit.
         spec = spec_from_mapping(data)
         tree = build_tree(spec)
@@ -579,12 +578,13 @@ class TestBuildTree:
             if not panel.foldable:
                 assert panel.id not in tree.crease_terms
                 continue
-            terms, weights = tree.crease_terms[panel.id]
+            terms, arc_rows, wide = tree.crease_terms[panel.id]
             x_term = mount @ cross_x
             assert bits(terms) == bits(np.stack((mount, x_term, x_term @ cross_x)))
-            angles = sweep_angles(panel.theta_init, panel.theta_final, spec.tolerance_angle)
-            rows = np.column_stack((np.ones(len(angles)), np.sin(angles), 1.0 - np.cos(angles)))
-            assert bits(weights) == bits(rows)
+            a, b = sorted((panel.theta_init, panel.theta_final))
+            rows = model_module._arc_rows_of(math.sin(a), math.cos(a), math.sin(b), math.cos(b))
+            np.testing.assert_array_equal(arc_rows, rows)  # one stacked affine map: zeros may differ in sign
+            assert wide is (b - a > math.pi)
 
     def test_a_crease_along_the_parent_normal_is_named(self):
         doc = TWO_PANEL_DOC.replace("crease_dir: [-1, 0, 0]", "crease_dir: [0, 0, 1]")
