@@ -17,7 +17,6 @@ from .model import (
     CartonSpec,
     GripperSpec,
     KinematicTree,
-    PanelPose,
     PanelSpec,
     SpecValidationError,
     build_tree,
@@ -38,6 +37,7 @@ from .metrics import RankedReport, rank_lattice
 _ON_FIRST_USE = {
     "Aabb": "reference",
     "JointVector": "reference",
+    "PanelPose": "reference",
     "forward_kinematics": "reference",
     "obb_intersect": "reference",
     "rotate_about_axis": "reference",

@@ -180,29 +180,30 @@ def build_sweeps(tree: KinematicTree, folds) -> None:
     if not todo:
         return
     spec = tree.spec
-    # Per solid: its box, parent rotation, crease terms, joint origin (fixed),
-    # start frame, arc rows and arc width; per sweep, its first solid and aerial flag.
+    # Per solid: its record, parent rotation, crease terms, joint origin
+    # (fixed), the joint panel's record, arc rows and arc width; per sweep,
+    # its first solid and aerial flag.
     solids, parent_rots, crease, origins, frames, arcs, narrow, starts, aerial = ([] for _ in range(9))
     for mask, joint in todo.values():
-        parent = tree.panel_state(tree.panels_by_id[joint].parent, mask).pose.pose
+        parent = tree.panel_state(tree.panels_by_id[joint].parent, mask)
         records = [tree.panel_state(pid, mask) for pid in tree.subtrees[joint]]
         terms, rows, wide = tree.crease_terms[joint]
         size = len(records)
         starts.append(len(solids))
-        solids += [record.pose.solid for record in records]
+        solids += records
         parent_rots += [parent.rotation] * size
         crease += [terms] * size
-        origins += [parent.apply(tree.mounts[joint][0])] * size
-        frames += [records[0].pose.pose] * size
+        origins += [tree.mounts[joint][0] @ parent.rotation.T + parent.origin] * size
+        frames += [records[0]] * size
         arcs += [rows] * size
         narrow += [not wide] * size
         aerial.append(min(record.lo[2] for record in records) > spec.support_tolerance)
     unframe = np.array([frame.rotation for frame in frames]).transpose(0, 2, 1)
-    offsets = np.array([solid.center - frame.translation for solid, frame in zip(solids, frames)])
+    offsets = np.array([solid.center - frame.origin for solid, frame in zip(solids, frames)])
     world = np.array(parent_rots)[:, None] @ np.array(crease)
     center_terms = (world @ (unframe @ offsets[:, :, None])[:, None])[..., 0]
     center_terms[:, 0] += origins
-    rot_terms = world @ (unframe @ np.array([solid.pose.rotation for solid in solids]))[:, None]
+    rot_terms = world @ (unframe @ np.array([solid.rotation for solid in solids]))[:, None]
     solid_halves = np.array([solid.half_extents for solid in solids])
 
     # Term t of coordinate i of corner k of solid n, at clearance c (0, then
@@ -296,10 +297,9 @@ def _pair_blocked(tree: KinematicTree, swept: Sweep, mask: int, panel_id: int) -
     clearance = -tree.spec.penetration_tolerance if parent else 0.0
     if corners_apart(record.lo, record.hi, swept.cull[parent], clearance, tree.panels_by_id[panel_id].dims):
         return False
-    solid = record.pose.solid
     return bool(
         sat_overlap_matrix(
-            *swept.boxes, solid.center[None], solid.pose.rotation[None], solid.half_extents[None], clearance
+            *swept.boxes, record.center[None], record.rotation[None], record.half_extents[None], clearance
         ).any()
     )
 

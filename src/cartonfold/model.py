@@ -39,13 +39,18 @@ its turns to the initial and final angles and the rows that bound its
 sweep over the whole arc in stacked passes, each element by the same
 operations as the one-panel forms; a sweep's sample rows are taken only
 when its samples are placed (``weight_rows``). A fold state is an int
-bit mask over the tree's foldable joints, and the tree places one panel in one fold
-state at a time (``KinematicTree.panel_state``), memoised per panel and
-the folded joints that place it. Bounding-box measures, aerial flags and
-the poses of traces and dumps are all assembled from those records.
+bit mask over the tree's foldable joints, and the tree places one panel in
+one fold state at a time (``KinematicTree.panel_state``), memoised per
+panel and the folded joints that place it. A placement is a
+``PanelRecord`` of plain arrays, the frame's rotation and origin and the
+slab's center and half extents, with its corner bounds as floats; no
+transform or box object is built for it. Bounding-box measures, aerial
+flags, the swept check's solids and the poses of traces, dumps and the
+grasp advisory are all read from those records.
 ``reference.forward_kinematics`` places every panel of any joint vector at
-once and gives the same poses, bit for bit. Writing a spec back out
-(``reference.serialize_spec``) lives there too, since no plan runs it.
+once as ``reference.PanelPose`` objects and gives the same values, bit for
+bit. Writing a spec back out (``reference.serialize_spec``) lives there
+too, since no plan runs it.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ import yaml
 from yaml.constructor import ConstructorError
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
-from .geometry import Frozen, FrozenValue, OrientedBox, Transform, pack_boxes, rotation_matrix
+from .geometry import CORNER_SIGNS, Frozen, FrozenValue, OrientedBox, Transform, pack_boxes, rotation_matrix
 
 DEFAULT_TOLERANCE_ANGLE_DEG = 5.0
 DEFAULT_PENETRATION_TOLERANCE_MM = 0.1
@@ -352,6 +357,20 @@ def _arc_rows(panels) -> np.ndarray:
     return rows
 
 
+class PanelRecord(NamedTuple):
+    """One panel placed in one fold state: the world rotation of its frame
+    (the frame's axes as columns), the frame's origin, the slab's center
+    and half extents, all write-protected arrays, and the world-aligned
+    bounds (lo, hi) of the slab's 8 corners as floats."""
+
+    rotation: np.ndarray
+    origin: np.ndarray
+    center: np.ndarray
+    half_extents: np.ndarray
+    lo: tuple[float, float, float]
+    hi: tuple[float, float, float]
+
+
 class KinematicTree(Frozen):
     """A validated carton spec plus everything planning derives from it once.
 
@@ -376,12 +395,15 @@ class KinematicTree(Frozen):
     ``turns[p]`` holds M turned by theta_init and by theta_final, each the
     product ``rotation_matrix(axis, θ) @ M`` that
     ``reference.forward_kinematics`` forms, computed for all panels in one pass.
+    ``slabs[p]`` holds panel p's slab in its own frame: its center, the
+    offsets of its 8 corners from the center (``CORNER_SIGNS`` order) and
+    its half extents.
 
-    A panel's pose depends only on the folded joints in its ancestry, so
-    ``panel_state`` builds it once per (panel, mask & ancestry) and keeps
-    it; ``measures`` assembles fold states from those records, and so do
-    the swept check, ``--explain``, ``--dump-states`` and the grasp
-    advisory. ``sweeps`` and ``pair_verdicts`` hold the swept
+    A panel's placement depends only on the folded joints in its ancestry,
+    so ``panel_state`` builds its ``PanelRecord`` once per (panel, mask &
+    ancestry) and keeps it; ``measures`` assembles fold states from those
+    records, and so do the swept check, ``--explain``, ``--dump-states``
+    and the grasp advisory. ``sweeps`` and ``pair_verdicts`` hold the swept
     collision check's own memos (see ``collision``). Every memo is a
     function of the immutable spec and its key, so sharing it never
     changes a verdict or a score, and it lives and dies with the tree.
@@ -398,6 +420,7 @@ class KinematicTree(Frozen):
     mounts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
     crease_terms: dict[int, tuple[np.ndarray, np.ndarray, bool]]
     turns: dict[int, np.ndarray]
+    slabs: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
     subtrees: dict[int, tuple[int, ...]]
     ancestry: dict[int, int]
     subtree_ancestry: dict[int, int]
@@ -405,12 +428,12 @@ class KinematicTree(Frozen):
 
     def __init__(
         self, spec, ids, topo_order, foldable_ids, bits, panels_by_id, mounts, crease_terms,
-        turns, subtrees, ancestry, subtree_ancestry, obstacles,
+        turns, slabs, subtrees, ancestry, subtree_ancestry, obstacles,
     ):
         self.__dict__.update(
             spec=spec, ids=ids, topo_order=topo_order, foldable_ids=foldable_ids, bits=bits,
             panels_by_id=panels_by_id, mounts=mounts, crease_terms=crease_terms, turns=turns,
-            subtrees=subtrees, ancestry=ancestry, subtree_ancestry=subtree_ancestry,
+            slabs=slabs, subtrees=subtrees, ancestry=ancestry, subtree_ancestry=subtree_ancestry,
             obstacles=obstacles,
             # The memos, empty until used and left out of the repr.
             panel_records={}, sweeps={}, pair_verdicts={},
@@ -437,36 +460,43 @@ class KinematicTree(Frozen):
         """The folded joints of a fold state, ascending."""
         return tuple(j for j in self.foldable_ids if mask & self.bits[j])
 
-    def panel_state(self, panel_id: int, mask: int) -> "PanelRecord":
-        """One panel's pose in fold state ``mask``, built once per ancestry subset.
-
-        The frame is the parent's composed with the panel's turned mount
-        (``turns``) at its anchor, the product ``reference._child_frame``
-        forms in forward kinematics, so the pose is the one FK gives for
-        the same fold state, bit for bit. The record's arrays are all
-        computed here, so they are frozen in place rather than copied.
-        """
+    def panel_state(self, panel_id: int, mask: int) -> PanelRecord:
+        """One panel placed in fold state ``mask``, once per ancestry subset."""
         key = (panel_id, self.ancestry[panel_id] & mask)
         record = self.panel_records.get(key)
         if record is None:
-            panel = self.panels_by_id[panel_id]
-            if panel.parent is None:
-                frame = self.spec.root_pose
-            else:
-                parent = self.panel_state(panel.parent, mask).pose.pose
-                turned = self.turns[panel_id][1 if mask & self.bits.get(panel_id, 0) else 0]
-                frame = _frozen_in_place(
-                    Transform,
-                    rotation=parent.rotation @ turned,
-                    translation=parent.rotation @ self.mounts[panel_id][0] + parent.translation,
-                )
-            pose = panel_pose_from_frame(panel, frame)
-            corners = pose.solid.corners()
-            record = PanelRecord(
-                pose, tuple(corners.min(axis=0).tolist()), tuple(corners.max(axis=0).tolist())
-            )
-            self.panel_records[key] = record
+            record = self.panel_records[key] = self._place(panel_id, mask)
         return record
+
+    def _place(self, panel_id: int, mask: int) -> PanelRecord:
+        """The record ``panel_state`` memoises.
+
+        The frame is the parent's composed with the panel's turned mount
+        (``turns``) at its anchor, and the center and corners are the
+        slab's (``slabs``) mapped through it, each by the operations
+        ``reference.forward_kinematics`` uses on its transforms and boxes,
+        so every value is the one FK gives for the same fold state, bit for
+        bit. The arrays are all computed here, so they are write-protected
+        in place rather than copied.
+        """
+        parent_id = self.panels_by_id[panel_id].parent
+        if parent_id is None:
+            rotation, origin = self.spec.root_pose.rotation, self.spec.root_pose.translation
+        else:
+            parent = self.panel_state(parent_id, mask)
+            turned = self.turns[panel_id][1 if mask & self.bits.get(panel_id, 0) else 0]
+            rotation = parent.rotation @ turned
+            origin = parent.rotation @ self.mounts[panel_id][0] + parent.origin
+            rotation.setflags(write=False)
+            origin.setflags(write=False)
+        local_center, offsets, half_extents = self.slabs[panel_id]
+        center = local_center @ rotation.T + origin
+        center.setflags(write=False)
+        corners = offsets @ rotation.T + center
+        return PanelRecord(
+            rotation, origin, center, half_extents,
+            tuple(corners.min(axis=0).tolist()), tuple(corners.max(axis=0).tolist()),
+        )
 
     def measures(self, masks) -> tuple[np.ndarray, np.ndarray]:
         """Volume and largest extent of the bounding box of each fold state in ``masks``.
@@ -517,7 +547,8 @@ class KinematicTree(Frozen):
 
 
 def build_tree(spec: CartonSpec) -> KinematicTree:
-    """Derive adjacency, topological order, subtrees, mounts, crease terms and obstacles."""
+    """Derive adjacency, topological order, subtrees, mounts, crease terms,
+    slabs and obstacles."""
     ids = tuple(p.id for p in spec.panels)
     by_id = {p.id: p for p in spec.panels}
     children: dict[int, list[int]] = {pid: [] for pid in ids}
@@ -559,6 +590,15 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
                 wide = abs(movers[i].theta_final - movers[i].theta_init) > math.pi
                 crease_terms[movers[i].id] = terms[i], rows, wide
 
+    # Every panel's slab in its own frame: its center, its corner offsets
+    # from the center and its half extents.
+    halves = np.array([p.dims for p in spec.panels], dtype=float)[:, [1, 0, 2]] / 2.0
+    centers = halves * [1.0, 1.0, 0.0]
+    offsets = CORNER_SIGNS * halves[:, None]
+    for array in (halves, centers, offsets):
+        array.setflags(write=False)
+    slabs = {p.id: (centers[i], offsets[i], halves[i]) for i, p in enumerate(spec.panels)}
+
     topo_rank = {pid: i for i, pid in enumerate(topo)}
     subtrees = {}
     for pid in ids:
@@ -592,76 +632,12 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
         mounts=mounts,
         crease_terms=crease_terms,
         turns=turns,
+        slabs=slabs,
         subtrees=subtrees,
         ancestry=ancestry,
         subtree_ancestry=subtree_ancestry,
         obstacles=pack_boxes(spec.environment) if spec.environment else None,
     )
-
-
-class PanelPose(Frozen):
-    """World placement of one panel at a given joint vector.
-
-    Poses compare by value, like the transforms and boxes they hold.
-    """
-
-    panel_id: int
-    pose: Transform
-    center: np.ndarray
-    solid: OrientedBox
-
-    def __init__(self, panel_id, pose, center, solid):
-        self.__dict__.update(panel_id=panel_id, pose=pose, center=center, solid=solid)
-
-    def __eq__(self, other):
-        if not isinstance(other, PanelPose):
-            return NotImplemented
-        return (
-            self.panel_id == other.panel_id
-            and self.pose == other.pose
-            and np.array_equal(self.center, other.center)
-            and self.solid == other.solid
-        )
-
-    def __hash__(self):
-        # The center follows from the pose and the dims, so it adds nothing.
-        return hash((self.panel_id, self.pose, self.solid))
-
-
-class PanelRecord(NamedTuple):
-    """One panel measured at one fold state: its pose and the world-aligned
-    bounds (lo, hi) of its 8 corners."""
-
-    pose: PanelPose
-    lo: tuple[float, float, float]
-    hi: tuple[float, float, float]
-
-
-def _frozen_in_place(cls, **fields):
-    """A frozen ``cls`` (``Transform`` or ``OrientedBox``) of fields computed
-    here from validated input: arrays are write-protected without a copy,
-    and nothing is checked again."""
-    made = object.__new__(cls)
-    for value in fields.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    made.__dict__.update(fields)
-    return made
-
-
-def panel_pose_from_frame(panel: PanelSpec, frame: Transform) -> PanelPose:
-    """Panel pose record given the world transform of its local frame.
-
-    The solid shares the frame's rotation and the pose's center, all
-    write-protected."""
-    h, w, t = panel.dims
-    center = frame.apply(np.array([w / 2.0, h / 2.0, 0.0]))
-    solid = _frozen_in_place(
-        OrientedBox,
-        pose=_frozen_in_place(Transform, rotation=frame.rotation, translation=center),
-        half_extents=np.array([w / 2.0, h / 2.0, t / 2.0]),
-    )
-    return PanelPose(panel_id=panel.id, pose=frame, center=center, solid=solid)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ lattice's paths in numpy and never writes a spec back out. The code here
 does each of those jobs the plain way, and the tests compare the plan
 against it:
 
-* ``forward_kinematics`` places every panel of a ``JointVector`` at once,
-  giving the poses ``KinematicTree.panel_state`` gives, bit for bit;
+* ``forward_kinematics`` places every panel of a ``JointVector`` at once
+  as ``PanelPose`` objects (a ``Transform`` frame, a center and an
+  ``OrientedBox`` solid), holding the values of the arrays that
+  ``KinematicTree.panel_state`` gives, bit for bit;
 * ``score_and_rank`` scores and sorts a given list of orders, placing each
   state by forward kinematics and measuring it by ``world_aabb``; it is
   the reference that ``metrics.rank_lattice`` is tested against;
@@ -43,12 +45,10 @@ from .metrics import EdgeMetrics, RankedReport, round6
 from .model import (
     CartonSpec,
     KinematicTree,
-    PanelPose,
     PanelSpec,
     _degrees,
     _near,
     _rpy_matrix,
-    panel_pose_from_frame,
 )
 
 ANGLE_SLACK = 1e-9
@@ -158,6 +158,62 @@ class JointVector(FrozenValue):
         angles = dict(self.angles)
         angles[panel_id] = angle
         return JointVector(angles)
+
+
+class PanelPose(Frozen):
+    """World placement of one panel at a given joint vector.
+
+    Poses compare by value, like the transforms and boxes they hold.
+    """
+
+    panel_id: int
+    pose: Transform
+    center: np.ndarray
+    solid: OrientedBox
+
+    def __init__(self, panel_id, pose, center, solid):
+        self.__dict__.update(panel_id=panel_id, pose=pose, center=center, solid=solid)
+
+    def __eq__(self, other):
+        if not isinstance(other, PanelPose):
+            return NotImplemented
+        return (
+            self.panel_id == other.panel_id
+            and self.pose == other.pose
+            and np.array_equal(self.center, other.center)
+            and self.solid == other.solid
+        )
+
+    def __hash__(self):
+        # The center follows from the pose and the dims, so it adds nothing.
+        return hash((self.panel_id, self.pose, self.solid))
+
+
+def _frozen_in_place(cls, **fields):
+    """A frozen ``cls`` (``Transform`` or ``OrientedBox``) of fields computed
+    here from validated input: arrays are write-protected without a copy,
+    and nothing is checked again."""
+    made = object.__new__(cls)
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    made.__dict__.update(fields)
+    return made
+
+
+def panel_pose_from_frame(panel: PanelSpec, frame: Transform) -> PanelPose:
+    """Panel pose record given the world transform of its local frame.
+
+    The solid shares the frame's rotation and the pose's center, all
+    write-protected."""
+    h, w, t = panel.dims
+    center = frame.apply(np.array([w / 2.0, h / 2.0, 0.0]))
+    solid = _frozen_in_place(
+        OrientedBox,
+        pose=_frozen_in_place(Transform, rotation=frame.rotation, translation=center),
+        half_extents=np.array([w / 2.0, h / 2.0, t / 2.0]),
+    )
+    return PanelPose(panel_id=panel.id, pose=frame, center=center, solid=solid)
 
 
 def _check_angle(panel: PanelSpec, value: float) -> None:

@@ -3,8 +3,9 @@ and the grasp advisory they report.
 
 A default plan runs none of this, so ``cli.run`` imports the module only
 when a run explains a sequence or dumps states; ``cli.run`` loads the tree
-for both. Every pose comes from the tree's memoised panel records, as in a
-plan.
+for both. Every placement comes from the tree's memoised panel records,
+as in a plan: the arrays of a ``PanelRecord`` are read directly, and no
+transform, box or pose object is built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .collision import collision_check, n_sweep_samples, sweep
-from .geometry import pack_boxes, sat_overlap_matrix
+from .geometry import sat_overlap_matrix
 from .metrics import RankedReport
 from .model import KinematicTree
 
@@ -45,23 +46,27 @@ def grasp_side(tree: KinematicTree, mask: int, joint: int) -> GraspSide:
     if gripper is None:
         raise ValueError("the carton spec declares no gripper")
     panel = tree.panel(joint)
-    solid = tree.panel_state(joint, mask).pose.solid
+    placed = tree.panel_state(joint, mask)
 
     fold_sign = 1.0 if panel.theta_final > panel.theta_init else -1.0
     half_g = np.asarray(gripper.dims, dtype=float) / 2.0
     gz = gripper.dims[2]
     flip = np.diag([1.0, -1.0, -1.0])
 
-    others = [tree.panel_state(pid, mask).pose.solid for pid in tree.ids if pid != joint]
-    batches = [pack_boxes(others)] if others else []
+    others = [tree.panel_state(pid, mask) for pid in tree.ids if pid != joint]
+    batches = []
+    if others:
+        batches.append(tuple(
+            np.stack([getattr(r, name) for r in others]) for name in ("center", "rotation", "half_extents")
+        ))
     if tree.obstacles is not None:
         batches.append(tree.obstacles)
     eps = tree.spec.penetration_tolerance
 
     for side, sign in ((GraspSide.INSIDE, fold_sign), (GraspSide.OUTSIDE, -fold_sign)):
-        normal = sign * solid.pose.rotation[:, 2]
-        center = solid.center + normal * (panel.thickness / 2.0 + gripper.standoff + gz / 2.0)
-        rot = solid.pose.rotation if sign > 0 else solid.pose.rotation @ flip
+        normal = sign * placed.rotation[:, 2]
+        center = placed.center + normal * (panel.thickness / 2.0 + gripper.standoff + gz / 2.0)
+        rot = placed.rotation if sign > 0 else placed.rotation @ flip
         tool = (center[None, :], rot[None, :, :], half_g[None, :])
         blocked = tree.spec.table_plane and center[2] - np.abs(rot[2]) @ half_g < -eps
         blocked = blocked or any(sat_overlap_matrix(*tool, *batch).any() for batch in batches)
@@ -81,13 +86,13 @@ def _state_record(tree: KinematicTree, mask: int, joint: int | None, aerial) -> 
                       for p in tree.spec.panels},
         "panels": [
             {
-                "id": r.pose.panel_id,
-                "rotation": [list(map(float, row)) for row in r.pose.pose.rotation],
-                "translation": [float(v) for v in r.pose.pose.translation],
-                "center": [float(v) for v in r.pose.center],
-                "half_extents": [float(v) for v in r.pose.solid.half_extents],
+                "id": pid,
+                "rotation": [list(map(float, row)) for row in r.rotation],
+                "translation": [float(v) for v in r.origin],
+                "center": [float(v) for v in r.center],
+                "half_extents": [float(v) for v in r.half_extents],
             }
-            for r in records
+            for pid, r in zip(tree.ids, records)
         ],
         "aabb": {
             "min": list(map(min, zip(*(r.lo for r in records)))),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import cartonfold
 import cartonfold.cli as cli_module
-import cartonfold.model as model_module
+import cartonfold.reference as reference_module
 
 from cartonfold.cli import (
     EXIT_NO_SEQUENCES,
@@ -30,14 +30,11 @@ from cartonfold.cli import (
     main,
     run,
 )
+from cartonfold.geometry import OrientedBox, Transform
 from cartonfold.metrics import EdgeMetrics, RankedReport, rank_lattice
-from cartonfold.model import (
-    build_tree,
-    load_spec,
-    panel_pose_from_frame,
-)
+from cartonfold.model import KinematicTree, build_tree, load_spec
 from cartonfold.planner import SearchDiagnostics, build_lattice
-from cartonfold.reference import JointVector, forward_kinematics
+from cartonfold.reference import JointVector, PanelPose, forward_kinematics
 
 from .conftest import SHIPPED_SPECS, SPEC_DIR, free_flap_spec
 from .oracles import csv_report, structured_report
@@ -490,20 +487,21 @@ class TestStateMemo:
             for pid in tree.ids
         }
         fk_calls, built, trees = [], [], []
+        place = KinematicTree._place
 
         def counted_fk(tree_, theta):
             fk_calls.append(theta)
             return forward_kinematics(tree_, theta)
 
-        def counted_pose(panel, frame):
-            built.append(panel.id)
-            return panel_pose_from_frame(panel, frame)
+        def counted_place(tree_, panel_id, mask):
+            built.append((panel_id, mask & tree_.ancestry[panel_id]))
+            return place(tree_, panel_id, mask)
 
         def kept_tree(spec):
             trees.append(build_tree(spec))
             return trees[-1]
 
-        monkeypatch.setattr(model_module, "panel_pose_from_frame", counted_pose)
+        monkeypatch.setattr(KinematicTree, "_place", counted_place)
         monkeypatch.setattr(cli_module, "build_tree", kept_tree)
         for module in vars(cartonfold).values():
             if getattr(module, "forward_kinematics", None) is forward_kinematics:
@@ -513,7 +511,36 @@ class TestStateMemo:
         assert fk_calls == []
         (planned,) = trees
         assert set(planned.panel_records) == expected
-        assert len(built) == len(expected) == 17
+        assert sorted(built) == sorted(expected) and len(built) == 17
+
+    def test_default_plan_builds_no_pose_object(self, spec_dir, monkeypatch):
+        # A plan places panels as arrays: once the spec is loaded (its root
+        # pose is a Transform), it builds no transform, box or panel pose.
+        path = spec_dir / "case_study_tray.yaml"
+        spec = load_spec(path)
+        built = []
+
+        def counted(name, make):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return make(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli_module, "load_spec", lambda _: spec)
+        for owner in (Transform, OrientedBox, PanelPose):
+            monkeypatch.setattr(owner, "__init__", counted(owner.__name__, owner.__init__))
+        monkeypatch.setattr(Transform, "_of", classmethod(counted("Transform._of", Transform._of.__func__)))
+        monkeypatch.setattr(
+            reference_module, "_frozen_in_place", counted("_frozen_in_place", reference_module._frozen_in_place)
+        )
+        code, _ = run_to_string(RunConfig(spec_path=str(path)))
+        assert code == EXIT_OK
+        assert built == []
+        # The wrappers see the reference FK build its poses.
+        tree = build_tree(spec)
+        forward_kinematics(tree, JointVector.flat(tree))
+        assert {"PanelPose", "Transform._of", "_frozen_in_place"} <= set(built)
 
 
 class TestDumpStates:

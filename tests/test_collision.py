@@ -407,12 +407,12 @@ def two_arc_tree(step_deg: float = 5.0):
 
 def crease_reach(tree, mask, joint) -> float:
     """The largest distance of a corner of the joint's swept solids from its crease."""
-    parent = tree.panel_state(tree.panel(joint).parent, mask).pose.pose
+    parent = tree.panel_state(tree.panel(joint).parent, mask)
     anchor, axis, _ = tree.mounts[joint]
     direction = parent.rotation @ axis
     centers, rots, halves = sweep(tree, mask, joint).boxes
     corners = centers[:, None] + np.einsum("nij,nkj->nki", rots, CORNER_SIGNS * halves[:, None])
-    away = corners - parent.apply(anchor)
+    away = corners - (parent.rotation @ anchor + parent.origin)
     away -= (away @ direction)[..., None] * direction
     return float(np.linalg.norm(away, axis=-1).max())
 

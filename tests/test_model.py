@@ -21,11 +21,11 @@ from cartonfold.geometry import (
 )
 from cartonfold.model import (
     CartonSpec,
+    KinematicTree,
     PanelSpec,
     SpecValidationError,
     build_tree,
     load_spec,
-    panel_pose_from_frame,
     parse_spec,
     spec_from_mapping,
 )
@@ -666,21 +666,52 @@ def fk_measures(tree, folded):
     return poses, world_aabb([p.solid for p in poses]), min_z
 
 
+def assert_placed_as(records, poses):
+    """Each panel record holds its FK pose's rotation, origin, center, half
+    extents and corner bounds, bit for bit, in write-protected arrays."""
+    assert len(records) == len(poses)
+    for record, pose in zip(records, poses):
+        corners = pose.solid.corners()
+        for got, want in (
+            (record.rotation, pose.pose.rotation),
+            (record.origin, pose.pose.translation),
+            (record.center, pose.center),
+            (record.half_extents, pose.solid.half_extents),
+            (record.lo, corners.min(axis=0)),
+            (record.hi, corners.max(axis=0)),
+        ):
+            assert bits(got) == bits(want)
+        for array in (record.rotation, record.origin, record.center, record.half_extents):
+            assert not array.flags.writeable
+
+
+def deep_random_trees(count: int = 4) -> list:
+    """Random trees at least three creases deep, drawn from seed 5."""
+    rng = np.random.default_rng(5)
+    trees = []
+    while len(trees) < count:
+        tree = random_tree(rng, 6)
+        if max(joints.bit_count() for joints in tree.ancestry.values()) >= 3:
+            trees.append(tree)
+    return trees
+
+
 class TestStateMemo:
     def test_each_panel_pose_is_built_once(self, monkeypatch):
         tree = build_tree(parse_spec(TWO_PANEL_DOC))
         fk_calls, built = [], []
+        place = KinematicTree._place
 
         def counted_fk(tree_, theta):
             fk_calls.append(theta)
             return forward_kinematics(tree_, theta)
 
-        def counted_pose(panel, frame):
-            built.append(panel.id)
-            return panel_pose_from_frame(panel, frame)
+        def counted_place(tree_, panel_id, mask):
+            built.append(panel_id)
+            return place(tree_, panel_id, mask)
 
         monkeypatch.setattr(model_module, "forward_kinematics", counted_fk)
-        monkeypatch.setattr(model_module, "panel_pose_from_frame", counted_pose)
+        monkeypatch.setattr(KinematicTree, "_place", counted_place)
         bit = tree.bits[2]
         folded = [tree.panel_state(pid, bit) for pid in tree.ids]
         assert tree.panel_state(2, bit) is folded[1]
@@ -689,8 +720,7 @@ class TestStateMemo:
         assert fk_calls == []
         assert sorted(built) == [1, 2, 2]
         assert sorted(tree.panel_records) == [(1, 0), (2, 0), (2, bit)]
-        theta = JointVector.from_folded(tree, {2})
-        assert [r.pose for r in folded] == forward_kinematics(tree, theta)
+        assert_placed_as(folded, forward_kinematics(tree, JointVector.from_folded(tree, {2})))
 
     def test_memo_is_per_tree_and_out_of_repr(self):
         spec = parse_spec(TWO_PANEL_DOC)
@@ -699,31 +729,33 @@ class TestStateMemo:
         assert "panel_records" not in repr(used)
         assert used.panel_records and not fresh.panel_records
 
-    @pytest.mark.parametrize("name", SHIPPED_SPECS)
+    @pytest.mark.parametrize("name", [*SHIPPED_SPECS, "random trees", "tray rotated"])
     def test_panel_records_equal_forward_kinematics_bit_for_bit(self, spec_dir, name):
-        # The poses and the box that --explain, --dump-states and the grasp
-        # advisory assemble from the records, state by state.
-        tree = build_tree(load_spec(spec_dir / name))
-        for mask in range(1 << len(tree.foldable_ids)):
-            poses, box, _ = fk_measures(tree, tree.joints(mask))
-            records = [tree.panel_state(pid, mask) for pid in tree.ids]
-            assert [r.pose for r in records] == poses
-            for got, want in zip(records, poses):
-                assert bits(got.pose.pose.rotation) == bits(want.pose.rotation)
-                assert bits(got.pose.pose.translation) == bits(want.pose.translation)
-                assert bits(got.pose.center) == bits(want.center)
-            assert bits([min(r.lo[i] for r in records) for i in range(3)]) == bits(box.min)
-            assert bits([max(r.hi[i] for r in records) for i in range(3)]) == bits(box.max)
+        # The placements that the sweeps, the pair tests, --explain,
+        # --dump-states and the grasp advisory read, state by state, and the
+        # box assembled from them: on the shipped specs, on random trees at
+        # least three creases deep and on the tray with a rotated root.
+        if name == "random trees":
+            trees = deep_random_trees()
+        elif name == "tray rotated":
+            data = yaml.safe_load((spec_dir / "case_study_tray.yaml").read_text())
+            data["root_pose"] = {**(data.get("root_pose") or {}), "rpy_deg": [10, 20, 30]}
+            trees = [build_tree(spec_from_mapping(data))]
+        else:
+            trees = [build_tree(load_spec(spec_dir / name))]
+        for tree in trees:
+            for mask in range(1 << len(tree.foldable_ids)):
+                poses, box, _ = fk_measures(tree, tree.joints(mask))
+                records = [tree.panel_state(pid, mask) for pid in tree.ids]
+                assert_placed_as(records, poses)
+                assert bits([min(r.lo[i] for r in records) for i in range(3)]) == bits(box.min)
+                assert bits([max(r.hi[i] for r in records) for i in range(3)]) == bits(box.max)
 
     def test_measures_equal_forward_kinematics_bit_for_bit(self, spec_dir):
         # Volume, max extent and the aerial flag of every subset, on the
         # shipped specs and on random trees at least three creases deep.
-        rng = np.random.default_rng(5)
         trees = [build_tree(load_spec(spec_dir / name)) for name in SHIPPED_SPECS]
-        while len(trees) < len(SHIPPED_SPECS) + 4:
-            tree = random_tree(rng, 6)
-            if max(joints.bit_count() for joints in tree.ancestry.values()) >= 3:
-                trees.append(tree)
+        trees += deep_random_trees()
         for tree in trees:
             joints = tree.foldable_ids
             subsets = [

@@ -22,12 +22,11 @@ from cartonfold.metrics import RankedReport, rank_lattice
 from cartonfold.model import (
     GripperSpec,
     KinematicTree,
-    PanelPose,
     build_tree,
     load_spec,
 )
 from cartonfold.planner import FoldLattice, SearchDiagnostics, build_lattice
-from cartonfold.reference import Aabb, JointVector, forward_kinematics
+from cartonfold.reference import Aabb, JointVector, PanelPose, forward_kinematics
 
 from .conftest import SPEC_DIR
 
@@ -43,7 +42,7 @@ SIGNATURES = {
         (name, NO_DEFAULT)
         for name in (
             "spec", "ids", "topo_order", "foldable_ids", "bits", "panels_by_id", "mounts",
-            "crease_terms", "turns", "subtrees", "ancestry", "subtree_ancestry", "obstacles",
+            "crease_terms", "turns", "slabs", "subtrees", "ancestry", "subtree_ancestry", "obstacles",
         )
     ],
     JointVector: [("angles", NO_DEFAULT)],
@@ -305,7 +304,7 @@ def test_import_footprint():
 # Where each name of the package that no plan runs is defined.
 ON_FIRST_USE = {
     "cartonfold.reference": [
-        "Aabb", "JointVector", "forward_kinematics", "obb_intersect", "rotate_about_axis",
+        "Aabb", "JointVector", "PanelPose", "forward_kinematics", "obb_intersect", "rotate_about_axis",
         "score_and_rank", "serialize_spec", "world_aabb",
     ],
     "cartonfold.replay": ["GraspSide", "grasp_side"],
