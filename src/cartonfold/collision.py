@@ -1,4 +1,4 @@
-"""Swept collision checking for single fold actions.
+"""Swept collision checking: the verdict of every fold action.
 
 A fold drives one joint from its initial to its final angle while every
 other joint holds still. The motion is sampled at the spec's tolerance
@@ -27,6 +27,14 @@ needs k sweeps and k(2k-1) pair tests for its k·2^(k-1) checks, and the
 verdicts are exactly those of the whole check. Each sweep lists its static
 panels with their ancestry masks and the base of their pair keys, so a
 check that hits the memos builds no key but an int.
+
+``collision_check`` decides one fold out of one state, the per-state
+reference. ``layer_folds`` decides every fold out of a popcount layer of
+the lattice in one pass: it holds sets of the layer's states as Python-int
+bitboards (the bitwise subset tables of Knuth, TAOCP 4A, §7.1.3), splits
+each set by the bits a predicate reads, and evaluates a predicate once for
+each key that some state still alive carries, exactly the predicates that
+one ``collision_check`` per (state, unfolded joint) evaluates.
 
 A joint turns about one crease (Redon et al., 2004), so every pose of a
 swept solid is a weighted sum of three fixed poses
@@ -63,6 +71,7 @@ alone would give.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -315,7 +324,8 @@ def collision_check(tree: KinematicTree, mask: int, moving_joint: int) -> bool:
     penetration tolerance as allowance; everything else is tested exactly.
     The verdict is the AND of the sweep's table and fixture verdict and of
     one pair verdict per static panel, each memoised on the tree and
-    evaluated only until one blocks.
+    evaluated only until one blocks. It is the per-state reference for
+    ``layer_folds``, which fills the same memos a lattice layer at a time.
     """
     bit = tree.bits.get(moving_joint)
     if bit is None:
@@ -337,6 +347,135 @@ def collision_check(tree: KinematicTree, mask: int, moving_joint: int) -> bool:
         if blocked:
             return False
     return True
+
+
+def layer_folds(
+    tree: KinematicTree, masks: np.ndarray, bits: np.ndarray, walks: dict
+) -> tuple[np.ndarray, int]:
+    """A lattice layer's fold table, a column per state of ``masks``: a row
+    per joint slot of whether its fold is free, then one of whether it is
+    free and aerial; and the number of states with no free fold.
+
+    ``bits`` are the joints' bits in the masks' dtype, and ``walks`` keeps
+    each sweep's ``_Walk`` for a whole build. A joint's unfolded states are
+    split by the folded joints that place its sweep; the new sweeps are
+    built in one ``build_sweeps`` call, then each part is walked.
+    """
+    layer = _Projections(masks, bits)
+    parts = []
+    for i, moving in enumerate(tree.foldable_ids):
+        placing = tree.subtree_ancestry[moving] & ~(1 << i)
+        for value, states in layer.split(layer.everyone & ~layer.has[i], placing):
+            parts.append((i, moving, placing, value, states))
+    build_sweeps(tree, [(v, moving) for _, moving, _, v, _ in parts if (moving, v) not in walks])
+    free, aloft = [0] * len(tree.foldable_ids), [0] * len(tree.foldable_ids)
+    for i, moving, placing, value, states in parts:
+        walk = walks.get((moving, value))
+        if walk is None:
+            walk = walks[moving, value] = _Walk(tree, moving, value, placing)
+        states = walk(states, layer)
+        free[i] |= states
+        if walk.swept.aerial:
+            aloft[i] |= states
+    dead_ends = (layer.everyone & ~functools.reduce(operator.or_, free)).bit_count()
+    return _unpack(free + aloft, len(masks)), dead_ends
+
+
+class _Projections(dict):
+    """One layer's states, as bitboards, split by their values of a set of fold bits.
+
+    Bit s of a board stands for the layer's state s. ``has[i]`` is the
+    board of the states with fold bit i, from one ``np.packbits`` of the
+    layer's masks. ``self[bits]`` lists (a value of ``bits``, the board of
+    the states that have it) for every value some state has, built when
+    first asked for; ``split`` does the same for a part of the layer.
+    """
+
+    def __init__(self, layer: np.ndarray, bits: np.ndarray):
+        super().__init__()
+        self.everyone = (1 << len(layer)) - 1
+        width = (len(layer) + 7) // 8
+        packed = np.packbits((layer & bits[:, None]) != 0, axis=1, bitorder="little").tobytes()
+        self.has = [
+            int.from_bytes(packed[i * width:(i + 1) * width], "little") for i in range(len(bits))
+        ]
+
+    def __missing__(self, bits: int) -> list[tuple[int, int]]:
+        parts = self[bits] = self.split(self.everyone, bits)
+        return parts
+
+    def split(self, states: int, bits: int) -> list[tuple[int, int]]:
+        parts = [(0, states)] if states else []
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            on = self.has[low.bit_length() - 1]
+            parts = [
+                part
+                for value, board in parts
+                for part in ((value, board & ~on), (value | low, board & on))
+                if part[1]
+            ]
+        return parts
+
+
+def _unpack(boards: list[int], n: int) -> np.ndarray:
+    """Bitboards over an n-state layer as the rows of a boolean table."""
+    width = (n + 7) // 8
+    data = b"".join(board.to_bytes(width, "little") for board in boards)
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(len(boards), width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+
+
+class _Walk:
+    """The pair tests of one sweep that can still change a verdict, during one build.
+
+    Called with a board of states that fold the sweep's joint and carry
+    its key ``value``, it returns the states whose fold is free. The
+    sweep's static panels are walked in order: the states still alive are
+    split by the folded joints that place the panel, and a part is dropped
+    when its pair verdict is blocked. A verdict is thus the AND of the
+    memoised predicates that ``collision_check`` evaluates, and each
+    predicate is evaluated only for a key that some state alive at that
+    point carries, as ``collision_check`` state by state would. A panel
+    whose every key this build has found free can neither block nor be
+    evaluated again, so later walks leave it out.
+    """
+
+    def __init__(self, tree: KinematicTree, moving: int, value: int, placing: int):
+        self.tree = tree
+        self.swept = swept = sweep(tree, value, moving)
+        # [panel id, the fold bits that split the states, the fixed part of
+        # the pair key, its fold bits, how many keys are not yet found free]
+        self.steps = []
+        for pid, ancestry, base in swept.static:
+            split, fixed = ancestry & ~placing, value & ancestry
+            self.steps.append([pid, split, base | fixed, fixed, 1 << split.bit_count()])
+
+    def __call__(self, states: int, layer: _Projections) -> int:
+        if not self.swept.clear:
+            return 0
+        verdicts = self.tree.pair_verdicts
+        inert = False
+        for step in self.steps:
+            pid, split, key, fixed, _ = step
+            for placed, part in layer[split]:
+                if part & states:
+                    blocked = verdicts.get(key | placed)
+                    if blocked is None:
+                        blocked = verdicts[key | placed] = _pair_blocked(
+                            self.tree, self.swept, fixed | placed, pid
+                        )
+                        if not blocked:
+                            step[4] -= 1
+                            inert = inert or not step[4]
+                    if blocked:
+                        states &= ~part
+            if not states:
+                break
+        if inert:
+            self.steps = [step for step in self.steps if step[4]]
+        return states
 
 
 def n_sweep_samples(tree: KinematicTree, joint: int) -> int:

@@ -125,6 +125,12 @@ class RankedReport(Frozen):
         return len(self.orders)
 
 
+def _criteria(ranking, volume, max_dim, aerial) -> tuple[list, list[bool]]:
+    """Each criterion's column, and whether it compares through ``round6`` (not aerial)."""
+    columns = {"aerial": aerial, "maxdim": max_dim, "volume": volume}
+    return [columns[c] for c in ranking], [c != "aerial" for c in ranking]
+
+
 def _rounded(values: np.ndarray) -> np.ndarray:
     """``round6`` of every value, computed once per distinct value."""
     distinct, index = np.unique(values, return_inverse=True)
@@ -199,12 +205,9 @@ def _sort_every_path(lattice: FoldLattice, edges: EdgeMetrics) -> tuple[np.ndarr
     lattice.stats.nodes_expanded += prefixes
     lattice.stats.cc_cache_hits += prefixes - 1
     c_vol, c_dim, c_aerial = edges.totals(steps)
-    totals = {"aerial": c_aerial, "maxdim": c_dim, "volume": c_vol}
+    columns, rounded = _criteria(lattice.tree.spec.ranking, c_vol, c_dim, c_aerial)
     # np.lexsort sorts by its last key first.
-    rank = np.lexsort([
-        c_aerial if c == "aerial" else _rounded(totals[c])
-        for c in reversed(lattice.tree.spec.ranking)
-    ])
+    rank = np.lexsort([_rounded(c) if r else c for c, r in zip(columns[::-1], rounded[::-1])])
     return steps[rank], (c_vol[rank], c_dim[rank], c_aerial[rank])
 
 
@@ -213,19 +216,16 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
 
     ``rank_lattice`` describes the bounds and the search.
     """
-    tree = lattice.tree
-    criteria = tree.spec.ranking
-    rounded = tuple(c != "aerial" for c in criteria)
+    columns, rounded = _criteria(lattice.tree.spec.ranking, edges.volume, edges.max_dim, edges.aerial)
     stats = lattice.stats
     first, children = lattice.first, lattice.child
-    columns = {"aerial": edges.aerial, "maxdim": edges.max_dim, "volume": edges.volume}
-    weight = np.array([columns[c] for c in criteria], dtype=float)
+    weight = np.array(columns, dtype=float)
 
     # least[:, i]: the smallest sum of each criterion over the folds
     # finishing state i. A fold out of state i weighs i's volume and maxdim
     # and its own aerial flag; adding one weight to every candidate moves
     # the minimum by exactly that weight, since rounded addition is monotone.
-    least = np.zeros((len(criteria), len(lattice.masks)))
+    least = np.zeros((len(columns), len(lattice.masks)))
     layer = lattice.layers
     for a, b in zip(layer[-3::-1].tolist(), layer[-2:0:-1].tolist()):
         lo, hi = first[a], first[b]
@@ -304,7 +304,7 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
             order.pop()
             path.pop()
 
-    visit(0, (0,) * len(criteria))
+    visit(0, (0,) * len(columns))
     return np.array([key[-1] for key in best], dtype=np.intp)
 
 

@@ -82,6 +82,12 @@ MIN_TOLERANCE_ANGLE_DEG = 0.01
 # Largest panel id accepted: a plan holds joint ids as int64.
 MAX_PANEL_ID = 2**63 - 1
 
+# Largest magnitude of a spec length accepted, in mm. A world coordinate
+# sums about one such length per crease from the root, and below 1e9 mm
+# (a thousand creases deep) the spacing of floats, 1.2e-7 mm, stays under
+# the broad phase's CULL_MARGIN; no volume sum comes near overflow.
+MAX_LENGTH_MM = 1e6
+
 
 def sweep_angles(start: float, end: float, step: float) -> np.ndarray:
     """Sample angles from start to end inclusive, spaced by at most step: both
@@ -650,8 +656,9 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _number(value, what: str) -> float:
-    """A finite real number from spec data; anything else names ``what``."""
+def _number(value, what: str, bound: float = math.inf) -> float:
+    """A finite real number from spec data, at most ``bound`` in magnitude;
+    anything else names ``what``."""
     if isinstance(value, bool):
         raise SpecValidationError(f"{what} must be a number, got {value!r}")
     try:
@@ -660,15 +667,19 @@ def _number(value, what: str) -> float:
         raise SpecValidationError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise SpecValidationError(f"{what} must be finite, got {value!r}")
+    if abs(number) > bound:
+        raise SpecValidationError(f"{what} must be at most {bound:g} in magnitude, got {value!r}")
     return number
 
 
-def _scalar(mapping: dict, key: str, where: str, default: float | None = None) -> float:
+def _scalar(
+    mapping: dict, key: str, where: str, default: float | None = None, bound: float = math.inf
+) -> float:
     if key not in mapping:
         if default is None:
             raise SpecValidationError(f"{where}: missing required key {key!r}")
         return float(default)
-    return _number(mapping[key], f"{where}: {key}")
+    return _number(mapping[key], f"{where}: {key}", bound)
 
 
 def _integer(mapping: dict, key: str, where: str) -> int:
@@ -691,7 +702,9 @@ def _integer(mapping: dict, key: str, where: str) -> int:
     return number
 
 
-def _vec(mapping: dict, key: str, where: str, default=None) -> tuple[float, float, float]:
+def _vec(
+    mapping: dict, key: str, where: str, default=None, bound: float = math.inf
+) -> tuple[float, float, float]:
     if key not in mapping:
         if default is None:
             raise SpecValidationError(f"{where}: missing required key {key!r}")
@@ -699,7 +712,7 @@ def _vec(mapping: dict, key: str, where: str, default=None) -> tuple[float, floa
     value = mapping[key]
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise SpecValidationError(f"{where}: {key} must be a 3-element list")
-    return tuple([_number(v, f"{where}: {key}") for v in value])
+    return tuple([_number(v, f"{where}: {key}", bound) for v in value])
 
 
 def _section(data: dict, key: str) -> dict:
@@ -723,10 +736,10 @@ def _panel_from_mapping(entry: dict) -> PanelSpec:
     pid = _integer(entry, "id", f"panel {_require(entry, 'id', 'panel')!r}")
     where = f"panel {pid}"
     parent = None if entry.get("parent") is None else _integer(entry, "parent", where)
-    dims = _vec(entry, "dims_mm", where)
+    dims = _vec(entry, "dims_mm", where, bound=MAX_LENGTH_MM)
     kwargs = {}
     if parent is not None:
-        kwargs["crease_anchor"] = _vec(entry, "crease_anchor_mm", where)
+        kwargs["crease_anchor"] = _vec(entry, "crease_anchor_mm", where, bound=MAX_LENGTH_MM)
         kwargs["crease_dir"] = _vec(entry, "crease_dir", where)
         kwargs["theta_init"] = math.radians(_scalar(entry, "theta_init_deg", where))
         kwargs["theta_final"] = math.radians(_scalar(entry, "theta_final_deg", where))
@@ -757,8 +770,8 @@ def _environment_from_mapping(entries) -> tuple[tuple[OrientedBox, ...], bool]:
         if entry.get("half_space"):
             table = True
             continue
-        center = _vec(entry, "center_mm", where)
-        dims = _vec(entry, "dims_mm", where)
+        center = _vec(entry, "center_mm", where, bound=MAX_LENGTH_MM)
+        dims = _vec(entry, "dims_mm", where, bound=MAX_LENGTH_MM)
         if not all(d > 0.0 for d in dims):
             raise SpecValidationError(f"{where}: dims_mm must be positive, got {list(dims)}")
         rot = _rpy_matrix(_vec(entry, "rpy_deg", where, default=(0.0, 0.0, 0.0)))
@@ -778,7 +791,7 @@ def spec_from_mapping(data: dict) -> CartonSpec:
     pose_map = _section(data, "root_pose")
     root_pose = Transform(
         _rpy_matrix(_vec(pose_map, "rpy_deg", "root_pose", default=(0.0, 0.0, 0.0))),
-        _vec(pose_map, "translation_mm", "root_pose", default=(0.0, 0.0, 0.0)),
+        _vec(pose_map, "translation_mm", "root_pose", (0.0, 0.0, 0.0), MAX_LENGTH_MM),
     )
 
     environment, table = _environment_from_mapping(data.get("environment"))
@@ -787,8 +800,8 @@ def spec_from_mapping(data: dict) -> CartonSpec:
     if data.get("gripper") is not None:
         gmap = _section(data, "gripper")
         gripper = GripperSpec(
-            dims=_vec(gmap, "dims_mm", "gripper"),
-            standoff=_scalar(gmap, "standoff_mm", "gripper", 0.0),
+            dims=_vec(gmap, "dims_mm", "gripper", bound=MAX_LENGTH_MM),
+            standoff=_scalar(gmap, "standoff_mm", "gripper", 0.0, MAX_LENGTH_MM),
         )
 
     planner = _section(data, "planner")

@@ -32,7 +32,7 @@ from cartonfold.cli import (
 )
 from cartonfold.geometry import OrientedBox, Transform
 from cartonfold.metrics import EdgeMetrics, RankedReport, rank_lattice
-from cartonfold.model import KinematicTree, build_tree, load_spec
+from cartonfold.model import MAX_LENGTH_MM, KinematicTree, build_tree, load_spec
 from cartonfold.planner import SearchDiagnostics, build_lattice
 from cartonfold.reference import JointVector, PanelPose, forward_kinematics
 
@@ -226,6 +226,39 @@ class TestRun:
         assert report == ""
         err = capsys.readouterr().err
         assert err.startswith("error: spec is not UTF-8 text:") and "byte 0xff" in err
+
+    @pytest.mark.parametrize("sequence", (None, (1, 2, 3, 4, 5, 6, 7)), ids=("plan", "explain"))
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("dims_mm: [240, 330, 2]", "dims_mm: [240, 1.0e+308, 2]", "panel 8: dims_mm"),
+            ("crease_anchor_mm: [2, 140, 0]", "crease_anchor_mm: [1.0e+308, 1.0e+308, 1.0e+308]",
+             "panel 5: crease_anchor_mm"),
+            ("translation_mm: [0, 0, 1]", "translation_mm: [0, 0, -1000000.001]", "root_pose: translation_mm"),
+            (TABLE, TABLE + "\n  - {center_mm: [0, 1.0e+10, 0], dims_mm: [1, 1, 1]}", "environment[1]: center_mm"),
+            (TABLE, TABLE + "\n  - {center_mm: [0, 0, 0], dims_mm: [1, 1000000.001, 1]}", "environment[1]: dims_mm"),
+            ("dims_mm: [60, 120, 25]", "dims_mm: [60, 120, 1.0e+300]", "gripper: dims_mm"),
+            ("standoff_mm: 5", "standoff_mm: -1.0e+7", "gripper: standoff_mm"),
+        ],
+    )
+    def test_length_beyond_the_bound_exits_3_naming_the_field(
+        self, spec_dir, tmp_path, capsys, old, new, field, sequence
+    ):
+        # Lengths this large overflow the plan's volume sums to inf, or
+        # outgrow the broad phase's margin for rounding, long before that.
+        text = (spec_dir / "case_study_tray.yaml").read_text()
+        assert old in text
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace(old, new, 1))
+        code, report = run_to_string(RunConfig(spec_path=str(bad), explain=sequence))
+        assert code == EXIT_SPEC_INVALID
+        assert report == ""
+        assert capsys.readouterr().err.startswith(
+            f"error: {field} must be at most {MAX_LENGTH_MM:g} in magnitude, got "
+        )
+        at_bound = tmp_path / "at_bound.yaml"
+        at_bound.write_text(text.replace("translation_mm: [0, 0, 1]", f"translation_mm: [0, 0, {MAX_LENGTH_MM}]"))
+        assert run_to_string(RunConfig(spec_path=str(at_bound), explain=sequence))[0] == EXIT_OK
 
     def test_non_finite_override_exits_3(self, spec_dir):
         code, _ = run_to_string(

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import cartonfold.collision as collision_module
-import cartonfold.planner as planner_module
 from cartonfold.collision import (
     collision_check,
     n_sweep_samples,
@@ -362,7 +361,6 @@ class TestSweptSolids:
             return real(tree, folds)
 
         monkeypatch.setattr(collision_module, "build_sweeps", recorded)
-        monkeypatch.setattr(planner_module, "build_sweeps", recorded)
         mixed = False
         for tree in branchy_trees():
             batches.clear()

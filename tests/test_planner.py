@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cartonfold
+import cartonfold.collision as collision_module
 import cartonfold.planner as planner_module
 from cartonfold.cli import EXIT_NO_SEQUENCES, RunConfig, run
 from cartonfold.collision import collision_check
@@ -219,7 +220,7 @@ class TestEnumerateSequences:
             reference = loop_lattice(build_tree(spec))
 
         calls, pairs = [], []
-        real_pair = planner_module._pair_blocked
+        real_pair = collision_module._pair_blocked
 
         class Sweeps(dict):
             """A sweep memo that lists every key stored in it."""
@@ -239,7 +240,7 @@ class TestEnumerateSequences:
         for module in (cartonfold, *vars(cartonfold).values()):
             if getattr(module, "collision_check", None) is collision_check:
                 monkeypatch.setattr(module, "collision_check", lambda *args: calls.append(args))
-        monkeypatch.setattr(planner_module, "_pair_blocked", pair)
+        monkeypatch.setattr(collision_module, "_pair_blocked", pair)
         tree = build_tree(spec)
         object.__setattr__(tree, "sweeps", Sweeps())
         lattice = build_lattice(tree)
