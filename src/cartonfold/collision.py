@@ -3,30 +3,33 @@
 A fold drives one joint from its initial to its final angle while every
 other joint holds still. The motion is sampled at the spec's tolerance
 angle. Every sample must clear the panels outside the moving subtree, the
-tree's packed fixture boxes and, when the spec has one, the table
-half-space: no moving corner may dip below ``-penetration_tolerance`` in z.
-Panels that share a crease are allowed to interpenetrate by the
-penetration tolerance, since hinged slabs always touch (and, at the hinge
-line, overlap by up to half a thickness) during a fold. Every input comes
-from the kinematic tree: its spec, its obstacles and its per-panel records.
+tree's fixture boxes and, when the spec has one, the table half-space: no
+moving corner may dip below ``-penetration_tolerance`` in z. Panels that
+share a crease are allowed to interpenetrate by the penetration tolerance,
+since hinged slabs always touch (and, at the hinge line, overlap by up to
+half a thickness) during a fold. Every input comes from the kinematic
+tree: its spec, its fixture records and its per-panel records.
 
 The verdict for folding joint j out of the fold state F (an int mask of
-folded joints, ``KinematicTree.bits``) decomposes, because the kernel is
+folded joints, ``KinematicTree.bits``) decomposes, because every test is
 pairwise and a panel's pose depends only on its ancestors' angles (the
 non-directional blocking graph of Wilson & Latombe, 1994, taken over the
 fold-state lattice). It is the AND of
 
 * one sweep per (j, F & the joints that place j's parent or its
-  subtree): the motion of the subtree's solids, their bounds, the table
-  and fixture verdict and the fold's aerial flag (``Sweep``);
-* one kernel verdict per (sweep, static panel p, F & the joints that
-  place p), tested only until one blocks.
+  subtree): the motion of the subtree's solids, their bounds and the
+  fold's aerial flag (``Sweep``);
+* one verdict per (sweep, static party p, F & the joints that place p),
+  tested in order until one blocks (``_pair_blocked``). The static parties
+  are the table, then each fixture, then each panel outside the subtree;
+  the table and the fixtures stand still in every fold state, so no fold
+  bit places them.
 
 Both are memoised on the tree under int keys, so a carton of k free flaps
 needs k sweeps and k(2k-1) pair tests for its k·2^(k-1) checks, and the
 verdicts are exactly those of the whole check. Each sweep lists its static
-panels with their ancestry masks and the base of their pair keys, so a
-check that hits the memos builds no key but an int.
+parties with the fold bits that place them and the base of their pair
+keys, so a check that hits the memos builds no key but an int.
 
 ``collision_check`` decides one fold out of one state, the per-state
 reference. ``layer_folds`` decides every fold out of a popcount layer of
@@ -51,21 +54,22 @@ still tests the sampled angles only: a gap between two samples is missed
 (ROADMAP item 3). A static box, a panel or a fixture, is culled on the
 bounds of its corners (``corners_apart``): when they stay more than
 ``CULL_MARGIN`` away from the sweep's, the box is disjoint from every
-swept box and is dropped before it reaches the kernel. A panel's corner
-bounds are memoised on its record, a fixture's are taken once per
-``build_sweeps`` call. The narrow phase places the sweep's sampled boxes
-and runs the 15-axis separating-axis kernel only on the boxes left; when
-none are, no sample is placed at all. The table test reads the bounds'
-lowest z, then the corners of the two end samples, and places the samples
-only for a sweep that neither settles. The crease-adjacent parent is culled
-with both sides shrunk as the kernel tests that pair: the sweep's bounds
-with the solids shrunk by the penetration allowance, and the parent's
-corner bounds by the least amount the kernel shrinks its box on any world
-axis, ``min(allowance / 2, its least half extent)``. The kernel shrinks
-each half extent by that much at least (it clamps them at zero), and the
-absolute entries of a rotation row sum to at least 1, so the box it tests
-lies within the shrunk bounds and every verdict is the one the kernel
-alone would give.
+swept box and is dropped before it reaches the kernel. Those bounds are
+memoised on the box's record: a panel's per fold state, a fixture's once
+in ``build_tree``. The narrow phase places the sweep's sampled boxes and
+runs the 15-axis separating-axis kernel on one box at a time; when every
+box is culled, no sample is placed at all. A sweep whose bounds keep
+``CULL_MARGIN`` above the table leaves the table out of its parties; the
+table test reads the corners of the two end samples, and places the
+samples only when they do not settle it. The crease-adjacent parent is
+culled with both sides shrunk as the kernel tests that pair: the sweep's
+bounds with the solids shrunk by the penetration allowance, and the
+parent's corner bounds by the least amount the kernel shrinks its box on
+any world axis, ``min(allowance / 2, its least half extent)``. The kernel
+shrinks each half extent by that much at least (it clamps them at zero),
+and the absolute entries of a rotation row sum to at least 1, so the box
+it tests lies within the shrunk bounds and every verdict is the one the
+kernel alone would give.
 """
 
 from __future__ import annotations
@@ -83,6 +87,10 @@ from .model import KinematicTree, sweep_angles, sweep_steps, weight_rows
 # culls is one the kernel could not report as a hit.
 CULL_MARGIN = 1e-6
 
+# The static party that stands for the table. Fixture i of
+# ``KinematicTree.fixtures`` is ``~i``, and a panel is its own id (at least 1).
+TABLE = 0
+
 
 class Sweep(Frozen):
     """One joint's swept subtree, built once per joint and folded joints
@@ -96,8 +104,8 @@ class Sweep(Frozen):
     final angle and the sample step, and ``boxes`` places the solids at
     every sampled angle (``sweep_angles``), as (centers, rotations,
     half_extents) with rows (sample, solid). It is evaluated on first read:
-    by a kernel call, or by a table test that neither the bounds nor the
-    two end samples settle.
+    by a kernel call, or by a table test that the two end samples do not
+    settle.
     ``cull`` holds the world-axis-aligned bounds of the solids over the
     continuous fold as lists of floats: (lo, hi) of the solids as they are,
     then (lo, hi) with them shrunk by the penetration allowance, as the
@@ -105,32 +113,32 @@ class Sweep(Frozen):
     exceed the sampled boxes' bounds by at most the sagitta r (1 − cos(Δ/2))
     of a corner r from the crease at sample step Δ; the kernel still tests
     the sampled boxes only.
-    ``clear`` is the table and fixture verdict on the sampled boxes, taken
-    on construction. ``table`` is None when there is no table or the bounds
-    keep every corner ``CULL_MARGIN`` above the lowest z a corner may take,
-    else (that z, the lowest corner z of the two end samples). ``fixtures``
-    packs the fixture boxes that the bounds do not cull, or is None.
     ``aerial`` is the fold's aerial flag: whether the lowest corner of the
     subtree sits more than the support tolerance above z = 0 at the fold's
     start pose, which reads only subtree poses.
-    ``static`` lists the panels outside the subtree, in ``tree.ids`` order,
-    each as (panel id, its ancestry mask, the base of its pair keys).
+    ``table`` is None when there is no table or the bounds keep every
+    corner ``CULL_MARGIN`` above the lowest z a corner may take, else (that
+    z, the lowest corner z of the two end samples).
+    ``static`` lists the static parties in test order: ``TABLE`` unless
+    ``table`` is None, each fixture, then the panels outside the subtree in
+    ``tree.ids`` order. Each is a step [party, the fold bits that place it
+    outside the sweep's key, its pair key with the sweep's own fold bits
+    set, those fold bits, how many of its keys are not yet found free]. A
+    party whose every key has been found free can no longer block a fold
+    of this sweep, so the layer walk drops it from the list.
     """
 
     parent: int
     terms: tuple[np.ndarray, np.ndarray, np.ndarray]
     arc: tuple[float, float, float]
     cull: list[list[list[float]]]
-    clear: bool
     aerial: bool
-    static: tuple[tuple[int, int, int], ...]
+    table: tuple[float, float] | None
+    static: list[list[int]]
 
-    def __init__(self, parent, terms, arc, cull, aerial, static, table, fixtures):
+    def __init__(self, parent, terms, arc, cull, aerial, table, static):
         self.__dict__.update(
-            parent=parent, terms=terms, arc=arc, cull=cull, aerial=aerial, static=static
-        )
-        self.__dict__["clear"] = not (table is not None and self._dips_below(*table)) and not (
-            fixtures is not None and sat_overlap_matrix(*self.boxes, *fixtures).any()
+            parent=parent, terms=terms, arc=arc, cull=cull, aerial=aerial, table=table, static=static
         )
 
     def at(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,20 +153,6 @@ class Sweep(Frozen):
     @functools.cached_property
     def boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.at(weight_rows(sweep_angles(*self.arc)))
-
-    def _dips_below(self, floor: float, lowest_end: float) -> bool:
-        """Whether a sampled box has a corner below z = ``floor``: the
-        corners of the two end samples settle most sweeps before every
-        sample is placed. That shortcut keeps ``CULL_MARGIN`` below the
-        floor, so that rounding cannot make it differ from the test on
-        every sample."""
-        return lowest_end < floor - CULL_MARGIN or _lowest_z(self.boxes) < floor
-
-
-def _lowest_z(boxes) -> float:
-    """The lowest corner z of packed boxes."""
-    centers, rots, halves = boxes
-    return float((centers[:, 2] - half_reach(np.abs(rots).transpose(1, 2, 0), halves.T)[2]).min())
 
 
 def _sweep_key(tree: KinematicTree, mask: int, joint: int) -> int:
@@ -235,28 +229,25 @@ def build_sweeps(tree: KinematicTree, folds) -> None:
     bounds = reach[::-1].transpose(2, 1, 0, 3).tolist()
 
     floor = -spec.penetration_tolerance if spec.table_plane else None
-    # Each fixture's corner bounds and dims, culled against every sweep here.
-    fixtures = [
-        (points.min(axis=0).tolist(), points.max(axis=0).tolist(), (2.0 * box.half_extents).tolist())
-        for box in spec.environment
-        for points in (box.corners(),)
-    ]
+    parties = [TABLE, *(~i for i in range(len(tree.fixtures))), *tree.ids]
     stops = [*starts[1:], n]
     for (key, (_, joint)), a, b, cull, flag in zip(todo.items(), starts, stops, bounds, aerial):
         table = None
         if floor is not None and cull[0][0][2] < floor + CULL_MARGIN:
             # The lowest corner z at either end: coordinate 2, negated, clearance 0.
-            table = floor, -max(end_a[1, 0, a:b, 16:].max(), end_b[1, 0, a:b, 16:].max())
-        near = [
-            i for i, (lo, hi, dims) in enumerate(fixtures) if not corners_apart(lo, hi, cull[0], 0.0, dims)
-        ]
-        # A pair key is the static panel's slot in this sweep, shifted above
-        # the fold bits, with the folded part of the panel's ancestry below.
-        static = tuple(
-            (pid, tree.ancestry[pid], (key * len(tree.ids) + slot) << len(tree.foldable_ids))
-            for slot, pid in enumerate(tree.ids)
-            if pid not in tree.subtrees[joint]
-        )
+            table = floor, -float(max(end_a[1, 0, a:b, 16:].max(), end_b[1, 0, a:b, 16:].max()))
+        # A pair key is the party's slot in this sweep, shifted above the
+        # fold bits, with the folded part of the party's ancestry below;
+        # the sweep's key holds that part on the joints that place the sweep.
+        placing = tree.subtree_ancestry[joint] & ~tree.bits[joint]
+        static = []
+        for slot, party in enumerate(parties):
+            if party == TABLE and table is None or party in tree.subtrees[joint]:
+                continue
+            ancestry = tree.ancestry[party] if party > 0 else 0
+            split, fixed = ancestry & ~placing, ancestry & key
+            base = (key * len(parties) + slot) << len(tree.foldable_ids)
+            static.append([party, split, base | fixed, fixed, 1 << split.bit_count()])
         panel = tree.panels_by_id[joint]
         tree.sweeps[key] = Sweep(
             panel.parent,
@@ -264,17 +255,16 @@ def build_sweeps(tree: KinematicTree, folds) -> None:
             (panel.theta_init, panel.theta_final, spec.tolerance_angle),
             cull,
             flag,
-            static,
             table,
-            tuple(boxes[near] for boxes in tree.obstacles) if near else None,
+            static,
         )
 
 
-def corners_apart(lo, hi, cull, clearance: float, dims) -> bool:
+def corners_apart(lo, hi, cull, clearance: float, halves) -> bool:
     """Whether a box is culled from a pair test on its corner bounds.
 
     ``lo`` and ``hi`` are the world-axis-aligned bounds of the box's
-    corners, ``dims`` its full dimensions and ``cull`` a sweep's (lo, hi)
+    corners, ``halves`` its half extents and ``cull`` a sweep's (lo, hi)
     taken with the same ``clearance <= 0``. The bounds are pulled in by
     ``min(-clearance / 2, the least half extent)`` on every world axis:
     the kernel shrinks each half extent by at least that much (it clamps
@@ -284,27 +274,37 @@ def corners_apart(lo, hi, cull, clearance: float, dims) -> bool:
     """
     (x0, y0, z0), (x1, y1, z1) = lo, hi
     (lx, ly, lz), (hx, hy, hz) = cull
-    s = min(-clearance, *dims) / 2.0
+    s = min(-clearance / 2.0, *halves)
     return (
         x0 + s > hx + CULL_MARGIN or y0 + s > hy + CULL_MARGIN or z0 + s > hz + CULL_MARGIN
         or x1 - s < lx - CULL_MARGIN or y1 - s < ly - CULL_MARGIN or z1 - s < lz - CULL_MARGIN
     )
 
 
-def _pair_blocked(tree: KinematicTree, swept: Sweep, mask: int, panel_id: int) -> bool:
-    """The kernel verdict of one sweep against one static panel.
+def _pair_blocked(tree: KinematicTree, swept: Sweep, mask: int, party: int) -> bool:
+    """The verdict of one sweep against one static party in fold state ``mask``.
 
-    The panel is culled on its memoised corner bounds (``corners_apart``)
-    before the kernel runs on its solid. Crease adjacency between a moving
-    and a static panel: only the moving joint's own parent qualifies
-    (children stay in the subtree), and it is tested with the penetration
-    allowance, so it is culled on its corner bounds shrunk by the least
-    amount the kernel shrinks its box.
+    The table blocks when a sampled box has a corner below its floor: the
+    corners of the two end samples settle most sweeps before every sample
+    is placed, a shortcut kept ``CULL_MARGIN`` below the floor so that
+    rounding cannot make it differ from the test on every sample. A
+    fixture or a panel is culled on its record's corner bounds
+    (``corners_apart``) before the kernel runs on its box. Crease adjacency
+    between a moving and a static panel: only the moving joint's own parent
+    qualifies (children stay in the subtree), and it is tested with the
+    penetration allowance, so it is culled on its corner bounds shrunk by
+    the least amount the kernel shrinks its box.
     """
-    record = tree.panel_state(panel_id, mask)
-    parent = panel_id == swept.parent
+    if party == TABLE:
+        floor, lowest_end = swept.table
+        if lowest_end < floor - CULL_MARGIN:
+            return True
+        centers, rots, halves = swept.boxes
+        return float((centers[:, 2] - half_reach(np.abs(rots).transpose(1, 2, 0), halves.T)[2]).min()) < floor
+    record = tree.fixtures[~party] if party < 0 else tree.panel_state(party, mask)
+    parent = party == swept.parent
     clearance = -tree.spec.penetration_tolerance if parent else 0.0
-    if corners_apart(record.lo, record.hi, swept.cull[parent], clearance, tree.panels_by_id[panel_id].dims):
+    if corners_apart(record.lo, record.hi, swept.cull[parent], clearance, record.half_extents.tolist()):
         return False
     return bool(
         sat_overlap_matrix(
@@ -319,13 +319,14 @@ def collision_check(tree: KinematicTree, mask: int, moving_joint: int) -> bool:
     ``mask`` is an int bit mask of folded joints (``KinematicTree.bits``).
     The joint's whole subtree is swept from the initial to the final angle,
     sampled at the tolerance angle with both endpoints forced. At every
-    sample the subtree solids must clear all panels outside the subtree and
-    all obstacles. Crease-adjacent panel pairs are tested with the
-    penetration tolerance as allowance; everything else is tested exactly.
-    The verdict is the AND of the sweep's table and fixture verdict and of
-    one pair verdict per static panel, each memoised on the tree and
-    evaluated only until one blocks. It is the per-state reference for
-    ``layer_folds``, which fills the same memos a lattice layer at a time.
+    sample the subtree solids must clear all panels outside the subtree,
+    the fixtures and the table. Crease-adjacent panel pairs are tested with
+    the penetration tolerance as allowance; everything else is tested
+    exactly.
+    The verdict is the AND of one pair verdict per static party of the
+    sweep, each memoised on the tree and evaluated only until one blocks.
+    It is the per-state reference for ``layer_folds``, which fills the same
+    memos a lattice layer at a time.
     """
     bit = tree.bits.get(moving_joint)
     if bit is None:
@@ -336,46 +337,40 @@ def collision_check(tree: KinematicTree, mask: int, moving_joint: int) -> bool:
         raise ValueError(f"joint {moving_joint} is already folded")
 
     swept = sweep(tree, mask, moving_joint)
-    if not swept.clear:
-        return False
     verdicts = tree.pair_verdicts
-    for pid, ancestry, base in swept.static:
-        key = base | mask & ancestry
+    for party, split, key, _, _ in swept.static:
+        key |= mask & split
         blocked = verdicts.get(key)
         if blocked is None:
-            blocked = verdicts[key] = _pair_blocked(tree, swept, mask, pid)
+            blocked = verdicts[key] = _pair_blocked(tree, swept, mask, party)
         if blocked:
             return False
     return True
 
 
-def layer_folds(
-    tree: KinematicTree, masks: np.ndarray, bits: np.ndarray, walks: dict
-) -> tuple[np.ndarray, int]:
+def layer_folds(tree: KinematicTree, masks: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, int]:
     """A lattice layer's fold table, a column per state of ``masks``: a row
     per joint slot of whether its fold is free, then one of whether it is
     free and aerial; and the number of states with no free fold.
 
-    ``bits`` are the joints' bits in the masks' dtype, and ``walks`` keeps
-    each sweep's ``_Walk`` for a whole build. A joint's unfolded states are
-    split by the folded joints that place its sweep; the new sweeps are
-    built in one ``build_sweeps`` call, then each part is walked.
+    ``bits`` are the joints' bits in the masks' dtype. A joint's unfolded
+    states are split by the folded joints that place its sweep; the new
+    sweeps are built in one ``build_sweeps`` call, then each part is walked
+    (``_free_states``).
     """
     layer = _Projections(masks, bits)
     parts = []
     for i, moving in enumerate(tree.foldable_ids):
         placing = tree.subtree_ancestry[moving] & ~(1 << i)
         for value, states in layer.split(layer.everyone & ~layer.has[i], placing):
-            parts.append((i, moving, placing, value, states))
-    build_sweeps(tree, [(v, moving) for _, moving, _, v, _ in parts if (moving, v) not in walks])
+            parts.append((i, moving, value, states))
+    build_sweeps(tree, [(value, moving) for _, moving, value, _ in parts])
     free, aloft = [0] * len(tree.foldable_ids), [0] * len(tree.foldable_ids)
-    for i, moving, placing, value, states in parts:
-        walk = walks.get((moving, value))
-        if walk is None:
-            walk = walks[moving, value] = _Walk(tree, moving, value, placing)
-        states = walk(states, layer)
+    for i, moving, value, states in parts:
+        swept = sweep(tree, value, moving)
+        states = _free_states(tree, swept, states, layer)
         free[i] |= states
-        if walk.swept.aerial:
+        if swept.aerial:
             aloft[i] |= states
     dead_ends = (layer.everyone & ~functools.reduce(operator.or_, free)).bit_count()
     return _unpack(free + aloft, len(masks)), dead_ends
@@ -427,55 +422,39 @@ def _unpack(boards: list[int], n: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
 
 
-class _Walk:
-    """The pair tests of one sweep that can still change a verdict, during one build.
+def _free_states(tree: KinematicTree, swept: Sweep, states: int, layer: _Projections) -> int:
+    """The states of a board, all folding the sweep's joint out of its key,
+    whose fold is free.
 
-    Called with a board of states that fold the sweep's joint and carry
-    its key ``value``, it returns the states whose fold is free. The
-    sweep's static panels are walked in order: the states still alive are
-    split by the folded joints that place the panel, and a part is dropped
-    when its pair verdict is blocked. A verdict is thus the AND of the
-    memoised predicates that ``collision_check`` evaluates, and each
-    predicate is evaluated only for a key that some state alive at that
-    point carries, as ``collision_check`` state by state would. A panel
-    whose every key this build has found free can neither block nor be
-    evaluated again, so later walks leave it out.
+    The sweep's static parties are walked in order: the states still alive
+    are split by the fold bits that place the party outside the sweep's
+    key, and a part is dropped when its pair verdict is blocked. A verdict
+    is thus the AND of the memoised predicates that ``collision_check``
+    evaluates, and each predicate is evaluated only for a key that some
+    state alive at that point carries, as ``collision_check`` state by
+    state would. A party whose every key has been found free here can
+    neither block nor be evaluated again, and a key found free stays free
+    in the memo, so the sweep drops it for good.
     """
-
-    def __init__(self, tree: KinematicTree, moving: int, value: int, placing: int):
-        self.tree = tree
-        self.swept = swept = sweep(tree, value, moving)
-        # [panel id, the fold bits that split the states, the fixed part of
-        # the pair key, its fold bits, how many keys are not yet found free]
-        self.steps = []
-        for pid, ancestry, base in swept.static:
-            split, fixed = ancestry & ~placing, value & ancestry
-            self.steps.append([pid, split, base | fixed, fixed, 1 << split.bit_count()])
-
-    def __call__(self, states: int, layer: _Projections) -> int:
-        if not self.swept.clear:
-            return 0
-        verdicts = self.tree.pair_verdicts
-        inert = False
-        for step in self.steps:
-            pid, split, key, fixed, _ = step
-            for placed, part in layer[split]:
-                if part & states:
-                    blocked = verdicts.get(key | placed)
-                    if blocked is None:
-                        blocked = verdicts[key | placed] = _pair_blocked(
-                            self.tree, self.swept, fixed | placed, pid
-                        )
-                        if not blocked:
-                            step[4] -= 1
-                            inert = inert or not step[4]
-                    if blocked:
-                        states &= ~part
-            if not states:
-                break
-        if inert:
-            self.steps = [step for step in self.steps if step[4]]
-        return states
+    verdicts = tree.pair_verdicts
+    inert = False
+    for step in swept.static:
+        party, split, key, fixed, _ = step
+        for placed, part in layer[split]:
+            if part & states:
+                blocked = verdicts.get(key | placed)
+                if blocked is None:
+                    blocked = verdicts[key | placed] = _pair_blocked(tree, swept, fixed | placed, party)
+                    if not blocked:
+                        step[4] -= 1
+                        inert = inert or not step[4]
+                if blocked:
+                    states &= ~part
+        if not states:
+            break
+    if inert:
+        swept.static[:] = [step for step in swept.static if step[4]]
+    return states
 
 
 def n_sweep_samples(tree: KinematicTree, joint: int) -> int:

@@ -67,7 +67,7 @@ import yaml
 from yaml.constructor import ConstructorError
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
-from .geometry import CORNER_SIGNS, Frozen, FrozenValue, OrientedBox, Transform, pack_boxes, rotation_matrix
+from .geometry import CORNER_SIGNS, Frozen, FrozenValue, OrientedBox, Transform, rotation_matrix
 
 DEFAULT_TOLERANCE_ANGLE_DEG = 5.0
 DEFAULT_PENETRATION_TOLERANCE_MM = 0.1
@@ -364,10 +364,11 @@ def _arc_rows(panels) -> np.ndarray:
 
 
 class PanelRecord(NamedTuple):
-    """One panel placed in one fold state: the world rotation of its frame
-    (the frame's axes as columns), the frame's origin, the slab's center
-    and half extents, all write-protected arrays, and the world-aligned
-    bounds (lo, hi) of the slab's 8 corners as floats."""
+    """One panel placed in one fold state, or a fixture box: the world
+    rotation of its frame (the frame's axes as columns), the frame's
+    origin, the slab's center and half extents, all write-protected arrays,
+    and the world-aligned bounds (lo, hi) of the slab's 8 corners as
+    floats."""
 
     rotation: np.ndarray
     origin: np.ndarray
@@ -381,9 +382,10 @@ class KinematicTree(Frozen):
     """A validated carton spec plus everything planning derives from it once.
 
     ``spec`` supplies every tolerance, the table, the gripper and the
-    ranking. ``obstacles`` packs the fixture boxes as (centers, rotations,
-    half_extents), or is None without fixtures. ``subtrees[j]`` lists the
-    panels that folding joint j moves.
+    ranking. ``fixtures`` places each fixture box of ``spec.environment``
+    as a ``PanelRecord`` whose origin is the box's center, with the bounds
+    of ``OrientedBox.corners``. ``subtrees[j]`` lists the panels that
+    folding joint j moves.
 
     A fold state is an int bit mask over ``foldable_ids``: ``bits[j]`` is
     joint j's bit, ``mask`` and ``joints`` convert between masks and joint
@@ -430,17 +432,17 @@ class KinematicTree(Frozen):
     subtrees: dict[int, tuple[int, ...]]
     ancestry: dict[int, int]
     subtree_ancestry: dict[int, int]
-    obstacles: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    fixtures: tuple[PanelRecord, ...]
 
     def __init__(
         self, spec, ids, topo_order, foldable_ids, bits, panels_by_id, mounts, crease_terms,
-        turns, slabs, subtrees, ancestry, subtree_ancestry, obstacles,
+        turns, slabs, subtrees, ancestry, subtree_ancestry, fixtures,
     ):
         self.__dict__.update(
             spec=spec, ids=ids, topo_order=topo_order, foldable_ids=foldable_ids, bits=bits,
             panels_by_id=panels_by_id, mounts=mounts, crease_terms=crease_terms, turns=turns,
             slabs=slabs, subtrees=subtrees, ancestry=ancestry, subtree_ancestry=subtree_ancestry,
-            obstacles=obstacles,
+            fixtures=fixtures,
             # The memos, empty until used and left out of the repr.
             panel_records={}, sweeps={}, pair_verdicts={},
         )
@@ -554,7 +556,7 @@ class KinematicTree(Frozen):
 
 def build_tree(spec: CartonSpec) -> KinematicTree:
     """Derive adjacency, topological order, subtrees, mounts, crease terms,
-    slabs and obstacles."""
+    slabs and fixture records."""
     ids = tuple(p.id for p in spec.panels)
     by_id = {p.id: p for p in spec.panels}
     children: dict[int, list[int]] = {pid: [] for pid in ids}
@@ -570,8 +572,6 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
         node = stack.pop(0)
         topo.append(node)
         stack.extend(children[node])
-    if len(topo) != len(ids):
-        raise SpecValidationError("panel graph is not a single connected tree")
 
     # Every non-root panel's crease at once. PanelSpec has checked that each
     # direction is a unit vector; it is divided by its hypot, as measured there.
@@ -642,7 +642,14 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
         subtrees=subtrees,
         ancestry=ancestry,
         subtree_ancestry=subtree_ancestry,
-        obstacles=pack_boxes(spec.environment) if spec.environment else None,
+        fixtures=tuple(
+            PanelRecord(
+                box.pose.rotation, box.center, box.center, box.half_extents,
+                tuple(corners.min(axis=0).tolist()), tuple(corners.max(axis=0).tolist()),
+            )
+            for box in spec.environment
+            for corners in (box.corners(),)
+        ),
     )
 
 
@@ -767,7 +774,10 @@ def _environment_from_mapping(entries) -> tuple[tuple[OrientedBox, ...], bool]:
         where = f"environment[{i}]"
         if not isinstance(entry, dict):
             raise SpecValidationError(f"{where}: must be a mapping")
-        if entry.get("half_space"):
+        half_space = entry.get("half_space", False)
+        if type(half_space) is not bool:
+            raise SpecValidationError(f"{where}: half_space must be true or false, got {half_space!r}")
+        if half_space:
             table = True
             continue
         center = _vec(entry, "center_mm", where, bound=MAX_LENGTH_MM)

@@ -52,9 +52,10 @@ class SearchDiagnostics:
     ``cc_calls`` counts collision verdicts, one per reachable state and
     unfolded joint, though the build decides them a layer at a time and
     calls no ``collision_check``; ``sweeps`` and ``pair_tests`` count the
-    swept subtrees and (sweep, static panel) kernel verdicts those
-    verdicts built rather than reused, ``dead_ends`` the reachable states
-    with no feasible fold, and ``sequences`` the collision-free sequences.
+    swept subtrees and (sweep, static party) verdicts, a party being the
+    table, a fixture or a panel, that those verdicts built rather than
+    reused, ``dead_ends`` the reachable states with no feasible fold, and
+    ``sequences`` the collision-free sequences.
     A ranking adds ``nodes_expanded``, the path prefixes it visited,
     ``cc_cache_hits``, the lattice edges it followed out of them, and
     ``pruned``, the edges it cut because their lower bound ranked at or
@@ -177,10 +178,9 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
     masks, source, child, slot, aerial = [], [], [], [], []
     starts = [0]  # the first state of each layer, then the end
     layer = np.zeros(1, dtype=dtype)
-    walks: dict = {}  # the build's walk memo, kept by collision.layer_folds
     for size in range(k):
         n = len(layer)
-        table, dead_ends = layer_folds(tree, layer, bits, walks)
+        table, dead_ends = layer_folds(tree, layer, bits)
         stats.cc_calls += n * (k - size)
         stats.dead_ends += dead_ends
         state, slots = np.nonzero(table[:k].T)

@@ -53,14 +53,11 @@ def grasp_side(tree: KinematicTree, mask: int, joint: int) -> GraspSide:
     gz = gripper.dims[2]
     flip = np.diag([1.0, -1.0, -1.0])
 
-    others = [tree.panel_state(pid, mask) for pid in tree.ids if pid != joint]
-    batches = []
+    # The other panels and the fixtures, tested as one batch.
+    others = [*(tree.panel_state(pid, mask) for pid in tree.ids if pid != joint), *tree.fixtures]
+    batch = None
     if others:
-        batches.append(tuple(
-            np.stack([getattr(r, name) for r in others]) for name in ("center", "rotation", "half_extents")
-        ))
-    if tree.obstacles is not None:
-        batches.append(tree.obstacles)
+        batch = [np.stack([getattr(r, f) for r in others]) for f in ("center", "rotation", "half_extents")]
     eps = tree.spec.penetration_tolerance
 
     for side, sign in ((GraspSide.INSIDE, fold_sign), (GraspSide.OUTSIDE, -fold_sign)):
@@ -69,7 +66,7 @@ def grasp_side(tree: KinematicTree, mask: int, joint: int) -> GraspSide:
         rot = placed.rotation if sign > 0 else placed.rotation @ flip
         tool = (center[None, :], rot[None, :, :], half_g[None, :])
         blocked = tree.spec.table_plane and center[2] - np.abs(rot[2]) @ half_g < -eps
-        blocked = blocked or any(sat_overlap_matrix(*tool, *batch).any() for batch in batches)
+        blocked = blocked or batch is not None and sat_overlap_matrix(*tool, *batch).any()
         if not blocked:
             return side
     return GraspSide.NONE

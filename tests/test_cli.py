@@ -47,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # The table entry of specs/three_flaps.yaml, which malformed obstacles replace.
 TABLE = "- {name: table, half_space: true}"
 BOX = "- {{name: a, center_mm: [0, 0, 0], dims_mm: [{}]}}"
+HALF_SPACE = "environment[0]: half_space must be true or false"
 
 
 def run_to_string(config: RunConfig) -> tuple[int, str]:
@@ -155,6 +156,11 @@ class TestRun:
             (TABLE, BOX.format("0, 1, 1"), "environment[0]: dims_mm"),
             (TABLE, BOX.format("-1, 1, 1"), "environment[0]: dims_mm"),
             (TABLE, BOX.format("-1, 0, 2"), "environment[0]: dims_mm"),
+            (TABLE, TABLE.replace("true", '"false"'), f"{HALF_SPACE}, got 'false'"),
+            (TABLE, TABLE.replace("true", "'no'"), f"{HALF_SPACE}, got 'no'"),
+            (TABLE, TABLE.replace("true", "1"), f"{HALF_SPACE}, got 1"),
+            (TABLE, TABLE.replace("true", "0"), f"{HALF_SPACE}, got 0"),
+            (TABLE, TABLE.replace("true", "null"), f"{HALF_SPACE}, got None"),
             ("theta_final_deg: 90}", "theta_final_deg: 90, foldable: false}", "foldable"),
             ("theta_final_deg: 90}", "theta_final_deg: 90, foldable: 'no'}", "foldable"),
             ("theta_final_deg: 90}", "theta_final_deg: 90, foldable: 1}", "foldable"),

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import sys
 import weakref
 from dataclasses import replace
 
@@ -10,6 +9,7 @@ import pytest
 
 import cartonfold.collision as collision_module
 from cartonfold.collision import (
+    TABLE,
     collision_check,
     n_sweep_samples,
     sweep,
@@ -141,7 +141,7 @@ def full_kernel_check(tree, mask, joint) -> bool:
         clearance = -eps if pose.panel_id == panel.parent else 0.0
         if sat_overlap_matrix(*movers, *pack_boxes([pose.solid]), clearance).any():
             return False
-    if tree.obstacles is not None and sat_overlap_matrix(*movers, *tree.obstacles).any():
+    if spec.environment and sat_overlap_matrix(*movers, *pack_boxes(spec.environment)).any():
         return False
     if spec.table_plane:
         centers, rots, halves = movers
@@ -476,45 +476,57 @@ class TestBroadPhase:
 
     @pytest.mark.parametrize("step_deg", [5.0, 0.25])
     @pytest.mark.parametrize(
-        "name, fixture_checks, pair_checks, placed",
+        "name, fixture_checks, pair_checks, table_blocks, placed",
         [
-            ("case_study_tray.yaml", [], [], False),
-            ("three_flaps.yaml", [], [], False),
-            ("free_flap_spec(8)", [], [], False),
+            # Two folds dip into the table, settled by their end samples.
+            ("case_study_tray.yaml", [], [], 2, False),
+            ("three_flaps.yaml", [], [], 0, False),
+            ("free_flap_spec(8)", [], [], 0, False),
             # One non-parent pair that blocks, and one fixture that does.
-            ("blocking_pair.yaml", [], [(0.0, True)], True),
-            ("obstructed_flap.yaml", [(0.0, True)], [], True),
+            ("blocking_pair.yaml", [], [(0.0, True)], 0, True),
+            ("obstructed_flap.yaml", [(0.0, True)], [], 0, True),
         ],
     )
     def test_only_pairs_the_kernel_can_hit_are_packed(
-        self, spec_dir, monkeypatch, name, fixture_checks, pair_checks, placed, step_deg
+        self, spec_dir, monkeypatch, name, fixture_checks, pair_checks, table_blocks, placed, step_deg
     ):
-        # The float cull settles every pair and fixture test whose box the
+        # The float cull settles every fixture and panel test whose box the
         # sweep's bounds drop, crease parents included, so only boxes that
-        # can be hit reach the kernel: fixtures as a sweep is built, panels
-        # from _pair_blocked. A sweep places all its samples only for the
-        # kernel, so on cartons that never reach it no sweep places them.
+        # can be hit reach the kernel, all from _pair_blocked. A sweep places
+        # all its samples only for the kernel, so on cartons that never reach
+        # it no sweep places them. Every verdict, the table's too, sits in
+        # the pair memo, and a fixture or panel blocks only on a kernel hit.
         spec = free_flap_spec(8) if name == "free_flap_spec(8)" else load_spec(spec_dir / name)
         tree = build_tree(replace(spec, tolerance_angle=math.radians(step_deg)))
-        calls, rows = [], []
+        calls, rows, decided = [], [], []
         kernel = collision_module.sat_overlap_matrix
+        pair = collision_module._pair_blocked
         at = collision_module.Sweep.at
+
+        def deciding(tree_, swept, mask, party):
+            decided.append([party, None])
+            decided[-1][1] = blocked = pair(tree_, swept, mask, party)
+            return blocked
 
         def recorded(ca, ra, ha, cb, rb, hb, clearance=0.0):
             overlaps = kernel(ca, ra, ha, cb, rb, hb, clearance)
-            calls.append((sys._getframe(1).f_code.co_name == "__init__", clearance, bool(overlaps.any())))
+            calls.append((decided[-1][0] < 0, clearance, bool(overlaps.any())))
             return overlaps
 
         def placing(swept, weights):
             rows.append(len(weights) == len(sweep_angles(*swept.arc)))
             return at(swept, weights)
 
+        monkeypatch.setattr(collision_module, "_pair_blocked", deciding)
         monkeypatch.setattr(collision_module, "sat_overlap_matrix", recorded)
         monkeypatch.setattr(collision_module.Sweep, "at", placing)
         build_lattice(tree)
         assert [call[1:] for call in calls if call[0]] == fixture_checks
         assert [call[1:] for call in calls if not call[0]] == pair_checks
-        assert sum(tree.pair_verdicts.values()) == len(pair_checks)
+        assert len(decided) == len(tree.pair_verdicts)
+        assert sum(tree.pair_verdicts.values()) == sum(blocked for _, blocked in decided)
+        assert sum(blocked for party, blocked in decided if party == TABLE) == table_blocks
+        assert sum(blocked for party, blocked in decided if party != TABLE) == len(calls)
         assert any(rows) is placed
 
     def test_table_is_tested_at_the_samples(self):
@@ -535,7 +547,8 @@ class TestBroadPhase:
             tree = build_tree(replace(spec, tolerance_angle=math.radians(step_deg)))
             swept = sweep(tree, 0, 2)
             assert swept.cull[0][0][2] < -2.0
-            assert swept.clear is clear
+            assert swept.static[0][0] == TABLE
+            assert collision_module._pair_blocked(tree, swept, 0, TABLE) is not clear
             assert collision_check(tree, 0, 2) is clear
             assert full_kernel_check(tree, 0, 2) is clear
 

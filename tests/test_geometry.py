@@ -353,7 +353,7 @@ class TestBoundsCull:
         corners = b.corners()
         if not corners_apart(
             corners.min(axis=0).tolist(), corners.max(axis=0).tolist(),
-            (lo.tolist(), hi.tolist()), clearance, (2.0 * b.half_extents).tolist(),
+            (lo.tolist(), hi.tolist()), clearance, b.half_extents.tolist(),
         ):
             return
         assert not sat_overlap_matrix(*boxes_a, *boxes_b, clearance)[0, 0]

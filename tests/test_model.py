@@ -29,6 +29,7 @@ from cartonfold.model import (
     parse_spec,
     spec_from_mapping,
 )
+from cartonfold.planner import build_lattice
 from cartonfold.reference import (
     Aabb,
     JointVector,
@@ -644,14 +645,25 @@ class TestBuildTree:
         assert tree.subtree_ids(2) == (2,)
         assert tree.subtree_ids(3) == (3,)
 
-    def test_fixtures_are_packed_once(self):
+    def test_fixtures_are_placed_once(self, monkeypatch):
+        # A fixture's record holds its box's rotation, center (as origin and
+        # center) and half extents, write-protected, and the bounds of
+        # OrientedBox.corners, bit for bit, here on a turned box. A plan
+        # reads the record and takes no corners again.
         spec = parse_spec(TWO_PANEL_DOC)
-        assert build_tree(spec).obstacles is None
-        post = OrientedBox.from_center((100.0, -30.0, 31.0), (40, 10, 10))
-        centers, rots, halves = build_tree(replace(spec, environment=(post,))).obstacles
-        np.testing.assert_array_equal(centers, [post.center])
-        np.testing.assert_array_equal(rots, [post.pose.rotation])
-        np.testing.assert_array_equal(halves, [post.half_extents])
+        assert build_tree(spec).fixtures == ()
+        turn = rotation_matrix((0.6, 0.0, 0.8), 0.7)
+        post = OrientedBox.from_center((100.0, -30.0, 31.0), (40, 10, 10), turn)
+        tree = build_tree(replace(spec, environment=(post,)))
+        (record,) = tree.fixtures
+        with monkeypatch.context() as patch:
+            patch.setattr(OrientedBox, "corners", None)
+            assert build_lattice(tree).sequence_count == 0
+        for got, want in zip(record[:4], (post.pose.rotation, post.center, post.center, post.half_extents)):
+            assert bits(got) == bits(want) and not got.flags.writeable
+        corners = post.corners()
+        assert bits(record.lo) == bits(corners.min(axis=0)) and bits(record.hi) == bits(corners.max(axis=0))
+        assert all(type(value) is float for value in (*record.lo, *record.hi))
 
 
 def bits(value) -> bytes:

@@ -14,7 +14,7 @@ import cartonfold.collision as collision_module
 import cartonfold.planner as planner_module
 from cartonfold.cli import EXIT_NO_SEQUENCES, RunConfig, run
 from cartonfold.collision import collision_check
-from cartonfold.geometry import OrientedBox
+from cartonfold.geometry import OrientedBox, Transform, pack_boxes
 from cartonfold.model import CartonSpec, PanelSpec, build_tree, load_spec
 from cartonfold.planner import (
     FoldLattice,
@@ -23,12 +23,12 @@ from cartonfold.planner import (
     build_lattice,
     enumerate_sequences,
 )
-from cartonfold.reference import serialize_spec
+from cartonfold.reference import JointVector, forward_kinematics, serialize_spec
 
 from . import oracles
 from .conftest import SHIPPED_SPECS, free_flap_spec
 from .oracles import brute_force_sequences, every_verdict, loop_lattice
-from .test_collision import branchy_trees
+from .test_collision import all_folds, branchy_trees, full_kernel_check
 from .test_model import fk_measures
 
 
@@ -64,6 +64,41 @@ def slab_spec(k: int) -> CartonSpec:
     """k free flaps under a slab that every one of them hits on its way up."""
     slab = OrientedBox.from_center((300.0, 300.0, 25.0), (800.0, 800.0, 10.0))
     return replace(free_flap_spec(k), environment=(slab,))
+
+
+def two_fixture_spec(step_deg: float) -> CartonSpec:
+    """Wall 2 and flap 4 on opposite edges of a base, and flap 3 on top of
+    wall 2, all folding up, with two fixtures: a post a metre away, which
+    every sweep culls, and a 1 mm cube on flap 3's mid-plane 3 mm from its
+    free edge at 45 degrees while wall 2 stands upright. No other fold
+    comes near the cube, so flap 3 must fold before wall 2."""
+    spec = CartonSpec(
+        panels=(
+            PanelSpec(id=1, parent=None, dims=(100, 200, 2)),
+            PanelSpec(
+                id=2, parent=1, dims=(60, 190, 2), crease_anchor=(195, 0, 0), crease_dir=(-1, 0, 0),
+                theta_init=0.0, theta_final=math.pi / 2,
+            ),
+            PanelSpec(
+                id=3, parent=2, dims=(60, 180, 2), crease_anchor=(5, 60, 0), crease_dir=(1, 0, 0),
+                theta_init=0.0, theta_final=math.pi / 2,
+            ),
+            PanelSpec(
+                id=4, parent=1, dims=(40, 190, 2), crease_anchor=(5, 100, 0), crease_dir=(1, 0, 0),
+                theta_init=0.0, theta_final=math.pi / 2,
+            ),
+        ),
+        root_pose=Transform(np.eye(3), (0.0, 0.0, 1.0)),
+        table_plane=True,
+        tolerance_angle=math.radians(step_deg),
+        penetration_tolerance=1.05,
+    )
+    tree = build_tree(spec)
+    flap = forward_kinematics(tree, JointVector.from_folded(tree, {2}).replace(3, math.pi / 4))[2]
+    assert flap.panel_id == 3
+    cube = OrientedBox.from_center(flap.pose.apply((90.0, 57.0, 0.0)), (1, 1, 1))
+    post = OrientedBox.from_center((1000.0, 1000.0, 50.0), (10, 10, 10))
+    return replace(spec, environment=(post, cube))
 
 
 class TestLatticeStates:
@@ -508,6 +543,35 @@ class TestLoopReference:
             assert_same_lattice(lattice, loop_lattice(build_tree(spec)))
             counts.append(lattice.sequence_count)
         assert any(counts) is (reach < 1.0)
+
+    @pytest.mark.parametrize("step_deg", [5.0, 0.25])
+    def test_two_fixtures(self, monkeypatch, step_deg):
+        # The table, the fixtures and the panels are each a static party of
+        # a sweep. The post reaches no kernel call; at a 5 degree step the
+        # cube is hit by flap 3's 45 degree sample alone.
+        spec = two_fixture_spec(step_deg)
+        post, cube = pack_boxes(spec.environment)[2]
+        tested = []
+        kernel = collision_module.sat_overlap_matrix
+
+        def recorded(ca, ra, ha, cb, rb, hb, clearance=0.0):
+            overlaps = kernel(ca, ra, ha, cb, rb, hb, clearance)
+            if np.array_equal(hb, [cube]):
+                tested.append(int(overlaps.sum()))
+            assert not np.array_equal(hb, [post])
+            return overlaps
+
+        monkeypatch.setattr(collision_module, "sat_overlap_matrix", recorded)
+        lattice = build_lattice(build_tree(spec))
+        assert_same_lattice(lattice, loop_lattice(build_tree(spec)))
+        assert lattice.sequences() == [(3, 2, 4), (3, 4, 2), (4, 3, 2)]
+        assert max(tested) == 1 if step_deg == 5.0 else max(tested) > 1
+        # Every verdict, out of reachable states or not, after the build
+        # dropped the parties it found free, on a fresh tree, and undecomposed.
+        fresh = build_tree(spec)
+        assert every_verdict(lattice.tree) == every_verdict(fresh) == {
+            fold: full_kernel_check(fresh, *fold) for fold in all_folds(fresh)
+        }
 
     def test_masks_wider_than_int64(self):
         # 64 flaps under a slab that only the last, shortest one clears: the

@@ -42,7 +42,7 @@ SIGNATURES = {
         (name, NO_DEFAULT)
         for name in (
             "spec", "ids", "topo_order", "foldable_ids", "bits", "panels_by_id", "mounts",
-            "crease_terms", "turns", "slabs", "subtrees", "ancestry", "subtree_ancestry", "obstacles",
+            "crease_terms", "turns", "slabs", "subtrees", "ancestry", "subtree_ancestry", "fixtures",
         )
     ],
     JointVector: [("angles", NO_DEFAULT)],
