@@ -60,12 +60,13 @@ for order, c_vol, c_dim, naf in totals:
     print(f"{str(order):<14} {c_vol:>12.1f} {c_dim:>10.1f} {naf:>4}")
 
 # A report is its arrays: row i folds along the edges report.steps[i], and
-# each edge holds the joint it folds and the state it folds out of. The
-# best sequence's totals are the sums of its steps.
+# each edge holds the slot of the joint it folds (report.joints[slot] is
+# the joint) and the state it folds out of. The best sequence's totals are
+# the sums of its steps.
 edges = report.edges
 print("\nbest sequence step by step:")
 for e in report.steps[0]:
-    print(f"  fold {edges.joint[e]}: volume {edges.volume[e]:.1f} mm^3, "
+    print(f"  fold {report.joints[edges.slot[e]]}: volume {edges.volume[e]:.1f} mm^3, "
           f"maxdim {edges.max_dim[e]:.1f} mm, aerial {bool(edges.aerial[e])}")
 
 # The same ranking straight from the lattice: a bounded search finds the

@@ -50,9 +50,8 @@ for order, c_vol, c_dim, naf in totals:
 # high on the standing wall whenever they move.
 best = report.orders[0].tolist()
 print("\nbest sequence step by step:")
-for t, e in enumerate(report.steps[0]):
+for t, (joint, e) in enumerate(zip(best, report.steps[0])):
     aerial = "aerial" if report.edges.aerial[e] else "on the bench"
-    joint = int(report.edges.joint[e])
     print(f"  fold {names[joint]:<16} from state {sorted(best[:t])}: {aerial}")
 
 flange_check = sweep(tree, tree.mask({1}), 5).aerial

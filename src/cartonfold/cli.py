@@ -99,28 +99,33 @@ def format_csv(report: RankedReport) -> str:
     A line is k + 3 words of a vocabulary: each joint with the separator
     that follows it (``5-``, or ``5,`` in last place), then the volume
     with its comma, the maxdim with its comma and the count with the
-    newline, each distinct value formatted once. Values are told apart by
-    their bits, so two that print differently never share a word. Each
-    block of about CSV_BLOCK_WORDS words is one gather from the vocabulary
-    and one ``str.join``.
+    newline. The joint words are listed in slot order, so a step's word id
+    is its edge's slot (plus k in last place), and the count words are
+    0 .. k, so a count's word id follows from its value; each distinct
+    total is formatted once, told apart from the others by its bits, so
+    two that print differently never share a word. Each block of about
+    CSV_BLOCK_WORDS words is one gather of slots, one gather from the
+    vocabulary and one ``str.join``.
     """
     header = "sequence,volume_mm3,maxdim_mm,naf\n"
-    n, k = report.orders.shape
+    n, k = report.steps.shape
     if not n:
         return header
-    joints = np.sort(report.orders[0])  # every row orders the same joints
-    words = [f"{j}-" for j in joints.tolist()] + [f"{j}," for j in joints.tolist()]
+    joints = report.joints.tolist()
+    words = [f"{j}-" for j in joints] + [f"{j}," for j in joints] + [f"{c}\n" for c in range(k + 1)]
     tails = []  # the word of each row's volume, maxdim and count
-    for column, form in ((report.c_vol, "{:.6f},"), (report.c_dim, "{:.6f},"), (report.c_aerial, "{}\n")):
+    for column in (report.c_vol, report.c_dim):
         distinct, index = np.unique(column.view(np.int64), return_inverse=True)
         tails.append(index + len(words))
-        words += map(form.format, distinct.view(column.dtype).tolist())
+        words += map("{:.6f},".format, distinct.view(column.dtype).tolist())
+    tails.append(report.c_aerial + 2 * k)
     vocab = np.array(words, dtype=object)
+    slot = report.edges.slot
     rows = max(1, CSV_BLOCK_WORDS // (k + 3))
     blocks = [header]
     for a in range(0, n, rows):
         ids = np.empty((min(rows, n - a), k + 3), dtype=np.intp)
-        ids[:, :k] = np.searchsorted(joints, report.orders[a:a + rows])
+        ids[:, :k] = slot[report.steps[a:a + rows]]
         ids[:, k - 1] += k
         for i, tail in enumerate(tails, k):
             ids[:, i] = tail[a:a + rows]
@@ -156,27 +161,26 @@ _STEP = """        {{
 def format_structured(report: RankedReport) -> str:
     c_vol, c_dim = report.c_vol.tolist(), report.c_dim.tolist()
     number = {v: repr(round6(v)) for v in {*c_vol, *c_dim}}
-    joint, volume, max_dim, aerial = report.edges
-    steps: dict[int, str] = {}
-
-    def step(e: int) -> str:
-        text = steps.get(e)
-        if text is None:
-            flag = "true" if aerial[e] else "false"
-            text = steps[e] = _STEP.format(joint[e], round6(volume[e]), round6(max_dim[e]), flag)
-        return text
-
+    joints = report.joints.tolist()
+    # Each distinct step edge's sequence line and step text, formatted once
+    # from Python scalars.
+    used = np.unique(report.steps)
+    slot, volume, max_dim, aerial = (column[used].tolist() for column in report.edges)
+    used = used.tolist()
+    line = {e: f"        {joints[s]}" for e, s in zip(used, slot)}
+    step = {
+        e: _STEP.format(joints[s], round6(v), round6(d), "true" if a else "false")
+        for e, s, v, d, a in zip(used, slot, volume, max_dim, aerial)
+    }
     rows = [
         _ROW.format(
-            ",\n".join(f"        {j}" for j in order),
+            ",\n".join([line[e] for e in ids]),
             number[vol],
             number[dim],
             naf,
-            ",\n".join(map(step, ids)),
+            ",\n".join([step[e] for e in ids]),
         )
-        for order, ids, vol, dim, naf in zip(
-            report.orders.tolist(), report.steps.tolist(), c_vol, c_dim, report.c_aerial.tolist()
-        )
+        for ids, vol, dim, naf in zip(report.steps.tolist(), c_vol, c_dim, report.c_aerial.tolist())
     ]
     # Every criterion is a plain name from RANKING_CRITERIA, so its JSON
     # text is the name in double quotes.

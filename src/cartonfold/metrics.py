@@ -71,12 +71,13 @@ def round6(value: float) -> float:
 class EdgeMetrics(NamedTuple):
     """Step columns indexed by edge id.
 
-    Edge e folds ``joint[e]`` out of a state whose bounding box has volume
-    ``volume[e]`` and largest extent ``max_dim[e]``; ``aerial[e]`` flags a
-    fold that starts off the workbench.
+    Edge e folds the joint in slot ``slot[e]`` of the foldable joints out
+    of a state whose bounding box has volume ``volume[e]`` and largest
+    extent ``max_dim[e]``; ``aerial[e]`` flags a fold that starts off the
+    workbench.
     """
 
-    joint: np.ndarray
+    slot: np.ndarray
     volume: np.ndarray
     max_dim: np.ndarray
     aerial: np.ndarray
@@ -98,31 +99,36 @@ class EdgeMetrics(NamedTuple):
 class RankedReport(Frozen):
     """The best sequences, sorted ascending-lexicographically by ``criteria``.
 
-    One row per sequence, best first, held as arrays: row i folds the
-    joints ``orders[i]``, each foldable joint once, along the edges
-    ``steps[i]`` of ``edges``, and
-    ``c_vol[i]``, ``c_dim[i]`` and ``c_aerial[i]`` are its totals. The rows
-    may be a prefix of the ranking; ``sequence_count`` counts every
-    sequence that was ranked.
+    One row per sequence, best first, held as arrays: row i folds each
+    foldable joint once, along the edges ``steps[i]`` of ``edges``, and
+    ``c_vol[i]``, ``c_dim[i]`` and ``c_aerial[i]`` are its totals. Edges
+    name their joints by slot: slot s is joint ``joints[s]``, the foldable
+    joint ids in ascending order. The rows may be a prefix of the ranking;
+    ``sequence_count`` counts every sequence that was ranked.
     """
 
     criteria: tuple[str, ...]
     sequence_count: int
-    orders: np.ndarray
+    joints: np.ndarray
     steps: np.ndarray
     edges: EdgeMetrics
     c_vol: np.ndarray
     c_dim: np.ndarray
     c_aerial: np.ndarray
 
-    def __init__(self, criteria, sequence_count, orders, steps, edges, c_vol, c_dim, c_aerial):
+    def __init__(self, criteria, sequence_count, joints, steps, edges, c_vol, c_dim, c_aerial):
         self.__dict__.update(
-            criteria=criteria, sequence_count=sequence_count, orders=orders, steps=steps,
+            criteria=criteria, sequence_count=sequence_count, joints=joints, steps=steps,
             edges=edges, c_vol=c_vol, c_dim=c_dim, c_aerial=c_aerial,
         )
 
     def __len__(self) -> int:
-        return len(self.orders)
+        return len(self.steps)
+
+    @property
+    def orders(self) -> np.ndarray:
+        """The joint ids of each row's folds, in order, looked up on each read."""
+        return self.joints[self.edges.slot[self.steps]]
 
 
 def _criteria(ranking, volume, max_dim, aerial) -> tuple[list, list[bool]]:
@@ -172,7 +178,7 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
     n = count if top is None else min(top, count)
     tree = lattice.tree
     volume, max_dim = tree.measures(lattice.masks[:-1])
-    edges = EdgeMetrics(lattice.joint, volume[lattice.source], max_dim[lattice.source], lattice.aerial)
+    edges = EdgeMetrics(lattice.slot, volume[lattice.source], max_dim[lattice.source], lattice.aerial)
     if not n:
         steps = np.zeros((0, len(tree.foldable_ids)), dtype=np.intp)
         totals = edges.totals(steps)
@@ -185,7 +191,7 @@ def rank_lattice(lattice: FoldLattice, top: int | None = None) -> RankedReport:
     return RankedReport(
         criteria=tree.spec.ranking,
         sequence_count=count,
-        orders=lattice.joint[steps],
+        joints=np.array(tree.foldable_ids, dtype=np.intp),
         steps=steps,
         edges=edges,
         c_vol=c_vol,
@@ -241,7 +247,7 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
             kids = children[lo:hi]
             w, rest = weight[:, lo:hi].T, least[:, kids].T
             found = folds[i] = sorted(zip(
-                (w + rest).tolist(), lattice.joint[lo:hi].tolist(), range(lo, hi),
+                (w + rest).tolist(), lattice.slot[lo:hi].tolist(), range(lo, hi),
                 kids.tolist(), w.tolist(), rest.tolist(),
             ))
         return found
@@ -249,7 +255,7 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
     last = len(lattice.masks) - 1  # the full state
     best: list[tuple] = []
     cutoff = bands = None
-    order: list[int] = []
+    order: list[int] = []  # slots, which sort as their joints do
     path: list[int] = []
 
     def ranks_after(reach: tuple, rest: list) -> bool:
@@ -292,9 +298,9 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
             sums = tuple(round6(v) if r else v for r, v in zip(rounded, sums))
             keep(sums + (tuple(order), tuple(path)))
             return
-        for _, joint, e, c, w, rest in folds_of(i):
+        for _, slot, e, c, w, rest in folds_of(i):
             stats.cc_cache_hits += 1
-            order.append(joint)
+            order.append(slot)
             path.append(e)
             reach = tuple(map(add, sums, w))
             if cutoff is not None and ranks_after(reach, rest):

@@ -737,6 +737,15 @@ def _rpy_matrix(rpy_deg) -> np.ndarray:
     return rz @ ry @ rx
 
 
+def _pose(rpy_deg, translation) -> Transform:
+    """The pose turned by ``rpy_deg`` and moved by ``translation``. With
+    every angle zero the turn is exactly the identity, so it is built
+    unchecked, without the three Rodrigues products."""
+    if not any(rpy_deg):
+        return Transform._of(np.eye(3), translation)
+    return Transform(_rpy_matrix(rpy_deg), translation)
+
+
 def _panel_from_mapping(entry: dict) -> PanelSpec:
     if not isinstance(entry, dict):
         raise SpecValidationError("each panel entry must be a mapping")
@@ -784,8 +793,8 @@ def _environment_from_mapping(entries) -> tuple[tuple[OrientedBox, ...], bool]:
         dims = _vec(entry, "dims_mm", where, bound=MAX_LENGTH_MM)
         if not all(d > 0.0 for d in dims):
             raise SpecValidationError(f"{where}: dims_mm must be positive, got {list(dims)}")
-        rot = _rpy_matrix(_vec(entry, "rpy_deg", where, default=(0.0, 0.0, 0.0)))
-        boxes.append(OrientedBox.from_center(center, dims, rot))
+        pose = _pose(_vec(entry, "rpy_deg", where, default=(0.0, 0.0, 0.0)), center)
+        boxes.append(OrientedBox(pose, np.asarray(dims, dtype=float) / 2.0))
     return tuple(boxes), table
 
 
@@ -799,8 +808,8 @@ def spec_from_mapping(data: dict) -> CartonSpec:
     panels = tuple(_panel_from_mapping(entry) for entry in raw_panels)
 
     pose_map = _section(data, "root_pose")
-    root_pose = Transform(
-        _rpy_matrix(_vec(pose_map, "rpy_deg", "root_pose", default=(0.0, 0.0, 0.0))),
+    root_pose = _pose(
+        _vec(pose_map, "rpy_deg", "root_pose", default=(0.0, 0.0, 0.0)),
         _vec(pose_map, "translation_mm", "root_pose", (0.0, 0.0, 0.0), MAX_LENGTH_MM),
     )
 

@@ -93,9 +93,11 @@ class FoldLattice(Frozen):
     layer order, by popcount, then ascending, the full state last; layer t
     is the states ``layers[t]`` up to ``layers[t + 1]``. The folds are held
     in compressed sparse rows: state i's folds are the edges ``first[i]``
-    up to ``first[i + 1]``, in ascending joint order; edge e folds
-    ``joint[e]`` out of state ``source[e]`` into state ``child[e]``
-    (indices into ``masks``), and ``aerial[e]`` is its aerial flag.
+    up to ``first[i + 1]``, in ascending joint order; edge e folds joint
+    ``tree.foldable_ids[slot[e]]`` out of state ``source[e]`` into state
+    ``child[e]`` (indices into ``masks``), and ``aerial[e]`` is its aerial
+    flag. Slots are of the smallest unsigned dtype that holds k - 1, and
+    since ``foldable_ids`` ascend they order folds as their joints do.
     ``sequence_count`` is the exact number of complete paths. Without a
     feasible sequence the lattice has no state at all.
     """
@@ -106,15 +108,15 @@ class FoldLattice(Frozen):
     first: np.ndarray
     source: np.ndarray
     child: np.ndarray
-    joint: np.ndarray
+    slot: np.ndarray
     aerial: np.ndarray
     sequence_count: int
     stats: SearchDiagnostics
 
-    def __init__(self, tree, masks, layers, first, source, child, joint, aerial, sequence_count, stats):
+    def __init__(self, tree, masks, layers, first, source, child, slot, aerial, sequence_count, stats):
         self.__dict__.update(
             tree=tree, masks=masks, layers=layers, first=first, source=source, child=child,
-            joint=joint, aerial=aerial, sequence_count=sequence_count, stats=stats,
+            slot=slot, aerial=aerial, sequence_count=sequence_count, stats=stats,
         )
 
     def paths(self) -> tuple[np.ndarray, int]:
@@ -152,7 +154,8 @@ class FoldLattice(Frozen):
     def sequences(self) -> list[tuple[int, ...]]:
         """The joint order of every complete path, in ascending lexicographic order."""
         paths, _ = self.paths()
-        return list(map(tuple, self.joint[paths].tolist()))
+        joints = np.array(self.tree.foldable_ids, dtype=np.intp)
+        return list(map(tuple, joints[self.slot[paths]].tolist()))
 
 
 def build_lattice(tree: KinematicTree) -> FoldLattice:
@@ -175,6 +178,7 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
     # Masks of 63 or more joints overflow int64; numpy then keeps Python ints.
     dtype = np.int64 if k < 63 else object
     bits = np.array([1 << i for i in range(k)], dtype=dtype)
+    slot_dtype = np.min_scalar_type(k - 1)
     masks, source, child, slot, aerial = [], [], [], [], []
     starts = [0]  # the first state of each layer, then the end
     layer = np.zeros(1, dtype=dtype)
@@ -189,7 +193,7 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
         source.append(state + starts[-1])
         layer, reached = np.unique(layer[state] | bits[slots], return_inverse=True)
         child.append(reached + end)
-        slot.append(slots)
+        slot.append(slots.astype(slot_dtype))
         aerial.append(table[k:].T[state, slots])
         starts.append(end)
         if not len(layer):
@@ -220,7 +224,7 @@ def build_lattice(tree: KinematicTree) -> FoldLattice:
         first=np.searchsorted(source, np.arange(len(keep) + 1)),
         source=source,
         child=index[child[live]],
-        joint=np.array(foldable, dtype=np.intp)[np.concatenate(slot)[live]],
+        slot=np.concatenate(slot)[live],
         aerial=np.concatenate(aerial)[live],
         sequence_count=stats.sequences,
         stats=stats,

@@ -383,6 +383,7 @@ def score_and_rank(tree: KinematicTree, orders) -> RankedReport:
     has one edge per (order, step); an empty input gives an empty report.
     """
     criteria = tree.spec.ranking
+    slot_of = {joint: s for s, joint in enumerate(tree.foldable_ids)}
     states: dict = {}
     scored = []
     for order in map(tuple, orders):
@@ -397,7 +398,7 @@ def score_and_rank(tree: KinematicTree, orders) -> RankedReport:
                 measured = states[folded] = (box.volume, box.max_extent, lowest)
             volume, max_dim, lowest = measured
             aerial = min(lowest[pid] for pid in tree.subtree_ids(joint)) > tree.spec.support_tolerance
-            steps.append((joint, volume, max_dim, bool(aerial)))
+            steps.append((slot_of[joint], volume, max_dim, bool(aerial)))
         c_vol = sum(step[1] for step in steps)
         c_dim = sum(step[2] for step in steps)
         c_aerial = sum(step[3] for step in steps)
@@ -409,7 +410,7 @@ def score_and_rank(tree: KinematicTree, orders) -> RankedReport:
     return RankedReport(
         criteria=criteria,
         sequence_count=len(scored),
-        orders=np.array([key[-1] for key, *_ in scored], dtype=np.intp).reshape(shape),
+        joints=np.array(tree.foldable_ids, dtype=np.intp),
         steps=np.arange(len(per_step)).reshape(shape),
         edges=EdgeMetrics(
             *(_column(per_step, i, dtype) for i, dtype in enumerate((np.intp, float, float, bool)))

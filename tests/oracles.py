@@ -104,7 +104,7 @@ def loop_lattice(tree) -> FoldLattice:
     sweeps, pair_tests = len(tree.sweeps), len(tree.pair_verdicts)
     final = (1 << len(foldable)) - 1
     masks: list[int] = []
-    source, child, joint, aerial = array("q"), array("q"), array("q"), array("b")
+    source, child, slot, aerial = array("q"), array("q"), array("q"), array("b")
     layer_edges = []  # the first edge out of each layer
     layer = [0]
     while layer:
@@ -112,14 +112,14 @@ def loop_lattice(tree) -> FoldLattice:
         reached = []  # the mask of each fold's child
         for i, mask in enumerate(layer, len(masks)):
             folds = len(source)
-            for j, bit in zip(foldable, bits):
+            for s, (j, bit) in enumerate(zip(foldable, bits)):
                 if mask & bit:
                     continue
                 stats.cc_calls += 1
                 if collision_check(tree, mask, j):
                     source.append(i)
                     reached.append(mask | bit)
-                    joint.append(j)
+                    slot.append(s)
                     aerial.append(sweep(tree, mask, j).aerial)
             if len(source) == folds and mask != final:
                 stats.dead_ends += 1
@@ -150,7 +150,7 @@ def loop_lattice(tree) -> FoldLattice:
         first=np.searchsorted(source, np.arange(len(keep) + 1)),
         source=source,
         child=index[child[live]],
-        joint=np.array(joint, dtype=np.intp)[live],
+        slot=np.array(slot, dtype=np.uint8 if len(foldable) <= 256 else np.uint16)[live],
         aerial=np.array(aerial, dtype=bool)[live],
         sequence_count=stats.sequences,
         stats=stats,
@@ -175,7 +175,8 @@ def csv_report(report) -> str:
 def structured_report(report) -> str:
     """The structured text of a ``RankedReport``: its payload encoded by
     ``json.dumps`` with a two-space indent."""
-    joint, volume, max_dim, aerial = (column.tolist() for column in report.edges)
+    joints = report.joints.tolist()
+    slot, volume, max_dim, aerial = (column.tolist() for column in report.edges)
     payload = {
         "policy": list(report.criteria),
         "sequence_count": report.sequence_count,
@@ -187,7 +188,7 @@ def structured_report(report) -> str:
                 "naf": naf,
                 "per_step": [
                     {
-                        "joint": joint[e],
+                        "joint": joints[slot[e]],
                         "volume_mm3": round6(volume[e]),
                         "maxdim_mm": round6(max_dim[e]),
                         "aerial": aerial[e],

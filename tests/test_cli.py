@@ -401,13 +401,13 @@ def drawn_reports(draw):
     """A report of 0, 1 or many rows over multi-digit, non-contiguous joint
     ids, its totals drawn from a small pool (repeating) or row by row.
 
-    Its edges list each joint one or more times, in shuffled order, and each
-    step is one of its joint's edges, so ``orders == edges.joint[steps]``.
-    Edge measures are drawn like totals.
+    Its edges list each joint's slot one or more times, in shuffled order,
+    and each step is one of its joint's edges, so each row orders every
+    joint once. Edge measures are drawn like totals.
     """
     k = draw(st.integers(1, 6))
     ids = st.integers(1, 10**6) | st.integers(2**53, 2**63 - 1)
-    joints = np.array(draw(st.lists(ids, min_size=k, max_size=k, unique=True)), dtype=np.intp)
+    joints = np.array(sorted(draw(st.lists(ids, min_size=k, max_size=k, unique=True))), dtype=np.intp)
     n = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 600)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = [csv_total(rng) for _ in range(draw(st.sampled_from((1, 3, 40))))]
@@ -421,8 +421,8 @@ def drawn_reports(draw):
 
     copies = rng.integers(1, draw(st.sampled_from((2, 40))), k)
     edge_id = rng.permutation(int(copies.sum()))  # of each edge, grouped by joint
-    edge_joint = np.empty(len(edge_id), dtype=np.intp)
-    edge_joint[edge_id] = np.repeat(joints, copies)
+    edge_slot = np.empty(len(edge_id), dtype=np.uint8)
+    edge_slot[edge_id] = np.repeat(np.arange(k), copies)
     position = np.array([rng.permutation(k) for _ in range(n)], dtype=np.intp).reshape(n, k)
     pick = (rng.random((n, k)) * copies[position]).astype(np.intp)
     steps = edge_id[(np.cumsum(copies) - copies)[position] + pick]
@@ -430,9 +430,9 @@ def drawn_reports(draw):
     return RankedReport(
         criteria=("aerial", "maxdim"),
         sequence_count=n,
-        orders=edge_joint[steps],
+        joints=joints,
         steps=steps,
-        edges=EdgeMetrics(edge_joint, *measures, rng.random(len(edge_id)) < 0.5),
+        edges=EdgeMetrics(edge_slot, *measures, rng.random(len(edge_id)) < 0.5),
         c_vol=totals(),
         c_dim=totals(),
         c_aerial=rng.integers(0, k + 1, n),
@@ -472,7 +472,7 @@ class TestStructuredWriter:
 
     @given(drawn_reports())
     def test_drawn_reports_are_written_byte_for_byte(self, report):
-        assert np.array_equal(report.orders, report.edges.joint[report.steps])
+        assert np.array_equal(np.sort(report.orders, axis=1), np.tile(report.joints, (len(report), 1)))
         assert format_structured(report) == structured_report(report)
 
 

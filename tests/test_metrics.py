@@ -165,7 +165,7 @@ class TestIsAerial:
             score = score_and_rank(tree, [seq])
             assert score.c_aerial[0] == 2
             steps = score.steps[0]
-            aerial_joints = set(score.edges.joint[steps][score.edges.aerial[steps]].tolist())
+            aerial_joints = set(score.orders[0][score.edges.aerial[steps]].tolist())
             assert aerial_joints == {5, 6}
 
 

@@ -69,6 +69,30 @@ class TestParseSpec:
         spec = parse_spec(TWO_PANEL_DOC.replace("id: 2,", f"id: {quote}{pid}{quote},"))
         assert [panel.id for panel in spec.panels] == [1, pid]
 
+    def test_unturned_poses_skip_the_rotation_products(self, monkeypatch):
+        # The turn of zero angles is the identity bit for bit, so a spec
+        # without rpy_deg builds its root and fixture poses without it.
+        assert np.array_equal(model_module._rpy_matrix((0.0, 0.0, 0.0)), np.eye(3))
+        doc = TWO_PANEL_DOC.replace(
+            "half_space: true}]", "half_space: true}, {name: post, center_mm: [300, 0, 20], dims_mm: [10, 10, 40]}]"
+        )
+        explicit = doc.replace("translation_mm: [0, 0, 1]", "translation_mm: [0, 0, 1], rpy_deg: [0, 0, 0]")
+        explicit = explicit.replace("dims_mm: [10, 10, 40]", "dims_mm: [10, 10, 40], rpy_deg: [0, -0.0, 0]")
+        calls = []
+        rpy_matrix = model_module._rpy_matrix
+        monkeypatch.setattr(model_module, "_rpy_matrix", lambda rpy: calls.append(rpy) or rpy_matrix(rpy))
+        for text in (doc, explicit):
+            spec = parse_spec(text)
+            assert calls == []
+            assert spec == parse_spec(explicit)
+            assert spec.root_pose.rotation.tolist() == np.eye(3).tolist()
+            (post,) = spec.environment
+            assert post.pose.rotation.tolist() == np.eye(3).tolist() and not post.pose.rotation.flags.writeable
+            assert post.center.tolist() == [300.0, 0.0, 20.0] and post.half_extents.tolist() == [5.0, 5.0, 20.0]
+        turned = parse_spec(explicit.replace("rpy_deg: [0, -0.0, 0]", "rpy_deg: [0, 0, 30]"))
+        assert calls == [(0.0, 0.0, 30.0)]
+        assert turned.environment[0].pose.rotation.tolist() == rpy_matrix((0.0, 0.0, 30.0)).tolist()
+
     def test_parent_cycle_rejected(self):
         doc = """
 panels:

@@ -101,18 +101,21 @@ def two_fixture_spec(step_deg: float) -> CartonSpec:
     return replace(spec, environment=(post, cube))
 
 
+def case_spec(spec_dir, case: str) -> CartonSpec:
+    """A shipped spec by file name, ``free:k`` flaps or a ``slab:k`` carton."""
+    if case.startswith("free:"):
+        return free_flap_spec(int(case[5:]))
+    if case.startswith("slab:"):
+        return slab_spec(int(case[5:]))
+    return load_spec(spec_dir / case)
+
+
 class TestLatticeStates:
     @pytest.mark.parametrize("case", ["free:6", "case_study_tray.yaml", "slab:64"])
     def test_masks_are_one_array_ascending_within_each_layer(self, spec_dir, case):
         # At 64 flaps the masks no longer fit an int64; the slab blocks
         # every fold, so that lattice is empty but keeps the wide dtype.
-        if case.startswith("free:"):
-            spec = free_flap_spec(int(case[5:]))
-        elif case.startswith("slab:"):
-            spec = slab_spec(int(case[5:]))
-        else:
-            spec = load_spec(spec_dir / case)
-        lattice = build_lattice(build_tree(spec))
+        lattice = build_lattice(build_tree(case_spec(spec_dir, case)))
         k = len(lattice.tree.foldable_ids)
         assert isinstance(lattice.masks, np.ndarray)
         assert lattice.masks.dtype == (np.int64 if k < 63 else object)
@@ -125,17 +128,30 @@ class TestLatticeStates:
         if case.startswith("free:"):
             assert len(lattice.masks) == 2 ** k
 
+    @pytest.mark.parametrize("case", [*SHIPPED_SPECS, "free:6", "slab:64"])
+    def test_edges_hold_the_slot_of_their_joint(self, spec_dir, case):
+        # Each edge keeps its joint's index into tree.foldable_ids, one byte
+        # up to 256 joints; the joint is the one bit its child adds.
+        lattice = build_lattice(build_tree(case_spec(spec_dir, case)))
+        tree = lattice.tree
+        assert lattice.slot.dtype == np.uint8
+        added = (lattice.masks[lattice.child] ^ lattice.masks[lattice.source]).tolist()
+        joints = [joint for mask in added for joint in tree.joints(mask)]
+        assert len(joints) == len(lattice.slot)
+        assert np.array(tree.foldable_ids)[lattice.slot].tolist() == joints
+
     def test_every_flap_folds_out_of_the_flat_state(self, three_flaps):
         _, tree = three_flaps
         lattice = build_lattice(tree)
         assert lattice.masks[0] == 0
-        assert lattice.joint[lattice.first[0]:lattice.first[1]].tolist() == [2, 3, 4]
+        assert lattice.slot[lattice.first[0]:lattice.first[1]].tolist() == [0, 1, 2]
+        assert tree.foldable_ids == (2, 3, 4)
 
     def test_full_state_is_last_and_has_no_folds(self, three_flaps):
         _, tree = three_flaps
         lattice = build_lattice(tree)
         assert lattice.masks[-1] == tree.mask(tree.foldable_ids)
-        assert lattice.first[-2] == lattice.first[-1] == len(lattice.joint)
+        assert lattice.first[-2] == lattice.first[-1] == len(lattice.slot)
 
     def test_static_joints_never_appear(self):
         spec = CartonSpec(
@@ -345,7 +361,7 @@ class TestMaskLattice:
         def subset(i):
             return frozenset(tree.joints(lattice.masks[i]))
 
-        columns = (lattice.joint, lattice.child, lattice.aerial)
+        columns = (np.array(tree.foldable_ids)[lattice.slot], lattice.child, lattice.aerial)
         got = [
             (subset(i), [(j, subset(c), a) for j, c, a in zip(*(col[lo:hi].tolist() for col in columns))])
             for i, (lo, hi) in enumerate(zip(lattice.first[:-1], lattice.first[1:]))
@@ -369,7 +385,7 @@ class TestMaskLattice:
         spec = load_spec(spec_dir / "three_flaps.yaml")
         lattice = build_lattice(build_tree(replace(spec, penetration_tolerance=0.0)))
         assert lattice.sequence_count == 0 and len(lattice.masks) == 0
-        assert lattice.first.tolist() == [0] and len(lattice.joint) == 0
+        assert lattice.first.tolist() == [0] and len(lattice.slot) == 0
         assert lattice.sequences() == []
         assert lattice.stats.dead_ends == 1
 
@@ -465,7 +481,8 @@ class TestLivePaths:
         lattice = build_lattice(tree)
         paths, prefixes = lattice.paths()
         orders, walked_prefixes = walked_paths(tree)
-        assert [tuple(row) for row in lattice.joint[paths].tolist()] == orders
+        joints = np.array(tree.foldable_ids)
+        assert [tuple(row) for row in joints[lattice.slot[paths]].tolist()] == orders
         assert lattice.sequences() == orders
         assert prefixes == walked_prefixes
         if case == "case_study_tray.yaml":
@@ -489,7 +506,8 @@ class TestLivePaths:
             lattice = build_lattice(tree)
             paths, prefixes = lattice.paths()
             orders, walked_prefixes = walked_paths(tree)
-            assert [tuple(row) for row in lattice.joint[paths].tolist()] == orders
+            joints = np.array(tree.foldable_ids)
+            assert [tuple(row) for row in joints[lattice.slot[paths]].tolist()] == orders
             assert prefixes == walked_prefixes
             counts.append(len(orders))
         assert sum(map(bool, counts)) >= 2
@@ -498,7 +516,7 @@ class TestLivePaths:
 def assert_same_lattice(got, want):
     """Two lattices of one spec, on trees of their own, agree in every array,
     counter and memo key."""
-    for name in ("masks", "layers", "first", "source", "child", "joint", "aerial"):
+    for name in ("masks", "layers", "first", "source", "child", "slot", "aerial"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
     assert got.sequence_count == want.sequence_count

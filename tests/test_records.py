@@ -57,13 +57,13 @@ SIGNATURES = {
     FoldLattice: [
         (name, NO_DEFAULT)
         for name in (
-            "tree", "masks", "layers", "first", "source", "child", "joint", "aerial",
+            "tree", "masks", "layers", "first", "source", "child", "slot", "aerial",
             "sequence_count", "stats",
         )
     ],
     RankedReport: [
         (name, NO_DEFAULT)
-        for name in ("criteria", "sequence_count", "orders", "steps", "edges", "c_vol", "c_dim", "c_aerial")
+        for name in ("criteria", "sequence_count", "joints", "steps", "edges", "c_vol", "c_dim", "c_aerial")
     ],
     RunConfig: [
         ("spec_path", NO_DEFAULT), ("fmt", "table"), ("top", 20), ("tolerance_angle_deg", None),
