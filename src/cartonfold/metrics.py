@@ -247,15 +247,16 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
             kids = children[lo:hi]
             w, rest = weight[:, lo:hi].T, least[:, kids].T
             found = folds[i] = sorted(zip(
-                (w + rest).tolist(), lattice.slot[lo:hi].tolist(), range(lo, hi),
-                kids.tolist(), w.tolist(), rest.tolist(),
+                (w + rest).tolist(), range(lo, hi), kids.tolist(), w.tolist(), rest.tolist(),
             ))
         return found
 
     last = len(lattice.masks) - 1  # the full state
     best: list[tuple] = []
     cutoff = bands = None
-    order: list[int] = []  # slots, which sort as their joints do
+    # Edge ids, which sort as the joints they fold do: a state's edges are
+    # stored in ascending slot order, and two paths first differ at a
+    # state they share.
     path: list[int] = []
 
     def ranks_after(reach: tuple, rest: list) -> bool:
@@ -273,7 +274,7 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
                     v = round6(v)
             if v != cut:
                 return v > cut
-        return tuple(order) >= cutoff[-2]
+        return tuple(path) >= cutoff[-1]
 
     def keep(key: tuple) -> None:
         nonlocal cutoff, bands
@@ -289,25 +290,23 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
             return
         cutoff = best[-1]
         bands = [(c - ROUND_BAND - abs(c) * 1e-15, c + ROUND_BAND + abs(c) * 1e-15)
-                 for c in cutoff[:-2]]
+                 for c in cutoff[:-1]]
 
     def visit(i: int, sums: tuple) -> None:
         stats.nodes_expanded += 1
         if i == last:
-            # Orders are distinct, so keys never tie up to the edge ids.
+            # Paths are distinct, so keys never tie.
             sums = tuple(round6(v) if r else v for r, v in zip(rounded, sums))
-            keep(sums + (tuple(order), tuple(path)))
+            keep(sums + (tuple(path),))
             return
-        for _, slot, e, c, w, rest in folds_of(i):
+        for _, e, c, w, rest in folds_of(i):
             stats.cc_cache_hits += 1
-            order.append(slot)
             path.append(e)
             reach = tuple(map(add, sums, w))
             if cutoff is not None and ranks_after(reach, rest):
                 stats.pruned += 1
             else:
                 visit(c, reach)
-            order.pop()
             path.pop()
 
     visit(0, (0,) * len(columns))

@@ -23,15 +23,11 @@ within [-180, 180] degrees and the tolerance angle is at least
 missing or null ``ranking`` takes ``DEFAULT_RANKING``. Obstacle boxes
 have positive dimensions.
 
-``parse_spec`` reads a document into the plain data that PyYAML's safe
-loader gives, without PyYAML's pure-Python constructor: libyaml composes
-the node graph (``_compose``), with each distinct implicit tag resolved
-once per document, and one walk over the nodes builds the mappings,
-sequences and strings itself (``_plain_data``). It hands ints, floats,
-bools and nulls to the loader's own constructors, merge keys to its
-``flatten_mapping`` and any other tag to its ``construct_object``; an
-aliased node is built once, so shared and recursive nodes come out as
-PyYAML builds them. Every load starts from the file; no memo outlives it.
+``parse_spec`` reads a document with PyYAML's safe loader, on libyaml
+when PyYAML has it, and ``spec_from_mapping`` validates the plain data.
+A document that nests deeper than ``MAX_NESTING`` levels, or too deeply
+for the loader's or the validation's recursion, is rejected like any
+other malformed spec.
 
 ``build_tree`` turns a validated spec into the ``KinematicTree`` that every
 planning function takes as its one input. It forms every crease's mount,
@@ -55,17 +51,13 @@ too, since no plan runs it.
 
 from __future__ import annotations
 
-import functools
 import math
-from collections import Counter, deque
-from collections.abc import Hashable
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import yaml
-from yaml.constructor import ConstructorError
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .geometry import CORNER_SIGNS, Frozen, FrozenValue, OrientedBox, Transform, rotation_matrix
 
@@ -469,15 +461,28 @@ class KinematicTree(Frozen):
         return tuple(j for j in self.foldable_ids if mask & self.bits[j])
 
     def panel_state(self, panel_id: int, mask: int) -> PanelRecord:
-        """One panel placed in fold state ``mask``, once per ancestry subset."""
+        """One panel placed in fold state ``mask``, once per ancestry subset:
+        after its unplaced ancestors, highest first, in one loop, so a chain
+        of any length places without recursion."""
+        records = self.panel_records
         key = (panel_id, self.ancestry[panel_id] & mask)
-        record = self.panel_records.get(key)
+        record = records.get(key)
         if record is None:
-            record = self.panel_records[key] = self._place(panel_id, mask)
+            chain = [(panel_id, key)]
+            parent = self.panels_by_id[panel_id].parent
+            while parent is not None:
+                key = (parent, self.ancestry[parent] & mask)
+                record = records.get(key)
+                if record is not None:
+                    break
+                chain.append((parent, key))
+                parent = self.panels_by_id[parent].parent
+            for pid, key in reversed(chain):
+                record = records[key] = self._place(pid, mask, record)
         return record
 
-    def _place(self, panel_id: int, mask: int) -> PanelRecord:
-        """The record ``panel_state`` memoises.
+    def _place(self, panel_id: int, mask: int, parent: PanelRecord | None) -> PanelRecord:
+        """The record ``panel_state`` memoises, given its parent's (None for the root).
 
         The frame is the parent's composed with the panel's turned mount
         (``turns``) at its anchor, and the center and corners are the
@@ -487,11 +492,9 @@ class KinematicTree(Frozen):
         bit. The arrays are all computed here, so they are write-protected
         in place rather than copied.
         """
-        parent_id = self.panels_by_id[panel_id].parent
-        if parent_id is None:
+        if parent is None:
             rotation, origin = self.spec.root_pose.rotation, self.spec.root_pose.translation
         else:
-            parent = self.panel_state(parent_id, mask)
             turned = self.turns[panel_id][1 if mask & self.bits.get(panel_id, 0) else 0]
             rotation = parent.rotation @ turned
             origin = parent.rotation @ self.mounts[panel_id][0] + parent.origin
@@ -853,117 +856,34 @@ def spec_from_mapping(data: dict) -> CartonSpec:
 # composer run in C, about eight times faster on the shipped specs.
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-_TAG = "tag:yaml.org,2002:"
-_MAP, _SEQ, _STR = _TAG + "map", _TAG + "seq", _TAG + "str"
-# Scalars built by the loader's own constructors, each distinct text once.
-_SCALAR_TAGS = tuple(_TAG + name for name in ("int", "float", "bool", "null"))
-# Keys that make ``flatten_mapping`` rewrite a mapping node.
-_FLATTENED = (_TAG + "merge", _TAG + "value")
+# Deepest nesting of collections accepted in a spec document. PyYAML's
+# libyaml binding composes a document by recursion in C, so a deep enough
+# one overflows the stack and kills the process. A document of n
+# characters nests at most n levels, so only longer ones are scanned.
+MAX_NESTING = 10_000
 
 
-def _compose(loader) -> yaml.Node | None:
-    """The document's node graph, or None for an empty stream.
-
-    The composer asks ``loader.resolve`` for the implicit tag of every
-    node; without path resolvers the answer depends on the node's kind,
-    text and implicit flags alone, so it is memoised for this document,
-    and the composer's calls to track a node's path, ``descend_resolver``
-    and ``ascend_resolver``, do nothing. The memo and the no-ops are
-    instance attributes, deleted again so that no reference cycle keeps
-    the loader and its nodes alive.
-    """
-    if loader.yaml_path_resolvers:
-        return loader.get_single_node()
-    loader.resolve = functools.lru_cache(maxsize=None)(loader.resolve)
-    loader.descend_resolver = loader.ascend_resolver = _no_path
-    try:
-        return loader.get_single_node()
-    finally:
-        del loader.resolve, loader.descend_resolver, loader.ascend_resolver
-
-
-def _no_path(*_) -> None:
-    """What a loader without path resolvers does to track a node's path."""
-
-
-def _plain_data(loader, root: yaml.Node):
-    """The data ``loader.construct_document(root)`` builds, in one walk over the nodes.
-
-    Mappings, sequences and strings are built here; ints, floats, bools and
-    nulls by the loader's registered constructors; merge keys are
-    flattened by the loader's ``flatten_mapping``; any other tag goes to
-    ``loader.construct_object``. A container is memoised per node before
-    it is filled, in the loader's own ``constructed_objects``, so an alias
-    gives the same object and a recursive node contains itself, as with
-    PyYAML. Containers are filled first in, first out, the order in which
-    PyYAML runs its construction generators, so a document with several
-    faults fails on the one PyYAML fails on, unless one lies under another
-    tag: ``construct_object`` builds such a node whole when it is reached.
-    """
-    built = loader.constructed_objects
-    makers = {tag: loader.yaml_constructors[tag] for tag in _SCALAR_TAGS}
-    scalars: dict[tuple[str, str], object] = {}
-    todo: deque = deque()
-
-    def make(node):
-        tag = node.tag
-        if type(node) is ScalarNode:
-            if tag == _STR:
-                return node.value
-            maker = makers.get(tag)
-            if maker is not None:
-                key = tag, node.value
-                if key not in scalars:
-                    scalars[key] = maker(loader, node)
-                return scalars[key]
-        if node in built:
-            return built[node]
-        if type(node) is MappingNode and tag == _MAP:
-            data = {}
-        elif type(node) is SequenceNode and tag == _SEQ:
-            data = []
-        else:
-            return loader.construct_object(node, deep=True)
-        built[node] = data
-        todo.append((node, data))
-        return data
-
-    data = make(root)
-    while todo:
-        node, into = todo.popleft()
-        if type(into) is list:
-            into.extend(map(make, node.value))
-            continue
-        if any(key.tag in _FLATTENED for key, _ in node.value):
-            loader.flatten_mapping(node)
-        for key_node, value_node in node.value:
-            key = make(key_node)
-            if type(key) is not str and not isinstance(key, Hashable):
-                raise ConstructorError(
-                    "while constructing a mapping", node.start_mark,
-                    "found unhashable key", key_node.start_mark,
-                )
-            into[key] = make(value_node)
-    return data
+def _check_nesting(document: str) -> None:
+    """Reject a document nested deeper than MAX_NESTING, counted over the
+    parser's events, which it emits without recursion."""
+    depth = 0
+    for event in yaml.parse(document, Loader=_SAFE_LOADER):
+        depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+        if depth > MAX_NESTING:
+            raise SpecValidationError(f"carton spec nests too deeply: more than {MAX_NESTING} levels")
 
 
 def parse_spec(document: str) -> CartonSpec:
-    """Parse and validate a carton-spec document (YAML text).
-
-    The plain data is what ``yaml.load(document, Loader=_SAFE_LOADER)``
-    gives, built by ``_compose`` and ``_plain_data`` rather than by
-    PyYAML's pure-Python constructor.
-    """
+    """Parse and validate a carton-spec document (YAML text)."""
     try:
-        loader = _SAFE_LOADER(document)
-        try:
-            root = _compose(loader)
-            data = None if root is None else _plain_data(loader, root)
-        finally:
-            loader.dispose()
+        if len(document) > MAX_NESTING:
+            _check_nesting(document)
+        return spec_from_mapping(yaml.load(document, Loader=_SAFE_LOADER))
     except yaml.YAMLError as exc:
         raise SpecValidationError(f"carton spec is not valid YAML: {exc}") from exc
-    return spec_from_mapping(data)
+    except RecursionError:
+        # from PyYAML's merge-key flattening, or a message's repr of a nested value
+        raise SpecValidationError("carton spec nests too deeply to be read") from None
 
 
 def load_spec(path) -> CartonSpec:

@@ -32,8 +32,9 @@ def tracing(request):
     return tracing
 
 
-def test_traced_plan_reports_every_layer_metric(tracing):
-    config = RunConfig(spec_path=str(SPEC_DIR / "case_study_tray.yaml"), fmt="csv", top=None)
+@pytest.mark.parametrize("fmt", ("csv", "structured"))
+def test_traced_plan_reports_every_layer_metric(tracing, fmt):
+    config = RunConfig(spec_path=str(SPEC_DIR / "case_study_tray.yaml"), fmt=fmt, top=None)
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -32,7 +32,7 @@ from cartonfold.cli import (
 )
 from cartonfold.geometry import OrientedBox, Transform
 from cartonfold.metrics import EdgeMetrics, RankedReport, rank_lattice
-from cartonfold.model import MAX_LENGTH_MM, KinematicTree, build_tree, load_spec
+from cartonfold.model import MAX_LENGTH_MM, MAX_NESTING, KinematicTree, build_tree, load_spec
 from cartonfold.planner import SearchDiagnostics, build_lattice
 from cartonfold.reference import JointVector, PanelPose, forward_kinematics
 
@@ -82,6 +82,37 @@ try:
 except SystemExit as exit:
     print(exit.code, "cartonfold.cli" in sys.modules, file=sys.stderr)
 """
+
+
+# Deep documents, each with its error: flow and block sequences deep enough
+# to crash libyaml's recursive composer, a number and a merge key deep
+# enough to exhaust Python's recursion, flow sequences 100 000 deep, which
+# the scan still reads through, and sequences nested to the bound, which
+# pass the scan and load.
+TOO_DEEP = "error: carton spec nests too deeply: more than 10000 levels\n"
+TOO_DEEP_TO_READ = "error: carton spec nests too deeply to be read\n"
+DEEP_DOCUMENTS = {
+    "flow sequences": ("panels: " + "[" * 25_000 + "\n", TOO_DEEP),
+    "block sequences": ("panels:\n" + "- " * 40_000 + "x\n", TOO_DEEP),
+    "nested number": (
+        "panels:\n  - {id: 1, parent: null, dims_mm: [" + "[" * 3000 + "1" + "]" * 3000 + ", 1, 1]}\n",
+        TOO_DEEP_TO_READ,
+    ),
+    "nested merge keys": ("panels: [" + "{<<: " * 3000 + "{a: 1}" + "}" * 3000 + "]\n", TOO_DEEP_TO_READ),
+    "closed flow sequences": ("panels: " + "[" * 100_000 + "]" * 100_000 + "\n", TOO_DEEP),
+    "nested to the bound": (
+        "panels: " + "[" * (MAX_NESTING - 1) + "]" * (MAX_NESTING - 1) + "\n",
+        "error: each panel entry must be a mapping\n",
+    ),
+}
+
+
+def chain_document(n: int) -> str:
+    """A root, a chain of n - 2 static panels on it and one flap at the chain's end."""
+    crease = "dims_mm: [20, 100, 2], crease_anchor_mm: [0, 20, 0], crease_dir: [1, 0, 0], theta_init_deg: 0"
+    lines = ["panels:", "  - {id: 1, parent: null, dims_mm: [20, 100, 2]}"]
+    lines += [f"  - {{id: {i}, parent: {i - 1}, {crease}, theta_final_deg: {90 if i == n else 0}}}" for i in range(2, n + 1)]
+    return "\n".join([*lines, "environment: [{half_space: true}]", "planner: {penetration_tolerance_mm: 1.05}\n"])
 
 
 class TestRun:
@@ -140,6 +171,23 @@ class TestRun:
         assert report == ""
         assert "not valid YAML" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", sorted(DEEP_DOCUMENTS))
+    def test_deep_document_exits_3_with_one_error_line(self, tmp_path, name):
+        # In a child process, since a crash in libyaml would end pytest too.
+        document, error = DEEP_DOCUMENTS[name]
+        path = tmp_path / "deep.yaml"
+        path.write_text(document)
+        result = cli_process("--spec", str(path))
+        assert (result.returncode, result.stdout, result.stderr) == (EXIT_SPEC_INVALID, "", error)
+
+    def test_a_chain_of_2000_panels_plans(self, tmp_path):
+        # The flap is placed after its 1 999 ancestors, one loop each.
+        path = tmp_path / "chain.yaml"
+        path.write_text(chain_document(2000))
+        code, report = run_to_string(RunConfig(spec_path=str(path), fmt="csv"))
+        assert code == EXIT_OK
+        assert report == "sequence,volume_mm3,maxdim_mm,naf\n2000,8000000.000000,40000.000000,0\n"
+
     @pytest.mark.parametrize(
         "old, new, field",
         [
@@ -164,6 +212,11 @@ class TestRun:
             ("theta_final_deg: 90}", "theta_final_deg: 90, foldable: false}", "foldable"),
             ("theta_final_deg: 90}", "theta_final_deg: 90, foldable: 'no'}", "foldable"),
             ("theta_final_deg: 90}", "theta_final_deg: 90, foldable: 1}", "foldable"),
+            ("dims_mm: [40, 80, 20]", "dims_mm: [40, 0, 20]", "gripper dims must be positive"),
+            ("standoff_mm: 5", "standoff_mm: -1", "gripper standoff must be >= 0"),
+            ("support_tolerance_mm: 1.0", "support_tolerance_mm: -1", "support_tolerance must be >= 0"),
+            ("{id: 2,", "{id: 0,", "panel id must be >= 1, got 0"),
+            ("{id: 2,", "{id: 2.5,", "panel 2.5: id must be an integer, got 2.5"),
         ],
     )
     def test_malformed_number_exits_3_naming_the_field(
@@ -532,9 +585,9 @@ class TestStateMemo:
             fk_calls.append(theta)
             return forward_kinematics(tree_, theta)
 
-        def counted_place(tree_, panel_id, mask):
+        def counted_place(tree_, panel_id, mask, parent):
             built.append((panel_id, mask & tree_.ancestry[panel_id]))
-            return place(tree_, panel_id, mask)
+            return place(tree_, panel_id, mask, parent)
 
         def kept_tree(spec):
             trees.append(build_tree(spec))

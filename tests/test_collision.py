@@ -655,6 +655,11 @@ class TestGraspSide:
         tree = self.make_flap_tree(-np.pi / 2, extra_env=(lid,))
         assert grasp_side(tree, 0, 2) is GraspSide.NONE
 
+    def test_folded_joint_rejected(self):
+        tree = self.make_flap_tree(np.pi / 2)
+        with pytest.raises(ValueError, match="joint 2 is already folded"):
+            grasp_side(tree, tree.mask([2]), 2)
+
     def test_spec_without_gripper_rejected(self):
         tree = self.make_flap_tree(np.pi / 2)
         bare = build_tree(replace(tree.spec, gripper=None))
