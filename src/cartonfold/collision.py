@@ -242,9 +242,9 @@ def build_sweeps(tree: KinematicTree, folds) -> None:
         placing = tree.subtree_ancestry[joint] & ~tree.bits[joint]
         static = []
         for slot, party in enumerate(parties):
-            if party == TABLE and table is None or party in tree.subtrees[joint]:
-                continue
             ancestry = tree.ancestry[party] if party > 0 else 0
+            if party == TABLE and table is None or ancestry & tree.bits[joint]:
+                continue
             split, fixed = ancestry & ~placing, ancestry & key
             base = (key * len(parties) + slot) << len(tree.foldable_ids)
             static.append([party, split, base | fixed, fixed, 1 << split.bit_count()])

@@ -197,6 +197,19 @@ class GripperSpec(FrozenValue):
         self.__dict__.update(dims=dims, standoff=standoff)
 
 
+def _descent(panels, root: int) -> list[int]:
+    """The panels reached walking down from ``root``, breadth first over
+    child lists, each list ascending by id as ``panels`` is."""
+    children: dict[int, list[int]] = {p.id: [] for p in panels}
+    for panel in panels:
+        if panel.parent is not None:
+            children[panel.parent].append(panel.id)
+    order = [root]
+    for pid in order:
+        order.extend(children[pid])
+    return order
+
+
 @dataclass(frozen=True)
 class CartonSpec:
     """Validated declarative description of a carton and its workcell."""
@@ -219,11 +232,9 @@ class CartonSpec:
         if not self.panels:
             raise SpecValidationError("carton must contain at least one panel")
         ids = [p.id for p in self.panels]
-        seen: set[int] = set()
-        for pid in ids:
-            if pid in seen:
+        for pid, next_id in zip(ids, ids[1:]):  # ascending, so a repeat is adjacent
+            if pid == next_id:
                 raise SpecValidationError(f"duplicate panel id {pid}")
-            seen.add(pid)
         roots = [p for p in self.panels if p.parent is None]
         if len(roots) != 1:
             raise SpecValidationError(
@@ -235,17 +246,15 @@ class CartonSpec:
                 raise SpecValidationError(
                     f"panel {panel.id} references unknown parent {panel.parent}"
                 )
-        # Walk to the root from every panel; revisiting a panel means a cycle.
-        for panel in self.panels:
-            trail: set[int] = set()
-            node = panel
-            while node.parent is not None:
-                if node.id in trail:
-                    raise SpecValidationError(
-                        f"cycle in parent links involving panel {node.id}"
-                    )
-                trail.add(node.id)
-                node = by_id[node.parent]
+        # A panel the walk down from the root misses sits on or below a
+        # cycle; walking up from the least such panel comes round to it.
+        reached = _descent(self.panels, roots[0].id)
+        if len(reached) < len(ids):
+            node, trail = min(set(ids) - set(reached)), set()
+            while node not in trail:
+                trail.add(node)
+                node = by_id[node].parent
+            raise SpecValidationError(f"cycle in parent links involving panel {node}")
         if not math.radians(MIN_TOLERANCE_ANGLE_DEG) <= self.tolerance_angle < math.inf:
             raise SpecValidationError(
                 f"tolerance_angle_deg must be finite and at least {MIN_TOLERANCE_ANGLE_DEG}, "
@@ -376,14 +385,16 @@ class KinematicTree(Frozen):
     ``spec`` supplies every tolerance, the table, the gripper and the
     ranking. ``fixtures`` places each fixture box of ``spec.environment``
     as a ``PanelRecord`` whose origin is the box's center, with the bounds
-    of ``OrientedBox.corners``. ``subtrees[j]`` lists the panels that
-    folding joint j moves.
+    of ``OrientedBox.corners``.
 
     A fold state is an int bit mask over ``foldable_ids``: ``bits[j]`` is
     joint j's bit, ``mask`` and ``joints`` convert between masks and joint
     ids. ``ancestry[p]`` masks the foldable joints whose angles place panel
-    p (its foldable ancestors and p itself), and ``subtree_ancestry[p]``
-    their union over p's subtree.
+    p (its foldable ancestors and p itself). ``subtrees`` and
+    ``subtree_ancestry`` are keyed by foldable joints only: ``subtrees[j]``
+    lists, in topological order, the panels that folding joint j moves,
+    those whose ancestry holds ``bits[j]``, and ``subtree_ancestry[j]`` is
+    the union of their ancestries. ``subtree_ids`` finds any panel's subtree.
 
     ``mounts[p]`` holds non-root panel p's crease (anchor, unit direction,
     mount M): M holds the panel's frame axes in its parent's frame at
@@ -443,8 +454,13 @@ class KinematicTree(Frozen):
         return self.panels_by_id[panel_id]
 
     def subtree_ids(self, panel_id: int) -> tuple[int, ...]:
-        """The panel and all its descendants, in topological order."""
-        return self.subtrees[panel_id]
+        """The panel and all its descendants, in topological order, found in
+        one pass over that order (``subtrees`` holds only the joints')."""
+        subtree = {self.panel(panel_id).id: None}  # an ordered set
+        for pid in self.topo_order:
+            if self.panels_by_id[pid].parent in subtree:
+                subtree[pid] = None
+        return tuple(subtree)
 
     def mask(self, joints) -> int:
         """The fold state with the given foldable joints folded."""
@@ -558,23 +574,11 @@ class KinematicTree(Frozen):
 
 
 def build_tree(spec: CartonSpec) -> KinematicTree:
-    """Derive adjacency, topological order, subtrees, mounts, crease terms,
-    slabs and fixture records."""
+    """Derive the topological order, mounts, crease terms, slabs, the
+    joints' subtrees and fixture records, each in one pass over the panels."""
     ids = tuple(p.id for p in spec.panels)
     by_id = {p.id: p for p in spec.panels}
-    children: dict[int, list[int]] = {pid: [] for pid in ids}
-    for panel in spec.panels:
-        if panel.parent is not None:
-            children[panel.parent].append(panel.id)
-    for pid in ids:
-        children[pid].sort()
-
-    topo: list[int] = []
-    stack = [spec.root.id]
-    while stack:
-        node = stack.pop(0)
-        topo.append(node)
-        stack.extend(children[node])
+    topo = _descent(spec.panels, spec.root.id)
 
     # Every non-root panel's crease at once. PanelSpec has checked that each
     # direction is a unit vector; it is divided by its hypot, as measured there.
@@ -608,29 +612,21 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
         array.setflags(write=False)
     slabs = {p.id: (centers[i], offsets[i], halves[i]) for i, p in enumerate(spec.panels)}
 
-    topo_rank = {pid: i for i, pid in enumerate(topo)}
-    subtrees = {}
-    for pid in ids:
-        members = [pid]
-        stack = list(children[pid])
-        while stack:
-            node = stack.pop()
-            members.append(node)
-            stack.extend(children[node])
-        subtrees[pid] = tuple(sorted(members, key=topo_rank.__getitem__))
-
-    foldable = tuple(pid for pid in ids if by_id[pid].foldable)
+    foldable = tuple(p.id for p in spec.panels if p.foldable)
     bits = {joint: 1 << i for i, joint in enumerate(foldable)}
+    # A panel joins, in topological order, the subtree of each joint in its ancestry.
+    joint_of = {bit: joint for joint, bit in bits.items()}
+    subtrees: dict[int, list[int]] = {joint: [] for joint in foldable}
+    subtree_ancestry = dict.fromkeys(foldable, 0)
     ancestry: dict[int, int] = {}
     for pid in topo:
         parent = by_id[pid].parent
-        inherited = 0 if parent is None else ancestry[parent]
-        ancestry[pid] = inherited | bits.get(pid, 0)
-    subtree_ancestry = {}
-    for pid, members in subtrees.items():
-        subtree_ancestry[pid] = 0
-        for member in members:
-            subtree_ancestry[pid] |= ancestry[member]
+        ancestry[pid] = rest = (0 if parent is None else ancestry[parent]) | bits.get(pid, 0)
+        while rest:
+            joint = joint_of[rest & -rest]
+            subtrees[joint].append(pid)
+            subtree_ancestry[joint] |= ancestry[pid]
+            rest &= rest - 1
     return KinematicTree(
         spec=spec,
         ids=ids,
@@ -642,7 +638,7 @@ def build_tree(spec: CartonSpec) -> KinematicTree:
         crease_terms=crease_terms,
         turns=turns,
         slabs=slabs,
-        subtrees=subtrees,
+        subtrees={joint: tuple(members) for joint, members in subtrees.items()},
         ancestry=ancestry,
         subtree_ancestry=subtree_ancestry,
         fixtures=tuple(

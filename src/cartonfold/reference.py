@@ -397,7 +397,7 @@ def score_and_rank(tree: KinematicTree, orders) -> RankedReport:
                 lowest = {p.panel_id: p.solid.corners()[:, 2].min() for p in poses}
                 measured = states[folded] = (box.volume, box.max_extent, lowest)
             volume, max_dim, lowest = measured
-            aerial = min(lowest[pid] for pid in tree.subtree_ids(joint)) > tree.spec.support_tolerance
+            aerial = min(lowest[pid] for pid in tree.subtrees[joint]) > tree.spec.support_tolerance
             steps.append((slot_of[joint], volume, max_dim, bool(aerial)))
         c_vol = sum(step[1] for step in steps)
         c_dim = sum(step[2] for step in steps)

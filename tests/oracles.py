@@ -1,8 +1,9 @@
 """Independent oracles the library is checked against.
 
 These deliberately avoid the library's own kernels: box overlap is decided
-by dense point sampling, and sequence enumeration by filtering raw
-permutations. Slow and simple on purpose. ``loop_lattice`` is the lattice
+by dense point sampling, sequence enumeration by filtering raw
+permutations and subtrees by walking every panel to the root
+(``walked_subtrees``). Slow and simple on purpose. ``loop_lattice`` is the lattice
 build as one ``collision_check`` per (reachable state, unfolded joint), the
 reference for the layer-at-a-time build. ``csv_report`` writes a CSV
 report one line at a time and ``structured_report`` through
@@ -71,6 +72,32 @@ def brute_force_sequences(tree, cc=None) -> list[tuple[int, ...]]:
         else:
             valid.append(perm)
     return valid
+
+
+def walked_subtrees(tree) -> tuple[dict[int, tuple[int, ...]], dict[int, int], dict[int, int]]:
+    """Every panel's subtree, ancestry and the union of its subtree's
+    ancestries, from a walk to the root from each panel.
+
+    A panel's path lists the ids from the root down to it; the panel's
+    ancestry is the OR of the bits on it, and its subtree is every panel
+    whose path holds it, sorted by (path length, path): breadth first with
+    siblings ascending by id.
+    """
+    paths = {}
+    for pid in tree.ids:
+        path = [pid]
+        while tree.panel(path[0]).parent is not None:
+            path.insert(0, tree.panel(path[0]).parent)
+        paths[pid] = path
+    ancestry = {pid: sum(tree.bits.get(node, 0) for node in path) for pid, path in paths.items()}
+    subtrees, unions = {}, {}
+    for pid in tree.ids:
+        members = sorted((m for m in tree.ids if pid in paths[m]), key=lambda m: (len(paths[m]), paths[m]))
+        subtrees[pid] = tuple(members)
+        unions[pid] = 0
+        for member in members:
+            unions[pid] |= ancestry[member]
+    return subtrees, ancestry, unions
 
 
 def every_verdict(tree) -> dict[tuple[int, int], bool]:
