@@ -236,10 +236,12 @@ def run(config: RunConfig, out=None) -> int:
 def _parse_top(text: str) -> int | None:
     if text == "all":
         return None
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("--top must be a positive integer or 'all'")
-    return value
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("--top must be a positive integer or 'all'")
 
 
 def _parse_sequence(text: str) -> tuple[int, ...]:

@@ -18,13 +18,14 @@ The spec file (YAML, degrees and millimeters at the boundary) is
 documented in README.md, "Carton spec files". A panel may carry an
 explicit boolean ``foldable`` flag, which must agree with its angles: a
 panel whose initial and final angles coincide is static. Joint angles lie
-within [-180, 180] degrees and the tolerance angle is at least
-``MIN_TOLERANCE_ANGLE_DEG``, which bounds the samples of every sweep. A
-missing or null ``ranking`` takes ``DEFAULT_RANKING``. Obstacle boxes
-have positive dimensions.
+within [-180, 180] degrees, roll, pitch and yaw within [-360, 360], and
+the tolerance angle is at least ``MIN_TOLERANCE_ANGLE_DEG``, which bounds
+the samples of every sweep. A missing or null ``ranking`` takes
+``DEFAULT_RANKING``. Obstacle boxes have positive dimensions.
 
 ``parse_spec`` reads a document with PyYAML's safe loader, on libyaml
-when PyYAML has it, and ``spec_from_mapping`` validates the plain data.
+when PyYAML has it, refusing a key written twice in one mapping, and
+``spec_from_mapping`` validates the plain data.
 A document that nests deeper than ``MAX_NESTING`` levels, or too deeply
 for the loader's or the validation's recursion, is rejected like any
 other malformed spec.
@@ -80,6 +81,10 @@ MAX_PANEL_ID = 2**63 - 1
 # the broad phase's CULL_MARGIN; no volume sum comes near overflow.
 MAX_LENGTH_MM = 1e6
 
+# Largest magnitude of a roll, pitch or yaw accepted, in degrees: a turn
+# either way. Far beyond it a float keeps nothing of the angle modulo 360.
+MAX_RPY_DEG = 360.0
+
 
 def sweep_angles(start: float, end: float, step: float) -> np.ndarray:
     """Sample angles from start to end inclusive, spaced by at most step: both
@@ -95,8 +100,9 @@ def sweep_angles(start: float, end: float, step: float) -> np.ndarray:
 
 
 def sweep_steps(span: float, step: float) -> int:
-    """The number of steps ``sweep_angles`` takes over an arc of ``span``."""
-    return math.ceil(abs(span) / step - 1e-12)
+    """The number of steps ``sweep_angles`` takes over an arc of ``span``:
+    at least one for a nonzero span, however long the step."""
+    return max(math.ceil(abs(span) / step - 1e-12), int(span != 0.0))
 
 
 class SpecValidationError(ValueError):
@@ -663,18 +669,20 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _number(value, what: str, bound: float = math.inf) -> float:
-    """A finite real number from spec data, at most ``bound`` in magnitude;
-    anything else names ``what``."""
+    """A finite real number from spec data within [-bound, bound]; anything
+    else names ``what``."""
     if isinstance(value, bool):
         raise SpecValidationError(f"{what} must be a number, got {value!r}")
     try:
         number = float(value)
+    except OverflowError:  # an int beyond every float
+        number = -math.inf if value < 0 else math.inf
     except (TypeError, ValueError):
         raise SpecValidationError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise SpecValidationError(f"{what} must be finite, got {value!r}")
     if abs(number) > bound:
-        raise SpecValidationError(f"{what} must be at most {bound:g} in magnitude, got {value!r}")
+        raise SpecValidationError(f"{what} must lie within [-{bound:g}, {bound:g}], got {number!r}")
     return number
 
 
@@ -792,7 +800,7 @@ def _environment_from_mapping(entries) -> tuple[tuple[OrientedBox, ...], bool]:
         dims = _vec(entry, "dims_mm", where, bound=MAX_LENGTH_MM)
         if not all(d > 0.0 for d in dims):
             raise SpecValidationError(f"{where}: dims_mm must be positive, got {list(dims)}")
-        pose = _pose(_vec(entry, "rpy_deg", where, default=(0.0, 0.0, 0.0)), center)
+        pose = _pose(_vec(entry, "rpy_deg", where, (0.0, 0.0, 0.0), MAX_RPY_DEG), center)
         boxes.append(OrientedBox(pose, np.asarray(dims, dtype=float) / 2.0))
     return tuple(boxes), table
 
@@ -808,7 +816,7 @@ def spec_from_mapping(data: dict) -> CartonSpec:
 
     pose_map = _section(data, "root_pose")
     root_pose = _pose(
-        _vec(pose_map, "rpy_deg", "root_pose", default=(0.0, 0.0, 0.0)),
+        _vec(pose_map, "rpy_deg", "root_pose", (0.0, 0.0, 0.0), MAX_RPY_DEG),
         _vec(pose_map, "translation_mm", "root_pose", (0.0, 0.0, 0.0), MAX_LENGTH_MM),
     )
 
@@ -852,6 +860,26 @@ def spec_from_mapping(data: dict) -> CartonSpec:
 # composer run in C, about eight times faster on the shipped specs.
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+
+class _SpecLoader(_SAFE_LOADER):
+    """The safe loader, refusing a key written twice in one mapping. A
+    written key still overrides one that a merge key (``<<``) brings in."""
+
+    def construct_mapping(self, node, deep=False):
+        written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)  # merges, then builds every key
+        if len(mapping) < len(node.value):  # some key repeats, written or merged
+            seen = set()
+            for key_node in written:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise SpecValidationError(
+                        f"duplicate key {key!r} on line {key_node.start_mark.line + 1}"
+                    )
+                seen.add(key)
+        return mapping
+
+
 # Deepest nesting of collections accepted in a spec document. PyYAML's
 # libyaml binding composes a document by recursion in C, so a deep enough
 # one overflows the stack and kills the process. A document of n
@@ -874,7 +902,7 @@ def parse_spec(document: str) -> CartonSpec:
     try:
         if len(document) > MAX_NESTING:
             _check_nesting(document)
-        return spec_from_mapping(yaml.load(document, Loader=_SAFE_LOADER))
+        return spec_from_mapping(yaml.load(document, Loader=_SpecLoader))
     except yaml.YAMLError as exc:
         raise SpecValidationError(f"carton spec is not valid YAML: {exc}") from exc
     except RecursionError:

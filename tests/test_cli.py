@@ -217,6 +217,14 @@ class TestRun:
             ("support_tolerance_mm: 1.0", "support_tolerance_mm: -1", "support_tolerance must be >= 0"),
             ("{id: 2,", "{id: 0,", "panel id must be >= 1, got 0"),
             ("{id: 2,", "{id: 2.5,", "panel 2.5: id must be an integer, got 2.5"),
+            ("dims_mm: [60, 190, 2]", "dims_mm: [1" + "0" * 400 + ", 190, 2]", "panel 2: dims_mm must be finite"),
+            ("{id: 4,", "{id: 4, id: 5,", "duplicate key 'id' on line 11"),
+            ("  penetration_tolerance_mm", "  tolerance_angle_deg: 6\n  penetration_tolerance_mm",
+             "duplicate key 'tolerance_angle_deg' on line 24"),
+            ("translation_mm: [0, 0, 1]}", "translation_mm: [0, 0, 1], rpy_deg: [1e308, 0, 0]}",
+             "root_pose: rpy_deg must lie within [-360, 360], got 1e+308"),
+            (TABLE, TABLE + "\n  " + BOX.format("1, 1, 1")[:-1] + ", rpy_deg: [0, -360.5, 0]}",
+             "environment[1]: rpy_deg must lie within [-360, 360], got -360.5"),
         ],
     )
     def test_malformed_number_exits_3_naming_the_field(
@@ -313,7 +321,7 @@ class TestRun:
         assert code == EXIT_SPEC_INVALID
         assert report == ""
         assert capsys.readouterr().err.startswith(
-            f"error: {field} must be at most {MAX_LENGTH_MM:g} in magnitude, got "
+            f"error: {field} must lie within [-{MAX_LENGTH_MM:g}, {MAX_LENGTH_MM:g}], got "
         )
         at_bound = tmp_path / "at_bound.yaml"
         at_bound.write_text(text.replace("translation_mm: [0, 0, 1]", f"translation_mm: [0, 0, {MAX_LENGTH_MM}]"))
@@ -858,6 +866,14 @@ class TestMainEntry:
         assert code == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out.startswith("sequence,volume_mm3,maxdim_mm,naf")
+
+    @pytest.mark.parametrize("top", ("0", "x"))
+    def test_bad_top_is_named_as_the_option(self, spec_dir, capsys, top):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--spec", str(spec_dir / "three_flaps.yaml"), "--top", top])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "cartonfold: error: argument --top: --top must be a positive integer or 'all'"
 
     def test_main_explain_flag(self, spec_dir, capsys):
         code = main(

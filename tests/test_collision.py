@@ -192,6 +192,8 @@ class TestSweepAngles:
             (np.pi / 2, 0.0, math.radians(5)),   # descending arc
             (0.0, -np.pi, math.radians(11)),
             (0.0, 0.3, 10.0),                    # step larger than the arc
+            (0.0, np.pi / 2, math.radians(1e14)),  # step over 1e12 arcs
+            (0.0, -1e-300, 1.0),
         ]:
             samples = sweep_angles(start, end, step)
             assert samples[0] == start

@@ -107,6 +107,12 @@ panels:
         with pytest.raises(SpecValidationError, match="cycle"):
             parse_spec(doc)
 
+    def test_rpy_of_a_whole_turn_either_way_is_accepted(self):
+        # Beyond it the CLI's field tests reject the spec.
+        posed = "root_pose: {translation_mm: [0, 0, 1], rpy_deg: [360, -360, 0]}"
+        spec = parse_spec(TWO_PANEL_DOC.replace("root_pose: {translation_mm: [0, 0, 1]}", posed))
+        np.testing.assert_allclose(spec.root_pose.rotation, np.eye(3), atol=1e-12)
+
     @given(st.data())
     def test_a_cycle_is_named_by_a_panel_on_it(self, data):
         # The first m panels after the root link round a cycle; every other
@@ -337,6 +343,14 @@ class TestIngestion:
         spec = parse_spec(MERGED_DOC)
         assert [p.crease_anchor for p in spec.panels[1:]] == [(195.0, 0.0, 0.0), (395.0, 0.0, 0.0)]
         assert {p.dims for p in spec.panels[1:]} == {(60.0, 190.0, 2.0)}
+
+    def test_a_key_written_twice_is_named_with_its_line(self):
+        # A key written again in one mapping is refused; one a merge key
+        # brings in, even twice, may be overridden.
+        assert outcome(MERGED_DOC.replace("    id: 3\n", "    id: 3\n    id: 4\n")) == (
+            "SpecValidationError: duplicate key 'id' on line 9"
+        )
+        assert parse_spec(MERGED_DOC.replace("{<<: *flap,", "{<<: [*flap, *flap],")) == parse_spec(MERGED_DOC)
 
 
 # Values a single field of a spec mapping is set to by the boundary test.
