@@ -3,11 +3,12 @@
 These deliberately avoid the library's own kernels: box overlap is decided
 by dense point sampling, sequence enumeration by filtering raw
 permutations and subtrees by walking every panel to the root
-(``walked_subtrees``). Slow and simple on purpose. ``loop_lattice`` is the lattice
-build as one ``collision_check`` per (reachable state, unfolded joint), the
-reference for the layer-at-a-time build. ``csv_report`` writes a CSV
-report one line at a time and ``structured_report`` through
-``json.dumps``: the references for the writers of ``cli``.
+(``walked_subtrees``). Slow and simple on purpose. ``loop_lattice`` is
+the lattice build as one ``collision_check`` per (reachable state,
+unfolded joint), the reference for the layer-at-a-time build.
+``csv_report`` writes a CSV report one line at a time and
+``structured_report`` through ``json.dumps``: the references for the
+writers of ``cli``.
 """
 
 from __future__ import annotations

@@ -672,10 +672,8 @@ class TestBuildTree:
         assert {pid: tree.subtree_ids(pid) for pid in tree.ids} == subtrees
 
     def test_a_20000_panel_chain_validates_and_builds_in_single_passes(self):
-        # A root, a chain of static panels and a flap at its end. A walk to
-        # the root from every panel and a walk over every panel's subtree
-        # took about 54 s together on a 2-core x86-64; single passes take
-        # about 0.1 s.
+        # A root, a chain of static panels and a flap at its end: a walk
+        # per panel would take time quadratic in the chain's depth.
         n = 20_000
         crease = {"dims": (20, 100, 2), "crease_anchor": (0, 20, 0), "crease_dir": (1, 0, 0)}
         panels = [PanelSpec(id=1, parent=None, dims=(20, 100, 2))]
