@@ -32,9 +32,11 @@ EXIT_OK = 0
 EXIT_NO_SEQUENCES = 2
 EXIT_SPEC_INVALID = 3
 
-# Words of CSV text that format_csv assembles per block of rows: its word
+# Words of CSV text in one block of a report, k + 3 to a row: run writes a
+# report to its output a block of rows at a time, so every writer's word
 # ids, gathered words and joined text grow with this, not with the report.
-CSV_BLOCK_WORDS = 1 << 12
+# A report of a few thousand rows, such as the tray's 1 680, is one block.
+BLOCK_WORDS = 1 << 15
 
 
 class RunConfig(FrozenValue):
@@ -78,21 +80,42 @@ def _load_tree(config: RunConfig) -> KinematicTree:
     return tree
 
 
-def format_table(report: RankedReport) -> str:
-    orders = report.orders.tolist()
-    lines = [
+def block_rows(report: RankedReport) -> int:
+    """Rows in one block of the report: about BLOCK_WORDS words of CSV text."""
+    return max(1, BLOCK_WORDS // (report.steps.shape[1] + 3))
+
+
+def _range(report: RankedReport, start: int, stop: int | None) -> tuple[int, int]:
+    """Rows start .. stop - 1 of the report, all from start when stop is None.
+
+    Each writer returns the text of such a range: the report's head with
+    row 0 and its tail with the last row, so the texts of consecutive
+    ranges join into the text of the whole report, which is the one-range
+    case. An empty report is the one range (0, 0).
+    """
+    n = len(report)
+    return start, n if stop is None else min(stop, n)
+
+
+def format_table(report: RankedReport, start: int = 0, stop: int | None = None) -> str:
+    start, stop = _range(report, start, stop)
+    lines = [] if start else [
         f"policy: {' > '.join(report.criteria)}   "
-        f"(showing {len(orders)} of {report.sequence_count} sequences)",
-        f"{'rank':>4}  {'sequence':<28} {'volume_mm3':>16} {'maxdim_mm':>12} {'naf':>4}",
+        f"(showing {len(report)} of {report.sequence_count} sequences)\n",
+        f"{'rank':>4}  {'sequence':<28} {'volume_mm3':>16} {'maxdim_mm':>12} {'naf':>4}\n",
     ]
-    totals = zip(report.c_vol.tolist(), report.c_dim.tolist(), report.c_aerial.tolist())
-    for rank, (order, (c_vol, c_dim, naf)) in enumerate(zip(orders, totals), start=1):
+    orders = report.joints[report.edges.slot[report.steps[start:stop]]].tolist()
+    totals = zip(
+        report.c_vol[start:stop].tolist(), report.c_dim[start:stop].tolist(),
+        report.c_aerial[start:stop].tolist(),
+    )
+    for rank, (order, (c_vol, c_dim, naf)) in enumerate(zip(orders, totals), start=start + 1):
         seq = "[" + ", ".join(map(str, order)) + "]"
-        lines.append(f"{rank:>4}  {seq:<28} {c_vol:>16.1f} {c_dim:>12.1f} {naf:>4}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{rank:>4}  {seq:<28} {c_vol:>16.1f} {c_dim:>12.1f} {naf:>4}\n")
+    return "".join(lines)
 
 
-def format_csv(report: RankedReport) -> str:
+def format_csv(report: RankedReport, start: int = 0, stop: int | None = None) -> str:
     """The header, then one line per row: the order joined by "-", the
     volume and maxdim totals to 6 decimals, and the aerial count.
 
@@ -102,44 +125,38 @@ def format_csv(report: RankedReport) -> str:
     newline. The joint words are listed in slot order, so a step's word id
     is its edge's slot (plus k in last place), and the count words are
     0 .. k, so a count's word id follows from its value; each distinct
-    total is formatted once, told apart from the others by its bits, so
-    two that print differently never share a word. Each block of about
-    CSV_BLOCK_WORDS words is one gather of slots, one gather from the
-    vocabulary and one ``str.join``.
+    total of the range is formatted once, told apart from the others by
+    its bits, so two that print differently never share a word. The range
+    is one gather of slots, one gather from the vocabulary and one
+    ``str.join``.
     """
-    header = "sequence,volume_mm3,maxdim_mm,naf\n"
-    n, k = report.steps.shape
-    if not n:
+    start, stop = _range(report, start, stop)
+    header = "" if start else "sequence,volume_mm3,maxdim_mm,naf\n"
+    k = report.steps.shape[1]
+    if stop <= start:
         return header
     joints = report.joints.tolist()
     words = [f"{j}-" for j in joints] + [f"{j}," for j in joints] + [f"{c}\n" for c in range(k + 1)]
-    tails = []  # the word of each row's volume, maxdim and count
-    for column in (report.c_vol, report.c_dim):
-        distinct, index = np.unique(column.view(np.int64), return_inverse=True)
-        tails.append(index + len(words))
+    ids = np.empty((stop - start, k + 3), dtype=np.intp)
+    ids[:, :k] = report.edges.slot[report.steps[start:stop]]
+    ids[:, k - 1] += k
+    for i, column in enumerate((report.c_vol, report.c_dim), k):
+        distinct, ids[:, i] = np.unique(column[start:stop].view(np.int64), return_inverse=True)
+        ids[:, i] += len(words)
         words += map("{:.6f},".format, distinct.view(column.dtype).tolist())
-    tails.append(report.c_aerial + 2 * k)
-    vocab = np.array(words, dtype=object)
-    slot = report.edges.slot
-    rows = max(1, CSV_BLOCK_WORDS // (k + 3))
-    blocks = [header]
-    for a in range(0, n, rows):
-        ids = np.empty((min(rows, n - a), k + 3), dtype=np.intp)
-        ids[:, :k] = slot[report.steps[a:a + rows]]
-        ids[:, k - 1] += k
-        for i, tail in enumerate(tails, k):
-            ids[:, i] = tail[a:a + rows]
-        blocks.append("".join(vocab.take(ids.ravel()).tolist()))
-    return "".join(blocks)
+    ids[:, k + 2] = report.c_aerial[start:stop] + 2 * k
+    return header + "".join(np.array(words, dtype=object).take(ids.ravel()).tolist())
 
 
 # The structured report is the text of json.dumps(payload, indent=2), with
 # payload {"policy": [...], "sequence_count": n, "rows": [row, ...]}, row
 # {"sequence": [...], "volume_mm3", "maxdim_mm", "naf", "per_step": [step,
 # ...]} and float values rounded by round6. It is written from templates,
-# each distinct total and each step once, since json.dumps with an indent
-# runs the pure-Python encoder.
-_ROW = """    {{
+# each distinct total and each step of a range once, since json.dumps with
+# an indent runs the pure-Python encoder. Every row but the first opens
+# with the comma that separates it from the one before.
+_ROW = """
+    {{
       "sequence": [
 {}
       ],
@@ -158,13 +175,18 @@ _STEP = """        {{
         }}"""
 
 
-def format_structured(report: RankedReport) -> str:
-    c_vol, c_dim = report.c_vol.tolist(), report.c_dim.tolist()
+def format_structured(report: RankedReport, start: int = 0, stop: int | None = None) -> str:
+    start, stop = _range(report, start, stop)
+    steps = report.steps[start:stop]
+    c_vol, c_dim = report.c_vol[start:stop].tolist(), report.c_dim[start:stop].tolist()
     number = {v: repr(round6(v)) for v in {*c_vol, *c_dim}}
     joints = report.joints.tolist()
     # Each distinct step edge's sequence line and step text, formatted once
-    # from Python scalars.
-    used = np.unique(report.steps)
+    # from Python scalars. The edge ids come back ascending from a mask,
+    # since np.unique without flags imports numpy.ma.
+    mask = np.zeros(len(report.edges.slot), dtype=bool)
+    mask[steps] = True
+    used = np.flatnonzero(mask)
     slot, volume, max_dim, aerial = (column[used].tolist() for column in report.edges)
     used = used.tolist()
     line = {e: f"        {joints[s]}" for e, s in zip(used, slot)}
@@ -172,7 +194,7 @@ def format_structured(report: RankedReport) -> str:
         e: _STEP.format(joints[s], round6(v), round6(d), "true" if a else "false")
         for e, s, v, d, a in zip(used, slot, volume, max_dim, aerial)
     }
-    rows = [
+    rows = ",".join([
         _ROW.format(
             ",\n".join([line[e] for e in ids]),
             number[vol],
@@ -180,16 +202,31 @@ def format_structured(report: RankedReport) -> str:
             naf,
             ",\n".join([step[e] for e in ids]),
         )
-        for ids, vol, dim, naf in zip(report.steps.tolist(), c_vol, c_dim, report.c_aerial.tolist())
-    ]
-    # Every criterion is a plain name from RANKING_CRITERIA, so its JSON
-    # text is the name in double quotes.
-    policy = ",\n".join(f'    "{c}"' for c in report.criteria)
-    listed = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-    return (
-        f'{{\n  "policy": [\n{policy}\n  ],\n  "sequence_count": {report.sequence_count},\n'
-        f'  "rows": {listed}\n}}\n'
-    )
+        for ids, vol, dim, naf in zip(steps.tolist(), c_vol, c_dim, report.c_aerial[start:stop].tolist())
+    ])
+    if start:
+        head = ","
+    else:
+        # Every criterion is a plain name from RANKING_CRITERIA, so its
+        # JSON text is the name in double quotes.
+        policy = ",\n".join(f'    "{c}"' for c in report.criteria)
+        head = (
+            f'{{\n  "policy": [\n{policy}\n  ],\n  "sequence_count": {report.sequence_count},\n'
+            '  "rows": ['
+        )
+    tail = ""
+    if stop == len(report):
+        tail = ("\n  ]" if stop else "]") + "\n}\n"
+    # One copy of the rows' text: an f-string, not a chain of "+".
+    return f"{head}{rows}{tail}"
+
+
+def write_report(report: RankedReport, fmt: str, out) -> None:
+    """Write the report in format ``fmt`` to ``out``, one block of rows at a time."""
+    write = {"table": format_table, "csv": format_csv, "structured": format_structured}[fmt]
+    rows = block_rows(report)
+    for start in range(0, max(len(report), 1), rows):
+        out.write(write(report, start, start + rows))
 
 
 def run(config: RunConfig, out=None) -> int:
@@ -215,12 +252,7 @@ def run(config: RunConfig, out=None) -> int:
         for line in lattice.stats.lines():
             logger.info("planner %s", line)
 
-    if config.fmt == "table":
-        out.write(format_table(report))
-    elif config.fmt == "csv":
-        out.write(format_csv(report))
-    else:
-        out.write(format_structured(report))
+    write_report(report, config.fmt, out)
 
     if config.dump_dir is not None:
         from .replay import dump_states

@@ -225,18 +225,21 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
     columns, rounded = _criteria(lattice.tree.spec.ranking, edges.volume, edges.max_dim, edges.aerial)
     stats = lattice.stats
     first, children = lattice.first, lattice.child
-    weight = np.array(columns, dtype=float)
 
-    # least[:, i]: the smallest sum of each criterion over the folds
-    # finishing state i. A fold out of state i weighs i's volume and maxdim
-    # and its own aerial flag; adding one weight to every candidate moves
-    # the minimum by exactly that weight, since rounded addition is monotone.
+    # least[c, i]: the smallest sum of criterion c over the folds finishing
+    # state i. A fold out of state i weighs i's volume and maxdim and its
+    # own aerial flag; adding one weight to every candidate moves the
+    # minimum by exactly that weight, since rounded addition is monotone.
+    # Each criterion's column is read a slice at a time, never stacked.
     least = np.zeros((len(columns), len(lattice.masks)))
     layer = lattice.layers
     for a, b in zip(layer[-3::-1].tolist(), layer[-2:0:-1].tolist()):
         lo, hi = first[a], first[b]
-        candidates = weight[:, lo:hi] + least[:, children[lo:hi]]
-        least[:, a:b] = np.minimum.reduceat(candidates, first[a:b] - lo, axis=1)
+        kids, starts = children[lo:hi], first[a:b] - lo
+        for column, row in zip(columns, least):
+            candidates = row[kids]
+            candidates += column[lo:hi]
+            row[a:b] = np.minimum.reduceat(candidates, starts)
     folds: dict[int, list] = {}
 
     def folds_of(i: int) -> list:
@@ -245,9 +248,10 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
         if found is None:
             lo, hi = int(first[i]), int(first[i + 1])
             kids = children[lo:hi]
-            w, rest = weight[:, lo:hi].T, least[:, kids].T
+            w = list(zip(*[column[lo:hi].tolist() for column in columns]))
+            rest = least[:, kids].T.tolist()
             found = folds[i] = sorted(zip(
-                (w + rest).tolist(), range(lo, hi), kids.tolist(), w.tolist(), rest.tolist(),
+                [list(map(add, a, b)) for a, b in zip(w, rest)], range(lo, hi), kids.tolist(), w, rest,
             ))
         return found
 
@@ -299,8 +303,9 @@ def _search(lattice: FoldLattice, n: int, edges: EdgeMetrics) -> np.ndarray:
             sums = tuple(round6(v) if r else v for r, v in zip(rounded, sums))
             keep(sums + (tuple(path),))
             return
-        for _, e, c, w, rest in folds_of(i):
-            stats.cc_cache_hits += 1
+        state_folds = folds_of(i)
+        stats.cc_cache_hits += len(state_folds)
+        for _, e, c, w, rest in state_folds:
             path.append(e)
             reach = tuple(map(add, sums, w))
             if cutoff is not None and ranks_after(reach, rest):

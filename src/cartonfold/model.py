@@ -862,8 +862,9 @@ _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class _SpecLoader(_SAFE_LOADER):
-    """The safe loader, refusing a key written twice in one mapping. A
-    written key still overrides one that a merge key (``<<``) brings in."""
+    """The safe loader, refusing a key written twice in one mapping and an
+    integer too long to convert. A written key still overrides one that a
+    merge key (``<<``) brings in."""
 
     def construct_mapping(self, node, deep=False):
         written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
@@ -878,6 +879,17 @@ class _SpecLoader(_SAFE_LOADER):
                     )
                 seen.add(key)
         return mapping
+
+    def construct_yaml_int(self, node):
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError:  # int() refuses a text of more than sys.get_int_max_str_digits() digits
+            raise SpecValidationError(
+                f"integer on line {node.start_mark.line + 1} has too many digits to read"
+            ) from None
+
+
+_SpecLoader.add_constructor("tag:yaml.org,2002:int", _SpecLoader.construct_yaml_int)
 
 
 # Deepest nesting of collections accepted in a spec document. PyYAML's

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import hashlib
 import subprocess
 import sys
 import tracemalloc
@@ -25,10 +26,13 @@ from cartonfold.cli import (
     EXIT_OK,
     EXIT_SPEC_INVALID,
     RunConfig,
+    block_rows,
     format_csv,
     format_structured,
+    format_table,
     main,
     run,
+    write_report,
 )
 from cartonfold.geometry import OrientedBox, Transform
 from cartonfold.metrics import EdgeMetrics, RankedReport, rank_lattice
@@ -225,6 +229,11 @@ class TestRun:
              "root_pose: rpy_deg must lie within [-360, 360], got 1e+308"),
             (TABLE, TABLE + "\n  " + BOX.format("1, 1, 1")[:-1] + ", rpy_deg: [0, -360.5, 0]}",
              "environment[1]: rpy_deg must lie within [-360, 360], got -360.5"),
+            # Beyond int()'s digit limit, which PyYAML's constructor raises as a ValueError.
+            ("dims_mm: [60, 190, 2]", "dims_mm: [60, " + "1" * 5000 + ", 2]",
+             "error: integer on line 5 has too many digits to read"),
+            ("theta_final_deg: 90", "theta_final_deg: " + "9" * 5000,
+             "error: integer on line 7 has too many digits to read"),
         ],
     )
     def test_malformed_number_exits_3_naming_the_field(
@@ -500,6 +509,31 @@ def drawn_reports(draw):
     )
 
 
+def joined_ranges(write, report, rows: int) -> str:
+    """The texts of consecutive ranges of ``rows`` rows, joined."""
+    return "".join(write(report, a, a + rows) for a in range(0, max(len(report), 1), rows))
+
+
+class WriteLog:
+    """An output that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text: str) -> None:
+        self.writes.append(text)
+
+
+class DigestSink:
+    """An output that keeps only the MD5 digest of what is written to it."""
+
+    def __init__(self):
+        self.md5 = hashlib.md5()
+
+    def write(self, text: str) -> None:
+        self.md5.update(text.encode())
+
+
 class TestCsvWriter:
     """``format_csv`` against the line-by-line writer ``oracles.csv_report``."""
 
@@ -507,25 +541,23 @@ class TestCsvWriter:
     def test_drawn_reports_are_written_byte_for_byte(self, report):
         want = csv_report(report)
         assert format_csv(report) == want
-        # One row per block: every row crosses a block boundary.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli_module, "CSV_BLOCK_WORDS", 1)
-            assert format_csv(report) == want
+        # One row per range: every row crosses a range boundary.
+        assert joined_ranges(format_csv, report, 1) == want
 
     def test_peak_memory_no_higher_than_the_reference(self):
-        # Word ids over the whole report, not a block, would exceed it.
+        # Written a block at a time, the report's text is never held whole.
         report = rank_lattice(build_lattice(build_tree(free_flap_spec(8))), None)
         assert len(report) == 40320
-        texts, peaks = [], []
-        for write in (format_csv, csv_report):
+        sink, peaks = DigestSink(), []
+        for write in (lambda: write_report(report, "csv", sink), lambda: csv_report(report)):
             tracemalloc.start()
             try:
-                texts.append(write(report))
+                text = write()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert texts[0] == texts[1]
-        assert peaks[0] <= peaks[1]
+        assert sink.md5.hexdigest() == hashlib.md5(text.encode()).hexdigest()
+        assert peaks[0] * 10 <= peaks[1]
 
 
 class TestStructuredWriter:
@@ -534,7 +566,69 @@ class TestStructuredWriter:
     @given(drawn_reports())
     def test_drawn_reports_are_written_byte_for_byte(self, report):
         assert np.array_equal(np.sort(report.orders, axis=1), np.tile(report.joints, (len(report), 1)))
-        assert format_structured(report) == structured_report(report)
+        want = structured_report(report)
+        assert format_structured(report) == want
+        assert joined_ranges(format_structured, report, 1) == want
+
+
+WRITERS = {"table": format_table, "csv": format_csv, "structured": format_structured}
+
+
+@pytest.fixture(scope="module")
+def every_row():
+    """Every ranked row of the tray, of eight free flaps of distinct heights,
+    and of a carton with no feasible sequence (a report of no rows)."""
+    flaps8 = free_flap_spec(8, [40.0 + 7 * i for i in range(8)])
+    trees = {
+        "tray": build_tree(load_spec(SPEC_DIR / "case_study_tray.yaml")),
+        "flaps8": build_tree(flaps8),
+        "no rows": build_tree(load_spec(SPEC_DIR / "obstructed_flap.yaml")),
+    }
+    return {name: rank_lattice(build_lattice(tree), None) for name, tree in trees.items()}
+
+
+class TestWritersByRange:
+    """Each writer formats a range of rows; consecutive ranges join into the
+    one-range text, and run writes the report one block at a time."""
+
+    @pytest.mark.parametrize("fmt", WRITERS)
+    @pytest.mark.parametrize("name", ("tray", "flaps8", "no rows"))
+    def test_consecutive_ranges_join_into_the_whole_report(self, every_row, name, fmt):
+        report, write = every_row[name], WRITERS[fmt]
+        assert len(report) == {"tray": 1680, "flaps8": 40320, "no rows": 0}[name]
+        whole = write(report)
+        assert whole.endswith("\n")
+        for rows in (1, 2, 7, block_rows(report), len(report) + 1):
+            assert joined_ranges(write, report, rows) == whole, rows
+
+    @pytest.mark.parametrize("fmt", WRITERS)
+    def test_run_writes_one_block_at_a_time(self, every_row, fmt, monkeypatch):
+        # Blocks of 102 rows: the tray's 1 680 rows are one block at the default size.
+        monkeypatch.setattr(cli_module, "BLOCK_WORDS", 1024)
+        report = every_row["tray"]
+        rows = block_rows(report)
+        log = WriteLog()
+        config = RunConfig(spec_path=str(SPEC_DIR / "case_study_tray.yaml"), fmt=fmt, top=None)
+        assert run(config, out=log) == EXIT_OK
+        assert len(log.writes) == -(-len(report) // rows) > 1
+        assert log.writes == [WRITERS[fmt](report, a, a + rows) for a in range(0, len(report), rows)]
+
+    def test_streamed_structured_peak_memory_is_a_tenth_of_the_whole_text(self, every_row):
+        report, peaks = every_row["flaps8"], []
+        for write in (lambda: write_report(report, "structured", DigestSink()), lambda: format_structured(report)):
+            tracemalloc.start()
+            try:
+                write()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] * 10 <= peaks[1]
+
+    @pytest.mark.parametrize("fmt", WRITERS)
+    def test_a_report_of_no_rows_is_one_write(self, every_row, fmt):
+        log = WriteLog()
+        write_report(every_row["no rows"], fmt, log)
+        assert log.writes == [WRITERS[fmt](every_row["no rows"])]
 
 
 # specs/obstructed_flap.yaml with its beam replaced by a 0.5 mm blade that

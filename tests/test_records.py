@@ -301,6 +301,33 @@ def test_import_footprint():
     assert found["planned"] == PLAN_MODULES
 
 
+# Run in a fresh interpreter: every report format at top 20 and at every
+# row, and an --explain, of the spec named by the first argument; then
+# print which numpy.ma modules are loaded. A plan uses no masked array, and
+# numpy loads numpy.ma only on first use (np.unique without flags does).
+MASKED_ARRAYS = textwrap.dedent(
+    """
+    import io, sys
+    from cartonfold.cli import RunConfig, run
+    codes = [
+        run(RunConfig(sys.argv[1], fmt=fmt, top=top), out=io.StringIO())
+        for fmt in ("table", "csv", "structured") for top in (20, None)
+    ]
+    codes.append(run(RunConfig(sys.argv[1], explain=(1, 2, 3, 4, 5, 6, 7)), out=io.StringIO()))
+    print(codes, sorted(name for name in sys.modules if name == "numpy.ma" or name.startswith("numpy.ma.")))
+    """
+)
+
+
+def test_no_plan_imports_numpy_ma():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", MASKED_ARRAYS, str(SPEC_DIR / "case_study_tray.yaml")],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout == "[0, 0, 0, 0, 0, 0, 0] []\n"
+
+
 # Where each name of the package that no plan runs is defined.
 ON_FIRST_USE = {
     "cartonfold.reference": [
